@@ -14,7 +14,6 @@ use sim_core::stats::TimeSeries;
 use sim_core::time::SimTime;
 
 use netsim::ids::NodeId;
-use netsim::slab::DenseMap;
 
 use crate::config::{AdaptationScheme, CoreliteConfig, DecreasePolicy};
 
@@ -22,6 +21,52 @@ use crate::config::{AdaptationScheme, CoreliteConfig, DecreasePolicy};
 enum Phase {
     SlowStart,
     Linear,
+}
+
+/// Marker counts of the current epoch, per sending core router. A flow
+/// hears from the few cores on its path, so the counts live inline in the
+/// controller; only a path with more than [`CoreCounts::INLINE`]
+/// congested cores spills to the heap.
+#[derive(Debug)]
+struct CoreCounts {
+    inline: [(NodeId, u32); CoreCounts::INLINE],
+    used: usize,
+    spill: Vec<(NodeId, u32)>,
+}
+
+impl CoreCounts {
+    const INLINE: usize = 4;
+
+    fn new() -> Self {
+        CoreCounts {
+            inline: [(NodeId::from_index(0), 0); Self::INLINE],
+            used: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn bump(&mut self, from: NodeId) {
+        let seen = self.inline[..self.used].iter_mut().chain(&mut self.spill);
+        if let Some((_, count)) = seen.into_iter().find(|(core, _)| *core == from) {
+            *count += 1;
+        } else if self.used < Self::INLINE {
+            self.inline[self.used] = (from, 1);
+            self.used += 1;
+        } else {
+            self.spill.push((from, 1));
+        }
+    }
+
+    /// The highest per-core count — the paper's `m(f)`.
+    fn max(&self) -> u32 {
+        let counts = self.inline[..self.used].iter().chain(&self.spill);
+        counts.map(|&(_, count)| count).max().unwrap_or(0)
+    }
+
+    fn clear(&mut self) {
+        self.used = 0;
+        self.spill.clear();
+    }
 }
 
 /// Rate-control state for one flow at one (ingress or gateway) edge.
@@ -36,7 +81,7 @@ pub struct RateController {
     phase: Phase,
     last_double: SimTime,
     marker_credit: f64,
-    feedback: DenseMap<NodeId, u32>,
+    feedback: CoreCounts,
     series: TimeSeries,
 }
 
@@ -60,9 +105,23 @@ impl RateController {
             phase: Phase::Linear,
             last_double: SimTime::ZERO,
             marker_credit: 0.0,
-            feedback: DenseMap::new(),
+            feedback: CoreCounts::new(),
             series: TimeSeries::new(),
         }
+    }
+
+    /// Records into `series` (emptied first) instead of a fresh one: an
+    /// edge under churn hands a departed flow's buffer to the next
+    /// arrival (builder-style).
+    pub fn recording_into(mut self, mut series: TimeSeries) -> Self {
+        series.clear();
+        self.series = series;
+        self
+    }
+
+    /// Consumes the controller, returning its recorded series.
+    pub fn into_series(self) -> TimeSeries {
+        self.series
     }
 
     /// (Re)starts the flow at `now`: fresh slow-start for best-effort
@@ -196,7 +255,7 @@ impl RateController {
             self.record(now);
             true
         } else {
-            *self.feedback.entry_or_insert_with(from, || 0) += 1;
+            self.feedback.bump(from);
             false
         }
     }
@@ -206,7 +265,7 @@ impl RateController {
     /// [`epoch_update`](RateController::epoch_update), which consumes the
     /// counts.
     pub fn feedback_max(&self) -> u32 {
-        self.feedback.values().copied().max().unwrap_or(0)
+        self.feedback.max()
     }
 
     /// Whether the controller is still in slow-start.
@@ -222,7 +281,7 @@ impl RateController {
             self.feedback.clear();
             return;
         }
-        let m = self.feedback.values().copied().max().unwrap_or(0);
+        let m = self.feedback.max();
         match cfg.adaptation {
             AdaptationScheme::RateLimd => {
                 if m > 0 {
@@ -487,6 +546,42 @@ mod tests {
         assert_eq!(rc.feedback_max(), 2, "max per core, not the sum");
         rc.epoch_update(&c, t(1.5));
         assert_eq!(rc.feedback_max(), 0, "epoch update consumes the counts");
+    }
+
+    #[test]
+    fn feedback_from_more_cores_than_fit_inline_is_still_counted_per_core() {
+        let c = cfg();
+        let mut rc = RateController::new(1, 0.0, 0.24);
+        rc.start(&c, t(0.0), 0.24);
+        rc.phase = Phase::Linear;
+        // Core k reports k times; cores 5 and 6 land in the spill.
+        for round in 1..=6 {
+            for core in round..=6 {
+                rc.on_feedback(&c, NodeId::from_index(core), t(1.0));
+            }
+        }
+        assert_eq!(rc.feedback.used, CoreCounts::INLINE);
+        assert_eq!(rc.feedback.spill.len(), 2);
+        assert_eq!(rc.feedback_max(), 6);
+        rc.epoch_update(&c, t(1.5));
+        assert_eq!(rc.feedback_max(), 0);
+        rc.on_feedback(&c, NodeId::from_index(9), t(2.0));
+        assert_eq!((rc.feedback.used, rc.feedback.spill.len()), (1, 0));
+    }
+
+    #[test]
+    fn a_handed_down_series_buffer_starts_empty() {
+        let c = cfg();
+        let mut departed = RateController::new(1, 0.0, 0.24);
+        departed.start(&c, t(0.0), 0.24);
+        departed.stop(t(1.0));
+        let series = departed.into_series();
+        assert_eq!(series.len(), 2);
+        let mut arrival = RateController::new(2, 0.0, 0.24).recording_into(series);
+        assert!(arrival.series().is_empty(), "the departed flow's samples");
+        arrival.start(&c, t(5.0), 0.24);
+        let samples: Vec<_> = arrival.series().iter().collect();
+        assert_eq!(samples, vec![(t(5.0), c.initial_rate)]);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! Packet losses (CSFQ's feedback signal) are counted but deliberately
 //! ignored: *"edges react only to congestion indications"* (§4.3).
 
+use sim_core::stats::TimeSeries;
 use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::FlowId;
@@ -89,6 +90,9 @@ pub struct CoreliteEdge {
     /// recycled slot's previous occupant) is recognized as stale and
     /// dropped instead of feeding a chain it no longer owns.
     emission_epochs: Vec<u32>,
+    /// Series buffers of departed churn flows, for the next arrivals to
+    /// record into: a flow's first sample then allocates nothing.
+    spare_series: Vec<TimeSeries>,
     markers_injected: u64,
     feedback_received: u64,
     losses_ignored: u64,
@@ -110,6 +114,7 @@ impl CoreliteEdge {
             flows: DenseMap::new(),
             active: ActiveSet::new(),
             emission_epochs: Vec::new(),
+            spare_series: Vec::new(),
             markers_injected: 0,
             feedback_received: 0,
             losses_ignored: 0,
@@ -216,10 +221,9 @@ impl RouterLogic for CoreliteEdge {
             // A recycled slot may still hold the previous occupant's
             // state if its stop was swallowed (e.g. by a pause): churn
             // flows always begin from scratch.
-            self.flows.insert(
-                flow,
-                FlowState::new(RateController::new(weight, min_rate, rtt)),
-            );
+            let series = self.spare_series.pop().unwrap_or_default();
+            let controller = RateController::new(weight, min_rate, rtt).recording_into(series);
+            self.flows.insert(flow, FlowState::new(controller));
         }
         let s = self.flows.entry_or_insert_with(flow, || {
             FlowState::new(RateController::new(weight, min_rate, rtt))
@@ -239,7 +243,9 @@ impl RouterLogic for CoreliteEdge {
         if ctx.flow(flow).is_transient() {
             // Departed churn flows never restart; drop their state so
             // edge memory tracks the active set, not total arrivals.
-            self.flows.remove(&flow);
+            if let Some(s) = self.flows.remove(&flow) {
+                self.spare_series.push(s.controller.into_series());
+            }
         } else if let Some(s) = self.state_mut(flow) {
             s.controller.stop(now);
             s.emission_pending = false;

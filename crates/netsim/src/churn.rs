@@ -18,7 +18,8 @@ use sim_core::rng::DetRng;
 use sim_core::stats::{LogHistogram, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::ids::{LinkId, NodeId};
+use crate::flow::Route;
+use crate::ids::NodeId;
 
 /// Declarative description of a churn process, installed with
 /// [`TopologyBuilder::churn`](crate::topology::TopologyBuilder::churn).
@@ -242,7 +243,6 @@ impl ChurnReport {
     }
 }
 
-/// A route template resolved against the built topology.
 /// A churn flow's raw completion data, logged instead of folded into the
 /// running metrics when completion accounting is deferred (sharded runs).
 ///
@@ -299,13 +299,6 @@ impl ChurnReport {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct ResolvedRoute {
-    pub(crate) path: Vec<NodeId>,
-    pub(crate) hops: Vec<LinkId>,
-    pub(crate) reverse_delays: Vec<SimDuration>,
-}
-
 /// One planned arrival, returned by [`ChurnState::plan_arrival`]; the
 /// network turns it into a resident flow.
 pub(crate) struct ArrivalPlan {
@@ -327,7 +320,9 @@ pub(crate) struct ArrivalPlan {
 /// Runtime state of the churn process, owned by the network.
 pub(crate) struct ChurnState {
     spec: ChurnSpec,
-    routes: Vec<ResolvedRoute>,
+    /// The route templates, resolved against the built topology; every
+    /// arrival shares its template's route.
+    routes: Vec<Route>,
     gaps: DetRng,
     sizes: DetRng,
     picks: DetRng,
@@ -361,7 +356,7 @@ pub(crate) struct ChurnState {
 impl ChurnState {
     pub(crate) fn new(
         spec: ChurnSpec,
-        routes: Vec<ResolvedRoute>,
+        routes: Vec<Route>,
         seed: u64,
         window: SimDuration,
         base_slots: usize,
@@ -414,7 +409,7 @@ impl ChurnState {
         self.spec.linger
     }
 
-    pub(crate) fn route(&self, i: usize) -> &ResolvedRoute {
+    pub(crate) fn route(&self, i: usize) -> &Route {
         &self.routes[i]
     }
 
@@ -599,6 +594,8 @@ impl ChurnState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::Hop;
+    use crate::ids::LinkId;
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -611,11 +608,12 @@ mod tests {
     }
 
     fn state(spec: ChurnSpec) -> ChurnState {
-        let routes = vec![ResolvedRoute {
-            path: vec![n(0), n(1)],
-            hops: vec![LinkId::from_index(0)],
-            reverse_delays: vec![SimDuration::ZERO, SimDuration::from_millis(40)],
-        }];
+        let hop = |node, link, ms| Hop {
+            node: n(node),
+            link,
+            reverse_delay: SimDuration::from_millis(ms),
+        };
+        let routes = vec![[hop(0, Some(LinkId::from_index(0)), 0), hop(1, None, 40)].into()];
         ChurnState::new(spec, routes, 7, SimDuration::from_secs(1), 3, false)
     }
 

@@ -1,6 +1,8 @@
 //! Edge-to-edge flows: paths, rate weights, and activation schedules.
 
-use sim_core::time::SimTime;
+use std::rc::Rc;
+
+use sim_core::time::{SimDuration, SimTime};
 
 use crate::ids::{FlowId, LinkId, NodeId};
 
@@ -115,7 +117,25 @@ impl FlowSpec {
     }
 }
 
-/// Resolved, immutable description of a flow inside a built network.
+/// One node of a resolved route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// The node.
+    pub node: NodeId,
+    /// The link from this node to the next one; `None` at the egress.
+    pub link: Option<LinkId>,
+    /// Propagation delay from this node back to the ingress (the sum of
+    /// the delays of the links before it).
+    pub reverse_delay: SimDuration,
+}
+
+/// A path resolved against the built topology: one [`Hop`] per node,
+/// ingress first. Immutable and shared — every flow of a churn route
+/// template holds the same allocation, so creating a flow copies no
+/// route data and the forwarding path reads a handful of hot routes.
+pub type Route = Rc<[Hop]>;
+
+/// Resolved description of a flow inside a built network.
 #[derive(Debug, Clone)]
 pub struct FlowInfo {
     /// The flow's identifier.
@@ -126,18 +146,12 @@ pub struct FlowInfo {
     pub packet_size: u32,
     /// Minimum rate contract in packets per second (0 = best effort).
     pub min_rate: f64,
-    /// Hop-by-hop node path.
-    pub path: Vec<NodeId>,
-    /// `hops[i]` is the link from `path[i]` to `path[i+1]`.
-    pub hops: Vec<LinkId>,
     /// Activation periods, normalized: sorted by start, with adjacent or
     /// overlapping windows coalesced (see [`normalize_activations`]).
     pub activations: Vec<(SimTime, Option<SimTime>)>,
     /// The sender driving the flow at its ingress edge.
     pub transport: Transport,
-    /// `next_hops[node]` is the outgoing link at that node (O(1) lookup
-    /// on the per-packet forwarding path; derived from `path`/`hops`).
-    next_hops: Vec<Option<LinkId>>,
+    route: Route,
     /// A churn-created flow: it runs exactly one activation window and
     /// is then retired, its table slot recycled. Edge logic drops its
     /// per-flow state on stop instead of keeping it for a restart.
@@ -156,9 +170,12 @@ pub fn normalize_activations(
     mut activations: Vec<(SimTime, Option<SimTime>)>,
 ) -> Vec<(SimTime, Option<SimTime>)> {
     activations.sort_by_key(|&(start, stop)| (start, stop.is_none(), stop));
-    let mut out: Vec<(SimTime, Option<SimTime>)> = Vec::with_capacity(activations.len());
-    for (start, stop) in activations {
-        match out.last_mut() {
+    // Coalesce in place: `kept` windows are final, the last one still
+    // open to extension.
+    let mut kept = 0;
+    for i in 0..activations.len() {
+        let (start, stop) = activations[i];
+        match activations[..kept].last_mut() {
             Some((_, prev_stop)) if prev_stop.is_none_or(|s| start <= s) => {
                 // Overlaps or abuts the previous window: extend it.
                 *prev_stop = match (*prev_stop, stop) {
@@ -166,43 +183,56 @@ pub fn normalize_activations(
                     (Some(a), Some(b)) => Some(a.max(b)),
                 };
             }
-            _ => out.push((start, stop)),
+            _ => {
+                activations[kept] = (start, stop);
+                kept += 1;
+            }
         }
     }
-    out
+    activations.truncate(kept);
+    activations
 }
 
 impl FlowInfo {
-    /// Resolves a flow from its path and hop links. `hops[i]` must be
-    /// the link from `path[i]` to `path[i+1]`. Activation windows are
-    /// normalized (sorted and coalesced).
+    /// Describes a flow over `route` (at least two hops). Activation
+    /// windows are normalized (sorted and coalesced).
     pub fn new(
         id: FlowId,
         weight: u32,
         packet_size: u32,
         min_rate: f64,
-        path: Vec<NodeId>,
-        hops: Vec<LinkId>,
+        route: Route,
         activations: Vec<(SimTime, Option<SimTime>)>,
     ) -> Self {
-        debug_assert_eq!(hops.len() + 1, path.len(), "one hop per path edge");
-        let table_len = path.iter().map(|n| n.index() + 1).max().unwrap_or(0);
-        let mut next_hops = vec![None; table_len];
-        for (i, &node) in path.iter().enumerate() {
-            next_hops[node.index()] = hops.get(i).copied();
-        }
+        debug_assert!(route.len() >= 2, "a flow path needs at least two nodes");
         FlowInfo {
             id,
             weight,
             packet_size,
             min_rate,
-            path,
-            hops,
             activations: normalize_activations(activations),
             transport: Transport::default(),
-            next_hops,
+            route,
             transient: false,
         }
+    }
+
+    /// Hands this churn slot to its next occupant, active over
+    /// `[start, stop)`, reusing the slot's allocations.
+    pub(crate) fn reoccupy(
+        &mut self,
+        id: FlowId,
+        weight: u32,
+        route: Route,
+        start: SimTime,
+        stop: SimTime,
+    ) {
+        debug_assert!(self.transient, "only churn slots are recycled");
+        self.id = id;
+        self.weight = weight;
+        self.route = route;
+        self.activations.clear();
+        self.activations.push((start, Some(stop)));
     }
 
     /// Sets the flow's transport (builder-style); churn-created flows
@@ -228,20 +258,48 @@ impl FlowInfo {
         self.transient
     }
 
+    /// The flow's resolved route, ingress first.
+    pub fn route(&self) -> &[Hop] {
+        &self.route
+    }
+
     /// The ingress edge router (first node of the path).
     pub fn ingress(&self) -> NodeId {
-        self.path[0]
+        self.route[0].node
     }
 
     /// The egress edge router (last node of the path).
     pub fn egress(&self) -> NodeId {
-        *self.path.last().expect("flow path is non-empty")
+        self.route[self.route.len() - 1].node
+    }
+
+    /// This flow's hop at `node`, or `None` if `node` is off the path.
+    /// A path never revisits a node and is a handful of hops long, so a
+    /// scan of the shared route beats a per-flow table.
+    pub fn hop_at(&self, node: NodeId) -> Option<&Hop> {
+        self.route.iter().find(|h| h.node == node)
     }
 
     /// Returns the outgoing link for this flow at `node`, or `None` if
     /// `node` is the egress (or not on the path).
     pub fn next_hop(&self, node: NodeId) -> Option<LinkId> {
-        self.next_hops.get(node.index()).copied().flatten()
+        self.hop_at(node)?.link
+    }
+
+    /// Propagation delay from `node` back to the ingress.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not on the flow's path.
+    pub fn reverse_delay_from(&self, node: NodeId) -> SimDuration {
+        self.hop_at(node)
+            .unwrap_or_else(|| panic!("node {node} is not on the path of {}", self.id))
+            .reverse_delay
+    }
+
+    /// Total propagation delay from ingress to egress (no queueing).
+    pub fn one_way_delay(&self) -> SimDuration {
+        self.route[self.route.len() - 1].reverse_delay
     }
 
     /// Returns `true` if the flow is scheduled to be active at `t`.
@@ -313,13 +371,21 @@ mod tests {
     }
 
     fn info() -> FlowInfo {
+        let hop = |node, link, ms| Hop {
+            node: n(node),
+            link,
+            reverse_delay: SimDuration::from_millis(ms),
+        };
         FlowInfo::new(
             FlowId::from_index(0),
             1,
             1000,
             0.0,
-            vec![n(0), n(1), n(2)],
-            vec![LinkId(10), LinkId(11)],
+            Rc::new([
+                hop(0, Some(LinkId(10)), 0),
+                hop(1, Some(LinkId(11)), 40),
+                hop(2, None, 80),
+            ]),
             vec![
                 (SimTime::ZERO, Some(SimTime::from_secs(5))),
                 (SimTime::from_secs(10), None),
@@ -336,6 +402,21 @@ mod tests {
         assert_eq!(f.next_hop(n(9)), None);
         assert_eq!(f.ingress(), n(0));
         assert_eq!(f.egress(), n(2));
+        assert_eq!(f.one_way_delay(), SimDuration::from_millis(80));
+        assert_eq!(f.reverse_delay_from(n(1)), SimDuration::from_millis(40));
+    }
+
+    #[test]
+    fn a_reoccupied_slot_keeps_its_allocations() {
+        let mut f = info().transient();
+        let before = f.activations.as_ptr();
+        let route = Rc::clone(&f.route);
+        f.reoccupy(FlowId::with_generation(0, 1), 3, route, t(20), t(30));
+        assert_eq!(f.id, FlowId::with_generation(0, 1));
+        assert_eq!(f.weight, 3);
+        assert_eq!(f.activations, vec![(t(20), Some(t(30)))]);
+        assert_eq!(f.activations.as_ptr(), before);
+        assert!(f.is_transient());
     }
 
     #[test]

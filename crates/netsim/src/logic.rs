@@ -241,7 +241,6 @@ pub struct Ctx<'a> {
     node: NodeId,
     links: &'a mut [Link],
     flows: &'a [FlowInfo],
-    reverse_delays: &'a [Vec<SimDuration>],
     next_packet: &'a mut u64,
     outgoing: &'a [LinkId],
     actions: &'a mut ActionBuf,
@@ -255,7 +254,6 @@ impl<'a> Ctx<'a> {
         node: NodeId,
         links: &'a mut [Link],
         flows: &'a [FlowInfo],
-        reverse_delays: &'a [Vec<SimDuration>],
         next_packet: &'a mut u64,
         outgoing: &'a [LinkId],
         actions: &'a mut ActionBuf,
@@ -266,7 +264,6 @@ impl<'a> Ctx<'a> {
             node,
             links,
             flows,
-            reverse_delays,
             next_packet,
             outgoing,
             actions,
@@ -336,21 +333,13 @@ impl<'a> Ctx<'a> {
     ///
     /// Panics if this node is not on `flow`'s path.
     pub fn reverse_delay_to_ingress(&self, flow: FlowId) -> SimDuration {
-        let info = self.flow(flow);
-        let pos = info
-            .path
-            .iter()
-            .position(|&n| n == self.node)
-            .unwrap_or_else(|| panic!("node {} is not on the path of {}", self.node, flow));
-        self.reverse_delays[flow.index()][pos]
+        self.flow(flow).reverse_delay_from(self.node)
     }
 
     /// Total propagation delay along `flow`'s path from ingress to
     /// egress (no queueing) — the base for a round-trip-time estimate.
     pub fn one_way_delay(&self, flow: FlowId) -> SimDuration {
-        *self.reverse_delays[flow.index()]
-            .last()
-            .expect("path has at least two nodes")
+        self.flow(flow).one_way_delay()
     }
 
     /// Allocates a fresh data packet for `flow`, stamped with the current

@@ -62,6 +62,18 @@ fn node_site(node: NodeId) -> u64 {
     node.index() as u64 + 1
 }
 
+#[cold]
+fn key_space_exhausted(site: u64) -> ! {
+    let who = match site.checked_sub(1) {
+        None => "the global (lifecycle) site".to_owned(),
+        Some(node) => format!("node site {}", NodeId::from_index(node as usize)),
+    };
+    panic!(
+        "{who} has pushed 2^{KEY_SITE_SHIFT} events; one more would alias another site's \
+         canonical keys"
+    );
+}
+
 /// Cursor published to capture probes/tracers: the `(time, key)` of the
 /// event (or `on_start` sweep step) currently being dispatched.
 pub(crate) type EventCursor = Rc<Cell<(SimTime, u64)>>;
@@ -124,7 +136,6 @@ pub struct Network {
     nodes: Vec<NodeSlot>,
     links: Vec<Link>,
     flows: Vec<FlowInfo>,
-    reverse_delays: Vec<Vec<SimDuration>>,
     monitors: Vec<FlowMonitor>,
     /// Per-flow go-back-N receiver state: the next in-order sequence
     /// number expected at the egress. Only consulted for packets carrying
@@ -196,7 +207,6 @@ impl Network {
         logics: Vec<Box<dyn RouterLogic>>,
         links: Vec<Link>,
         flows: Vec<FlowInfo>,
-        reverse_delays: Vec<Vec<SimDuration>>,
         window: SimDuration,
         notify_losses: bool,
         tracer: Option<Rc<RefCell<dyn Tracer>>>,
@@ -233,7 +243,6 @@ impl Network {
             nodes,
             links,
             flows,
-            reverse_delays,
             monitors,
             rx_next,
             lifecycle_started,
@@ -278,10 +287,18 @@ impl Network {
     }
 
     /// Mints the next canonical key for `site` (see [`KEY_SITE_SHIFT`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `site` has minted all 2^40 of its keys: the next one
+    /// would alias the following site's first key and silently break the
+    /// `(time, key)` total order every identity argument rests on.
     #[inline]
     fn next_key(&mut self, site: u64) -> u64 {
         let counter = &mut self.site_counters[site as usize];
-        debug_assert!(*counter < 1 << KEY_SITE_SHIFT, "site counter overflow");
+        if *counter >= 1 << KEY_SITE_SHIFT {
+            key_space_exhausted(site);
+        }
         let key = ((site + 1) << KEY_SITE_SHIFT) | *counter;
         *counter += 1;
         key
@@ -366,13 +383,7 @@ impl Network {
     ///
     /// Panics if `node` is not on `flow`'s path.
     pub fn reverse_delay(&self, flow: FlowId, node: NodeId) -> SimDuration {
-        let info = &self.flows[flow.index()];
-        let pos = info
-            .path
-            .iter()
-            .position(|&n| n == node)
-            .unwrap_or_else(|| panic!("node {node} is not on the path of {flow}"));
-        self.reverse_delays[flow.index()][pos]
+        self.flows[flow.index()].reverse_delay_from(node)
     }
 
     /// Delivers the one-time `on_start` sweep. Each node's start runs on
@@ -621,44 +632,28 @@ impl Network {
         let plan = churn.plan_arrival(now);
         let packet_size = churn.packet_size();
         let linger = churn.linger();
-        let route = churn.route(plan.route);
-        let (path, hops, rds) = (
-            route.path.clone(),
-            route.hops.clone(),
-            route.reverse_delays.clone(),
-        );
+        let route = Rc::clone(churn.route(plan.route));
         if let Some(next) = plan.next_arrival {
             self.push_event(next, SITE_GLOBAL, Event::ChurnArrival);
         }
         let id = FlowId::with_generation(plan.slot, plan.generation);
-        let info = FlowInfo::new(
-            id,
-            plan.weight,
-            packet_size,
-            0.0,
-            path,
-            hops,
-            vec![(now, Some(plan.stop))],
-        )
-        .transient();
         if plan.fresh {
             debug_assert_eq!(plan.slot, self.flows.len(), "fresh slot extends the table");
-            self.flows.push(info);
+            // simlint: allow(hot-alloc) a fresh slot extends every table; a recycled one (below) reuses its own
+            let window = vec![(now, Some(plan.stop))];
+            self.flows
+                .push(FlowInfo::new(id, plan.weight, packet_size, 0.0, route, window).transient());
             self.monitors.push(FlowMonitor::new(now, self.window));
             self.lifecycle_started.push(None);
             self.rx_next.push(0);
-            self.reverse_delays.push(rds);
         } else {
-            self.flows[plan.slot] = info;
+            self.flows[plan.slot].reoccupy(id, plan.weight, route, now, plan.stop);
             self.monitors[plan.slot] = FlowMonitor::new(now, self.window);
             self.rx_next[plan.slot] = 0;
             // The previous occupant's stop may still sit deferred behind
             // a pause; its delivery is blocked by the generation guard,
             // so the new occupant starts from a clean lifecycle state.
             self.lifecycle_started[plan.slot] = None;
-            let slot_rds = &mut self.reverse_delays[plan.slot];
-            slot_rds.clear();
-            slot_rds.extend_from_slice(&rds);
         }
         // Deliver the start through the regular (pause-aware) path, and
         // schedule the stop and the slot's retirement after the drain.
@@ -767,9 +762,8 @@ impl Network {
         // Every arrival is (re-)acked cumulatively — duplicate acks are
         // the sender's fast-retransmit signal.
         let flow = &self.flows[idx];
-        let pos = flow.path.len() - 1;
-        debug_assert_eq!(flow.path[pos], node, "gbn ack sink off the egress");
-        let delay = self.reverse_delays[idx][pos];
+        debug_assert_eq!(flow.egress(), node, "gbn ack sink off the egress");
+        let delay = flow.one_way_delay();
         let ingress = flow.ingress();
         let msg = ControlMsg::Ack {
             flow: packet.flow,
@@ -795,7 +789,6 @@ impl Network {
                 node,
                 &mut self.links,
                 &self.flows,
-                &self.reverse_delays,
                 &mut self.packet_counters[node.index()],
                 &self.outgoing_by_node[node.index()],
                 &mut self.scratch,
@@ -958,8 +951,8 @@ impl Network {
             let flow = &self.flows[packet.flow.index()];
             // The drop site is always on the flow's path; notify the
             // ingress after the reverse propagation delay.
-            if let Some(pos) = flow.path.iter().position(|&n| n == at) {
-                let delay = self.reverse_delays[packet.flow.index()][pos];
+            if let Some(hop) = flow.hop_at(at) {
+                let delay = hop.reverse_delay;
                 let ingress = flow.ingress();
                 let msg = ControlMsg::Loss {
                     flow: packet.flow,
@@ -1277,6 +1270,29 @@ mod tests {
             (590..=600).contains(&delivered),
             "delivered {delivered}, expected ~600 over 6 s"
         );
+    }
+
+    #[test]
+    fn a_site_counter_at_its_bound_panics_naming_the_site() {
+        let (mut net, _) = chain(100.0);
+        let mid = 2; // site of node index 1
+        net.site_counters[mid] = (1 << KEY_SITE_SHIFT) - 1;
+        // The last key of the site is still its own...
+        assert_eq!(net.next_key(mid as u64) >> KEY_SITE_SHIFT, mid as u64 + 1);
+        // ...and the one after it would be the next site's first.
+        let overflow_message = |net: &mut Network, site: u64| {
+            let minted =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.next_key(site)));
+            *minted
+                .expect_err("minting past the bound must panic")
+                .downcast::<String>()
+                .expect("a formatted panic message")
+        };
+        let message = overflow_message(&mut net, mid as u64);
+        assert!(message.contains("node site n1"), "{message}");
+        net.site_counters[SITE_GLOBAL as usize] = 1 << KEY_SITE_SHIFT;
+        let message = overflow_message(&mut net, SITE_GLOBAL);
+        assert!(message.contains("global"), "{message}");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The simulator's entity ids ([`FlowId`], [`NodeId`], [`LinkId`]) are
 //! small contiguous `u32` indices handed out by the topology builder, so
-//! per-entity state never needs an ordered tree: a flat slab indexed by
-//! [`SlabKey::index`] gives O(1) access with no pointer chasing, and
-//! iterating the slab in index order reproduces exactly the ascending-key
+//! per-entity state never needs an ordered tree: a flat index by
+//! [`SlabKey::index`] into a packed entry vector gives O(1) access, and
+//! iterating the index in order reproduces exactly the ascending-key
 //! order a `BTreeMap` would give — which is what keeps report rendering
 //! and epoch scans deterministic (DESIGN.md §13).
 //!
@@ -48,118 +48,130 @@ macro_rules! slab_key {
 
 slab_key!(FlowId, NodeId, LinkId);
 
-/// A map from a [`SlabKey`] to `V`, stored as a flat slab.
+/// A map from a [`SlabKey`] to `V`: a `u32` index per key ever seen,
+/// pointing into a packed vector of the entries actually present.
 ///
-/// Lookup, insertion and removal are O(1); iteration visits entries in
-/// ascending key order (the `BTreeMap` order) and is O(capacity), where
-/// capacity is one past the largest index ever inserted.
+/// Lookup, insertion and removal are O(1). What grows with the key space
+/// is four bytes per key; the values take room only while present, next
+/// to each other, so a table that holds a few of many keys (one edge's
+/// flows out of the whole network's) costs what its own entries cost.
+/// Iteration visits entries in ascending key order (the `BTreeMap`
+/// order) and is O(key bound), where the key bound is one past the
+/// largest index ever inserted.
 pub struct DenseMap<K: SlabKey, V> {
-    slots: Vec<Option<V>>,
-    len: usize,
+    /// `index[k]` is one more than `k`'s position in `entries`, or 0.
+    index: Vec<u32>,
+    /// `(key index, value)`, packed, in no particular order.
+    entries: Vec<(u32, V)>,
     _key: PhantomData<K>,
 }
 
 impl<K: SlabKey, V> DenseMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        DenseMap {
-            slots: Vec::new(),
-            len: 0,
-            _key: PhantomData,
-        }
+        DenseMap::with_capacity(0)
     }
 
     /// Creates an empty map with room for keys `0..capacity` without
     /// reallocating.
     pub fn with_capacity(capacity: usize) -> Self {
         DenseMap {
-            slots: Vec::with_capacity(capacity),
-            len: 0,
+            index: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
             _key: PhantomData,
         }
     }
 
     /// Number of entries in the map.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
+    }
+
+    /// The position of key index `i` in `entries`, if present.
+    #[inline]
+    fn position(&self, i: usize) -> Option<usize> {
+        (*self.index.get(i)? as usize).checked_sub(1)
     }
 
     /// Returns a reference to the value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.slots.get(key.index()).and_then(Option::as_ref)
+        self.position(key.index()).map(|p| &self.entries[p].1)
     }
 
     /// Returns a mutable reference to the value for `key`, if present.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.slots.get_mut(key.index()).and_then(Option::as_mut)
+        self.position(key.index()).map(|p| &mut self.entries[p].1)
     }
 
     /// Whether the map holds an entry for `key`.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        self.position(key.index()).is_some()
     }
 
     /// Inserts `value` for `key`, returning the previous value if any.
-    /// Grows the slab if `key` indexes past the current end.
+    /// Grows the index if `key` indexes past the current end.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let i = key.index();
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
+        match self.position(key.index()) {
+            Some(p) => Some(std::mem::replace(&mut self.entries[p].1, value)),
+            None => {
+                self.push_entry(key.index(), value);
+                None
+            }
         }
-        let old = self.slots[i].replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
     }
 
-    /// Removes and returns the value for `key`, if present. The slot (and
-    /// the slab's allocation) is retained for reuse.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let old = self.slots.get_mut(key.index()).and_then(Option::take);
-        if old.is_some() {
-            self.len -= 1;
+    /// Appends an entry for the absent key index `i`.
+    fn push_entry(&mut self, i: usize, value: V) -> &mut V {
+        if i >= self.index.len() {
+            self.index.resize(i + 1, 0);
         }
-        old
+        self.entries.push((i as u32, value));
+        self.index[i] = u32::try_from(self.entries.len()).expect("fewer than 2^32 entries");
+        &mut self.entries.last_mut().expect("just pushed").1
+    }
+
+    /// Removes and returns the value for `key`, if present. The entry's
+    /// room (and the allocation) is retained for reuse.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let p = self.position(key.index())?;
+        self.index[key.index()] = 0;
+        let (_, value) = self.entries.swap_remove(p);
+        if let Some(&(moved, _)) = self.entries.get(p) {
+            self.index[moved as usize] = p as u32 + 1;
+        }
+        Some(value)
     }
 
     /// Returns a mutable reference to the value for `key`, inserting
     /// `default()` first if absent. The dense replacement for
     /// `entry(key).or_insert_with(default)`.
     pub fn entry_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let i = key.index();
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
+        match self.position(key.index()) {
+            Some(p) => &mut self.entries[p].1,
+            None => self.push_entry(key.index(), default()),
         }
-        let slot = &mut self.slots[i];
-        if slot.is_none() {
-            *slot = Some(default());
-            self.len += 1;
-        }
-        slot.as_mut().expect("slot was just filled")
     }
 
-    /// Removes every entry, keeping the backing allocation so refilling
+    /// Removes every entry, keeping the backing allocations so refilling
     /// up to the previous capacity never allocates.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        self.len = 0;
+        self.index.fill(0);
+        self.entries.clear();
     }
 
-    /// Keeps only the entries for which `keep` returns true.
+    /// Keeps only the entries for which `keep` returns true, asking in
+    /// ascending key order.
     pub fn retain(&mut self, mut keep: impl FnMut(K, &mut V) -> bool) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(v) = slot {
-                if !keep(K::from_index(i), v) {
-                    *slot = None;
-                    self.len -= 1;
+        for i in 0..self.index.len() {
+            if let Some(p) = self.position(i) {
+                let key = K::from_index(i);
+                if !keep(key, &mut self.entries[p].1) {
+                    self.remove(&key);
                 }
             }
         }
@@ -170,23 +182,16 @@ impl<K: SlabKey, V> DenseMap<K, V> {
     /// loop visits entries in key order without borrowing the map
     /// across iterations (the allocation-free epoch-scan idiom).
     pub fn key_bound(&self) -> usize {
-        self.slots.len()
+        self.index.len()
     }
 
     /// Iterates `(key, &value)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
-        self.slots
+        self.index
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|v| (K::from_index(i), v)))
-    }
-
-    /// Iterates `(key, &mut value)` pairs in ascending key order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_mut().map(|v| (K::from_index(i), v)))
+            .filter(|&(_, &p)| p != 0)
+            .map(|(i, &p)| (K::from_index(i), &self.entries[p as usize - 1].1))
     }
 
     /// Iterates keys in ascending order.
@@ -196,12 +201,14 @@ impl<K: SlabKey, V> DenseMap<K, V> {
 
     /// Iterates values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().filter_map(Option::as_ref)
+        self.iter().map(|(_, v)| v)
     }
 
-    /// Iterates mutable values in ascending key order.
+    /// Iterates mutable values, in storage order (which depends on the
+    /// history of removals): for updates that do not care which entry
+    /// comes first.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().filter_map(Option::as_mut)
+        self.entries.iter_mut().map(|(_, v)| v)
     }
 }
 
@@ -214,8 +221,8 @@ impl<K: SlabKey, V> Default for DenseMap<K, V> {
 impl<K: SlabKey, V: Clone> Clone for DenseMap<K, V> {
     fn clone(&self) -> Self {
         DenseMap {
-            slots: self.slots.clone(),
-            len: self.len,
+            index: self.index.clone(),
+            entries: self.entries.clone(),
             _key: PhantomData,
         }
     }
@@ -223,8 +230,9 @@ impl<K: SlabKey, V: Clone> Clone for DenseMap<K, V> {
 
 impl<K: SlabKey, V: PartialEq> PartialEq for DenseMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        // Trailing empty slots are not observable; compare entries.
-        self.len == other.len
+        // Neither the key bound nor the storage order is observable;
+        // compare entries in key order.
+        self.len() == other.len()
             && self
                 .iter()
                 .zip(other.iter())
@@ -251,7 +259,8 @@ impl<K: SlabKey, V> Index<&K> for DenseMap<K, V> {
 
 impl<K: SlabKey, V> FromIterator<(K, V)> for DenseMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut map = DenseMap::new();
+        let iter = iter.into_iter();
+        let mut map = DenseMap::with_capacity(iter.size_hint().0);
         for (k, v) in iter {
             map.insert(k, v);
         }
@@ -397,15 +406,49 @@ mod tests {
         for i in 0..64 {
             m.insert(f(i), i as u64);
         }
-        let cap = m.slots.capacity();
+        let cap = (m.index.capacity(), m.entries.capacity());
         m.clear();
         assert!(m.is_empty());
-        assert_eq!(m.slots.capacity(), cap);
-        // Slots are retained, so refilling does not grow the Vec.
+        // Both vectors are retained, so refilling grows neither.
         for i in 0..64 {
             m.insert(f(i), i as u64);
         }
-        assert_eq!(m.slots.capacity(), cap);
+        assert_eq!((m.index.capacity(), m.entries.capacity()), cap);
+    }
+
+    #[test]
+    fn removal_keeps_every_other_entry_reachable() {
+        // `remove` fills the hole with the last entry; its index must
+        // follow it, wherever the removed key sat.
+        let mut m: DenseMap<FlowId, usize> = DenseMap::new();
+        for i in [7, 2, 9, 4] {
+            m.insert(f(i), i);
+        }
+        assert_eq!(m.remove(&f(7)), Some(7)); // first in storage
+        assert_eq!(m.remove(&f(9)), Some(9)); // last in storage
+        assert_eq!(m.insert(f(9), 90), None);
+        let pairs: Vec<_> = m.iter().map(|(k, &v)| (k.index(), v)).collect();
+        assert_eq!(pairs, vec![(2, 2), (4, 4), (9, 90)]);
+        m.retain(|k, _| k.index() != 2);
+        assert_eq!(m.get(&f(4)), Some(&4));
+        assert_eq!(m.get(&f(9)), Some(&90));
+        assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn values_take_room_only_while_present() {
+        // One edge's view of a large recycled flow table: a few live
+        // keys far apart. The entries stay packed; only the u32 index
+        // spans the key space.
+        let mut m: DenseMap<FlowId, [u64; 32]> = DenseMap::new();
+        for round in 0..100 {
+            m.insert(f(4000 + round), [0; 32]);
+            m.insert(f(round), [0; 32]);
+            m.remove(&f(4000 + round));
+            m.remove(&f(round));
+        }
+        assert!(m.entries.capacity() <= 4, "{}", m.entries.capacity());
+        assert_eq!(m.key_bound(), 4100);
     }
 
     #[test]

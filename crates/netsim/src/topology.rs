@@ -3,9 +3,9 @@
 use sim_core::event::QueueBackend;
 use sim_core::time::SimDuration;
 
-use crate::churn::{ChurnSpec, ChurnState, ResolvedRoute};
+use crate::churn::{ChurnSpec, ChurnState};
 use crate::fault::{FaultPlan, FaultState};
-use crate::flow::{FlowInfo, FlowSpec};
+use crate::flow::{FlowInfo, FlowSpec, Hop, Route};
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::{Link, LinkSpec};
 use crate::logic::RouterLogic;
@@ -143,9 +143,9 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the flow's path revisits a node. [`FlowInfo`] keeps one
-    /// next-hop entry per node, so a looping path would silently forward
-    /// out of whichever hop was written last — reject it here, where the
+    /// Panics if the flow's path revisits a node. [`FlowInfo`] answers
+    /// one next hop per node, so a looping path would silently forward
+    /// out of the first visit's hop — reject it here, where the
     /// offending spec is still identifiable.
     pub fn flow(&mut self, spec: FlowSpec) -> FlowId {
         let id = FlowId::from_index(self.flow_specs.len());
@@ -259,105 +259,28 @@ impl TopologyBuilder {
             .enumerate()
             .map(|(i, spec)| {
                 let id = FlowId::from_index(i);
-                for &n in &spec.path {
-                    assert!(
-                        n.index() < names.len(),
-                        "flow {id} references unknown node {n}"
-                    );
-                }
-                let hops: Vec<LinkId> = spec
-                    .path
-                    .windows(2)
-                    .map(|pair| {
-                        links
-                            .iter()
-                            .position(|l| l.src() == pair[0] && l.dst() == pair[1])
-                            .map(LinkId::from_index)
-                            .unwrap_or_else(|| {
-                                panic!(
-                                    "flow {id}: no link from {} ({}) to {} ({})",
-                                    pair[0],
-                                    names[pair[0].index()],
-                                    pair[1],
-                                    names[pair[1].index()]
-                                )
-                            })
-                    })
-                    .collect();
+                let route = resolve_route(&spec.path, &links, &names, &format!("flow {id}"));
                 FlowInfo::new(
                     id,
                     spec.weight,
                     spec.packet_size,
                     spec.min_rate,
-                    spec.path,
-                    hops,
+                    route,
                     spec.activations,
                 )
                 .with_transport(spec.transport)
             })
             .collect();
 
-        // reverse_delays[f][i] = propagation delay from path[i] back to the
-        // ingress (sum of the delays of hops 0..i).
-        let reverse_delays: Vec<Vec<SimDuration>> = flows
-            .iter()
-            .map(|f| {
-                let mut acc = SimDuration::ZERO;
-                let mut v = Vec::with_capacity(f.path.len());
-                v.push(SimDuration::ZERO);
-                for &hop in &f.hops {
-                    acc += links[hop.index()].spec().delay;
-                    v.push(acc);
-                }
-                v
-            })
-            .collect();
-
-        // Resolve churn route templates against the topology the same
-        // way flow paths are resolved, precomputing the per-route
-        // reverse-delay prefix sums reused by every arrival on the route.
+        // Churn route templates resolve the same way, once: every arrival
+        // on a template shares its route.
         let churn = churn.map(|spec| {
-            let routes: Vec<ResolvedRoute> = spec
+            let routes = spec
                 .routes
                 .iter()
                 .map(|path| {
                     reject_node_revisit(path, "churn route");
-                    for &n in path {
-                        assert!(
-                            n.index() < names.len(),
-                            "churn route references unknown node {n}"
-                        );
-                    }
-                    let hops: Vec<LinkId> = path
-                        .windows(2)
-                        .map(|pair| {
-                            links
-                                .iter()
-                                .position(|l| l.src() == pair[0] && l.dst() == pair[1])
-                                .map(LinkId::from_index)
-                                .unwrap_or_else(|| {
-                                    panic!(
-                                        "churn route: no link from {} ({}) to {} ({})",
-                                        pair[0],
-                                        names[pair[0].index()],
-                                        pair[1],
-                                        names[pair[1].index()]
-                                    )
-                                })
-                        })
-                        .collect();
-                    let mut acc = SimDuration::ZERO;
-                    let mut rds = Vec::with_capacity(path.len());
-                    rds.push(SimDuration::ZERO);
-                    for &hop in &hops {
-                        acc += links[hop.index()].spec().delay;
-                        rds.push(acc);
-                    }
-                    ResolvedRoute {
-                        path: path.clone(),
-                        hops,
-                        reverse_delays: rds,
-                    }
+                    resolve_route(path, &links, &names, "churn route")
                 })
                 .collect();
             // Sharded runs defer completion metrics into a log replayed in
@@ -377,7 +300,6 @@ impl TopologyBuilder {
             logics,
             links,
             flows,
-            reverse_delays,
             window,
             notify_losses,
             tracer,
@@ -394,10 +316,52 @@ impl TopologyBuilder {
     }
 }
 
-/// Rejects paths that visit any node twice. The per-node `next_hops`
-/// table in [`FlowInfo`] is single-valued, so a revisiting path cannot
-/// be represented — before this check it was accepted and forwarded out
-/// of the *last* hop written for the node, a silent mis-route.
+/// Resolves `path` against the topology: the link out of every node and
+/// the propagation delay back to the ingress, in one shared allocation.
+///
+/// # Panics
+///
+/// Panics if `path` references a missing node or an unconnected pair.
+fn resolve_route(path: &[NodeId], links: &[Link], names: &[String], what: &str) -> Route {
+    for &node in path {
+        assert!(
+            node.index() < names.len(),
+            "{what} references unknown node {node}"
+        );
+    }
+    let mut reverse_delay = SimDuration::ZERO;
+    path.iter()
+        .enumerate()
+        .map(|(i, &node)| {
+            let link = path.get(i + 1).map(|&next| {
+                links
+                    .iter()
+                    .position(|l| l.src() == node && l.dst() == next)
+                    .map(LinkId::from_index)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "{what}: no link from {node} ({}) to {next} ({})",
+                            names[node.index()],
+                            names[next.index()]
+                        )
+                    })
+            });
+            let hop = Hop {
+                node,
+                link,
+                reverse_delay,
+            };
+            if let Some(link) = link {
+                reverse_delay += links[link.index()].spec().delay;
+            }
+            hop
+        })
+        .collect()
+}
+
+/// Rejects paths that visit any node twice. [`FlowInfo::next_hop`] is
+/// single-valued per node, so a revisiting path cannot be represented —
+/// before this check it was accepted and mis-forwarded silently.
 fn reject_node_revisit(path: &[NodeId], what: &str) {
     for (i, &node) in path.iter().enumerate() {
         if let Some(first) = path[..i].iter().position(|&p| p == node) {
@@ -429,7 +393,12 @@ mod tests {
         let l1 = b.link(c, d, spec());
         let f = b.flow(FlowSpec::new(vec![a, c, d], 1).active(SimTime::ZERO, None));
         let net = b.build();
-        assert_eq!(net.flows()[f.index()].hops, vec![l0, l1]);
+        let hops: Vec<_> = net.flows()[f.index()]
+            .route()
+            .iter()
+            .map(|h| h.link)
+            .collect();
+        assert_eq!(hops, vec![Some(l0), Some(l1), None]);
         assert_eq!(net.reverse_delay(f, d), SimDuration::from_millis(80));
         assert_eq!(net.reverse_delay(f, c), SimDuration::from_millis(40));
         assert_eq!(net.reverse_delay(f, a), SimDuration::ZERO);

@@ -1,9 +1,10 @@
 //! Proof that steady-state dispatch performs zero heap allocations.
 //!
 //! A counting global allocator wraps the system allocator; after a
-//! warmup that establishes every one-time capacity (event-queue slots,
-//! the ActionBuf spill, link queues, monitor series), continuing the
-//! simulation must not allocate at all. This pins the engine's
+//! warmup that establishes every one-time capacity (the event queue's
+//! payload slab, the ActionBuf spill, link queues, monitor series, the
+//! flow table under churn), continuing the simulation must not allocate
+//! at all. This pins the engine's
 //! zero-alloc contract (ISSUE 4): the per-forward `vec![Action  ...]`
 //! and the per-callback `Vec<Action>` are gone, and a regression
 //! reintroducing either fails here, not just in a profiler.
@@ -12,10 +13,8 @@
 //! does not interfere with other tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use netsim::flow::FlowSpec;
 use netsim::ids::LinkId;
@@ -23,14 +22,23 @@ use netsim::link::LinkSpec;
 use netsim::logic::{CbrSource, Ctx, ForwardLogic, RouterLogic, TimerKind};
 use netsim::telemetry::{Probe, RingProbe, Sample};
 use netsim::topology::TopologyBuilder;
-use netsim::FlowId;
+use netsim::{ChurnSpec, FlowId};
 use sim_core::time::{SimDuration, SimTime};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread: a test measures its own work, not
+    /// what the harness or a neighbouring test does meanwhile.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The allocation counter is process-global; the two tests must not
-/// interleave their measured windows.
-static LOCK: Mutex<()> = Mutex::new(());
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_one() {
+    // `try_with`: a thread may free or allocate while it is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// Counts every allocation and reallocation (frees are irrelevant to
 /// the steady-state contract).
@@ -39,7 +47,7 @@ struct CountingAllocator;
 // simlint: allow(hot-alloc) — this file measures allocations.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -48,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -58,7 +66,6 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_dispatch_does_not_allocate() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // src --> mid --> dst chain, CBR at 200 pkt/s under a 500 pkt/s
     // link: forwarding, timers and transmissions but no drops. The
     // measurement window is pushed past the horizon so monitors do not
@@ -74,17 +81,16 @@ fn steady_state_dispatch_does_not_allocate() {
     let f = b.flow(FlowSpec::new(vec![src, mid, dst], 1).active(SimTime::ZERO, None));
     let mut net = b.build();
 
-    // Warmup: let every lazily-grown capacity reach its steady state.
-    // The timer wheel allocates each slot vector on first use, and a
-    // near-future event can promote to a *high* wheel level when `now`
-    // crosses that level's digit boundary — so every slot of every
-    // level gets touched only after one full wheel rotation
-    // (2^24 ticks ≈ 2199 simulated seconds). Warm past that.
+    // Warmup: let every lazily-grown capacity reach its steady state,
+    // and go once around the timer wheel (2^24 ticks ≈ 2199 simulated
+    // seconds) so the measured window runs on a wheel that has wrapped.
+    // (`drained_wheel_buffers_are_handed_on` shows 40 s are enough for
+    // the capacities.)
     net.run_until(SimTime::from_secs(2_300));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     net.run_until(SimTime::from_secs(2_400));
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -150,7 +156,6 @@ fn slab_backed_dispatch_does_not_allocate() {
     // the state plane introduced by the flat-state refactor must be as
     // allocation-free in steady state as the event plane (slots are
     // grown once at first insert, then reused forever).
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let link = LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40);
     let mut b = TopologyBuilder::new(3);
     b.measurement_window(SimDuration::from_secs(10_000));
@@ -171,9 +176,9 @@ fn slab_backed_dispatch_does_not_allocate() {
     // Warm past one full timer-wheel rotation, as above.
     net.run_until(SimTime::from_secs(2_300));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     net.run_until(SimTime::from_secs(2_400));
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -214,7 +219,6 @@ fn telemetry_publishing_does_not_allocate() {
     // window: the telemetry hot path — `Ctx::publish` through
     // `RingProbe::record`, including the overwrite-oldest branch — must
     // be as allocation-free as dispatch itself (ISSUE 5).
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1024)));
     let link = LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40);
     let mut b = TopologyBuilder::new(3);
@@ -232,9 +236,9 @@ fn telemetry_publishing_does_not_allocate() {
     // ring has wrapped thousands of times.
     net.run_until(SimTime::from_secs(2_300));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     net.run_until(SimTime::from_secs(2_400));
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -251,4 +255,86 @@ fn telemetry_publishing_does_not_allocate() {
         p.dropped()
     );
     assert!(p.iter().any(|r| r.sample.name == "b_g"));
+}
+
+#[test]
+fn drained_wheel_buffers_are_handed_on() {
+    // The chain of the first test, warmed for 40 s — one lap of wheel
+    // level 2 and the first level-3 cascade — instead of a full rotation.
+    // The 100 s that follow cross 186 level-2 slots (0.537 s each) and
+    // three more level-3 slots, every crossing a cascade through the
+    // levels below. A wheel whose slots each kept a buffer of their own
+    // allocates at every level-3 slot it enters for the first time, for
+    // the first 37 minutes; here a newly occupied slot takes over a
+    // drained one's buffer, so each level has what it needs after its
+    // first crossing.
+    let link = LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40);
+    let mut b = TopologyBuilder::new(3);
+    b.measurement_window(SimDuration::from_secs(10_000));
+    let src = b.node("src", |_| Box::new(CbrSource::new(200.0)));
+    let mid = b.node("mid", |_| Box::new(ForwardLogic));
+    let dst = b.node("dst", |_| Box::new(ForwardLogic));
+    b.link(src, mid, link);
+    b.link(mid, dst, link);
+    let f = b.flow(FlowSpec::new(vec![src, mid, dst], 1).active(SimTime::ZERO, None));
+    let mut net = b.build();
+    net.run_until(SimTime::from_secs(40));
+
+    let before = allocations();
+    net.run_until(SimTime::from_secs(140));
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "dispatch allocated {} times in the 100 s after a 40 s warmup",
+        after - before
+    );
+    let report = net.into_report(SimTime::from_secs(140));
+    assert!(report.flow(f).delivered_packets > 27_000);
+}
+
+#[test]
+fn churn_on_recycled_slots_does_not_allocate() {
+    // 2000 arrivals/s of ~10 ms flows between two forwarding nodes: about
+    // 220 resident slots, each recycled some nine times a second. An
+    // arrival -> start -> stop -> retire cycle on a recycled slot shares
+    // its template's route, refills the slot's `FlowInfo` in place and
+    // gets a monitor that owns no heap memory until a packet is
+    // delivered — so it allocates nothing. Only a new concurrency record
+    // extends the flow table, and after a long warmup the measured
+    // window has none (the run is deterministic).
+    let mut b = TopologyBuilder::new(3);
+    b.measurement_window(SimDuration::from_secs(10_000));
+    let ingress = b.node("ingress", |_| Box::new(ForwardLogic));
+    let egress = b.node("egress", |_| Box::new(ForwardLogic));
+    b.link(
+        ingress,
+        egress,
+        LinkSpec::new(40_000_000, SimDuration::from_millis(5), 400),
+    );
+    b.churn(
+        ChurnSpec::new(2_000.0, 10.0, 1_000.0)
+            .route(vec![ingress, egress])
+            .window(SimTime::ZERO, SimTime::from_secs(10_000))
+            .linger(SimDuration::from_millis(100)),
+    );
+    let mut net = b.build();
+    net.run_until(SimTime::from_secs(400));
+
+    let (before, slots_before) = (allocations(), net.flows().len());
+    net.run_until(SimTime::from_secs(420));
+    let (after, slots_after) = (allocations(), net.flows().len());
+    assert_eq!(slots_after, slots_before, "a fresh slot in the window");
+    assert_eq!(
+        after - before,
+        0,
+        "{} allocations over 20 s of churn on {slots_after} recycled slots",
+        after - before,
+    );
+    let report = net.into_report(SimTime::from_secs(420));
+    let churn = report.churn.expect("a churn process was installed");
+    assert!(churn.arrivals > 800_000, "arrivals {}", churn.arrivals);
+    assert!(churn.retired > 800_000, "retired {}", churn.retired);
+    assert!(churn.peak_slots < 400, "slots {}", churn.peak_slots);
+    assert_eq!(churn.stale_events, 0);
 }

@@ -8,7 +8,7 @@ use fairness::maxmin::MaxMinProblem;
 use netsim::flow::FlowSpec;
 use netsim::telemetry::Probe;
 use netsim::topology::TopologyBuilder;
-use netsim::{FlowId, SimReport, Transport};
+use netsim::{FlowId, NodeId, SimReport, Transport};
 use sim_core::stats::TimeSeries;
 use sim_core::time::SimTime;
 
@@ -589,9 +589,7 @@ impl Scenario {
             let egress = b.node(&format!("X{}", i + 1), |s| discipline.egress_logic(s));
             b.link(ingress, cores[f.path.first()], link);
             b.link(cores[f.path.last()], egress, link);
-            let mut path = vec![ingress];
-            path.extend(f.path.0.iter().map(|&c| cores[c]));
-            path.push(egress);
+            let path = edge_to_edge(ingress, &f.path, &cores, egress);
             let mut spec = FlowSpec::new(path, f.weight)
                 .min_rate(f.min_rate)
                 .transport(f.transport);
@@ -617,10 +615,7 @@ impl Scenario {
                     let egress = b.node(&format!("CX{}", i + 1), |s| discipline.egress_logic(s));
                     b.link(ingress, cores[path.first()], link);
                     b.link(cores[path.last()], egress, link);
-                    let mut nodes = vec![ingress];
-                    nodes.extend(path.0.iter().map(|&c| cores[c]));
-                    nodes.push(egress);
-                    nodes
+                    edge_to_edge(ingress, path, &cores, egress)
                 })
                 .collect();
             b.churn(churn.to_spec(node_routes, self.horizon));
@@ -694,6 +689,21 @@ impl Scenario {
         }
         out
     }
+}
+
+/// The node path of a flow: its ingress edge, the cores of `route`, its
+/// egress edge (an exact-size chain, so the vector is sized once).
+fn edge_to_edge(
+    ingress: NodeId,
+    route: &CorePath,
+    cores: &[NodeId],
+    egress: NodeId,
+) -> Vec<NodeId> {
+    let through = route.0.iter().map(|&c| cores[c]);
+    std::iter::once(ingress)
+        .chain(through)
+        .chain(std::iter::once(egress))
+        .collect()
 }
 
 /// How the analytic reference allocation should treat each flow under

@@ -13,9 +13,9 @@
 //!   spill into a small overflow heap and migrate in as the clock
 //!   reaches their window. See DESIGN.md §"Engine performance" for the
 //!   layout.
-//! * [`QueueBackend::Heap`] — the original `BinaryHeap` implementation,
-//!   kept as [`HeapEventQueue`] for differential testing and as a
-//!   reference for the ordering contract.
+//! * [`QueueBackend::Heap`] — the original `BinaryHeap` ordering, kept
+//!   for differential testing and as a reference for the ordering
+//!   contract.
 //!
 //! The wheel assumes the simulation invariant that time never rewinds:
 //! events must not be scheduled earlier than the latest delivered event
@@ -59,6 +59,10 @@ pub enum QueueBackend {
 
 /// A timestamped event queue with deterministic ordering.
 ///
+/// Payloads sit still in one free-listed slab; what the backends order,
+/// sort and cascade are 24-byte `(time, key, handle)` entries, so the
+/// cost of moving an event around the queue does not depend on `E`.
+///
 /// # Example
 ///
 /// ```
@@ -74,13 +78,19 @@ pub enum QueueBackend {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    payloads: Payloads<E>,
+    order: Order,
+    /// Tie-break key of the next [`push`](Self::push).
+    next_seq: u64,
+    popped: u64,
 }
 
 #[derive(Debug, Clone)]
-enum Backend<E> {
-    Wheel(TimerWheel<E>),
-    Heap(HeapEventQueue<E>),
+enum Order {
+    Wheel(TimerWheel),
+    /// The seed implementation: O(log n) per operation, no
+    /// monotonic-push requirement. Kept as the ordering oracle.
+    Heap(BinaryHeap<Entry>),
 }
 
 impl<E> EventQueue<E> {
@@ -98,18 +108,21 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue on the chosen backend.
     pub fn with_backend(backend: QueueBackend, capacity: usize) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::Wheel => Backend::Wheel(TimerWheel::with_capacity(capacity)),
-                QueueBackend::Heap => Backend::Heap(HeapEventQueue::with_capacity(capacity)),
+            payloads: Payloads::new(),
+            order: match backend {
+                QueueBackend::Wheel => Order::Wheel(TimerWheel::with_capacity(capacity)),
+                QueueBackend::Heap => Order::Heap(BinaryHeap::with_capacity(capacity)),
             },
+            next_seq: 0,
+            popped: 0,
         }
     }
 
     /// The backend this queue runs on.
     pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            Backend::Wheel(_) => QueueBackend::Wheel,
-            Backend::Heap(_) => QueueBackend::Heap,
+        match &self.order {
+            Order::Wheel(_) => QueueBackend::Wheel,
+            Order::Heap(_) => QueueBackend::Heap,
         }
     }
 
@@ -120,10 +133,9 @@ impl<E> EventQueue<E> {
     /// debug-asserted, and release builds clamp such an event to the
     /// current tick.
     pub fn push(&mut self, time: SimTime, event: E) {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push(time, event),
-            Backend::Heap(h) => h.push(time, event),
-        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push_keyed(time, seq, event);
     }
 
     /// Schedules `event` to fire at `time` under a caller-chosen tie-break
@@ -136,19 +148,25 @@ impl<E> EventQueue<E> {
     /// spaces arbitrarily. Caller keys let independently filled queues
     /// (e.g. one per topology shard) agree on a global total order.
     pub fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push_keyed(time, key, event),
-            Backend::Heap(h) => h.push_keyed(time, key, event),
+        let entry = Entry {
+            time,
+            seq: key,
+            handle: self.payloads.insert(event),
+        };
+        match &mut self.order {
+            Order::Wheel(w) => w.place(entry),
+            Order::Heap(h) => h.push(entry),
         }
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty. Ties are broken by insertion order.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.pop(),
-            Backend::Heap(h) => h.pop(),
-        }
+        let entry = match &mut self.order {
+            Order::Wheel(w) => w.pop(),
+            Order::Heap(h) => h.pop(),
+        }?;
+        Some(self.deliver(entry))
     }
 
     /// Removes and returns the earliest event if its timestamp is at or
@@ -159,26 +177,34 @@ impl<E> EventQueue<E> {
     /// horizon-bounded dispatch loop pays for locating the minimum once
     /// per event instead of twice.
     pub fn pop_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.pop_at_or_before(end),
-            Backend::Heap(h) => h.pop_at_or_before(end),
-        }
+        let entry = match &mut self.order {
+            Order::Wheel(w) => w.pop_at_or_before(end),
+            Order::Heap(h) => {
+                if h.peek()?.time > end {
+                    return None;
+                }
+                h.pop()
+            }
+        }?;
+        Some(self.deliver(entry))
+    }
+
+    fn deliver(&mut self, entry: Entry) -> (SimTime, E) {
+        self.popped += 1;
+        (entry.time, self.payloads.take(entry.handle))
     }
 
     /// Returns the timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Wheel(w) => w.peek_time(),
-            Backend::Heap(h) => h.peek_time(),
+        match &self.order {
+            Order::Wheel(w) => w.peek_time(),
+            Order::Heap(h) => h.peek().map(|e| e.time),
         }
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Wheel(w) => w.len(),
-            Backend::Heap(h) => h.len(),
-        }
+        self.payloads.live
     }
 
     /// Returns `true` if no events are pending.
@@ -190,10 +216,7 @@ impl<E> EventQueue<E> {
     /// over the queue's lifetime; [`clear`](Self::clear) does not reset
     /// it.
     pub fn delivered(&self) -> u64 {
-        match &self.backend {
-            Backend::Wheel(w) => w.delivered(),
-            Backend::Heap(h) => h.delivered(),
-        }
+        self.popped
     }
 
     /// Removes all pending events without delivering them.
@@ -205,9 +228,10 @@ impl<E> EventQueue<E> {
     /// wheel backend the clock rewinds to zero, so a cleared queue can
     /// be reused for a fresh run starting at `SimTime::ZERO`.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.clear(),
-            Backend::Heap(h) => h.clear(),
+        self.payloads.clear();
+        match &mut self.order {
+            Order::Wheel(w) => w.clear(),
+            Order::Heap(h) => h.clear(),
         }
     }
 }
@@ -218,22 +242,90 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// One scheduled event: `(time, seq)` is the delivery key.
+/// Where the queue keeps its payloads: a slab whose vacant cells chain
+/// into a LIFO free list, so a steady-state queue reuses the cells it
+/// just emptied (hot in cache) and never allocates.
 #[derive(Debug, Clone)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+struct Payloads<E> {
+    cells: Vec<Cell<E>>,
+    /// Head of the free list, or [`NO_CELL`].
+    free: u32,
+    live: usize,
 }
 
-impl<E> PartialEq for Entry<E> {
+#[derive(Debug, Clone)]
+enum Cell<E> {
+    Full(E),
+    /// Vacant; holds the next free cell, or [`NO_CELL`].
+    Free(u32),
+}
+
+const NO_CELL: u32 = u32::MAX;
+
+impl<E> Payloads<E> {
+    /// Starts empty and grows with the pending peak: sizing the slab
+    /// ahead (1024 cells of a netsim event are 114 kB) cost a short run's
+    /// set-up more than the dozen doublings cost a long one.
+    fn new() -> Self {
+        Payloads {
+            cells: Vec::new(),
+            free: NO_CELL,
+            live: 0,
+        }
+    }
+
+    fn insert(&mut self, event: E) -> u32 {
+        self.live += 1;
+        let handle = self.free;
+        if handle == NO_CELL {
+            let handle = self.cells.len();
+            assert!(handle < NO_CELL as usize, "more than 2^32 pending events");
+            self.cells.push(Cell::Full(event));
+            return handle as u32;
+        }
+        let cell = &mut self.cells[handle as usize];
+        let Cell::Free(next) = *cell else {
+            unreachable!("free list points at a live payload");
+        };
+        self.free = next;
+        *cell = Cell::Full(event);
+        handle
+    }
+
+    fn take(&mut self, handle: u32) -> E {
+        let cell = std::mem::replace(&mut self.cells[handle as usize], Cell::Free(self.free));
+        let Cell::Full(event) = cell else {
+            unreachable!("entry handle points at a vacant cell");
+        };
+        self.free = handle;
+        self.live -= 1;
+        event
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.free = NO_CELL;
+        self.live = 0;
+    }
+}
+
+/// What the backends order: `(time, seq)` is the delivery key, `handle`
+/// finds the payload. 24 bytes whatever the event type.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    time: SimTime,
+    seq: u64,
+    handle: u32,
+}
+
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
+impl Eq for Entry {}
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Inverted so that in a max-heap (and at the *back* of a sorted
         // vec) the earliest (time, seq) comes out first.
@@ -243,102 +335,9 @@ impl<E> Ord for Entry<E> {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// The seed `BinaryHeap` event queue: same delivery contract as the
-/// wheel, O(log n) per operation, no monotonic-push requirement. Kept
-/// public for differential testing against the wheel backend.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    popped: u64,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue::with_capacity(0)
-    }
-
-    /// Creates an empty queue with capacity for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-            popped: 0,
-        }
-    }
-
-    /// Schedules `event` to fire at `time` (any order allowed).
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    /// Schedules `event` under a caller-chosen tie-break key (see
-    /// [`EventQueue::push_keyed`]).
-    pub fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
-        self.heap.push(Entry {
-            time,
-            seq: key,
-            event,
-        });
-    }
-
-    /// Removes and returns the earliest event (FIFO on ties).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            self.popped += 1;
-            (e.time, e.event)
-        })
-    }
-
-    /// Pops the earliest event only if it fires at or before `end` (see
-    /// [`EventQueue::pop_at_or_before`]).
-    pub fn pop_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek()?.time > end {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Returns the timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Returns the total number of events delivered so far (see
-    /// [`EventQueue::delivered`]).
-    pub fn delivered(&self) -> u64 {
-        self.popped
-    }
-
-    /// Removes all pending events; `delivered()` and the FIFO sequence
-    /// are preserved (see [`EventQueue::clear`]).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        HeapEventQueue::new()
     }
 }
 
@@ -366,17 +365,26 @@ impl<E> Default for HeapEventQueue<E> {
 /// level, else the overflow top — which makes `peek_time` cheap and
 /// `pop` lazy: the wheel only advances when both same-tick sources run
 /// dry.
+///
+/// A drained slot's buffer is spare: the next slot of the level to
+/// receive its first entry takes it over (unless it still has its own).
+/// A level therefore holds as many buffers as it had slots occupied *at
+/// once*, not one per slot the clock ever passed, and a steady state
+/// still allocates nothing.
 #[derive(Debug, Clone)]
-struct TimerWheel<E> {
+struct TimerWheel {
     /// Current tick's events, sorted ascending by `Entry`'s (inverted)
     /// order; the earliest event is at the back.
-    cur: Vec<Entry<E>>,
+    cur: Vec<Entry>,
     /// `LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`.
-    slots: Vec<Vec<Entry<E>>>,
+    slots: Vec<Vec<Entry>>,
     /// One occupancy bitmap per level (bit `s` = slot `s` non-empty).
     occupied: [u64; LEVELS],
+    /// Per level, the drained slots whose emptied buffer nobody has taken
+    /// over yet.
+    spare: [u64; LEVELS],
     /// Events beyond the wheel horizon, min-first.
-    overflow: BinaryHeap<Entry<E>>,
+    overflow: BinaryHeap<Entry>,
     /// The tick of the most recent delivery (starts at 0). May run
     /// ahead of the last delivery up to the earliest *pending* tick: a
     /// bounded [`pop_at_or_before`](Self::pop_at_or_before) advances the
@@ -388,56 +396,29 @@ struct TimerWheel<E> {
     /// `(time, seq)`, ahead of every slot entry (whose ticks are all
     /// `>= now_tick`).
     floor: SimTime,
-    /// Pending-event count across `cur`, `late`, `slots` and `overflow`.
-    pending: usize,
-    next_seq: u64,
-    popped: u64,
     /// Same-tick late arrivals, max-first in `Entry`'s inverted order
     /// (top = earliest). Usually empty: most pushes land a full
-    /// serialization time ahead, beyond the current tick. Declared last
-    /// to keep the hot fields' layout unchanged.
-    late: BinaryHeap<Entry<E>>,
+    /// serialization time ahead, beyond the current tick.
+    late: BinaryHeap<Entry>,
 }
 
-impl<E> TimerWheel<E> {
+impl TimerWheel {
     fn with_capacity(capacity: usize) -> Self {
         TimerWheel {
             cur: Vec::with_capacity(capacity),
-            // Slots start empty and grow on first touch; the capacity
-            // they gain is then pinned by the drain-based delivery, so
-            // steady state sees no slot reallocs. (Pre-sizing them was
-            // measured and bought nothing once the drain pins capacity.)
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
+            spare: [0; LEVELS],
             overflow: BinaryHeap::new(),
             now_tick: 0,
             floor: SimTime::ZERO,
-            pending: 0,
-            next_seq: 0,
-            popped: 0,
             late: BinaryHeap::new(),
         }
     }
 
-    fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending += 1;
-        self.place(Entry { time, seq, event });
-    }
-
-    fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
-        self.pending += 1;
-        self.place(Entry {
-            time,
-            seq: key,
-            event,
-        });
-    }
-
-    /// Files `e` into `cur`, a wheel slot, or the overflow heap
+    /// Files `e` into `late`, a wheel slot, or the overflow heap
     /// according to its tick's highest digit differing from `now_tick`.
-    fn place(&mut self, e: Entry<E>) {
+    fn place(&mut self, e: Entry) {
         let tick = e.time.as_nanos() >> TICK_SHIFT;
         if tick <= self.now_tick {
             debug_assert!(
@@ -458,13 +439,26 @@ impl<E> TimerWheel<E> {
             return;
         }
         let slot = ((tick >> (level as u32 * LEVEL_BITS)) & (SLOTS as u64 - 1)) as usize;
-        self.occupied[level] |= 1 << slot;
-        self.slots[level * SLOTS + slot].push(e);
+        let (index, bit) = (level * SLOTS + slot, 1u64 << slot);
+        if self.occupied[level] & bit == 0 {
+            self.occupied[level] |= bit;
+            // First entry of a slot: it keeps the buffer it was drained
+            // with, or else takes over an idle sibling's.
+            let spare = self.spare[level];
+            if spare & bit != 0 {
+                self.spare[level] = spare ^ bit;
+            } else if spare != 0 {
+                self.spare[level] = spare & (spare - 1);
+                self.slots
+                    .swap(index, level * SLOTS + spare.trailing_zeros() as usize);
+            }
+        }
+        self.slots[index].push(e);
     }
 
     /// The earliest pending same-tick entry: the better of `cur`'s back
     /// and `late`'s top (the larger in `Entry`'s inverted order).
-    fn peek_same_tick(&self) -> Option<&Entry<E>> {
+    fn peek_same_tick(&self) -> Option<&Entry> {
         match (self.cur.last(), self.late.peek()) {
             (Some(c), Some(l)) => Some(if c > l { c } else { l }),
             (c, l) => c.or(l),
@@ -475,7 +469,7 @@ impl<E> TimerWheel<E> {
     /// out of the hot path so the common all-in-`cur` case stays a
     /// comparison-free `Vec::pop`.
     #[cold]
-    fn pop_merged(&mut self) -> Entry<E> {
+    fn pop_merged(&mut self) -> Entry {
         debug_assert!(!self.late.is_empty());
         match self.cur.last() {
             Some(c) if c > self.late.peek().expect("checked non-empty") => {
@@ -485,7 +479,7 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    fn pop(&mut self) -> Option<Entry> {
         let e = loop {
             if self.late.is_empty() {
                 // Fast path: the current tick's events all sit in `cur`,
@@ -500,13 +494,11 @@ impl<E> TimerWheel<E> {
                 return None;
             }
         };
-        self.pending -= 1;
-        self.popped += 1;
         self.floor = e.time;
-        Some((e.time, e.event))
+        Some(e)
     }
 
-    fn pop_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+    fn pop_at_or_before(&mut self, end: SimTime) -> Option<Entry> {
         loop {
             let next = if self.late.is_empty() {
                 match self.cur.last() {
@@ -569,28 +561,23 @@ impl<E> TimerWheel<E> {
             self.now_tick = (self.now_tick & !(((1u64) << (shift + LEVEL_BITS)) - 1))
                 | ((slot as u64) << shift);
             self.occupied[level] &= !(1u64 << slot);
+            self.spare[level] |= 1u64 << slot;
             if level == 0 {
                 // A level-0 slot is exactly one tick: move its events
                 // into the (empty) `cur` and order them for back-pop
-                // delivery. `append` empties the slot but keeps its
-                // capacity pinned in place, so after warmup each slot
-                // has grown to its historical maximum and the steady
-                // state allocates nothing (a swap would permute
-                // capacities around the wheel and re-grow forever).
+                // delivery (the emptied buffer is now spare).
                 let slot_vec = &mut self.slots[slot];
                 self.cur.append(slot_vec);
                 self.cur.sort_unstable();
                 return true;
             }
             // Cascade: redistribute the slot one level down (or into
-            // `cur` for events landing exactly on the new current tick).
+            // `late` for events landing exactly on the new current tick).
             let mut moved = std::mem::take(&mut self.slots[level * SLOTS + slot]);
             for e in moved.drain(..) {
                 self.place(e);
             }
-            self.slots[level * SLOTS + slot] = moved; // recycle capacity
-                                                      // Events landing exactly on the new current tick were
-                                                      // routed to `late` by `place`.
+            self.slots[level * SLOTS + slot] = moved;
             if !self.late.is_empty() {
                 return true;
             }
@@ -613,32 +600,26 @@ impl<E> TimerWheel<E> {
         self.overflow.peek().map(|e| e.time)
     }
 
-    fn len(&self) -> usize {
-        self.pending
-    }
-
-    fn delivered(&self) -> u64 {
-        self.popped
-    }
-
     fn clear(&mut self) {
         self.cur.clear();
         self.late.clear();
         for slot in &mut self.slots {
             slot.clear();
         }
-        self.occupied = [0; LEVELS];
+        for (spare, occupied) in self.spare.iter_mut().zip(&mut self.occupied) {
+            *spare |= std::mem::take(occupied);
+        }
         self.overflow.clear();
         self.now_tick = 0;
         self.floor = SimTime::ZERO;
-        self.pending = 0;
-        // next_seq and popped survive: see EventQueue::clear.
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn both_backends() -> [EventQueue<u64>; 2] {
         [
@@ -801,6 +782,106 @@ mod tests {
             let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
             assert_eq!(order, [55, 56, 60, 100]);
         }
+    }
+
+    /// A payload that counts its drops per id.
+    struct Counted(usize, Rc<RefCell<Vec<u32>>>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.1.borrow_mut()[self.0] += 1;
+        }
+    }
+
+    #[test]
+    fn every_payload_is_dropped_exactly_once() {
+        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
+            const N: usize = 300;
+            let drops = Rc::new(RefCell::new(vec![0u32; N]));
+            let mut q = EventQueue::with_backend(backend, 4);
+            let mut next = 0;
+            let mut push = |q: &mut EventQueue<Counted>, ms: u64| {
+                q.push(SimTime::from_millis(ms), Counted(next, drops.clone()));
+                next += 1;
+            };
+            // Through `pop`: the caller owns (and drops) what it gets.
+            for i in 0..100 {
+                push(&mut q, 1 + i % 7);
+            }
+            for _ in 0..60 {
+                let (_, popped) = q.pop().expect("pending");
+                assert_eq!(drops.borrow()[popped.0], 0);
+            }
+            // Refill over the freed cells, then `clear`.
+            for i in 0..100 {
+                push(&mut q, 10 + i % 5_000);
+            }
+            q.clear();
+            assert_eq!(drops.borrow()[..200].iter().sum::<u32>(), 200);
+            // Pending at queue drop, some beyond the wheel horizon.
+            for i in 0..100 {
+                push(&mut q, i * 40_000);
+            }
+            assert_eq!(q.len(), 100);
+            drop(q);
+            assert!(drops.borrow().iter().all(|&d| d == 1), "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn a_reused_handle_never_aliases_a_live_payload() {
+        // Interleave pushes and pops so freed cells are refilled while
+        // their neighbours are live; every pop must return the payload
+        // pushed under that (time, key).
+        for mut q in both_backends() {
+            let mut rng = crate::rng::DetRng::new(9);
+            let mut now = 0u64;
+            let mut live = std::collections::BTreeMap::new();
+            for key in 0..5_000u64 {
+                let at = now + rng.next_u64() % 3_000_000;
+                q.push_keyed(SimTime::from_nanos(at), key, at ^ key);
+                live.insert((at, key), at ^ key);
+                if rng.index(3) > 0 {
+                    let (t, payload) = q.pop().expect("just pushed");
+                    let (&(at, key), &want) = live.iter().next().expect("model non-empty");
+                    assert_eq!((t.as_nanos(), payload), (at, want));
+                    live.remove(&(at, key));
+                    now = at;
+                }
+            }
+            assert_eq!(q.len(), live.len());
+        }
+    }
+
+    #[test]
+    fn entries_are_24_bytes_whatever_the_payload() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
+    #[test]
+    fn the_wheel_retains_room_for_peak_pending_not_for_slots_touched() {
+        // Forty rounds, each filling a different level-2 slot with
+        // PER_ROUND events and draining it through every lower level:
+        // what the wheel keeps afterwards is room for a round at each
+        // level it passed through, not forty level-2 buffers.
+        const PER_ROUND: u64 = 4_000;
+        let mut q = EventQueue::with_backend(QueueBackend::Wheel, 0);
+        let level2_slot_ns = 1u64 << (TICK_SHIFT + 2 * LEVEL_BITS);
+        for round in 1..=40u64 {
+            for i in 0..PER_ROUND {
+                q.push(SimTime::from_nanos(round * level2_slot_ns + i * 1_000), i);
+            }
+            while q.pop().is_some() {}
+        }
+        let Order::Wheel(w) = &q.order else {
+            unreachable!()
+        };
+        let retained: usize = w.slots.iter().map(Vec::capacity).sum();
+        assert!(
+            retained <= 4 * PER_ROUND as usize,
+            "wheel retains room for {retained} entries after rounds of {PER_ROUND}"
+        );
+        assert!(q.payloads.cells.capacity() <= 2 * PER_ROUND as usize);
     }
 
     #[test]

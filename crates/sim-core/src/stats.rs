@@ -55,6 +55,11 @@ impl TimeSeries {
         self.samples.push((time, value));
     }
 
+    /// Removes every sample, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.samples.clear();
+    }
+
     /// Returns the number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -396,12 +401,16 @@ impl WindowedRate {
 /// let p50 = h.quantile(0.5).unwrap();
 /// assert!(p50 > 0.4 && p50 < 0.6, "{p50}");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct LogHistogram {
-    /// bucket i spans [min_value·growth^i, min_value·growth^(i+1))
+    /// bucket i spans [min_value·growth^i, min_value·growth^(i+1)).
+    /// Empty until the first `record`: most flows of a churn run never
+    /// deliver a packet, and an empty histogram reads as all zeros.
     buckets: Vec<u64>,
     min_value: f64,
     growth: f64,
+    /// `growth.ln()`, computed once instead of per sample.
+    ln_growth: f64,
     count: u64,
     sum: f64,
     min_seen: f64,
@@ -414,15 +423,26 @@ impl LogHistogram {
 
     /// Creates a histogram covering roughly `1 µs ..= 1000 s`.
     pub fn new() -> Self {
+        let growth = 1.2f64;
         LogHistogram {
-            buckets: vec![0; Self::BUCKETS],
+            buckets: Vec::new(),
             min_value: 1e-6,
-            growth: 1.2,
+            growth,
+            ln_growth: growth.ln(),
             count: 0,
             sum: 0.0,
             min_seen: f64::INFINITY,
             max_seen: 0.0,
         }
+    }
+
+    /// The bucket counts, a never-recorded histogram's read as zeros.
+    fn buckets(&self) -> impl Iterator<Item = u64> + '_ {
+        let unallocated = Self::BUCKETS - self.buckets.len();
+        self.buckets
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(0, unallocated))
     }
 
     /// Records one observation (clamped into the covered range).
@@ -438,9 +458,12 @@ impl LogHistogram {
         let idx = if value <= self.min_value {
             0
         } else {
-            ((value / self.min_value).ln() / self.growth.ln()) as usize
+            ((value / self.min_value).ln() / self.ln_growth) as usize
         }
         .min(Self::BUCKETS - 1);
+        if self.buckets.is_empty() {
+            self.buckets.resize(Self::BUCKETS, 0);
+        }
         self.buckets[idx] += 1;
         self.count += 1;
         self.sum += value;
@@ -456,9 +479,11 @@ impl LogHistogram {
     /// lets partial histograms built independently — e.g. one per
     /// topology shard — be combined without re-observing anything.
     pub fn merge(&mut self, other: &LogHistogram) {
-        debug_assert_eq!(self.buckets.len(), other.buckets.len());
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+        if !other.buckets.is_empty() {
+            self.buckets.resize(Self::BUCKETS, 0);
+            for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+                *b += o;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -496,7 +521,7 @@ impl LogHistogram {
         }
         let target = q * self.count as f64;
         let mut seen = 0.0;
-        for (i, &n) in self.buckets.iter().enumerate() {
+        for (i, n) in self.buckets().enumerate() {
             if n == 0 {
                 continue;
             }
@@ -517,6 +542,32 @@ impl LogHistogram {
 impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram::new()
+    }
+}
+
+/// Whether the buckets are allocated yet is not observable: equality and
+/// `Debug` (which the serial/sharded report identity compares) read a
+/// never-recorded histogram as the zero-filled one it stands for.
+impl PartialEq for LogHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.buckets().eq(other.buckets())
+            && (self.min_value, self.growth, self.count, self.sum)
+                == (other.min_value, other.growth, other.count, other.sum)
+            && (self.min_seen, self.max_seen) == (other.min_seen, other.max_seen)
+    }
+}
+
+impl std::fmt::Debug for LogHistogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogHistogram")
+            .field("buckets", &self.buckets().collect::<Vec<_>>())
+            .field("min_value", &self.min_value)
+            .field("growth", &self.growth)
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("min_seen", &self.min_seen)
+            .field("max_seen", &self.max_seen)
+            .finish()
     }
 }
 
@@ -692,6 +743,88 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.0), Some(0.0));
         assert_eq!(h.quantile(1.0), Some(1e9));
+    }
+
+    /// The histogram `new` used to return: buckets allocated, all zero.
+    fn zero_filled() -> LogHistogram {
+        LogHistogram {
+            buckets: vec![0; LogHistogram::BUCKETS],
+            ..LogHistogram::new()
+        }
+    }
+
+    #[test]
+    fn never_recorded_histogram_equals_a_zero_filled_one() {
+        assert!(LogHistogram::new().buckets.is_empty(), "allocated lazily");
+        assert_eq!(LogHistogram::new(), zero_filled());
+        assert_eq!(zero_filled(), LogHistogram::new());
+        let mut recorded = LogHistogram::new();
+        recorded.record(0.5);
+        assert_ne!(recorded, LogHistogram::new());
+    }
+
+    #[test]
+    fn never_recorded_histogram_debugs_like_a_zero_filled_one() {
+        let (lazy, filled) = (LogHistogram::new(), zero_filled());
+        assert_eq!(format!("{lazy:?}"), format!("{filled:?}"));
+        assert_eq!(format!("{lazy:#?}"), format!("{filled:#?}"));
+        // The rendering is the derived one: every bucket, no cached ln.
+        let text = format!("{lazy:?}");
+        assert!(
+            text.starts_with("LogHistogram { buckets: [0, 0, "),
+            "{text}"
+        );
+        assert!(
+            text.ends_with(
+                "min_value: 1e-6, growth: 1.2, count: 0, sum: 0.0, min_seen: inf, max_seen: 0.0 }"
+            ),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn never_recorded_histogram_merges_like_a_zero_filled_one() {
+        let mut data = LogHistogram::new();
+        for v in [0.001, 0.02, 0.02, 3.0] {
+            data.record(v);
+        }
+        for empty in [LogHistogram::new(), zero_filled()] {
+            // Empty into data, data into empty: both leave exactly `data`.
+            let mut into_data = data.clone();
+            into_data.merge(&empty);
+            assert_eq!(into_data, data);
+            let mut into_empty = empty.clone();
+            into_empty.merge(&data);
+            assert_eq!(into_empty, data);
+            assert_eq!(format!("{into_empty:?}"), format!("{data:?}"));
+            assert_eq!(into_empty.quantile(0.5), data.quantile(0.5));
+        }
+        let mut both_empty = LogHistogram::new();
+        both_empty.merge(&LogHistogram::new());
+        assert_eq!(both_empty, zero_filled());
+        assert_eq!(both_empty.quantile(0.5), zero_filled().quantile(0.5));
+    }
+
+    #[test]
+    fn cached_ln_growth_leaves_bucket_indices_bit_identical() {
+        // The index is still a division by ln(growth); multiplying by a
+        // cached reciprocal would move samples that sit on a bucket edge.
+        let mut rng = crate::rng::DetRng::new(3);
+        for i in 0..20_000u32 {
+            let v = if i % 2 == 0 {
+                1e-6 * 1.2f64.powi((i / 2 % 130) as i32) // bucket edges
+            } else {
+                rng.next_f64() * 10f64.powi(i as i32 % 9 - 6)
+            };
+            let mut h = LogHistogram::new();
+            h.record(v);
+            let want = if v <= 1e-6 {
+                0
+            } else {
+                (((v / 1e-6).ln() / 1.2f64.ln()) as usize).min(LogHistogram::BUCKETS - 1)
+            };
+            assert_eq!(h.buckets[want], 1, "value {v} left bucket {want}");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "hot-alloc",
-        "heap allocation (vec!/Vec::new/Box::new/.to_vec) in per-event hot functions; reuse buffers",
+        "heap allocation (vec!/Vec::new/Box::new/.to_vec/.field.clone()) in per-event hot functions; reuse buffers",
     ),
     (
         "dense-state",
@@ -145,8 +145,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "hot-alloc" => {
             "Steady-state dispatch is allocation-free (pinned by netsim's counting-\n\
              allocator tests); a vec!/Vec::new/Box::new/.to_vec in a per-event function\n\
-             of a hot-path module re-introduces per-event heap traffic. Reuse a\n\
-             preallocated buffer (ActionBuf-style)."
+             of a hot-path module re-introduces per-event heap traffic, and so does\n\
+             cloning a field out of a structure (x.field.clone(): a route copied into\n\
+             every arriving flow). Reuse a preallocated buffer (ActionBuf-style); share\n\
+             immutable data behind an Rc and bump it with Rc::clone(&x.field)."
         }
         "dense-state" => {
             "Per-id state read on the hot path belongs in netsim::slab::DenseMap: O(1)\n\
@@ -235,6 +237,8 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/netsim/src/slab.rs",
     "crates/netsim/src/telemetry.rs",
     "crates/netsim/src/transport.rs",
+    "crates/netsim/src/churn.rs",
+    "crates/sim-core/src/event.rs",
     "crates/corelite/src/edge.rs",
     "crates/corelite/src/router.rs",
     "crates/csfq/src/core.rs",
@@ -309,6 +313,16 @@ const HOT_FNS: &[&str] = &[
     "apply_action",
     "push_control",
     "record_drop",
+    // The event queue under every dispatch.
+    "place",
+    "push_keyed",
+    "pop_at_or_before",
+    // Flow churn: an arrival -> start -> stop -> retire cycle on a
+    // recycled slot allocates nothing (route data is shared, not copied).
+    "handle_churn_arrival",
+    "handle_churn_retire",
+    "plan_arrival",
+    "retire",
     // Per-packet link operations.
     "offer",
     "sync",
@@ -638,6 +652,17 @@ pub(crate) fn scan_tokens(rel: &str, lexed: &Lexed, class: FileClass) -> Vec<Vio
                         Some("Box::new(…)")
                     } else if name == "to_vec" && i > 0 && op(i - 1, ".") && op(i + 1, "(") {
                         Some(".to_vec()")
+                    } else if name == "clone"
+                        && i > 2
+                        && op(i - 1, ".")
+                        && op(i + 1, "(")
+                        && ident(i - 2).is_some()
+                        && op(i - 3, ".")
+                    {
+                        // `x.field.clone()` copies owned data out of a
+                        // structure; a shared handle is bumped with an
+                        // explicit `Rc::clone(&x.field)`.
+                        Some(".field.clone()")
                     } else {
                         None
                     };
@@ -1081,6 +1106,22 @@ mod tests {
         let v = scan("crates/corelite/src/edge.rs", src);
         assert_eq!(v.len(), 4, "{v:?}");
         assert!(v.iter().all(|v| v.rule == "hot-alloc"));
+    }
+
+    #[test]
+    fn hot_alloc_flags_field_clones_but_not_handle_bumps() {
+        let copy = "fn handle_churn_arrival(&mut self) { let p = route.path.clone(); }";
+        let v = scan("crates/netsim/src/network.rs", copy);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains(".field.clone()"), "{v:?}");
+        let bump = "fn handle_churn_arrival(&mut self) { let r = Rc::clone(&churn.route); \
+                    let c = cfg.clone(); }";
+        assert!(scan("crates/netsim/src/network.rs", bump).is_empty());
+        // The event queue and the churn state are hot modules too.
+        let grow = "fn place(&mut self) { let v = Vec::new(); }\n\
+                    fn plan_arrival(&mut self) { let v = vec![1]; }";
+        assert_eq!(scan("crates/sim-core/src/event.rs", grow).len(), 2);
+        assert_eq!(scan("crates/netsim/src/churn.rs", grow).len(), 2);
     }
 
     #[test]

@@ -105,6 +105,26 @@ fn inline_allow_is_load_bearing_in_float_eq_fixture() {
     );
 }
 
+/// The churn-path fixture pair: `handle_churn_arrival` is a hot function,
+/// so an arrival that clones its template's route vectors or builds a
+/// fresh `vec!` is flagged once per copy, while the shared-route,
+/// refill-in-place twin is clean.
+#[test]
+fn churn_arrival_route_copies_are_caught() {
+    let bad = violations_for("hot_alloc_churn_bad");
+    let hot: Vec<_> = bad.iter().filter(|v| v.rule == "hot-alloc").collect();
+    assert_eq!(hot.len(), 3, "two route clones and a vec!: {bad:?}");
+    assert_eq!(
+        hot.iter()
+            .filter(|v| v.message.contains(".field.clone()"))
+            .count(),
+        2,
+        "{bad:?}"
+    );
+    let ok = violations_for("hot_alloc_churn_ok");
+    assert!(ok.is_empty(), "hot_alloc_churn_ok must be clean: {ok:?}");
+}
+
 /// The transport-sender fixture pair: the `transport_sender_` prefix
 /// classifies like `crates/netsim/src/transport.rs` (hot-path +
 /// per-id-state), and the `RouterLogic` impl is a taint root — so the
