@@ -184,16 +184,9 @@ impl RouterLogic for FredCore {
 
     fn report(&self, _now: SimTime) -> LogicReport {
         let mut report = LogicReport::default();
-        report
-            .counters
-            .insert("fred_early_drops".to_owned(), self.early_drops as f64);
-        report
-            .counters
-            .insert("fred_forwarded".to_owned(), self.forwarded as f64);
-        report.counters.insert(
-            "fred_peak_tracked_flows".to_owned(),
-            self.peak_tracked_flows as f64,
-        );
+        report.count("fred_early_drops", self.early_drops as f64);
+        report.count("fred_forwarded", self.forwarded as f64);
+        report.count("fred_peak_tracked_flows", self.peak_tracked_flows as f64);
         report
     }
 }

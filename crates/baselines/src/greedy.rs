@@ -10,6 +10,7 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::FlowId;
 use netsim::logic::{Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::Pacer;
 
 const TIMER_EMIT: u32 = 1;
 
@@ -21,6 +22,7 @@ pub struct GreedySource {
     /// `default_rate`.
     rates: netsim::slab::DenseMap<FlowId, f64>,
     default_rate: f64,
+    pacer: Pacer,
     emitted: u64,
 }
 
@@ -36,6 +38,7 @@ impl GreedySource {
         GreedySource {
             rates: netsim::slab::DenseMap::new(),
             default_rate,
+            pacer: Pacer::new(TIMER_EMIT),
             emitted: 0,
         }
     }
@@ -58,34 +61,28 @@ impl GreedySource {
 
 impl RouterLogic for GreedySource {
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        ctx.set_timer(
-            SimDuration::ZERO,
-            TimerKind::with_param(TIMER_EMIT, flow.index() as u64),
-        );
+        // A restart kills whatever chain the previous activation left
+        // pending; the chain itself ends when a fire finds the flow
+        // stopped.
+        self.pacer.reset(flow.index());
+        self.pacer.arm(ctx, flow.index(), SimDuration::ZERO);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
-        if timer.tag != TIMER_EMIT {
+        let fired = self.pacer.fired(timer.param);
+        let Some(flow) = fired.and_then(|slot| ctx.sending_flow(slot)) else {
             return;
-        }
-        let flow = FlowId::from_index(timer.param as usize);
-        if !ctx.flow(flow).is_active_at(ctx.now()) {
-            return;
-        }
+        };
         let packet = ctx.new_packet(flow);
         ctx.emit(packet);
         self.emitted += 1;
-        ctx.set_timer(
-            SimDuration::from_secs_f64(1.0 / self.rate_of(flow)),
-            TimerKind::with_param(TIMER_EMIT, flow.index() as u64),
-        );
+        let gap = SimDuration::from_secs_f64(1.0 / self.rate_of(flow));
+        self.pacer.arm(ctx, flow.index(), gap);
     }
 
     fn report(&self, _now: SimTime) -> LogicReport {
         let mut report = LogicReport::default();
-        report
-            .counters
-            .insert("greedy_emitted".to_owned(), self.emitted as f64);
+        report.count("greedy_emitted", self.emitted as f64);
         report
     }
 }

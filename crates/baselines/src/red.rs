@@ -133,12 +133,8 @@ impl RouterLogic for RedCore {
 
     fn report(&self, _now: SimTime) -> LogicReport {
         let mut report = LogicReport::default();
-        report
-            .counters
-            .insert("red_early_drops".to_owned(), self.early_drops as f64);
-        report
-            .counters
-            .insert("red_forwarded".to_owned(), self.forwarded as f64);
+        report.count("red_early_drops", self.early_drops as f64);
+        report.count("red_forwarded", self.forwarded as f64);
         report
     }
 }

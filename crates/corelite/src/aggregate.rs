@@ -17,6 +17,7 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::{FlowId, NodeId};
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::Pacer;
 use netsim::packet::Marker;
 use netsim::slab::{ActiveSet, DenseMap};
 
@@ -32,7 +33,6 @@ struct Group {
     /// Currently active member micro-flows, emission round-robin order.
     members: Vec<FlowId>,
     next_member: usize,
-    emission_pending: bool,
 }
 
 /// Router logic for an ingress edge that aggregates all micro-flows
@@ -49,9 +49,10 @@ pub struct AggregatingEdge {
     /// egresses keeps the tick O(populated groups).
     populated: ActiveSet<NodeId>,
     flow_group: DenseMap<FlowId, NodeId>,
+    /// Per-group emission chains (slot = egress index), reset when a
+    /// group gains its first member or loses its last.
+    pacer: Pacer,
     markers_injected: u64,
-    #[allow(dead_code)]
-    seed: u64,
 }
 
 impl AggregatingEdge {
@@ -63,7 +64,7 @@ impl AggregatingEdge {
     ///
     /// Panics if `cfg` fails [`CoreliteConfig::validate`] or
     /// `group_weight` is zero.
-    pub fn new(seed: u64, cfg: CoreliteConfig, group_weight: u32) -> Self {
+    pub fn new(_seed: u64, cfg: CoreliteConfig, group_weight: u32) -> Self {
         cfg.validate();
         assert!(group_weight > 0, "aggregate weight must be positive");
         AggregatingEdge {
@@ -72,28 +73,28 @@ impl AggregatingEdge {
             groups: DenseMap::new(),
             populated: ActiveSet::new(),
             flow_group: DenseMap::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             markers_injected: 0,
-            seed,
         }
     }
 
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, egress: NodeId) {
-        let g = self.groups.get_mut(&egress).expect("group exists");
-        if !g.emission_pending && !g.members.is_empty() && g.controller.rate() > 0.0 {
-            g.emission_pending = true;
-            ctx.set_timer(
-                SimDuration::from_secs_f64(1.0 / g.controller.rate()),
-                TimerKind::with_param(TIMER_EMIT, egress.index() as u64),
-            );
+        let g = self.groups.get(&egress).expect("group exists");
+        if !g.members.is_empty() && g.controller.rate() > 0.0 {
+            let gap = SimDuration::from_secs_f64(1.0 / g.controller.rate());
+            self.pacer.arm(ctx, egress.index(), gap);
         }
     }
 
-    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, egress: NodeId) {
+    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, param: u64) {
+        let Some(idx) = self.pacer.fired(param) else {
+            return;
+        };
+        let egress = NodeId::from_index(idx);
         let node = ctx.node();
         let Some(g) = self.groups.get_mut(&egress) else {
             return;
         };
-        g.emission_pending = false;
         if g.members.is_empty() || g.controller.rate() <= 0.0 {
             return;
         }
@@ -111,12 +112,7 @@ impl AggregatingEdge {
             self.markers_injected += 1;
         }
         ctx.emit(packet);
-        let g = self.groups.get_mut(&egress).expect("group exists");
-        g.emission_pending = true;
-        ctx.set_timer(
-            SimDuration::from_secs_f64(1.0 / g.controller.rate()),
-            TimerKind::with_param(TIMER_EMIT, egress.index() as u64),
-        );
+        self.ensure_emission(ctx, egress);
     }
 }
 
@@ -135,11 +131,12 @@ impl RouterLogic for AggregatingEdge {
             controller: RateController::new(weight, 0.0, rtt),
             members: Vec::new(),
             next_member: 0,
-            emission_pending: false,
         });
         if g.members.is_empty() {
-            // First member (re)activates the aggregate: fresh slow-start.
+            // First member (re)activates the aggregate: fresh slow-start
+            // on a fresh emission chain.
             g.controller.start(cfg, now, rtt);
+            self.pacer.reset(egress.index());
         }
         if !g.members.contains(&flow) {
             g.members.push(flow);
@@ -167,6 +164,7 @@ impl RouterLogic for AggregatingEdge {
             // sample on the next epoch tick exactly as the full scan
             // did, and the set is bounded by the number of egresses.
             g.controller.stop(ctx.now());
+            self.pacer.reset(egress.index());
         }
     }
 
@@ -188,7 +186,7 @@ impl RouterLogic for AggregatingEdge {
                 }
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
             }
-            TIMER_EMIT => self.handle_emit(ctx, NodeId::from_index(timer.param as usize)),
+            TIMER_EMIT => self.handle_emit(ctx, timer.param),
             _ => {}
         }
     }
@@ -215,13 +213,8 @@ impl RouterLogic for AggregatingEdge {
                     .insert(flow, g.controller.series().clone());
             }
         }
-        report.counters.insert(
-            "aggregate_markers_injected".to_owned(),
-            self.markers_injected as f64,
-        );
-        report
-            .counters
-            .insert("aggregate_groups".to_owned(), self.groups.len() as f64);
+        report.count("aggregate_markers_injected", self.markers_injected as f64);
+        report.count("aggregate_groups", self.groups.len() as f64);
         report
     }
 }

@@ -13,7 +13,9 @@
 use sim_core::stats::TimeSeries;
 use sim_core::time::SimTime;
 
-use netsim::ids::NodeId;
+use netsim::ids::{FlowId, NodeId};
+use netsim::logic::Ctx;
+use netsim::telemetry::Sample;
 
 use crate::config::{AdaptationScheme, CoreliteConfig, DecreasePolicy};
 
@@ -325,6 +327,23 @@ impl RateController {
         }
         self.feedback.clear();
         self.record(now);
+    }
+
+    /// One adaptation epoch as an edge runs it for `flow`: publishes
+    /// `m_f` (which must be read before the update consumes the
+    /// per-core counts), applies [`epoch_update`](Self::epoch_update),
+    /// then publishes the new `b_g` and the slow-start flag. Inactive
+    /// controllers publish nothing.
+    pub fn run_epoch(&mut self, ctx: &Ctx<'_>, cfg: &CoreliteConfig, flow: FlowId) {
+        if self.active {
+            ctx.publish(Sample::for_flow("m_f", flow, self.feedback_max() as f64));
+        }
+        self.epoch_update(cfg, ctx.now());
+        if self.active {
+            ctx.publish(Sample::for_flow("b_g", flow, self.rate));
+            let slow_start = f64::from(self.in_slow_start());
+            ctx.publish(Sample::for_flow("slow_start", flow, slow_start));
+        }
     }
 
     fn ss_thresh(&self, cfg: &CoreliteConfig) -> f64 {

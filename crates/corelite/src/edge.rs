@@ -26,9 +26,9 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::FlowId;
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::Pacer;
 use netsim::packet::Marker;
 use netsim::slab::{ActiveSet, DenseMap};
-use netsim::telemetry::Sample;
 
 use crate::config::CoreliteConfig;
 use crate::controller::RateController;
@@ -39,8 +39,6 @@ const TIMER_EMIT: u32 = 2;
 #[derive(Debug)]
 struct FlowState {
     controller: RateController,
-    /// True while an emission timer is outstanding.
-    emission_pending: bool,
     /// One-entry memo of `1 / rate` as a duration: the controller's
     /// rate only changes on epoch boundaries and feedback, while the
     /// conversion runs once per emitted packet. Bit-identical on hits.
@@ -51,7 +49,6 @@ impl FlowState {
     fn new(controller: RateController) -> Self {
         FlowState {
             controller,
-            emission_pending: false,
             gap_cache: (0.0, SimDuration::ZERO),
         }
     }
@@ -84,98 +81,58 @@ pub struct CoreliteEdge {
     /// instead of every slot ever occupied, so an epoch costs O(active)
     /// rather than O(all flows ever) under churn.
     active: ActiveSet<FlowId>,
-    /// Per-slot emission-chain epoch. Each `on_flow_start`/`on_flow_stop`
-    /// bumps the slot's epoch, and emission timers carry the epoch they
-    /// were armed under — so a timer from a previous activation (or a
-    /// recycled slot's previous occupant) is recognized as stale and
-    /// dropped instead of feeding a chain it no longer owns.
-    emission_epochs: Vec<u32>,
+    /// Per-slot emission chains, reset on every start and stop.
+    pacer: Pacer,
     /// Series buffers of departed churn flows, for the next arrivals to
     /// record into: a flow's first sample then allocates nothing.
     spare_series: Vec<TimeSeries>,
     markers_injected: u64,
     feedback_received: u64,
     losses_ignored: u64,
-    #[allow(dead_code)]
-    seed: u64,
 }
 
 impl CoreliteEdge {
-    /// Creates edge logic with the given component `seed` (from the
-    /// topology builder) and configuration.
+    /// Creates edge logic with the given configuration (the topology
+    /// builder's component seed is unused: the edge draws no randomness).
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`CoreliteConfig::validate`].
-    pub fn new(seed: u64, cfg: CoreliteConfig) -> Self {
+    pub fn new(_seed: u64, cfg: CoreliteConfig) -> Self {
         cfg.validate();
         CoreliteEdge {
             cfg,
             flows: DenseMap::new(),
             active: ActiveSet::new(),
-            emission_epochs: Vec::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             spare_series: Vec::new(),
             markers_injected: 0,
             feedback_received: 0,
             losses_ignored: 0,
-            seed,
         }
     }
 
     /// The allowed rate `b_g(f)` the edge currently enforces for `flow`,
     /// or `None` if the flow has never started here.
     pub fn allowed_rate(&self, flow: FlowId) -> Option<f64> {
-        self.state(flow).map(|s| s.controller.rate())
-    }
-
-    fn state(&self, flow: FlowId) -> Option<&FlowState> {
-        self.flows.get(&flow)
-    }
-
-    fn state_mut(&mut self, flow: FlowId) -> Option<&mut FlowState> {
-        self.flows.get_mut(&flow)
-    }
-
-    /// Invalidates any outstanding emission chain for `flow`'s slot and
-    /// returns the new epoch for arming a fresh one.
-    fn bump_epoch(&mut self, flow: FlowId) -> u32 {
-        let idx = flow.index();
-        if idx >= self.emission_epochs.len() {
-            self.emission_epochs.resize(idx + 1, 0);
-        }
-        self.emission_epochs[idx] = self.emission_epochs[idx].wrapping_add(1);
-        self.emission_epochs[idx]
-    }
-
-    /// The timer parameter for `flow`'s current emission chain: epoch in
-    /// the high 32 bits, slot index in the low 32.
-    fn emit_param(&self, flow: FlowId) -> u64 {
-        let epoch = self.emission_epochs[flow.index()];
-        ((epoch as u64) << 32) | flow.index() as u64
+        self.flows.get(&flow).map(|s| s.controller.rate())
     }
 
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let param = self.emit_param(flow);
-        let s = self.state_mut(flow).expect("flow state exists");
-        if s.controller.is_active() && s.controller.rate() > 0.0 && !s.emission_pending {
-            s.emission_pending = true;
+        let s = self.flows.get_mut(&flow).expect("flow state exists");
+        if s.controller.is_active() && s.controller.rate() > 0.0 {
             let gap = s.gap();
-            ctx.set_timer(gap, TimerKind::with_param(TIMER_EMIT, param));
+            self.pacer.arm(ctx, flow.index(), gap);
         }
     }
 
     fn handle_emit(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let idx = param as u32 as usize;
-        let epoch = (param >> 32) as u32;
-        // A chain armed under an older epoch belongs to a finished
-        // activation (or a recycled slot's previous occupant): it must
-        // not emit or re-arm on behalf of the current one.
-        if self.emission_epochs.get(idx) != Some(&epoch) {
+        let Some(idx) = self.pacer.fired(param) else {
             return;
-        }
-        // The epoch matched, so the slot's current occupant armed this
-        // chain; resolve the occupant's full id (generation included)
-        // so emitted packets are attributed to it.
+        };
+        // The slot's current occupant armed this chain; resolve its full
+        // id (generation included) so emitted packets are attributed to
+        // it.
         let flow = ctx.flow(FlowId::from_index(idx)).id;
         let node = ctx.node();
         // Split borrow: `s` holds `self.flows` while the counter and
@@ -183,7 +140,6 @@ impl CoreliteEdge {
         let Some(s) = self.flows.get_mut(&flow) else {
             return;
         };
-        s.emission_pending = false;
         if !s.controller.is_active() || s.controller.rate() <= 0.0 {
             return;
         }
@@ -197,9 +153,8 @@ impl CoreliteEdge {
             self.markers_injected += 1;
         }
         ctx.emit(packet);
-        s.emission_pending = true;
         let gap = s.gap();
-        ctx.set_timer(gap, TimerKind::with_param(TIMER_EMIT, param));
+        self.pacer.arm(ctx, idx, gap);
     }
 }
 
@@ -215,7 +170,7 @@ impl RouterLogic for CoreliteEdge {
         let rtt = 2.0 * ctx.one_way_delay(flow).as_secs_f64();
         // Any chain left over from a previous activation (or a recycled
         // slot's previous occupant) is dead as of this start.
-        self.bump_epoch(flow);
+        self.pacer.reset(flow.index());
         self.active.insert(flow);
         if transient {
             // A recycled slot may still hold the previous occupant's
@@ -230,7 +185,6 @@ impl RouterLogic for CoreliteEdge {
         });
         // A restarting flow begins a fresh slow-start, like a new arrival.
         s.controller.start(&self.cfg, now, rtt);
-        s.emission_pending = false;
         self.ensure_emission(ctx, flow);
     }
 
@@ -238,7 +192,7 @@ impl RouterLogic for CoreliteEdge {
         let now = ctx.now();
         // Kill the outstanding emission chain: a pending `TIMER_EMIT`
         // must not survive the stop and leak into a later activation.
-        self.bump_epoch(flow);
+        self.pacer.reset(flow.index());
         self.active.remove(flow);
         if ctx.flow(flow).is_transient() {
             // Departed churn flows never restart; drop their state so
@@ -246,16 +200,14 @@ impl RouterLogic for CoreliteEdge {
             if let Some(s) = self.flows.remove(&flow) {
                 self.spare_series.push(s.controller.into_series());
             }
-        } else if let Some(s) = self.state_mut(flow) {
+        } else if let Some(s) = self.flows.get_mut(&flow) {
             s.controller.stop(now);
-            s.emission_pending = false;
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         match timer.tag {
             TIMER_EPOCH => {
-                let now = ctx.now();
                 // Walk only the started flows (position-indexed so the
                 // body can borrow `self` mutably). Ascending slot order
                 // matches the full scan this replaces, and skipped
@@ -268,24 +220,7 @@ impl RouterLogic for CoreliteEdge {
                     let Some(s) = self.flows.get_mut(&flow) else {
                         continue;
                     };
-                    if s.controller.is_active() {
-                        // m(f) must be read before the epoch update
-                        // consumes the per-core counts.
-                        ctx.publish(Sample::for_flow(
-                            "m_f",
-                            flow,
-                            s.controller.feedback_max() as f64,
-                        ));
-                    }
-                    s.controller.epoch_update(&self.cfg, now);
-                    if s.controller.is_active() {
-                        ctx.publish(Sample::for_flow("b_g", flow, s.controller.rate()));
-                        ctx.publish(Sample::for_flow(
-                            "slow_start",
-                            flow,
-                            f64::from(s.controller.in_slow_start()),
-                        ));
-                    }
+                    s.controller.run_epoch(ctx, &self.cfg, flow);
                     self.ensure_emission(ctx, flow);
                 }
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
@@ -326,16 +261,9 @@ impl RouterLogic for CoreliteEdge {
                 .flow_rates
                 .insert(flow, s.controller.series().clone());
         }
-        report
-            .counters
-            .insert("markers_injected".to_owned(), self.markers_injected as f64);
-        report.counters.insert(
-            "feedback_received".to_owned(),
-            self.feedback_received as f64,
-        );
-        report
-            .counters
-            .insert("losses_ignored".to_owned(), self.losses_ignored as f64);
+        report.count("markers_injected", self.markers_injected as f64);
+        report.count("feedback_received", self.feedback_received as f64);
+        report.count("losses_ignored", self.losses_ignored as f64);
         report
     }
 }
@@ -441,12 +369,12 @@ mod tests {
     }
 
     /// Regression (flow-lifecycle bugfix): a pending `TIMER_EMIT` used
-    /// to survive `on_flow_stop` — `emission_pending` stayed set, so a
+    /// to survive `on_flow_stop` — its pending flag stayed set, so a
     /// restart before the stale timer fired rode the old chain instead
     /// of arming its own, and its first packet left at the *old*
     /// chain's instant rather than one fresh slow-start gap after the
-    /// restart. Stops now invalidate the chain via the slot's emission
-    /// epoch.
+    /// restart. Stops now reset the slot's pacer (DESIGN.md "Paced
+    /// emission").
     #[test]
     fn stale_emission_chain_dies_on_stop() {
         struct Deliveries {

@@ -29,9 +29,9 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::FlowId;
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::Pacer;
 use netsim::packet::{Marker, Packet};
 use netsim::slab::{ActiveSet, DenseMap};
-use netsim::telemetry::Sample;
 
 use crate::config::CoreliteConfig;
 use crate::controller::RateController;
@@ -48,7 +48,6 @@ struct GatewayFlow {
     occupant: FlowId,
     controller: RateController,
     buffer: VecDeque<Packet>,
-    emission_pending: bool,
     buffered_peak: usize,
     /// Last data-packet arrival; a gap ≥ `idle_restart` means the flow
     /// restarted (mid-path gateways see no flow activation events).
@@ -56,6 +55,16 @@ struct GatewayFlow {
     /// Last paced emission, if any; the emission due time is re-derived
     /// from it at the *current* rate when the pacing timer fires.
     last_emit: Option<SimTime>,
+}
+
+impl GatewayFlow {
+    /// When the next packet is due at the *current* rate: one interval
+    /// after the last paced emission (`None` before the first).
+    fn next_due(&self) -> Option<SimTime> {
+        let last = self.last_emit?;
+        let interval = SimDuration::from_secs_f64(1.0 / self.controller.rate());
+        Some(last.checked_add(interval).unwrap_or(SimTime::MAX))
+    }
 }
 
 /// Router logic for a Corelite inter-cloud gateway edge.
@@ -72,16 +81,13 @@ pub struct CoreliteGateway {
     /// instead of `0..key_bound()`, so under churn its cost tracks the
     /// peak slot count rather than total arrivals.
     occupied: ActiveSet<FlowId>,
-    /// Per-slot emission-chain epoch (see `CoreliteEdge`): bumped when
-    /// a slot changes occupant or its flow stops, so a pending pacing
-    /// timer from the previous occupant dies instead of draining the
-    /// new occupant's buffer.
-    emission_epochs: Vec<u32>,
+    /// Per-slot pacing chains, reset when a slot changes occupant or
+    /// its flow stops, so a pending timer from the previous occupant
+    /// dies instead of draining the new occupant's buffer.
+    pacer: Pacer,
     markers_injected: u64,
     feedback_received: u64,
     buffer_drops: u64,
-    #[allow(dead_code)]
-    seed: u64,
 }
 
 impl CoreliteGateway {
@@ -92,7 +98,7 @@ impl CoreliteGateway {
     ///
     /// Panics if `cfg` fails [`CoreliteConfig::validate`] or
     /// `buffer_capacity` is zero.
-    pub fn new(seed: u64, cfg: CoreliteConfig, buffer_capacity: usize) -> Self {
+    pub fn new(_seed: u64, cfg: CoreliteConfig, buffer_capacity: usize) -> Self {
         cfg.validate();
         assert!(buffer_capacity > 0, "gateway buffer must hold packets");
         CoreliteGateway {
@@ -100,64 +106,27 @@ impl CoreliteGateway {
             buffer_capacity,
             flows: DenseMap::new(),
             occupied: ActiveSet::new(),
-            emission_epochs: Vec::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             markers_injected: 0,
             feedback_received: 0,
             buffer_drops: 0,
-            seed,
         }
-    }
-
-    /// The emission-chain epoch of `idx` (0 until first bumped).
-    fn epoch_of(&self, idx: usize) -> u32 {
-        self.emission_epochs.get(idx).copied().unwrap_or(0)
-    }
-
-    /// Invalidates any outstanding emission chain for `flow`'s slot.
-    fn bump_epoch(&mut self, flow: FlowId) {
-        let idx = flow.index();
-        if idx >= self.emission_epochs.len() {
-            self.emission_epochs.resize(idx + 1, 0);
-        }
-        self.emission_epochs[idx] = self.emission_epochs[idx].wrapping_add(1);
-    }
-
-    /// Timer parameter for `flow`'s current emission chain: epoch high,
-    /// slot index low.
-    fn emit_param(&self, flow: FlowId) -> u64 {
-        ((self.epoch_of(flow.index()) as u64) << 32) | flow.index() as u64
     }
 
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let param = self.emit_param(flow);
         let s = self.flows.get_mut(&flow).expect("gateway flow exists");
-        if s.emission_pending
-            || s.buffer.is_empty()
-            || !s.controller.is_active()
-            || s.controller.rate() <= 0.0
-        {
+        if s.buffer.is_empty() || !s.controller.is_active() || s.controller.rate() <= 0.0 {
             return;
         }
-        let interval = SimDuration::from_secs_f64(1.0 / s.controller.rate());
-        let delay = match s.last_emit {
-            Some(last) => {
-                let due = last.checked_add(interval).unwrap_or(SimTime::MAX);
-                due.saturating_since(ctx.now())
-            }
-            None => SimDuration::ZERO,
-        };
-        s.emission_pending = true;
-        ctx.set_timer(delay, TimerKind::with_param(TIMER_EMIT, param));
+        let due = s.next_due().unwrap_or(SimTime::ZERO);
+        let delay = due.saturating_since(ctx.now());
+        self.pacer.arm(ctx, flow.index(), delay);
     }
 
     fn handle_emit(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let idx = param as u32 as usize;
-        let epoch = (param >> 32) as u32;
-        // A chain armed for a previous occupant (or a stopped
-        // activation) of this slot is stale.
-        if self.epoch_of(idx) != epoch {
+        let Some(idx) = self.pacer.fired(param) else {
             return;
-        }
+        };
         let node = ctx.node();
         let now = ctx.now();
         let slot = FlowId::from_index(idx);
@@ -165,26 +134,17 @@ impl CoreliteGateway {
             return;
         };
         let flow = s.occupant;
-        s.emission_pending = false;
         // The timer was armed at the rate current when it was set; an
         // epoch may have changed the rate (or stopped the flow) since.
         // Re-derive the pacing decision at fire time.
         if !s.controller.is_active() || s.controller.rate() <= 0.0 {
             return;
         }
-        if let Some(last) = s.last_emit {
-            let interval = SimDuration::from_secs_f64(1.0 / s.controller.rate());
-            let due = last.checked_add(interval).unwrap_or(SimTime::MAX);
-            if now < due {
-                // The rate dropped while the timer was in flight: wait
-                // out the remainder of the new interval.
-                s.emission_pending = true;
-                ctx.set_timer(
-                    due.saturating_since(now),
-                    TimerKind::with_param(TIMER_EMIT, param),
-                );
-                return;
-            }
+        if let Some(due) = s.next_due().filter(|&due| now < due) {
+            // The rate dropped while the timer was in flight: wait out
+            // the remainder of the new interval.
+            self.pacer.arm(ctx, idx, due.saturating_since(now));
+            return;
         }
         let Some(mut packet) = s.buffer.pop_front() else {
             return;
@@ -226,7 +186,7 @@ impl RouterLogic for CoreliteGateway {
         // occupant's controller or buffered packets.
         if self.flows.get(&flow).is_some_and(|s| s.occupant != flow) {
             self.flows.remove(&flow);
-            self.bump_epoch(flow);
+            self.pacer.reset(flow.index());
         }
         self.occupied.insert(flow);
         let cfg = &self.cfg;
@@ -237,7 +197,6 @@ impl RouterLogic for CoreliteGateway {
                 occupant: flow,
                 controller,
                 buffer: VecDeque::new(),
-                emission_pending: false,
                 buffered_peak: 0,
                 last_arrival: now,
                 last_emit: None,
@@ -265,7 +224,6 @@ impl RouterLogic for CoreliteGateway {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         match timer.tag {
             TIMER_EPOCH => {
-                let now = ctx.now();
                 // Occupied-slot scan in ascending slot order — the same
                 // visit order as the full `0..key_bound()` scan, but
                 // O(occupied slots) under churn. Samples are labelled
@@ -278,24 +236,7 @@ impl RouterLogic for CoreliteGateway {
                         continue;
                     };
                     let flow = s.occupant;
-                    if s.controller.is_active() {
-                        // m(f) must be read before the epoch update
-                        // consumes the per-core counts.
-                        ctx.publish(Sample::for_flow(
-                            "m_f",
-                            flow,
-                            s.controller.feedback_max() as f64,
-                        ));
-                    }
-                    s.controller.epoch_update(&self.cfg, now);
-                    if s.controller.is_active() {
-                        ctx.publish(Sample::for_flow("b_g", flow, s.controller.rate()));
-                        ctx.publish(Sample::for_flow(
-                            "slow_start",
-                            flow,
-                            f64::from(s.controller.in_slow_start()),
-                        ));
-                    }
+                    s.controller.run_epoch(ctx, &self.cfg, flow);
                     self.ensure_emission(ctx, flow);
                 }
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
@@ -320,9 +261,9 @@ impl RouterLogic for CoreliteGateway {
         // Delivered when the gateway itself is the flow's ingress; for
         // mid-path gateways the idle-gap check in `on_packet` infers the
         // stop instead. Buffered packets are kept: they drain once the
-        // flow reactivates. The epoch bump kills the pending pacing
-        // chain either way.
-        self.bump_epoch(flow);
+        // flow reactivates. The reset kills the pending pacing chain
+        // either way.
+        self.pacer.reset(flow.index());
         if ctx.flow(flow).is_transient() {
             self.flows.remove(&flow);
             self.occupied.remove(flow);
@@ -330,7 +271,6 @@ impl RouterLogic for CoreliteGateway {
         }
         if let Some(s) = self.flows.get_mut(&flow) {
             s.controller.stop(ctx.now());
-            s.emission_pending = false;
         }
     }
 
@@ -341,26 +281,16 @@ impl RouterLogic for CoreliteGateway {
                 .flow_rates
                 .insert(s.occupant, s.controller.series().clone());
         }
-        report.counters.insert(
-            "gateway_markers_injected".to_owned(),
-            self.markers_injected as f64,
-        );
-        report.counters.insert(
-            "gateway_feedback_received".to_owned(),
-            self.feedback_received as f64,
-        );
-        report
-            .counters
-            .insert("gateway_buffer_drops".to_owned(), self.buffer_drops as f64);
+        report.count("gateway_markers_injected", self.markers_injected as f64);
+        report.count("gateway_feedback_received", self.feedback_received as f64);
+        report.count("gateway_buffer_drops", self.buffer_drops as f64);
         let peak: usize = self
             .flows
             .values()
             .map(|s| s.buffered_peak)
             .max()
             .unwrap_or(0);
-        report
-            .counters
-            .insert("gateway_buffer_peak".to_owned(), peak as f64);
+        report.count("gateway_buffer_peak", peak as f64);
         report
     }
 }

@@ -195,15 +195,9 @@ impl RouterLogic for CoreliteCore {
 
     fn report(&self, _now: SimTime) -> LogicReport {
         let mut report = LogicReport::default();
-        report
-            .counters
-            .insert("markers_seen".to_owned(), self.markers_seen as f64);
-        report
-            .counters
-            .insert("feedback_sent".to_owned(), self.feedback_sent as f64);
-        report
-            .counters
-            .insert("congested_epochs".to_owned(), self.congested_epochs as f64);
+        report.count("markers_seen", self.markers_seen as f64);
+        report.count("feedback_sent", self.feedback_sent as f64);
+        report.count("congested_epochs", self.congested_epochs as f64);
         report
     }
 }

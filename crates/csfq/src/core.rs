@@ -248,12 +248,8 @@ impl RouterLogic for CsfqCore {
 
     fn report(&self, _now: SimTime) -> LogicReport {
         let mut report = LogicReport::default();
-        report
-            .counters
-            .insert("csfq_policy_drops".to_owned(), self.policy_drops as f64);
-        report
-            .counters
-            .insert("csfq_forwarded".to_owned(), self.forwarded as f64);
+        report.count("csfq_policy_drops", self.policy_drops as f64);
+        report.count("csfq_forwarded", self.forwarded as f64);
         report
     }
 }

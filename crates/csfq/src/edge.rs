@@ -17,6 +17,7 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::FlowId;
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::Pacer;
 use netsim::slab::{ActiveSet, DenseMap};
 
 use crate::config::CsfqConfig;
@@ -40,7 +41,6 @@ struct FlowState {
     phase: Phase,
     last_double: SimTime,
     losses_this_epoch: u32,
-    emission_pending: bool,
     estimator: RateEstimator,
     series: TimeSeries,
 }
@@ -54,7 +54,6 @@ impl FlowState {
             phase: Phase::Linear,
             last_double: SimTime::ZERO,
             losses_this_epoch: 0,
-            emission_pending: false,
             estimator: RateEstimator::new(k_flow),
             series: TimeSeries::new(),
         }
@@ -70,34 +69,28 @@ pub struct CsfqEdge {
     /// Flows currently started here; the adaptation epoch walks this
     /// instead of every slot ever occupied (O(active) under churn).
     active: ActiveSet<FlowId>,
-    /// Per-slot emission-chain epoch; see `CoreliteEdge::emission_epochs`.
-    /// Start and stop both bump it, so a pending `TIMER_EMIT` from a
-    /// finished activation (or a recycled slot's previous occupant)
-    /// can never feed the current one.
-    emission_epochs: Vec<u32>,
+    /// Per-slot emission chains, reset on every start and stop.
+    pacer: Pacer,
     losses_seen: u64,
     packets_labelled: u64,
-    #[allow(dead_code)]
-    seed: u64,
 }
 
 impl CsfqEdge {
-    /// Creates edge logic with the given component `seed` and
-    /// configuration.
+    /// Creates edge logic with the given configuration (the component
+    /// seed is unused: the edge draws no randomness).
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`CsfqConfig::validate`].
-    pub fn new(seed: u64, cfg: CsfqConfig) -> Self {
+    pub fn new(_seed: u64, cfg: CsfqConfig) -> Self {
         cfg.validate();
         CsfqEdge {
             cfg,
             flows: DenseMap::new(),
             active: ActiveSet::new(),
-            emission_epochs: Vec::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             losses_seen: 0,
             packets_labelled: 0,
-            seed,
         }
     }
 
@@ -112,51 +105,24 @@ impl CsfqEdge {
         s.series.push(now, value);
     }
 
-    /// Invalidates any outstanding emission chain for `flow`'s slot and
-    /// returns the new epoch for arming a fresh one.
-    fn bump_epoch(&mut self, flow: FlowId) -> u32 {
-        let idx = flow.index();
-        if idx >= self.emission_epochs.len() {
-            self.emission_epochs.resize(idx + 1, 0);
-        }
-        self.emission_epochs[idx] = self.emission_epochs[idx].wrapping_add(1);
-        self.emission_epochs[idx]
-    }
-
-    /// The timer parameter for `flow`'s current emission chain: epoch in
-    /// the high 32 bits, slot index in the low 32.
-    fn emit_param(&self, flow: FlowId) -> u64 {
-        let epoch = self.emission_epochs[flow.index()];
-        ((epoch as u64) << 32) | flow.index() as u64
-    }
-
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let param = self.emit_param(flow);
-        let s = self.flows.get_mut(&flow).expect("flow state exists");
-        if s.active && s.rate > 0.0 && !s.emission_pending {
-            s.emission_pending = true;
-            ctx.set_timer(
-                SimDuration::from_secs_f64(1.0 / s.rate),
-                TimerKind::with_param(TIMER_EMIT, param),
-            );
+        let s = self.flows.get(&flow).expect("flow state exists");
+        if s.active && s.rate > 0.0 {
+            let gap = SimDuration::from_secs_f64(1.0 / s.rate);
+            self.pacer.arm(ctx, flow.index(), gap);
         }
     }
 
     fn handle_emit(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let idx = param as u32 as usize;
-        let epoch = (param >> 32) as u32;
-        // A chain armed under an older epoch belongs to a finished
-        // activation (or a recycled slot's previous occupant).
-        if self.emission_epochs.get(idx) != Some(&epoch) {
+        let Some(idx) = self.pacer.fired(param) else {
             return;
-        }
-        // Epoch matched: the slot's current occupant armed this chain;
-        // resolve its full id so the packet is attributed to it.
+        };
+        // The slot's current occupant armed this chain; resolve its full
+        // id so the packet is attributed to it.
         let flow = ctx.flow(FlowId::from_index(idx)).id;
         let Some(s) = self.flows.get_mut(&flow) else {
             return;
         };
-        s.emission_pending = false;
         if !s.active || s.rate <= 0.0 {
             return;
         }
@@ -166,12 +132,7 @@ impl CsfqEdge {
         let packet = ctx.new_packet(flow).with_label(label);
         ctx.emit(packet);
         self.packets_labelled += 1;
-        let s = self.flows.get_mut(&flow).expect("flow state exists");
-        s.emission_pending = true;
-        ctx.set_timer(
-            SimDuration::from_secs_f64(1.0 / s.rate),
-            TimerKind::with_param(TIMER_EMIT, param),
-        );
+        self.ensure_emission(ctx, flow);
     }
 
     fn adapt_all(&mut self, ctx: &mut Ctx<'_>) {
@@ -240,7 +201,7 @@ impl RouterLogic for CsfqEdge {
         let k_flow = self.cfg.k_flow;
         // Invalidate any chain left over from a previous activation or
         // a recycled slot's previous occupant.
-        self.bump_epoch(flow);
+        self.pacer.reset(flow.index());
         self.active.insert(flow);
         if transient {
             // Churn flows always begin from scratch, even if the slot's
@@ -256,7 +217,6 @@ impl RouterLogic for CsfqEdge {
         s.last_double = now;
         s.losses_this_epoch = 0;
         s.estimator = RateEstimator::new(k_flow);
-        s.emission_pending = false;
         self.record(flow, now);
         self.ensure_emission(ctx, flow);
     }
@@ -265,7 +225,7 @@ impl RouterLogic for CsfqEdge {
         let now = ctx.now();
         // Kill the outstanding emission chain: a pending `TIMER_EMIT`
         // must not survive the stop and leak into a later activation.
-        self.bump_epoch(flow);
+        self.pacer.reset(flow.index());
         self.active.remove(flow);
         if ctx.flow(flow).is_transient() {
             // Departed churn flows never restart; drop their state so
@@ -276,7 +236,6 @@ impl RouterLogic for CsfqEdge {
         if let Some(s) = self.flows.get_mut(&flow) {
             s.active = false;
             s.losses_this_epoch = 0;
-            s.emission_pending = false;
         }
         self.record(flow, now);
     }
@@ -319,12 +278,8 @@ impl RouterLogic for CsfqEdge {
         for (flow, s) in self.flows.iter() {
             report.flow_rates.insert(flow, s.series.clone());
         }
-        report
-            .counters
-            .insert("losses_seen".to_owned(), self.losses_seen as f64);
-        report
-            .counters
-            .insert("packets_labelled".to_owned(), self.packets_labelled as f64);
+        report.count("losses_seen", self.losses_seen as f64);
+        report.count("packets_labelled", self.packets_labelled as f64);
         report
     }
 }

@@ -112,11 +112,8 @@ impl FlowId {
         }
     }
 
-    /// Packs the id into a single `u64` timer parameter: generation in
-    /// the high 32 bits, slot index in the low 32. Self-rescheduling
-    /// timer chains carry this so a chain armed for one slot occupant
-    /// dies when the slot is recycled (the unpacked id no longer matches
-    /// the occupant).
+    /// Packs the id into a single `u64`: generation in the high 32
+    /// bits, slot index in the low 32.
     pub const fn pack(self) -> u64 {
         ((self.gen as u64) << 32) | self.idx as u64
     }

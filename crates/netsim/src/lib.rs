@@ -55,6 +55,7 @@ pub mod link;
 pub mod logic;
 pub mod monitor;
 pub mod network;
+pub mod pacer;
 pub mod packet;
 pub mod shard;
 pub mod slab;
@@ -71,6 +72,7 @@ pub use link::LinkSpec;
 pub use logic::{Action, ControlMsg, Ctx, RouterLogic, TimerKind};
 pub use monitor::SimReport;
 pub use network::{DispatchMode, Network};
+pub use pacer::Pacer;
 pub use packet::{Marker, Packet};
 pub use slab::{ActiveSet, DenseMap, SlabKey};
 pub use telemetry::{Probe, ProbeRecord, RingProbe, Sample};

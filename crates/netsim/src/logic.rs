@@ -18,6 +18,7 @@ use sim_core::time::{SimDuration, SimTime};
 use crate::flow::FlowInfo;
 use crate::ids::{FlowId, LinkId, NodeId, PacketId};
 use crate::link::{Link, LinkSpec};
+use crate::pacer::Pacer;
 use crate::packet::{Marker, Packet};
 use crate::slab::DenseMap;
 use crate::telemetry::{Probe, Sample};
@@ -232,6 +233,13 @@ pub struct LogicReport {
     pub counters: BTreeMap<String, f64>,
 }
 
+impl LogicReport {
+    /// Sets the counter `name`.
+    pub fn count(&mut self, name: &str, value: f64) {
+        self.counters.insert(name.to_owned(), value);
+    }
+}
+
 /// The environment handed to router logic callbacks.
 ///
 /// Provides read access to the network and buffers the logic's actions;
@@ -293,6 +301,14 @@ impl<'a> Ctx<'a> {
     /// Panics if `flow` does not exist.
     pub fn flow(&self, flow: FlowId) -> &FlowInfo {
         &self.flows[flow.index()]
+    }
+
+    /// The occupant of flow-table slot `slot`, if it enters the network
+    /// at this node and its schedule has it active now — what a
+    /// schedule-driven source asks when the slot's emission timer fires.
+    pub fn sending_flow(&self, slot: usize) -> Option<FlowId> {
+        let info = &self.flows[slot];
+        (info.ingress() == self.node && info.is_active_at(self.now)).then_some(info.id)
     }
 
     /// The outgoing link `flow` takes from this node, or `None` if this
@@ -484,6 +500,7 @@ impl RouterLogic for ForwardLogic {}
 pub struct PoissonSource {
     rng: DetRng,
     rate_pps: f64,
+    pacer: Pacer,
     emitted: u64,
 }
 
@@ -500,47 +517,41 @@ impl PoissonSource {
         PoissonSource {
             rng: DetRng::new(seed),
             rate_pps,
+            pacer: Pacer::new(POISSON_EMIT),
             emitted: 0,
         }
     }
 
-    fn schedule_next(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+    fn schedule_next(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
         let gap = self.rng.exp(self.rate_pps);
-        ctx.set_timer(
-            SimDuration::from_secs_f64(gap),
-            TimerKind::with_param(POISSON_EMIT, flow.pack()),
-        );
+        self.pacer.arm(ctx, slot, SimDuration::from_secs_f64(gap));
     }
 }
 
 impl RouterLogic for PoissonSource {
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        self.schedule_next(ctx, flow);
+        // A timer still pending from an earlier activation (a restart
+        // inside one gap) or a recycled slot's previous occupant dies
+        // here; the chain itself ends when a fire finds the flow stopped.
+        self.pacer.reset(flow.index());
+        self.schedule_next(ctx, flow.index());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
-        if timer.tag != POISSON_EMIT {
+        let fired = self.pacer.fired(timer.param);
+        let Some(flow) = fired.and_then(|slot| ctx.sending_flow(slot)) else {
             return;
-        }
-        let flow = FlowId::unpack(timer.param);
-        // The chain ends when the flow stops — or when its slot has been
-        // recycled to a new generation (the id no longer matches).
-        if ctx.flow(flow).id != flow || !ctx.flow(flow).is_active_at(ctx.now()) {
-            return;
-        }
+        };
         let packet = ctx.new_packet(flow);
         ctx.emit(packet);
         self.emitted += 1;
-        self.schedule_next(ctx, flow);
+        self.schedule_next(ctx, flow.index());
     }
 
     fn report(&self, _now: SimTime) -> LogicReport {
-        let mut counters = BTreeMap::new();
-        counters.insert("emitted_packets".to_owned(), self.emitted as f64);
-        LogicReport {
-            flow_rates: DenseMap::new(),
-            counters,
-        }
+        let mut report = LogicReport::default();
+        report.count("emitted_packets", self.emitted as f64);
+        report
     }
 }
 
@@ -552,6 +563,7 @@ pub struct CbrSource {
     /// Inter-packet gap, fixed for the source's lifetime; precomputed
     /// so the emission path skips the float-to-duration conversion.
     gap: SimDuration,
+    pacer: Pacer,
     emitted: u64,
 }
 
@@ -567,6 +579,7 @@ impl CbrSource {
         assert!(rate_pps > 0.0, "source rate must be positive");
         CbrSource {
             gap: SimDuration::from_secs_f64(1.0 / rate_pps),
+            pacer: Pacer::new(CBR_EMIT),
             emitted: 0,
         }
     }
@@ -574,34 +587,26 @@ impl CbrSource {
 
 impl RouterLogic for CbrSource {
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        ctx.set_timer(
-            SimDuration::ZERO,
-            TimerKind::with_param(CBR_EMIT, flow.pack()),
-        );
+        // See `PoissonSource`: a restart kills the previous chain.
+        self.pacer.reset(flow.index());
+        self.pacer.arm(ctx, flow.index(), SimDuration::ZERO);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
-        if timer.tag != CBR_EMIT {
+        let fired = self.pacer.fired(timer.param);
+        let Some(flow) = fired.and_then(|slot| ctx.sending_flow(slot)) else {
             return;
-        }
-        let flow = FlowId::unpack(timer.param);
-        // See `PoissonSource`: a recycled slot ends stale chains too.
-        if ctx.flow(flow).id != flow || !ctx.flow(flow).is_active_at(ctx.now()) {
-            return;
-        }
+        };
         let packet = ctx.new_packet(flow);
         ctx.emit(packet);
         self.emitted += 1;
-        ctx.set_timer(self.gap, TimerKind::with_param(CBR_EMIT, flow.pack()));
+        self.pacer.arm(ctx, flow.index(), self.gap);
     }
 
     fn report(&self, _now: SimTime) -> LogicReport {
-        let mut counters = BTreeMap::new();
-        counters.insert("emitted_packets".to_owned(), self.emitted as f64);
-        LogicReport {
-            flow_rates: DenseMap::new(),
-            counters,
-        }
+        let mut report = LogicReport::default();
+        report.count("emitted_packets", self.emitted as f64);
+        report
     }
 }
 

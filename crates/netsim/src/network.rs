@@ -1537,27 +1537,21 @@ mod fault_tests {
 
     /// Emits CBR traffic with a marker on every packet.
     struct MarkingSource {
-        rate_pps: f64,
+        gap: SimDuration,
+        pacer: crate::pacer::Pacer,
     }
-
-    const MARK_EMIT: u32 = 77;
 
     impl RouterLogic for MarkingSource {
         fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-            ctx.set_timer(
-                SimDuration::ZERO,
-                TimerKind::with_param(MARK_EMIT, flow.index() as u64),
-            );
+            self.pacer.reset(flow.index());
+            self.pacer.arm(ctx, flow.index(), SimDuration::ZERO);
         }
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
-            if timer.tag != MARK_EMIT {
+            let fired = self.pacer.fired(timer.param);
+            let Some(flow) = fired.and_then(|slot| ctx.sending_flow(slot)) else {
                 return;
-            }
-            let flow = FlowId::from_index(timer.param as usize);
-            if !ctx.flow(flow).is_active_at(ctx.now()) {
-                return;
-            }
+            };
             let node = ctx.node();
             let packet = ctx.new_packet(flow).with_marker(Marker {
                 flow,
@@ -1565,10 +1559,7 @@ mod fault_tests {
                 normalized_rate: 1.0,
             });
             ctx.emit(packet);
-            ctx.set_timer(
-                SimDuration::from_secs_f64(1.0 / self.rate_pps),
-                TimerKind::with_param(MARK_EMIT, flow.index() as u64),
-            );
+            self.pacer.arm(ctx, flow.index(), self.gap);
         }
     }
 
@@ -1592,7 +1583,12 @@ mod fault_tests {
         let seen_handle = seen.clone();
         let mut b = TopologyBuilder::new(5);
         b.faults(plan);
-        let src = b.node("src", |_| Box::new(MarkingSource { rate_pps: 100.0 }));
+        let src = b.node("src", |_| {
+            Box::new(MarkingSource {
+                gap: SimDuration::from_millis(10),
+                pacer: crate::pacer::Pacer::new(77),
+            })
+        });
         let mid = b.node("mid", move |_| {
             Box::new(MarkerCounter {
                 markers_seen: seen_handle,

@@ -22,9 +22,9 @@
 //!
 //! Everything here is deterministic by construction: the sender holds no
 //! RNG, every state transition is driven by an engine event (ack
-//! control message, timer, lifecycle), and timers use the epoch-guarded
-//! chain idiom so recycled flow slots never inherit a predecessor's
-//! clock.
+//! control message, timer, lifecycle), and both timer chains ride one
+//! [`Pacer`] generation per slot, so recycled flow slots never inherit a
+//! predecessor's clock.
 
 use std::collections::VecDeque;
 
@@ -34,6 +34,7 @@ use sim_core::time::{SimDuration, SimTime};
 use crate::flow::{FlowInfo, Transport};
 use crate::ids::FlowId;
 use crate::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use crate::pacer::Pacer;
 use crate::packet::Marker;
 use crate::slab::DenseMap;
 use crate::telemetry::Sample;
@@ -331,12 +332,10 @@ struct GbnFlow {
     marker_every: Option<u32>,
     weight: u32,
     /// Earliest instant a genuine RTO may fire; pushed forward by every
-    /// ack and (re)transmission.
+    /// ack and (re)transmission. The chain is lazy: a fire before the
+    /// deadline re-arms instead of timing out, so at most one timer
+    /// event is ever in flight per flow.
     rto_deadline: SimTime,
-    /// Whether an RTO timer event is outstanding (the chain is lazy: a
-    /// fire before the deadline re-arms instead of timing out, so at
-    /// most one timer event is ever in flight per flow).
-    rto_armed: bool,
     /// Allotted-rate record (sampled at epoch ticks) for the report.
     series: TimeSeries,
 }
@@ -357,10 +356,9 @@ pub struct GbnSender {
     cfg: GbnConfig,
     factory: CcFactory,
     flows: DenseMap<FlowId, GbnFlow>,
-    /// Per-slot timer-chain generation (epoch-guard idiom): bumped on
-    /// every start/stop so timers armed by a previous activation or a
-    /// recycled slot's previous occupant are recognized as stale.
-    gens: Vec<u32>,
+    /// The RTO chains, reset on every start and stop; the tick chains
+    /// borrow the same per-slot generation.
+    pacer: Pacer,
     acks_received: u64,
     rtos_fired: u64,
     fast_retransmits: u64,
@@ -375,7 +373,7 @@ impl GbnSender {
             cfg,
             factory,
             flows: DenseMap::new(),
-            gens: Vec::new(),
+            pacer: Pacer::new(TIMER_GBN_RTO),
             acks_received: 0,
             rtos_fired: 0,
             fast_retransmits: 0,
@@ -399,39 +397,11 @@ impl GbnSender {
         )
     }
 
-    fn bump_gen(&mut self, flow: FlowId) -> u32 {
-        let idx = flow.index();
-        if idx >= self.gens.len() {
-            self.gens.resize(idx + 1, 0);
-        }
-        self.gens[idx] = self.gens[idx].wrapping_add(1);
-        self.gens[idx]
-    }
-
-    /// Timer param for `flow`'s current chains: generation high,
-    /// slot index low.
-    fn timer_param(&self, flow: FlowId) -> u64 {
-        ((self.gens[flow.index()] as u64) << 32) | flow.index() as u64
-    }
-
-    /// Resolves a timer param back to the current occupant, or `None`
-    /// when the chain is stale (older generation, or the state is gone).
-    fn resolve_timer(&self, ctx: &Ctx<'_>, param: u64) -> Option<FlowId> {
-        let idx = param as u32 as usize;
-        let gen = (param >> 32) as u32;
-        if self.gens.get(idx) != Some(&gen) {
-            return None;
-        }
-        let flow = ctx.flow(FlowId::from_index(idx)).id;
-        self.flows.get(&flow).map(|_| flow)
-    }
-
     /// Sends first transmissions until the window is full, then keeps
     /// the RTO chain armed.
     fn pump(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         let node = ctx.node();
         let now = ctx.now();
-        let param = self.timer_param(flow);
         let max_window = self.cfg.max_window as u64;
         let mut marked = 0u64;
         let Some(s) = self.flows.get_mut(&flow) else {
@@ -469,10 +439,7 @@ impl GbnSender {
             if !had_outstanding {
                 s.rto_deadline = now + rto;
             }
-            if !s.rto_armed {
-                s.rto_armed = true;
-                ctx.set_timer(rto, TimerKind::with_param(TIMER_GBN_RTO, param));
-            }
+            self.pacer.arm(ctx, flow.index(), rto);
         }
         self.markers_injected += marked;
     }
@@ -567,14 +534,15 @@ impl GbnSender {
     }
 
     fn handle_rto(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let Some(flow) = self.resolve_timer(ctx, param) else {
+        let Some(slot) = self.pacer.fired(param) else {
             return;
         };
+        // The slot's current occupant armed this chain.
+        let flow = ctx.flow(FlowId::from_index(slot)).id;
         let now = ctx.now();
         let Some(s) = self.flows.get_mut(&flow) else {
             return;
         };
-        s.rto_armed = false;
         if s.snd_una == s.snd_nxt {
             // Nothing outstanding: the chain is re-armed by the next
             // transmission.
@@ -584,8 +552,7 @@ impl GbnSender {
             // The deadline moved (acks arrived since this timer was
             // armed): sleep until the new deadline instead of timing out.
             let remaining = s.rto_deadline.saturating_since(now);
-            s.rto_armed = true;
-            ctx.set_timer(remaining, TimerKind::with_param(TIMER_GBN_RTO, param));
+            self.pacer.arm(ctx, slot, remaining);
             return;
         }
         self.rtos_fired += 1;
@@ -595,23 +562,26 @@ impl GbnSender {
         s.dup_acks = 0;
         let rto = s.est.rto();
         s.rto_deadline = now + rto;
-        s.rto_armed = true;
-        ctx.set_timer(rto, TimerKind::with_param(TIMER_GBN_RTO, param));
+        self.pacer.arm(ctx, slot, rto);
         self.retransmit_window(ctx, flow);
     }
 
     fn handle_tick(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let Some(flow) = self.resolve_timer(ctx, param) else {
+        // The tick rides the RTO chain's generation: stale once the
+        // slot's pacer has been reset.
+        let Some(slot) = self.pacer.live(param) else {
+            return;
+        };
+        let flow = ctx.flow(FlowId::from_index(slot)).id;
+        let Some(s) = self.flows.get_mut(&flow) else {
             return;
         };
         let now = ctx.now();
-        if let Some(s) = self.flows.get_mut(&flow) {
-            s.cc.on_epoch(now);
-            let rate = s.cc.rate();
-            s.series.push(now, rate);
-            ctx.publish(Sample::for_flow("b_g", flow, rate));
-            ctx.publish(Sample::for_flow("cwnd", flow, s.cc.window()));
-        }
+        s.cc.on_epoch(now);
+        let rate = s.cc.rate();
+        s.series.push(now, rate);
+        ctx.publish(Sample::for_flow("b_g", flow, rate));
+        ctx.publish(Sample::for_flow("cwnd", flow, s.cc.window()));
         self.pump(ctx, flow);
         ctx.set_timer(self.cfg.epoch, TimerKind::with_param(TIMER_GBN_TICK, param));
     }
@@ -631,7 +601,7 @@ impl RouterLogic for GbnSender {
         cc.on_start(now, base_rtt);
         let weight = info.weight;
         let marker_every = self.cfg.marker_spacing.map(|k1| (k1 * weight).max(1));
-        self.bump_gen(flow);
+        self.pacer.reset(flow.index());
         self.flows.insert(
             flow,
             GbnFlow {
@@ -650,12 +620,11 @@ impl RouterLogic for GbnSender {
                 marker_every,
                 weight,
                 rto_deadline: now,
-                rto_armed: false,
                 series: TimeSeries::new(),
             },
         );
         self.pump(ctx, flow);
-        let param = self.timer_param(flow);
+        let param = self.pacer.param(flow.index());
         ctx.set_timer(self.cfg.epoch, TimerKind::with_param(TIMER_GBN_TICK, param));
     }
 
@@ -663,7 +632,7 @@ impl RouterLogic for GbnSender {
         // Invalidate both timer chains and drop all connection state; a
         // restart begins from sequence zero, mirroring the egress
         // receiver's reset.
-        self.bump_gen(flow);
+        self.pacer.reset(flow.index());
         self.flows.remove(&flow);
     }
 
@@ -699,22 +668,11 @@ impl RouterLogic for GbnSender {
         for (flow, s) in self.flows.iter() {
             report.flow_rates.insert(flow, s.series.clone());
         }
-        report
-            .counters
-            .insert("acks_received".to_owned(), self.acks_received as f64);
-        report
-            .counters
-            .insert("rtos_fired".to_owned(), self.rtos_fired as f64);
-        report
-            .counters
-            .insert("fast_retransmits".to_owned(), self.fast_retransmits as f64);
-        report.counters.insert(
-            "retransmitted_packets".to_owned(),
-            self.retransmitted_packets as f64,
-        );
-        report
-            .counters
-            .insert("markers_injected".to_owned(), self.markers_injected as f64);
+        report.count("acks_received", self.acks_received as f64);
+        report.count("rtos_fired", self.rtos_fired as f64);
+        report.count("fast_retransmits", self.fast_retransmits as f64);
+        report.count("retransmitted_packets", self.retransmitted_packets as f64);
+        report.count("markers_injected", self.markers_injected as f64);
         report
     }
 }

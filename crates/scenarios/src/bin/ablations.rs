@@ -14,7 +14,7 @@ use corelite::{CoreliteConfig, DecreasePolicy, DetectorKind, MuUnit, SelectorKin
 use netsim::link::LinkSpec;
 use scenarios::discipline::Corelite;
 use scenarios::report::{mean_convergence, window_jain_index};
-use scenarios::runner::ExperimentResult;
+use scenarios::runner::{ExperimentResult, RunOptions};
 use scenarios::{fig5_6, topology};
 use sim_core::time::{SimDuration, SimTime};
 
@@ -193,7 +193,11 @@ fn main() {
     print_header();
     for (label, delay_ms) in [("2 ms", 2u64), ("40 ms (paper)", 40), ("100 ms", 100)] {
         let link = LinkSpec::new(4_000_000, SimDuration::from_millis(delay_ms), 40);
-        let result = fig5_6(SEED).run_with_link(&Corelite::default(), link);
+        let options = RunOptions {
+            link,
+            ..RunOptions::default()
+        };
+        let result = fig5_6(SEED).run_with(&Corelite::default(), &options);
         print_row(label, &result);
     }
     println!();

@@ -47,7 +47,7 @@
 //! validated against the topology's links after parsing.
 //!
 //! A `fault { ... }` block injects dirty-network conditions (see
-//! [`crate::fault::FaultSpec`]); one fault directive per line, times in
+//! [`netsim::FaultPlan`]); one fault directive per line, times in
 //! seconds, link/core numbers as in the `topology` directive:
 //!
 //! ```text
@@ -97,10 +97,11 @@
 
 use std::fmt;
 
-use netsim::Transport;
-use sim_core::time::SimTime;
+use netsim::fault::FaultWindow;
+use netsim::ids::{LinkId, NodeId};
+use netsim::{FaultPlan, Transport};
+use sim_core::time::{SimDuration, SimTime};
 
-use crate::fault::FaultSpec;
 use crate::runner::{Scenario, ScenarioChurn, ScenarioFlow};
 use crate::topology::{CorePath, TopologySpec};
 
@@ -134,7 +135,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseScenarioError> {
     let mut horizon: Option<f64> = None;
     let mut topology: Option<TopologySpec> = None;
     let mut flows: Vec<(usize, ScenarioFlow)> = Vec::new();
-    let mut faults = FaultSpec::default();
+    let mut faults = FaultPlan::default();
     // `(line, kind, index)` of every fault directive that names a link or
     // core — validated against the topology once it is known.
     let mut fault_indices: Vec<(usize, FaultIndex, usize)> = Vec::new();
@@ -536,6 +537,10 @@ fn parse_churn_directive(
     Ok(())
 }
 
+/// The largest number a fault directive may carry: as seconds, a little
+/// under the `u64` nanosecond clock's 584 years.
+const MAX_SECS: f64 = 1.8e10;
+
 /// Which kind of entity a fault directive indexed, for late validation.
 #[derive(Debug, Clone, Copy)]
 enum FaultIndex {
@@ -549,7 +554,7 @@ enum FaultIndex {
 fn parse_fault_directive(
     line: &str,
     line_no: usize,
-    faults: &mut FaultSpec,
+    faults: &mut FaultPlan,
 ) -> Result<Option<(usize, FaultIndex, usize)>, ParseScenarioError> {
     let err = |message: String| ParseScenarioError {
         line: line_no,
@@ -571,8 +576,12 @@ fn parse_fault_directive(
         let n: f64 = v
             .parse()
             .map_err(|_| err(format!("invalid {what} {v:?}")))?;
-        if !n.is_finite() || n < 0.0 {
-            return Err(err(format!("{what} must be finite and non-negative")));
+        // The upper bound keeps seconds convertible to simulator time, so
+        // no directive can reach a panic in `SimTime` or `FaultWindow`.
+        if !(0.0..=MAX_SECS).contains(&n) {
+            return Err(err(format!(
+                "{what} must be between 0 and {MAX_SECS:e}, got {v}"
+            )));
         }
         Ok(n)
     };
@@ -586,13 +595,13 @@ fn parse_fault_directive(
     let index = |v: &str, what: &str| -> Result<usize, ParseScenarioError> {
         v.parse().map_err(|_| err(format!("invalid {what} {v:?}")))
     };
-    let window = |a: &str, b: &str| -> Result<(f64, f64), ParseScenarioError> {
-        let from = number(a, "window start")?;
-        let until = number(b, "window end")?;
+    let window = |a: &str, b: &str| -> Result<FaultWindow, ParseScenarioError> {
+        let from = SimTime::from_secs_f64(number(a, "window start")?);
+        let until = SimTime::from_secs_f64(number(b, "window end")?);
         if until <= from {
-            return Err(err(format!("window {from}..{until} ends before it starts")));
+            return Err(err(format!("window {a}..{b} ends before it starts")));
         }
-        Ok((from, until))
+        Ok(FaultWindow::new(from, until))
     };
     match tokens[0] {
         "control_loss" => {
@@ -604,9 +613,9 @@ fn parse_fault_directive(
             if tokens.len() < 2 || tokens.len() > 3 {
                 return Err(err("`control_delay` takes DELAY [JITTER] in seconds".into()));
             }
-            faults.control_delay = number(tokens[1], "control delay")?;
+            faults.control_delay = SimDuration::from_secs_f64(number(tokens[1], "control delay")?);
             if let Some(j) = tokens.get(2) {
-                faults.control_jitter = number(j, "control jitter")?;
+                faults.control_jitter = SimDuration::from_secs_f64(number(j, "control jitter")?);
             }
             Ok(None)
         }
@@ -614,21 +623,23 @@ fn parse_fault_directive(
             expect_args(2)?;
             let link = index(tokens[1], "link index")?;
             let p = probability(tokens[2], "marker loss probability")?;
-            faults.marker_loss.push((link, p));
+            faults.marker_loss.push((LinkId::from_index(link), p));
             Ok(Some((line_no, FaultIndex::Link, link)))
         }
         "flap" => {
             expect_args(3)?;
             let link = index(tokens[1], "link index")?;
-            let (from, until) = window(tokens[2], tokens[3])?;
-            faults.flaps.push((link, from, until));
+            faults
+                .flaps
+                .push((LinkId::from_index(link), window(tokens[2], tokens[3])?));
             Ok(Some((line_no, FaultIndex::Link, link)))
         }
         "pause" => {
             expect_args(3)?;
             let core = index(tokens[1], "core index")?;
-            let (from, until) = window(tokens[2], tokens[3])?;
-            faults.pauses.push((core, from, until));
+            faults
+                .pauses
+                .push((NodeId::from_index(core), window(tokens[2], tokens[3])?));
             Ok(Some((line_no, FaultIndex::Core, core)))
         }
         other => Err(err(format!(
@@ -1011,13 +1022,21 @@ fault {
 ",
         )
         .unwrap();
-        assert_eq!(s.faults.control_loss, 0.2);
-        assert_eq!(s.faults.control_delay, 0.05);
-        assert_eq!(s.faults.control_jitter, 0.01);
-        assert_eq!(s.faults.marker_loss, vec![(1, 0.5)]);
-        assert_eq!(s.faults.flaps, vec![(0, 10.0, 12.0)]);
-        assert_eq!(s.faults.pauses, vec![(2, 20.0, 21.0)]);
-        assert!(!s.faults.to_plan().is_empty());
+        let expected = FaultPlan::new()
+            .control_loss(0.2)
+            .control_delay(SimDuration::from_millis(50), SimDuration::from_millis(10))
+            .marker_loss(LinkId::from_index(1), 0.5)
+            .flap(
+                LinkId::from_index(0),
+                SimTime::from_secs(10),
+                SimTime::from_secs(12),
+            )
+            .pause(
+                NodeId::from_index(2),
+                SimTime::from_secs(20),
+                SimTime::from_secs(21),
+            );
+        assert_eq!(s.faults, expected);
     }
 
     #[test]
@@ -1044,6 +1063,11 @@ fault {
             ("fault {\ncontrol_loss\n}", "takes 1 argument"),
             ("fault {\nflap 0 12 10\n}", "ends before it starts"),
             ("fault {\npause 0 5 5\n}", "ends before it starts"),
+            // Equal after rounding to nanoseconds, and past the clock:
+            // both must be parse errors, never `FaultPlan` panics.
+            ("fault {\nflap 0 1 1.0000000000001\n}", "before it starts"),
+            ("fault {\npause 0 1 1e300\n}", "must be between 0 and"),
+            ("fault {\ncontrol_delay inf\n}", "must be between 0 and"),
             ("fault {\nmarker_loss x 0.5\n}", "invalid link index"),
         ] {
             let e = parse_scenario(&format!("horizon 5\nflow route=0-1\n{bad}\n")).unwrap_err();
@@ -1165,7 +1189,8 @@ churn {
             "topology chain 6\nhorizon 5\nflow route=0-5\nfault {\nflap 3 1 2\npause 4 1 2\n}\n",
         )
         .unwrap();
-        assert_eq!(s.faults.flaps, vec![(3, 1.0, 2.0)]);
-        assert_eq!(s.faults.pauses, vec![(4, 1.0, 2.0)]);
+        let window = FaultWindow::new(SimTime::from_secs(1), SimTime::from_secs(2));
+        assert_eq!(s.faults.flaps, vec![(LinkId::from_index(3), window)]);
+        assert_eq!(s.faults.pauses, vec![(NodeId::from_index(4), window)]);
     }
 }

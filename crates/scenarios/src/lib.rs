@@ -18,8 +18,8 @@
 //!   reference allocation.
 //! * [`exec`] — a deterministic parallel executor for experiment sweeps
 //!   (results byte-identical to serial execution).
-//! * [`fault`] — scenario-level fault injection ([`fault::FaultSpec`])
-//!   and the control-loss degradation sweep behind the `faults` binary.
+//! * [`fault`] — the control-loss degradation sweep behind the `faults`
+//!   binary (a scenario's faults are a [`netsim::FaultPlan`]).
 //! * [`report`] — expected-vs-measured tables, convergence summaries, and
 //!   CSV export for replotting.
 //! * [`plot`] — a dependency-free SVG line plotter; the `figures` binary
@@ -45,8 +45,9 @@ pub mod schedules;
 pub mod topology;
 
 pub use discipline::Discipline;
-pub use fault::FaultSpec;
-pub use runner::{ExperimentResult, ReferenceSpec, Scenario, ScenarioChurn, ScenarioFlow};
+pub use runner::{
+    ExperimentResult, ReferenceSpec, RunOptions, Scenario, ScenarioChurn, ScenarioFlow,
+};
 pub use schedules::{
     fig3_4, fig5_6, fig7_8, fig9_10, mixed_transports, mixed_transports_fat_tree, PaperFigure,
 };

@@ -6,17 +6,16 @@ use std::rc::Rc;
 
 use fairness::maxmin::MaxMinProblem;
 use netsim::flow::FlowSpec;
+use netsim::link::LinkSpec;
 use netsim::telemetry::Probe;
 use netsim::topology::TopologyBuilder;
-use netsim::{FlowId, NodeId, SimReport, Transport};
+use netsim::{ChurnSpec, DispatchMode, FaultPlan, FlowId, NodeId, SimReport, Transport};
+use sim_core::event::QueueBackend;
 use sim_core::stats::TimeSeries;
-use sim_core::time::SimTime;
+use sim_core::time::{SimDuration, SimTime};
 
 use crate::discipline::Discipline;
-use crate::fault::FaultSpec;
 use crate::topology::{paper_link, CorePath, TopologySpec, LINK_CAPACITY_PPS};
-use netsim::ChurnSpec;
-use sim_core::time::SimDuration;
 
 /// One flow of a scenario.
 #[derive(Debug, Clone)]
@@ -152,6 +151,38 @@ impl ScenarioChurn {
     }
 }
 
+/// How the engine executes a run — everything about a run that is not
+/// the experiment itself. Backend and dispatch mode never change a
+/// result (they exist for the differential identity tests); the link and
+/// the probe do what they say.
+#[derive(Clone)]
+pub struct RunOptions {
+    /// Parameters of every link (default: the paper's 4 Mbps / 40 ms /
+    /// 40-packet [`paper_link`]) — the knob behind the latency and
+    /// capacity ablations.
+    pub link: LinkSpec,
+    /// Event-queue backend (default: the timer wheel).
+    pub backend: QueueBackend,
+    /// Transmission dispatch (default: departure trains).
+    pub dispatch: DispatchMode,
+    /// Telemetry probe installed on every node (default: none).
+    /// Disciplines publish their per-epoch internals (detector `q_avg`,
+    /// selector `r_av`/`w_av`/`p_w`, per-flow `b_g`, CSFQ `alpha`, …)
+    /// into it; read it back after the run via the same `Rc`.
+    pub probe: Option<Rc<RefCell<dyn Probe>>>,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            link: paper_link(),
+            backend: QueueBackend::Wheel,
+            dispatch: DispatchMode::Train,
+            probe: None,
+        }
+    }
+}
+
 /// A complete experiment description: a core topology, the flows
 /// crossing it, and a horizon.
 #[derive(Debug, Clone)]
@@ -166,8 +197,11 @@ pub struct Scenario {
     pub horizon: SimTime,
     /// Experiment seed.
     pub seed: u64,
-    /// Faults to inject (empty by default — a clean network).
-    pub faults: FaultSpec,
+    /// Faults to inject (empty by default — a clean network), in
+    /// simulator identifiers: core routers and core links are built
+    /// first, so core `i` is `NodeId(i)` and topology link `j` is
+    /// `LinkId(j)`.
+    pub faults: FaultPlan,
     /// Dynamic flow churn (`None` by default — a static workload).
     pub churn: Option<ScenarioChurn>,
     /// Worker threads for the sharded conservative-parallel engine
@@ -201,19 +235,19 @@ impl Scenario {
             flows,
             horizon,
             seed,
-            faults: FaultSpec::default(),
+            faults: FaultPlan::default(),
             churn: None,
             shards: 1,
         }
     }
 
-    /// Replaces the scenario's fault specification (builder-style).
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
+    /// Replaces the scenario's fault plan (builder-style).
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
 
-    /// Sets the shard count (builder-style); every `run_*` entry point
+    /// Sets the shard count (builder-style); [`run_with`](Scenario::run_with)
     /// then executes on the sharded engine when `shards > 1`.
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
@@ -364,201 +398,125 @@ impl Scenario {
         s.with_churn(churn)
     }
 
-    /// Runs the scenario under `discipline` and collects the results,
-    /// using the paper's 4 Mbps / 40 ms / 40-packet links.
-    pub fn run(&self, discipline: &dyn Discipline) -> ExperimentResult {
-        self.run_with_link(discipline, paper_link())
+    /// Runs the scenario under `discipline` with the given engine
+    /// options and collects the results — the one way a scenario runs.
+    /// With [`shards`](Scenario::shards) above 1 the run goes through the
+    /// sharded engine; the result is byte-identical either way, and
+    /// across every [`RunOptions`] backend and dispatch mode.
+    pub fn run_with(&self, discipline: &dyn Discipline, options: &RunOptions) -> ExperimentResult {
+        if self.shards > 1 {
+            return self.run_on_shards(discipline, self.shards, options).0;
+        }
+        let mut b = self.builder_for(discipline, options.link, options.backend, options.dispatch);
+        if let Some(p) = &options.probe {
+            b.probe(p.clone());
+        }
+        let mut net = b.build();
+        net.run_until(self.horizon);
+        self.result(discipline, net.into_report(self.horizon))
     }
 
-    /// Runs the scenario on a specific event-queue backend. Results are
-    /// byte-identical across backends (both deliver events in the same
-    /// order); the knob exists for differential testing of the engine.
+    /// [`run_with`](Scenario::run_with) under the default options.
+    pub fn run(&self, discipline: &dyn Discipline) -> ExperimentResult {
+        self.run_with(discipline, &RunOptions::default())
+    }
+
+    /// [`run_with`](Scenario::run_with) on a specific event-queue backend.
     pub fn run_with_queue(
         &self,
         discipline: &dyn Discipline,
-        backend: sim_core::event::QueueBackend,
+        backend: QueueBackend,
     ) -> ExperimentResult {
-        self.run_configured(
+        self.run_with(
             discipline,
-            paper_link(),
-            backend,
-            netsim::DispatchMode::Train,
-            None,
+            &RunOptions {
+                backend,
+                ..RunOptions::default()
+            },
         )
     }
 
-    /// Runs the scenario under a specific transmission-dispatch mode.
-    /// [`DispatchMode::Train`](netsim::DispatchMode::Train) (the default
-    /// everywhere else) coalesces back-to-back transmissions into the
-    /// link's departure train; `PerPacket` re-enacts the one-TxDone-per-
-    /// packet schedule. Reports are byte-identical across modes; the
-    /// knob exists for the batched-vs-unbatched differential oracles.
+    /// [`run_with`](Scenario::run_with) under a specific dispatch mode.
     pub fn run_with_dispatch(
         &self,
         discipline: &dyn Discipline,
-        dispatch: netsim::DispatchMode,
+        dispatch: DispatchMode,
     ) -> ExperimentResult {
-        self.run_configured(
+        self.run_with(
             discipline,
-            paper_link(),
-            sim_core::event::QueueBackend::Wheel,
-            dispatch,
-            None,
+            &RunOptions {
+                dispatch,
+                ..RunOptions::default()
+            },
         )
     }
 
-    /// Runs the scenario with a telemetry [`Probe`] installed on every
-    /// node: disciplines publish their per-epoch internals (detector
-    /// `q_avg`, selector `r_av`/`w_av`/`p_w`, per-flow `b_g`, CSFQ
-    /// `alpha`, …) into it as the run progresses. The probe is shared —
-    /// read it back after the run via the same `Rc`.
+    /// [`run_with`](Scenario::run_with) on `backend` with `probe` installed.
     pub fn run_instrumented(
         &self,
         discipline: &dyn Discipline,
-        backend: sim_core::event::QueueBackend,
+        backend: QueueBackend,
         probe: Rc<RefCell<dyn Probe>>,
     ) -> ExperimentResult {
-        self.run_configured(
+        let probe = Some(probe);
+        self.run_with(
             discipline,
-            paper_link(),
-            backend,
-            netsim::DispatchMode::Train,
-            Some(probe),
+            &RunOptions {
+                backend,
+                probe,
+                ..RunOptions::default()
+            },
         )
     }
 
-    /// Runs the scenario probed like
-    /// [`run_instrumented`](Scenario::run_instrumented), but under a
-    /// specific transmission-dispatch mode — the telemetry half of the
-    /// batched-vs-unbatched differential oracles.
-    pub fn run_instrumented_dispatch(
-        &self,
-        discipline: &dyn Discipline,
-        dispatch: netsim::DispatchMode,
-        probe: Rc<RefCell<dyn Probe>>,
-    ) -> ExperimentResult {
-        self.run_configured(
-            discipline,
-            paper_link(),
-            sim_core::event::QueueBackend::Wheel,
-            dispatch,
-            Some(probe),
-        )
-    }
-
-    /// Runs the scenario with every link using `link` instead of the
-    /// paper's parameters — the knob behind the latency/capacity
-    /// sensitivity ablations (§4.4 mentions "channels with large
-    /// latencies").
-    pub fn run_with_link(
-        &self,
-        discipline: &dyn Discipline,
-        link: netsim::link::LinkSpec,
-    ) -> ExperimentResult {
-        self.run_configured(
-            discipline,
-            link,
-            sim_core::event::QueueBackend::Wheel,
-            netsim::DispatchMode::Train,
-            None,
-        )
-    }
-
-    fn run_configured(
-        &self,
-        discipline: &dyn Discipline,
-        link: netsim::link::LinkSpec,
-        backend: sim_core::event::QueueBackend,
-        dispatch: netsim::DispatchMode,
-        probe: Option<Rc<RefCell<dyn Probe>>>,
-    ) -> ExperimentResult {
-        if self.shards > 1 {
-            return self
-                .run_sharded_configured(discipline, self.shards, link, backend, dispatch, probe)
-                .0;
-        }
-        let mut b = self.builder_for(discipline, link, backend, dispatch);
-        if let Some(p) = probe {
-            b.probe(p);
-        }
-        let reference = ReferenceSpec::of(discipline, &self.flows);
-        let mut net = b.build();
-        net.run_until(self.horizon);
-        ExperimentResult {
-            scenario: self.clone(),
-            discipline_name: discipline.name(),
-            reference,
-            report: net.into_report(self.horizon),
-        }
-    }
-
-    /// Runs the scenario on the sharded conservative-parallel engine
-    /// (see [`netsim::shard`]) with the paper's links and default
-    /// backend, returning the merged result — byte-identical to
-    /// [`run`](Scenario::run) — plus the events popped per shard.
+    /// Runs on the sharded engine at an explicit shard count (even 1,
+    /// which still goes through mailboxes, epochs and the merge) under
+    /// the default options, returning the events popped per shard too.
     pub fn run_sharded(
         &self,
         discipline: &dyn Discipline,
         shards: usize,
     ) -> (ExperimentResult, Vec<u64>) {
-        self.run_sharded_configured(
-            discipline,
-            shards,
-            paper_link(),
-            sim_core::event::QueueBackend::Wheel,
-            netsim::DispatchMode::Train,
-            None,
-        )
+        self.run_on_shards(discipline, shards, &RunOptions::default())
     }
 
-    /// Sharded counterpart of [`run_instrumented`](Scenario::run_instrumented):
-    /// the merged telemetry stream is replayed into `probe` in canonical
-    /// order, so the probe observes the exact serial sample sequence.
-    pub fn run_instrumented_sharded(
+    /// The sharded conservative-parallel engine (see [`netsim::shard`]):
+    /// the merged telemetry stream is replayed into the probe in
+    /// canonical order, so it observes the exact serial sample sequence.
+    fn run_on_shards(
         &self,
         discipline: &dyn Discipline,
         shards: usize,
-        probe: Rc<RefCell<dyn Probe>>,
+        options: &RunOptions,
     ) -> (ExperimentResult, Vec<u64>) {
-        self.run_sharded_configured(
-            discipline,
-            shards,
-            paper_link(),
-            sim_core::event::QueueBackend::Wheel,
-            netsim::DispatchMode::Train,
-            Some(probe),
-        )
-    }
-
-    fn run_sharded_configured(
-        &self,
-        discipline: &dyn Discipline,
-        shards: usize,
-        link: netsim::link::LinkSpec,
-        backend: sim_core::event::QueueBackend,
-        dispatch: netsim::DispatchMode,
-        probe: Option<Rc<RefCell<dyn Probe>>>,
-    ) -> (ExperimentResult, Vec<u64>) {
+        // Copied out: the probe's `Rc` must stay off the worker threads.
+        let (link, backend, dispatch) = (options.link, options.backend, options.dispatch);
         let outcome = netsim::shard::run_sharded(
             || self.builder_for(discipline, link, backend, dispatch),
             shards,
             self.horizon,
-            probe.is_some(),
+            options.probe.is_some(),
             false,
         );
-        if let Some(p) = &probe {
+        if let Some(p) = &options.probe {
             let mut p = p.borrow_mut();
             for (time, node, sample) in &outcome.probe_log {
                 p.record(*time, *node, sample);
             }
         }
-        let result = ExperimentResult {
+        (
+            self.result(discipline, outcome.report),
+            outcome.per_shard_events,
+        )
+    }
+
+    fn result(&self, discipline: &dyn Discipline, report: SimReport) -> ExperimentResult {
+        ExperimentResult {
             scenario: self.clone(),
             discipline_name: discipline.name(),
             reference: ReferenceSpec::of(discipline, &self.flows),
-            report: outcome.report,
-        };
-        (result, outcome.per_shard_events)
+            report,
+        }
     }
 
     /// Builds the scenario's full topology under `discipline` — the one
@@ -569,9 +527,9 @@ impl Scenario {
     fn builder_for(
         &self,
         discipline: &dyn Discipline,
-        link: netsim::link::LinkSpec,
-        backend: sim_core::event::QueueBackend,
-        dispatch: netsim::DispatchMode,
+        link: LinkSpec,
+        backend: QueueBackend,
+        dispatch: DispatchMode,
     ) -> TopologyBuilder {
         let mut b = TopologyBuilder::new(self.seed);
         b.queue_backend(backend);
@@ -621,7 +579,7 @@ impl Scenario {
             b.churn(churn.to_spec(node_routes, self.horizon));
         }
         if !self.faults.is_empty() {
-            b.faults(self.faults.to_plan());
+            b.faults(self.faults.clone());
         }
         b
     }
@@ -797,7 +755,6 @@ mod tests {
     use crate::topology::Route;
     use corelite::CoreliteConfig;
     use csfq::CsfqConfig;
-    use sim_core::time::SimDuration;
 
     fn two_flow_scenario() -> Scenario {
         Scenario::paper(

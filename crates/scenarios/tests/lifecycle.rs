@@ -1,14 +1,21 @@
 //! Flow-lifecycle integration suite: multi-activation schedules under
 //! every registered discipline, stops on measurement-window boundaries,
 //! FCT accounting on departure, and byte-identical churn results across
-//! executors, queue backends, and dispatch modes.
+//! executors and every engine mode of the shared identity matrix.
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use baselines::GreedySource;
+use netsim::flow::FlowSpec;
+use netsim::link::LinkSpec;
+use netsim::logic::{CbrSource, ForwardLogic, PoissonSource, RouterLogic};
+use netsim::topology::TopologyBuilder;
 use scenarios::churn::{churn_markdown, churn_rows};
 use scenarios::discipline::{by_name, default_registry};
 use scenarios::topology::Route;
 use scenarios::{Scenario, ScenarioChurn, ScenarioFlow};
-use sim_core::event::QueueBackend;
-use sim_core::time::SimTime;
+use sim_core::time::{SimDuration, SimTime};
 
 /// Two activation windows with a 5 s gap, against a competing flow that
 /// keeps the bottleneck busy throughout.
@@ -140,8 +147,8 @@ fn fct_recorded_on_departure() {
 }
 
 /// The churn sweep is byte-identical across the serial and parallel
-/// executors, and churn runs are byte-identical across queue backends
-/// and dispatch modes.
+/// executors, and churn runs are byte-identical across queue backends,
+/// dispatch modes, the 2-shard engine and a probe.
 #[test]
 fn churn_results_are_byte_identical_across_executors_and_backends() {
     let registry = vec![by_name("corelite").unwrap(), by_name("csfq").unwrap()];
@@ -150,26 +157,52 @@ fn churn_results_are_byte_identical_across_executors_and_backends() {
     let parallel = churn_markdown(&churn_rows(&scenarios, &registry, false));
     assert_eq!(serial, parallel, "serial vs parallel executor diverged");
 
-    let corelite = by_name("corelite").unwrap();
-    let render_queue = |backend| {
-        format!(
-            "{:?}",
-            churn_scenario(5)
-                .run_with_queue(corelite.as_ref(), backend)
-                .report
-        )
-    };
-    let wheel = render_queue(QueueBackend::Wheel);
-    assert_eq!(
-        wheel,
-        render_queue(QueueBackend::Heap),
-        "heap backend diverged"
+    common::identity_matrix(&churn_scenario(5), registry[0].as_ref(), &[2]);
+}
+
+/// Packets a 100 pkt/s open-loop `source` emits over 11 s when its flow
+/// stops at 1.003 s and restarts at 1.006 s — inside one 10 ms gap, so
+/// the first activation's timer is still pending at the restart. About
+/// 1100 are due; the sources used to let that timer live on as a second
+/// chain and emitted 2101 (greedy, CBR) and 2153 (Poisson).
+fn emitted_across_a_restart_inside_a_gap(source: Box<dyn RouterLogic>, counter: &str) -> f64 {
+    let mut b = TopologyBuilder::new(5);
+    let src = b.node("src", |_| source);
+    let dst = b.node("dst", |_| Box::new(ForwardLogic));
+    b.link(
+        src,
+        dst,
+        LinkSpec::new(10_000_000, SimDuration::from_millis(10), 100),
     );
-    let per_packet = format!(
-        "{:?}",
-        churn_scenario(5)
-            .run_with_dispatch(corelite.as_ref(), netsim::DispatchMode::PerPacket)
-            .report
+    b.flow(
+        FlowSpec::new(vec![src, dst], 1)
+            .active(SimTime::ZERO, Some(SimTime::from_millis(1003)))
+            .active(SimTime::from_millis(1006), None),
     );
-    assert_eq!(wheel, per_packet, "per-packet dispatch diverged");
+    let end = SimTime::from_secs(11);
+    let mut net = b.build();
+    net.run_until(end);
+    net.into_report(end).counter_total(counter)
+}
+
+#[test]
+fn greedy_source_keeps_one_chain_across_a_restart_inside_a_gap() {
+    let source = Box::new(GreedySource::new(100.0));
+    let emitted = emitted_across_a_restart_inside_a_gap(source, "greedy_emitted");
+    assert!((1095.0..=1105.0).contains(&emitted), "emitted {emitted}");
+}
+
+#[test]
+fn cbr_source_keeps_one_chain_across_a_restart_inside_a_gap() {
+    let source = Box::new(CbrSource::new(100.0));
+    let emitted = emitted_across_a_restart_inside_a_gap(source, "emitted_packets");
+    assert!((1095.0..=1105.0).contains(&emitted), "emitted {emitted}");
+}
+
+#[test]
+fn poisson_source_keeps_one_chain_across_a_restart_inside_a_gap() {
+    // Exponential gaps: 1100 expected, standard deviation about 33.
+    let source = Box::new(PoissonSource::new(9, 100.0));
+    let emitted = emitted_across_a_restart_inside_a_gap(source, "emitted_packets");
+    assert!((950.0..=1250.0).contains(&emitted), "emitted {emitted}");
 }

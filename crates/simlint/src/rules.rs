@@ -234,6 +234,7 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/netsim/src/network.rs",
     "crates/netsim/src/logic.rs",
     "crates/netsim/src/link.rs",
+    "crates/netsim/src/pacer.rs",
     "crates/netsim/src/slab.rs",
     "crates/netsim/src/telemetry.rs",
     "crates/netsim/src/transport.rs",
@@ -259,6 +260,7 @@ const DENSE_STATE_MODULES: &[&str] = &[
     "crates/netsim/src/logic.rs",
     "crates/netsim/src/link.rs",
     "crates/netsim/src/monitor.rs",
+    "crates/netsim/src/pacer.rs",
     "crates/netsim/src/slab.rs",
     "crates/netsim/src/transport.rs",
     "crates/corelite/src/edge.rs",
@@ -342,6 +344,11 @@ const HOT_FNS: &[&str] = &[
     "on_control",
     "on_flow_start",
     "on_flow_stop",
+    // The pacer under every emission timer (netsim::pacer): growth is a
+    // resize, a fire or a re-arm allocates nothing.
+    "arm",
+    "fired",
+    "reset",
     // Discipline helpers on the emit/adapt path.
     "handle_emit",
     "ensure_emission",

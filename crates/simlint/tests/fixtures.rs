@@ -125,6 +125,20 @@ fn churn_arrival_route_copies_are_caught() {
     assert!(ok.is_empty(), "hot_alloc_churn_ok must be clean: {ok:?}");
 }
 
+/// The pacer fixture pair: `arm`, `fired` and `reset` are hot functions
+/// (every emission timer goes through them), so a pacer whose `arm`
+/// allocates per call is flagged while the word-per-slot one is clean.
+#[test]
+fn a_pacer_that_allocates_per_arm_is_caught() {
+    let bad = violations_for("hot_alloc_pacer_bad");
+    assert!(
+        bad.iter().any(|v| v.rule == "hot-alloc"),
+        "hot_alloc_pacer_bad must trip hot-alloc: {bad:?}"
+    );
+    let ok = violations_for("hot_alloc_pacer_ok");
+    assert!(ok.is_empty(), "hot_alloc_pacer_ok must be clean: {ok:?}");
+}
+
 /// The transport-sender fixture pair: the `transport_sender_` prefix
 /// classifies like `crates/netsim/src/transport.rs` (hot-path +
 /// per-id-state), and the `RouterLogic` impl is a taint root — so the

@@ -4,8 +4,9 @@
 //! byte-deterministic across executors and repeats.
 
 use corelite::{CoreliteConfig, SelectorKind};
+use netsim::FaultPlan;
 use scenarios::discipline::{by_name, Corelite};
-use scenarios::fault::{degradation_markdown, degradation_rows, FaultSpec};
+use scenarios::fault::{degradation_markdown, degradation_rows};
 use scenarios::report::window_jain_index;
 use scenarios::{fig5_6, Discipline};
 use sim_core::time::{SimDuration, SimTime};
@@ -14,9 +15,7 @@ use sim_core::time::{SimDuration, SimTime};
 /// given control-message loss probability.
 fn jain_under_loss(cfg: CoreliteConfig, loss: f64) -> f64 {
     let mut scenario = fig5_6(42);
-    if loss > 0.0 {
-        scenario.faults = FaultSpec::new().control_loss(loss);
-    }
+    scenario.faults = FaultPlan::new().control_loss(loss);
     let result = scenario.run(&Corelite::new(cfg));
     let horizon = result.scenario.horizon;
     window_jain_index(&result, horizon - SimDuration::from_secs(20), horizon)

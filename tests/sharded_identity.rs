@@ -6,58 +6,24 @@
 //! divergence, however small, is a bug in the epoch/mailbox protocol,
 //! never an acceptable "parallel rounding" artifact.
 //!
-//! The comparison is `format!("{:?}", report)` equality on the full
-//! [`netsim::SimReport`] — every flow's delivery counts, delay
-//! distribution, drop split, every link's counters, per-node logic
-//! reports, the event total, and the churn report all participate.
+//! Every row goes through the shared identity matrix, so each shard
+//! count is also crossed with both queue backends, both dispatch modes
+//! and a probe, and checked for its per-shard event split.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
-use corelite::CoreliteConfig;
-use netsim::telemetry::{Probe, RingProbe};
+use common::{compress, identity_matrix};
+use netsim::ids::{LinkId, NodeId};
+use netsim::FaultPlan;
 use scenarios::discipline::{by_name, Corelite};
-use scenarios::fault::FaultSpec;
 use scenarios::runner::Scenario;
-use scenarios::{fig3_4, fig5_6, fig7_8, fig9_10, Discipline};
-use sim_core::event::QueueBackend;
-use sim_core::time::SimTime;
-
-/// Shrinks a scenario's horizon (activation schedules are untouched;
-/// periods beyond the horizon simply never fire).
-fn compress(mut scenario: Scenario, secs: u64) -> Scenario {
-    scenario.horizon = SimTime::from_secs(secs);
-    scenario
-}
-
-/// Asserts the sharded run reproduces the serial report byte for byte
-/// at each of `shard_counts`, and that the per-shard event split is
-/// plausible (one entry per shard, non-zero total).
-fn assert_identical(scenario: &Scenario, discipline: &dyn Discipline, shard_counts: &[usize]) {
-    let serial = scenario.run(discipline);
-    let expected = format!("{:?}", serial.report);
-    for &shards in shard_counts {
-        let (sharded, per_shard) = scenario.run_sharded(discipline, shards);
-        assert_eq!(per_shard.len(), shards, "{}: split arity", scenario.name);
-        assert!(
-            per_shard.iter().sum::<u64>() > 0,
-            "{}: sharded run did no work",
-            scenario.name
-        );
-        assert_eq!(
-            expected,
-            format!("{:?}", sharded.report),
-            "{} diverged at {shards} shards",
-            scenario.name
-        );
-    }
-}
+use scenarios::{fig3_4, fig5_6, fig7_8, fig9_10};
+use sim_core::time::{SimDuration, SimTime};
 
 #[test]
 fn figure_schedules_are_byte_identical_across_shards() {
-    let corelite = Corelite::new(CoreliteConfig::default());
     for scenario in [fig3_4(7), fig5_6(7), fig7_8(7), fig9_10(7)] {
-        assert_identical(&compress(scenario, 12), &corelite, &[2, 3]);
+        identity_matrix(&compress(scenario, 12), &Corelite::default(), &[2, 3]);
     }
 }
 
@@ -65,21 +31,23 @@ fn figure_schedules_are_byte_identical_across_shards() {
 fn shard_count_sweep_is_byte_identical() {
     // Including 1: a single-shard "parallel" run takes the sharded code
     // path (mailboxes, epochs, merge) and must still match serial.
-    let corelite = Corelite::new(CoreliteConfig::default());
-    assert_identical(&compress(fig5_6(21), 15), &corelite, &[1, 2, 4, 8]);
+    identity_matrix(
+        &compress(fig5_6(21), 15),
+        &Corelite::default(),
+        &[1, 2, 4, 8],
+    );
 }
 
 #[test]
 fn fat_tree_mixes_are_byte_identical() {
-    let corelite = Corelite::new(CoreliteConfig::default());
-    assert_identical(
+    identity_matrix(
         &Scenario::fat_tree_mix(SimTime::from_secs(10), 3),
-        &corelite,
+        &Corelite::default(),
         &[2, 4],
     );
-    assert_identical(
+    identity_matrix(
         &Scenario::fat_tree_k16(SimTime::from_secs(4), 3),
-        &corelite,
+        &Corelite::default(),
         &[4],
     );
 }
@@ -89,16 +57,16 @@ fn faulted_runs_are_byte_identical() {
     // Control-plane loss and delay draw from per-node RNG streams, link
     // flaps drop packets mid-flight, pauses freeze a core's control
     // processing — all of it must replay identically under sharding.
-    let corelite = Corelite::new(CoreliteConfig::default());
+    let secs = SimTime::from_secs;
     let scenario = compress(fig5_6(11), 15).with_faults(
-        FaultSpec::new()
+        FaultPlan::new()
             .control_loss(0.2)
-            .control_delay(0.05, 0.01)
-            .marker_loss(1, 0.5)
-            .flap(0, 5.0, 7.0)
-            .pause(2, 8.0, 9.0),
+            .control_delay(SimDuration::from_millis(50), SimDuration::from_millis(10))
+            .marker_loss(LinkId::from_index(1), 0.5)
+            .flap(LinkId::from_index(0), secs(5), secs(7))
+            .pause(NodeId::from_index(2), secs(8), secs(9)),
     );
-    assert_identical(&scenario, &corelite, &[2, 4]);
+    identity_matrix(&scenario, &Corelite::default(), &[2, 4]);
 }
 
 #[test]
@@ -107,16 +75,15 @@ fn churn_runs_are_byte_identical() {
     // flow arrivals, slot recycling, lifecycle timers and completion
     // accounting. The churn report rides inside the SimReport, so FCT
     // and settling statistics are part of the byte-identity check.
-    let corelite = Corelite::new(CoreliteConfig::default());
     let scenario = Scenario::fat_tree_k16_100k(SimTime::from_secs(4), 5);
-    let serial = scenario.run(&corelite);
+    let serial = scenario.run(&Corelite::default());
     let churn = serial.report.churn.as_ref().expect("churn report present");
     assert!(
         churn.arrivals > 1_000,
         "churn barely ran: {}",
         churn.arrivals
     );
-    assert_identical(&scenario, &corelite, &[2, 4, 8]);
+    identity_matrix(&scenario, &Corelite::default(), &[2, 4, 8]);
 }
 
 #[test]
@@ -124,39 +91,16 @@ fn csfq_baseline_is_byte_identical() {
     // A second discipline exercises different logic state, control
     // traffic and RNG draws through the same sharded machinery.
     let csfq = by_name("csfq").expect("csfq is registered");
-    assert_identical(&compress(fig3_4(13), 12), csfq.as_ref(), &[2, 3]);
+    identity_matrix(&compress(fig3_4(13), 12), csfq.as_ref(), &[2, 3]);
 }
 
 #[test]
 fn probe_streams_are_byte_identical() {
     // Telemetry: the sharded engine replays its merged sample log into
     // the probe in canonical order, so the rendered JSONL stream must
-    // match the serial stream byte for byte.
-    let corelite = Corelite::new(CoreliteConfig::default());
-    let scenario = compress(fig5_6(17), 15);
-
-    let serial_probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-    scenario.run_instrumented(
-        &corelite,
-        QueueBackend::Wheel,
-        serial_probe.clone() as Rc<RefCell<dyn Probe>>,
-    );
-    let expected = serial_probe.borrow().to_jsonl();
-    assert!(!expected.is_empty(), "serial probe recorded nothing");
-
-    for shards in [2usize, 4] {
-        let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-        scenario.run_instrumented_sharded(
-            &corelite,
-            shards,
-            probe.clone() as Rc<RefCell<dyn Probe>>,
-        );
-        assert_eq!(
-            expected,
-            probe.borrow().to_jsonl(),
-            "probe stream diverged at {shards} shards"
-        );
-    }
+    // match the serial stream byte for byte (the matrix compares it in
+    // every cell and rejects an empty one).
+    identity_matrix(&compress(fig5_6(17), 15), &Corelite::default(), &[2, 4]);
 }
 
 #[test]
@@ -164,12 +108,9 @@ fn scenario_shards_field_routes_through_the_sharded_engine() {
     // `Scenario.shards` is the transparent dispatch knob: plain `run()`
     // on a shards = 4 scenario must produce the serial bytes too (this
     // is what the DSL `shards` directive and `--shards` flag rely on).
-    let corelite = Corelite::new(CoreliteConfig::default());
     let scenario = compress(fig3_4(29), 12);
-    let serial = scenario.run(&corelite);
-    let mut sharded_scenario = scenario.clone();
-    sharded_scenario.shards = 4;
-    let sharded = sharded_scenario.run(&corelite);
+    let serial = scenario.run(&Corelite::default());
+    let sharded = scenario.clone().with_shards(4).run(&Corelite::default());
     assert_eq!(
         format!("{:?}", serial.report),
         format!("{:?}", sharded.report)

@@ -1,28 +1,24 @@
-//! Byte-identity across transmission-dispatch modes: a full figure
-//! scenario must produce exactly the same `ExperimentResult` (every
-//! time series, drop counter and logic report, compared via the
-//! complete `Debug` rendering) whether the engine coalesces
-//! back-to-back transmissions into a link's departure train
+//! Byte-identity across transmission-dispatch modes (and, through the
+//! shared identity matrix, every other engine mode): a scenario must
+//! produce exactly the same report and probe stream whether the engine
+//! coalesces back-to-back transmissions into a link's departure train
 //! (`DispatchMode::Train`, the default) or schedules one `TxDone`
 //! checkpoint per packet (`DispatchMode::PerPacket`). The train is a
 //! pure event-coalescing substitution — departures carry their own
 //! timestamps, so when the link's accounting runs cannot be
-//! observable. Any divergence is a batching bug.
+//! observable. Any divergence is a batching bug. The rows here use
+//! seeds `queue_backends` does not.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
-use netsim::telemetry::{Probe, RingProbe};
-use netsim::DispatchMode;
+use common::{compress, identity_matrix};
 use scenarios::exec::{run_parallel, run_serial};
 use scenarios::runner::Scenario;
 use scenarios::PaperFigure;
 use sim_core::time::SimTime;
 
-fn compressed(figure: PaperFigure, seed: u64) -> Scenario {
-    let mut s = figure.scenario(seed);
-    s.horizon = SimTime::from_secs(20);
-    s
+fn compressed(figure: PaperFigure, seed: u64, secs: u64) -> Scenario {
+    compress(figure.scenario(seed), secs)
 }
 
 #[test]
@@ -30,25 +26,11 @@ fn train_and_per_packet_agree_on_a_full_figure_scenario() {
     // Figure 3/4: the paper's 20-flow chain dynamics under Corelite —
     // the densest workload (timers, markers, feedback, drops).
     let figure = PaperFigure::Fig3;
-    let scenario = compressed(figure, 1);
-    let discipline = figure.discipline();
-    let train = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
+    identity_matrix(
+        &compressed(figure, 7, 20),
+        figure.discipline().as_ref(),
+        &[],
     );
-    let per_packet = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-    );
-    assert_eq!(
-        train,
-        per_packet,
-        "dispatch modes diverged on {}",
-        figure.name()
-    );
-    // The default path is the train.
-    let default = format!("{:?}", scenario.run(discipline.as_ref()));
-    assert_eq!(default, train);
 }
 
 #[test]
@@ -57,89 +39,35 @@ fn every_figure_agrees_across_dispatch_modes() {
     // reads instantaneous queue lengths per packet), min-rate
     // contracts, and the sources/selectors each figure exercises.
     for figure in PaperFigure::ALL {
-        let mut scenario = figure.scenario(1);
-        scenario.horizon = SimTime::from_secs(8);
-        let discipline = figure.discipline();
-        let train = format!(
-            "{:?}",
-            scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
-        );
-        let per_packet = format!(
-            "{:?}",
-            scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-        );
-        assert_eq!(
-            train,
-            per_packet,
-            "dispatch modes diverged on {}",
-            figure.name()
-        );
+        identity_matrix(&compressed(figure, 7, 8), figure.discipline().as_ref(), &[]);
     }
 }
 
 #[test]
 fn fat_tree_agrees_across_dispatch_modes() {
-    // Multi-path topology: trains matter most where many links carry
-    // interleaved back-to-back bursts.
-    let scenario = Scenario::fat_tree_mix(SimTime::from_secs(15), 7);
-    let figure = PaperFigure::Fig3;
-    let discipline = figure.discipline();
-    let train = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
-    );
-    let per_packet = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-    );
-    assert_eq!(train, per_packet, "dispatch modes diverged on fat_tree_mix");
-
-    // The wide k=8 instance (8 leaves x 4 spines) from the scaling
-    // benches: more links, more concurrent trains per tick.
-    let scenario = Scenario::fat_tree_k_mix(8, 4, SimTime::from_secs(10), 7);
-    let train = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
-    );
-    let per_packet = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-    );
-    assert_eq!(
-        train, per_packet,
-        "dispatch modes diverged on fat_tree_k_mix"
-    );
+    // Multi-path topologies: trains matter most where many links carry
+    // interleaved back-to-back bursts. The second row is the wide k=8
+    // instance (8 leaves x 4 spines) from the scaling benches: more
+    // links, more concurrent trains per tick.
+    let discipline = PaperFigure::Fig3.discipline();
+    for scenario in [
+        Scenario::fat_tree_mix(SimTime::from_secs(15), 7),
+        Scenario::fat_tree_k_mix(8, 4, SimTime::from_secs(10), 7),
+    ] {
+        identity_matrix(&scenario, discipline.as_ref(), &[]);
+    }
 }
 
 #[test]
 fn probe_streams_agree_across_dispatch_modes() {
-    // Telemetry must be a pure function of the logical event stream:
-    // the same scenario probed under trains and under per-packet
-    // checkpoints yields byte-identical JSONL (Fig5 = Corelite's
-    // per-epoch hooks, Fig6 = CSFQ's probe-gated sampling timer).
+    // Telemetry must be a pure function of the logical event stream
+    // (Fig5 = Corelite's per-epoch hooks, Fig6 = CSFQ's probe-gated
+    // sampling timer); the matrix checks each probe recorded something.
     for figure in [PaperFigure::Fig5, PaperFigure::Fig6] {
-        let scenario = compressed(figure, 1);
-        let discipline = figure.discipline();
-        let stream = |dispatch: DispatchMode| {
-            let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-            scenario.run_instrumented_dispatch(
-                discipline.as_ref(),
-                dispatch,
-                probe.clone() as Rc<RefCell<dyn Probe>>,
-            );
-            let jsonl = probe.borrow().to_jsonl();
-            assert!(
-                !jsonl.is_empty(),
-                "{}: probe recorded nothing",
-                figure.name()
-            );
-            jsonl
-        };
-        assert_eq!(
-            stream(DispatchMode::Train),
-            stream(DispatchMode::PerPacket),
-            "probe streams diverged across dispatch modes on {}",
-            figure.name()
+        identity_matrix(
+            &compressed(figure, 7, 20),
+            figure.discipline().as_ref(),
+            &[],
         );
     }
 }
@@ -148,27 +76,11 @@ fn probe_streams_agree_across_dispatch_modes() {
 fn dispatch_modes_agree_under_serial_and_parallel_exec() {
     let figure = PaperFigure::Fig5;
     let discipline = figure.discipline();
-    let seeds: Vec<u64> = (1..=4).collect();
-    let train_work = |seed: u64| {
-        format!(
-            "{:?}",
-            compressed(figure, seed).run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
-        )
-    };
-    let per_packet_work = |seed: u64| {
-        format!(
-            "{:?}",
-            compressed(figure, seed)
-                .run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-        )
-    };
-    let train_serial = run_serial(seeds.clone(), train_work);
-    let train_parallel = run_parallel(seeds.clone(), train_work);
-    let per_packet_serial = run_serial(seeds.clone(), per_packet_work);
-    let per_packet_parallel = run_parallel(seeds, per_packet_work);
-    assert_eq!(train_serial, train_parallel);
-    assert_eq!(per_packet_serial, per_packet_parallel);
-    assert_eq!(train_serial, per_packet_serial);
+    let seeds: Vec<u64> = (5..=8).collect();
+    let work =
+        |seed: u64| identity_matrix(&compressed(figure, seed, 20), discipline.as_ref(), &[]).report;
+    let serial = run_serial(seeds.clone(), work);
+    assert_eq!(serial, run_parallel(seeds, work));
     // Non-vacuous: different seeds produce different results.
-    assert!(train_serial.windows(2).any(|w| w[0] != w[1]));
+    assert!(serial.windows(2).any(|w| w[0] != w[1]));
 }

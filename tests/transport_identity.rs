@@ -1,104 +1,59 @@
 //! Engine-mode byte-identity for the closed-loop transport scenarios:
-//! the mixed LIMD/GBN/Reno workloads must produce the same
-//! `format!("{:?}", report)` bytes under every engine configuration —
-//! serial vs the sharded executor at 1, 2 and 4 shards, the wheel vs
-//! the heap event queue, and transmission trains vs per-packet
-//! dispatch. Ack-clocked senders add reverse-path control traffic,
-//! RTO/tick timer chains and receiver-side state to the event stream;
-//! none of it may observe the engine mode.
+//! the mixed LIMD/GBN/Reno workloads must produce the same report and
+//! probe bytes under every engine configuration — serial vs the sharded
+//! executor at 1, 2 and 4 shards, the wheel vs the heap event queue,
+//! and transmission trains vs per-packet dispatch, all crossed by the
+//! shared identity matrix. Ack-clocked senders add reverse-path control
+//! traffic, RTO/tick timer chains and receiver-side state to the event
+//! stream; none of it may observe the engine mode.
 
-use corelite::CoreliteConfig;
-use netsim::{DispatchMode, Transport};
+mod common;
+
+use common::{compress, identity_matrix};
+use netsim::Transport;
 use scenarios::discipline::Corelite;
 use scenarios::exec::{run_parallel, run_serial};
-use scenarios::runner::Scenario;
 use scenarios::{mixed_transports, mixed_transports_fat_tree};
-use sim_core::event::QueueBackend;
 use sim_core::time::SimTime;
-
-fn compress(mut scenario: Scenario, secs: u64) -> Scenario {
-    scenario.horizon = SimTime::from_secs(secs);
-    scenario
-}
-
-fn scenarios() -> [Scenario; 2] {
-    [
-        compress(mixed_transports(7), 15),
-        compress(mixed_transports_fat_tree(7), 15),
-    ]
-}
 
 #[test]
 fn transport_scenarios_are_byte_identical_across_shards() {
-    let corelite = Corelite::new(CoreliteConfig::default());
-    for scenario in scenarios() {
-        let serial = scenario.run(&corelite);
-        let expected = format!("{:?}", serial.report);
-        // Shard 1 included: the single-shard run still goes through the
-        // mailbox/epoch machinery and the replicated-push protocol that
-        // the ack sink's receiver resets rely on.
-        for shards in [1usize, 2, 4] {
-            let (sharded, per_shard) = scenario.run_sharded(&corelite, shards);
-            assert_eq!(per_shard.len(), shards);
-            assert_eq!(
-                expected,
-                format!("{:?}", sharded.report),
-                "{} diverged at {shards} shards",
-                scenario.name
-            );
-        }
+    // Shard 1 included: the single-shard run still goes through the
+    // mailbox/epoch machinery and the replicated-push protocol that
+    // the ack sink's receiver resets rely on.
+    for scenario in [mixed_transports(7), mixed_transports_fat_tree(7)] {
+        identity_matrix(&compress(scenario, 15), &Corelite::default(), &[1, 2, 4]);
     }
 }
 
 #[test]
 fn transport_scenarios_are_byte_identical_across_queue_backends() {
-    let corelite = Corelite::new(CoreliteConfig::default());
-    for scenario in scenarios() {
-        let wheel = format!(
-            "{:?}",
-            scenario.run_with_queue(&corelite, QueueBackend::Wheel)
-        );
-        let heap = format!(
-            "{:?}",
-            scenario.run_with_queue(&corelite, QueueBackend::Heap)
-        );
-        assert_eq!(wheel, heap, "{} diverged across backends", scenario.name);
-    }
+    identity_matrix(
+        &compress(mixed_transports(11), 15),
+        &Corelite::default(),
+        &[],
+    );
 }
 
 #[test]
 fn transport_scenarios_are_byte_identical_across_dispatch_modes() {
-    let corelite = Corelite::new(CoreliteConfig::default());
-    for scenario in scenarios() {
-        let train = format!(
-            "{:?}",
-            scenario.run_with_dispatch(&corelite, DispatchMode::Train)
-        );
-        let per_packet = format!(
-            "{:?}",
-            scenario.run_with_dispatch(&corelite, DispatchMode::PerPacket)
-        );
-        assert_eq!(
-            train, per_packet,
-            "dispatch modes diverged on {}",
-            scenario.name
-        );
-    }
+    let scenario = compress(mixed_transports_fat_tree(11), 15);
+    identity_matrix(&scenario, &Corelite::default(), &[]);
 }
 
 #[test]
 fn transport_runs_agree_under_serial_and_parallel_exec() {
     let seeds: Vec<u64> = (1..=4).collect();
     let work = |seed: u64| {
-        let corelite = Corelite::new(CoreliteConfig::default());
-        format!(
-            "{:?}",
-            compress(mixed_transports(seed), 12).run(&corelite).report
+        identity_matrix(
+            &compress(mixed_transports(seed), 12),
+            &Corelite::default(),
+            &[],
         )
+        .report
     };
     let serial = run_serial(seeds.clone(), work);
-    let parallel = run_parallel(seeds, work);
-    assert_eq!(serial, parallel);
+    assert_eq!(serial, run_parallel(seeds, work));
     // Non-vacuous: the seed reaches the event stream.
     assert!(serial.windows(2).any(|w| w[0] != w[1]));
 }
@@ -108,9 +63,8 @@ fn closed_loop_cohorts_actually_ran() {
     // Guard against the identity suite passing vacuously: the Reno
     // flows must have delivered real traffic through the ack-clocked
     // path (distinct from the open-loop cohort's behaviour).
-    let corelite = Corelite::new(CoreliteConfig::default());
     let scenario = compress(mixed_transports(7), 15);
-    let result = scenario.run(&corelite);
+    let result = scenario.run(&Corelite::default());
     for (i, f) in scenario.flows.iter().enumerate() {
         let report = &result.report.flows[i];
         assert!(
@@ -148,9 +102,8 @@ fn closed_loop_flows_respect_rate_weights() {
     // within ±45% of its weighted max-min share, each cohort's mean
     // rate per unit weight within ±10% of the analytic 16.67 pkt/s,
     // and the pooled weighted Jain index at or above 0.97.
-    let corelite = Corelite::new(CoreliteConfig::default());
     let scenario = mixed_transports(20000);
-    let result = scenario.run(&corelite);
+    let result = scenario.run(&Corelite::default());
     let from = SimTime::from_secs(40);
     let to = scenario.horizon;
     let expected = result.expected_rates_at(SimTime::from_secs(60));
