@@ -1,11 +1,9 @@
-//! A minimal JSON reader/writer for the bench trajectory files.
+//! A minimal JSON reader/writer for the bench baseline, `BENCH_18.json`.
 //!
-//! The workspace is dependency-free (the container cannot reach
-//! crates.io), so the `BENCH_*.json` baselines are parsed with this
+//! The workspace is dependency-free, so the baseline is parsed with this
 //! hand-rolled subset parser: objects, arrays, strings (with the common
-//! escapes), numbers, booleans and null. It is not a general-purpose
-//! JSON library — it exists so the bench harness can read its own
-//! output back for regression gating.
+//! escapes), numbers, booleans and null. It exists so the bench harness
+//! can read its own output back for regression gating.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -95,12 +93,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at byte {}, found `{:?}`",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
+            Err(format!("expected `{}` at byte {}", b as char, self.pos))
         }
     }
 

@@ -1,145 +1,74 @@
-//! Shared helpers and the hand-rolled harness for the benchmark suite.
+//! The hand-rolled harness behind the one bench target, `engine`: the
+//! seven end-to-end throughput rows CI gates against `BENCH_18.json`.
 //!
-//! The benches come in three groups:
+//! This is a collapse alarm, not a measuring stick: every perf claim is
+//! an alternating parent-vs-change A/B on the standalone `benchmark/`
+//! package (`benchmark/README.md`), which also isolates each layer. The
+//! rows kept here are the ones a frozen `benchmark/` cannot take — the
+//! k = 8 fat-tree, the pure-lifecycle churn run, the 4/8-shard engine —
+//! next to the paper chain and the serial/2-shard k = 16 run.
 //!
-//! * `figures` — one benchmark per paper figure (3–10), running a
-//!   time-compressed variant of the figure's scenario under its
-//!   discipline. These measure end-to-end simulator throughput on the
-//!   exact workloads the evaluation uses; the *full-length* figure data
-//!   is regenerated by `cargo run --release -p scenarios --bin figures`.
-//! * `engine` — microbenchmarks of the discrete-event substrate.
-//! * `mechanisms` — microbenchmarks and ablations of the Corelite/CSFQ
-//!   per-packet mechanisms and the analytic solver.
+//! Each row runs one warm-up iteration, then exactly `--iters <n>`
+//! (default 10) timed ones. Other arguments:
 //!
-//! The harness is dependency-free: each benchmark warms up briefly, then
-//! runs batches until a time budget is spent and reports the mean
-//! wall-clock time per iteration. Pass substrings as arguments to filter:
+//! * `--json <path>` — write `{"results": [{"name", "mean_ns_per_iter",
+//!   "iters", "events_per_iter", "events_per_sec"}]}` (sharded rows add
+//!   `"shards"` and `"per_shard_events"`), after checking that the
+//!   document reads back as the results.
+//! * `--baseline <path>` — a file of that same shape; fail when a row's
+//!   events/sec is more than `--max-regress <fraction>` (default 0.30)
+//!   below its same-named baseline row, when a row has none, or when no
+//!   row ran.
+//! * anything else not starting with `-` — a substring filter on names.
 //!
-//! ```text
-//! cargo bench -p bench --bench mechanisms -- maxmin
-//! ```
-//!
-//! ## Machine-readable output and the perf trajectory
-//!
-//! The repository keeps a perf trajectory in checked-in `BENCH_*.json`
-//! files (one per perf-focused PR, before/after per group); see
-//! EXPERIMENTS.md for how they are regenerated. The harness supports:
-//!
-//! * `--json <path>` — write results as JSON
-//!   (`{"group": …, "results": [{"name", "mean_ns_per_iter", "iters",
-//!   "events_per_iter", "events_per_sec"}]}`; sharded-engine rows add
-//!   `"shards"` and `"per_shard_events"`).
-//! * `--iters <n>` — pinned-iteration mode: exactly `n` measured
-//!   iterations after a one-iteration warmup, for stable A/B comparison
-//!   (the adaptive budget mode can pick different iteration counts on
-//!   the two sides of a change).
-//! * `--baseline <path>` — compare the run's events/sec against the
-//!   matching entries of a checked-in trajectory file and exit non-zero
-//!   on regression beyond `--max-regress <fraction>` (default 0.30).
-//!
-//! Relative `--json`/`--baseline` paths are anchored at the workspace
-//! root (cargo runs bench binaries with `crates/bench` as the working
-//! directory, but the trajectory files live at the root).
+//! Relative paths are anchored at the workspace root, not `crates/bench`.
 
 pub mod json;
 
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Instant;
 
-use scenarios::runner::{ExperimentResult, Scenario};
-use scenarios::Discipline;
-use sim_core::time::SimTime;
-
-pub use std::hint::black_box;
-
-/// Compresses a scenario to `secs` simulated seconds by dropping the
-/// horizon (activation schedules are left untouched; periods beyond the
-/// horizon simply never fire).
-pub fn compress(mut scenario: Scenario, secs: u64) -> Scenario {
-    scenario.horizon = SimTime::from_secs(secs);
-    scenario
-}
-
-/// Runs `scenario` under `discipline` and returns the result, asserting
-/// the run did real work (guards against benchmarking an idle network).
-pub fn run_checked(scenario: &Scenario, discipline: &dyn Discipline) -> ExperimentResult {
-    let result = scenario.run(discipline);
-    assert!(
-        result.report.events_processed > 1_000,
-        "benchmark scenario barely ran: {} events",
-        result.report.events_processed
-    );
-    result
-}
-
-/// One finished benchmark measurement.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// The benchmark's name (unique within its group).
-    pub name: String,
-    /// Mean wall-clock nanoseconds per iteration.
-    pub mean_ns_per_iter: f64,
-    /// Measured iterations.
-    pub iters: u64,
-    /// Simulation events processed per iteration, when the benchmark
-    /// reports them (see [`Runner::bench_events`]).
-    pub events_per_iter: Option<f64>,
-    /// Events per wall-clock second (`events_per_iter / mean_s`).
-    pub events_per_sec: Option<f64>,
-    /// Worker-thread count for sharded-engine rows (see
-    /// [`Runner::bench_events_sharded`]); `None` for serial benchmarks.
-    pub shards: Option<u64>,
-    /// Events dispatched by each shard in the last iteration — the
-    /// load-balance record behind a sharded row's aggregate number.
-    pub per_shard_events: Option<Vec<u64>>,
-}
-
-/// The minimal benchmark runner used by every `[[bench]]` target
-/// (`harness = false`): name filtering from the command line, a short
-/// warmup, then timed batches until the budget is spent — or exactly
-/// `--iters n` iterations in pinned mode.
+/// The runner of the `engine` target (`harness = false`).
 pub struct Runner {
-    group: &'static str,
     filters: Vec<String>,
-    warmup: Duration,
-    budget: Duration,
-    pinned_iters: Option<u64>,
+    iters: u64,
     json_path: Option<String>,
     baseline_path: Option<String>,
     max_regress: f64,
-    results: Vec<BenchResult>,
+    /// One JSON object per finished row: the `--json` document's body.
+    rows: Vec<String>,
+    /// `(name, events_per_sec)` per finished row: what the gate compares.
+    gated: Vec<(String, f64)>,
 }
 
 impl Runner {
-    /// A runner for the bench group `group` configured from the process
-    /// arguments: `--json`, `--iters`, `--baseline` and `--max-regress`
-    /// as documented on the crate; every other non-flag argument is a
-    /// substring filter on benchmark names (flags such as `--bench`,
-    /// which cargo appends, are ignored).
-    pub fn from_args(group: &'static str) -> Self {
-        let mut runner = Runner::bare(group);
-        let mut args = std::env::args().skip(1);
+    /// A runner configured from `args` (the process arguments after the
+    /// program name) as documented on the crate; flags such as `--bench`,
+    /// which cargo appends, are ignored.
+    pub fn new(args: impl IntoIterator<Item = String>) -> Self {
+        let mut runner = Runner {
+            filters: Vec::new(),
+            iters: 10,
+            json_path: None,
+            baseline_path: None,
+            max_regress: 0.30,
+            rows: Vec::new(),
+            gated: Vec::new(),
+        };
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--json" => runner.json_path = args.next(),
                 "--baseline" => runner.baseline_path = args.next(),
                 "--iters" => {
-                    let n = args
-                        .next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .expect("--iters takes a positive integer");
-                    assert!(n > 0, "--iters takes a positive integer");
-                    runner.pinned_iters = Some(n);
+                    let n = args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
+                    runner.iters = n.expect("--iters takes a positive integer");
                 }
                 "--max-regress" => {
-                    let f = args
-                        .next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .expect("--max-regress takes a fraction such as 0.30");
-                    assert!(
-                        (0.0..1.0).contains(&f),
-                        "--max-regress must be in [0, 1), got {f}"
-                    );
-                    runner.max_regress = f;
+                    let f = args.next().and_then(|v| v.parse().ok());
+                    runner.max_regress = f
+                        .filter(|f| (0.0..1.0).contains(f))
+                        .expect("--max-regress takes a fraction in [0, 1)");
                 }
                 a if a.starts_with('-') => {} // cargo's --bench etc.
                 filter => runner.filters.push(filter.to_owned()),
@@ -148,490 +77,268 @@ impl Runner {
         runner
     }
 
-    /// A runner with defaults and no CLI parsing (used by tests).
-    fn bare(group: &'static str) -> Self {
-        Runner {
-            group,
-            filters: Vec::new(),
-            warmup: Duration::from_millis(60),
-            budget: Duration::from_millis(250),
-            pinned_iters: None,
-            json_path: None,
-            baseline_path: None,
-            max_regress: 0.30,
-            results: Vec::new(),
-        }
-    }
-
-    fn selected(&self, name: &str) -> bool {
-        self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f.as_str()))
-    }
-
-    /// Benchmarks `f`, printing the mean wall-clock time per iteration.
-    /// Skips silently when the name does not match the filter.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        self.run_one(name, false, |_out| {
-            black_box(f());
-        });
-    }
-
-    /// Benchmarks `f`, which reports the number of simulation events it
-    /// processed per iteration; the harness derives events/sec, the
-    /// regression-gate metric of the perf trajectory.
-    pub fn bench_events(&mut self, name: &str, mut f: impl FnMut() -> u64) {
-        self.run_one(name, true, |out| {
-            *out = black_box(f());
-        });
-    }
-
-    /// Benchmarks a sharded-engine run: `f` reports `(total_events,
-    /// per_shard_events)` per iteration. The row carries the shard count
-    /// and the last iteration's per-shard event split so `--json` output
-    /// records how evenly the partitioner spread the load; the
-    /// regression-gate metric stays aggregate events/sec, compared
-    /// like-for-like because sharded rows carry distinct names.
-    pub fn bench_events_sharded(
-        &mut self,
-        name: &str,
-        shards: u64,
-        mut f: impl FnMut() -> (u64, Vec<u64>),
-    ) {
-        let mut per_shard = Vec::new();
-        self.run_one(name, true, |out| {
-            let (total, split) = black_box(f());
-            *out = total;
-            per_shard = split;
-        });
-        if let Some(last) = self.results.last_mut().filter(|r| r.name == name) {
-            last.shards = Some(shards);
-            last.per_shard_events = Some(per_shard);
-        }
-    }
-
-    fn run_one(&mut self, name: &str, counts_events: bool, mut f: impl FnMut(&mut u64)) {
-        if !self.selected(name) {
+    /// Benchmarks `f`, which reports per iteration the simulation events
+    /// it processed and — for a sharded-engine run — the events each
+    /// shard popped (empty otherwise; the row keeps the last iteration's
+    /// split as its load-balance record). Skips silently when `name`
+    /// matches no filter. Sharded rows carry distinct names, so the gate
+    /// compares shard counts like for like.
+    pub fn bench_events(&mut self, name: &str, mut f: impl FnMut() -> (u64, Vec<u64>)) {
+        if !(self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f.as_str()))) {
             return;
         }
-        // Warmup: at least one iteration, then (in adaptive mode) until
-        // the warmup budget. The bench harness is the one place
+        // One warm-up iteration. The bench harness is the one place
         // wall-clock time is the measurement itself; nothing simulated
         // depends on it, so deterministic replay is unaffected.
+        let (mut events, mut per_shard) = black_box(f());
         // simlint: allow(wall-clock)
-        let start = Instant::now();
-        let mut scratch = 0u64;
-        f(&mut scratch);
-        if self.pinned_iters.is_none() {
-            let mut warm_iters = 1u64;
-            while start.elapsed() < self.warmup {
-                f(&mut scratch);
-                warm_iters += 1;
-            }
-            let per_iter = start.elapsed() / warm_iters as u32;
-            // Batch size targeting ~16 batches within the measurement
-            // budget.
-            let batch =
-                (self.budget.as_nanos() / 16 / per_iter.as_nanos().max(1)).clamp(1, 1 << 20);
-            let mut iters = 0u64;
-            let mut elapsed = Duration::ZERO;
-            while elapsed < self.budget {
-                // simlint: allow(wall-clock) — timed measurement batch.
-                let t = Instant::now();
-                for _ in 0..batch {
-                    f(&mut scratch);
-                }
-                elapsed += t.elapsed();
-                iters += batch as u64;
-            }
-            self.record(name, elapsed, iters, counts_events, scratch);
-        } else {
-            let iters = self.pinned_iters.expect("pinned mode checked above");
-            // simlint: allow(wall-clock) — timed measurement block.
-            let t = Instant::now();
-            for _ in 0..iters {
-                f(&mut scratch);
-            }
-            let elapsed = t.elapsed();
-            self.record(name, elapsed, iters, counts_events, scratch);
+        let t = Instant::now();
+        for _ in 0..self.iters {
+            (events, per_shard) = black_box(f());
         }
-    }
-
-    fn record(
-        &mut self,
-        name: &str,
-        elapsed: Duration,
-        iters: u64,
-        counts_events: bool,
-        last_events: u64,
-    ) {
-        let mean = elapsed.as_secs_f64() / iters as f64;
-        let (events_per_iter, events_per_sec) = if counts_events {
-            let per_iter = last_events as f64;
-            let per_sec = if mean > 0.0 { per_iter / mean } else { 0.0 };
-            (Some(per_iter), Some(per_sec))
-        } else {
-            (None, None)
-        };
-        match events_per_sec {
-            Some(eps) => println!(
-                "{name:<40} {:>12} /iter  ({iters} iters, {:.3} Mev/s)",
-                fmt_secs(mean),
-                eps / 1e6
-            ),
-            None => println!("{name:<40} {:>12} /iter  ({iters} iters)", fmt_secs(mean)),
+        let mean_s = t.elapsed().as_secs_f64() / self.iters as f64;
+        let events_per_sec = events as f64 / mean_s;
+        println!(
+            "{name:<40} {:>10.3} ms/iter  ({} iters, {:.3} Mev/s)",
+            mean_s * 1e3,
+            self.iters,
+            events_per_sec / 1e6
+        );
+        let mut row = format!(
+            "    {{\"name\": {}, \"mean_ns_per_iter\": {}, \"iters\": {}, \
+             \"events_per_iter\": {events}, \"events_per_sec\": {}",
+            json::escape(name),
+            json::number(mean_s * 1e9),
+            self.iters,
+            json::number(events_per_sec),
+        );
+        if !per_shard.is_empty() {
+            let split: Vec<String> = per_shard.iter().map(u64::to_string).collect();
+            let shards = split.len();
+            let split = split.join(", ");
+            row += &format!(", \"shards\": {shards}, \"per_shard_events\": [{split}]");
         }
-        self.results.push(BenchResult {
-            name: name.to_owned(),
-            mean_ns_per_iter: mean * 1e9,
-            iters,
-            events_per_iter,
-            events_per_sec,
-            shards: None,
-            per_shard_events: None,
-        });
+        self.rows.push(row + "}");
+        self.gated.push((name.to_owned(), events_per_sec));
     }
 
-    /// The results recorded so far (for tests).
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
+    /// The `--json` document of the rows recorded so far.
+    fn to_json(&self) -> String {
+        format!("{{\n  \"results\": [\n{}\n  ]\n}}\n", self.rows.join(",\n"))
     }
 
-    /// Renders the recorded results as the harness's JSON document.
-    pub fn to_json(&self) -> String {
-        results_json(self.group, &self.results)
-    }
-
-    /// Finishes the run: writes `--json` output and applies the
-    /// `--baseline` regression gate. Returns the process exit code
-    /// (0 = OK). Call as `std::process::exit(runner.finish())`.
-    pub fn finish(self) -> i32 {
+    /// Finishes the run: checks and writes `--json` output and applies
+    /// the `--baseline` gate. `main` exits non-zero on an error.
+    pub fn finish(&self) -> Result<(), String> {
+        let doc = self.to_json();
+        // A consumer reads the document, not `self.gated`: the two must
+        // agree before anything is written.
+        if baseline_entries(&doc)? != self.gated {
+            return Err(format!("JSON output does not read back:\n{doc}"));
+        }
         if let Some(path) = &self.json_path {
             let path = anchor(path);
-            let doc = self.to_json();
-            if let Err(e) = std::fs::write(&path, doc) {
-                eprintln!("bench: failed to write {}: {e}", path.display());
-                return 1;
-            }
+            std::fs::write(&path, &doc).map_err(|e| format!("{}: {e}", path.display()))?;
             println!("bench: wrote {}", path.display());
         }
         let Some(path) = &self.baseline_path else {
-            return 0;
+            return Ok(());
         };
-        let path = &anchor(path).display().to_string();
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bench: failed to read baseline {path}: {e}");
-                return 1;
-            }
-        };
-        let baseline = match json::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bench: failed to parse baseline {path}: {e}");
-                return 1;
-            }
-        };
-        let entries = baseline_entries(&baseline);
-        if entries.is_empty() {
-            eprintln!("bench: baseline {path} holds no `after` entries with events_per_sec");
-            return 1;
+        let path = anchor(path);
+        let baseline = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+        baseline
+            .and_then(|text| self.gate(&text))
+            .map_err(|e| format!("baseline {}: {e}", path.display()))
+    }
+
+    /// The regression gate against the `baseline` document: an error when
+    /// a row's events/sec is more than `max_regress` below its same-named
+    /// baseline row, when a row has none (a renamed row must not leave
+    /// the gate silently), or when no row ran at all.
+    fn gate(&self, baseline: &str) -> Result<(), String> {
+        let entries = baseline_entries(baseline)?;
+        if self.gated.is_empty() {
+            return Err("no benchmark ran — the gate is vacuous".to_owned());
         }
         let mut failures = 0u32;
-        let mut compared = 0u32;
-        for r in &self.results {
-            let Some(current) = r.events_per_sec else {
-                continue;
-            };
-            let Some(&base) = entries
-                .iter()
-                .find(|(n, _)| *n == r.name)
-                .map(|(_, eps)| eps)
-            else {
-                println!("bench: {:<40} not in baseline, skipped", r.name);
-                continue;
-            };
-            compared += 1;
-            let ratio = current / base;
-            let verdict = if ratio < 1.0 - self.max_regress {
+        for (name, eps) in &self.gated {
+            let Some((_, base)) = entries.iter().find(|(n, _)| n == name) else {
                 failures += 1;
-                "REGRESSION"
-            } else {
-                "ok"
+                println!("bench: {name:<40} MISSING from the baseline");
+                continue;
             };
+            let ratio = eps / base;
+            let regressed = ratio < 1.0 - self.max_regress;
+            failures += u32::from(regressed);
             println!(
-                "bench: {:<40} {:>8.3} Mev/s vs baseline {:>8.3} Mev/s ({:+.1}%) {}",
-                r.name,
-                current / 1e6,
+                "bench: {name:<40} {:>8.3} Mev/s vs baseline {:>8.3} Mev/s ({:+.1}%) {}",
+                eps / 1e6,
                 base / 1e6,
                 (ratio - 1.0) * 100.0,
-                verdict
+                if regressed { "REGRESSION" } else { "ok" }
             );
-        }
-        if compared == 0 {
-            eprintln!("bench: no benchmark matched a baseline entry — gate is vacuous");
-            return 1;
         }
         if failures > 0 {
-            eprintln!(
-                "bench: {failures} benchmark(s) regressed more than {:.0}% vs {path}",
-                self.max_regress * 100.0
-            );
-            return 1;
+            let bound = self.max_regress * 100.0;
+            return Err(format!(
+                "{failures} row(s) missing or over {bound:.0}% below it"
+            ));
         }
-        0
+        Ok(())
     }
 }
 
-/// Renders `results` as the harness's JSON document for `group`.
-pub fn results_json(group: &str, results: &[BenchResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"group\": {},\n", json::escape(group)));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let events_per_iter = r.events_per_iter.map_or("null".to_owned(), json::number);
-        let events_per_sec = r.events_per_sec.map_or("null".to_owned(), json::number);
-        // Sharded rows carry two extra fields; serial rows keep the
-        // original shape so existing trajectory tooling is unaffected.
-        let mut sharded = String::new();
-        if let Some(shards) = r.shards {
-            sharded.push_str(&format!(", \"shards\": {shards}"));
-        }
-        if let Some(split) = &r.per_shard_events {
-            let items: Vec<String> = split.iter().map(u64::to_string).collect();
-            sharded.push_str(&format!(", \"per_shard_events\": [{}]", items.join(", ")));
-        }
-        out.push_str(&format!(
-            "    {{\"name\": {}, \"mean_ns_per_iter\": {}, \"iters\": {}, \
-             \"events_per_iter\": {}, \"events_per_sec\": {}{}}}{}\n",
-            json::escape(&r.name),
-            json::number(r.mean_ns_per_iter),
-            r.iters,
-            events_per_iter,
-            events_per_sec,
-            sharded,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Reads `(name, events_per_sec)` from each row of the `results` array of
+/// the JSON document `text` — the harness's own `--json` shape, which is
+/// also the shape of the checked-in baseline.
+fn baseline_entries(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = json::parse(text)?;
+    let rows = doc.get("results").and_then(json::Value::as_arr);
+    let entry = |row: &json::Value| {
+        let name = row.get("name").and_then(json::Value::as_str)?;
+        let eps = row.get("events_per_sec").and_then(json::Value::as_f64)?;
+        (eps > 0.0).then(|| (name.to_owned(), eps))
+    };
+    rows.ok_or("no `results` array")?
+        .iter()
+        .map(|row| entry(row).ok_or(format!("no `name` or positive `events_per_sec`: {row:?}")))
+        .collect()
 }
 
-/// Collects `(name, events_per_sec)` from every object that sits inside
-/// an `"after"` or `"results"` array anywhere in `doc` — this accepts
-/// both the harness's own `--json` output and the checked-in
-/// `BENCH_*.json` trajectory files (which nest `before`/`after` runs
-/// under named groups).
-pub fn baseline_entries(doc: &json::Value) -> Vec<(String, f64)> {
-    fn walk(v: &json::Value, under_after: bool, out: &mut Vec<(String, f64)>) {
-        match v {
-            json::Value::Obj(map) => {
-                if under_after {
-                    if let (Some(name), Some(eps)) = (
-                        map.get("name").and_then(json::Value::as_str),
-                        map.get("events_per_sec").and_then(json::Value::as_f64),
-                    ) {
-                        out.push((name.to_owned(), eps));
-                    }
-                }
-                for (key, child) in map {
-                    walk(child, key == "after" || key == "results", out);
-                }
-            }
-            json::Value::Arr(items) => {
-                for item in items {
-                    walk(item, under_after, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut out = Vec::new();
-    walk(doc, false, &mut out);
-    out
-}
-
-/// Anchors a relative `--json`/`--baseline` path at the workspace root.
-///
-/// Cargo runs bench binaries with the *package* directory
-/// (`crates/bench`) as their working directory, so a relative path on a
-/// `cargo bench … -- …` command line would otherwise resolve two levels
-/// below where the invoker ran cargo — and the checked-in `BENCH_*.json`
-/// trajectory files live at the workspace root. Absolute paths pass
-/// through untouched.
+/// Anchors a relative `--json`/`--baseline` path at the workspace root:
+/// cargo runs bench binaries with the *package* directory as their
+/// working directory, two levels below where the invoker ran cargo.
+/// (`join` returns an absolute argument untouched.)
 fn anchor(path: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(path);
-    if p.is_absolute() {
-        p.to_owned()
-    } else {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(p)
-    }
-}
-
-fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else if s >= 1e-6 {
-        format!("{:.3} µs", s * 1e6)
-    } else {
-        format!("{:.1} ns", s * 1e9)
-    }
+    std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corelite::CoreliteConfig;
-    use scenarios::discipline::Corelite;
-    use scenarios::fig5_6;
 
-    fn quick_runner() -> Runner {
-        let mut r = Runner::bare("test");
-        r.warmup = Duration::from_millis(1);
-        r.budget = Duration::from_millis(2);
+    fn runner(args: &[&str]) -> Runner {
+        Runner::new(args.iter().map(|a| a.to_string()))
+    }
+
+    /// A `--max-regress 0.10` runner whose one row, `x`, made
+    /// `events_per_sec`.
+    fn runner_with_row(events_per_sec: f64) -> Runner {
+        let mut r = runner(&["--max-regress", "0.10"]);
+        r.gated.push(("x".to_owned(), events_per_sec));
         r
     }
 
-    #[test]
-    fn compress_shrinks_horizon() {
-        let s = compress(fig5_6(1), 5);
-        assert_eq!(s.horizon, SimTime::from_secs(5));
+    /// Field `key` of row `i` of `r`'s parsed `--json` document.
+    fn field(r: &Runner, i: usize, key: &str) -> Option<json::Value> {
+        let doc = json::parse(&r.to_json()).expect("harness JSON is valid");
+        doc.get("results")?.as_arr()?[i].get(key).cloned()
     }
 
-    #[test]
-    fn run_checked_executes() {
-        let s = compress(fig5_6(1), 10);
-        let r = run_checked(&s, &Corelite::new(CoreliteConfig::default()));
-        assert!(r.report.events_processed > 1_000);
-    }
+    const BASELINE: &str = r#"{"results": [{"name": "x", "iters": 1, "events_per_sec": 100.0}]}"#;
 
     #[test]
     fn runner_filters_by_substring() {
-        let mut r = quick_runner();
-        r.filters = vec!["maxmin".into()];
-        assert!(r.selected("maxmin_paper"));
-        assert!(!r.selected("event_queue"));
-        let mut ran = false;
-        r.bench("event_queue", || ran = true);
-        assert!(!ran);
-        r.bench("maxmin_tiny", || ran = true);
-        assert!(ran);
+        let mut r = runner(&["--bench", "paper", "k8"]);
+        for name in ["engine/churn", "engine/paper_chain", "engine/fat_tree_k8"] {
+            r.bench_events(name, || (1, Vec::new()));
+        }
+        let ran: Vec<&str> = r.gated.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(ran, ["engine/paper_chain", "engine/fat_tree_k8"]);
     }
 
     #[test]
     fn pinned_mode_runs_exact_iterations() {
-        let mut r = quick_runner();
-        r.pinned_iters = Some(7);
+        let mut r = runner(&["--iters", "7"]);
         let mut calls = 0u64;
-        r.bench("pinned", || calls += 1);
-        // One warmup iteration plus exactly seven measured ones.
+        r.bench_events("pinned", || {
+            calls += 1;
+            (1, Vec::new())
+        });
+        // One warm-up iteration plus exactly seven timed ones.
         assert_eq!(calls, 8);
-        assert_eq!(r.results()[0].iters, 7);
+        assert_eq!(field(&r, 0, "iters"), Some(json::Value::Num(7.0)));
     }
 
     #[test]
     fn bench_events_derives_events_per_sec() {
-        let mut r = quick_runner();
-        r.pinned_iters = Some(3);
-        r.bench_events("ev", || 5_000);
-        let res = &r.results()[0];
-        assert_eq!(res.events_per_iter, Some(5_000.0));
-        let eps = res.events_per_sec.expect("events/sec derived");
-        assert!(eps > 0.0);
-        // events/sec must equal events_per_iter / mean seconds.
-        let mean_s = res.mean_ns_per_iter / 1e9;
-        assert!((eps - 5_000.0 / mean_s).abs() / eps < 1e-9);
+        let mut r = runner(&["--iters", "3"]);
+        r.bench_events("ev", || (5_000, Vec::new()));
+        let num = |key| field(&r, 0, key).and_then(|v| v.as_f64()).unwrap();
+        assert_eq!(num("events_per_iter"), 5_000.0);
+        // events/sec must equal events per iteration / mean seconds.
+        let expected = 5_000.0 / (num("mean_ns_per_iter") / 1e9);
+        assert!((num("events_per_sec") - expected).abs() / expected < 1e-9);
     }
 
     #[test]
     fn json_output_parses_back() {
-        let mut r = quick_runner();
-        r.pinned_iters = Some(2);
-        r.bench_events("a", || 100);
-        r.bench("b", || 1 + 1);
-        let doc = json::parse(&r.to_json()).expect("harness JSON is valid");
-        assert_eq!(doc.get("group").and_then(json::Value::as_str), Some("test"));
-        let results = doc
-            .get("results")
-            .and_then(json::Value::as_arr)
-            .expect("results array present");
-        assert_eq!(results.len(), 2);
-        assert_eq!(
-            results[0].get("name").and_then(json::Value::as_str),
-            Some("a")
-        );
-        assert!(results[0]
-            .get("events_per_sec")
-            .and_then(json::Value::as_f64)
-            .is_some());
-        assert_eq!(results[1].get("events_per_sec"), Some(&json::Value::Null));
+        let mut r = runner(&["--iters", "2"]);
+        r.bench_events("a", || (100, Vec::new()));
+        r.bench_events("b\"\n", || (200, Vec::new()));
+        assert_eq!(baseline_entries(&r.to_json()).as_ref(), Ok(&r.gated));
+        assert_eq!(r.finish(), Ok(()));
+        // A document that disagrees with the gated pairs is refused.
+        r.gated[1].1 += 1.0;
+        assert!(r.finish().is_err());
     }
 
     #[test]
     fn sharded_rows_carry_shards_and_per_shard_split() {
-        let mut r = quick_runner();
-        r.pinned_iters = Some(2);
-        r.bench_events_sharded("sharded", 4, || (1_000, vec![400, 300, 200, 100]));
-        r.bench_events("serial", || 1_000);
-        let res = &r.results()[0];
-        assert_eq!(res.shards, Some(4));
-        assert_eq!(res.per_shard_events, Some(vec![400, 300, 200, 100]));
-        assert_eq!(res.events_per_iter, Some(1_000.0));
-        let doc = json::parse(&r.to_json()).expect("harness JSON is valid");
-        let rows = doc
-            .get("results")
-            .and_then(json::Value::as_arr)
-            .expect("results array present");
-        assert_eq!(
-            rows[0].get("shards").and_then(json::Value::as_f64),
-            Some(4.0)
-        );
-        let split = rows[0]
-            .get("per_shard_events")
-            .and_then(json::Value::as_arr)
-            .expect("per-shard split emitted");
-        assert_eq!(split.len(), 4);
-        // Serial rows keep the original shape: no sharded keys at all.
-        assert_eq!(rows[1].get("shards"), None);
-        assert_eq!(rows[1].get("per_shard_events"), None);
+        let mut r = runner(&["--iters", "2"]);
+        r.bench_events("sharded", || (1_000, vec![400, 300, 200, 100]));
+        r.bench_events("serial", || (1_000, Vec::new()));
+        assert_eq!(field(&r, 0, "shards"), Some(json::Value::Num(4.0)));
+        let split = field(&r, 0, "per_shard_events");
+        let split = split.as_ref().and_then(json::Value::as_arr);
+        assert_eq!(split.map(|s| &s[3]), Some(&json::Value::Num(100.0)));
+        // Serial rows carry no sharded keys at all.
+        assert_eq!(field(&r, 1, "shards"), None);
+        assert_eq!(field(&r, 1, "per_shard_events"), None);
     }
 
     #[test]
     fn anchor_resolves_relative_paths_at_workspace_root() {
-        let anchored = anchor("BENCH_4.json");
-        // Two levels above the bench crate, i.e. next to the workspace
-        // Cargo.toml.
-        assert!(anchored
-            .parent()
-            .expect("anchored path has a parent")
-            .join("Cargo.toml")
-            .exists());
-        assert_eq!(
-            anchor("/tmp/x.json"),
-            std::path::PathBuf::from("/tmp/x.json")
-        );
+        // Two levels above the bench crate, next to the workspace manifest.
+        assert!(anchor("Cargo.lock").exists());
+        assert_eq!(anchor("/tmp/x.json").to_str(), Some("/tmp/x.json"));
     }
 
     #[test]
-    fn baseline_entries_found_under_after_and_results() {
-        let doc = json::parse(
-            r#"{
-              "groups": {
-                "figures": {
-                  "before": [{"name": "x", "events_per_sec": 1.0}],
-                  "after": [{"name": "x", "events_per_sec": 2.0}]
-                }
-              },
-              "results": [{"name": "y", "events_per_sec": 3.0, "mean_ns_per_iter": 1}]
-            }"#,
-        )
-        .expect("trajectory JSON parses");
-        let mut entries = baseline_entries(&doc);
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(entries, vec![("x".to_owned(), 2.0), ("y".to_owned(), 3.0)]);
+    fn baseline_entries_read_the_flat_results_array() {
+        let x = ("x".to_owned(), 100.0);
+        assert_eq!(baseline_entries(BASELINE), Ok(vec![x]));
+        // Rows nested anywhere else are not a baseline, and a row without
+        // the gated metric is an error rather than a silent skip.
+        for bad in [
+            r#"{"groups": {"engine": {"after": [{"name": "x", "events_per_sec": 2.0}]}}}"#,
+            r#"{"results": [{"name": "x", "events_per_sec": null}]}"#,
+            "{",
+        ] {
+            assert!(baseline_entries(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn gate_fails_a_row_15_percent_under_its_baseline() {
+        assert_eq!(runner_with_row(91.0).gate(BASELINE), Ok(()));
+        assert!(runner_with_row(85.0).gate(BASELINE).is_err());
+    }
+
+    #[test]
+    fn gate_fails_a_row_missing_from_the_baseline() {
+        let mut r = runner_with_row(100.0);
+        r.gated.push(("renamed".to_owned(), 100.0));
+        assert!(r.gate(BASELINE).is_err());
+    }
+
+    #[test]
+    fn gate_fails_an_empty_intersection() {
+        // No row ran (the filter matched nothing) …
+        let mut r = runner(&["matches-nothing"]);
+        r.bench_events("x", || (1, Vec::new()));
+        assert!(r.gate(BASELINE).is_err());
+        // … or the baseline holds none of the rows that did.
+        assert!(runner_with_row(100.0).gate(r#"{"results": []}"#).is_err());
     }
 }

@@ -161,7 +161,7 @@ pub struct FlowInfo {
 /// Sorts activation windows by start time and coalesces overlapping or
 /// back-to-back windows (`next.start <= prev.stop` merges into one).
 ///
-/// This is the **lifecycle-ordering invariant** (DESIGN.md §14): after
+/// This is the **lifecycle-ordering invariant** (DESIGN.md §12): after
 /// normalization no flow ever has a stop and a start scheduled at the
 /// same instant, so the engine never has to referee the order of a
 /// `FlowStop`/`FlowStart` pair at equal timestamps — the pair simply

@@ -9,7 +9,7 @@
 //! which [`Link::sync`] drains lazily: counters and the occupancy
 //! integral are updated with the original departure timestamps, in
 //! order, so statistics are identical to an eager per-departure
-//! implementation no matter when `sync` runs (DESIGN.md §13).
+//! implementation no matter when `sync` runs (DESIGN.md §10).
 //!
 //! The queue occupancy (waiting packets plus the packet in service) is
 //! integrated continuously with a [`TimeWeightedMean`], which is how a

@@ -151,8 +151,8 @@ const ACTION_BUF_INLINE: usize = 8;
 /// [`reset`](ActionBuf::reset) before the next event. The first
 /// [`ACTION_BUF_INLINE`] actions per callback live inline; the spill
 /// vector beyond them is allocated once and recycled, so steady-state
-/// dispatch performs no heap allocation (see DESIGN.md §"Engine
-/// performance" for the contract).
+/// dispatch performs no heap allocation (see DESIGN.md §9 for the
+/// contract).
 #[derive(Debug, Default)]
 pub struct ActionBuf {
     inline: [Option<Action>; ACTION_BUF_INLINE],

@@ -110,10 +110,8 @@ impl FlowMonitor {
         }
     }
 
-    pub(crate) fn finish(
-        mut self,
-        end: SimTime,
-    ) -> (TimeSeries, TimeSeries, LogHistogram, FlowTotals) {
+    /// Closes the series at `end` and yields the report of flow `id`.
+    pub(crate) fn finish(mut self, end: SimTime, id: FlowId, weight: u32) -> FlowReport {
         self.roll_cumulative(end);
         // When `end` lands exactly on a window boundary, `roll_cumulative`
         // has already emitted the point at `end`; pushing again would
@@ -124,8 +122,11 @@ impl FlowMonitor {
         if self.cumulative.iter().last().map(|(t, _)| t) != Some(end) {
             self.cumulative.push(end, self.delivered_packets as f64);
         }
-        let goodput = self.goodput.finish(end);
-        let totals = FlowTotals {
+        FlowReport {
+            id,
+            weight,
+            goodput: self.goodput.finish(end),
+            cumulative: self.cumulative,
             delivered_packets: self.delivered_packets,
             delivered_bytes: self.delivered_bytes,
             duplicate_packets: self.duplicate_packets,
@@ -134,37 +135,8 @@ impl FlowMonitor {
             policy_drops: self.policy_drops,
             fault_drops: self.fault_drops,
             mean_delay_secs: self.delay.mean().unwrap_or(0.0),
-        };
-        (goodput, self.cumulative, self.delay, totals)
-    }
-}
-
-/// Scalar per-flow totals.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FlowTotals {
-    /// Packets delivered to the flow's egress.
-    pub delivered_packets: u64,
-    /// Bytes delivered to the flow's egress.
-    pub delivered_bytes: u64,
-    /// Packets that reached the egress already-acknowledged or out of
-    /// order (go-back-N redeliveries); excluded from goodput.
-    pub duplicate_packets: u64,
-    /// Bytes of such packets.
-    pub duplicate_bytes: u64,
-    /// Packets lost to full queues.
-    pub tail_drops: u64,
-    /// Packets dropped by router logic (CSFQ's probabilistic dropper).
-    pub policy_drops: u64,
-    /// Packets lost to injected faults (flapped links).
-    pub fault_drops: u64,
-    /// Mean end-to-end delay of delivered packets, in seconds.
-    pub mean_delay_secs: f64,
-}
-
-impl FlowTotals {
-    /// All drops regardless of cause.
-    pub fn total_drops(&self) -> u64 {
-        self.tail_drops + self.policy_drops + self.fault_drops
+            delay: self.delay,
+        }
     }
 }
 
@@ -297,6 +269,10 @@ mod tests {
         SimTime::from_secs_f64(s)
     }
 
+    fn finish(m: FlowMonitor, end: SimTime) -> FlowReport {
+        m.finish(end, FlowId::from_index(0), 1)
+    }
+
     #[test]
     fn monitor_accumulates_deliveries_and_drops() {
         let mut m = FlowMonitor::new(t(0.0), SimDuration::from_secs(1));
@@ -305,20 +281,21 @@ mod tests {
         m.record_drop(DropReason::Tail);
         m.record_drop(DropReason::Policy);
         m.record_drop(DropReason::Policy);
-        let (goodput, cumulative, delay, totals) = m.finish(t(2.0));
-        assert_eq!(totals.delivered_packets, 2);
-        assert_eq!(totals.delivered_bytes, 2000);
-        assert_eq!(totals.tail_drops, 1);
-        assert_eq!(totals.policy_drops, 2);
-        assert_eq!(totals.total_drops(), 3);
-        assert!((totals.mean_delay_secs - 0.1).abs() < 1e-9);
-        assert_eq!(delay.count(), 2);
-        assert!(delay.quantile(1.0).unwrap() >= 0.12 - 1e-9);
+        let r = finish(m, t(2.0));
+        assert_eq!((r.id, r.weight), (FlowId::from_index(0), 1));
+        assert_eq!(r.delivered_packets, 2);
+        assert_eq!(r.delivered_bytes, 2000);
+        assert_eq!(r.tail_drops, 1);
+        assert_eq!(r.policy_drops, 2);
+        assert_eq!(r.total_drops(), 3);
+        assert!((r.mean_delay_secs - 0.1).abs() < 1e-9);
+        assert_eq!(r.delay.count(), 2);
+        assert!(r.delay_quantile(1.0).unwrap() >= 0.12 - 1e-9);
         // Window [0,1): 2 pkt/s; window [1,2): 0.
-        let g: Vec<f64> = goodput.iter().map(|(_, v)| v).collect();
+        let g: Vec<f64> = r.goodput.iter().map(|(_, v)| v).collect();
         assert_eq!(g, vec![2.0, 0.0]);
         // Cumulative sampled at window ends plus the final instant.
-        let c: Vec<(SimTime, f64)> = cumulative.iter().collect();
+        let c: Vec<(SimTime, f64)> = r.cumulative.iter().collect();
         assert_eq!(c.last(), Some(&(t(2.0), 2.0)));
     }
 
@@ -329,8 +306,7 @@ mod tests {
         m.record_delivery(t(1.4), 1000, SimDuration::from_millis(10));
         // `end` falls exactly on a window edge: the rolled point at 2.0
         // must not be followed by a second sample at the same instant.
-        let (_, cumulative, _, _) = m.finish(t(2.0));
-        let c: Vec<(SimTime, f64)> = cumulative.iter().collect();
+        let c: Vec<(SimTime, f64)> = finish(m, t(2.0)).cumulative.iter().collect();
         assert_eq!(c, vec![(t(1.0), 1.0), (t(2.0), 2.0)]);
     }
 
@@ -338,16 +314,15 @@ mod tests {
     fn finish_off_boundary_still_emits_final_sample() {
         let mut m = FlowMonitor::new(t(0.0), SimDuration::from_secs(1));
         m.record_delivery(t(0.2), 1000, SimDuration::from_millis(10));
-        let (_, cumulative, _, _) = m.finish(t(1.5));
-        let c: Vec<(SimTime, f64)> = cumulative.iter().collect();
+        let c: Vec<(SimTime, f64)> = finish(m, t(1.5)).cumulative.iter().collect();
         assert_eq!(c, vec![(t(1.0), 1.0), (t(1.5), 1.0)]);
     }
 
     #[test]
     fn monitor_empty_flow_reports_zeroes() {
         let m = FlowMonitor::new(t(0.0), SimDuration::from_secs(1));
-        let (_, _, _, totals) = m.finish(t(1.0));
-        assert_eq!(totals.delivered_packets, 0);
-        assert_eq!(totals.mean_delay_secs, 0.0);
+        let r = finish(m, t(1.0));
+        assert_eq!(r.delivered_packets, 0);
+        assert_eq!(r.mean_delay_secs, 0.0);
     }
 }

@@ -9,7 +9,7 @@ use crate::flow::FlowInfo;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::Link;
 use crate::logic::{Action, ActionBuf, ControlMsg, Ctx, DropReason, RouterLogic, TimerKind};
-use crate::monitor::{FlowMonitor, FlowReport, LinkReport, SimReport};
+use crate::monitor::{FlowMonitor, LinkReport, SimReport};
 use crate::packet::Packet;
 use crate::telemetry::Probe;
 use crate::trace::{FaultKind, TraceEvent, Tracer};
@@ -57,9 +57,26 @@ pub(crate) const KEY_SITE_SHIFT: u32 = 40;
 /// The pseudo-site for pushes that are replicated on every shard.
 pub(crate) const SITE_GLOBAL: u64 = 0;
 
+/// The most nodes a network may hold. Node `n` pushes under site
+/// `n + 1`, whose keys carry `n + 2` above [`KEY_SITE_SHIFT`]; one more
+/// node and the last site's bits would shift out of the `u64`, silently
+/// aliasing another site's keys.
+pub(crate) const MAX_NODES: usize = (1 << (u64::BITS - KEY_SITE_SHIFT)) - 2;
+
 #[inline]
 fn node_site(node: NodeId) -> u64 {
     node.index() as u64 + 1
+}
+
+/// # Panics
+///
+/// Panics if a topology of `nodes` nodes exceeds [`MAX_NODES`].
+fn check_node_count(nodes: usize) {
+    assert!(
+        nodes <= MAX_NODES,
+        "{nodes} nodes exceed the {MAX_NODES} the canonical key layout can address \
+         (site << {KEY_SITE_SHIFT} must fit a u64)"
+    );
 }
 
 #[cold]
@@ -217,6 +234,7 @@ impl Network {
         dispatch: DispatchMode,
         role: ExecRole,
     ) -> Self {
+        check_node_count(names.len());
         let queue = EventQueue::with_backend(queue_backend, 1024);
         let monitors = flows
             .iter()
@@ -1031,24 +1049,7 @@ impl Network {
             .monitors
             .into_iter()
             .zip(&self.flows)
-            .map(|(monitor, info)| {
-                let (goodput, cumulative, delay, totals) = monitor.finish(end);
-                FlowReport {
-                    id: info.id,
-                    weight: info.weight,
-                    goodput,
-                    cumulative,
-                    delivered_packets: totals.delivered_packets,
-                    delivered_bytes: totals.delivered_bytes,
-                    duplicate_packets: totals.duplicate_packets,
-                    duplicate_bytes: totals.duplicate_bytes,
-                    tail_drops: totals.tail_drops,
-                    policy_drops: totals.policy_drops,
-                    fault_drops: totals.fault_drops,
-                    mean_delay_secs: totals.mean_delay_secs,
-                    delay,
-                }
-            })
+            .map(|(monitor, info)| monitor.finish(end, info.id, info.weight))
             .collect();
         let horizon = end.as_secs_f64();
         let links = self
@@ -1293,6 +1294,25 @@ mod tests {
         net.site_counters[SITE_GLOBAL as usize] = 1 << KEY_SITE_SHIFT;
         let message = overflow_message(&mut net, SITE_GLOBAL);
         assert!(message.contains("global"), "{message}");
+    }
+
+    #[test]
+    fn node_count_is_bounded_by_the_key_layout() {
+        // The key prefix of a node's site survives the shift for the
+        // last legal node and loses its top bit for the next one.
+        let prefix_fits = |node: usize| {
+            let prefix = node_site(NodeId::from_index(node)) + 1;
+            (prefix << KEY_SITE_SHIFT) >> KEY_SITE_SHIFT == prefix
+        };
+        assert!(prefix_fits(MAX_NODES - 1));
+        assert!(!prefix_fits(MAX_NODES));
+        check_node_count(MAX_NODES);
+        let rejected = std::panic::catch_unwind(|| check_node_count(MAX_NODES + 1));
+        let message = *rejected
+            .expect_err("one node past the bound must panic")
+            .downcast::<String>()
+            .expect("a formatted panic message");
+        assert!(message.contains(&MAX_NODES.to_string()), "{message}");
     }
 
     #[test]

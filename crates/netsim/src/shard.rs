@@ -162,75 +162,64 @@ impl Partition {
 /// A cross-shard event in a mailbox: `(fire time, canonical key, event)`.
 type Envelope = (SimTime, u64, Event);
 
-/// A captured probe record: merge key (event time, event key,
-/// intra-event sequence) plus the original `record` arguments.
-type ProbeRec = ((SimTime, u64, u64), SimTime, NodeId, Sample);
+/// Merge key of a captured record: `(event time, event key, intra-event
+/// sequence)`.
+type MergeKey = (SimTime, u64, u64);
 
-/// A captured trace record, keyed like [`ProbeRec`].
-type TraceRec = ((SimTime, u64, u64), SimTime, TraceEvent);
+/// A captured probe record: the original `record` arguments.
+type ProbeRec = (SimTime, NodeId, Sample);
 
-/// A [`Probe`] that logs records tagged with the shard's event cursor,
-/// for the canonical-order merge.
-struct CaptureProbe {
+/// A captured trace record.
+type TraceRec = (SimTime, TraceEvent);
+
+/// A [`Probe`] or [`Tracer`] that logs records tagged with the shard's
+/// event cursor, for the canonical-order merge.
+struct CaptureLog<R> {
     cursor: EventCursor,
     last: (SimTime, u64),
     intra: u64,
-    log: Vec<ProbeRec>,
+    log: Vec<(MergeKey, R)>,
 }
 
-impl CaptureProbe {
+impl<R> CaptureLog<R> {
     fn new(cursor: EventCursor) -> Self {
-        CaptureProbe {
+        CaptureLog {
             cursor,
             last: (SimTime::ZERO, 0),
             intra: 0,
             log: Vec::new(),
         }
     }
+
+    fn push(&mut self, rec: R) {
+        let cur = self.cursor.get();
+        if cur != self.last {
+            self.last = cur;
+            self.intra = 0;
+        }
+        self.log.push(((cur.0, cur.1, self.intra), rec));
+        self.intra += 1;
+    }
 }
 
-impl Probe for CaptureProbe {
+impl Probe for CaptureLog<ProbeRec> {
     fn record(&mut self, now: SimTime, node: NodeId, sample: &Sample) {
-        let cur = self.cursor.get();
-        if cur != self.last {
-            self.last = cur;
-            self.intra = 0;
-        }
-        self.log
-            .push(((cur.0, cur.1, self.intra), now, node, *sample));
-        self.intra += 1;
+        self.push((now, node, *sample));
     }
 }
 
-/// A [`Tracer`] that logs records tagged like [`CaptureProbe`].
-struct CaptureTracer {
-    cursor: EventCursor,
-    last: (SimTime, u64),
-    intra: u64,
-    log: Vec<TraceRec>,
-}
-
-impl CaptureTracer {
-    fn new(cursor: EventCursor) -> Self {
-        CaptureTracer {
-            cursor,
-            last: (SimTime::ZERO, 0),
-            intra: 0,
-            log: Vec::new(),
-        }
-    }
-}
-
-impl Tracer for CaptureTracer {
+impl Tracer for CaptureLog<TraceRec> {
     fn record(&mut self, now: SimTime, event: &TraceEvent) {
-        let cur = self.cursor.get();
-        if cur != self.last {
-            self.last = cur;
-            self.intra = 0;
-        }
-        self.log.push(((cur.0, cur.1, self.intra), now, *event));
-        self.intra += 1;
+        self.push((now, *event));
     }
+}
+
+/// Concatenates the shards' capture logs, sorts on the merge key — which
+/// *is* the serial emission order — and strips it.
+fn merge_logs<R>(logs: impl Iterator<Item = Vec<(MergeKey, R)>>) -> Vec<R> {
+    let mut recs: Vec<(MergeKey, R)> = logs.flatten().collect();
+    recs.sort_unstable_by_key(|r| r.0);
+    recs.into_iter().map(|(_, rec)| rec).collect()
 }
 
 /// What one shard worker hands back for the merge.
@@ -238,8 +227,8 @@ struct ShardPartial {
     report: SimReport,
     flow_egress: Vec<u32>,
     events: u64,
-    probes: Vec<ProbeRec>,
-    traces: Vec<TraceRec>,
+    probes: Vec<(MergeKey, ProbeRec)>,
+    traces: Vec<(MergeKey, TraceRec)>,
     completions: Vec<CompletionRecord>,
     churn_window: Option<(SimTime, SimTime)>,
 }
@@ -249,9 +238,15 @@ pub struct ShardedOutcome {
     /// Byte-identical to the serial engine's report for the same
     /// topology, seed and horizon.
     pub report: SimReport,
-    /// Events popped from each shard's queue (load-balance telemetry;
-    /// sums to more than the serial count because replicated lifecycle
-    /// events pop once per shard).
+    /// Events popped from each shard's queue (load-balance telemetry).
+    /// Not the same quantity as [`SimReport::events_processed`], which
+    /// adds one serialization per forwarded packet that train dispatch
+    /// never pops: on one shard `popped + Σ forwarded_packets` equals
+    /// it exactly. Across `N` shards node-addressed events pop once in
+    /// total and each replicated lifecycle event once per shard, so the
+    /// sum exceeds the one-shard count by `(N − 1) ×` the lifecycle
+    /// events — and falls short of `events_processed` whenever forwarded
+    /// packets outnumber that excess.
     pub per_shard_events: Vec<u64>,
     /// Every probe record in canonical (serial) order; replay into a
     /// real [`Probe`] to reproduce the serial telemetry stream.
@@ -345,11 +340,13 @@ where
         lookahead: partition.lookahead,
     });
     let cursor: EventCursor = Rc::new(Cell::new((SimTime::ZERO, 0)));
-    let probe = capture_probe.then(|| Rc::new(RefCell::new(CaptureProbe::new(cursor.clone()))));
+    let probe =
+        capture_probe.then(|| Rc::new(RefCell::new(CaptureLog::<ProbeRec>::new(cursor.clone()))));
     if let Some(p) = &probe {
         builder.probe(p.clone());
     }
-    let tracer = capture_trace.then(|| Rc::new(RefCell::new(CaptureTracer::new(cursor.clone()))));
+    let tracer =
+        capture_trace.then(|| Rc::new(RefCell::new(CaptureLog::<TraceRec>::new(cursor.clone()))));
     if let Some(t) = &tracer {
         builder.tracer(t.clone());
     }
@@ -516,17 +513,6 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
         c
     });
 
-    let mut probe_recs: Vec<ProbeRec> = partials
-        .iter_mut()
-        .flat_map(|p| std::mem::take(&mut p.probes))
-        .collect();
-    probe_recs.sort_unstable_by_key(|r| r.0);
-    let mut trace_recs: Vec<TraceRec> = partials
-        .iter_mut()
-        .flat_map(|p| std::mem::take(&mut p.traces))
-        .collect();
-    trace_recs.sort_unstable_by_key(|r| r.0);
-
     ShardedOutcome {
         report: SimReport {
             end: partials[0].report.end,
@@ -537,11 +523,8 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
             churn,
         },
         per_shard_events,
-        probe_log: probe_recs
-            .into_iter()
-            .map(|(_, t, n, s)| (t, n, s))
-            .collect(),
-        trace_log: trace_recs.into_iter().map(|(_, t, e)| (t, e)).collect(),
+        probe_log: merge_logs(partials.iter_mut().map(|p| std::mem::take(&mut p.probes))),
+        trace_log: merge_logs(partials.iter_mut().map(|p| std::mem::take(&mut p.traces))),
     }
 }
 

@@ -6,7 +6,7 @@
 //! [`SlabKey::index`] into a packed entry vector gives O(1) access, and
 //! iterating the index in order reproduces exactly the ascending-key
 //! order a `BTreeMap` would give — which is what keeps report rendering
-//! and epoch scans deterministic (DESIGN.md §13).
+//! and epoch scans deterministic (DESIGN.md §12).
 //!
 //! [`DenseMap`] is deliberately map-shaped (`insert`/`get`/`remove`/
 //! `iter` and a map-style `Debug`) so converting a `BTreeMap<Id, V>` site

@@ -7,11 +7,10 @@
 //! real deployment — senders that are *clocked by acknowledgements*:
 //!
 //! * [`CongestionControl`] — the window-adaptation strategy, decoupled
-//!   from reliability. Implementations here: [`Reno`] (slow start +
-//!   AIMD) and [`WindowLimd`] (the paper's weight-proportional LIMD
-//!   recast as a window rule). The `corelite` crate adapts its
-//!   `RateController` to this trait so ack-clocked flows participate in
-//!   marker-feedback fairness.
+//!   from reliability. Implemented here by [`Reno`] (slow start +
+//!   AIMD); the `corelite` crate adapts its `RateController` to this
+//!   trait (`corelite::cc::CoreliteCc`) so ack-clocked flows participate
+//!   in marker-feedback fairness.
 //! * [`GbnSender`] — a cumulative-ack go-back-N sender installed as
 //!   [`RouterLogic`] on the ingress node. It emits sequenced packets
 //!   ([`Packet::seq`](crate::packet::Packet::seq)), which the engine's
@@ -31,7 +30,7 @@ use std::collections::VecDeque;
 use sim_core::stats::TimeSeries;
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::flow::{FlowInfo, Transport};
+use crate::flow::FlowInfo;
 use crate::ids::FlowId;
 use crate::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
 use crate::pacer::Pacer;
@@ -203,72 +202,6 @@ impl CongestionControl for Reno {
     }
 }
 
-/// The paper's LIMD recast as a window rule: the window grows by
-/// `alpha · w` packets per epoch while no signal arrived that epoch, and
-/// halves on a signal — so in steady state a flow's window (and with
-/// equal round trips, its rate) is proportional to its weight `w`, the
-/// same fixed point the open-loop Corelite controller converges to.
-#[derive(Debug, Clone)]
-pub struct WindowLimd {
-    weight: u32,
-    alpha: f64,
-    cwnd: f64,
-    rtt: f64,
-    signalled: bool,
-}
-
-impl WindowLimd {
-    /// A window-LIMD controller for a flow of the given `weight`;
-    /// `alpha` is the per-epoch additive increase per unit weight, in
-    /// packets.
-    pub fn new(weight: u32, alpha: f64) -> Self {
-        WindowLimd {
-            weight: weight.max(1),
-            alpha,
-            cwnd: 1.0,
-            rtt: 1e-3,
-            signalled: false,
-        }
-    }
-}
-
-impl CongestionControl for WindowLimd {
-    fn on_start(&mut self, _now: SimTime, base_rtt: f64) {
-        self.cwnd = self.weight as f64;
-        self.rtt = base_rtt.max(1e-6);
-        self.signalled = false;
-    }
-
-    fn on_ack(&mut self, _now: SimTime, _newly_acked: u64, srtt: f64) {
-        self.rtt = srtt.max(1e-6);
-    }
-
-    fn on_signal(&mut self, _now: SimTime) {
-        self.cwnd = (self.cwnd / 2.0).max(1.0);
-        self.signalled = true;
-    }
-
-    fn on_rto(&mut self, _now: SimTime) {
-        self.cwnd = 1.0;
-        self.signalled = true;
-    }
-
-    fn on_epoch(&mut self, _now: SimTime) {
-        if !self.signalled {
-            self.cwnd += self.alpha * self.weight as f64;
-        }
-        self.signalled = false;
-    }
-
-    fn window(&self) -> f64 {
-        self.cwnd.max(1.0)
-    }
-
-    fn rate(&self) -> f64 {
-        self.cwnd.max(1.0) / self.rtt
-    }
-}
-
 /// Configuration for the [`GbnSender`].
 #[derive(Debug, Clone)]
 pub struct GbnConfig {
@@ -380,21 +313,6 @@ impl GbnSender {
             retransmitted_packets: 0,
             markers_injected: 0,
         }
-    }
-
-    /// A sender whose factory follows each flow's declared
-    /// [`Transport`]: Reno for [`Transport::Reno`], window-LIMD (with
-    /// the given per-epoch `alpha`) for everything else.
-    pub fn by_transport(cfg: GbnConfig, alpha: f64) -> Self {
-        Self::new(
-            cfg,
-            Box::new(
-                move |info: &FlowInfo, _base_rtt: f64| match info.transport {
-                    Transport::Reno => Box::new(Reno::new()) as Box<dyn CongestionControl>,
-                    _ => Box::new(WindowLimd::new(info.weight, alpha)),
-                },
-            ),
-        )
     }
 
     /// Sends first transmissions until the window is full, then keeps
@@ -680,7 +598,7 @@ impl RouterLogic for GbnSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowSpec;
+    use crate::flow::{FlowSpec, Transport};
     use crate::link::LinkSpec;
     use crate::logic::ForwardLogic;
     use crate::monitor::SimReport;
@@ -723,30 +641,16 @@ mod tests {
         assert_eq!(cc.window(), 1.0);
     }
 
-    #[test]
-    fn window_limd_grows_with_weight_and_halves_on_signal() {
-        let mut w1 = WindowLimd::new(1, 1.0);
-        let mut w4 = WindowLimd::new(4, 1.0);
-        w1.on_start(SimTime::ZERO, 0.1);
-        w4.on_start(SimTime::ZERO, 0.1);
-        for _ in 0..10 {
-            w1.on_epoch(SimTime::ZERO);
-            w4.on_epoch(SimTime::ZERO);
-        }
-        assert!((w4.window() / w1.window() - 4.0).abs() < 0.3);
-        let before = w4.window();
-        w4.on_signal(SimTime::ZERO);
-        assert!((w4.window() - before / 2.0).abs() < 1e-9);
-        // A signalled epoch does not also grow.
-        w4.on_epoch(SimTime::ZERO);
-        assert!((w4.window() - before / 2.0).abs() < 1e-9);
+    fn reno_sender(cfg: GbnConfig) -> Box<GbnSender> {
+        Box::new(GbnSender::new(
+            cfg,
+            Box::new(|_: &FlowInfo, _| Box::new(Reno::new()) as Box<dyn CongestionControl>),
+        ))
     }
 
-    fn gbn_chain(cfg: GbnConfig, transport: crate::flow::Transport) -> (SimReport, FlowId) {
+    fn gbn_chain(cfg: GbnConfig) -> (SimReport, FlowId) {
         let mut b = TopologyBuilder::new(7);
-        let src = b.node("src", move |_| {
-            Box::new(GbnSender::by_transport(cfg.clone(), 1.0))
-        });
+        let src = b.node("src", move |_| reno_sender(cfg.clone()));
         let mid = b.node("mid", |_| Box::new(ForwardLogic));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
         let spec = LinkSpec::new(4_000_000, SimDuration::from_millis(10), 40);
@@ -754,7 +658,7 @@ mod tests {
         b.link(mid, dst, spec);
         let f = b.flow(
             FlowSpec::new(vec![src, mid, dst], 1)
-                .transport(transport)
+                .transport(Transport::Reno)
                 .active(SimTime::ZERO, None),
         );
         let end = SimTime::from_secs(20);
@@ -765,7 +669,7 @@ mod tests {
 
     #[test]
     fn gbn_reno_fills_the_pipe_without_duplicate_goodput() {
-        let (report, f) = gbn_chain(GbnConfig::default(), crate::flow::Transport::Reno);
+        let (report, f) = gbn_chain(GbnConfig::default());
         let fr = report.flow(f);
         // The 500 pkt/s bottleneck should be near-saturated by an
         // ack-clocked Reno flow over 20 s.
@@ -791,8 +695,8 @@ mod tests {
 
     #[test]
     fn gbn_runs_are_deterministic() {
-        let a = gbn_chain(GbnConfig::default(), crate::flow::Transport::Reno);
-        let b = gbn_chain(GbnConfig::default(), crate::flow::Transport::Reno);
+        let a = gbn_chain(GbnConfig::default());
+        let b = gbn_chain(GbnConfig::default());
         assert_eq!(format!("{:?}", a.0), format!("{:?}", b.0));
     }
 
@@ -801,9 +705,7 @@ mod tests {
         // A tiny queue forces drops, RTOs, and whole-window redelivery.
         let mut b = TopologyBuilder::new(7);
         let cfg = GbnConfig::default();
-        let src = b.node("src", move |_| {
-            Box::new(GbnSender::by_transport(cfg.clone(), 1.0))
-        });
+        let src = b.node("src", move |_| reno_sender(cfg.clone()));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
         b.link(
             src,
@@ -812,7 +714,7 @@ mod tests {
         );
         let f = b.flow(
             FlowSpec::new(vec![src, dst], 1)
-                .transport(crate::flow::Transport::Reno)
+                .transport(Transport::Reno)
                 .active(SimTime::ZERO, None),
         );
         let end = SimTime::from_secs(30);

@@ -8,10 +8,11 @@ use std::rc::Rc;
 
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
-use netsim::logic::{ForwardLogic, PoissonSource};
+use netsim::logic::{CbrSource, ForwardLogic, PoissonSource};
 use netsim::shard::run_sharded;
 use netsim::topology::TopologyBuilder;
 use netsim::trace::{TraceEvent, Tracer};
+use netsim::ChurnSpec;
 use sim_core::time::{SimDuration, SimTime};
 
 /// Collects every trace record in arrival order.
@@ -74,4 +75,49 @@ fn sharded_trace_log_matches_serial_tracer() {
             "report diverged at {shards} shards"
         );
     }
+}
+
+/// The chain above, driven by a churn process next to one static flow:
+/// every arrival adds replicated lifecycle events (arrival, start, stop,
+/// retire) on top of the node-addressed packet traffic.
+fn churn_chain() -> TopologyBuilder {
+    let mut b = TopologyBuilder::new(42);
+    let a = b.node("a", |_| Box::new(CbrSource::new(200.0)));
+    let m = b.node("m", |_| Box::new(ForwardLogic));
+    let z = b.node("z", |_| Box::new(ForwardLogic));
+    let spec = LinkSpec::new(4_000_000, SimDuration::from_millis(10), 40);
+    b.link(a, m, spec);
+    b.link(m, z, spec);
+    b.flow(FlowSpec::new(vec![a, m, z], 1).active(SimTime::ZERO, None));
+    b.churn(
+        ChurnSpec::new(50.0, 10.0, 100.0)
+            .route(vec![a, m, z])
+            .window(SimTime::ZERO, SimTime::from_secs(3))
+            .linger(SimDuration::from_millis(500)),
+    );
+    b
+}
+
+/// `per_shard_events` and `events_processed` are two definitions, not
+/// one count taken twice. Popped events fall short of `events_processed`
+/// by the serializations train dispatch never pops, and grow with the
+/// shard count by one extra pop per replicated lifecycle event per
+/// extra shard — node-addressed events still pop once in total.
+#[test]
+fn popped_events_reconcile_with_events_processed() {
+    let end = SimTime::from_secs(5);
+    let run = |shards| run_sharded(churn_chain, shards, end, false, false);
+    let popped = |shards| run(shards).per_shard_events.iter().sum::<u64>();
+
+    let one = run(1);
+    let forwarded: u64 = one.report.links.iter().map(|l| l.forwarded_packets).sum();
+    assert!(forwarded > 1_000, "the chain carried traffic: {forwarded}");
+    assert_eq!(
+        one.per_shard_events[0] + forwarded,
+        one.report.events_processed
+    );
+
+    let excess2 = popped(2) - one.per_shard_events[0];
+    assert!(excess2 > 0, "lifecycle events replicate");
+    assert_eq!(popped(3) - one.per_shard_events[0], 2 * excess2);
 }

@@ -7,8 +7,9 @@
 //! Every ablation runs the §4.2 workload (10 flows, weights ⌈i/2⌉,
 //! simultaneous start, 80 s) varying one axis at a time and reports
 //! drops, steady-state aggregate rate, bottleneck utilization, Jain
-//! index, and mean settling time. The companion *cost* measurements live
-//! in `cargo bench -p bench --bench mechanisms` (`ablation_cost`).
+//! index, and mean settling time. The companion *cost* measurements are
+//! `benchmark/`'s isolated `corelite.stateless.on_marker_ns` and
+//! `corelite.cache.select_ns`.
 
 use corelite::{CoreliteConfig, DecreasePolicy, DetectorKind, MuUnit, SelectorKind};
 use netsim::link::LinkSpec;

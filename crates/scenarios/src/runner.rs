@@ -332,8 +332,7 @@ impl Scenario {
     /// [`TopologySpec::fat_tree_k`] of arbitrary width: two flows per
     /// leaf (to the next leaf and the one after), spines alternating by
     /// flow index, weights cycling 1, 2, 3. At `leaves = 8, spines = 4`
-    /// this is the k≥8 scaling workload the engine benches record in
-    /// `BENCH_6.json`.
+    /// this is the `engine/fat_tree_k8_20s` row of the CI bench gate.
     ///
     /// # Panics
     ///
@@ -374,7 +373,7 @@ impl Scenario {
     /// churn process: 16 route templates (one per leaf, to the next
     /// leaf via alternating spines), Poisson arrivals at 20 k flows/s
     /// over the first quarter of the horizon, Pareto-sized lifetimes
-    /// around 10 packets. The `engine/fat_tree_k16_100k` bench workload
+    /// around 10 packets. The `engine/fat_tree_k16_100k` gate rows
     /// and the sharded-vs-serial identity suite both run this.
     pub fn fat_tree_k16_100k(horizon: SimTime, seed: u64) -> Self {
         const LEAVES: usize = 16;

@@ -11,7 +11,7 @@
 //!   near-future events that dominate a packet-level simulation (link
 //!   serialization plus propagation); events beyond the wheel horizon
 //!   spill into a small overflow heap and migrate in as the clock
-//!   reaches their window. See DESIGN.md §"Engine performance" for the
+//!   reaches their window. See DESIGN.md §9 for the
 //!   layout.
 //! * [`QueueBackend::Heap`] — the original `BinaryHeap` ordering, kept
 //!   for differential testing and as a reference for the ordering
@@ -35,7 +35,7 @@ use crate::time::SimTime;
 /// the bottom levels) against the size of the per-tick sort (costlier
 /// with coarse ticks). 131 µs keeps the per-tick population at a
 /// handful of events for packet-level workloads while eliminating most
-/// cascades; see DESIGN.md §"Engine performance".
+/// cascades; see DESIGN.md §9.
 const TICK_SHIFT: u32 = 17;
 /// Bits per wheel level: 64 slots each.
 const LEVEL_BITS: u32 = 6;

@@ -18,7 +18,7 @@
 //! * `name(…)` free calls → same file, then `use`-imported path, then
 //!   same crate, then dependency crates.
 //!
-//! Soundness limits (DESIGN.md §15): trait-object dispatch is not
+//! Soundness limits (DESIGN.md §17): trait-object dispatch is not
 //! resolved through the call site — the taint pass instead treats every
 //! `RouterLogic`/`Discipline` impl method as a replay root — and macro
 //! bodies are invisible.

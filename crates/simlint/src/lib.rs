@@ -10,7 +10,7 @@
 //!   `wall-clock`, `thread-spawn` and `rand-import` rules keep the
 //!   nondeterminism sources that would silently break this out of the
 //!   simulation crates, and their `taint-*` forms make them transitive
-//!   over the workspace call graph (DESIGN.md §15).
+//!   over the workspace call graph (DESIGN.md §17).
 //!
 //! The analysis runs as a three-stage pipeline:
 //!
@@ -26,7 +26,7 @@
 //! Violations print as `file:line: rule — message` and any violation
 //! makes the process exit nonzero. Suppress per-site with an inline
 //! `// simlint: allow(<rule>)` comment (covers that line and the next)
-//! or per-path in the checked-in `simlint.toml`. See DESIGN.md §10.
+//! or per-path in the checked-in `simlint.toml`. See DESIGN.md §17.
 //!
 //! The crate is dependency-free by necessity: crates.io is unreachable
 //! in the reproduction container, so the lexer, parser, walker and

@@ -1,4 +1,4 @@
-//! CLI for the in-repo lint pass. See the crate docs and DESIGN.md §10.
+//! CLI for the in-repo lint pass. See the crate docs and DESIGN.md §17.
 //!
 //! ```text
 //! simlint --workspace             # lint the whole tree (CI entry point)

@@ -2,7 +2,7 @@
 //! the hand-rolled lexer.
 //!
 //! One linear pass over the token stream recovers just enough structure
-//! for whole-workspace analysis (DESIGN.md §15):
+//! for whole-workspace analysis (DESIGN.md §17):
 //!
 //! * `use` declarations (including groups and `as` aliases) → an
 //!   alias-to-path map, so cross-crate calls can be attributed to the

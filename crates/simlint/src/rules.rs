@@ -227,8 +227,8 @@ const EVENT_LOOP_MODULES: &[&str] = &[
 ];
 
 /// Dispatch/discipline modules whose per-event functions must not
-/// allocate: the engine's zero-alloc contract (DESIGN.md §"Engine
-/// performance", pinned by `crates/netsim/tests/zero_alloc.rs`) only
+/// allocate: the engine's zero-alloc contract (DESIGN.md §9,
+/// pinned by `crates/netsim/tests/zero_alloc.rs`) only
 /// holds if steady-state dispatch never touches the heap.
 const HOT_PATH_MODULES: &[&str] = &[
     "crates/netsim/src/network.rs",
@@ -681,7 +681,7 @@ pub(crate) fn scan_tokens(rel: &str, lexed: &Lexed, class: FileClass) -> Vec<Vio
                             message: format!(
                                 "`{what}` allocates on the per-event hot path, breaking the \
                                  engine's zero-alloc dispatch contract; reuse a preallocated \
-                                 buffer (ActionBuf-style, DESIGN.md §\"Engine performance\") or \
+                                 buffer (ActionBuf-style, DESIGN.md §9) or \
                                  justify with `simlint: allow(hot-alloc)`"
                             ),
                         });

@@ -77,7 +77,7 @@ const ROOT_FIXTURE_PREFIX: &str = "crates/simlint/fixtures/shard_worker_";
 /// Traits the engine dispatches into dynamically. The call graph cannot
 /// resolve trait-object calls (no type inference), so every impl of
 /// these traits is a root instead — the over-approximation that keeps
-/// the analysis sound for replay code (DESIGN.md §15).
+/// the analysis sound for replay code (DESIGN.md §17).
 const ROOT_TRAITS: &[&str] = &["RouterLogic", "Discipline"];
 
 const RNG_RULE: &str = "rng-stream-hygiene";

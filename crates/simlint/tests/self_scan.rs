@@ -29,7 +29,7 @@ fn live_tree_is_clean() {
 /// The checked-in allowlist must stay minimal and intentional: FRED's
 /// per-flow state and the parallel executor's threads are the only
 /// path-level exemptions today. If this fails after an edit to
-/// simlint.toml, make sure the new entry is justified in DESIGN.md §10.
+/// simlint.toml, make sure the new entry is justified in DESIGN.md §17.
 #[test]
 fn checked_in_allowlist_covers_known_exemptions() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))

@@ -2,7 +2,7 @@
 //! the serial engine's results **byte for byte** at every shard count —
 //! reports, probe streams, churn accounting — across the paper figures,
 //! fat-tree mixes, fault injection and flow churn. This is the contract
-//! that makes `--shards` a pure wall-clock knob (DESIGN.md §16): any
+//! that makes `--shards` a pure wall-clock knob (DESIGN.md §14): any
 //! divergence, however small, is a bug in the epoch/mailbox protocol,
 //! never an acceptable "parallel rounding" artifact.
 //!
