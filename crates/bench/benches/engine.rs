@@ -1,5 +1,5 @@
 //! End-to-end simulator throughput: the seven rows the CI bench smoke
-//! step gates against `BENCH_18.json`.
+//! step gates against `BENCH_19.json`.
 
 use bench::Runner;
 use corelite::CoreliteConfig;

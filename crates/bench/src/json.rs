@@ -1,4 +1,4 @@
-//! A minimal JSON reader/writer for the bench baseline, `BENCH_18.json`.
+//! A minimal JSON reader/writer for the bench baseline, `BENCH_19.json`.
 //!
 //! The workspace is dependency-free, so the baseline is parsed with this
 //! hand-rolled subset parser: objects, arrays, strings (with the common

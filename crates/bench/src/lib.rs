@@ -1,5 +1,5 @@
 //! The hand-rolled harness behind the one bench target, `engine`: the
-//! seven end-to-end throughput rows CI gates against `BENCH_18.json`.
+//! seven end-to-end throughput rows CI gates against `BENCH_19.json`.
 //!
 //! This is a collapse alarm, not a measuring stick: every perf claim is
 //! an alternating parent-vs-change A/B on the standalone `benchmark/`

@@ -111,20 +111,6 @@ impl FlowId {
             gen: generation,
         }
     }
-
-    /// Packs the id into a single `u64`: generation in the high 32
-    /// bits, slot index in the low 32.
-    pub const fn pack(self) -> u64 {
-        ((self.gen as u64) << 32) | self.idx as u64
-    }
-
-    /// Inverse of [`FlowId::pack`].
-    pub const fn unpack(packed: u64) -> Self {
-        FlowId {
-            idx: packed as u32,
-            gen: (packed >> 32) as u32,
-        }
-    }
 }
 
 impl fmt::Debug for FlowId {
@@ -219,18 +205,6 @@ mod tests {
         assert!(a < b, "older generations sort first within a slot");
         assert_eq!(a.generation(), 0);
         assert_eq!(b.generation(), 1);
-    }
-
-    #[test]
-    fn pack_round_trips_index_and_generation() {
-        for id in [
-            FlowId::from_index(0),
-            FlowId::from_index(u32::MAX as usize),
-            FlowId::with_generation(17, 5),
-            FlowId::with_generation(0, u32::MAX),
-        ] {
-            assert_eq!(FlowId::unpack(id.pack()), id);
-        }
     }
 
     #[test]

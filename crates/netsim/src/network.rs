@@ -95,8 +95,8 @@ fn key_space_exhausted(site: u64) -> ! {
 /// event (or `on_start` sweep step) currently being dispatched.
 pub(crate) type EventCursor = Rc<Cell<(SimTime, u64)>>;
 
-/// A cross-shard event en route: `(destination shard, time, key, event)`.
-pub(crate) type OutboundEvent = (u32, SimTime, u64, Event);
+/// A cross-shard event en route: `(fire time, canonical key, event)`.
+pub(crate) type Envelope = (SimTime, u64, Event);
 
 /// Which slice of the topology this `Network` instance executes.
 pub(crate) enum ExecRole {
@@ -112,6 +112,8 @@ pub(crate) struct ShardView {
     pub shard_of_node: Vec<u32>,
     /// This worker's shard id.
     pub me: u32,
+    /// The shard count (one outbox each).
+    pub shards: u32,
     /// Minimum propagation delay over cut links: events emitted for a
     /// remote node are promised to fire at least this far in the future.
     pub lookahead: Option<SimDuration>,
@@ -177,9 +179,9 @@ pub struct Network {
     site_counters: Vec<u64>,
     /// Serial engine or one shard of a partitioned run.
     role: ExecRole,
-    /// Events addressed to nodes another shard owns, awaiting the next
-    /// barrier exchange (empty under [`ExecRole::Whole`]).
-    outbox: Vec<OutboundEvent>,
+    /// `outboxes[s]`: events addressed to nodes shard `s` owns, awaiting
+    /// the next barrier exchange (none under [`ExecRole::Whole`]).
+    outboxes: Vec<Vec<Envelope>>,
     /// When capture hooks are installed, the `(time, key)` of the event
     /// being dispatched (shard workers use it to tag probe/trace records
     /// for the deterministic merge).
@@ -255,6 +257,10 @@ impl Network {
             })
             .collect();
         let node_count = nodes.len();
+        let outboxes = match &role {
+            ExecRole::Whole => Vec::new(),
+            ExecRole::Shard(v) => (0..v.shards).map(|_| Vec::new()).collect(),
+        };
         let mut net = Network {
             now: SimTime::ZERO,
             queue,
@@ -267,7 +273,7 @@ impl Network {
             packet_counters: vec![0; node_count],
             site_counters: vec![0; node_count + 1],
             role,
-            outbox: Vec::new(),
+            outboxes,
             cursor: None,
             current_key: 0,
             notify_losses,
@@ -366,7 +372,7 @@ impl Network {
                     v.lookahead.is_some_and(|l| time >= self.now + l),
                     "cross-shard event violates the lookahead promise"
                 );
-                self.outbox.push((shard, time, key, event));
+                self.outboxes[shard as usize].push((time, key, event));
                 return;
             }
         }
@@ -987,10 +993,11 @@ impl Network {
         self.cursor = Some(cursor);
     }
 
-    /// Takes the events bound for other shards accumulated since the last
-    /// call (the barrier-exchange payload).
-    pub(crate) fn take_outgoing(&mut self) -> Vec<OutboundEvent> {
-        std::mem::take(&mut self.outbox)
+    /// The events bound for shard `dst` accumulated since the last
+    /// exchange. The exchange swaps the whole buffer for an empty one that
+    /// keeps its capacity, so steady-state rounds allocate nothing.
+    pub(crate) fn outbox(&mut self, dst: usize) -> &mut Vec<Envelope> {
+        &mut self.outboxes[dst]
     }
 
     /// Enqueues an event received from a peer shard under its original

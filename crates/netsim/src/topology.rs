@@ -1,7 +1,7 @@
 //! Declarative network construction.
 
 use sim_core::event::QueueBackend;
-use sim_core::time::SimDuration;
+use sim_core::time::{SimDuration, SimTime};
 
 use crate::churn::{ChurnSpec, ChurnState};
 use crate::fault::{FaultPlan, FaultState};
@@ -15,6 +15,19 @@ use crate::trace::Tracer;
 
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// A link as the shard partitioner sees it: `(src, dst, delay)`.
+pub(crate) type PartitionLink = (u32, u32, SimDuration);
+
+/// Events an ingress executes per packet it offers, where every later
+/// node on the path executes one arrival: an emission timer, the
+/// feedback the packet's markers draw, and the lifecycle work around
+/// them. Measured on the k = 16 fat-tree: 1.05 at light load (one timer
+/// per packet, hardly any feedback), 10 under `k16_churn`'s 25x overload
+/// (most emissions die on the access link, every marker is returned);
+/// 3 is their geometric mean, and enough to deal ingresses before the
+/// cores they feed.
+const INGRESS_EVENTS_PER_PACKET: f64 = 3.0;
 
 /// Builds a [`Network`] from nodes, links and flows.
 ///
@@ -82,9 +95,18 @@ impl TopologyBuilder {
         self
     }
 
-    /// The `(src, dst, delay)` of every link plus the node count — the
-    /// inputs the shard partitioner needs, exposed without building.
-    pub(crate) fn partition_inputs(&self) -> (usize, Vec<(u32, u32, SimDuration)>) {
+    /// What the shard partitioner needs, exposed without building: one
+    /// weight per node — 1 plus the events it is expected to execute
+    /// before `end` — and the `(src, dst, delay)` of every link.
+    ///
+    /// The estimate uses only what the builder holds. A static flow
+    /// offers its active time at the rate of the slowest link on its
+    /// path; a churn route offers its share of the arrivals times the
+    /// mean flow size. Every node on a path sees one arrival per offered
+    /// packet, except the ingress, which sees
+    /// [`INGRESS_EVENTS_PER_PACKET`] instead. Paths that do not resolve
+    /// are left for [`build`](Self::build) to reject.
+    pub(crate) fn partition_inputs(&self, end: SimTime) -> (Vec<u64>, Vec<PartitionLink>) {
         let links = self
             .links
             .iter()
@@ -96,7 +118,62 @@ impl TopologyBuilder {
                 )
             })
             .collect();
-        (self.names.len(), links)
+        let mut load = vec![0.0f64; self.names.len()];
+        let mut offer = |path: &[NodeId], packets: f64| {
+            for (i, node) in path.iter().enumerate() {
+                if let Some(events) = load.get_mut(node.index()) {
+                    *events += if i == 0 {
+                        INGRESS_EVENTS_PER_PACKET * packets
+                    } else {
+                        packets
+                    };
+                }
+            }
+        };
+        // Sorted by end points once, so that a hop's link is a binary
+        // search and the whole estimate stays near-linear in the builder.
+        let mut by_ends: Vec<&Link> = self.links.iter().collect();
+        by_ends.sort_by_key(|l| (l.src(), l.dst()));
+        for spec in &self.flow_specs {
+            let active: f64 = spec
+                .activations
+                .iter()
+                .map(|&(start, stop)| {
+                    let stop = stop.map_or(end, |stop| stop.min(end));
+                    stop.saturating_since(start).as_secs_f64()
+                })
+                .sum();
+            let bottleneck_pps = spec
+                .path
+                .windows(2)
+                .filter_map(|hop| {
+                    let at = by_ends
+                        .binary_search_by_key(&(hop[0], hop[1]), |l| (l.src(), l.dst()))
+                        .ok()?;
+                    Some(by_ends[at].spec().service_rate_pps(spec.packet_size))
+                })
+                .fold(f64::INFINITY, f64::min);
+            if bottleneck_pps.is_finite() {
+                offer(&spec.path, active * bottleneck_pps);
+            }
+        }
+        if let Some(churn) = &self.churn {
+            let window = churn.stop.min(end).saturating_since(churn.start);
+            let mut arrivals = churn.arrival_rate * window.as_secs_f64();
+            if let Some(cap) = churn.max_arrivals {
+                arrivals = arrivals.min(cap as f64);
+            }
+            let packets = arrivals / churn.routes.len() as f64 * churn.mean_size_pkts;
+            for path in &churn.routes {
+                offer(path, packets);
+            }
+        }
+        // Float-to-integer `as` saturates: an absurd offered load cannot wrap.
+        let weights = load
+            .iter()
+            .map(|&events| (events as u64).saturating_add(1))
+            .collect();
+        (weights, links)
     }
 
     /// Adds a node. `factory` receives a seed derived deterministically
@@ -377,7 +454,6 @@ fn reject_node_revisit(path: &[NodeId], what: &str) {
 mod tests {
     use super::*;
     use crate::logic::ForwardLogic;
-    use sim_core::time::SimTime;
 
     fn spec() -> LinkSpec {
         LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40)
@@ -402,6 +478,36 @@ mod tests {
         assert_eq!(net.reverse_delay(f, d), SimDuration::from_millis(80));
         assert_eq!(net.reverse_delay(f, c), SimDuration::from_millis(40));
         assert_eq!(net.reverse_delay(f, a), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn partition_weights_follow_the_offered_load() {
+        use crate::churn::ChurnSpec;
+        let mut b = TopologyBuilder::new(0);
+        let a = b.node("a", |_| Box::new(ForwardLogic));
+        let c = b.node("c", |_| Box::new(ForwardLogic));
+        let d = b.node("d", |_| Box::new(ForwardLogic));
+        let idle = b.node("idle", |_| Box::new(ForwardLogic));
+        b.link(a, c, spec());
+        // The slow link bounds the flow: 1 Mbps = 125 pkt/s at 1 KB.
+        b.link(
+            c,
+            d,
+            LinkSpec::new(1_000_000, SimDuration::from_millis(40), 40),
+        );
+        b.link(d, idle, spec());
+        // Active for 4 of the 10 s: 500 packets, three events each at a.
+        b.flow(FlowSpec::new(vec![a, c, d], 1).active(SimTime::from_secs(6), None));
+        // 20 flows/s over the 5 s of the window that fit, 10 packets each.
+        b.churn(
+            ChurnSpec::new(20.0, 10.0, 100.0)
+                .route(vec![d, idle])
+                .window(SimTime::from_secs(5), SimTime::from_secs(60)),
+        );
+        let (weights, links) = b.partition_inputs(SimTime::from_secs(10));
+        assert_eq!(weights, vec![1 + 1500, 1 + 500, 1 + 500 + 3000, 1 + 1000]);
+        assert_eq!(links.len(), 3);
+        assert_eq!(links[1], (1, 2, SimDuration::from_millis(40)));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Randomized property tests for the link/queue substrate — FIFO order,
 //! bounded occupancy, conservation of packets, serialization timing —
-//! and for the slab state plane (`DenseMap` against a `BTreeMap`
-//! model).
+//! for the slab state plane (`DenseMap` against a `BTreeMap` model), and
+//! for the shard partitioner.
 
 use std::collections::BTreeMap;
 
 use netsim::ids::{FlowId, NodeId};
 use netsim::link::{Link, LinkSpec};
+use netsim::shard::Partition;
 use netsim::slab::DenseMap;
 use sim_core::check;
 use sim_core::time::{SimDuration, SimTime};
@@ -185,5 +186,53 @@ fn queue_average_bounded_by_peak() {
         let avg = link.queue_average(now + SimDuration::from_millis(1));
         assert!(avg >= 0.0);
         assert!(avg <= link.peak_occupancy() as f64 + 1e-9);
+    });
+}
+
+/// Whatever the topology and the weights: every node gets a shard below
+/// the shard count, nodes joined by zero-delay links share one, the
+/// lookahead is the smallest delay actually cut, recomputing changes
+/// nothing, and without weights to tell nodes apart the deal is by node
+/// count (LPT leaves any two shards within one group of each other).
+#[test]
+fn partition_invariants_hold() {
+    check::cases(128, 0x4E_03, |g| {
+        let nodes = g.usize_in(1, 40);
+        let shards = g.usize_in(1, 6);
+        let links = g.vec_with(0, 80, |g| {
+            let delay = if g.u64_in(0, 4) == 0 {
+                0
+            } else {
+                g.u64_in(1, 50)
+            };
+            (
+                g.usize_in(0, nodes) as u32,
+                g.usize_in(0, nodes) as u32,
+                SimDuration::from_millis(delay),
+            )
+        });
+        let weights = g.vec_with(nodes, nodes, |g| g.u64_in(1, 1_000_000));
+
+        let p = Partition::compute(shards, &weights, &links);
+        assert_eq!(p.shards as usize, shards);
+        assert_eq!(p.shard_of_node.len(), nodes);
+        assert!(p.shard_of_node.iter().all(|&s| (s as usize) < shards));
+        let shard = |n: u32| p.shard_of_node[n as usize];
+        let cut = links.iter().filter(|&&(a, b, _)| shard(a) != shard(b));
+        assert_eq!(p.lookahead, cut.map(|&(_, _, delay)| delay).min());
+        assert!(
+            p.lookahead != Some(SimDuration::ZERO),
+            "a fused pair was split"
+        );
+        assert_eq!(Partition::compute(shards, &weights, &links), p);
+
+        let flat = Partition::compute(shards, &vec![1; nodes], &links);
+        let held = |s: u32| flat.shard_of_node.iter().filter(|&&x| x == s).count();
+        let counts: Vec<usize> = (0..shards as u32).map(held).collect();
+        // A fused group is a connected component of the zero-delay links,
+        // so none is larger than the number of such links plus one.
+        let fused = links.iter().filter(|l| l.2 == SimDuration::ZERO).count();
+        let spread = counts.iter().max().unwrap() - counts.iter().min().unwrap();
+        assert!(spread <= fused + 1, "{counts:?} with {fused} fused links");
     });
 }

@@ -8,7 +8,8 @@ use std::rc::Rc;
 
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
-use netsim::logic::{CbrSource, ForwardLogic, PoissonSource};
+use netsim::logic::{CbrSource, Ctx, ForwardLogic, PoissonSource, RouterLogic};
+use netsim::packet::Packet;
 use netsim::shard::run_sharded;
 use netsim::topology::TopologyBuilder;
 use netsim::trace::{TraceEvent, Tracer};
@@ -120,4 +121,35 @@ fn popped_events_reconcile_with_events_processed() {
     let excess2 = popped(2) - one.per_shard_events[0];
     assert!(excess2 > 0, "lifecycle events replicate");
     assert_eq!(popped(3) - one.per_shard_events[0], 2 * excess2);
+}
+
+/// A forwarding node whose logic hits a bug on its first packet.
+struct PanicsOnPacket;
+
+impl RouterLogic for PanicsOnPacket {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {
+        panic!("the middle node's logic hit a bug");
+    }
+}
+
+/// Regression: `std::sync::Barrier` has no poisoning, so a worker that
+/// panicked left its peers waiting at the next exchange for ever and
+/// `run_sharded` never returned. The ingress and the panicking node sit
+/// on different shards; the run must *finish*, with the worker's own
+/// message.
+#[test]
+#[should_panic(expected = "the middle node's logic hit a bug")]
+fn a_panicking_shard_fails_the_run_instead_of_hanging_it() {
+    let factory = || {
+        let mut b = TopologyBuilder::new(42);
+        let a = b.node("a", |_| Box::new(CbrSource::new(200.0)));
+        let m = b.node("m", |_| Box::new(PanicsOnPacket));
+        let z = b.node("z", |_| Box::new(ForwardLogic));
+        let spec = LinkSpec::new(4_000_000, SimDuration::from_millis(10), 40);
+        b.link(a, m, spec);
+        b.link(m, z, spec);
+        b.flow(FlowSpec::new(vec![a, m, z], 1).active(SimTime::ZERO, None));
+        b
+    };
+    run_sharded(factory, 2, SimTime::from_secs(5), false, false);
 }

@@ -15,11 +15,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use netsim::flow::FlowSpec;
 use netsim::ids::LinkId;
 use netsim::link::LinkSpec;
 use netsim::logic::{CbrSource, Ctx, ForwardLogic, RouterLogic, TimerKind};
+use netsim::shard::run_sharded;
 use netsim::telemetry::{Probe, RingProbe, Sample};
 use netsim::topology::TopologyBuilder;
 use netsim::{ChurnSpec, FlowId};
@@ -337,4 +339,106 @@ fn churn_on_recycled_slots_does_not_allocate() {
     assert!(churn.retired > 800_000, "retired {}", churn.retired);
     assert!(churn.peak_slots < 400, "slots {}", churn.peak_slots);
     assert_eq!(churn.stale_events, 0);
+}
+
+/// `STAMPS[node][i]`: the allocation count of the worker thread that owns
+/// `node`, read inside its run at the `i`-th stamp instant.
+static STAMPS: [[AtomicU64; 2]; 3] = [const { [const { AtomicU64::new(u64::MAX) }; 2] }; 3];
+
+/// Wraps a node's logic and stamps its thread's allocation count at two
+/// instants. A shard worker's allocations are invisible from the test
+/// thread; a logic callback runs on the worker, so it can read them.
+struct Stamping {
+    node: usize,
+    at: [SimTime; 2],
+    stamped: usize,
+    inner: Box<dyn RouterLogic>,
+}
+
+impl Stamping {
+    /// The traffic is the clock: a timer of its own would put events into
+    /// the wheel that the measured traffic does not.
+    fn tick(&mut self, now: SimTime) {
+        let due = self.at.iter().filter(|&&at| at <= now).count();
+        for stamp in &STAMPS[self.node][self.stamped..due] {
+            stamp.store(allocations(), Ordering::SeqCst);
+        }
+        self.stamped = due;
+    }
+}
+
+impl RouterLogic for Stamping {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: netsim::packet::Packet) {
+        self.tick(ctx.now());
+        self.inner.on_packet(ctx, packet);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
+        self.tick(ctx.now());
+        self.inner.on_timer(ctx, timer);
+    }
+
+    fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+        self.inner.on_flow_start(ctx, flow);
+    }
+}
+
+#[test]
+fn sharded_epoch_rounds_do_not_allocate() {
+    // a <-> m <-> z with a CBR flow each way, on two shards: the
+    // partitioner gives the two ingresses a shard each, so packets cross
+    // the cut in both directions every 40 ms epoch. After the warm-up of
+    // `drained_wheel_buffers_are_handed_on`, 100 s — 2500 exchange rounds,
+    // 20 000 packets handed over each way — must allocate nothing on
+    // either worker: outboxes are swapped whole into the mailboxes and
+    // come back drained with their capacity. (A `mem::take`n outbox
+    // regrew every round: 10 000 allocations over the same window.)
+    let stamps = [SimTime::from_secs(40), SimTime::from_secs(140)];
+    let end = SimTime::from_secs(141);
+    let factory = || {
+        let link = LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40);
+        let mut b = TopologyBuilder::new(3);
+        b.measurement_window(SimDuration::from_secs(10_000));
+        let mut node = |node: usize, name: &str, inner: Box<dyn RouterLogic>| {
+            b.node(name, |_| {
+                Box::new(Stamping {
+                    node,
+                    at: stamps,
+                    stamped: 0,
+                    inner,
+                })
+            })
+        };
+        let a = node(0, "a", Box::new(CbrSource::new(200.0)));
+        let m = node(1, "m", Box::new(ForwardLogic));
+        let z = node(2, "z", Box::new(CbrSource::new(200.0)));
+        b.duplex_link(a, m, link);
+        b.duplex_link(m, z, link);
+        b.flow(FlowSpec::new(vec![a, m, z], 1).active(SimTime::ZERO, None));
+        b.flow(FlowSpec::new(vec![z, m, a], 1).active(SimTime::ZERO, None));
+        b
+    };
+    let outcome = run_sharded(factory, 2, end, false, false);
+
+    assert!(
+        outcome
+            .per_shard_events
+            .iter()
+            .all(|&events| events > 50_000),
+        "both shards worked: {:?}",
+        outcome.per_shard_events
+    );
+    for flow in &outcome.report.flows {
+        assert!(flow.delivered_packets > 27_000, "{flow:?}");
+    }
+    for (node, stamp) in STAMPS.iter().enumerate() {
+        let [before, after] = [0, 1].map(|i| stamp[i].load(Ordering::SeqCst));
+        assert!(after != u64::MAX, "node {node} never stamped");
+        assert_eq!(
+            after - before,
+            0,
+            "the worker owning node {node} allocated {} times over 2500 epoch rounds",
+            after - before
+        );
+    }
 }
