@@ -60,6 +60,10 @@ impl GreedySource {
 }
 
 impl RouterLogic for GreedySource {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.ignore_loss_notifications();
+    }
+
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         // A restart kills whatever chain the previous activation left
         // pending; the chain itself ends when a fire finds the flow

@@ -118,6 +118,7 @@ impl AggregatingEdge {
 
 impl RouterLogic for AggregatingEdge {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.ignore_loss_notifications();
         ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
     }
 

@@ -18,8 +18,10 @@
 //!   silence, throttle on the **maximum** per-core marker count, §4's
 //!   slow-start at startup.
 //!
-//! Packet losses (CSFQ's feedback signal) are counted but deliberately
-//! ignored: *"edges react only to congestion indications"* (§4.3).
+//! Packet losses (CSFQ's feedback signal) are deliberately ignored:
+//! *"edges react only to congestion indications"* (§4.3). The edge
+//! declares as much at start, so the network need not queue the
+//! notifications of drops on the edge's own uplink.
 
 use sim_core::stats::TimeSeries;
 use sim_core::time::{SimDuration, SimTime};
@@ -88,7 +90,6 @@ pub struct CoreliteEdge {
     spare_series: Vec<TimeSeries>,
     markers_injected: u64,
     feedback_received: u64,
-    losses_ignored: u64,
 }
 
 impl CoreliteEdge {
@@ -108,7 +109,6 @@ impl CoreliteEdge {
             spare_series: Vec::new(),
             markers_injected: 0,
             feedback_received: 0,
-            losses_ignored: 0,
         }
     }
 
@@ -160,6 +160,7 @@ impl CoreliteEdge {
 
 impl RouterLogic for CoreliteEdge {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.ignore_loss_notifications();
         ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
     }
 
@@ -242,15 +243,12 @@ impl RouterLogic for CoreliteEdge {
                     s.controller.on_feedback(cfg, from, now);
                 }
             }
-            ControlMsg::Loss { .. } => {
-                // Corelite performs loss-free rate adaptation; edges react
-                // only to marker feedback (§4.3).
-                self.losses_ignored += 1;
-            }
+            // Corelite performs loss-free rate adaptation; edges react
+            // only to marker feedback (§4.3), and say so in `on_start`.
             // Acks belong to the go-back-N transport
             // (`netsim::transport::GbnSender`); the open-loop LIMD edge
             // never receives them.
-            ControlMsg::Ack { .. } => {}
+            ControlMsg::Loss { .. } | ControlMsg::Ack { .. } => {}
         }
     }
 
@@ -263,7 +261,6 @@ impl RouterLogic for CoreliteEdge {
         }
         report.count("markers_injected", self.markers_injected as f64);
         report.count("feedback_received", self.feedback_received as f64);
-        report.count("losses_ignored", self.losses_ignored as f64);
         report
     }
 }

@@ -165,6 +165,7 @@ impl CoreliteGateway {
 
 impl RouterLogic for CoreliteGateway {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.ignore_loss_notifications();
         ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
     }
 

@@ -299,6 +299,17 @@ impl ChurnReport {
     }
 }
 
+/// A wrapped generation would hand the slot's 2^32-th occupant the id of
+/// its first, and a packet, control message or lifecycle event still in
+/// flight from *that* one would pass every `flows[i].id == id` guard.
+#[cold]
+fn generations_exhausted(slot: usize) -> ! {
+    panic!(
+        "flow slot {slot} has had 2^32 occupants; one more would reuse generation 0 \
+         and let a stale event pass for the new flow's"
+    );
+}
+
 /// One planned arrival, returned by [`ChurnState::plan_arrival`]; the
 /// network turns it into a resident flow.
 pub(crate) struct ArrivalPlan {
@@ -445,7 +456,10 @@ impl ChurnState {
         let (slot, generation, fresh) = match self.free.pop() {
             Some(rel) => {
                 let rel = rel as usize;
-                self.gens[rel] += 1;
+                self.gens[rel] = match self.gens[rel].checked_add(1) {
+                    Some(next) => next,
+                    None => generations_exhausted(self.base_slots + rel),
+                };
                 self.arrived_at[rel] = now;
                 self.stopped[rel] = false;
                 (self.base_slots + rel, self.gens[rel], false)
@@ -629,6 +643,29 @@ mod tests {
         s.retire(SimTime::from_secs(3), 0, a.slot, None, None, 0);
         let c = s.plan_arrival(SimTime::from_secs(4));
         assert_eq!((c.slot, c.generation, c.fresh), (3, 1, false));
+    }
+
+    /// Regression: `gens[rel] += 1` wrapped silently in release builds.
+    #[test]
+    fn a_slot_out_of_generations_panics_naming_the_slot() {
+        let mut s = state(spec());
+        let a = s.plan_arrival(SimTime::from_secs(1));
+        let recycle = |s: &mut ChurnState, at: u64| {
+            s.note_stop(SimTime::from_secs(at), a.slot);
+            s.retire(SimTime::from_secs(at), 0, a.slot, None, None, 0);
+            s.plan_arrival(SimTime::from_secs(at))
+        };
+        s.gens[0] = u32::MAX - 1;
+        let last = recycle(&mut s, 2);
+        assert_eq!((last.slot, last.generation), (a.slot, u32::MAX));
+        let wrapped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            recycle(&mut s, 3).generation
+        }));
+        let message = *wrapped
+            .expect_err("recycling past the last generation must panic")
+            .downcast::<String>()
+            .expect("a formatted panic message");
+        assert!(message.contains("flow slot 3 "), "{message}");
     }
 
     #[test]

@@ -135,6 +135,9 @@ pub enum Action {
         /// Tag passed back to the logic.
         timer: TimerKind,
     },
+    /// This node's logic ignores [`ControlMsg::Loss`]; see
+    /// [`Ctx::ignore_loss_notifications`].
+    IgnoreLoss,
 }
 
 /// Actions kept inline before spilling to the heap. Typical callbacks
@@ -416,6 +419,19 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::Timer { delay, timer });
     }
 
+    /// Declares that this node's `on_control` does nothing with a
+    /// [`ControlMsg::Loss`] — call it from `on_start`. The network may
+    /// then account a loss notification this node sends *itself* with no
+    /// delay (a drop on its own uplink) without queueing it: it is still
+    /// keyed, counted in `events_processed` and traced, and shows up in
+    /// [`SimReport::elided_notifications`](crate::SimReport::elided_notifications)
+    /// (DESIGN.md §9, "Elided notifications"). Notifications that travel
+    /// — from another node, or delayed by a fault — are delivered as
+    /// ever, so the promise is only that they are ignored.
+    pub fn ignore_loss_notifications(&mut self) {
+        self.actions.push(Action::IgnoreLoss);
+    }
+
     /// Whether a control-plane [`Probe`] is installed.
     ///
     /// Logic that would schedule *extra events* purely to publish
@@ -529,6 +545,10 @@ impl PoissonSource {
 }
 
 impl RouterLogic for PoissonSource {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.ignore_loss_notifications();
+    }
+
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         // A timer still pending from an earlier activation (a restart
         // inside one gap) or a recycled slot's previous occupant dies
@@ -586,6 +606,10 @@ impl CbrSource {
 }
 
 impl RouterLogic for CbrSource {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.ignore_loss_notifications();
+    }
+
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         // See `PoissonSource`: a restart kills the previous chain.
         self.pacer.reset(flow.index());

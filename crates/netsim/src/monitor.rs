@@ -226,6 +226,13 @@ pub struct SimReport {
     pub logic: DenseMap<NodeId, LogicReport>,
     /// Total events processed.
     pub events_processed: u64,
+    /// Loss notifications, among those events, that a node sent itself
+    /// with no delay while its logic
+    /// [ignores them](crate::logic::Ctx::ignore_loss_notifications): keyed,
+    /// counted and traced, but never queued. A serial run pops
+    /// `events_processed − Σ forwarded_packets − elided_notifications`
+    /// events.
+    pub elided_notifications: u64,
     /// Churn-process measurements, when a churn generator was installed
     /// (flow slots then cover static flows plus the churn peak).
     pub churn: Option<ChurnReport>,

@@ -141,8 +141,11 @@ pub(crate) enum Event {
 }
 
 struct NodeSlot {
-    name: String,
+    name: Box<str>,
     logic: Option<Box<dyn RouterLogic>>,
+    /// The logic declared that it ignores [`ControlMsg::Loss`]
+    /// ([`Ctx::ignore_loss_notifications`]).
+    ignores_loss: bool,
 }
 
 /// A runnable simulated network; construct one with
@@ -210,6 +213,9 @@ pub struct Network {
     /// the event count of the pre-train engine, which popped one `TxDone`
     /// per forwarded packet.
     logical_events: u64,
+    /// Loss notifications accounted without a queue round trip; see
+    /// [`push_control`](Self::push_control).
+    elided_notifications: u64,
     /// Reusable action buffer threaded through every logic callback;
     /// drained and reset after each event so steady-state dispatch never
     /// allocates.
@@ -252,8 +258,9 @@ impl Network {
             .into_iter()
             .zip(logics)
             .map(|(name, logic)| NodeSlot {
-                name,
+                name: name.into_boxed_str(),
                 logic: Some(logic),
+                ignores_loss: false,
             })
             .collect();
         let node_count = nodes.len();
@@ -286,6 +293,7 @@ impl Network {
             stale_events: 0,
             dispatch,
             logical_events: 0,
+            elided_notifications: 0,
             // Pre-sized so even per-flow action bursts (epoch timers on
             // an edge carrying many flows) stay allocation-free.
             scratch: ActionBuf::with_capacity(64),
@@ -524,33 +532,9 @@ impl Network {
                 self.with_logic(node, |logic, ctx| logic.on_timer(ctx, timer));
             }
             Event::Control { node, msg } => {
-                let (flow, is_feedback) = match msg {
-                    ControlMsg::MarkerFeedback { marker, .. } => (marker.flow, true),
-                    ControlMsg::Loss { flow, .. } => (flow, false),
-                    ControlMsg::Ack { flow, .. } => (flow, false),
-                };
-                // A control message that outlived its flow's slot (the
-                // slot was recycled to a new generation) must not be
-                // delivered as if it concerned the new occupant.
-                if self.flows[flow.index()].id != flow {
-                    self.stale_events += 1;
-                    return;
+                if self.admit_control(node, msg) {
+                    self.with_logic(node, |logic, ctx| logic.on_control(ctx, msg));
                 }
-                if self.pause_end(node).is_some() {
-                    // A paused control plane cannot receive signalling.
-                    self.trace(TraceEvent::Fault {
-                        kind: FaultKind::ControlLost,
-                        node,
-                        flow: Some(flow),
-                    });
-                    return;
-                }
-                self.trace(TraceEvent::Control {
-                    node,
-                    flow,
-                    is_feedback,
-                });
-                self.with_logic(node, |logic, ctx| logic.on_control(ctx, msg));
             }
             Event::FlowStart { flow } => {
                 // Replicated on every shard: the slot bookkeeping below
@@ -645,6 +629,39 @@ impl Network {
             Event::ChurnArrival => self.handle_churn_arrival(),
             Event::ChurnRetire { flow } => self.handle_churn_retire(flow),
         }
+    }
+
+    /// Everything the arrival of `msg` at `node` does short of calling
+    /// the logic: the staleness and pause checks and the trace record.
+    /// Returns whether the logic is to see the message.
+    fn admit_control(&mut self, node: NodeId, msg: ControlMsg) -> bool {
+        let (flow, is_feedback) = match msg {
+            ControlMsg::MarkerFeedback { marker, .. } => (marker.flow, true),
+            ControlMsg::Loss { flow, .. } => (flow, false),
+            ControlMsg::Ack { flow, .. } => (flow, false),
+        };
+        // A control message that outlived its flow's slot (the slot was
+        // recycled to a new generation) must not be delivered as if it
+        // concerned the new occupant.
+        if self.flows[flow.index()].id != flow {
+            self.stale_events += 1;
+            return false;
+        }
+        if self.pause_end(node).is_some() {
+            // A paused control plane cannot receive signalling.
+            self.trace(TraceEvent::Fault {
+                kind: FaultKind::ControlLost,
+                node,
+                flow: Some(flow),
+            });
+            return false;
+        }
+        self.trace(TraceEvent::Control {
+            node,
+            flow,
+            is_feedback,
+        });
+        true
     }
 
     /// Creates the next churn flow: draws its route, weight and size,
@@ -909,6 +926,7 @@ impl Network {
                     Event::Timer { node, timer },
                 );
             }
+            Action::IgnoreLoss => self.nodes[node.index()].ignores_loss = true,
         }
     }
 
@@ -917,6 +935,19 @@ impl Network {
     /// delay/jitter). Fault draws come from `from`'s dedicated stream, so
     /// a shard executing `from` reproduces the serial draw sequence
     /// without seeing any other node's sends.
+    ///
+    /// **Elided notifications.** A [`ControlMsg::Loss`] that `from` sends
+    /// itself with no delay, while executing one of its own events, to a
+    /// logic that [ignores losses](Ctx::ignore_loss_notifications), is
+    /// accounted here instead of queued: it mints its key, counts as a
+    /// logical event and is traced exactly as its dispatch would have
+    /// been, and only the logic call that does nothing is skipped. Had it
+    /// been queued it would have popped at this same instant, after the
+    /// instant's GLOBAL events (the current key is a node's, so those are
+    /// done) and with only node-site events in between, which change
+    /// neither the flow table nor the pause schedule `admit_control`
+    /// reads — so every count, key and fault draw of the run is the same
+    /// (DESIGN.md §9).
     fn push_control(&mut self, from: NodeId, to: NodeId, delay: SimDuration, msg: ControlMsg) {
         let flow = match msg {
             ControlMsg::MarkerFeedback { marker, .. } => marker.flow,
@@ -949,6 +980,20 @@ impl Network {
                 node: to,
                 flow: Some(flow),
             });
+        }
+        if from == to
+            && matches!(msg, ControlMsg::Loss { .. })
+            && (delay + extra).is_zero()
+            && self.nodes[to.index()].ignores_loss
+            // In a node event: their keys carry prefixes from 2 up, a
+            // lifecycle callback runs under GLOBAL's 1, `on_start` under 0.
+            && self.current_key >> KEY_SITE_SHIFT > SITE_GLOBAL + 1
+        {
+            self.next_key(node_site(from));
+            self.logical_events += 1;
+            self.elided_notifications += 1;
+            self.admit_control(to, msg);
+            return;
         }
         self.push_event(
             self.now + delay + extra,
@@ -1099,6 +1144,7 @@ impl Network {
             links,
             logic,
             events_processed,
+            elided_notifications: self.elided_notifications,
             churn: self.churn.map(|c| c.finish(end, stale_events)),
         }
     }

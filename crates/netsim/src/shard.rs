@@ -701,6 +701,7 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
         .collect();
 
     let events_processed = partials.iter().map(|p| p.report.events_processed).sum();
+    let elided_notifications = partials.iter().map(|p| p.report.elided_notifications).sum();
 
     // Replicated churn bookkeeping is identical everywhere; completion
     // metrics were deferred on every shard and are replayed here in
@@ -729,6 +730,7 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
             links,
             logic,
             events_processed,
+            elided_notifications,
             churn,
         },
         per_shard_events,

@@ -19,15 +19,19 @@ use std::rc::Rc;
 /// A link as the shard partitioner sees it: `(src, dst, delay)`.
 pub(crate) type PartitionLink = (u32, u32, SimDuration);
 
-/// Events an ingress executes per packet it offers, where every later
-/// node on the path executes one arrival: an emission timer, the
-/// feedback the packet's markers draw, and the lifecycle work around
-/// them. Measured on the k = 16 fat-tree: 1.05 at light load (one timer
-/// per packet, hardly any feedback), 10 under `k16_churn`'s 25x overload
-/// (most emissions die on the access link, every marker is returned);
-/// 3 is their geometric mean, and enough to deal ingresses before the
-/// cores they feed.
-const INGRESS_EVENTS_PER_PACKET: f64 = 3.0;
+/// Events an ingress pops per packet it offers, where every later node
+/// on the path pops one arrival: an emission timer and the feedback the
+/// packet's markers draw (lifecycle events pop on every shard alike, so
+/// they weigh nothing here). Measured on the k = 16 fat-tree as ingress
+/// timers plus controls over the mean arrivals of a later path node:
+/// 1.05 at light load (one timer per packet, hardly any feedback), 5.8
+/// under `k16_churn`'s 25x overload — 34.7 k timers and 1.2 k feedback
+/// messages per ingress against 6.0 k arrivals per later node, since
+/// three emissions in four die on the access link (the notifications
+/// of those drops are not queued, see `Network::push_control`). 2.5 is
+/// the geometric mean, and enough to deal ingresses before the cores
+/// they feed.
+const INGRESS_EVENTS_PER_PACKET: f64 = 2.5;
 
 /// Builds a [`Network`] from nodes, links and flows.
 ///
@@ -496,7 +500,7 @@ mod tests {
             LinkSpec::new(1_000_000, SimDuration::from_millis(40), 40),
         );
         b.link(d, idle, spec());
-        // Active for 4 of the 10 s: 500 packets, three events each at a.
+        // Active for 4 of the 10 s: 500 packets, 2.5 events each at a.
         b.flow(FlowSpec::new(vec![a, c, d], 1).active(SimTime::from_secs(6), None));
         // 20 flows/s over the 5 s of the window that fit, 10 packets each.
         b.churn(
@@ -505,7 +509,7 @@ mod tests {
                 .window(SimTime::from_secs(5), SimTime::from_secs(60)),
         );
         let (weights, links) = b.partition_inputs(SimTime::from_secs(10));
-        assert_eq!(weights, vec![1 + 1500, 1 + 500, 1 + 500 + 3000, 1 + 1000]);
+        assert_eq!(weights, vec![1 + 1250, 1 + 500, 1 + 500 + 2500, 1 + 1000]);
         assert_eq!(links.len(), 3);
         assert_eq!(links[1], (1, 2, SimDuration::from_millis(40)));
     }

@@ -506,6 +506,11 @@ impl GbnSender {
 }
 
 impl RouterLogic for GbnSender {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        // Loss notifications are redundant with the ack stream.
+        ctx.ignore_loss_notifications();
+    }
+
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: crate::packet::Packet) {
         // Transit traffic of other flows passes through unchanged.
         ctx.emit(packet);
@@ -576,7 +581,7 @@ impl RouterLogic for GbnSender {
             ControlMsg::MarkerFeedback { marker, .. } => {
                 self.signal(ctx.now(), marker.flow);
             }
-            // Loss notifications are redundant with the ack stream.
+            // Declared ignored in `on_start`.
             ControlMsg::Loss { .. } => {}
         }
     }

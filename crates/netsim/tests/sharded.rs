@@ -101,26 +101,41 @@ fn churn_chain() -> TopologyBuilder {
 
 /// `per_shard_events` and `events_processed` are two definitions, not
 /// one count taken twice. Popped events fall short of `events_processed`
-/// by the serializations train dispatch never pops, and grow with the
-/// shard count by one extra pop per replicated lifecycle event per
-/// extra shard — node-addressed events still pop once in total.
+/// by the serializations train dispatch never pops and by the loss
+/// notifications a deaf ingress is spared (`elided_notifications`), and
+/// grow with the shard count by one extra pop per replicated lifecycle
+/// event per extra shard — node-addressed events still pop once in
+/// total.
 #[test]
 fn popped_events_reconcile_with_events_processed() {
     let end = SimTime::from_secs(5);
     let run = |shards| run_sharded(churn_chain, shards, end, false, false);
-    let popped = |shards| run(shards).per_shard_events.iter().sum::<u64>();
 
     let one = run(1);
     let forwarded: u64 = one.report.links.iter().map(|l| l.forwarded_packets).sum();
     assert!(forwarded > 1_000, "the chain carried traffic: {forwarded}");
+    let elided = one.report.elided_notifications;
+    assert!(
+        elided > 1_000,
+        "the CBR ingress overran its uplink: {elided}"
+    );
     assert_eq!(
-        one.per_shard_events[0] + forwarded,
+        one.per_shard_events[0] + forwarded + elided,
         one.report.events_processed
     );
 
-    let excess2 = popped(2) - one.per_shard_events[0];
-    assert!(excess2 > 0, "lifecycle events replicate");
-    assert_eq!(popped(3) - one.per_shard_events[0], 2 * excess2);
+    let two = run(2);
+    let lifecycle = two.per_shard_events.iter().sum::<u64>() - one.per_shard_events[0];
+    assert!(lifecycle > 0, "lifecycle events replicate");
+    for (shards, outcome) in [(2, two), (4, run(4))] {
+        let popped: u64 = outcome.per_shard_events.iter().sum();
+        assert_eq!(outcome.report.elided_notifications, elided);
+        assert_eq!(
+            popped - (shards - 1) * lifecycle + forwarded + elided,
+            outcome.report.events_processed,
+            "{shards} shards"
+        );
+    }
 }
 
 /// A forwarding node whose logic hits a bug on its first packet.

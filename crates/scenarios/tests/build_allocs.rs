@@ -8,6 +8,9 @@
 //! is the count at the commit before routes were interned and the event
 //! queue took a payload slab; a change that adds an allocation to the
 //! build path has to take one out elsewhere, or argue here why not.
+//! (The per-node "ignores loss notifications" flag of DESIGN.md §9 is a
+//! `bool` in the node's slot, not a vector of its own: it costs no
+//! allocation and moved no count here.)
 //!
 //! Its own integration-test binary, so the counting allocator sees
 //! nothing else.

@@ -314,6 +314,7 @@ const HOT_FNS: &[&str] = &[
     "with_logic",
     "apply_action",
     "push_control",
+    "admit_control",
     "record_drop",
     // The event queue under every dispatch.
     "place",

@@ -132,3 +132,17 @@ fn csfq_startup_shows_early_losses_unlike_corelite() {
         result.total_drops()
     );
 }
+
+/// CSFQ is the one discipline that *listens* to loss notifications, so
+/// its edges never declare `Ctx::ignore_loss_notifications` and every
+/// one still travels the queue: the count the edges report for the
+/// paper's Figure 5/6 run is the one measured before elided
+/// notifications existed (DESIGN.md §9), and equals the run's drops
+/// but for those still in flight at the horizon.
+#[test]
+fn csfq_edges_still_hear_every_loss() {
+    let result = scenarios::fig5_6(1).run(&Csfq::new(CsfqConfig::default()));
+    assert_eq!(result.report.counter_total("losses_seen"), 925.0);
+    assert_eq!(result.report.total_drops(), 928);
+    assert_eq!(result.report.elided_notifications, 0);
+}
