@@ -15,7 +15,7 @@
 //! repeat invocations and queue backends like every other experiment.
 
 use sim_core::rng::DetRng;
-use sim_core::stats::{LogHistogram, TimeSeries};
+use sim_core::stats::{mean_secs, LogHistogram, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::flow::Route;
@@ -174,17 +174,18 @@ impl ChurnSpec {
 
 /// Per-arrival-cohort aggregates: flows are bucketed by arrival time into
 /// a fixed number of equal-width cohorts over the arrival window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CohortStats {
     /// Flows that arrived in this cohort.
     pub arrivals: u64,
     /// Flows retired with at least one delivered packet.
     pub completed: u64,
-    /// Sum of flow completion times (seconds) over completed flows.
-    pub fct_sum: f64,
-    /// Sum of settling times (arrival to first delivery, seconds) over
-    /// completed flows.
-    pub settling_sum: f64,
+    /// Sum of flow completion times over completed flows, nanoseconds:
+    /// exact, so per-shard cohorts add up to the serial run's.
+    pub fct_sum_ns: u128,
+    /// Sum of settling times (arrival to first delivery) over completed
+    /// flows, nanoseconds.
+    pub settling_sum_ns: u128,
     /// Packets delivered across the cohort's flows.
     pub delivered_packets: u64,
 }
@@ -193,12 +194,12 @@ impl CohortStats {
     /// Mean flow completion time in seconds, or `None` if no flow in the
     /// cohort completed.
     pub fn mean_fct(&self) -> Option<f64> {
-        (self.completed > 0).then(|| self.fct_sum / self.completed as f64)
+        mean_secs(self.fct_sum_ns, self.completed)
     }
 
     /// Mean settling time (arrival to first delivered packet) in seconds.
     pub fn mean_settling(&self) -> Option<f64> {
-        (self.completed > 0).then(|| self.settling_sum / self.completed as f64)
+        mean_secs(self.settling_sum_ns, self.completed)
     }
 }
 
@@ -243,59 +244,23 @@ impl ChurnReport {
     }
 }
 
-/// A churn flow's raw completion data, logged instead of folded into the
-/// running metrics when completion accounting is deferred (sharded runs).
-///
-/// Float accumulation is order-sensitive, so partial per-shard sums could
-/// differ from the serial run in the last ulp. Logging the raw inputs
-/// keyed by the retire event's canonical `(time, key)` lets the merge
-/// replay completions in exactly the serial dispatch order, making the
-/// merged churn report byte-identical by construction.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CompletionRecord {
-    /// The retire event's timestamp.
-    pub(crate) time: SimTime,
-    /// The retire event's canonical key (total order among same-time
-    /// retires).
-    pub(crate) key: u64,
-    /// The flow's arrival instant (cohort selector).
-    pub(crate) arrival: SimTime,
-    /// First and last delivery instants.
-    pub(crate) first: SimTime,
-    pub(crate) last: SimTime,
-    pub(crate) delivered_packets: u64,
-}
-
 impl ChurnReport {
-    /// Folds one deferred completion into the report, exactly as
-    /// [`ChurnState::retire`] would have done inline; `start`/`stop` are
-    /// the churn window bounds that define the cohort grid. Records must
-    /// be absorbed in `(time, key)` order for float sums to reproduce the
-    /// serial run bit-for-bit.
-    pub(crate) fn absorb_completion(
-        &mut self,
-        start: SimTime,
-        stop: SimTime,
-        r: &CompletionRecord,
-    ) {
-        let fct = r.last.saturating_since(r.arrival).as_secs_f64();
-        let settling = r.first.saturating_since(r.arrival).as_secs_f64();
-        self.completed += 1;
-        self.fct.record(fct);
-        self.settling.record(settling);
-        let span = stop.saturating_since(start).as_secs_f64();
-        let offset = r.arrival.saturating_since(start).as_secs_f64();
-        let n = self.cohorts.len();
-        let i = if span > 0.0 {
-            (((offset / span) * n as f64) as usize).min(n - 1)
-        } else {
-            0
-        };
-        let cohort = &mut self.cohorts[i];
-        cohort.completed += 1;
-        cohort.fct_sum += fct;
-        cohort.settling_sum += settling;
-        cohort.delivered_packets += r.delivered_packets;
+    /// Adds the completions another shard of the same run accounted.
+    /// Each completed flow is accounted by exactly one shard, the owner
+    /// of its egress, and every statistic involved is a count, an exact
+    /// nanosecond sum or an extreme, so the total does not depend on how
+    /// the flows were dealt. Everything else in the report is replicated
+    /// bookkeeping, identical on every shard.
+    pub(crate) fn add_completions(&mut self, other: &ChurnReport) {
+        self.completed += other.completed;
+        self.fct.merge(&other.fct);
+        self.settling.merge(&other.settling);
+        for (mine, theirs) in self.cohorts.iter_mut().zip(&other.cohorts) {
+            mine.completed += theirs.completed;
+            mine.fct_sum_ns += theirs.fct_sum_ns;
+            mine.settling_sum_ns += theirs.settling_sum_ns;
+            mine.delivered_packets += theirs.delivered_packets;
+        }
     }
 }
 
@@ -359,9 +324,6 @@ pub(crate) struct ChurnState {
     last_sample: SimTime,
     window: SimDuration,
     cohorts: Vec<CohortStats>,
-    /// When `Some`, completion metrics are logged here instead of folded
-    /// into `fct`/`settling`/`cohorts` (see [`CompletionRecord`]).
-    completion_log: Option<Vec<CompletionRecord>>,
 }
 
 impl ChurnState {
@@ -371,7 +333,6 @@ impl ChurnState {
         seed: u64,
         window: SimDuration,
         base_slots: usize,
-        defer_completions: bool,
     ) -> Self {
         spec.validate();
         debug_assert_eq!(spec.routes.len(), routes.len());
@@ -398,18 +359,7 @@ impl ChurnState {
             window,
             cohorts,
             spec,
-            completion_log: defer_completions.then(Vec::new),
         }
-    }
-
-    /// The churn window bounds (the cohort grid for deferred replay).
-    pub(crate) fn completion_window(&self) -> (SimTime, SimTime) {
-        (self.spec.start, self.spec.stop)
-    }
-
-    /// Takes the deferred completion log (empty unless deferring).
-    pub(crate) fn take_completions(&mut self) -> Vec<CompletionRecord> {
-        self.completion_log.take().unwrap_or_default()
     }
 
     pub(crate) fn packet_size(&self) -> u32 {
@@ -510,15 +460,15 @@ impl ChurnState {
     }
 
     /// Retires `slot`'s occupant: records its completion metrics and
-    /// returns the slot to the free list.
+    /// returns the slot to the free list. `delivered` is the first and
+    /// last delivery instants and the packet count; a shard whose monitor
+    /// saw no delivery for the flow passes `None` and accounts nothing,
+    /// so across shards each completion is counted once.
     pub(crate) fn retire(
         &mut self,
         now: SimTime,
-        key: u64,
         slot: usize,
-        first_delivery: Option<SimTime>,
-        last_delivery: Option<SimTime>,
-        delivered_packets: u64,
+        delivered: Option<(SimTime, SimTime, u64)>,
     ) {
         let rel = self.rel(slot);
         // A paused ingress can hold the stop past the linger; account the
@@ -530,33 +480,17 @@ impl ChurnState {
         }
         let arrival = self.arrived_at[rel];
         self.retired += 1;
-        if let Some(log) = &mut self.completion_log {
-            // Deferred mode: a shard that saw no delivery for this flow
-            // holds no completion data (an empty monitor passes `None`s
-            // and zero), so exactly one shard logs each completed flow.
-            if let (Some(first), Some(last)) = (first_delivery, last_delivery) {
-                log.push(CompletionRecord {
-                    time: now,
-                    key,
-                    arrival,
-                    first,
-                    last,
-                    delivered_packets,
-                });
-            }
-        } else {
-            if let (Some(first), Some(last)) = (first_delivery, last_delivery) {
-                let fct = last.saturating_since(arrival).as_secs_f64();
-                let settling = first.saturating_since(arrival).as_secs_f64();
-                self.completed += 1;
-                self.fct.record(fct);
-                self.settling.record(settling);
-                let cohort = self.cohort_mut(arrival);
-                cohort.completed += 1;
-                cohort.fct_sum += fct;
-                cohort.settling_sum += settling;
-            }
-            self.cohort_mut(arrival).delivered_packets += delivered_packets;
+        if let Some((first, last, packets)) = delivered {
+            let fct = last.saturating_since(arrival);
+            let settling = first.saturating_since(arrival);
+            self.completed += 1;
+            self.fct.record(fct);
+            self.settling.record(settling);
+            let cohort = self.cohort_mut(arrival);
+            cohort.completed += 1;
+            cohort.fct_sum_ns += u128::from(fct.as_nanos());
+            cohort.settling_sum_ns += u128::from(settling.as_nanos());
+            cohort.delivered_packets += packets;
         }
         self.free.push(rel as u32);
     }
@@ -628,7 +562,7 @@ mod tests {
             reverse_delay: SimDuration::from_millis(ms),
         };
         let routes = vec![[hop(0, Some(LinkId::from_index(0)), 0), hop(1, None, 40)].into()];
-        ChurnState::new(spec, routes, 7, SimDuration::from_secs(1), 3, false)
+        ChurnState::new(spec, routes, 7, SimDuration::from_secs(1), 3)
     }
 
     #[test]
@@ -640,7 +574,7 @@ mod tests {
         assert_eq!((a.slot, a.generation, a.fresh), (3, 0, true));
         assert_eq!((b.slot, b.generation, b.fresh), (4, 0, true));
         s.note_stop(SimTime::from_secs(2), a.slot);
-        s.retire(SimTime::from_secs(3), 0, a.slot, None, None, 0);
+        s.retire(SimTime::from_secs(3), a.slot, None);
         let c = s.plan_arrival(SimTime::from_secs(4));
         assert_eq!((c.slot, c.generation, c.fresh), (3, 1, false));
     }
@@ -652,7 +586,7 @@ mod tests {
         let a = s.plan_arrival(SimTime::from_secs(1));
         let recycle = |s: &mut ChurnState, at: u64| {
             s.note_stop(SimTime::from_secs(at), a.slot);
-            s.retire(SimTime::from_secs(at), 0, a.slot, None, None, 0);
+            s.retire(SimTime::from_secs(at), a.slot, None);
             s.plan_arrival(SimTime::from_secs(at))
         };
         s.gens[0] = u32::MAX - 1;
@@ -673,7 +607,7 @@ mod tests {
         let mut s = state(spec());
         let a = s.plan_arrival(SimTime::from_secs(1));
         // Stop never delivered (paused ingress): retire must not leak.
-        s.retire(SimTime::from_secs(3), 0, a.slot, None, None, 0);
+        s.retire(SimTime::from_secs(3), a.slot, None);
         let r = s.finish(SimTime::from_secs(10), 0);
         assert_eq!(r.arrivals, 1);
         assert_eq!(r.retired, 1);
@@ -688,14 +622,8 @@ mod tests {
         let mut s = state(spec());
         let a = s.plan_arrival(SimTime::from_secs(1));
         s.note_stop(SimTime::from_secs(2), a.slot);
-        s.retire(
-            SimTime::from_secs(3),
-            0,
-            a.slot,
-            Some(SimTime::from_secs_f64(1.25)),
-            Some(SimTime::from_secs_f64(2.5)),
-            42,
-        );
+        let delivered = (SimTime::from_millis(1250), SimTime::from_millis(2500), 42);
+        s.retire(SimTime::from_secs(3), a.slot, Some(delivered));
         let r = s.finish(SimTime::from_secs(10), 0);
         assert_eq!(r.completed, 1);
         assert!((r.settling.mean().unwrap() - 0.25).abs() < 1e-6);

@@ -90,6 +90,16 @@ pub enum ControlMsg {
     },
 }
 
+impl ControlMsg {
+    /// The flow the message concerns.
+    pub fn flow(&self) -> FlowId {
+        match *self {
+            ControlMsg::MarkerFeedback { marker, .. } => marker.flow,
+            ControlMsg::Loss { flow, .. } | ControlMsg::Ack { flow, .. } => flow,
+        }
+    }
+}
+
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {

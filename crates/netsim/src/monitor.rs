@@ -30,8 +30,8 @@ pub(crate) struct FlowMonitor {
     delay: LogHistogram,
     last_cumulative_window: SimTime,
     window: SimDuration,
-    first_delivery: Option<SimTime>,
-    last_delivery: Option<SimTime>,
+    /// First and last delivery instants, once a packet has arrived.
+    delivery_span: Option<(SimTime, SimTime)>,
 }
 
 impl FlowMonitor {
@@ -49,8 +49,7 @@ impl FlowMonitor {
             delay: LogHistogram::new(),
             last_cumulative_window: start,
             window,
-            first_delivery: None,
-            last_delivery: None,
+            delivery_span: None,
         }
     }
 
@@ -59,11 +58,9 @@ impl FlowMonitor {
         self.goodput.record(now, 1.0);
         self.delivered_packets += 1;
         self.delivered_bytes += bytes as u64;
-        self.delay.record(delay.as_secs_f64());
-        if self.first_delivery.is_none() {
-            self.first_delivery = Some(now);
-        }
-        self.last_delivery = Some(now);
+        self.delay.record(delay);
+        let first = self.delivery_span.map_or(now, |(first, _)| first);
+        self.delivery_span = Some((first, now));
     }
 
     /// Accounts a packet that reached the egress but is *not* new
@@ -76,20 +73,13 @@ impl FlowMonitor {
         self.duplicate_bytes += bytes as u64;
     }
 
-    /// Time of the first delivered packet, if any (churn settling).
-    pub(crate) fn first_delivery(&self) -> Option<SimTime> {
-        self.first_delivery
-    }
-
-    /// Time of the most recent delivered packet, if any (churn FCT).
-    pub(crate) fn last_delivery(&self) -> Option<SimTime> {
-        self.last_delivery
-    }
-
-    /// Packets delivered so far (read at churn retirement, before the
-    /// monitor is replaced by the slot's next occupant).
-    pub(crate) fn delivered_packets(&self) -> u64 {
-        self.delivered_packets
+    /// What the flow delivered so far — first and last delivery instants
+    /// (churn settling and FCT) and the packet count — or `None` if
+    /// nothing arrived. Read at churn retirement, before the monitor is
+    /// replaced by the slot's next occupant.
+    pub(crate) fn deliveries(&self) -> Option<(SimTime, SimTime, u64)> {
+        self.delivery_span
+            .map(|(first, last)| (first, last, self.delivered_packets))
     }
 
     pub(crate) fn record_drop(&mut self, reason: DropReason) {

@@ -98,14 +98,6 @@ pub(crate) type EventCursor = Rc<Cell<(SimTime, u64)>>;
 /// A cross-shard event en route: `(fire time, canonical key, event)`.
 pub(crate) type Envelope = (SimTime, u64, Event);
 
-/// Which slice of the topology this `Network` instance executes.
-pub(crate) enum ExecRole {
-    /// The serial engine: every node is local.
-    Whole,
-    /// One shard of a partitioned run (see [`crate::shard`]).
-    Shard(ShardView),
-}
-
 /// A shard worker's view of the partition.
 pub(crate) struct ShardView {
     /// `shard_of_node[n]` is the shard that owns node `n`.
@@ -152,9 +144,9 @@ struct NodeSlot {
 /// [`TopologyBuilder`](crate::topology::TopologyBuilder).
 pub struct Network {
     now: SimTime,
-    /// Pending events, stored with their canonical key so capture hooks
-    /// can observe it at pop time; same-time ties pop in key order.
-    queue: EventQueue<(u64, Event)>,
+    /// Pending events, pushed under their canonical key: same-time ties
+    /// pop in key order, and the pop hands the key back.
+    queue: EventQueue<Event>,
     nodes: Vec<NodeSlot>,
     links: Vec<Link>,
     flows: Vec<FlowInfo>,
@@ -180,17 +172,19 @@ pub struct Network {
     /// Per-site push counters backing the canonical keys: index 0 is
     /// [`SITE_GLOBAL`], node `n` lives at `n + 1`.
     site_counters: Vec<u64>,
-    /// Serial engine or one shard of a partitioned run.
-    role: ExecRole,
+    /// The slice of the topology this instance executes, as one shard of
+    /// a partitioned run (see [`crate::shard`]); `None` on the serial
+    /// engine, where every node is local.
+    shard: Option<ShardView>,
     /// `outboxes[s]`: events addressed to nodes shard `s` owns, awaiting
-    /// the next barrier exchange (none under [`ExecRole::Whole`]).
+    /// the next barrier exchange (none on the serial engine).
     outboxes: Vec<Vec<Envelope>>,
     /// When capture hooks are installed, the `(time, key)` of the event
     /// being dispatched (shard workers use it to tag probe/trace records
     /// for the deterministic merge).
     cursor: Option<EventCursor>,
-    /// The canonical key of the event currently being dispatched (churn
-    /// retirement logs it to order deferred completion records).
+    /// The canonical key of the event currently being dispatched; its
+    /// site tells `push_control` whether a node event is running.
     current_key: u64,
     notify_losses: bool,
     started: bool,
@@ -225,73 +219,75 @@ pub struct Network {
     outgoing_by_node: Vec<Vec<LinkId>>,
 }
 
+/// What a [`TopologyBuilder`](crate::topology::TopologyBuilder) collects
+/// and a network takes over as it is; flows, faults and churn are
+/// resolved against the topology first and handed to
+/// [`Network::assemble`] beside it.
+pub(crate) struct Parts {
+    pub names: Vec<String>,
+    pub logics: Vec<Box<dyn RouterLogic>>,
+    pub links: Vec<Link>,
+    pub window: SimDuration,
+    pub notify_losses: bool,
+    pub tracer: Option<Rc<RefCell<dyn Tracer>>>,
+    pub probe: Option<Rc<RefCell<dyn Probe>>>,
+    pub queue_backend: QueueBackend,
+    pub dispatch: DispatchMode,
+    /// The shard this instance is to run as (see [`crate::shard`]).
+    pub shard: Option<ShardView>,
+}
+
 impl Network {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
-        names: Vec<String>,
-        logics: Vec<Box<dyn RouterLogic>>,
-        links: Vec<Link>,
+        p: Parts,
         flows: Vec<FlowInfo>,
-        window: SimDuration,
-        notify_losses: bool,
-        tracer: Option<Rc<RefCell<dyn Tracer>>>,
-        probe: Option<Rc<RefCell<dyn Probe>>>,
         faults: Option<FaultState>,
         churn: Option<ChurnState>,
-        queue_backend: QueueBackend,
-        dispatch: DispatchMode,
-        role: ExecRole,
     ) -> Self {
-        check_node_count(names.len());
-        let queue = EventQueue::with_backend(queue_backend, 1024);
+        check_node_count(p.names.len());
         let monitors = flows
             .iter()
-            .map(|_| FlowMonitor::new(SimTime::ZERO, window))
+            .map(|_| FlowMonitor::new(SimTime::ZERO, p.window))
             .collect();
-        let lifecycle_started = vec![None; flows.len()];
-        let rx_next = vec![0; flows.len()];
-        let mut outgoing_by_node: Vec<Vec<LinkId>> = vec![Vec::new(); names.len()];
-        for (i, link) in links.iter().enumerate() {
+        let mut outgoing_by_node: Vec<Vec<LinkId>> = vec![Vec::new(); p.names.len()];
+        for (i, link) in p.links.iter().enumerate() {
             outgoing_by_node[link.src().index()].push(LinkId::from_index(i));
         }
-        let nodes: Vec<NodeSlot> = names
+        let nodes: Vec<NodeSlot> = p
+            .names
             .into_iter()
-            .zip(logics)
+            .zip(p.logics)
             .map(|(name, logic)| NodeSlot {
                 name: name.into_boxed_str(),
                 logic: Some(logic),
                 ignores_loss: false,
             })
             .collect();
-        let node_count = nodes.len();
-        let outboxes = match &role {
-            ExecRole::Whole => Vec::new(),
-            ExecRole::Shard(v) => (0..v.shards).map(|_| Vec::new()).collect(),
-        };
+        let shards = p.shard.as_ref().map_or(0, |v| v.shards);
         let mut net = Network {
             now: SimTime::ZERO,
-            queue,
-            nodes,
-            links,
-            flows,
+            queue: EventQueue::with_backend(p.queue_backend, 1024),
             monitors,
-            rx_next,
-            lifecycle_started,
-            packet_counters: vec![0; node_count],
-            site_counters: vec![0; node_count + 1],
-            role,
-            outboxes,
+            rx_next: vec![0; flows.len()],
+            lifecycle_started: vec![None; flows.len()],
+            packet_counters: vec![0; nodes.len()],
+            site_counters: vec![0; nodes.len() + 1],
+            nodes,
+            links: p.links,
+            flows,
+            shard: p.shard,
+            outboxes: (0..shards).map(|_| Vec::new()).collect(),
             cursor: None,
             current_key: 0,
-            notify_losses,
+            notify_losses: p.notify_losses,
             started: false,
-            tracer,
-            probe,
+            tracer: p.tracer,
+            probe: p.probe,
             faults,
             churn,
-            window,
+            window: p.window,
             stale_events: 0,
-            dispatch,
+            dispatch: p.dispatch,
             logical_events: 0,
             elided_notifications: 0,
             // Pre-sized so even per-flow action bursts (epoch timers on
@@ -339,20 +335,16 @@ impl Network {
     /// Whether this instance executes `node` (always true when serial).
     #[inline]
     fn owns(&self, node: NodeId) -> bool {
-        match &self.role {
-            ExecRole::Whole => true,
-            ExecRole::Shard(v) => v.shard_of_node[node.index()] == v.me,
-        }
+        self.shard
+            .as_ref()
+            .is_none_or(|v| v.shard_of_node[node.index()] == v.me)
     }
 
     /// Whether this instance is the designated counter of fully
     /// replicated work (serial, or shard 0).
     #[inline]
     fn is_lead(&self) -> bool {
-        match &self.role {
-            ExecRole::Whole => true,
-            ExecRole::Shard(v) => v.me == 0,
-        }
+        self.shard.as_ref().is_none_or(|v| v.me == 0)
     }
 
     /// Keys a fresh event at `site` and routes it: locally queued, or —
@@ -373,7 +365,7 @@ impl Network {
             | Event::ChurnArrival
             | Event::ChurnRetire { .. } => None,
         };
-        if let (ExecRole::Shard(v), Some(node)) = (&self.role, dst) {
+        if let (Some(v), Some(node)) = (&self.shard, dst) {
             let shard = v.shard_of_node[node.index()];
             if shard != v.me {
                 debug_assert!(
@@ -384,7 +376,7 @@ impl Network {
                 return;
             }
         }
-        self.queue.push_keyed(time, key, (key, event));
+        self.queue.push_keyed(time, key, event);
     }
 
     fn trace(&self, event: TraceEvent) {
@@ -443,16 +435,7 @@ impl Network {
     /// event scheduled at or before it. Can be called repeatedly with
     /// increasing horizons.
     pub fn run_until(&mut self, end: SimTime) {
-        self.start_if_needed();
-        while let Some((time, (key, event))) = self.queue.pop_at_or_before(end) {
-            debug_assert!(time >= self.now, "event queue went backwards");
-            self.now = time;
-            self.current_key = key;
-            if let Some(cursor) = &self.cursor {
-                cursor.set((time, key));
-            }
-            self.dispatch(event);
-        }
+        self.drain(end);
         // Advance to the horizon, but never rewind: a caller passing an
         // `end` earlier than the current time must not move the clock (and
         // with it the measurement windows) backwards.
@@ -466,12 +449,16 @@ impl Network {
     /// events at exactly `boundary` may still arrive from peer shards at
     /// the next barrier exchange.
     pub(crate) fn run_before(&mut self, boundary: SimTime) {
+        if let Some(limit) = boundary.as_nanos().checked_sub(1) {
+            self.drain(SimTime::from_nanos(limit));
+        }
+    }
+
+    /// Dispatches every pending event at or before `limit`, in
+    /// `(time, key)` order; the clock stops at the last one.
+    fn drain(&mut self, limit: SimTime) {
         self.start_if_needed();
-        let Some(limit) = boundary.as_nanos().checked_sub(1) else {
-            return;
-        };
-        let limit = SimTime::from_nanos(limit);
-        while let Some((time, (key, event))) = self.queue.pop_at_or_before(limit) {
+        while let Some((time, key, event)) = self.queue.pop_keyed_at_or_before(limit) {
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
             self.current_key = key;
@@ -508,9 +495,8 @@ impl Network {
     }
 
     fn dispatch(&mut self, event: Event) {
-        if self.counts(&event) {
-            self.logical_events += 1;
-        }
+        let counting = self.counts(&event);
+        self.logical_events += u64::from(counting);
         match event {
             Event::Arrive { node, packet } => self.handle_arrive(node, packet),
             // A checkpoint: retire the link's departures up to now. The
@@ -537,27 +523,10 @@ impl Network {
                 }
             }
             Event::FlowStart { flow } => {
-                // Replicated on every shard: the slot bookkeeping below
-                // must advance everywhere, while staleness accounting,
-                // traces, and the logic callback belong to the counting
-                // shard (the ingress owner) alone.
-                let counting = self.counts(&Event::FlowStart { flow });
-                if self.flows[flow.index()].id != flow {
-                    self.stale_events += u64::from(counting);
+                let again = Event::FlowStart { flow };
+                let Some(ingress) = self.lifecycle_gate(flow, counting, again) else {
                     return;
-                }
-                let ingress = self.flows[flow.index()].ingress();
-                if let Some(until) = self.pause_end(ingress) {
-                    if counting {
-                        self.trace(TraceEvent::Fault {
-                            kind: FaultKind::RouterPaused,
-                            node: ingress,
-                            flow: Some(flow),
-                        });
-                    }
-                    self.push_event(until, SITE_GLOBAL, Event::FlowStart { flow });
-                    return;
-                }
+                };
                 // A start that slid (via pause deferral) outside its
                 // activation window is stale: the flow is not scheduled
                 // to run now, so starting it would contradict the
@@ -586,23 +555,10 @@ impl Network {
                 }
             }
             Event::FlowStop { flow } => {
-                let counting = self.counts(&Event::FlowStop { flow });
-                if self.flows[flow.index()].id != flow {
-                    self.stale_events += u64::from(counting);
+                let again = Event::FlowStop { flow };
+                let Some(ingress) = self.lifecycle_gate(flow, counting, again) else {
                     return;
-                }
-                let ingress = self.flows[flow.index()].ingress();
-                if let Some(until) = self.pause_end(ingress) {
-                    if counting {
-                        self.trace(TraceEvent::Fault {
-                            kind: FaultKind::RouterPaused,
-                            node: ingress,
-                            flow: Some(flow),
-                        });
-                    }
-                    self.push_event(until, SITE_GLOBAL, Event::FlowStop { flow });
-                    return;
-                }
+                };
                 // A deferred stop landing inside a *later* activation
                 // window is stale: delivering it would kill the new
                 // activation (the stop's own window already ended, or it
@@ -631,15 +587,40 @@ impl Network {
         }
     }
 
+    /// What a `FlowStart` and a `FlowStop` for `flow` open with; `again`
+    /// is the event itself. Lifecycle events are replicated on every
+    /// shard: the slot bookkeeping their handlers do must advance
+    /// everywhere, while staleness accounting, traces and the logic
+    /// callback belong to the `counting` shard (the ingress owner) alone.
+    /// Returns the flow's ingress, or `None` when the event is dealt
+    /// with: addressed to the slot's previous occupant (stale), or put
+    /// off to the end of the ingress's pause.
+    fn lifecycle_gate(&mut self, flow: FlowId, counting: bool, again: Event) -> Option<NodeId> {
+        if self.flows[flow.index()].id != flow {
+            self.stale_events += u64::from(counting);
+            return None;
+        }
+        let ingress = self.flows[flow.index()].ingress();
+        if let Some(until) = self.pause_end(ingress) {
+            if counting {
+                self.trace(TraceEvent::Fault {
+                    kind: FaultKind::RouterPaused,
+                    node: ingress,
+                    flow: Some(flow),
+                });
+            }
+            self.push_event(until, SITE_GLOBAL, again);
+            return None;
+        }
+        Some(ingress)
+    }
+
     /// Everything the arrival of `msg` at `node` does short of calling
     /// the logic: the staleness and pause checks and the trace record.
     /// Returns whether the logic is to see the message.
     fn admit_control(&mut self, node: NodeId, msg: ControlMsg) -> bool {
-        let (flow, is_feedback) = match msg {
-            ControlMsg::MarkerFeedback { marker, .. } => (marker.flow, true),
-            ControlMsg::Loss { flow, .. } => (flow, false),
-            ControlMsg::Ack { flow, .. } => (flow, false),
-        };
+        let flow = msg.flow();
+        let is_feedback = matches!(msg, ControlMsg::MarkerFeedback { .. });
         // A control message that outlived its flow's slot (the slot was
         // recycled to a new generation) must not be delivered as if it
         // concerned the new occupant.
@@ -715,14 +696,11 @@ impl Network {
             self.flows[idx].id, flow,
             "slot recycled before its retire event"
         );
-        let monitor = &self.monitors[idx];
-        let first = monitor.first_delivery();
-        let last = monitor.last_delivery();
-        let delivered = monitor.delivered_packets();
+        let delivered = self.monitors[idx].deliveries();
         self.churn
             .as_mut()
             .expect("ChurnRetire without churn")
-            .retire(self.now, self.current_key, idx, first, last, delivered);
+            .retire(self.now, idx, delivered);
     }
 
     fn handle_arrive(&mut self, node: NodeId, packet: Packet) {
@@ -736,21 +714,7 @@ impl Network {
         }
         if flow.egress() == node {
             match packet.seq {
-                None => {
-                    // Open-loop delivery: the pre-transport path, byte for
-                    // byte.
-                    let delay = self.now.saturating_since(packet.sent_at);
-                    self.trace(TraceEvent::Deliver {
-                        node,
-                        packet: packet.id,
-                        flow: packet.flow,
-                    });
-                    self.monitors[packet.flow.index()].record_delivery(
-                        self.now,
-                        packet.size,
-                        delay,
-                    );
-                }
+                None => self.deliver(node, &packet),
                 Some(si) => self.handle_gbn_arrival(node, &packet, si),
             }
         } else if self.pause_end(node).is_some() {
@@ -771,6 +735,17 @@ impl Network {
         }
     }
 
+    /// Accounts `packet` as delivered at its egress `node`.
+    fn deliver(&mut self, node: NodeId, packet: &Packet) {
+        self.trace(TraceEvent::Deliver {
+            node,
+            packet: packet.id,
+            flow: packet.flow,
+        });
+        let delay = self.now.saturating_since(packet.sent_at);
+        self.monitors[packet.flow.index()].record_delivery(self.now, packet.size, delay);
+    }
+
     /// The egress side of the go-back-N transport: deliver in-order
     /// packets, discard (but account) duplicates and out-of-order
     /// arrivals, and send a cumulative ack back to the ingress along the
@@ -786,13 +761,7 @@ impl Network {
         let idx = packet.flow.index();
         if si.seq == self.rx_next[idx] {
             self.rx_next[idx] = si.seq + 1;
-            let delay = self.now.saturating_since(packet.sent_at);
-            self.trace(TraceEvent::Deliver {
-                node,
-                packet: packet.id,
-                flow: packet.flow,
-            });
-            self.monitors[idx].record_delivery(self.now, packet.size, delay);
+            self.deliver(node, packet);
         } else {
             // A go-back-N receiver accepts only the next in-order
             // sequence number; everything else (redelivered windows
@@ -949,11 +918,7 @@ impl Network {
     /// reads — so every count, key and fault draw of the run is the same
     /// (DESIGN.md §9).
     fn push_control(&mut self, from: NodeId, to: NodeId, delay: SimDuration, msg: ControlMsg) {
-        let flow = match msg {
-            ControlMsg::MarkerFeedback { marker, .. } => marker.flow,
-            ControlMsg::Loss { flow, .. } => flow,
-            ControlMsg::Ack { flow, .. } => flow,
-        };
+        let flow = msg.flow();
         // Decide first, trace after: the fault state needs `&mut self`
         // while tracing borrows `&self`.
         let (lost, extra) = match self.faults.as_mut() {
@@ -1048,7 +1013,7 @@ impl Network {
     /// Enqueues an event received from a peer shard under its original
     /// canonical key.
     pub(crate) fn inject(&mut self, time: SimTime, key: u64, event: Event) {
-        self.queue.push_keyed(time, key, (key, event));
+        self.queue.push_keyed(time, key, event);
     }
 
     /// The egress node index of every flow slot (identical on every
@@ -1063,21 +1028,6 @@ impl Network {
     /// Events popped from this instance's queue (per-shard work measure).
     pub(crate) fn events_popped(&self) -> u64 {
         self.queue.delivered()
-    }
-
-    /// Drains the deferred churn completion log (sharded runs only; see
-    /// [`crate::churn::CompletionRecord`]).
-    pub(crate) fn take_completions(&mut self) -> Vec<crate::churn::CompletionRecord> {
-        self.churn
-            .as_mut()
-            .map(|c| c.take_completions())
-            .unwrap_or_default()
-    }
-
-    /// The churn arrival window `(start, stop)`, if churn is configured
-    /// (needed to replay completion records at merge time).
-    pub(crate) fn churn_window(&self) -> Option<(SimTime, SimTime)> {
-        self.churn.as_ref().map(|c| c.completion_window())
     }
 
     /// Consumes the network and assembles the final [`SimReport`].
@@ -1347,6 +1297,14 @@ mod tests {
         net.site_counters[SITE_GLOBAL as usize] = 1 << KEY_SITE_SHIFT;
         let message = overflow_message(&mut net, SITE_GLOBAL);
         assert!(message.contains("global"), "{message}");
+    }
+
+    #[test]
+    fn a_pending_event_is_its_payload_and_nothing_else() {
+        // The canonical key lives in the queue's ordering entry alone; a
+        // `(u64, Event)` payload would put 8 bytes back on every cell.
+        assert_eq!(std::mem::size_of::<Event>(), 104);
+        assert_eq!(EventQueue::<Event>::CELL_BYTES, 104);
     }
 
     #[test]

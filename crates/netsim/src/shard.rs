@@ -79,9 +79,10 @@
 //! same key everywhere and the merged execution is a permutation-free
 //! reordering of the serial one. Mailbox delivery order is irrelevant —
 //! injected events re-sort by `(time, key)` in the receiving wheel.
-//! Float-order hazards (churn completion sums) are sidestepped by
-//! logging raw completions and replaying them in canonical order at
-//! merge time ([`CompletionRecord`]). Probe and trace streams are
+//! Churn completion statistics are counts, exact nanosecond sums and
+//! extremes, so the shards' shares simply add
+//! ([`ChurnReport::add_completions`](crate::churn::ChurnReport)). Probe
+//! and trace streams are the one thing whose order matters: they are
 //! captured per shard with `(event time, event key, intra-event seq)`
 //! tags and merged by sorting on that key, which *is* the serial
 //! emission order.
@@ -99,7 +100,6 @@ use std::sync::{Condvar, Mutex};
 
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::churn::CompletionRecord;
 use crate::ids::NodeId;
 use crate::logic::LogicReport;
 use crate::monitor::{FlowReport, LinkReport, SimReport};
@@ -439,8 +439,6 @@ struct ShardPartial {
     events: u64,
     probes: Vec<(MergeKey, ProbeRec)>,
     traces: Vec<(MergeKey, TraceRec)>,
-    completions: Vec<CompletionRecord>,
-    churn_window: Option<(SimTime, SimTime)>,
 }
 
 /// The result of a sharded run.
@@ -593,8 +591,6 @@ where
         }
     }
 
-    let completions = net.take_completions();
-    let churn_window = net.churn_window();
     let flow_egress = net.flow_egress_nodes();
     let events = net.events_popped();
     let report = net.into_report(end);
@@ -608,8 +604,6 @@ where
         traces: tracer
             .map(|t| std::mem::take(&mut t.borrow_mut().log))
             .unwrap_or_default(),
-        completions,
-        churn_window,
     }
 }
 
@@ -650,8 +644,8 @@ impl Exchange {
 /// taken from the shard that observed it (egress owner for flow
 /// delivery, link source owner for link counters, node owner for logic
 /// state), summed where serial accounting sums over nodes (drops, event
-/// counts), or replayed in canonical order where float accumulation is
-/// order-sensitive (churn completions, probe/trace streams).
+/// counts, churn completions), or — probe and trace streams only — sorted
+/// back into the serial emission order.
 fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutcome {
     let per_shard_events: Vec<u64> = partials.iter().map(|p| p.events).collect();
     let owner = |node: u32| partition.shard_of_node[node as usize] as usize;
@@ -703,22 +697,12 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
     let events_processed = partials.iter().map(|p| p.report.events_processed).sum();
     let elided_notifications = partials.iter().map(|p| p.report.elided_notifications).sum();
 
-    // Replicated churn bookkeeping is identical everywhere; completion
-    // metrics were deferred on every shard and are replayed here in
-    // canonical retire order, which is exactly the serial fold order.
-    let churn = partials[0].report.churn.clone().map(|mut c| {
-        c.stale_events = partials
-            .iter()
-            .map(|p| p.report.churn.as_ref().map_or(0, |r| r.stale_events))
-            .sum();
-        let (start, stop) = partials[0].churn_window.expect("churn window present");
-        let mut records: Vec<CompletionRecord> = partials
-            .iter_mut()
-            .flat_map(|p| std::mem::take(&mut p.completions))
-            .collect();
-        records.sort_unstable_by_key(|r| (r.time, r.key));
-        for r in &records {
-            c.absorb_completion(start, stop, r);
+    // Replicated churn bookkeeping is identical everywhere; stale events
+    // and completions are each accounted by one shard, and add.
+    let churn = partials[0].report.churn.take().map(|mut c| {
+        for other in partials[1..].iter().filter_map(|p| p.report.churn.as_ref()) {
+            c.stale_events += other.stale_events;
+            c.add_completions(other);
         }
         c
     });

@@ -9,7 +9,7 @@ use crate::flow::{FlowInfo, FlowSpec, Hop, Route};
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::{Link, LinkSpec};
 use crate::logic::RouterLogic;
-use crate::network::{DispatchMode, ExecRole, Network, ShardView};
+use crate::network::{DispatchMode, Network, Parts, ShardView};
 use crate::telemetry::Probe;
 use crate::trace::Tracer;
 
@@ -54,19 +54,12 @@ const INGRESS_EVENTS_PER_PACKET: f64 = 2.5;
 /// ```
 pub struct TopologyBuilder {
     seed: u64,
-    names: Vec<String>,
-    logics: Vec<Box<dyn RouterLogic>>,
-    links: Vec<Link>,
+    /// What the network takes over as it is.
+    parts: Parts,
+    /// What `build` resolves against the topology first.
     flow_specs: Vec<FlowSpec>,
-    window: SimDuration,
-    notify_losses: bool,
-    tracer: Option<Rc<RefCell<dyn Tracer>>>,
-    probe: Option<Rc<RefCell<dyn Probe>>>,
     faults: FaultPlan,
     churn: Option<ChurnSpec>,
-    queue_backend: QueueBackend,
-    dispatch: DispatchMode,
-    shard_view: Option<ShardView>,
 }
 
 impl TopologyBuilder {
@@ -75,19 +68,21 @@ impl TopologyBuilder {
     pub fn new(seed: u64) -> Self {
         TopologyBuilder {
             seed,
-            names: Vec::new(),
-            logics: Vec::new(),
-            links: Vec::new(),
+            parts: Parts {
+                names: Vec::new(),
+                logics: Vec::new(),
+                links: Vec::new(),
+                window: SimDuration::from_secs(1),
+                notify_losses: true,
+                tracer: None,
+                probe: None,
+                queue_backend: QueueBackend::Wheel,
+                dispatch: DispatchMode::Train,
+                shard: None,
+            },
             flow_specs: Vec::new(),
-            window: SimDuration::from_secs(1),
-            notify_losses: true,
-            tracer: None,
-            probe: None,
             faults: FaultPlan::default(),
             churn: None,
-            queue_backend: QueueBackend::Wheel,
-            dispatch: DispatchMode::Train,
-            shard_view: None,
         }
     }
 
@@ -95,7 +90,7 @@ impl TopologyBuilder {
     /// (see [`crate::shard`]); the full topology is still constructed,
     /// but only the view's nodes execute.
     pub(crate) fn shard_view(&mut self, view: ShardView) -> &mut Self {
-        self.shard_view = Some(view);
+        self.parts.shard = Some(view);
         self
     }
 
@@ -112,6 +107,7 @@ impl TopologyBuilder {
     /// are left for [`build`](Self::build) to reject.
     pub(crate) fn partition_inputs(&self, end: SimTime) -> (Vec<u64>, Vec<PartitionLink>) {
         let links = self
+            .parts
             .links
             .iter()
             .map(|l| {
@@ -122,7 +118,7 @@ impl TopologyBuilder {
                 )
             })
             .collect();
-        let mut load = vec![0.0f64; self.names.len()];
+        let mut load = vec![0.0f64; self.parts.names.len()];
         let mut offer = |path: &[NodeId], packets: f64| {
             for (i, node) in path.iter().enumerate() {
                 if let Some(events) = load.get_mut(node.index()) {
@@ -136,7 +132,7 @@ impl TopologyBuilder {
         };
         // Sorted by end points once, so that a hop's link is a binary
         // search and the whole estimate stays near-linear in the builder.
-        let mut by_ends: Vec<&Link> = self.links.iter().collect();
+        let mut by_ends: Vec<&Link> = self.parts.links.iter().collect();
         by_ends.sort_by_key(|l| (l.src(), l.dst()));
         for spec in &self.flow_specs {
             let active: f64 = spec
@@ -188,15 +184,15 @@ impl TopologyBuilder {
         name: &str,
         factory: impl FnOnce(u64) -> Box<dyn RouterLogic>,
     ) -> NodeId {
-        let id = NodeId::from_index(self.names.len());
+        let id = NodeId::from_index(self.parts.names.len());
         // Mix the node index into the experiment seed; DetRng whitens
         // further, so a simple affine mix suffices here.
         let component_seed = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(id.index() as u64 + 1);
-        self.names.push(name.to_owned());
-        self.logics.push(factory(component_seed));
+        self.parts.names.push(name.to_owned());
+        self.parts.logics.push(factory(component_seed));
         id
     }
 
@@ -206,11 +202,12 @@ impl TopologyBuilder {
     ///
     /// Panics if either node does not exist.
     pub fn link(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) -> LinkId {
-        assert!(src.index() < self.names.len(), "unknown src node {src}");
-        assert!(dst.index() < self.names.len(), "unknown dst node {dst}");
+        let nodes = self.parts.names.len();
+        assert!(src.index() < nodes, "unknown src node {src}");
+        assert!(dst.index() < nodes, "unknown dst node {dst}");
         assert_ne!(src, dst, "self-links are not allowed");
-        let id = LinkId::from_index(self.links.len());
-        self.links.push(Link::new(src, dst, spec));
+        let id = LinkId::from_index(self.parts.links.len());
+        self.parts.links.push(Link::new(src, dst, spec));
         id
     }
 
@@ -243,21 +240,21 @@ impl TopologyBuilder {
     /// Panics if `window` is zero.
     pub fn measurement_window(&mut self, window: SimDuration) -> &mut Self {
         assert!(!window.is_zero(), "measurement window must be positive");
-        self.window = window;
+        self.parts.window = window;
         self
     }
 
     /// Enables or disables loss notifications to the ingress edge
     /// (default enabled; CSFQ sources need them, Corelite ignores them).
     pub fn notify_losses(&mut self, enabled: bool) -> &mut Self {
-        self.notify_losses = enabled;
+        self.parts.notify_losses = enabled;
         self
     }
 
     /// Installs a packet-level event tracer (see [`crate::trace`]). Keep
     /// a clone of the `Rc` to inspect the tracer after the run.
     pub fn tracer(&mut self, tracer: Rc<RefCell<dyn Tracer>>) -> &mut Self {
-        self.tracer = Some(tracer);
+        self.parts.tracer = Some(tracer);
         self
     }
 
@@ -265,7 +262,7 @@ impl TopologyBuilder {
     /// [`crate::telemetry`]). Keep a clone of the `Rc` to inspect the
     /// collected samples after the run.
     pub fn probe(&mut self, probe: Rc<RefCell<dyn Probe>>) -> &mut Self {
-        self.probe = Some(probe);
+        self.parts.probe = Some(probe);
         self
     }
 
@@ -274,7 +271,7 @@ impl TopologyBuilder {
     /// events in exactly the same order, so simulation results are
     /// byte-identical across backends.
     pub fn queue_backend(&mut self, backend: QueueBackend) -> &mut Self {
-        self.queue_backend = backend;
+        self.parts.queue_backend = backend;
         self
     }
 
@@ -282,7 +279,7 @@ impl TopologyBuilder {
     /// per-packet mode is kept for differential testing; both modes
     /// produce byte-identical simulation results.
     pub fn dispatch_mode(&mut self, mode: DispatchMode) -> &mut Self {
-        self.dispatch = mode;
+        self.parts.dispatch = mode;
         self
     }
 
@@ -315,20 +312,12 @@ impl TopologyBuilder {
     pub fn build(self) -> Network {
         let TopologyBuilder {
             seed,
-            names,
-            logics,
-            links,
+            parts,
             flow_specs,
-            window,
-            notify_losses,
-            tracer,
-            probe,
             faults,
             churn,
-            queue_backend,
-            dispatch,
-            shard_view,
         } = self;
+        let (names, links) = (&parts.names, &parts.links);
         let faults = if faults.is_empty() {
             None
         } else {
@@ -340,7 +329,7 @@ impl TopologyBuilder {
             .enumerate()
             .map(|(i, spec)| {
                 let id = FlowId::from_index(i);
-                let route = resolve_route(&spec.path, &links, &names, &format!("flow {id}"));
+                let route = resolve_route(&spec.path, links, names, &format!("flow {id}"));
                 FlowInfo::new(
                     id,
                     spec.weight,
@@ -361,39 +350,13 @@ impl TopologyBuilder {
                 .iter()
                 .map(|path| {
                     reject_node_revisit(path, "churn route");
-                    resolve_route(path, &links, &names, "churn route")
+                    resolve_route(path, links, names, "churn route")
                 })
                 .collect();
-            // Sharded runs defer completion metrics into a log replayed in
-            // canonical order at merge time (see `ChurnState::retire`).
-            ChurnState::new(
-                spec,
-                routes,
-                seed,
-                window,
-                flows.len(),
-                shard_view.is_some(),
-            )
+            ChurnState::new(spec, routes, seed, parts.window, flows.len())
         });
 
-        Network::assemble(
-            names,
-            logics,
-            links,
-            flows,
-            window,
-            notify_losses,
-            tracer,
-            probe,
-            faults,
-            churn,
-            queue_backend,
-            dispatch,
-            match shard_view {
-                Some(view) => ExecRole::Shard(view),
-                None => ExecRole::Whole,
-            },
-        )
+        Network::assemble(parts, flows, faults, churn)
     }
 }
 

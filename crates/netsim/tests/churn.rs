@@ -9,6 +9,7 @@ use netsim::fault::FaultPlan;
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::{CbrSource, Ctx, ForwardLogic, RouterLogic};
+use netsim::shard::run_sharded;
 use netsim::topology::TopologyBuilder;
 use netsim::{ChurnSpec, DispatchMode, FlowId};
 use sim_core::event::QueueBackend;
@@ -155,6 +156,62 @@ fn churn_runs_are_byte_identical_across_backends_and_repeats() {
         render(QueueBackend::Wheel, DispatchMode::PerPacket),
         "per-packet dispatch diverged"
     );
+}
+
+/// Two ingresses feeding two egresses through one core; arrivals pick
+/// either route, so on a sharded run the completions are accounted on
+/// more than one shard (a flow's egress owner holds its monitor).
+fn two_egress_churn() -> TopologyBuilder {
+    let mut b = TopologyBuilder::new(42);
+    let a = b.node("a", |_| Box::new(CbrSource::new(200.0)));
+    let c = b.node("c", |_| Box::new(CbrSource::new(300.0)));
+    let m = b.node("m", |_| Box::new(ForwardLogic));
+    let y = b.node("y", |_| Box::new(ForwardLogic));
+    let z = b.node("z", |_| Box::new(ForwardLogic));
+    let spec = LinkSpec::new(4_000_000, SimDuration::from_millis(10), 40);
+    for (src, dst) in [(a, m), (c, m), (m, y), (m, z)] {
+        b.link(src, dst, spec);
+    }
+    b.churn(
+        ChurnSpec::new(60.0, 10.0, 100.0)
+            .route(vec![a, m, y])
+            .route(vec![c, m, z])
+            .window(SimTime::ZERO, SimTime::from_secs(4))
+            .linger(SimDuration::from_millis(500)),
+    );
+    b
+}
+
+/// Completion statistics are exact integers, so the shards' shares add
+/// up to the serial run's, cohort by cohort and field for field.
+#[test]
+fn cohort_statistics_add_up_across_shards_to_the_serial_run() {
+    let end = SimTime::from_secs(6);
+    let mut net = two_egress_churn().build();
+    net.run_until(end);
+    let serial = net.into_report(end).churn.expect("churn report present");
+    assert!(serial.completed > 100, "completed {}", serial.completed);
+    let cohort_completed: u64 = serial.cohorts.iter().map(|c| c.completed).sum();
+    assert_eq!(cohort_completed, serial.completed);
+    for shards in [1, 2, 4] {
+        let outcome = run_sharded(two_egress_churn, shards, end, false, false);
+        let sharded = outcome.report.churn.expect("churn report present");
+        assert_eq!(sharded.completed, serial.completed, "{shards} shards");
+        assert_eq!(sharded.cohorts.len(), serial.cohorts.len());
+        for (i, (got, want)) in sharded.cohorts.iter().zip(&serial.cohorts).enumerate() {
+            let at = format!("cohort {i} at {shards} shards");
+            assert_eq!(got.arrivals, want.arrivals, "{at}");
+            assert_eq!(got.completed, want.completed, "{at}");
+            assert_eq!(got.fct_sum_ns, want.fct_sum_ns, "{at}");
+            assert_eq!(got.settling_sum_ns, want.settling_sum_ns, "{at}");
+            assert_eq!(got.delivered_packets, want.delivered_packets, "{at}");
+        }
+        assert_eq!(
+            format!("{sharded:?}"),
+            format!("{serial:?}"),
+            "{shards} shards"
+        );
+    }
 }
 
 /// Records the lifecycle callbacks its node receives.

@@ -10,6 +10,7 @@ use netsim::link::LinkSpec;
 use netsim::logic::{CbrSource, ControlMsg, Ctx, ForwardLogic, RouterLogic};
 use netsim::topology::TopologyBuilder;
 use netsim::FlowId;
+use sim_core::event::QueueBackend;
 use sim_core::time::{SimDuration, SimTime};
 
 fn fast() -> LinkSpec {
@@ -224,4 +225,35 @@ fn zero_size_is_rejected_but_small_packets_flow() {
         report.flow(f).delivered_bytes,
         report.flow(f).delivered_packets * 40
     );
+}
+
+/// The timer wheel resolves 2^24 ticks of 2^17 ns, 36.6 simulated
+/// minutes; what lies beyond waits in its overflow heap. Here a workload
+/// goes through that heap: the `FlowStop` at 38 min is pushed at build
+/// time, from tick 0, so it overflows, and it migrates into the wheel
+/// when the clock enters the second 2^24-tick window — as do the
+/// emission timers and arrivals of the run's last minutes. Two flows at
+/// 2 pkt/s each keep the 40-minute run to about 25 k events.
+#[test]
+fn a_run_past_the_wheel_horizon_matches_the_heap() {
+    let minutes = |m: u64| SimTime::from_secs(60 * m);
+    let end = minutes(40);
+    let run = |backend| {
+        let mut b = TopologyBuilder::new(9);
+        b.queue_backend(backend);
+        let src = b.node("src", |_| Box::new(CbrSource::new(2.0)));
+        let dst = b.node("dst", |_| Box::new(ForwardLogic));
+        b.link(src, dst, fast());
+        b.flow(FlowSpec::new(vec![src, dst], 1).active(SimTime::ZERO, Some(minutes(38))));
+        b.flow(FlowSpec::new(vec![src, dst], 1).active(minutes(1), None));
+        let mut net = b.build();
+        net.run_until(end);
+        net.into_report(end)
+    };
+    let wheel = run(QueueBackend::Wheel);
+    // The far stop fired, and on time: 38 min and 39 min of 2 pkt/s.
+    assert_eq!(wheel.flows[0].delivered_packets, 2 * 60 * 38);
+    assert_eq!(wheel.flows[1].delivered_packets, 2 * 60 * 39);
+    let heap = run(QueueBackend::Heap);
+    assert_eq!(format!("{wheel:?}"), format!("{heap:?}"));
 }

@@ -16,7 +16,9 @@
 
 use scenarios::discipline::default_registry;
 use scenarios::exec::{run_parallel, run_serial};
-use scenarios::report::{last_convergence, mean_convergence, window_jain_index};
+use scenarios::report::{
+    last_convergence, mean_convergence, steady_state_summary, window_jain_index,
+};
 use scenarios::runner::ExperimentResult;
 use scenarios::{fig5_6, Scenario};
 use sim_core::time::{SimDuration, SimTime};
@@ -92,15 +94,50 @@ fn row(result: &ExperimentResult) -> String {
     } else {
         1e3 * p99s.iter().sum::<f64>() / p99s.len() as f64
     };
+    // The index of an all-zero allocation reads 1.0000 and says nothing:
+    // no index unless some flow due a share measured a rate.
+    let served = steady_state_summary(result, steady_from, horizon)
+        .iter()
+        .any(|s| s.expected > 0.0 && s.measured > 0.0);
+    let jain = if served {
+        format!("{:.4}", window_jain_index(result, steady_from, horizon))
+    } else {
+        "—".to_owned()
+    };
     format!(
-        "| {} | {} | {} | {:.4} | {} | {} | {} | {:.0} |",
+        "| {} | {} | {} | {} | {} | {} | {} | {:.0} |",
         result.scenario.name,
         result.scenario.topology.name,
         result.discipline_name,
-        window_jain_index(result, steady_from, horizon),
+        jain,
         result.total_drops(),
         mean_str,
         last_str,
         p99_ms,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scenarios::discipline::by_name;
+
+    /// FRED delivers nothing on the chain (ROADMAP item 1 tracks the
+    /// defect); the table used to print the Jain index of ten zeros.
+    #[test]
+    fn a_cell_that_delivered_nothing_prints_no_fairness_index() {
+        let mut scenario = fig5_6(SEED);
+        scenario.horizon = SimTime::from_secs(30);
+        let cell = |name: &str| row(&scenario.run(by_name(name).expect("registered").as_ref()));
+        let fred = cell("fred");
+        assert!(
+            fred.starts_with("| fig5_6_simultaneous_start | paper_chain | fred | — | "),
+            "{fred}"
+        );
+        let corelite = cell("corelite");
+        assert!(
+            corelite.starts_with("| fig5_6_simultaneous_start | paper_chain | corelite | 0.9"),
+            "{corelite}"
+        );
+    }
 }

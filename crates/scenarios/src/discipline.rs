@@ -13,9 +13,10 @@
 //! * [`Corelite`] — the paper's contribution: adaptive edges driven by
 //!   selective marker feedback from stateless cores.
 //! * [`Csfq`] — the weighted core-stateless fair queueing baseline.
-//! * [`Red`] / [`Fred`] / [`Fifo`] / [`Greedy`] — the classic
-//!   droptail/AQM reference points the paper positions itself against
-//!   (§5): open-loop sources over RED, FRED, or plain FIFO cores.
+//! * `red` / `fred` / `fifo` / `greedy` — the classic droptail/AQM
+//!   reference points the paper positions itself against (§5): four
+//!   values of one open-loop shape, constant-rate sources over RED, FRED,
+//!   or plain FIFO cores.
 
 use baselines::{FifoCore, FredConfig, FredCore, GreedySource, RedConfig, RedCore};
 use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge};
@@ -68,7 +69,7 @@ pub trait Discipline: Sync {
 /// congested without burying it.
 pub const GREEDY_SOURCE_PPS: f64 = 120.0;
 
-/// Per-unit-weight rate of the cooperative [`Fifo`] sources: a flow of
+/// Per-unit-weight rate of the cooperative `fifo` sources: a flow of
 /// weight `w` offers `30 · w` pkt/s, so the §4.2 workload (total weight
 /// 30) oversubscribes the 500 pkt/s paper link by 1.8×.
 pub const FIFO_PPS_PER_WEIGHT: f64 = 30.0;
@@ -137,162 +138,90 @@ impl Discipline for Csfq {
     }
 }
 
-/// Greedy open-loop sources over RED cores: random early detection
-/// manages queues but knows nothing of weights, so goodput follows
-/// offered load — the §5 argument for why AQM alone cannot provide
-/// weighted fairness.
-#[derive(Debug, Clone)]
-pub struct Red {
-    /// RED queue-management parameters.
-    pub config: RedConfig,
-    /// Offered rate of every source, pkt/s.
-    pub source_rate: f64,
+/// Open-loop sources over cores that send no feedback: the shape of the
+/// four §5 reference points, which differ in the core they run and in
+/// what each source offers.
+struct OpenLoop {
+    name: &'static str,
+    /// Builds a core router's logic from its seed.
+    core: fn(u64) -> Box<dyn RouterLogic>,
+    /// What a source offers, pkt/s: per unit of weight when `weighted`,
+    /// per flow when not.
+    pps: f64,
+    /// Whether the sources police themselves in proportion to their
+    /// weights (and the reference allocation honours them).
+    weighted: bool,
 }
 
-impl Default for Red {
-    fn default() -> Self {
-        Red {
-            config: RedConfig::default(),
-            source_rate: GREEDY_SOURCE_PPS,
-        }
+impl OpenLoop {
+    fn rate(&self, flow: &ScenarioFlow) -> f64 {
+        self.pps * self.reference_weight(flow)
     }
 }
 
-impl Discipline for Red {
+impl Discipline for OpenLoop {
     fn name(&self) -> &'static str {
-        "red"
+        self.name
     }
 
     fn core_logic(&self, seed: u64) -> Box<dyn RouterLogic> {
-        Box::new(RedCore::new(seed, self.config.clone()))
+        (self.core)(seed)
     }
 
-    fn edge_logic(&self, _seed: u64, _flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
-        Box::new(GreedySource::new(self.source_rate))
+    fn edge_logic(&self, _seed: u64, flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
+        Box::new(GreedySource::new(self.rate(flow)))
     }
 
-    fn reference_weight(&self, _flow: &ScenarioFlow) -> f64 {
-        1.0
-    }
-
-    fn offered_rate(&self, _flow: &ScenarioFlow) -> Option<f64> {
-        Some(self.source_rate)
-    }
-}
-
-/// Greedy open-loop sources over flow-aware FRED cores: per-flow
-/// accounting protects low-rate flows but the shares are unweighted.
-#[derive(Debug, Clone)]
-pub struct Fred {
-    /// FRED queue-management parameters.
-    pub config: FredConfig,
-    /// Offered rate of every source, pkt/s.
-    pub source_rate: f64,
-}
-
-impl Default for Fred {
-    fn default() -> Self {
-        Fred {
-            config: FredConfig::default(),
-            source_rate: GREEDY_SOURCE_PPS,
+    fn reference_weight(&self, flow: &ScenarioFlow) -> f64 {
+        if self.weighted {
+            flow.weight as f64
+        } else {
+            1.0
         }
     }
-}
 
-impl Discipline for Fred {
-    fn name(&self) -> &'static str {
-        "fred"
-    }
-
-    fn core_logic(&self, seed: u64) -> Box<dyn RouterLogic> {
-        Box::new(FredCore::new(seed, self.config.clone()))
-    }
-
-    fn edge_logic(&self, _seed: u64, _flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
-        Box::new(GreedySource::new(self.source_rate))
-    }
-
-    fn reference_weight(&self, _flow: &ScenarioFlow) -> f64 {
-        1.0
-    }
-
-    fn offered_rate(&self, _flow: &ScenarioFlow) -> Option<f64> {
-        Some(self.source_rate)
+    fn offered_rate(&self, flow: &ScenarioFlow) -> Option<f64> {
+        Some(self.rate(flow))
     }
 }
+
+/// Greedy sources over RED cores: random early detection manages queues
+/// but knows nothing of weights, so goodput follows offered load — the
+/// §5 argument for why AQM alone cannot provide weighted fairness.
+const RED: OpenLoop = OpenLoop {
+    name: "red",
+    core: |seed| Box::new(RedCore::new(seed, RedConfig::default())),
+    pps: GREEDY_SOURCE_PPS,
+    weighted: false,
+};
+
+/// Greedy sources over flow-aware FRED cores: per-flow accounting
+/// protects low-rate flows but the shares are unweighted.
+const FRED: OpenLoop = OpenLoop {
+    name: "fred",
+    core: |seed| Box::new(FredCore::new(seed, FredConfig::default())),
+    pps: GREEDY_SOURCE_PPS,
+    weighted: false,
+};
 
 /// Cooperative weight-proportional sources over plain FIFO drop-tail
 /// cores: the no-AQM, no-feedback reference point. Fair only because the
 /// sources police themselves.
-#[derive(Debug, Clone)]
-pub struct Fifo {
-    /// Per-unit-weight source rate, pkt/s.
-    pub pps_per_weight: f64,
-}
+const FIFO: OpenLoop = OpenLoop {
+    name: "fifo",
+    core: |_| Box::<FifoCore>::new(ForwardLogic),
+    pps: FIFO_PPS_PER_WEIGHT,
+    weighted: true,
+};
 
-impl Default for Fifo {
-    fn default() -> Self {
-        Fifo {
-            pps_per_weight: FIFO_PPS_PER_WEIGHT,
-        }
-    }
-}
-
-impl Discipline for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn core_logic(&self, _seed: u64) -> Box<dyn RouterLogic> {
-        Box::<FifoCore>::new(ForwardLogic)
-    }
-
-    fn edge_logic(&self, _seed: u64, flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
-        Box::new(GreedySource::new(self.pps_per_weight * flow.weight as f64))
-    }
-
-    fn offered_rate(&self, flow: &ScenarioFlow) -> Option<f64> {
-        Some(self.pps_per_weight * flow.weight as f64)
-    }
-}
-
-/// Greedy open-loop sources over plain FIFO drop-tail cores: the
-/// worst-case reference — whoever pushes hardest wins.
-#[derive(Debug, Clone)]
-pub struct Greedy {
-    /// Offered rate of every source, pkt/s.
-    pub source_rate: f64,
-}
-
-impl Default for Greedy {
-    fn default() -> Self {
-        Greedy {
-            source_rate: GREEDY_SOURCE_PPS,
-        }
-    }
-}
-
-impl Discipline for Greedy {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn core_logic(&self, _seed: u64) -> Box<dyn RouterLogic> {
-        Box::<FifoCore>::new(ForwardLogic)
-    }
-
-    fn edge_logic(&self, _seed: u64, _flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
-        Box::new(GreedySource::new(self.source_rate))
-    }
-
-    fn reference_weight(&self, _flow: &ScenarioFlow) -> f64 {
-        1.0
-    }
-
-    fn offered_rate(&self, _flow: &ScenarioFlow) -> Option<f64> {
-        Some(self.source_rate)
-    }
-}
+/// Greedy sources over plain FIFO drop-tail cores: the worst-case
+/// reference — whoever pushes hardest wins.
+const GREEDY: OpenLoop = OpenLoop {
+    name: "greedy",
+    core: |_| Box::<FifoCore>::new(ForwardLogic),
+    pps: GREEDY_SOURCE_PPS,
+    weighted: false,
+};
 
 /// Every in-tree discipline under its default configuration, in the
 /// order the §4.4 comparison tables print them.
@@ -300,10 +229,10 @@ pub fn default_registry() -> Vec<Box<dyn Discipline>> {
     vec![
         Box::new(Corelite::default()),
         Box::new(Csfq::default()),
-        Box::new(Red::default()),
-        Box::new(Fred::default()),
-        Box::new(Fifo::default()),
-        Box::new(Greedy::default()),
+        Box::new(RED),
+        Box::new(FRED),
+        Box::new(FIFO),
+        Box::new(GREEDY),
     ]
 }
 

@@ -137,14 +137,21 @@ pub fn degradation_markdown(rows: &[DegradationRow]) -> String {
     );
     out.push_str("|---|---|---|---|---|---|---|---|---|\n");
     for r in rows {
+        // The index of an all-zero allocation reads 1.0000 and says
+        // nothing: a cell that delivered nothing prints no index.
+        let (jain, jain_drop) = if r.goodput > 0.0 {
+            (format!("{:.4}", r.jain), format!("{:+.1}", r.jain_drop_pct))
+        } else {
+            ("—".to_owned(), "—".to_owned())
+        };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.4} | {:+.1} | {:.1} | {:+.1} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} | {:.1} | {:+.1} | {} |\n",
             r.scenario,
             r.topology,
             r.discipline,
             r.loss_pct,
-            r.jain,
-            r.jain_drop_pct,
+            jain,
+            jain_drop,
             r.goodput,
             r.goodput_drop_pct,
             r.drops,
@@ -186,5 +193,15 @@ mod tests {
         let md = degradation_markdown(&rows);
         assert!(md.contains("| mini |"), "{md}");
         assert_eq!(md.lines().count(), 2 + rows.len());
+        // A cell that delivered nothing has no fairness to index: its
+        // all-zero allocation would read 1.0000.
+        let silent = DegradationRow {
+            jain: 1.0,
+            goodput: 0.0,
+            jain_drop_pct: 0.0,
+            ..rows[1].clone()
+        };
+        let line = degradation_markdown(&[silent]);
+        assert!(line.contains("| 50 | — | — | 0.0 |"), "{line}");
     }
 }

@@ -165,7 +165,7 @@ fn churn_results_are_byte_identical_across_executors_and_backends() {
 /// the first activation's timer is still pending at the restart. About
 /// 1100 are due; the sources used to let that timer live on as a second
 /// chain and emitted 2101 (greedy, CBR) and 2153 (Poisson).
-fn emitted_across_a_restart_inside_a_gap(source: Box<dyn RouterLogic>, counter: &str) -> f64 {
+fn emitted_across_a_restart_inside_a_gap(source: Box<dyn RouterLogic>) -> f64 {
     let mut b = TopologyBuilder::new(5);
     let src = b.node("src", |_| source);
     let dst = b.node("dst", |_| Box::new(ForwardLogic));
@@ -182,20 +182,20 @@ fn emitted_across_a_restart_inside_a_gap(source: Box<dyn RouterLogic>, counter: 
     let end = SimTime::from_secs(11);
     let mut net = b.build();
     net.run_until(end);
-    net.into_report(end).counter_total(counter)
+    net.into_report(end).counter_total("emitted_packets")
 }
 
 #[test]
 fn greedy_source_keeps_one_chain_across_a_restart_inside_a_gap() {
     let source = Box::new(GreedySource::new(100.0));
-    let emitted = emitted_across_a_restart_inside_a_gap(source, "greedy_emitted");
+    let emitted = emitted_across_a_restart_inside_a_gap(source);
     assert!((1095.0..=1105.0).contains(&emitted), "emitted {emitted}");
 }
 
 #[test]
 fn cbr_source_keeps_one_chain_across_a_restart_inside_a_gap() {
     let source = Box::new(CbrSource::new(100.0));
-    let emitted = emitted_across_a_restart_inside_a_gap(source, "emitted_packets");
+    let emitted = emitted_across_a_restart_inside_a_gap(source);
     assert!((1095.0..=1105.0).contains(&emitted), "emitted {emitted}");
 }
 
@@ -203,6 +203,6 @@ fn cbr_source_keeps_one_chain_across_a_restart_inside_a_gap() {
 fn poisson_source_keeps_one_chain_across_a_restart_inside_a_gap() {
     // Exponential gaps: 1100 expected, standard deviation about 33.
     let source = Box::new(PoissonSource::new(9, 100.0));
-    let emitted = emitted_across_a_restart_inside_a_gap(source, "emitted_packets");
+    let emitted = emitted_across_a_restart_inside_a_gap(source);
     assert!((950.0..=1250.0).contains(&emitted), "emitted {emitted}");
 }

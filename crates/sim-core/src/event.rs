@@ -94,6 +94,11 @@ enum Order {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event occupies in the payload slab, on top of
+    /// its 24-byte ordering entry: `E`, plus a tag word unless `E` has a
+    /// spare value to tell a vacant cell by. For callers to pin.
+    pub const CELL_BYTES: usize = std::mem::size_of::<Cell<E>>();
+
     /// Creates an empty wheel-backed queue.
     pub fn new() -> Self {
         EventQueue::with_backend(QueueBackend::Wheel, 0)
@@ -177,6 +182,15 @@ impl<E> EventQueue<E> {
     /// horizon-bounded dispatch loop pays for locating the minimum once
     /// per event instead of twice.
     pub fn pop_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        self.pop_keyed_at_or_before(end)
+            .map(|(time, _, event)| (time, event))
+    }
+
+    /// [`pop_at_or_before`](Self::pop_at_or_before), also returning the
+    /// tie-break key the event was pushed under (its insertion sequence
+    /// number after a plain [`push`](Self::push)), so a caller that keys
+    /// its events need not store the key in the payload as well.
+    pub fn pop_keyed_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, u64, E)> {
         let entry = match &mut self.order {
             Order::Wheel(w) => w.pop_at_or_before(end),
             Order::Heap(h) => {
@@ -186,7 +200,9 @@ impl<E> EventQueue<E> {
                 h.pop()
             }
         }?;
-        Some(self.deliver(entry))
+        let key = entry.seq;
+        let (time, event) = self.deliver(entry);
+        Some((time, key, event))
     }
 
     fn deliver(&mut self, entry: Entry) -> (SimTime, E) {
@@ -264,7 +280,7 @@ const NO_CELL: u32 = u32::MAX;
 
 impl<E> Payloads<E> {
     /// Starts empty and grows with the pending peak: sizing the slab
-    /// ahead (1024 cells of a netsim event are 114 kB) cost a short run's
+    /// ahead (1024 cells of a netsim event are 106 kB) cost a short run's
     /// set-up more than the dozen doublings cost a long one.
     fn new() -> Self {
         Payloads {
@@ -856,6 +872,20 @@ mod tests {
     #[test]
     fn entries_are_24_bytes_whatever_the_payload() {
         assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
+    #[test]
+    fn keyed_pops_return_the_key_the_event_was_pushed_under() {
+        for mut q in both_backends() {
+            let t = SimTime::from_millis(2);
+            q.push_keyed(t, 70, 1);
+            q.push_keyed(t, 5, 2);
+            q.push_keyed(SimTime::from_millis(9), 6, 3);
+            assert_eq!(q.pop_keyed_at_or_before(t), Some((t, 5, 2)));
+            assert_eq!(q.pop_keyed_at_or_before(t), Some((t, 70, 1)));
+            assert_eq!(q.pop_keyed_at_or_before(t), None);
+            assert_eq!(q.len(), 1);
+        }
     }
 
     #[test]

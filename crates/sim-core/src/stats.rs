@@ -9,7 +9,7 @@
 //!   (`r ← (1 − e^{−T/K})·(l/T) + e^{−T/K}·r`).
 //! * [`WindowedRate`] — event count per fixed window, for goodput plots.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime, NANOS_PER_SEC};
 
 /// An append-only series of `(time, value)` samples.
 ///
@@ -380,11 +380,18 @@ impl WindowedRate {
     }
 }
 
+/// The mean, in seconds, of `count` spans that add up to `sum_ns`
+/// nanoseconds; `None` of none. Integer sums of spans are exact and add in
+/// any order, so accumulators keep those and divide when read.
+pub fn mean_secs(sum_ns: u128, count: u64) -> Option<f64> {
+    (count > 0).then(|| sum_ns as f64 / (NANOS_PER_SEC as f64 * count as f64))
+}
+
 /// A logarithmically bucketed histogram for positive quantities spanning
 /// many orders of magnitude (packet delays: microseconds to seconds).
 ///
 /// Values are assigned to buckets whose bounds grow geometrically from
-/// `min_value`; quantiles are answered by linear interpolation inside the
+/// 1 µs; quantiles are answered by linear interpolation inside the
 /// winning bucket. Memory is a fixed ~100 buckets regardless of sample
 /// count, and recording is O(1) — suitable for millions of per-packet
 /// observations.
@@ -394,25 +401,26 @@ impl WindowedRate {
 /// ```
 /// use sim_core::stats::LogHistogram;
 ///
+/// use sim_core::time::SimDuration;
+///
 /// let mut h = LogHistogram::new();
 /// for i in 1..=1000 {
-///     h.record(i as f64 * 1e-3); // 1 ms .. 1 s, uniform
+///     h.record(SimDuration::from_millis(i)); // 1 ms .. 1 s, uniform
 /// }
 /// let p50 = h.quantile(0.5).unwrap();
 /// assert!(p50 > 0.4 && p50 < 0.6, "{p50}");
 /// ```
 #[derive(Clone)]
 pub struct LogHistogram {
-    /// bucket i spans [min_value·growth^i, min_value·growth^(i+1)).
+    /// Bucket i spans [MIN_VALUE·GROWTH^i, MIN_VALUE·GROWTH^(i+1)).
     /// Empty until the first `record`: most flows of a churn run never
     /// deliver a packet, and an empty histogram reads as all zeros.
     buckets: Vec<u64>,
-    min_value: f64,
-    growth: f64,
-    /// `growth.ln()`, computed once instead of per sample.
-    ln_growth: f64,
     count: u64,
-    sum: f64,
+    /// Exact: every observation is a whole number of nanoseconds, and a
+    /// `u128` holds 2^64 observations of `u64::MAX` ns each, so the sum
+    /// needs no overflow check where a `u64` would.
+    sum_ns: u128,
     min_seen: f64,
     max_seen: f64,
 }
@@ -420,17 +428,21 @@ pub struct LogHistogram {
 impl LogHistogram {
     /// Number of buckets: covers 1 µs to ~1000 s at 20% growth.
     const BUCKETS: usize = 120;
+    /// Upper bound of the first bucket, seconds.
+    const MIN_VALUE: f64 = 1e-6;
+    /// Ratio of a bucket's bounds.
+    const GROWTH: f64 = 1.2;
+    /// `GROWTH.ln()` (`f64::ln` is not `const`; a unit test compares).
+    /// The three are the same for every histogram, so they are not
+    /// fields: a flow monitor holds a histogram per flow.
+    const LN_GROWTH: f64 = 0.1823215567939546;
 
     /// Creates a histogram covering roughly `1 µs ..= 1000 s`.
     pub fn new() -> Self {
-        let growth = 1.2f64;
         LogHistogram {
             buckets: Vec::new(),
-            min_value: 1e-6,
-            growth,
-            ln_growth: growth.ln(),
             count: 0,
-            sum: 0.0,
+            sum_ns: 0,
             min_seen: f64::INFINITY,
             max_seen: 0.0,
         }
@@ -445,20 +457,14 @@ impl LogHistogram {
             .chain(std::iter::repeat_n(0, unallocated))
     }
 
-    /// Records one observation (clamped into the covered range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is negative or NaN.
-    pub fn record(&mut self, value: f64) {
-        assert!(
-            value >= 0.0 && !value.is_nan(),
-            "histogram values must be non-negative, got {value}"
-        );
-        let idx = if value <= self.min_value {
+    /// Records one observation (clamped into the covered range). Buckets,
+    /// extremes and quantiles work on the span in seconds.
+    pub fn record(&mut self, span: SimDuration) {
+        let value = span.as_secs_f64();
+        let idx = if value <= Self::MIN_VALUE {
             0
         } else {
-            ((value / self.min_value).ln() / self.ln_growth) as usize
+            ((value / Self::MIN_VALUE).ln() / Self::LN_GROWTH) as usize
         }
         .min(Self::BUCKETS - 1);
         if self.buckets.is_empty() {
@@ -466,18 +472,20 @@ impl LogHistogram {
         }
         self.buckets[idx] += 1;
         self.count += 1;
-        self.sum += value;
+        self.sum_ns += u128::from(span.as_nanos());
         self.min_seen = self.min_seen.min(value);
         self.max_seen = self.max_seen.max(value);
     }
 
     /// Folds `other`'s observations into `self`.
     ///
-    /// The result is exactly the histogram that would have been produced
-    /// by recording both observation streams into one instance (bucket
-    /// counts, count, sum, and extremes are all order-independent), which
-    /// lets partial histograms built independently — e.g. one per
-    /// topology shard — be combined without re-observing anything.
+    /// The result is, bit for bit, the histogram that recording both
+    /// observation streams into one instance in any order would have
+    /// produced: bucket counts, the count and the sum are integer
+    /// additions, the extremes a `min` and a `max`. (A floating-point sum
+    /// would not be: it depends on the grouping in the last place.) So
+    /// partial histograms built independently — one per topology shard —
+    /// combine without re-observing anything.
     pub fn merge(&mut self, other: &LogHistogram) {
         if !other.buckets.is_empty() {
             self.buckets.resize(Self::BUCKETS, 0);
@@ -486,7 +494,7 @@ impl LogHistogram {
             }
         }
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum_ns += other.sum_ns;
         self.min_seen = self.min_seen.min(other.min_seen);
         self.max_seen = self.max_seen.max(other.max_seen);
     }
@@ -496,9 +504,10 @@ impl LogHistogram {
         self.count
     }
 
-    /// Mean of the recorded observations (exact, not bucketed).
+    /// Mean of the recorded observations in seconds (from the exact sum,
+    /// not bucketed).
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
+        mean_secs(self.sum_ns, self.count)
     }
 
     /// The `q`-quantile (`0 ≤ q ≤ 1`) by bucket interpolation, or `None`
@@ -527,8 +536,8 @@ impl LogHistogram {
             }
             let next = seen + n as f64;
             if next >= target {
-                let lo = self.min_value * self.growth.powi(i as i32);
-                let hi = lo * self.growth;
+                let lo = Self::MIN_VALUE * Self::GROWTH.powi(i as i32);
+                let hi = lo * Self::GROWTH;
                 let frac = (target - seen) / n as f64;
                 let v = lo + frac * (hi - lo);
                 return Some(v.clamp(self.min_seen, self.max_seen));
@@ -551,8 +560,7 @@ impl Default for LogHistogram {
 impl PartialEq for LogHistogram {
     fn eq(&self, other: &Self) -> bool {
         self.buckets().eq(other.buckets())
-            && (self.min_value, self.growth, self.count, self.sum)
-                == (other.min_value, other.growth, other.count, other.sum)
+            && (self.count, self.sum_ns) == (other.count, other.sum_ns)
             && (self.min_seen, self.max_seen) == (other.min_seen, other.max_seen)
     }
 }
@@ -561,10 +569,8 @@ impl std::fmt::Debug for LogHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogHistogram")
             .field("buckets", &self.buckets().collect::<Vec<_>>())
-            .field("min_value", &self.min_value)
-            .field("growth", &self.growth)
             .field("count", &self.count)
-            .field("sum", &self.sum)
+            .field("sum_ns", &self.sum_ns)
             .field("min_seen", &self.min_seen)
             .field("max_seen", &self.max_seen)
             .finish()
@@ -714,7 +720,7 @@ mod tests {
     fn histogram_quantiles_bracket_uniform_data() {
         let mut h = LogHistogram::new();
         for i in 1..=10_000 {
-            h.record(i as f64 * 1e-4); // 0.1 ms .. 1 s
+            h.record(SimDuration::from_micros(i * 100)); // 0.1 ms .. 1 s
         }
         let p10 = h.quantile(0.1).unwrap();
         let p50 = h.quantile(0.5).unwrap();
@@ -730,7 +736,7 @@ mod tests {
     #[test]
     fn histogram_single_value() {
         let mut h = LogHistogram::new();
-        h.record(0.042);
+        h.record(SimDuration::from_millis(42));
         assert_eq!(h.quantile(0.5).unwrap(), 0.042);
         assert_eq!(h.mean(), Some(0.042));
     }
@@ -738,8 +744,8 @@ mod tests {
     #[test]
     fn histogram_clamps_out_of_range() {
         let mut h = LogHistogram::new();
-        h.record(0.0); // below min bucket
-        h.record(1e9); // above max bucket
+        h.record(SimDuration::ZERO); // below min bucket
+        h.record(SimDuration::from_secs(1_000_000_000)); // above max bucket
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.0), Some(0.0));
         assert_eq!(h.quantile(1.0), Some(1e9));
@@ -759,7 +765,7 @@ mod tests {
         assert_eq!(LogHistogram::new(), zero_filled());
         assert_eq!(zero_filled(), LogHistogram::new());
         let mut recorded = LogHistogram::new();
-        recorded.record(0.5);
+        recorded.record(SimDuration::from_millis(500));
         assert_ne!(recorded, LogHistogram::new());
     }
 
@@ -775,9 +781,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.ends_with(
-                "min_value: 1e-6, growth: 1.2, count: 0, sum: 0.0, min_seen: inf, max_seen: 0.0 }"
-            ),
+            text.ends_with("], count: 0, sum_ns: 0, min_seen: inf, max_seen: 0.0 }"),
             "{text}"
         );
     }
@@ -785,8 +789,8 @@ mod tests {
     #[test]
     fn never_recorded_histogram_merges_like_a_zero_filled_one() {
         let mut data = LogHistogram::new();
-        for v in [0.001, 0.02, 0.02, 3.0] {
-            data.record(v);
+        for ms in [1, 20, 20, 3000] {
+            data.record(SimDuration::from_millis(ms));
         }
         for empty in [LogHistogram::new(), zero_filled()] {
             // Empty into data, data into empty: both leave exactly `data`.
@@ -809,15 +813,17 @@ mod tests {
     fn cached_ln_growth_leaves_bucket_indices_bit_identical() {
         // The index is still a division by ln(growth); multiplying by a
         // cached reciprocal would move samples that sit on a bucket edge.
+        assert_eq!(LogHistogram::LN_GROWTH, LogHistogram::GROWTH.ln());
         let mut rng = crate::rng::DetRng::new(3);
         for i in 0..20_000u32 {
-            let v = if i % 2 == 0 {
+            let span = SimDuration::from_secs_f64(if i % 2 == 0 {
                 1e-6 * 1.2f64.powi((i / 2 % 130) as i32) // bucket edges
             } else {
                 rng.next_f64() * 10f64.powi(i as i32 % 9 - 6)
-            };
+            });
+            let v = span.as_secs_f64();
             let mut h = LogHistogram::new();
-            h.record(v);
+            h.record(span);
             let want = if v <= 1e-6 {
                 0
             } else {
@@ -825,11 +831,5 @@ mod tests {
             };
             assert_eq!(h.buckets[want], 1, "value {v} left bucket {want}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn histogram_rejects_negative() {
-        LogHistogram::new().record(-1.0);
     }
 }

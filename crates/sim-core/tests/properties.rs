@@ -190,15 +190,18 @@ fn value_at_matches_linear_scan() {
 fn histogram_quantiles_monotone() {
     use sim_core::stats::LogHistogram;
     check::cases(64, 0xE0_09, |g| {
-        let values = g.vec_with(1, 500, |g| g.f64_in(1e-6, 100.0));
+        let spans = g.vec_with(1, 500, |g| {
+            SimDuration::from_secs_f64(g.f64_in(1e-6, 100.0))
+        });
         let mut qs = g.vec_with(2, 9, |g| g.f64_in(0.0, 1.0));
         qs.push(0.0);
         qs.push(1.0);
         let mut h = LogHistogram::new();
         let mut lo = f64::INFINITY;
         let mut hi = 0.0f64;
-        for &v in &values {
-            h.record(v);
+        for &span in &spans {
+            h.record(span);
+            let v = span.as_secs_f64();
             lo = lo.min(v);
             hi = hi.max(v);
         }
@@ -213,5 +216,53 @@ fn histogram_quantiles_monotone() {
             assert!(v >= last - 1e-12, "quantiles not monotone at q={q}");
             last = v;
         }
+    });
+}
+
+/// Histograms filled shard by shard and merged, in either order, equal
+/// the histogram that saw the whole stream: `==` and `Debug`, so the sum
+/// too, which as an `f64` of seconds depended on the grouping.
+#[test]
+fn histogram_merge_is_the_single_stream_whatever_the_split() {
+    use sim_core::stats::LogHistogram;
+    let filled = |spans: &[SimDuration]| {
+        let mut h = LogHistogram::new();
+        spans.iter().for_each(|&span| h.record(span));
+        h
+    };
+    let check = |spans: &[SimDuration], shard_of: &mut dyn FnMut(usize) -> usize, shards| {
+        let mut dealt = vec![Vec::new(); shards];
+        for (i, &span) in spans.iter().enumerate() {
+            dealt[shard_of(i)].push(span);
+        }
+        let whole = filled(spans);
+        let parts: Vec<LogHistogram> = dealt.iter().map(|d| filled(d)).collect();
+        let (mut forward, mut backward) = (LogHistogram::new(), LogHistogram::new());
+        parts.iter().for_each(|p| forward.merge(p));
+        parts.iter().rev().for_each(|p| backward.merge(p));
+        for merged in [forward, backward] {
+            assert_eq!(merged, whole);
+            assert_eq!(format!("{merged:?}"), format!("{whole:?}"));
+            assert_eq!(merged.mean(), whole.mean());
+        }
+        whole
+    };
+    // The split the `f64` sum failed: (0.1 + 0.2) + 0.3 is
+    // 0.6000000000000001 s, 0.1 + (0.2 + 0.3) is 0.6 s.
+    let ms = SimDuration::from_millis;
+    for cut in 0..=3 {
+        let whole = check(
+            &[ms(100), ms(200), ms(300)],
+            &mut |i| usize::from(i >= cut),
+            2,
+        );
+        assert_eq!(whole.mean(), Some(0.2));
+    }
+    check::cases(64, 0xE0_0A, |g| {
+        let spans = g.vec_with(0, 400, |g| {
+            SimDuration::from_nanos(g.u64_in(0, 20_000_000_000))
+        });
+        let shards = g.usize_in(1, 9);
+        check(&spans, &mut |_| g.usize_in(0, shards), shards);
     });
 }

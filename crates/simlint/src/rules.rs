@@ -308,7 +308,10 @@ pub const REPLAY_CRATES: &[&str] = &[
 const HOT_FNS: &[&str] = &[
     // netsim dispatch internals.
     "run_until",
+    "run_before",
+    "drain",
     "dispatch",
+    "lifecycle_gate",
     "handle_arrive",
     "handle_tx_done",
     "with_logic",
@@ -320,6 +323,7 @@ const HOT_FNS: &[&str] = &[
     "place",
     "push_keyed",
     "pop_at_or_before",
+    "pop_keyed_at_or_before",
     // Flow churn: an arrival -> start -> stop -> retire cycle on a
     // recycled slot allocates nothing (route data is shared, not copied).
     "handle_churn_arrival",

@@ -1,7 +1,8 @@
 //! The engine-mode identity matrix shared by the identity suites
 //! (`queue_backends`, `train_batching`, `sharded_identity`,
-//! `transport_identity`, `scenarios/tests/lifecycle`): how a run is
-//! executed must never be observable in what it produces.
+//! `transport_identity`, `determinism`, `parallel_exec`,
+//! `scenarios/tests/lifecycle`): how a run is executed must never be
+//! observable in what it produces.
 
 // Each suite uses its own subset of the helpers.
 #![allow(dead_code)]

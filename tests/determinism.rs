@@ -1,17 +1,20 @@
 //! Integration test: simulations are a pure function of the seed, and
-//! conclusions are robust across seeds.
+//! conclusions are robust across seeds. How a seed's run is executed is
+//! the shared identity matrix's business (`tests/common`); what this
+//! suite adds is stated in each test.
+
+mod common;
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use corelite::CoreliteConfig;
+use common::identity_matrix;
 use fairness::metrics::jain_index;
 use netsim::telemetry::{Probe, RingProbe};
 use scenarios::discipline::Corelite;
 use scenarios::exec::{run_parallel, run_serial};
-use scenarios::runner::{Scenario, ScenarioFlow};
+use scenarios::runner::{RunOptions, Scenario, ScenarioFlow};
 use scenarios::topology::{Route, TopologySpec};
-use sim_core::event::QueueBackend;
 use sim_core::time::SimTime;
 
 fn scenario(seed: u64) -> Scenario {
@@ -37,24 +40,15 @@ fn scenario(seed: u64) -> Scenario {
 
 #[test]
 fn identical_seeds_give_identical_runs() {
-    let a = scenario(99).run(&Corelite::new(CoreliteConfig::default()));
-    let b = scenario(99).run(&Corelite::new(CoreliteConfig::default()));
-    assert_eq!(a.report.events_processed, b.report.events_processed);
-    for i in 0..4 {
-        assert_eq!(
-            a.report.flows[i].delivered_packets, b.report.flows[i].delivered_packets,
-            "flow {i} delivery counts differ"
-        );
-        let ra: Vec<_> = a.allotted_rate(i).iter().collect();
-        let rb: Vec<_> = b.allotted_rate(i).iter().collect();
-        assert_eq!(ra, rb, "flow {i} rate series differ");
-    }
+    // The matrix's first cell is the default run over again; the rest
+    // re-run the seed on every engine mode, two shards included.
+    identity_matrix(&scenario(99), &Corelite::default(), &[2]);
 }
 
 #[test]
 fn different_seeds_differ_but_agree_on_fairness() {
-    let a = scenario(1).run(&Corelite::new(CoreliteConfig::default()));
-    let b = scenario(2).run(&Corelite::new(CoreliteConfig::default()));
+    let a = scenario(1).run(&Corelite::default());
+    let b = scenario(2).run(&Corelite::default());
     // The random marker selection must actually differ...
     let da: Vec<u64> = a.report.flows.iter().map(|f| f.delivered_packets).collect();
     let db: Vec<u64> = b.report.flows.iter().map(|f| f.delivered_packets).collect();
@@ -70,49 +64,36 @@ fn different_seeds_differ_but_agree_on_fairness() {
     }
 }
 
-/// Runs `scenario(seed)` with a probe installed and returns the
-/// rendered JSONL stream. Probes are `Rc`-shared (not `Send`), so each
-/// executor job builds its own inside the closure and hands back the
-/// rendered string.
-fn probe_stream(seed: u64) -> String {
-    let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-    scenario(seed).run_instrumented(
-        &Corelite::new(CoreliteConfig::default()),
-        QueueBackend::Wheel,
-        probe.clone() as Rc<RefCell<dyn Probe>>,
-    );
-    let jsonl = probe.borrow().to_jsonl();
-    assert!(!jsonl.is_empty(), "probe recorded nothing");
-    jsonl
-}
-
 #[test]
 fn probe_streams_are_identical_across_runs_and_executors() {
+    // Probes are `Rc`-shared (not `Send`): each executor job runs its own
+    // matrix (which repeats the probed run) and hands back the stream.
     let seeds: Vec<u64> = vec![7, 8];
-    let serial = run_serial(seeds.clone(), probe_stream);
-    let parallel = run_parallel(seeds, probe_stream);
+    let stream =
+        |seed: u64| identity_matrix(&scenario(seed), &Corelite::default(), &[]).probe_jsonl;
+    let serial = run_serial(seeds.clone(), stream);
+    let parallel = run_parallel(seeds, stream);
     assert_eq!(
         serial, parallel,
         "probe streams diverged between serial and parallel execution"
     );
-    // A repeat run of the same seed reproduces the stream byte for byte,
-    // and different seeds genuinely perturb it.
-    assert_eq!(serial[0], probe_stream(7));
+    // Different seeds genuinely perturb the stream.
     assert_ne!(serial[0], serial[1]);
 }
 
 #[test]
 fn probe_installation_does_not_change_the_simulation() {
-    // The epoch-grained hooks only *observe*; a probed run must report
-    // exactly what the probe-less run reports. (CSFQ's sampling timer is
-    // gated on `probe_enabled` for the same reason.)
-    let bare = scenario(99).run(&Corelite::new(CoreliteConfig::default()));
+    // The matrix compares probed runs with probed and bare with bare,
+    // because CSFQ's sampling timer is gated on `probe_enabled`.
+    // Corelite's epoch-grained hooks only *observe*: its probed run must
+    // report exactly what its bare run reports.
+    let bare = scenario(99).run(&Corelite::default());
     let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-    let probed = scenario(99).run_instrumented(
-        &Corelite::new(CoreliteConfig::default()),
-        QueueBackend::Wheel,
-        probe.clone() as Rc<RefCell<dyn Probe>>,
-    );
+    let options = RunOptions {
+        probe: Some(probe.clone() as Rc<RefCell<dyn Probe>>),
+        ..RunOptions::default()
+    };
+    let probed = scenario(99).run_with(&Corelite::default(), &options);
     assert_eq!(bare.report.events_processed, probed.report.events_processed);
     assert_eq!(format!("{:?}", bare.report), format!("{:?}", probed.report));
     assert!(!probe.borrow().is_empty());
@@ -120,7 +101,7 @@ fn probe_installation_does_not_change_the_simulation() {
 
 #[test]
 fn event_counts_are_plausible() {
-    let r = scenario(5).run(&Corelite::new(CoreliteConfig::default()));
+    let r = scenario(5).run(&Corelite::default());
     // Every delivered packet takes at least 3 hops of events.
     let delivered: u64 = r.report.flows.iter().map(|f| f.delivered_packets).sum();
     assert!(r.report.events_processed > 3 * delivered);
