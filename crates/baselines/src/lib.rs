@@ -19,6 +19,8 @@
 //! quantitatively: RED spreads losses but does not equalize (weighted)
 //! rates, while Corelite does.
 
+#![forbid(unsafe_code)]
+
 pub mod fred;
 pub mod greedy;
 pub mod red;

@@ -23,6 +23,8 @@
 //!
 //! Relative paths are anchored at the workspace root, not `crates/bench`.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 
 use std::hint::black_box;

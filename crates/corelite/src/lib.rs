@@ -62,6 +62,8 @@
 //! assert!((r2 / r1 - 2.0).abs() < 0.4, "ratio {}", r2 / r1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod cache;
 pub mod cc;

@@ -44,6 +44,8 @@
 //! assert!(report.flows[0].delivered_packets > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod core;
 pub mod edge;

@@ -18,6 +18,8 @@
 //!   time extraction, and weight-class ratio summaries used by the
 //!   EXPERIMENTS.md tables.
 
+#![forbid(unsafe_code)]
+
 pub mod incremental;
 pub mod maxmin;
 pub mod metrics;

@@ -47,6 +47,8 @@
 //!
 //! [Corelite]: https://doi.org/10.1109/ICDCS.2000.840934
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod fault;
 pub mod flow;
@@ -69,7 +71,7 @@ pub use fault::{FaultPlan, FaultWindow};
 pub use flow::{normalize_activations, FlowInfo, FlowSpec, Transport};
 pub use ids::{FlowId, LinkId, NodeId, PacketId};
 pub use link::LinkSpec;
-pub use logic::{Action, ControlMsg, Ctx, RouterLogic, TimerKind};
+pub use logic::{ControlMsg, Ctx, RouterLogic, TimerKind};
 pub use monitor::SimReport;
 pub use network::{DispatchMode, Network};
 pub use pacer::Pacer;

@@ -3,12 +3,14 @@
 //! A node's behaviour — shaping, marking, congestion detection, feedback —
 //! is expressed by implementing [`RouterLogic`]. The network invokes the
 //! logic on packet arrivals, timer expiries, control-message deliveries and
-//! flow activation changes; the logic responds by queueing [`Action`]s on
-//! the provided [`Ctx`], which the network applies afterwards. This
-//! command-buffer design keeps logic implementations free of aliasing
-//! gymnastics and keeps every state change observable by the monitors.
+//! flow activation changes; the logic responds through the provided
+//! [`Ctx`], whose methods take effect as they are called: a forwarded
+//! packet is on its link, a timer in the event queue, before the method
+//! returns. A callback therefore reads its own writes —
+//! [`Ctx::link_queue_len`] after a [`Ctx::forward`] counts that packet —
+//! and every state change still passes the monitors and the tracer on
+//! its way (DESIGN.md §9, "Effects in place").
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use sim_core::rng::DetRng;
@@ -17,11 +19,12 @@ use sim_core::time::{SimDuration, SimTime};
 
 use crate::flow::FlowInfo;
 use crate::ids::{FlowId, LinkId, NodeId, PacketId};
-use crate::link::{Link, LinkSpec};
+use crate::link::LinkSpec;
+use crate::network::Engine;
 use crate::pacer::Pacer;
 use crate::packet::{Marker, Packet};
 use crate::slab::DenseMap;
-use crate::telemetry::{Probe, Sample};
+use crate::telemetry::Sample;
 
 /// An opaque timer tag interpreted by the logic that scheduled it.
 ///
@@ -112,129 +115,6 @@ pub enum DropReason {
     Fault,
 }
 
-/// A deferred state change requested by router logic.
-#[derive(Debug)]
-pub enum Action {
-    /// Enqueue `packet` on `link` (which must originate at this node).
-    Forward {
-        /// Outgoing link.
-        link: LinkId,
-        /// Packet to enqueue.
-        packet: Packet,
-    },
-    /// Drop `packet` deliberately.
-    Drop {
-        /// The dropped packet.
-        packet: Packet,
-        /// Classification for accounting.
-        reason: DropReason,
-    },
-    /// Deliver `msg` to node `to` after `delay`.
-    Control {
-        /// Destination node.
-        to: NodeId,
-        /// Delivery delay (usually a reverse-path propagation delay).
-        delay: SimDuration,
-        /// The message.
-        msg: ControlMsg,
-    },
-    /// Invoke `on_timer(timer)` on this node after `delay`.
-    Timer {
-        /// Expiry delay.
-        delay: SimDuration,
-        /// Tag passed back to the logic.
-        timer: TimerKind,
-    },
-    /// This node's logic ignores [`ControlMsg::Loss`]; see
-    /// [`Ctx::ignore_loss_notifications`].
-    IgnoreLoss,
-}
-
-/// Actions kept inline before spilling to the heap. Typical callbacks
-/// emit one or two actions (forward + maybe a timer); epoch timers on
-/// busy edges emit one per flow and may spill.
-const ACTION_BUF_INLINE: usize = 8;
-
-/// A reusable action buffer with inline capacity — the command queue
-/// between router logic and the network.
-///
-/// The network owns one `ActionBuf` and threads it through every
-/// [`Ctx`]; callbacks append with the `Ctx` helpers, the network drains
-/// with [`take_next`](ActionBuf::take_next) and calls
-/// [`reset`](ActionBuf::reset) before the next event. The first
-/// [`ACTION_BUF_INLINE`] actions per callback live inline; the spill
-/// vector beyond them is allocated once and recycled, so steady-state
-/// dispatch performs no heap allocation (see DESIGN.md §9 for the
-/// contract).
-#[derive(Debug, Default)]
-pub struct ActionBuf {
-    inline: [Option<Action>; ACTION_BUF_INLINE],
-    spill: Vec<Option<Action>>,
-    len: usize,
-    cursor: usize,
-}
-
-impl ActionBuf {
-    /// Creates an empty buffer whose spill area holds `spill_capacity`
-    /// actions before reallocating.
-    pub fn with_capacity(spill_capacity: usize) -> Self {
-        ActionBuf {
-            inline: Default::default(),
-            spill: Vec::with_capacity(spill_capacity),
-            len: 0,
-            cursor: 0,
-        }
-    }
-
-    /// Appends an action.
-    pub fn push(&mut self, action: Action) {
-        if self.len < ACTION_BUF_INLINE {
-            self.inline[self.len] = Some(action);
-        } else {
-            self.spill.push(Some(action));
-        }
-        self.len += 1;
-    }
-
-    /// Removes and returns the next unconsumed action, in push order.
-    pub fn take_next(&mut self) -> Option<Action> {
-        if self.cursor >= self.len {
-            return None;
-        }
-        let action = if self.cursor < ACTION_BUF_INLINE {
-            self.inline[self.cursor].take()
-        } else {
-            self.spill[self.cursor - ACTION_BUF_INLINE].take()
-        };
-        self.cursor += 1;
-        debug_assert!(action.is_some(), "actions are taken exactly once");
-        action
-    }
-
-    /// Number of actions pushed and not yet reset.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if no actions have been pushed since the last
-    /// reset.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the buffer for reuse, keeping the spill capacity. All
-    /// pushed actions must have been consumed with
-    /// [`take_next`](ActionBuf::take_next) (debug-asserted).
-    pub fn reset(&mut self) {
-        debug_assert_eq!(self.cursor, self.len, "reset with unconsumed actions");
-        // Consumed slots are already None; dropping them is free and
-        // `clear` keeps the spill allocation.
-        self.spill.clear();
-        self.len = 0;
-        self.cursor = 0;
-    }
-}
-
 /// Per-flow and per-node measurements exported by router logic at the end
 /// of a run (e.g. Corelite's allotted-rate series `b_g(f)`).
 #[derive(Debug, Clone, Default)]
@@ -253,48 +133,29 @@ impl LogicReport {
     }
 }
 
-/// The environment handed to router logic callbacks.
+/// The environment handed to router logic callbacks: the engine as seen
+/// from one node.
 ///
-/// Provides read access to the network and buffers the logic's actions;
-/// see the crate docs for the execution model.
+/// Reads see the network as it is now, including what this callback has
+/// already done; effects are applied in call order, when called.
 pub struct Ctx<'a> {
-    now: SimTime,
+    engine: &'a mut Engine,
     node: NodeId,
-    links: &'a mut [Link],
-    flows: &'a [FlowInfo],
-    next_packet: &'a mut u64,
     outgoing: &'a [LinkId],
-    actions: &'a mut ActionBuf,
-    probe: Option<&'a RefCell<dyn Probe>>,
 }
 
 impl<'a> Ctx<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        now: SimTime,
-        node: NodeId,
-        links: &'a mut [Link],
-        flows: &'a [FlowInfo],
-        next_packet: &'a mut u64,
-        outgoing: &'a [LinkId],
-        actions: &'a mut ActionBuf,
-        probe: Option<&'a RefCell<dyn Probe>>,
-    ) -> Self {
+    pub(crate) fn new(engine: &'a mut Engine, node: NodeId, outgoing: &'a [LinkId]) -> Self {
         Ctx {
-            now,
+            engine,
             node,
-            links,
-            flows,
-            next_packet,
             outgoing,
-            actions,
-            probe,
         }
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.engine.now
     }
 
     /// The node whose logic is being invoked.
@@ -304,7 +165,7 @@ impl<'a> Ctx<'a> {
 
     /// All flows in the network.
     pub fn flows(&self) -> &[FlowInfo] {
-        self.flows
+        &self.engine.flows
     }
 
     /// Looks up a flow.
@@ -313,15 +174,15 @@ impl<'a> Ctx<'a> {
     ///
     /// Panics if `flow` does not exist.
     pub fn flow(&self, flow: FlowId) -> &FlowInfo {
-        &self.flows[flow.index()]
+        &self.engine.flows[flow.index()]
     }
 
     /// The occupant of flow-table slot `slot`, if it enters the network
     /// at this node and its schedule has it active now — what a
     /// schedule-driven source asks when the slot's emission timer fires.
     pub fn sending_flow(&self, slot: usize) -> Option<FlowId> {
-        let info = &self.flows[slot];
-        (info.ingress() == self.node && info.is_active_at(self.now)).then_some(info.id)
+        let info = &self.engine.flows[slot];
+        (info.ingress() == self.node && info.is_active_at(self.engine.now)).then_some(info.id)
     }
 
     /// The outgoing link `flow` takes from this node, or `None` if this
@@ -339,20 +200,21 @@ impl<'a> Ctx<'a> {
 
     /// Static parameters of `link`.
     pub fn link_spec(&self, link: LinkId) -> &LinkSpec {
-        self.links[link.index()].spec()
+        self.engine.links[link.index()].spec()
     }
 
     /// Instantaneous queue occupancy of `link` in packets (as of the
-    /// current event's timestamp).
+    /// current event's timestamp, packets this callback has already
+    /// forwarded onto it included).
     pub fn link_queue_len(&self, link: LinkId) -> usize {
-        self.links[link.index()].queue_len(self.now)
+        self.engine.links[link.index()].queue_len(self.engine.now)
     }
 
     /// Closes and returns the time-weighted average queue occupancy of
     /// `link` since the previous call — the paper's `q_avg` over one
     /// congestion epoch.
     pub fn take_link_queue_average(&mut self, link: LinkId) -> f64 {
-        self.links[link.index()].take_queue_average(self.now)
+        self.engine.links[link.index()].take_queue_average(self.engine.now)
     }
 
     /// Propagation delay along the reverse path from this node back to
@@ -373,18 +235,20 @@ impl<'a> Ctx<'a> {
 
     /// Allocates a fresh data packet for `flow`, stamped with the current
     /// time and the flow's configured packet size. Ids are node-packed
-    /// (`next_packet` counts this node's mints only), so the id stream is
+    /// (each node counts its own mints only), so the id stream is
     /// independent of what any other node does.
     pub fn new_packet(&mut self, flow: FlowId) -> Packet {
-        let id = PacketId::for_node(self.node, *self.next_packet);
-        *self.next_packet += 1;
+        let counter = &mut self.engine.packet_counters[self.node.index()];
+        let id = PacketId::for_node(self.node, *counter);
+        *counter += 1;
         let info = self.flow(flow);
-        Packet::data(id, flow, info.packet_size, self.now)
+        Packet::data(id, flow, info.packet_size, self.engine.now)
     }
 
-    /// Queues `packet` for transmission on `link`.
+    /// Offers `packet` to `link` (which must originate at this node): it
+    /// is queued and its arrival scheduled, or tail-dropped, now.
     pub fn forward(&mut self, link: LinkId, packet: Packet) {
-        self.actions.push(Action::Forward { link, packet });
+        self.engine.forward(self.node, link, packet);
     }
 
     /// Emits `packet` toward `flow`'s next hop from this node.
@@ -401,15 +265,13 @@ impl<'a> Ctx<'a> {
 
     /// Drops `packet` deliberately (counted as a policy drop).
     pub fn drop_packet(&mut self, packet: Packet) {
-        self.actions.push(Action::Drop {
-            packet,
-            reason: DropReason::Policy,
-        });
+        self.engine
+            .record_drop(self.node, &packet, DropReason::Policy);
     }
 
     /// Sends `msg` to `to`, delivered after `delay`.
     pub fn send_control(&mut self, to: NodeId, delay: SimDuration, msg: ControlMsg) {
-        self.actions.push(Action::Control { to, delay, msg });
+        self.engine.push_control(self.node, to, delay, msg);
     }
 
     /// Sends `marker` back to the edge router that generated it, delayed by
@@ -426,7 +288,7 @@ impl<'a> Ctx<'a> {
 
     /// Schedules `timer` to fire on this node after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, timer: TimerKind) {
-        self.actions.push(Action::Timer { delay, timer });
+        self.engine.push_timer(self.node, delay, timer);
     }
 
     /// Declares that this node's `on_control` does nothing with a
@@ -439,17 +301,17 @@ impl<'a> Ctx<'a> {
     /// — from another node, or delayed by a fault — are delivered as
     /// ever, so the promise is only that they are ignored.
     pub fn ignore_loss_notifications(&mut self) {
-        self.actions.push(Action::IgnoreLoss);
+        self.engine.ignores_loss[self.node.index()] = true;
     }
 
-    /// Whether a control-plane [`Probe`] is installed.
+    /// Whether a control-plane [`Probe`](crate::telemetry::Probe) is installed.
     ///
     /// Logic that would schedule *extra events* purely to publish
     /// telemetry (e.g. a sampling timer) must gate them on this, so that
     /// a probe-less run has an event stream identical to a build without
     /// telemetry at all.
     pub fn probe_enabled(&self) -> bool {
-        self.probe.is_some()
+        self.engine.probe.is_some()
     }
 
     /// Publishes a control-plane sample to the installed probe, if any.
@@ -459,8 +321,8 @@ impl<'a> Ctx<'a> {
     /// either way (the zero-alloc contract, see
     /// [`telemetry`](crate::telemetry)).
     pub fn publish(&self, sample: Sample) {
-        if let Some(p) = self.probe {
-            p.borrow_mut().record(self.now, self.node, &sample);
+        if let Some(p) = &self.engine.probe {
+            p.borrow_mut().record(self.engine.now, self.node, &sample);
         }
     }
 }

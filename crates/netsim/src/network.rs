@@ -8,7 +8,7 @@ use crate::fault::FaultState;
 use crate::flow::FlowInfo;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::Link;
-use crate::logic::{Action, ActionBuf, ControlMsg, Ctx, DropReason, RouterLogic, TimerKind};
+use crate::logic::{ControlMsg, Ctx, DropReason, RouterLogic, TimerKind};
 use crate::monitor::{FlowMonitor, LinkReport, SimReport};
 use crate::packet::Packet;
 use crate::telemetry::Probe;
@@ -132,24 +132,33 @@ pub(crate) enum Event {
     ChurnRetire { flow: FlowId },
 }
 
+/// What a callback borrows beside the [`Engine`]: the node's own logic
+/// and its fixed adjacency.
 struct NodeSlot {
     name: Box<str>,
-    logic: Option<Box<dyn RouterLogic>>,
-    /// The logic declared that it ignores [`ControlMsg::Loss`]
-    /// ([`Ctx::ignore_loss_notifications`]).
-    ignores_loss: bool,
+    logic: Box<dyn RouterLogic>,
+    /// The node's outgoing links in creation order (for
+    /// [`Ctx::outgoing_links`]).
+    outgoing: Vec<LinkId>,
 }
 
 /// A runnable simulated network; construct one with
 /// [`TopologyBuilder`](crate::topology::TopologyBuilder).
 pub struct Network {
-    now: SimTime,
+    nodes: Vec<NodeSlot>,
+    engine: Engine,
+}
+
+/// Everything an effect touches — clock, queue, links, flow table,
+/// accounting — and nothing a callback holds while it runs, so a
+/// [`Ctx`] can lend the whole of it to the logic being called.
+pub(crate) struct Engine {
+    pub(crate) now: SimTime,
     /// Pending events, pushed under their canonical key: same-time ties
     /// pop in key order, and the pop hands the key back.
     queue: EventQueue<Event>,
-    nodes: Vec<NodeSlot>,
-    links: Vec<Link>,
-    flows: Vec<FlowInfo>,
+    pub(crate) links: Vec<Link>,
+    pub(crate) flows: Vec<FlowInfo>,
     monitors: Vec<FlowMonitor>,
     /// Per-flow go-back-N receiver state: the next in-order sequence
     /// number expected at the egress. Only consulted for packets carrying
@@ -168,7 +177,10 @@ pub struct Network {
     /// Per-node packet id counters; ids are node-packed (see
     /// [`PacketId::for_node`](crate::ids::PacketId::for_node)) so every
     /// shard mints the same id for the same packet without coordination.
-    packet_counters: Vec<u64>,
+    pub(crate) packet_counters: Vec<u64>,
+    /// `ignores_loss[n]`: node `n`'s logic declared that it ignores
+    /// [`ControlMsg::Loss`] ([`Ctx::ignore_loss_notifications`]).
+    pub(crate) ignores_loss: Vec<bool>,
     /// Per-site push counters backing the canonical keys: index 0 is
     /// [`SITE_GLOBAL`], node `n` lives at `n + 1`.
     site_counters: Vec<u64>,
@@ -189,7 +201,7 @@ pub struct Network {
     notify_losses: bool,
     started: bool,
     tracer: Option<Rc<RefCell<dyn Tracer>>>,
-    probe: Option<Rc<RefCell<dyn Probe>>>,
+    pub(crate) probe: Option<Rc<RefCell<dyn Probe>>>,
     faults: Option<FaultState>,
     churn: Option<ChurnState>,
     /// Measurement window, kept for monitors created at runtime by churn
@@ -210,13 +222,6 @@ pub struct Network {
     /// Loss notifications accounted without a queue round trip; see
     /// [`push_control`](Self::push_control).
     elided_notifications: u64,
-    /// Reusable action buffer threaded through every logic callback;
-    /// drained and reset after each event so steady-state dispatch never
-    /// allocates.
-    scratch: ActionBuf,
-    /// `outgoing_by_node[n]` lists node `n`'s outgoing links in creation
-    /// order (precomputed for `Ctx::outgoing_links`).
-    outgoing_by_node: Vec<Vec<LinkId>>,
 }
 
 /// What a [`TopologyBuilder`](crate::topology::TopologyBuilder) collects
@@ -249,22 +254,23 @@ impl Network {
             .iter()
             .map(|_| FlowMonitor::new(SimTime::ZERO, p.window))
             .collect();
-        let mut outgoing_by_node: Vec<Vec<LinkId>> = vec![Vec::new(); p.names.len()];
-        for (i, link) in p.links.iter().enumerate() {
-            outgoing_by_node[link.src().index()].push(LinkId::from_index(i));
-        }
-        let nodes: Vec<NodeSlot> = p
+        let mut nodes: Vec<NodeSlot> = p
             .names
             .into_iter()
             .zip(p.logics)
             .map(|(name, logic)| NodeSlot {
                 name: name.into_boxed_str(),
-                logic: Some(logic),
-                ignores_loss: false,
+                logic,
+                outgoing: Vec::new(),
             })
             .collect();
+        for (i, link) in p.links.iter().enumerate() {
+            nodes[link.src().index()]
+                .outgoing
+                .push(LinkId::from_index(i));
+        }
         let shards = p.shard.as_ref().map_or(0, |v| v.shards);
-        let mut net = Network {
+        let mut engine = Engine {
             now: SimTime::ZERO,
             queue: EventQueue::with_backend(p.queue_backend, 1024),
             monitors,
@@ -272,7 +278,7 @@ impl Network {
             lifecycle_started: vec![None; flows.len()],
             packet_counters: vec![0; nodes.len()],
             site_counters: vec![0; nodes.len() + 1],
-            nodes,
+            ignores_loss: vec![false; nodes.len()],
             links: p.links,
             flows,
             shard: p.shard,
@@ -290,30 +296,176 @@ impl Network {
             dispatch: p.dispatch,
             logical_events: 0,
             elided_notifications: 0,
-            // Pre-sized so even per-flow action bursts (epoch timers on
-            // an edge carrying many flows) stay allocation-free.
-            scratch: ActionBuf::with_capacity(64),
-            outgoing_by_node,
         };
         // The initial schedule is replicated on every shard, in the same
         // order, so the GLOBAL site counter advances identically and the
         // resulting keys agree everywhere.
-        if let Some(t) = net.churn.as_mut().and_then(ChurnState::first_arrival) {
-            net.push_event(t, SITE_GLOBAL, Event::ChurnArrival);
+        if let Some(t) = engine.churn.as_mut().and_then(ChurnState::first_arrival) {
+            engine.push_event(t, SITE_GLOBAL, Event::ChurnArrival);
         }
-        for i in 0..net.flows.len() {
-            let id = net.flows[i].id;
-            for w in 0..net.flows[i].activations.len() {
-                let (start, stop) = net.flows[i].activations[w];
-                net.push_event(start, SITE_GLOBAL, Event::FlowStart { flow: id });
+        for i in 0..engine.flows.len() {
+            let id = engine.flows[i].id;
+            for w in 0..engine.flows[i].activations.len() {
+                let (start, stop) = engine.flows[i].activations[w];
+                engine.push_event(start, SITE_GLOBAL, Event::FlowStart { flow: id });
                 if let Some(stop) = stop {
-                    net.push_event(stop, SITE_GLOBAL, Event::FlowStop { flow: id });
+                    engine.push_event(stop, SITE_GLOBAL, Event::FlowStop { flow: id });
                 }
             }
         }
-        net
+        Network { nodes, engine }
     }
 
+    /// Current simulation time.
+    pub fn now(&self) -> SimTime {
+        self.engine.now
+    }
+
+    /// The flows in the network.
+    pub fn flows(&self) -> &[FlowInfo] {
+        &self.engine.flows
+    }
+
+    /// The human-readable name of `node`.
+    pub fn node_name(&self, node: NodeId) -> &str {
+        &self.nodes[node.index()].name
+    }
+
+    /// Propagation delay along the reverse path from `node` back to
+    /// `flow`'s ingress (exposed for tests and tooling).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not on `flow`'s path.
+    pub fn reverse_delay(&self, flow: FlowId, node: NodeId) -> SimDuration {
+        self.engine.flows[flow.index()].reverse_delay_from(node)
+    }
+
+    /// Runs the simulation until virtual time `end`, processing every
+    /// event scheduled at or before it. Can be called repeatedly with
+    /// increasing horizons.
+    pub fn run_until(&mut self, end: SimTime) {
+        self.engine.drain(&mut self.nodes, end);
+        // Advance to the horizon, but never rewind: a caller passing an
+        // `end` earlier than the current time must not move the clock (and
+        // with it the measurement windows) backwards.
+        if end > self.engine.now {
+            self.engine.now = end;
+        }
+    }
+
+    /// Runs every event *strictly* before `boundary` without advancing
+    /// the clock to it — the per-epoch step of a sharded run, where
+    /// events at exactly `boundary` may still arrive from peer shards at
+    /// the next barrier exchange.
+    pub(crate) fn run_before(&mut self, boundary: SimTime) {
+        if let Some(limit) = boundary.as_nanos().checked_sub(1) {
+            self.engine
+                .drain(&mut self.nodes, SimTime::from_nanos(limit));
+        }
+    }
+
+    /// Installs the capture cursor (shard workers only); see
+    /// [`EventCursor`].
+    pub(crate) fn install_cursor(&mut self, cursor: EventCursor) {
+        self.engine.cursor = Some(cursor);
+    }
+
+    /// The events bound for shard `dst` accumulated since the last
+    /// exchange. The exchange swaps the whole buffer for an empty one that
+    /// keeps its capacity, so steady-state rounds allocate nothing.
+    pub(crate) fn outbox(&mut self, dst: usize) -> &mut Vec<Envelope> {
+        &mut self.engine.outboxes[dst]
+    }
+
+    /// Enqueues an event received from a peer shard under its original
+    /// canonical key.
+    pub(crate) fn inject(&mut self, time: SimTime, key: u64, event: Event) {
+        self.engine.queue.push_keyed(time, key, event);
+    }
+
+    /// The egress node index of every flow slot (identical on every
+    /// shard; used to pick each flow's owning shard during the merge).
+    pub(crate) fn flow_egress_nodes(&self) -> Vec<u32> {
+        self.engine
+            .flows
+            .iter()
+            .map(|f| f.egress().index() as u32)
+            .collect()
+    }
+
+    /// Events popped from this instance's queue (per-shard work measure).
+    pub(crate) fn events_popped(&self) -> u64 {
+        self.engine.queue.delivered()
+    }
+
+    /// Consumes the network and assembles the final [`SimReport`].
+    ///
+    /// `end` should be the time passed to the final
+    /// [`run_until`](Network::run_until) call; series are closed at that
+    /// instant.
+    pub fn into_report(self, end: SimTime) -> SimReport {
+        let Network { nodes, mut engine } = self;
+        // Retire every departure up to the horizon so the forwarded
+        // counters and the occupancy integrals are final. (Under lazy
+        // train dispatch this is where the last trains are accounted.)
+        for l in &mut engine.links {
+            l.sync(end);
+        }
+        // Logical events plus one serialization per forwarded packet:
+        // identical across dispatch modes, and numerically equal to the
+        // popped-event count of the per-TxDone engine.
+        let events_processed = engine.logical_events
+            + engine
+                .links
+                .iter()
+                .map(Link::forwarded_packets)
+                .sum::<u64>();
+        let flows = engine
+            .monitors
+            .into_iter()
+            .zip(&engine.flows)
+            .map(|(monitor, info)| monitor.finish(end, info.id, info.weight))
+            .collect();
+        let horizon = end.as_secs_f64();
+        let links = engine
+            .links
+            .iter()
+            .enumerate()
+            .map(|(i, l)| LinkReport {
+                id: LinkId::from_index(i),
+                src: l.src(),
+                dst: l.dst(),
+                forwarded_packets: l.forwarded_packets(),
+                forwarded_bytes: l.forwarded_bytes(),
+                dropped_packets: l.dropped_packets(),
+                peak_occupancy: l.peak_occupancy(),
+                utilization: if horizon > 0.0 {
+                    (l.forwarded_bytes() as f64 * 8.0) / (l.spec().bandwidth_bps as f64 * horizon)
+                } else {
+                    0.0
+                },
+            })
+            .collect();
+        let logic: crate::slab::DenseMap<NodeId, _> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| (NodeId::from_index(i), slot.logic.report(end)))
+            .collect();
+        let stale_events = engine.stale_events;
+        SimReport {
+            end,
+            flows,
+            links,
+            logic,
+            events_processed,
+            elided_notifications: engine.elided_notifications,
+            churn: engine.churn.map(|c| c.finish(end, stale_events)),
+        }
+    }
+}
+
+impl Engine {
     /// Mints the next canonical key for `site` (see [`KEY_SITE_SHIFT`]).
     ///
     /// # Panics
@@ -385,41 +537,16 @@ impl Network {
         }
     }
 
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The flows in the network.
-    pub fn flows(&self) -> &[FlowInfo] {
-        &self.flows
-    }
-
-    /// The human-readable name of `node`.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.index()].name
-    }
-
-    /// Propagation delay along the reverse path from `node` back to
-    /// `flow`'s ingress (exposed for tests and tooling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not on `flow`'s path.
-    pub fn reverse_delay(&self, flow: FlowId, node: NodeId) -> SimDuration {
-        self.flows[flow.index()].reverse_delay_from(node)
-    }
-
     /// Delivers the one-time `on_start` sweep. Each node's start runs on
     /// its owner only, under a pseudo-cursor key (`node.index()`, below
     /// every real event key) so captured records merge ahead of all t=0
     /// events in node order — exactly the serial sweep order.
-    fn start_if_needed(&mut self) {
+    fn start_if_needed(&mut self, nodes: &mut [NodeSlot]) {
         if self.started {
             return;
         }
         self.started = true;
-        for i in 0..self.nodes.len() {
+        for i in 0..nodes.len() {
             let node = NodeId::from_index(i);
             if !self.owns(node) {
                 continue;
@@ -427,37 +554,14 @@ impl Network {
             if let Some(cursor) = &self.cursor {
                 cursor.set((SimTime::ZERO, i as u64));
             }
-            self.with_logic(node, |logic, ctx| logic.on_start(ctx));
-        }
-    }
-
-    /// Runs the simulation until virtual time `end`, processing every
-    /// event scheduled at or before it. Can be called repeatedly with
-    /// increasing horizons.
-    pub fn run_until(&mut self, end: SimTime) {
-        self.drain(end);
-        // Advance to the horizon, but never rewind: a caller passing an
-        // `end` earlier than the current time must not move the clock (and
-        // with it the measurement windows) backwards.
-        if end > self.now {
-            self.now = end;
-        }
-    }
-
-    /// Runs every event *strictly* before `boundary` without advancing
-    /// the clock to it — the per-epoch step of a sharded run, where
-    /// events at exactly `boundary` may still arrive from peer shards at
-    /// the next barrier exchange.
-    pub(crate) fn run_before(&mut self, boundary: SimTime) {
-        if let Some(limit) = boundary.as_nanos().checked_sub(1) {
-            self.drain(SimTime::from_nanos(limit));
+            self.with_logic(nodes, node, |logic, ctx| logic.on_start(ctx));
         }
     }
 
     /// Dispatches every pending event at or before `limit`, in
     /// `(time, key)` order; the clock stops at the last one.
-    fn drain(&mut self, limit: SimTime) {
-        self.start_if_needed();
+    fn drain(&mut self, nodes: &mut [NodeSlot], limit: SimTime) {
+        self.start_if_needed(nodes);
         while let Some((time, key, event)) = self.queue.pop_keyed_at_or_before(limit) {
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
@@ -465,7 +569,7 @@ impl Network {
             if let Some(cursor) = &self.cursor {
                 cursor.set((time, key));
             }
-            self.dispatch(event);
+            self.dispatch(nodes, event);
         }
     }
 
@@ -494,11 +598,11 @@ impl Network {
         }
     }
 
-    fn dispatch(&mut self, event: Event) {
+    fn dispatch(&mut self, nodes: &mut [NodeSlot], event: Event) {
         let counting = self.counts(&event);
         self.logical_events += u64::from(counting);
         match event {
-            Event::Arrive { node, packet } => self.handle_arrive(node, packet),
+            Event::Arrive { node, packet } => self.handle_arrive(nodes, node, packet),
             // A checkpoint: retire the link's departures up to now. The
             // train path does the same lazily, so this changes nothing
             // observable — it only restores per-packet event granularity.
@@ -515,11 +619,11 @@ impl Network {
                     self.push_event(until, node_site(node), Event::Timer { node, timer });
                     return;
                 }
-                self.with_logic(node, |logic, ctx| logic.on_timer(ctx, timer));
+                self.with_logic(nodes, node, |logic, ctx| logic.on_timer(ctx, timer));
             }
             Event::Control { node, msg } => {
                 if self.admit_control(node, msg) {
-                    self.with_logic(node, |logic, ctx| logic.on_control(ctx, msg));
+                    self.with_logic(nodes, node, |logic, ctx| logic.on_control(ctx, msg));
                 }
             }
             Event::FlowStart { flow } => {
@@ -551,7 +655,7 @@ impl Network {
                 // shard — starts the new activation with a fresh receiver.
                 self.rx_next[flow.index()] = 0;
                 if counting {
-                    self.with_logic(ingress, |logic, ctx| logic.on_flow_start(ctx, flow));
+                    self.with_logic(nodes, ingress, |logic, ctx| logic.on_flow_start(ctx, flow));
                 }
             }
             Event::FlowStop { flow } => {
@@ -574,7 +678,7 @@ impl Network {
                 self.lifecycle_started[flow.index()] = None;
                 let transient = self.flows[flow.index()].is_transient();
                 if counting {
-                    self.with_logic(ingress, |logic, ctx| logic.on_flow_stop(ctx, flow));
+                    self.with_logic(nodes, ingress, |logic, ctx| logic.on_flow_stop(ctx, flow));
                 }
                 if transient {
                     if let Some(churn) = self.churn.as_mut() {
@@ -703,7 +807,7 @@ impl Network {
             .retire(self.now, idx, delivered);
     }
 
-    fn handle_arrive(&mut self, node: NodeId, packet: Packet) {
+    fn handle_arrive(&mut self, nodes: &mut [NodeSlot], node: NodeId, packet: Packet) {
         let flow = &self.flows[packet.flow.index()];
         // A packet still in flight when its slot was recycled belongs to
         // the previous generation; it must not be forwarded along (or
@@ -728,10 +832,10 @@ impl Network {
                 flow: Some(packet.flow),
             });
             if let Some(link) = next_hop {
-                self.apply_action(node, Action::Forward { link, packet });
+                self.forward(node, link, packet);
             }
         } else {
-            self.with_logic(node, |logic, ctx| logic.on_packet(ctx, packet));
+            self.with_logic(nodes, node, |logic, ctx| logic.on_packet(ctx, packet));
         }
     }
 
@@ -784,119 +888,92 @@ impl Network {
         self.push_control(node, ingress, delay, msg);
     }
 
-    fn with_logic<F>(&mut self, node: NodeId, f: F)
+    /// Calls `node`'s logic with a [`Ctx`] over this engine.
+    fn with_logic<F>(&mut self, nodes: &mut [NodeSlot], node: NodeId, f: F)
     where
         F: FnOnce(&mut dyn RouterLogic, &mut Ctx<'_>),
     {
-        let mut logic = self.nodes[node.index()]
-            .logic
-            .take()
-            .expect("router logic invoked re-entrantly");
-        debug_assert!(self.scratch.is_empty(), "action scratch not drained");
-        {
-            let mut ctx = Ctx::new(
-                self.now,
-                node,
-                &mut self.links,
-                &self.flows,
-                &mut self.packet_counters[node.index()],
-                &self.outgoing_by_node[node.index()],
-                &mut self.scratch,
-                self.probe.as_deref(),
-            );
-            f(logic.as_mut(), &mut ctx);
-        }
-        self.nodes[node.index()].logic = Some(logic);
-        // Applying an action never pushes back into the scratch buffer
-        // (drops notify via `push_control`, which schedules directly on
-        // the event queue), so a single cursor pass drains it.
-        while let Some(action) = self.scratch.take_next() {
-            self.apply_action(node, action);
-        }
-        self.scratch.reset();
+        let slot = &mut nodes[node.index()];
+        f(
+            slot.logic.as_mut(),
+            &mut Ctx::new(self, node, &slot.outgoing),
+        );
     }
 
-    fn apply_action(&mut self, node: NodeId, action: Action) {
-        match action {
-            Action::Forward { link, mut packet } => {
-                if self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.link_down(link, self.now))
-                {
-                    self.trace(TraceEvent::Fault {
-                        kind: FaultKind::LinkDown,
-                        node,
-                        flow: Some(packet.flow),
-                    });
-                    self.record_drop(node, &packet, DropReason::Fault);
-                    return;
-                }
-                if packet.marker.is_some() {
-                    let stripped = self
-                        .faults
-                        .as_mut()
-                        .is_some_and(|f| f.marker_stripped(link));
-                    if stripped {
-                        packet.marker = None;
-                        self.trace(TraceEvent::Fault {
-                            kind: FaultKind::MarkerStripped,
-                            node,
-                            flow: Some(packet.flow),
-                        });
-                    }
-                }
-                // The whole transmission is resolved at enqueue: `offer`
-                // computes the FIFO departure time, so the delivery event
-                // can be scheduled immediately and no per-packet TxDone
-                // is needed (a burst becomes one train of Arrives).
-                let accepted = {
-                    let l = &mut self.links[link.index()];
-                    assert_eq!(
-                        l.src(),
-                        node,
-                        "node {node} forwarded on link {link} it does not own"
-                    );
-                    l.offer(self.now, packet.size)
-                        .map(|dep| (dep, l.queue_len(self.now), l.dst(), l.spec().delay))
-                };
-                match accepted {
-                    Some((dep, queue_len, dst, prop)) => {
-                        self.trace(TraceEvent::Enqueue {
-                            link,
-                            packet: packet.id,
-                            flow: packet.flow,
-                            queue_len,
-                        });
-                        if self.dispatch == DispatchMode::PerPacket {
-                            self.push_event(dep, node_site(node), Event::TxDone { link });
-                        }
-                        self.push_event(
-                            dep + prop,
-                            node_site(node),
-                            Event::Arrive { node: dst, packet },
-                        );
-                    }
-                    // `offer` already counted the tail drop on the link;
-                    // the packet stays with us for flow-level accounting.
-                    None => self.record_drop(node, &packet, DropReason::Tail),
-                }
+    /// Offers `packet` to `link` on behalf of `node` ([`Ctx::forward`],
+    /// and a paused router's blind forwarding).
+    pub(crate) fn forward(&mut self, node: NodeId, link: LinkId, mut packet: Packet) {
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.link_down(link, self.now))
+        {
+            self.trace(TraceEvent::Fault {
+                kind: FaultKind::LinkDown,
+                node,
+                flow: Some(packet.flow),
+            });
+            self.record_drop(node, &packet, DropReason::Fault);
+            return;
+        }
+        if packet.marker.is_some() {
+            let stripped = self
+                .faults
+                .as_mut()
+                .is_some_and(|f| f.marker_stripped(link));
+            if stripped {
+                packet.marker = None;
+                self.trace(TraceEvent::Fault {
+                    kind: FaultKind::MarkerStripped,
+                    node,
+                    flow: Some(packet.flow),
+                });
             }
-            Action::Drop { packet, reason } => {
-                self.record_drop(node, &packet, reason);
-            }
-            Action::Control { to, delay, msg } => {
-                self.push_control(node, to, delay, msg);
-            }
-            Action::Timer { delay, timer } => {
+        }
+        // The whole transmission is resolved at enqueue: `offer` computes
+        // the FIFO departure time, so the delivery event can be scheduled
+        // immediately and no per-packet TxDone is needed (a burst becomes
+        // one train of Arrives).
+        let accepted = {
+            let l = &mut self.links[link.index()];
+            assert_eq!(
+                l.src(),
+                node,
+                "node {node} forwarded on link {link} it does not own"
+            );
+            l.offer(self.now, packet.size)
+                .map(|dep| (dep, l.queue_len(self.now), l.dst(), l.spec().delay))
+        };
+        match accepted {
+            Some((dep, queue_len, dst, prop)) => {
+                self.trace(TraceEvent::Enqueue {
+                    link,
+                    packet: packet.id,
+                    flow: packet.flow,
+                    queue_len,
+                });
+                if self.dispatch == DispatchMode::PerPacket {
+                    self.push_event(dep, node_site(node), Event::TxDone { link });
+                }
                 self.push_event(
-                    self.now + delay,
+                    dep + prop,
                     node_site(node),
-                    Event::Timer { node, timer },
+                    Event::Arrive { node: dst, packet },
                 );
             }
-            Action::IgnoreLoss => self.nodes[node.index()].ignores_loss = true,
+            // `offer` already counted the tail drop on the link; the
+            // packet stays with us for flow-level accounting.
+            None => self.record_drop(node, &packet, DropReason::Tail),
         }
+    }
+
+    /// Schedules `timer` on `node` after `delay` ([`Ctx::set_timer`]).
+    pub(crate) fn push_timer(&mut self, node: NodeId, delay: SimDuration, timer: TimerKind) {
+        self.push_event(
+            self.now + delay,
+            node_site(node),
+            Event::Timer { node, timer },
+        );
     }
 
     /// Schedules a control message sent by `from` for delivery after
@@ -917,7 +994,13 @@ impl Network {
     /// neither the flow table nor the pause schedule `admit_control`
     /// reads — so every count, key and fault draw of the run is the same
     /// (DESIGN.md §9).
-    fn push_control(&mut self, from: NodeId, to: NodeId, delay: SimDuration, msg: ControlMsg) {
+    pub(crate) fn push_control(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        delay: SimDuration,
+        msg: ControlMsg,
+    ) {
         let flow = msg.flow();
         // Decide first, trace after: the fault state needs `&mut self`
         // while tracing borrows `&self`.
@@ -949,7 +1032,7 @@ impl Network {
         if from == to
             && matches!(msg, ControlMsg::Loss { .. })
             && (delay + extra).is_zero()
-            && self.nodes[to.index()].ignores_loss
+            && self.ignores_loss[to.index()]
             // In a node event: their keys carry prefixes from 2 up, a
             // lifecycle callback runs under GLOBAL's 1, `on_start` under 0.
             && self.current_key >> KEY_SITE_SHIFT > SITE_GLOBAL + 1
@@ -967,7 +1050,7 @@ impl Network {
         );
     }
 
-    fn record_drop(&mut self, at: NodeId, packet: &Packet, reason: DropReason) {
+    pub(crate) fn record_drop(&mut self, at: NodeId, packet: &Packet, reason: DropReason) {
         // Stale-generation packets are not accounted to the slot's new
         // occupant (mirrors the delivery-side guard in `handle_arrive`).
         if self.flows[packet.flow.index()].id != packet.flow {
@@ -996,108 +1079,25 @@ impl Network {
             }
         }
     }
+}
 
-    /// Installs the capture cursor (shard workers only); see
-    /// [`EventCursor`].
-    pub(crate) fn install_cursor(&mut self, cursor: EventCursor) {
-        self.cursor = Some(cursor);
-    }
-
-    /// The events bound for shard `dst` accumulated since the last
-    /// exchange. The exchange swaps the whole buffer for an empty one that
-    /// keeps its capacity, so steady-state rounds allocate nothing.
-    pub(crate) fn outbox(&mut self, dst: usize) -> &mut Vec<Envelope> {
-        &mut self.outboxes[dst]
-    }
-
-    /// Enqueues an event received from a peer shard under its original
-    /// canonical key.
-    pub(crate) fn inject(&mut self, time: SimTime, key: u64, event: Event) {
-        self.queue.push_keyed(time, key, event);
-    }
-
-    /// The egress node index of every flow slot (identical on every
-    /// shard; used to pick each flow's owning shard during the merge).
-    pub(crate) fn flow_egress_nodes(&self) -> Vec<u32> {
-        self.flows
-            .iter()
-            .map(|f| f.egress().index() as u32)
-            .collect()
-    }
-
-    /// Events popped from this instance's queue (per-shard work measure).
-    pub(crate) fn events_popped(&self) -> u64 {
-        self.queue.delivered()
-    }
-
-    /// Consumes the network and assembles the final [`SimReport`].
-    ///
-    /// `end` should be the time passed to the final
-    /// [`run_until`](Network::run_until) call; series are closed at that
-    /// instant.
-    pub fn into_report(mut self, end: SimTime) -> SimReport {
-        // Retire every departure up to the horizon so the forwarded
-        // counters and the occupancy integrals are final. (Under lazy
-        // train dispatch this is where the last trains are accounted.)
-        for l in &mut self.links {
-            l.sync(end);
-        }
-        // Logical events plus one serialization per forwarded packet:
-        // identical across dispatch modes, and numerically equal to the
-        // popped-event count of the per-TxDone engine.
-        let events_processed =
-            self.logical_events + self.links.iter().map(Link::forwarded_packets).sum::<u64>();
-        let flows = self
-            .monitors
-            .into_iter()
-            .zip(&self.flows)
-            .map(|(monitor, info)| monitor.finish(end, info.id, info.weight))
-            .collect();
-        let horizon = end.as_secs_f64();
-        let links = self
-            .links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| LinkReport {
-                id: LinkId::from_index(i),
-                src: l.src(),
-                dst: l.dst(),
-                forwarded_packets: l.forwarded_packets(),
-                forwarded_bytes: l.forwarded_bytes(),
-                dropped_packets: l.dropped_packets(),
-                peak_occupancy: l.peak_occupancy(),
-                utilization: if horizon > 0.0 {
-                    (l.forwarded_bytes() as f64 * 8.0) / (l.spec().bandwidth_bps as f64 * horizon)
-                } else {
-                    0.0
-                },
-            })
-            .collect();
-        let logic: crate::slab::DenseMap<NodeId, _> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                (
-                    NodeId::from_index(i),
-                    slot.logic
-                        .as_ref()
-                        .expect("logic present outside callbacks")
-                        .report(end),
-                )
-            })
-            .collect();
-        let stale_events = self.stale_events;
-        SimReport {
-            end,
-            flows,
-            links,
-            logic,
-            events_processed,
-            elided_notifications: self.elided_notifications,
-            churn: self.churn.map(|c| c.finish(end, stale_events)),
-        }
-    }
+/// Runs `f` as a callback of a one-node network and returns the params
+/// of the timers it set, in firing order.
+#[cfg(test)]
+pub(crate) fn timer_params_set_by(f: impl FnOnce(&mut Ctx<'_>)) -> Vec<u64> {
+    let mut b = crate::topology::TopologyBuilder::new(0);
+    let node = b.node("n", |_| Box::new(crate::logic::ForwardLogic));
+    let Network {
+        mut nodes,
+        mut engine,
+    } = b.build();
+    engine.with_logic(&mut nodes, node, |_, ctx| f(ctx));
+    std::iter::from_fn(|| engine.queue.pop())
+        .map(|(_, event)| match event {
+            Event::Timer { timer, .. } => timer.param,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1280,22 +1280,26 @@ mod tests {
     fn a_site_counter_at_its_bound_panics_naming_the_site() {
         let (mut net, _) = chain(100.0);
         let mid = 2; // site of node index 1
-        net.site_counters[mid] = (1 << KEY_SITE_SHIFT) - 1;
+        let engine = &mut net.engine;
+        engine.site_counters[mid] = (1 << KEY_SITE_SHIFT) - 1;
         // The last key of the site is still its own...
-        assert_eq!(net.next_key(mid as u64) >> KEY_SITE_SHIFT, mid as u64 + 1);
+        assert_eq!(
+            engine.next_key(mid as u64) >> KEY_SITE_SHIFT,
+            mid as u64 + 1
+        );
         // ...and the one after it would be the next site's first.
-        let overflow_message = |net: &mut Network, site: u64| {
+        let overflow_message = |engine: &mut Engine, site: u64| {
             let minted =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.next_key(site)));
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.next_key(site)));
             *minted
                 .expect_err("minting past the bound must panic")
                 .downcast::<String>()
                 .expect("a formatted panic message")
         };
-        let message = overflow_message(&mut net, mid as u64);
+        let message = overflow_message(engine, mid as u64);
         assert!(message.contains("node site n1"), "{message}");
-        net.site_counters[SITE_GLOBAL as usize] = 1 << KEY_SITE_SHIFT;
-        let message = overflow_message(&mut net, SITE_GLOBAL);
+        engine.site_counters[SITE_GLOBAL as usize] = 1 << KEY_SITE_SHIFT;
+        let message = overflow_message(engine, SITE_GLOBAL);
         assert!(message.contains("global"), "{message}");
     }
 

@@ -95,33 +95,7 @@ impl Pacer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logic::{Action, ActionBuf};
-    use sim_core::time::SimTime;
-
-    /// Runs `f` against a bare `Ctx` and returns the timer params it set.
-    fn timers(f: impl FnOnce(&mut Ctx<'_>)) -> Vec<u64> {
-        let mut actions = ActionBuf::default();
-        let mut next_packet = 0;
-        let mut ctx = Ctx::new(
-            SimTime::ZERO,
-            crate::ids::NodeId::from_index(0),
-            &mut [],
-            &[],
-            &mut next_packet,
-            &[],
-            &mut actions,
-            None,
-        );
-        f(&mut ctx);
-        let mut params = Vec::new();
-        while let Some(action) = actions.take_next() {
-            match action {
-                Action::Timer { timer, .. } => params.push(timer.param),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        params
-    }
+    use crate::network::timer_params_set_by as timers;
 
     const GAP: SimDuration = SimDuration::from_millis(10);
 

@@ -28,7 +28,7 @@ pub(crate) type PartitionLink = (u32, u32, SimDuration);
 /// under `k16_churn`'s 25x overload — 34.7 k timers and 1.2 k feedback
 /// messages per ingress against 6.0 k arrivals per later node, since
 /// three emissions in four die on the access link (the notifications
-/// of those drops are not queued, see `Network::push_control`). 2.5 is
+/// of those drops are not queued, see `Engine::push_control`). 2.5 is
 /// the geometric mean, and enough to deal ingresses before the cores
 /// they feed.
 const INGRESS_EVENTS_PER_PACKET: f64 = 2.5;

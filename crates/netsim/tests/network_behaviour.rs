@@ -1,6 +1,6 @@
 //! Behavioural tests for the network substrate's configuration surface:
-//! measurement windows, loss-notification policy, context accessors, and
-//! misuse panics.
+//! measurement windows, loss-notification policy, context accessors, the
+//! order and immediacy of a callback's effects, and misuse panics.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -256,4 +256,168 @@ fn a_run_past_the_wheel_horizon_matches_the_heap() {
     assert_eq!(wheel.flows[1].delivered_packets, 2 * 60 * 39);
     let heap = run(QueueBackend::Heap);
     assert_eq!(format!("{wheel:?}"), format!("{heap:?}"));
+}
+
+/// Forwards three packets onto its uplink the moment its flow starts and
+/// reads the uplink's queue length back.
+struct ReadsItsWrites {
+    seen: Rc<RefCell<Option<usize>>>,
+}
+
+impl RouterLogic for ReadsItsWrites {
+    fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+        let link = ctx.next_hop(flow).expect("the ingress has an uplink");
+        for _ in 0..3 {
+            let packet = ctx.new_packet(flow);
+            ctx.forward(link, packet);
+        }
+        *self.seen.borrow_mut() = Some(ctx.link_queue_len(link));
+    }
+}
+
+/// The one observable ISSUE 23 changed: a `Ctx` effect is applied when it
+/// is called, so a callback reads its own writes. While effects were
+/// queued until the callback returned, this logic saw an empty link (0).
+#[test]
+fn a_callback_reads_its_own_writes() {
+    let seen = Rc::new(RefCell::new(None));
+    let handle = seen.clone();
+    let mut b = TopologyBuilder::new(1);
+    let a = b.node("a", move |_| Box::new(ReadsItsWrites { seen: handle }));
+    let z = b.node("z", |_| Box::new(ForwardLogic));
+    b.link(a, z, slow());
+    b.flow(FlowSpec::new(vec![a, z], 1).active(SimTime::ZERO, None));
+    let end = SimTime::from_secs(1);
+    let mut net = b.build();
+    net.run_until(end);
+    assert_eq!(*seen.borrow(), Some(3), "three forwards, then the read");
+    assert_eq!(net.into_report(end).flows[0].delivered_packets, 3);
+}
+
+const FOUR_EFFECTS: u32 = 1;
+const FOLLOW_UP: u32 = 2;
+
+/// One callback, four effects — forward, control, timer, policy drop —
+/// with the control message and the timer both due at once, so the order
+/// their canonical keys were minted in is the order they come back.
+struct FourEffects;
+
+impl RouterLogic for FourEffects {
+    fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+        ctx.set_timer(
+            SimDuration::from_millis(1),
+            netsim::TimerKind::with_param(FOUR_EFFECTS, flow.index() as u64),
+        );
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: netsim::TimerKind) {
+        let flow = FlowId::from_index(timer.param as usize);
+        let first = ctx.new_packet(flow);
+        if timer.tag == FOLLOW_UP {
+            return ctx.emit(first);
+        }
+        let (second, node) = (ctx.new_packet(flow), ctx.node());
+        ctx.emit(first);
+        let marker = netsim::Marker {
+            flow,
+            edge: node,
+            normalized_rate: 1.0,
+        };
+        let feedback = ControlMsg::MarkerFeedback { marker, from: node };
+        ctx.send_control(node, SimDuration::ZERO, feedback);
+        ctx.set_timer(
+            SimDuration::ZERO,
+            netsim::TimerKind::with_param(FOLLOW_UP, timer.param),
+        );
+        ctx.drop_packet(second);
+    }
+}
+
+#[test]
+fn effects_apply_and_key_in_call_order() {
+    use netsim::logic::DropReason;
+    use netsim::trace::{TraceEvent, Tracer};
+    use netsim::{DispatchMode, PacketId};
+
+    #[derive(Default)]
+    struct VecTracer(Vec<(SimTime, TraceEvent)>);
+    impl Tracer for VecTracer {
+        fn record(&mut self, now: SimTime, event: &TraceEvent) {
+            self.0.push((now, *event));
+        }
+    }
+
+    let topology = |mode: DispatchMode| {
+        let mut b = TopologyBuilder::new(1);
+        b.dispatch_mode(mode);
+        let a = b.node("a", |_| Box::new(FourEffects));
+        let z = b.node("z", |_| Box::new(ForwardLogic));
+        b.link(a, z, fast());
+        b.flow(FlowSpec::new(vec![a, z], 1).active(SimTime::ZERO, None));
+        b
+    };
+    let end = SimTime::from_secs(1);
+    let serial = |mode: DispatchMode| {
+        let tracer = Rc::new(RefCell::new(VecTracer::default()));
+        let mut b = topology(mode);
+        b.tracer(tracer.clone());
+        b.build().run_until(end);
+        let log = std::mem::take(&mut tracer.borrow_mut().0);
+        log
+    };
+
+    let train = serial(DispatchMode::Train);
+    let (a, flow) = (netsim::NodeId::from_index(0), FlowId::from_index(0));
+    let link = netsim::LinkId::from_index(0);
+    // Node 0's mints: `(node + 1) << 40 | counter`.
+    let packet = |n: u64| PacketId::from_sequence(1 << 40 | n);
+    let control = |is_feedback| TraceEvent::Control {
+        node: a,
+        flow,
+        is_feedback,
+    };
+    let at_the_callback: Vec<TraceEvent> = train
+        .iter()
+        .filter(|(t, _)| *t == SimTime::from_millis(1))
+        .map(|&(_, event)| event)
+        .collect();
+    assert_eq!(
+        at_the_callback,
+        [
+            // Applied as called: the forward, then the drop...
+            TraceEvent::Enqueue {
+                link,
+                packet: packet(0),
+                flow,
+                queue_len: 1
+            },
+            TraceEvent::Drop {
+                node: a,
+                packet: packet(1),
+                flow,
+                reason: DropReason::Policy
+            },
+            // ...and due in the order they were keyed: the control
+            // message, the timer (whose callback forwards), the drop's
+            // loss notification.
+            control(true),
+            TraceEvent::Enqueue {
+                link,
+                packet: packet(2),
+                flow,
+                queue_len: 2
+            },
+            control(false),
+        ]
+    );
+    assert_eq!(
+        train,
+        serial(DispatchMode::PerPacket),
+        "per-packet dispatch"
+    );
+    for shards in [1, 2] {
+        let sharded =
+            netsim::shard::run_sharded(|| topology(DispatchMode::Train), shards, end, false, true);
+        assert_eq!(train, sharded.trace_log, "{shards} shard(s)");
+    }
 }

@@ -2,12 +2,12 @@
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warmup that establishes every one-time capacity (the event queue's
-//! payload slab, the ActionBuf spill, link queues, monitor series, the
-//! flow table under churn), continuing the simulation must not allocate
-//! at all. This pins the engine's
-//! zero-alloc contract (ISSUE 4): the per-forward `vec![Action  ...]`
-//! and the per-callback `Vec<Action>` are gone, and a regression
-//! reintroducing either fails here, not just in a profiler.
+//! payload slab and wheel buffers, link queues, monitor series, the flow
+//! table under churn), continuing the simulation must not allocate at
+//! all. This pins the engine's zero-alloc contract (ISSUE 4, DESIGN.md
+//! §9): a callback's effects go straight to the link and the event queue,
+//! with no per-callback collection in between, and a regression
+//! reintroducing one fails here, not just in a profiler.
 //!
 //! This lives in its own integration-test binary so the allocator hook
 //! does not interfere with other tests.
@@ -257,6 +257,92 @@ fn telemetry_publishing_does_not_allocate() {
         p.dropped()
     );
     assert!(p.iter().any(|r| r.sample.name == "b_g"));
+}
+
+const SLOTS: u64 = 500;
+const TIMER_ONE_SLOT: u32 = 11;
+const TIMER_ALL_SLOTS: u32 = 12;
+const TIMER_SLOT: u32 = 13;
+
+/// Arms a timer and forwards a packet for each of [`SLOTS`] slots, twice:
+/// first one slot per callback (a chain of zero-delay timers, all at one
+/// instant), then — one lap of the wheel's level 2 later, so every event
+/// lands where its twin did — all of them in a single callback, whose
+/// allocations it counts.
+struct SlotBurst {
+    in_one_callback: Rc<Cell<Option<u64>>>,
+}
+
+impl SlotBurst {
+    fn serve_slot(ctx: &mut Ctx<'_>, slot: u64) {
+        let packet = ctx.new_packet(FlowId::from_index(0));
+        ctx.emit(packet);
+        ctx.set_timer(
+            SimDuration::from_millis(20),
+            TimerKind::with_param(TIMER_SLOT, slot),
+        );
+    }
+}
+
+impl RouterLogic for SlotBurst {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(SimDuration::from_secs(1), TimerKind::tagged(TIMER_ONE_SLOT));
+        // 2^17 ns ticks × 64^3: where the wheel's level 2 wraps.
+        let lap = SimDuration::from_nanos(1 << (17 + 18));
+        ctx.set_timer(
+            SimDuration::from_secs(1) + lap,
+            TimerKind::tagged(TIMER_ALL_SLOTS),
+        );
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
+        match timer.tag {
+            TIMER_ONE_SLOT if timer.param < SLOTS => {
+                Self::serve_slot(ctx, timer.param);
+                let next = TimerKind::with_param(TIMER_ONE_SLOT, timer.param + 1);
+                ctx.set_timer(SimDuration::ZERO, next);
+            }
+            TIMER_ALL_SLOTS => {
+                let before = allocations();
+                for slot in 0..SLOTS {
+                    Self::serve_slot(ctx, slot);
+                }
+                self.in_one_callback.set(Some(allocations() - before));
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_burst_of_effects_allocates_nothing() {
+    // Once the queue has held as many pending events, a thousand effects
+    // from one callback allocate nothing: each goes to its link and into
+    // the event queue as it is called, and there is no buffer in between
+    // left to grow. (The command queue this replaced kept 8 actions
+    // inline and 64 in a spill vector, which reallocated here.)
+    let in_one_callback = Rc::new(Cell::new(None));
+    let handle = in_one_callback.clone();
+    let mut b = TopologyBuilder::new(3);
+    b.measurement_window(SimDuration::from_secs(10_000));
+    let src = b.node("src", move |_| {
+        Box::new(SlotBurst {
+            in_one_callback: handle,
+        })
+    });
+    let dst = b.node("dst", |_| Box::new(ForwardLogic));
+    b.link(
+        src,
+        dst,
+        LinkSpec::new(400_000_000, SimDuration::from_millis(5), 1_000),
+    );
+    let f = b.flow(FlowSpec::new(vec![src, dst], 1).active(SimTime::ZERO, None));
+    let end = SimTime::from_secs(40);
+    let mut net = b.build();
+    net.run_until(end);
+    assert_eq!(in_one_callback.get(), Some(0));
+    let report = net.into_report(end);
+    assert_eq!(report.flow(f).delivered_packets, 2 * SLOTS);
 }
 
 #[test]

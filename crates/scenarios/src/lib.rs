@@ -33,6 +33,8 @@
 //! cargo run --release -p scenarios --bin compare
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod discipline;
 pub mod dsl;

@@ -192,14 +192,27 @@ impl<E> EventQueue<E> {
     /// its events need not store the key in the payload as well.
     pub fn pop_keyed_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, u64, E)> {
         let entry = match &mut self.order {
-            Order::Wheel(w) => w.pop_at_or_before(end),
+            Order::Wheel(w) => {
+                let entry = w.pop_at_or_before(end)?;
+                // Touch-ahead: the slab is filled in LIFO order and read
+                // in time order, so the *next* pop's cell is usually cold.
+                // Loading its tag now lets the core overlap that miss
+                // with the caller's dispatch of this event. A plain load
+                // the optimizer may not drop — nothing is read from it.
+                if let Some(next) = w.cur.last() {
+                    let cell = self.payloads.cells.get(next.handle as usize);
+                    std::hint::black_box(matches!(cell, Some(Cell::Free(_))));
+                }
+                entry
+            }
+            // The oracle stays as plain as it can be.
             Order::Heap(h) => {
                 if h.peek()?.time > end {
                     return None;
                 }
-                h.pop()
+                h.pop()?
             }
-        }?;
+        };
         let key = entry.seq;
         let (time, event) = self.deliver(entry);
         Some((time, key, event))
@@ -885,6 +898,37 @@ mod tests {
             assert_eq!(q.pop_keyed_at_or_before(t), Some((t, 70, 1)));
             assert_eq!(q.pop_keyed_at_or_before(t), None);
             assert_eq!(q.len(), 1);
+        }
+    }
+
+    #[test]
+    fn touch_ahead_is_invisible() {
+        // The bounded pop peeks at the next same-tick entry's payload
+        // cell; where there is none — the last entry of a tick, a queue
+        // of one, a queue cleared between pops — it must do nothing, and
+        // it never changes what comes out.
+        let far = SimTime::from_secs(9);
+        for mut q in both_backends() {
+            q.push(SimTime::from_nanos(5), 1);
+            assert_eq!(q.pop_at_or_before(far), Some((SimTime::from_nanos(5), 1)));
+            assert_eq!(q.pop_at_or_before(far), None);
+            // Two entries in one tick, one in a later tick.
+            q.push(SimTime::from_nanos(10), 2);
+            q.push(SimTime::from_nanos(20), 3);
+            q.push(SimTime::from_millis(7), 4);
+            assert_eq!(q.pop_at_or_before(far).unwrap().1, 2);
+            assert_eq!(q.pop_at_or_before(far).unwrap().1, 3);
+            assert_eq!(q.pop_at_or_before(far).unwrap().1, 4);
+            q.push(SimTime::from_millis(8), 5);
+            q.push(SimTime::from_millis(8), 6);
+            assert_eq!(q.pop_at_or_before(far).unwrap().1, 5);
+            q.clear();
+            assert_eq!(q.pop_at_or_before(far), None);
+            q.push(SimTime::from_nanos(1), 7);
+            q.push(SimTime::from_nanos(1), 8);
+            assert_eq!(q.pop_at_or_before(far).unwrap().1, 7);
+            assert_eq!(q.pop_at_or_before(far).unwrap().1, 8);
+            assert_eq!(q.delivered(), 7);
         }
     }
 

@@ -27,6 +27,8 @@
 //! assert_eq!(t, SimTime::from_secs_f64(1.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 pub mod event;
 pub mod rng;

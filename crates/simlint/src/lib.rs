@@ -32,6 +32,8 @@
 //! in the reproduction container, so the lexer, parser, walker and
 //! TOML-subset reader are hand-rolled like sim-core's `DetRng`.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod graph;
 pub mod lexer;

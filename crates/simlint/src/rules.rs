@@ -147,8 +147,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              allocator tests); a vec!/Vec::new/Box::new/.to_vec in a per-event function\n\
              of a hot-path module re-introduces per-event heap traffic, and so does\n\
              cloning a field out of a structure (x.field.clone(): a route copied into\n\
-             every arriving flow). Reuse a preallocated buffer (ActionBuf-style); share\n\
-             immutable data behind an Rc and bump it with Rc::clone(&x.field)."
+             every arriving flow). Reuse storage that outlives the event (the event\n\
+             queue's payload slab, the shard outboxes swapped whole at each exchange);\n\
+             share immutable data behind an Rc and bump it with Rc::clone(&x.field)."
         }
         "dense-state" => {
             "Per-id state read on the hot path belongs in netsim::slab::DenseMap: O(1)\n\
@@ -167,8 +168,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         | "taint-hash-collections" => {
             "The transitive form of the determinism rules. simlint parses every fn body,\n\
              builds a workspace call graph (name-based, dependency-scoped resolution)\n\
-             and walks it from the replay-path roots: Network dispatch/apply_actions and\n\
-             the event-loop modules, EventQueue, churn/fault application, and every\n\
+             and walks it from the replay-path roots: the Engine's dispatch and the Ctx\n\
+             effect methods logics call into it (every fn of the event-loop modules),\n\
+             EventQueue, churn/fault application, the shard workers, and every\n\
              RouterLogic/Discipline impl. A nondeterminism sink (wall-clock, threads,\n\
              external RNG, hash-ordered collections) whose *site* carries an allow —\n\
              legitimate in its own context, e.g. bench timing — is still an error if a\n\
@@ -313,12 +315,19 @@ const HOT_FNS: &[&str] = &[
     "dispatch",
     "lifecycle_gate",
     "handle_arrive",
-    "handle_tx_done",
     "with_logic",
-    "apply_action",
+    "push_event",
+    "push_timer",
     "push_control",
     "admit_control",
     "record_drop",
+    // `Ctx`'s effect methods: a logic's call *is* the effect, applied on
+    // the spot, so these are the dispatch path (DESIGN.md §9).
+    "forward",
+    "emit",
+    "drop_packet",
+    "send_control",
+    "set_timer",
     // The event queue under every dispatch.
     "place",
     "push_keyed",
@@ -685,9 +694,9 @@ pub(crate) fn scan_tokens(rel: &str, lexed: &Lexed, class: FileClass) -> Vec<Vio
                             rule: "hot-alloc",
                             message: format!(
                                 "`{what}` allocates on the per-event hot path, breaking the \
-                                 engine's zero-alloc dispatch contract; reuse a preallocated \
-                                 buffer (ActionBuf-style, DESIGN.md §9) or \
-                                 justify with `simlint: allow(hot-alloc)`"
+                                 engine's zero-alloc dispatch contract; reuse storage that \
+                                 outlives the event (the queue's payload slab, DESIGN.md §9) \
+                                 or justify with `simlint: allow(hot-alloc)`"
                             ),
                         });
                     }

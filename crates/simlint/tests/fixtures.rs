@@ -139,6 +139,22 @@ fn a_pacer_that_allocates_per_arm_is_caught() {
     assert!(ok.is_empty(), "hot_alloc_pacer_ok must be clean: {ok:?}");
 }
 
+/// The `Ctx` effect fixture pair: `forward` and `set_timer` are hot
+/// functions (a logic's call is the effect), so a context that collects
+/// effects in per-call allocations is flagged while the one that applies
+/// them to the engine it borrows is clean.
+#[test]
+fn a_ctx_that_allocates_per_effect_is_caught() {
+    let bad = violations_for("hot_alloc_ctx_effect_bad");
+    let hot = bad.iter().filter(|v| v.rule == "hot-alloc").count();
+    assert_eq!(hot, 3, "a vec!, a Box::new and a .to_vec(): {bad:?}");
+    let ok = violations_for("hot_alloc_ctx_effect_ok");
+    assert!(
+        ok.is_empty(),
+        "hot_alloc_ctx_effect_ok must be clean: {ok:?}"
+    );
+}
+
 /// The transport-sender fixture pair: the `transport_sender_` prefix
 /// classifies like `crates/netsim/src/transport.rs` (hot-path +
 /// per-id-state), and the `RouterLogic` impl is a taint root — so the
