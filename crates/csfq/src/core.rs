@@ -18,17 +18,13 @@ use sim_core::rng::DetRng;
 use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::LinkId;
-use netsim::logic::{Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::logic::{Ctx, LogicReport, RouterLogic};
 use netsim::packet::Packet;
 use netsim::slab::DenseMap;
 use netsim::telemetry::Sample;
 
 use crate::config::CsfqConfig;
 use crate::estimator::RateEstimator;
-
-/// Telemetry sampling timer, armed only when a probe is installed so a
-/// probe-less run's event stream is untouched.
-const TIMER_SAMPLE: u32 = 1;
 
 /// The per-link fair-share estimation state of a CSFQ core router.
 #[derive(Debug, Clone)]
@@ -41,6 +37,8 @@ pub struct FairShareEstimator {
     tmp_alpha: f64,
     congested: bool,
     window_start: SimTime,
+    /// `K_link` windows closed so far (the moments `α` is re-estimated).
+    windows_closed: u64,
 }
 
 impl FairShareEstimator {
@@ -65,6 +63,7 @@ impl FairShareEstimator {
             tmp_alpha: 0.0,
             congested: false,
             window_start: SimTime::ZERO,
+            windows_closed: 0,
         }
     }
 
@@ -105,6 +104,7 @@ impl FairShareEstimator {
                 let current = self.alpha.unwrap_or(label);
                 self.alpha = Some(current * self.capacity_pps / f);
                 self.window_start = now;
+                self.windows_closed += 1;
             }
         } else {
             if self.congested {
@@ -120,6 +120,7 @@ impl FairShareEstimator {
                 self.alpha = Some(self.tmp_alpha.max(label));
                 self.window_start = now;
                 self.tmp_alpha = 0.0;
+                self.windows_closed += 1;
             }
         }
         match self.alpha {
@@ -191,29 +192,6 @@ impl RouterLogic for CsfqCore {
             self.links
                 .insert(link, FairShareEstimator::new(capacity, self.cfg.k_link));
         }
-        // CSFQ has no epoch timer of its own; fair-share telemetry needs
-        // a sampling clock. Arm it only under a probe: extra events would
-        // otherwise perturb probe-less runs.
-        if ctx.probe_enabled() {
-            ctx.set_timer(self.cfg.k_link, TimerKind::tagged(TIMER_SAMPLE));
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
-        if timer.tag != TIMER_SAMPLE {
-            return;
-        }
-        for (link, est) in self.links.iter() {
-            if let Some(alpha) = est.alpha() {
-                ctx.publish(Sample::for_link("alpha", link, alpha));
-            }
-            ctx.publish(Sample::for_link(
-                "congested",
-                link,
-                f64::from(est.is_congested()),
-            ));
-        }
-        ctx.set_timer(self.cfg.k_link, TimerKind::tagged(TIMER_SAMPLE));
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, mut packet: Packet) {
@@ -226,7 +204,20 @@ impl RouterLogic for CsfqCore {
             .expect("estimator initialised in on_start");
         let label = packet.label.unwrap_or(0.0);
         let now = ctx.now();
+        let closed = est.windows_closed;
         let p_drop = est.on_arrival(now, label);
+        // CSFQ has no epoch timer; its telemetry clock is the estimator's
+        // own `K_link` window, so a probe adds no event.
+        if est.windows_closed != closed {
+            if let Some(alpha) = est.alpha() {
+                ctx.publish(Sample::for_link("alpha", link, alpha));
+            }
+            ctx.publish(Sample::for_link(
+                "congested",
+                link,
+                f64::from(est.is_congested()),
+            ));
+        }
         if self.rng.bernoulli(p_drop) {
             self.policy_drops += 1;
             ctx.drop_packet(packet);

@@ -16,7 +16,7 @@
 
 use sim_core::rng::DetRng;
 use sim_core::stats::{mean_secs, LogHistogram, TimeSeries};
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::{SimDuration, SimTime, NANOS_PER_SEC};
 
 use crate::flow::Route;
 use crate::ids::NodeId;
@@ -275,6 +275,17 @@ fn generations_exhausted(slot: usize) -> ! {
     );
 }
 
+/// `from` plus `secs` (non-negative), rounded to the nanosecond and
+/// saturating at the end of the clock: a draw from a slow rate's tail can
+/// lie beyond the `u64` nanosecond clock.
+fn after(from: SimTime, secs: f64) -> SimTime {
+    if secs * NANOS_PER_SEC as f64 >= u64::MAX as f64 {
+        return SimTime::MAX;
+    }
+    from.checked_add(SimDuration::from_secs_f64(secs))
+        .unwrap_or(SimTime::MAX)
+}
+
 /// One planned arrival, returned by [`ChurnState::plan_arrival`]; the
 /// network turns it into a resident flow.
 pub(crate) struct ArrivalPlan {
@@ -386,7 +397,7 @@ impl ChurnState {
             return None;
         }
         let gap = self.gaps.exp(self.spec.arrival_rate);
-        let t = self.spec.start + SimDuration::from_secs_f64(gap);
+        let t = after(self.spec.start, gap);
         (t < self.spec.stop).then_some(t)
     }
 
@@ -400,8 +411,10 @@ impl ChurnState {
         let shape = self.spec.pareto_shape;
         let scale = self.spec.mean_size_pkts * (shape - 1.0) / shape;
         let size_pkts = self.sizes.pareto(scale, shape).max(1.0);
-        let duration = SimDuration::from_secs_f64(size_pkts / self.spec.nominal_rate_pps);
-        let stop = now + duration.max(SimDuration::from_micros(1));
+        // A lifetime past the clock saturates: such a flow simply outlives
+        // the run (and so does its retirement, `stop + linger`).
+        let lifetime = (size_pkts / self.spec.nominal_rate_pps).max(1e-6);
+        let stop = after(now, lifetime);
 
         let (slot, generation, fresh) = match self.free.pop() {
             Some(rel) => {
@@ -434,7 +447,7 @@ impl ChurnState {
             None
         } else {
             let gap = self.gaps.exp(self.spec.arrival_rate);
-            let t = now + SimDuration::from_secs_f64(gap);
+            let t = after(now, gap);
             (t < self.spec.stop).then_some(t)
         };
 

@@ -304,16 +304,6 @@ impl<'a> Ctx<'a> {
         self.engine.ignores_loss[self.node.index()] = true;
     }
 
-    /// Whether a control-plane [`Probe`](crate::telemetry::Probe) is installed.
-    ///
-    /// Logic that would schedule *extra events* purely to publish
-    /// telemetry (e.g. a sampling timer) must gate them on this, so that
-    /// a probe-less run has an event stream identical to a build without
-    /// telemetry at all.
-    pub fn probe_enabled(&self) -> bool {
-        self.engine.probe.is_some()
-    }
-
     /// Publishes a control-plane sample to the installed probe, if any.
     ///
     /// With no probe installed this is a single branch; with one

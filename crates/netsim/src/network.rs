@@ -198,7 +198,6 @@ pub(crate) struct Engine {
     /// The canonical key of the event currently being dispatched; its
     /// site tells `push_control` whether a node event is running.
     current_key: u64,
-    notify_losses: bool,
     started: bool,
     tracer: Option<Rc<RefCell<dyn Tracer>>>,
     pub(crate) probe: Option<Rc<RefCell<dyn Probe>>>,
@@ -233,7 +232,6 @@ pub(crate) struct Parts {
     pub logics: Vec<Box<dyn RouterLogic>>,
     pub links: Vec<Link>,
     pub window: SimDuration,
-    pub notify_losses: bool,
     pub tracer: Option<Rc<RefCell<dyn Tracer>>>,
     pub probe: Option<Rc<RefCell<dyn Probe>>>,
     pub queue_backend: QueueBackend,
@@ -285,7 +283,6 @@ impl Network {
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
             cursor: None,
             current_key: 0,
-            notify_losses: p.notify_losses,
             started: false,
             tracer: p.tracer,
             probe: p.probe,
@@ -785,11 +782,8 @@ impl Engine {
         // schedule the stop and the slot's retirement after the drain.
         self.push_event(now, SITE_GLOBAL, Event::FlowStart { flow: id });
         self.push_event(plan.stop, SITE_GLOBAL, Event::FlowStop { flow: id });
-        self.push_event(
-            plan.stop + linger,
-            SITE_GLOBAL,
-            Event::ChurnRetire { flow: id },
-        );
+        let retire = plan.stop.checked_add(linger).unwrap_or(SimTime::MAX);
+        self.push_event(retire, SITE_GLOBAL, Event::ChurnRetire { flow: id });
     }
 
     /// Finalizes a drained churn flow: records its completion metrics and
@@ -1064,19 +1058,17 @@ impl Engine {
             reason,
         });
         self.monitors[packet.flow.index()].record_drop(reason);
-        if self.notify_losses {
-            let flow = &self.flows[packet.flow.index()];
-            // The drop site is always on the flow's path; notify the
-            // ingress after the reverse propagation delay.
-            if let Some(hop) = flow.hop_at(at) {
-                let delay = hop.reverse_delay;
-                let ingress = flow.ingress();
-                let msg = ControlMsg::Loss {
-                    flow: packet.flow,
-                    at,
-                };
-                self.push_control(at, ingress, delay, msg);
-            }
+        let flow = &self.flows[packet.flow.index()];
+        // The drop site is always on the flow's path; notify the
+        // ingress after the reverse propagation delay.
+        if let Some(hop) = flow.hop_at(at) {
+            let delay = hop.reverse_delay;
+            let ingress = flow.ingress();
+            let msg = ControlMsg::Loss {
+                flow: packet.flow,
+                at,
+            };
+            self.push_control(at, ingress, delay, msg);
         }
     }
 }

@@ -73,7 +73,6 @@ impl TopologyBuilder {
                 logics: Vec::new(),
                 links: Vec::new(),
                 window: SimDuration::from_secs(1),
-                notify_losses: true,
                 tracer: None,
                 probe: None,
                 queue_backend: QueueBackend::Wheel,
@@ -241,13 +240,6 @@ impl TopologyBuilder {
     pub fn measurement_window(&mut self, window: SimDuration) -> &mut Self {
         assert!(!window.is_zero(), "measurement window must be positive");
         self.parts.window = window;
-        self
-    }
-
-    /// Enables or disables loss notifications to the ingress edge
-    /// (default enabled; CSFQ sources need them, Corelite ignores them).
-    pub fn notify_losses(&mut self, enabled: bool) -> &mut Self {
-        self.parts.notify_losses = enabled;
         self
     }
 

@@ -97,6 +97,35 @@ fn recycled_slots_bound_the_flow_table() {
     assert_eq!(last, 0.0);
 }
 
+/// Regression: at 1e-9 pkt/s a 50-packet flow lives 5e10 s, past the
+/// `u64` nanosecond clock, and the first arrival panicked converting
+/// it. The lifetime now saturates and the flow outlives the run.
+#[test]
+fn a_lifetime_past_the_clock_outlives_the_run() {
+    let mut b = TopologyBuilder::new(3);
+    let e = b.node("ingress", |_| Box::new(CbrSource::new(200.0)));
+    let x = b.node("egress", |_| Box::new(ForwardLogic));
+    b.link(e, x, fast());
+    let end = SimTime::from_secs(2);
+    b.churn(
+        ChurnSpec::new(10.0, 50.0, 1e-9)
+            .route(vec![e, x])
+            .window(SimTime::ZERO, end),
+    );
+    let mut net = b.build();
+    net.run_until(end);
+    let report = net.into_report(end);
+    let churn = report.churn.as_ref().expect("churn report present");
+    assert!(churn.arrivals > 0, "no arrival in 2 s at 10/s");
+    assert_eq!(churn.retired, 0, "no flow can have stopped");
+    assert!(
+        report.flows[0].delivered_packets > 0,
+        "first flow never ran"
+    );
+    let (_, active) = churn.active_series.iter().last().expect("series sampled");
+    assert_eq!(active, churn.arrivals as f64, "every flow still active");
+}
+
 /// The acceptance bound: one million arrivals with memory O(active
 /// flows). ForwardLogic ingresses emit nothing, so the run is pure
 /// lifecycle machinery (~4 M events).

@@ -1,5 +1,5 @@
 //! Behavioural tests for the network substrate's configuration surface:
-//! measurement windows, loss-notification policy, context accessors, the
+//! measurement windows, loss notifications, context accessors, the
 //! order and immediacy of a callback's effects, and misuse panics.
 
 use std::cell::RefCell;
@@ -55,27 +55,20 @@ impl RouterLogic for ControlRecorder {
 }
 
 #[test]
-fn loss_notifications_can_be_disabled() {
-    for notify in [true, false] {
-        let losses = Rc::new(RefCell::new(0u64));
-        let handle = losses.clone();
-        let mut b = TopologyBuilder::new(8);
-        b.notify_losses(notify);
-        let src = b.node("src", move |_| Box::new(ControlRecorder { losses: handle }));
-        let dst = b.node("dst", |_| Box::new(ForwardLogic));
-        b.link(src, dst, slow()); // 1000 pkt/s offered into 500 pkt/s
-        b.flow(FlowSpec::new(vec![src, dst], 1).active(SimTime::ZERO, None));
-        let end = SimTime::from_secs(3);
-        let mut net = b.build();
-        net.run_until(end);
-        let report = net.into_report(end);
-        assert!(report.total_drops() > 0, "overload must drop");
-        if notify {
-            assert_eq!(*losses.borrow(), report.total_drops());
-        } else {
-            assert_eq!(*losses.borrow(), 0, "notifications were disabled");
-        }
-    }
+fn every_drop_is_notified() {
+    let losses = Rc::new(RefCell::new(0u64));
+    let handle = losses.clone();
+    let mut b = TopologyBuilder::new(8);
+    let src = b.node("src", move |_| Box::new(ControlRecorder { losses: handle }));
+    let dst = b.node("dst", |_| Box::new(ForwardLogic));
+    b.link(src, dst, slow()); // 1000 pkt/s offered into 500 pkt/s
+    b.flow(FlowSpec::new(vec![src, dst], 1).active(SimTime::ZERO, None));
+    let end = SimTime::from_secs(3);
+    let mut net = b.build();
+    net.run_until(end);
+    let report = net.into_report(end);
+    assert!(report.total_drops() > 0, "overload must drop");
+    assert_eq!(*losses.borrow(), report.total_drops());
 }
 
 #[test]

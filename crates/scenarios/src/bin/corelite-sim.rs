@@ -9,8 +9,9 @@
 //! `--discipline` accepts any name in the discipline registry
 //! ([`scenarios::discipline::names`]); the default is `corelite`.
 //! `--shards` runs the scenario on the sharded parallel engine with `n`
-//! workers, overriding any `shards` directive in the file; results are
-//! byte-identical at every shard count.
+//! workers, overriding any `shards` directive in the file and checked
+//! like one (at most the scenario's nodes); results are byte-identical at
+//! every shard count.
 //!
 //! The scenario format is described in [`scenarios::dsl`]; an example:
 //!
@@ -111,7 +112,16 @@ fn main() -> ExitCode {
         }
     };
     if let Some(n) = shards {
-        scenario.shards = n;
+        // The override goes through the file's own `shards` check (at
+        // most the scenario's nodes) as its last directive: the file
+        // parsed, so no block is left open to swallow it.
+        match parse_scenario(&format!("{text}\nshards {n}\n")) {
+            Ok(s) => scenario = s,
+            Err(e) => {
+                eprintln!("--shards {n}: {}", e.message);
+                return ExitCode::from(2);
+            }
+        }
     }
 
     eprintln!(

@@ -14,10 +14,10 @@
 //! ```
 //!
 //! `route=A-B` means the flow enters the core chain at `C{A+1}` and exits
-//! after `C{B+1}` (see [`crate::topology::Route`]); `start`/`stop` are seconds (a missing
-//! `stop` keeps the flow alive to the horizon). For churn, give a flow
-//! several activation periods with `active=START..STOP` attributes
-//! (`active=0..60 active=65.. ` — an open end keeps it running):
+//! after `C{B+1}` (see [`crate::topology::Route`]); `start`/`stop` are
+//! seconds, sugar for one `active=START..STOP` window (a missing `stop`
+//! keeps the flow alive to the horizon). For churn, give a flow several
+//! activation periods (`active=65..` — an open end keeps it running):
 //!
 //! ```text
 //! flow route=0-1 weight=2 active=0..60 active=65..
@@ -43,12 +43,11 @@
 //! ```
 //!
 //! `route=A-B` shorthand works on any chain topology; non-chain
-//! topologies need explicit `path=` core lists. Every flow's path is
-//! validated against the topology's links after parsing.
+//! topologies need explicit `path=` core lists.
 //!
 //! A `fault { ... }` block injects dirty-network conditions (see
-//! [`netsim::FaultPlan`]); one fault directive per line, times in
-//! seconds, link/core numbers as in the `topology` directive:
+//! [`netsim::FaultPlan`]); one fault directive per line, link/core
+//! numbers as in the `topology` directive:
 //!
 //! ```text
 //! fault {
@@ -60,9 +59,6 @@
 //! }
 //! ```
 //!
-//! Link and core indices are validated against the topology after
-//! parsing, like flow paths.
-//!
 //! A `churn { ... }` block installs a dynamic flow-arrival process (see
 //! [`crate::runner::ScenarioChurn`]); a scenario with a churn block may
 //! omit static `flow` directives entirely:
@@ -73,7 +69,7 @@
 //!     size     50          # mean flow size, packets (Pareto)
 //!     rate     100         # nominal send rate, pkt/s
 //!     route    0-1         # route template (repeatable)
-//!     path     0,4,3       # explicit core path template (repeatable)
+//!     path     1,2,3       # explicit core path template (repeatable)
 //!     weights  1 2 4       # weight classes drawn uniformly
 //!     window   0 60        # arrivals during [0 s, 60 s) (default: whole run)
 //!     linger   1           # slot drain delay, seconds
@@ -81,9 +77,6 @@
 //!     max_arrivals 1000    # cap on total arrivals
 //! }
 //! ```
-//!
-//! Churn route templates are validated against the topology exactly like
-//! static flow paths.
 //!
 //! A `shards` directive runs the scenario on the sharded parallel engine
 //! with that many workers (`shards 1`, the default, is the serial
@@ -94,8 +87,29 @@
 //! ```text
 //! shards 4
 //! ```
+//!
+//! # Values
+//!
+//! Every value, in every block, goes through one of these converters, so
+//! a value the simulator cannot represent is a parse error naming its
+//! line — never a panic or a hang at run time.
+//!
+//! | kind | accepts | used by |
+//! |---|---|---|
+//! | `secs` | finite seconds in `0..=1.8e10` (under the `u64` nanosecond clock's 584 years) | `horizon` (at least 1 ns), `control_delay`, `linger` |
+//! | `interval` | two `secs`, the end after the start once both are rounded to nanoseconds | `start`/`stop`, `active=` (whose end may be open), `window`, `flap`, `pause` |
+//! | `rate` | finite, per second, at most `1e9` (a mean gap of at least the clock's 1 ns); positive, except that `min_rate` may be 0 | `min_rate=`, `arrivals`, `rate` |
+//! | `probability` | `0..=1` | `control_loss`, `marker_loss` |
+//! | `count` | an integer from 1 (`weight`: up to `u32::MAX`) | `weight=`, `weights`, `max_arrivals`, `shards` (at most the scenario's nodes: its cores plus two edges per flow and per churn route) |
+//! | `index` | an integer below 2^20; checked against the topology once it is known | `marker_loss`, `flap` (link), `pause` (core), `topology chain`/`parking_lot` sizes |
+//! | `core_path` | `A-B` (`A < B`) or `C0,C1,…`: two or more cores, none twice, every hop a link of the topology | `route=`/`path=`, churn `route`/`path` |
+//!
+//! Besides these, `seed` is any `u64`, churn `size` any finite positive
+//! number and churn `shape` any finite number above 1.
 
 use std::fmt;
+use std::ops::{Bound, RangeBounds};
+use std::str::FromStr;
 
 use netsim::fault::FaultWindow;
 use netsim::ids::{LinkId, NodeId};
@@ -122,6 +136,175 @@ impl fmt::Display for ParseScenarioError {
 
 impl std::error::Error for ParseScenarioError {}
 
+type Parsed<T> = Result<T, ParseScenarioError>;
+
+/// The largest `secs` value.
+const MAX_SECS: f64 = 1.8e10;
+/// The largest `rate`: a faster process's gaps would round to 0 ns.
+const MAX_RATE: f64 = 1e9;
+/// The bound on an `index`. No topology the DSL builds has this many
+/// cores or links, and it keeps `route=A-B`, which expands to the cores
+/// `A..=B` before the topology is known, a small allocation.
+const MAX_INDEX: usize = 1 << 20;
+
+/// The one constructor of a [`ParseScenarioError`].
+fn fail(line: usize, message: String) -> ParseScenarioError {
+    ParseScenarioError { line, message }
+}
+
+/// One directive or `key=value` attribute: its line and its tokens, the
+/// name first. The value converters hang off it, so every error they
+/// raise names the line.
+struct Args<'a> {
+    line: usize,
+    tokens: Vec<&'a str>,
+}
+
+impl Args<'_> {
+    fn fail(&self, message: String) -> ParseScenarioError {
+        fail(self.line, message)
+    }
+
+    /// Checks that `min..=max` arguments follow the name.
+    fn arity(&self, min: usize, max: usize) -> Parsed<()> {
+        let got = self.tokens.len() - 1;
+        if (min..=max).contains(&got) {
+            return Ok(());
+        }
+        let takes = match (min, max) {
+            (1, 1) => "1 argument".into(),
+            (1, usize::MAX) => "at least 1 argument".into(),
+            _ if min == max => format!("{min} arguments"),
+            _ => format!("{min} to {max} arguments"),
+        };
+        Err(self.fail(format!("`{}` takes {takes}, got {got}", self.tokens[0])))
+    }
+
+    /// A number in `range`; out of it, an error saying what it `must` do.
+    fn number(&self, v: &str, what: &str, range: impl RangeBounds<f64>, must: &str) -> Parsed<f64> {
+        let n: f64 = v
+            .parse()
+            .map_err(|_| self.fail(format!("invalid {what} {v:?}")))?;
+        if !range.contains(&n) {
+            return Err(self.fail(format!("{what} must {must}, got {v}")));
+        }
+        Ok(n)
+    }
+
+    /// `secs`: the number read, and the span of the clock it rounds to.
+    fn secs(&self, v: &str, what: &str) -> Parsed<(f64, SimDuration)> {
+        let must = format!("be between 0 and {MAX_SECS:e}");
+        let s = self.number(v, what, 0.0..=MAX_SECS, &must)?;
+        Ok((s, SimDuration::from_secs_f64(s)))
+    }
+
+    /// `interval`: a window `[from, until)` that still holds an instant
+    /// after both ends are rounded to nanoseconds.
+    fn interval(&self, from: &str, until: &str, what: &str) -> Parsed<(SimTime, SimTime)> {
+        let start = SimTime::ZERO + self.secs(from, &format!("{what} start"))?.1;
+        let stop = SimTime::ZERO + self.secs(until, &format!("{what} end"))?.1;
+        if stop <= start {
+            return Err(self.fail(format!(
+                "{what} {from}..{until} ends before it starts: \
+                 the end must come after start, to the nanosecond"
+            )));
+        }
+        Ok((start, stop))
+    }
+
+    /// A flow activation: an `interval`, or from `from` on when `until`
+    /// is `None`.
+    fn activation(&self, from: &str, until: Option<&str>) -> Parsed<(SimTime, Option<SimTime>)> {
+        match until {
+            None => Ok((SimTime::ZERO + self.secs(from, "activation start")?.1, None)),
+            Some(until) => {
+                let (start, stop) = self.interval(from, until, "activation")?;
+                Ok((start, Some(stop)))
+            }
+        }
+    }
+
+    /// `rate`, per second; zero only where `may_be_zero`.
+    fn rate(&self, v: &str, what: &str, may_be_zero: bool) -> Parsed<f64> {
+        let (low, sign) = if may_be_zero {
+            (Bound::Included(0.0), "non-negative")
+        } else {
+            (Bound::Excluded(0.0), "positive")
+        };
+        let must = format!("be finite and {sign}, at most {MAX_RATE:e}/s");
+        self.number(v, what, (low, Bound::Included(MAX_RATE)), &must)
+    }
+
+    fn probability(&self, v: &str, what: &str) -> Parsed<f64> {
+        self.number(v, what, 0.0..=1.0, "be in [0, 1]")
+    }
+
+    fn integer<T: FromStr>(&self, v: &str, what: &str) -> Parsed<T> {
+        v.parse()
+            .map_err(|_| self.fail(format!("invalid {what} {v:?}")))
+    }
+
+    /// `count`: a positive integer of type `T`.
+    fn count<T: FromStr + Default + PartialEq>(&self, v: &str, what: &str) -> Parsed<T> {
+        let n: T = self.integer(v, what)?;
+        if n == T::default() {
+            return Err(self.fail(format!("invalid {what} {v:?}: must be positive")));
+        }
+        Ok(n)
+    }
+
+    fn index(&self, v: &str, what: &str) -> Parsed<usize> {
+        let i: usize = self.integer(v, what)?;
+        if i >= MAX_INDEX {
+            return Err(self.fail(format!("{what} {i} out of range (need below {MAX_INDEX})")));
+        }
+        Ok(i)
+    }
+
+    /// `core_path`, written as `route` (`A-B`) or as `path` (`C0,C1,…`).
+    fn core_path(&self, form: &str, v: &str) -> Parsed<CorePath> {
+        let cores: Vec<usize> = if form == "route" {
+            let (a, b) = v
+                .split_once('-')
+                .ok_or_else(|| self.fail(format!("route must be A-B, got {v:?}")))?;
+            let a = self.index(a, "route start")?;
+            let b = self.index(b, "route end")?;
+            if a >= b {
+                return Err(self.fail(format!("route {a}-{b} out of range (need A < B)")));
+            }
+            (a..=b).collect()
+        } else {
+            v.split(',')
+                .map(|c| self.index(c, "path core"))
+                .collect::<Parsed<_>>()?
+        };
+        if cores.len() < 2 {
+            return Err(self.fail(format!("path needs at least two cores, got {v:?}")));
+        }
+        let mut sorted = cores.clone();
+        sorted.sort_unstable();
+        if let Some(twice) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(self.fail(format!("path {v} visits core {} twice", twice[0])));
+        }
+        Ok(CorePath::new(cores))
+    }
+}
+
+/// What the topology must vouch for once it is known: it may be declared
+/// after the flows, churn routes and faults that name its parts.
+enum Target {
+    Path(CorePath),
+    Link(usize),
+    Core(usize),
+}
+
+/// An open `{ ... }` block: a fault block writes straight into the plan,
+/// a churn block fills in its process and hands it over at `}`.
+enum Block {
+    Fault,
+    Churn(ScenarioChurn),
+}
+
 /// Parses the scenario DSL (see the module docs).
 ///
 /// # Errors
@@ -131,404 +314,234 @@ impl std::error::Error for ParseScenarioError {}
 pub fn parse_scenario(text: &str) -> Result<Scenario, ParseScenarioError> {
     let mut name: Option<String> = None;
     let mut seed = 0u64;
-    let mut shards: usize = 1;
-    let mut horizon: Option<f64> = None;
+    let mut shards = (0, 1usize);
+    let mut horizon: Option<SimTime> = None;
     let mut topology: Option<TopologySpec> = None;
-    let mut flows: Vec<(usize, ScenarioFlow)> = Vec::new();
+    let mut flows: Vec<ScenarioFlow> = Vec::new();
     let mut faults = FaultPlan::default();
-    // `(line, kind, index)` of every fault directive that names a link or
-    // core — validated against the topology once it is known.
-    let mut fault_indices: Vec<(usize, FaultIndex, usize)> = Vec::new();
-    let mut fault_block_open: Option<usize> = None;
-    let mut churn: Option<ChurnDraft> = None;
-    let mut churn_block_open: Option<usize> = None;
+    let mut churn: Option<ScenarioChurn> = None;
+    let mut open: Option<(usize, Block)> = None;
+    let mut targets: Vec<(usize, Target)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        let err = |message: String| ParseScenarioError {
-            line: line_no,
-            message,
+        let a = Args {
+            line: idx + 1,
+            tokens: line.split_whitespace().collect(),
         };
-        if fault_block_open.is_some() {
-            if line == "}" {
-                fault_block_open = None;
-            } else if let Some(named) = parse_fault_directive(line, line_no, &mut faults)? {
-                fault_indices.push(named);
+        if let Some((start, mut block)) = open.take() {
+            if line != "}" {
+                match &mut block {
+                    Block::Fault => fault_directive(&a, &mut faults, &mut targets)?,
+                    Block::Churn(c) => churn_directive(&a, c, &mut targets)?,
+                }
+                open = Some((start, block));
+            } else if let Block::Churn(c) = block {
+                churn = Some(finish_churn(start, c)?);
             }
             continue;
         }
-        if churn_block_open.is_some() {
-            if line == "}" {
-                churn_block_open = None;
-            } else {
-                let draft = churn.as_mut().expect("open block implies a draft");
-                parse_churn_directive(line, line_no, draft)?;
-            }
-            continue;
-        }
-        let (directive, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-        let rest = rest.trim();
-        match directive {
-            "name" => name = Some(rest.to_owned()),
+        match a.tokens[0] {
+            "name" => name = Some(line["name".len()..].trim().to_owned()),
             "seed" => {
-                seed = rest
-                    .parse()
-                    .map_err(|_| err(format!("invalid seed {rest:?}")))?;
+                a.arity(1, 1)?;
+                seed = a.integer(a.tokens[1], "seed")?;
             }
             "shards" => {
-                shards = rest
-                    .parse()
-                    .map_err(|_| err(format!("invalid shards {rest:?}")))?;
-                if shards == 0 {
-                    return Err(err("shards must be at least 1".into()));
-                }
+                a.arity(1, 1)?;
+                shards = (a.line, a.count(a.tokens[1], "shards")?);
             }
             "horizon" => {
-                let h: f64 = rest
-                    .parse()
-                    .map_err(|_| err(format!("invalid horizon {rest:?}")))?;
-                if h <= 0.0 || h.is_nan() {
-                    return Err(err("horizon must be positive".into()));
+                a.arity(1, 1)?;
+                let span = a.secs(a.tokens[1], "horizon")?.1;
+                if span.is_zero() {
+                    return Err(a.fail("horizon must be positive, to the nanosecond".into()));
                 }
-                horizon = Some(h);
+                horizon = Some(SimTime::ZERO + span);
             }
-            "flow" => flows.push((line_no, parse_flow(rest, line_no)?)),
-            "fault" => {
-                if rest != "{" {
-                    return Err(err(format!("expected `fault {{`, got `fault {rest}`")));
-                }
-                fault_block_open = Some(line_no);
+            "flow" => {
+                let flow = parse_flow(&a)?;
+                targets.push((a.line, Target::Path(flow.path.clone())));
+                flows.push(flow);
             }
-            "churn" => {
-                if rest != "{" {
-                    return Err(err(format!("expected `churn {{`, got `churn {rest}`")));
+            kind @ ("fault" | "churn") => {
+                if a.tokens[1..] != ["{"] {
+                    return Err(a.fail(format!("expected `{kind} {{`, got `{line}`")));
                 }
-                if churn.is_some() {
-                    return Err(err("duplicate `churn {` block".into()));
-                }
-                churn = Some(ChurnDraft::new(line_no));
-                churn_block_open = Some(line_no);
+                let block = if kind == "fault" {
+                    Block::Fault
+                } else if churn.is_none() {
+                    Block::Churn(ScenarioChurn::new(0.0, 0.0, 0.0))
+                } else {
+                    return Err(a.fail("duplicate `churn {` block".into()));
+                };
+                open = Some((a.line, block));
             }
             "topology" => {
                 if topology.is_some() {
-                    return Err(err("duplicate `topology` directive".into()));
+                    return Err(a.fail("duplicate `topology` directive".into()));
                 }
-                topology = Some(parse_topology(rest, line_no)?);
+                topology = Some(parse_topology(&a)?);
             }
-            other => return Err(err(format!("unknown directive {other:?}"))),
+            other => return Err(a.fail(format!("unknown directive {other:?}"))),
         }
     }
 
-    if let Some(open) = fault_block_open {
-        return Err(ParseScenarioError {
-            line: open,
-            message: "unclosed `fault {` block".into(),
-        });
-    }
-    if let Some(open) = churn_block_open {
-        return Err(ParseScenarioError {
-            line: open,
-            message: "unclosed `churn {` block".into(),
-        });
-    }
-    let horizon = horizon.ok_or(ParseScenarioError {
-        line: 0,
-        message: "missing `horizon` directive".into(),
-    })?;
-    if flows.is_empty() && churn.is_none() {
-        return Err(ParseScenarioError {
-            line: 0,
-            message: "no `flow` directives (and no `churn` block)".into(),
-        });
-    }
-    let churn = churn.map(ChurnDraft::finish).transpose()?;
-    let topology = topology.unwrap_or_else(TopologySpec::paper_chain);
-    // Paths were only range-checked during parsing; check them against
-    // the topology's actual links now that it is known. Churn route
-    // templates get exactly the same validation as static flow paths.
-    let churn_routes = churn
-        .iter()
-        .flat_map(|c| c.routes.iter().map(|&(line, ref path)| (line, path)));
-    for (line, path) in flows
-        .iter()
-        .map(|&(line, ref f)| (line, &f.path))
-        .chain(churn_routes)
-    {
-        for hop in path.0.windows(2) {
-            if hop[0] >= topology.core_count || hop[1] >= topology.core_count {
-                return Err(ParseScenarioError {
-                    line,
-                    message: format!(
-                        "core {} out of range for topology `{}` ({} cores)",
-                        hop[0].max(hop[1]),
-                        topology.name,
-                        topology.core_count
-                    ),
-                });
-            }
-            if topology.link_index(hop[0], hop[1]).is_none() {
-                return Err(ParseScenarioError {
-                    line,
-                    message: format!(
-                        "hop {}->{} is not a link of topology `{}`",
-                        hop[0], hop[1], topology.name
-                    ),
-                });
-            }
-        }
-    }
-    // Same late validation for fault targets.
-    for &(line, kind, index) in &fault_indices {
-        let (what, limit) = match kind {
-            FaultIndex::Link => ("link", topology.link_count()),
-            FaultIndex::Core => ("core", topology.core_count),
+    if let Some((start, block)) = open {
+        let kind = match block {
+            Block::Fault => "fault",
+            Block::Churn(_) => "churn",
         };
-        if index >= limit {
-            return Err(ParseScenarioError {
-                line,
-                message: format!(
-                    "{what} {index} out of range for topology `{}` ({limit} {what}s)",
-                    topology.name
-                ),
-            });
-        }
+        return Err(fail(start, format!("unclosed `{kind} {{` block")));
+    }
+    let horizon = horizon.ok_or_else(|| fail(0, "missing `horizon` directive".into()))?;
+    if flows.is_empty() && churn.is_none() {
+        return Err(fail(
+            0,
+            "no `flow` directives (and no `churn` block)".into(),
+        ));
+    }
+    let topology = topology.unwrap_or_else(TopologySpec::paper_chain);
+    check_against(&topology, &targets)?;
+    // A partition deals whole nodes: shards beyond them would be empty.
+    let routes = churn.as_ref().map_or(0, |c| c.routes.len());
+    let nodes = topology.core_count + 2 * (flows.len() + routes);
+    if shards.1 > nodes {
+        return Err(fail(
+            shards.0,
+            format!("shards {} exceeds the scenario's {nodes} nodes", shards.1),
+        ));
     }
     // `Scenario.name` is `&'static str` for table labels; leak the parsed
     // name (a CLI parses one scenario per process).
     let name: &'static str = Box::leak(name.unwrap_or_else(|| "cli".into()).into_boxed_str());
-    let mut scenario = Scenario::on(
-        topology,
-        name,
-        flows.into_iter().map(|(_, f)| f).collect(),
-        SimTime::from_secs_f64(horizon),
-        seed,
-    )
-    .with_faults(faults)
-    .with_shards(shards);
+    let mut scenario = Scenario::on(topology, name, flows, horizon, seed)
+        .with_faults(faults)
+        .with_shards(shards.1);
     if let Some(c) = churn {
-        scenario = scenario.with_churn(c.spec);
+        scenario = scenario.with_churn(c);
     }
     Ok(scenario)
 }
 
-/// A `churn { ... }` block under construction, with line-tagged routes
-/// for late validation against the topology.
-#[derive(Debug)]
-struct ChurnDraft {
-    open_line: usize,
-    arrivals: Option<f64>,
-    size: Option<f64>,
-    rate: Option<f64>,
-    routes: Vec<(usize, CorePath)>,
-    weights: Option<Vec<u32>>,
-    window: Option<(f64, f64)>,
-    linger: Option<f64>,
-    shape: Option<f64>,
-    max_arrivals: Option<u64>,
-}
-
-/// A finished churn block: the spec to install, plus line-tagged routes
-/// for validation against the (possibly later-declared) topology.
-#[derive(Debug)]
-struct ParsedChurn {
-    routes: Vec<(usize, CorePath)>,
-    spec: ScenarioChurn,
-}
-
-impl ChurnDraft {
-    fn new(open_line: usize) -> Self {
-        ChurnDraft {
-            open_line,
-            arrivals: None,
-            size: None,
-            rate: None,
-            routes: Vec::new(),
-            weights: None,
-            window: None,
-            linger: None,
-            shape: None,
-            max_arrivals: None,
-        }
-    }
-
-    fn finish(self) -> Result<ParsedChurn, ParseScenarioError> {
-        let err = |message: String| ParseScenarioError {
-            line: self.open_line,
-            message,
-        };
-        let arrivals = self
-            .arrivals
-            .ok_or_else(|| err("churn block needs an `arrivals` rate".into()))?;
-        let size = self
-            .size
-            .ok_or_else(|| err("churn block needs a mean `size`".into()))?;
-        let rate = self
-            .rate
-            .ok_or_else(|| err("churn block needs a nominal `rate`".into()))?;
-        if self.routes.is_empty() {
-            return Err(err(
-                "churn block needs at least one `route` or `path`".into()
-            ));
-        }
-        let mut spec = ScenarioChurn::new(arrivals, size, rate);
-        for (_, path) in &self.routes {
-            spec = spec.route(path.clone());
-        }
-        if let Some(weights) = self.weights {
-            spec = spec.weights(weights);
-        }
-        if let Some((from, until)) = self.window {
-            spec = spec.window(SimTime::from_secs_f64(from), SimTime::from_secs_f64(until));
-        }
-        if let Some(linger) = self.linger {
-            spec.linger_secs = linger;
-        }
-        if let Some(shape) = self.shape {
-            spec.pareto_shape = shape;
-        }
-        spec.max_arrivals = self.max_arrivals;
-        Ok(ParsedChurn {
-            routes: self.routes,
-            spec,
+/// The one pass over everything the topology must vouch for.
+fn check_against(topology: &TopologySpec, targets: &[(usize, Target)]) -> Parsed<()> {
+    let range = |what: &str, i: usize, limit: usize| {
+        (i >= limit).then(|| {
+            format!(
+                "{what} {i} out of range for topology `{}` ({limit} {what}s)",
+                topology.name
+            )
         })
+    };
+    for (line, target) in targets {
+        let problem = match target {
+            Target::Link(i) => range("link", *i, topology.link_count()),
+            Target::Core(i) => range("core", *i, topology.core_count),
+            Target::Path(path) => path
+                .0
+                .iter()
+                .find_map(|&c| range("core", c, topology.core_count))
+                .or_else(|| {
+                    let hop = path
+                        .0
+                        .windows(2)
+                        .find(|h| topology.link_index(h[0], h[1]).is_none())?;
+                    Some(format!(
+                        "hop {}->{} is not a link of topology `{}`",
+                        hop[0], hop[1], topology.name
+                    ))
+                }),
+        };
+        if let Some(message) = problem {
+            return Err(fail(*line, message));
+        }
+    }
+    Ok(())
+}
+
+/// Checks, at its `}`, that a churn block said everything it must.
+fn finish_churn(open: usize, c: ScenarioChurn) -> Parsed<ScenarioChurn> {
+    // The block opened with all three numbers 0; once given, each is
+    // positive.
+    let missing = [
+        (
+            c.arrival_rate <= 0.0,
+            "churn block needs an `arrivals` rate",
+        ),
+        (c.mean_size_pkts <= 0.0, "churn block needs a mean `size`"),
+        (
+            c.nominal_rate_pps <= 0.0,
+            "churn block needs a nominal `rate`",
+        ),
+        (
+            c.routes.is_empty(),
+            "churn block needs at least one `route` or `path`",
+        ),
+    ];
+    match missing.into_iter().find(|&(missing, _)| missing) {
+        Some((_, message)) => Err(fail(open, message.into())),
+        None => Ok(c),
     }
 }
 
-/// Parses one directive inside a `churn { ... }` block into `draft`.
-fn parse_churn_directive(
-    line: &str,
-    line_no: usize,
-    draft: &mut ChurnDraft,
-) -> Result<(), ParseScenarioError> {
-    let err = |message: String| ParseScenarioError {
-        line: line_no,
-        message,
-    };
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    let expect_args = |n: usize| -> Result<(), ParseScenarioError> {
-        if tokens.len() - 1 != n {
-            return Err(err(format!(
-                "`{}` takes {n} argument{}, got {}",
-                tokens[0],
-                if n == 1 { "" } else { "s" },
-                tokens.len() - 1
-            )));
-        }
-        Ok(())
-    };
-    let positive = |v: &str, what: &str| -> Result<f64, ParseScenarioError> {
-        let n: f64 = v
-            .parse()
-            .map_err(|_| err(format!("invalid {what} {v:?}")))?;
-        if !n.is_finite() || n <= 0.0 {
-            return Err(err(format!("{what} must be finite and positive, got {n}")));
-        }
-        Ok(n)
-    };
-    match tokens[0] {
+/// Parses one directive inside a `churn { ... }` block into `c`.
+fn churn_directive(
+    a: &Args,
+    c: &mut ScenarioChurn,
+    targets: &mut Vec<(usize, Target)>,
+) -> Parsed<()> {
+    let v = a.tokens.get(1).copied().unwrap_or("");
+    match a.tokens[0] {
         "arrivals" => {
-            expect_args(1)?;
-            draft.arrivals = Some(positive(tokens[1], "arrival rate")?);
+            a.arity(1, 1)?;
+            c.arrival_rate = a.rate(v, "arrival rate", false)?;
         }
         "size" => {
-            expect_args(1)?;
-            draft.size = Some(positive(tokens[1], "mean flow size")?);
+            a.arity(1, 1)?;
+            let positive = (Bound::Excluded(0.0), Bound::Included(f64::MAX));
+            c.mean_size_pkts = a.number(v, "mean flow size", positive, "be finite and positive")?;
         }
         "rate" => {
-            expect_args(1)?;
-            draft.rate = Some(positive(tokens[1], "nominal rate")?);
+            a.arity(1, 1)?;
+            c.nominal_rate_pps = a.rate(v, "nominal rate", false)?;
         }
-        "route" => {
-            expect_args(1)?;
-            let (a, b) = tokens[1]
-                .split_once('-')
-                .ok_or_else(|| err(format!("route must be A-B, got {:?}", tokens[1])))?;
-            let a: usize = a
-                .parse()
-                .map_err(|_| err(format!("invalid route start {a:?}")))?;
-            let b: usize = b
-                .parse()
-                .map_err(|_| err(format!("invalid route end {b:?}")))?;
-            if a >= b {
-                return Err(err(format!("route {a}-{b} out of range (need A < B)")));
-            }
-            draft
-                .routes
-                .push((line_no, CorePath::new((a..=b).collect())));
-        }
-        "path" => {
-            expect_args(1)?;
-            let cores: Vec<usize> = tokens[1]
-                .split(',')
-                .map(|c| {
-                    c.parse()
-                        .map_err(|_| err(format!("invalid path core {c:?}")))
-                })
-                .collect::<Result<_, _>>()?;
-            if cores.len() < 2 {
-                return Err(err(format!(
-                    "path needs at least two cores, got {:?}",
-                    tokens[1]
-                )));
-            }
-            draft.routes.push((line_no, CorePath::new(cores)));
+        form @ ("route" | "path") => {
+            a.arity(1, 1)?;
+            let path = a.core_path(form, v)?;
+            targets.push((a.line, Target::Path(path.clone())));
+            c.routes.push(path);
         }
         "weights" => {
-            if tokens.len() < 2 {
-                return Err(err("`weights` needs at least one weight class".into()));
-            }
-            let weights: Vec<u32> = tokens[1..]
+            a.arity(1, usize::MAX)?;
+            c.weights = a.tokens[1..]
                 .iter()
-                .map(|w| {
-                    w.parse::<u32>()
-                        .ok()
-                        .filter(|&w| w > 0)
-                        .ok_or_else(|| err(format!("invalid weight {w:?}")))
-                })
-                .collect::<Result<_, _>>()?;
-            draft.weights = Some(weights);
+                .map(|w| a.count(w, "weight"))
+                .collect::<Parsed<_>>()?;
         }
         "window" => {
-            expect_args(2)?;
-            let from: f64 = tokens[1]
-                .parse()
-                .map_err(|_| err(format!("invalid window start {:?}", tokens[1])))?;
-            let until = positive(tokens[2], "window end")?;
-            if !from.is_finite() || from < 0.0 || until <= from {
-                return Err(err(format!("window {from}..{until} ends before it starts")));
-            }
-            draft.window = Some((from, until));
+            a.arity(2, 2)?;
+            c.window = Some(a.interval(v, a.tokens[2], "window")?);
         }
         "linger" => {
-            expect_args(1)?;
-            draft.linger = Some(positive(tokens[1], "linger")?);
+            a.arity(1, 1)?;
+            c.linger_secs = a.secs(v, "linger")?.0;
         }
         "shape" => {
-            expect_args(1)?;
-            let shape = positive(tokens[1], "pareto shape")?;
-            if shape <= 1.0 {
-                return Err(err(format!(
-                    "pareto shape must exceed 1 for a finite mean, got {shape}"
-                )));
-            }
-            draft.shape = Some(shape);
+            a.arity(1, 1)?;
+            let above_one = (Bound::Excluded(1.0), Bound::Included(f64::MAX));
+            c.pareto_shape =
+                a.number(v, "pareto shape", above_one, "exceed 1 for a finite mean")?;
         }
         "max_arrivals" => {
-            expect_args(1)?;
-            let n: u64 = tokens[1]
-                .parse()
-                .map_err(|_| err(format!("invalid max_arrivals {:?}", tokens[1])))?;
-            if n == 0 {
-                return Err(err("max_arrivals must be positive".into()));
-            }
-            draft.max_arrivals = Some(n);
+            a.arity(1, 1)?;
+            c.max_arrivals = Some(a.count(v, "max_arrivals")?);
         }
         other => {
-            return Err(err(format!(
+            return Err(a.fail(format!(
                 "unknown churn directive {other:?} (expected arrivals, size, rate, \
                  route, path, weights, window, linger, shape, or max_arrivals)"
             )))
@@ -537,245 +550,105 @@ fn parse_churn_directive(
     Ok(())
 }
 
-/// The largest number a fault directive may carry: as seconds, a little
-/// under the `u64` nanosecond clock's 584 years.
-const MAX_SECS: f64 = 1.8e10;
-
-/// Which kind of entity a fault directive indexed, for late validation.
-#[derive(Debug, Clone, Copy)]
-enum FaultIndex {
-    Link,
-    Core,
-}
-
 /// Parses one directive inside a `fault { ... }` block into `faults`.
-/// Returns the named link/core index, if the directive has one, for
-/// validation against the topology.
-fn parse_fault_directive(
-    line: &str,
-    line_no: usize,
+fn fault_directive(
+    a: &Args,
     faults: &mut FaultPlan,
-) -> Result<Option<(usize, FaultIndex, usize)>, ParseScenarioError> {
-    let err = |message: String| ParseScenarioError {
-        line: line_no,
-        message,
-    };
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    let expect_args = |n: usize| -> Result<(), ParseScenarioError> {
-        if tokens.len() - 1 != n {
-            return Err(err(format!(
-                "`{}` takes {n} argument{}, got {}",
-                tokens[0],
-                if n == 1 { "" } else { "s" },
-                tokens.len() - 1
-            )));
-        }
-        Ok(())
-    };
-    let number = |v: &str, what: &str| -> Result<f64, ParseScenarioError> {
-        let n: f64 = v
-            .parse()
-            .map_err(|_| err(format!("invalid {what} {v:?}")))?;
-        // The upper bound keeps seconds convertible to simulator time, so
-        // no directive can reach a panic in `SimTime` or `FaultWindow`.
-        if !(0.0..=MAX_SECS).contains(&n) {
-            return Err(err(format!(
-                "{what} must be between 0 and {MAX_SECS:e}, got {v}"
-            )));
-        }
-        Ok(n)
-    };
-    let probability = |v: &str, what: &str| -> Result<f64, ParseScenarioError> {
-        let p = number(v, what)?;
-        if p > 1.0 {
-            return Err(err(format!("{what} must be in [0, 1], got {p}")));
-        }
-        Ok(p)
-    };
-    let index = |v: &str, what: &str| -> Result<usize, ParseScenarioError> {
-        v.parse().map_err(|_| err(format!("invalid {what} {v:?}")))
-    };
-    let window = |a: &str, b: &str| -> Result<FaultWindow, ParseScenarioError> {
-        let from = SimTime::from_secs_f64(number(a, "window start")?);
-        let until = SimTime::from_secs_f64(number(b, "window end")?);
-        if until <= from {
-            return Err(err(format!("window {a}..{b} ends before it starts")));
-        }
-        Ok(FaultWindow::new(from, until))
-    };
-    match tokens[0] {
+    targets: &mut Vec<(usize, Target)>,
+) -> Parsed<()> {
+    let v = a.tokens.get(1).copied().unwrap_or("");
+    match a.tokens[0] {
         "control_loss" => {
-            expect_args(1)?;
-            faults.control_loss = probability(tokens[1], "control loss probability")?;
-            Ok(None)
+            a.arity(1, 1)?;
+            faults.control_loss = a.probability(v, "control loss probability")?;
         }
         "control_delay" => {
-            if tokens.len() < 2 || tokens.len() > 3 {
-                return Err(err("`control_delay` takes DELAY [JITTER] in seconds".into()));
+            a.arity(1, 2)?;
+            faults.control_delay = a.secs(v, "control delay")?.1;
+            if let Some(j) = a.tokens.get(2) {
+                faults.control_jitter = a.secs(j, "control jitter")?.1;
             }
-            faults.control_delay = SimDuration::from_secs_f64(number(tokens[1], "control delay")?);
-            if let Some(j) = tokens.get(2) {
-                faults.control_jitter = SimDuration::from_secs_f64(number(j, "control jitter")?);
-            }
-            Ok(None)
         }
         "marker_loss" => {
-            expect_args(2)?;
-            let link = index(tokens[1], "link index")?;
-            let p = probability(tokens[2], "marker loss probability")?;
+            a.arity(2, 2)?;
+            let link = a.index(v, "link index")?;
+            let p = a.probability(a.tokens[2], "marker loss probability")?;
             faults.marker_loss.push((LinkId::from_index(link), p));
-            Ok(Some((line_no, FaultIndex::Link, link)))
+            targets.push((a.line, Target::Link(link)));
         }
-        "flap" => {
-            expect_args(3)?;
-            let link = index(tokens[1], "link index")?;
-            faults
-                .flaps
-                .push((LinkId::from_index(link), window(tokens[2], tokens[3])?));
-            Ok(Some((line_no, FaultIndex::Link, link)))
+        "flap" | "pause" => {
+            a.arity(3, 3)?;
+            let (from, until) = a.interval(a.tokens[2], a.tokens[3], "window")?;
+            let window = FaultWindow::new(from, until);
+            if a.tokens[0] == "flap" {
+                let link = a.index(v, "link index")?;
+                faults.flaps.push((LinkId::from_index(link), window));
+                targets.push((a.line, Target::Link(link)));
+            } else {
+                let core = a.index(v, "core index")?;
+                faults.pauses.push((NodeId::from_index(core), window));
+                targets.push((a.line, Target::Core(core)));
+            }
         }
-        "pause" => {
-            expect_args(3)?;
-            let core = index(tokens[1], "core index")?;
-            faults
-                .pauses
-                .push((NodeId::from_index(core), window(tokens[2], tokens[3])?));
-            Ok(Some((line_no, FaultIndex::Core, core)))
+        other => {
+            return Err(a.fail(format!(
+                "unknown fault directive {other:?} (expected control_loss, \
+                 control_delay, marker_loss, flap, or pause)"
+            )))
         }
-        other => Err(err(format!(
-            "unknown fault directive {other:?} (expected control_loss, \
-             control_delay, marker_loss, flap, or pause)"
-        ))),
     }
+    Ok(())
 }
 
-fn parse_topology(rest: &str, line: usize) -> Result<TopologySpec, ParseScenarioError> {
-    let err = |message: String| ParseScenarioError { line, message };
-    let mut parts = rest.split_whitespace();
-    let kind = parts.next().unwrap_or("");
-    let arg = parts.next();
-    if parts.next().is_some() {
-        return Err(err(format!("too many arguments to `topology {kind}`")));
-    }
-    let parse_arg = |what: &str| -> Result<usize, ParseScenarioError> {
-        let v = arg.ok_or_else(|| err(format!("`topology {kind}` needs a {what}")))?;
-        let n: usize = v
-            .parse()
-            .map_err(|_| err(format!("invalid {what} {v:?}")))?;
-        if n < if kind == "chain" { 2 } else { 1 } {
-            return Err(err(format!("{what} {n} too small for `topology {kind}`")));
+fn parse_topology(a: &Args) -> Parsed<TopologySpec> {
+    let kind = a.tokens.get(1).copied().unwrap_or("");
+    let size = |what: &str, min: usize| -> Parsed<usize> {
+        a.arity(2, 2)?;
+        let n = a.index(a.tokens[2], what)?;
+        if n < min {
+            return Err(a.fail(format!("{what} {n} too small for `topology {kind}`")));
         }
         Ok(n)
     };
     match kind {
-        "paper" => Ok(TopologySpec::paper_chain()),
-        "chain" => Ok(TopologySpec::chain(parse_arg("core count")?)),
-        "parking_lot" => Ok(TopologySpec::parking_lot(parse_arg("hop count")?)),
-        "fat_tree" => {
-            if arg.is_some() {
-                return Err(err("`topology fat_tree` takes no argument".into()));
-            }
-            Ok(TopologySpec::fat_tree())
+        "paper" | "fat_tree" => {
+            a.arity(1, 1)?;
+            Ok(if kind == "paper" {
+                TopologySpec::paper_chain()
+            } else {
+                TopologySpec::fat_tree()
+            })
         }
-        other => Err(err(format!(
+        "chain" => Ok(TopologySpec::chain(size("core count", 2)?)),
+        "parking_lot" => Ok(TopologySpec::parking_lot(size("hop count", 1)?)),
+        other => Err(a.fail(format!(
             "unknown topology {other:?} (expected paper, chain, parking_lot, or fat_tree)"
         ))),
     }
 }
 
-fn parse_flow(rest: &str, line: usize) -> Result<ScenarioFlow, ParseScenarioError> {
-    let err = |message: String| ParseScenarioError { line, message };
+fn parse_flow(a: &Args) -> Parsed<ScenarioFlow> {
     let mut path: Option<CorePath> = None;
     let mut weight = 1u32;
     let mut min_rate = 0.0f64;
-    let mut start: Option<f64> = None;
-    let mut stop: Option<f64> = None;
+    let (mut start, mut stop) = (None, None);
     let mut activations: Vec<(SimTime, Option<SimTime>)> = Vec::new();
     let mut transport = Transport::default();
-    for kv in rest.split_whitespace() {
+    for kv in &a.tokens[1..] {
         let (key, value) = kv
             .split_once('=')
-            .ok_or_else(|| err(format!("expected key=value, got {kv:?}")))?;
+            .ok_or_else(|| a.fail(format!("expected key=value, got {kv:?}")))?;
         match key {
-            "route" => {
-                let (a, b) = value
-                    .split_once('-')
-                    .ok_or_else(|| err(format!("route must be A-B, got {value:?}")))?;
-                let a: usize = a
-                    .parse()
-                    .map_err(|_| err(format!("invalid route start {a:?}")))?;
-                let b: usize = b
-                    .parse()
-                    .map_err(|_| err(format!("invalid route end {b:?}")))?;
-                if a >= b {
-                    return Err(err(format!("route {a}-{b} out of range (need A < B)")));
-                }
-                path = Some(CorePath::new((a..=b).collect()));
-            }
-            "path" => {
-                let cores: Vec<usize> = value
-                    .split(',')
-                    .map(|c| {
-                        c.parse()
-                            .map_err(|_| err(format!("invalid path core {c:?}")))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if cores.len() < 2 {
-                    return Err(err(format!("path needs at least two cores, got {value:?}")));
-                }
-                path = Some(CorePath::new(cores));
-            }
-            "weight" => {
-                weight = value
-                    .parse()
-                    .map_err(|_| err(format!("invalid weight {value:?}")))?;
-                if weight == 0 {
-                    return Err(err("weight must be positive".into()));
-                }
-            }
-            "min_rate" => {
-                min_rate = value
-                    .parse()
-                    .map_err(|_| err(format!("invalid min_rate {value:?}")))?;
-                if min_rate < 0.0 {
-                    return Err(err("min_rate must be non-negative".into()));
-                }
-            }
-            "start" => {
-                start = Some(
-                    value
-                        .parse()
-                        .map_err(|_| err(format!("invalid start {value:?}")))?,
-                );
-            }
-            "stop" => {
-                stop = Some(
-                    value
-                        .parse()
-                        .map_err(|_| err(format!("invalid stop {value:?}")))?,
-                );
-            }
+            "route" | "path" => path = Some(a.core_path(key, value)?),
+            "weight" => weight = a.count(value, "weight")?,
+            "min_rate" => min_rate = a.rate(value, "min_rate", true)?,
+            "start" => start = Some(value),
+            "stop" => stop = Some(value),
             "active" => {
-                let (a, b) = value
+                let (from, until) = value
                     .split_once("..")
-                    .ok_or_else(|| err(format!("active must be START..STOP, got {value:?}")))?;
-                let a: f64 = a
-                    .parse()
-                    .map_err(|_| err(format!("invalid activation start {a:?}")))?;
-                let b: Option<f64> = if b.is_empty() {
-                    None
-                } else {
-                    Some(
-                        b.parse()
-                            .map_err(|_| err(format!("invalid activation stop {b:?}")))?,
-                    )
-                };
-                if let Some(b) = b {
-                    if b <= a {
-                        return Err(err(format!("activation {a}..{b} ends before it starts")));
-                    }
-                }
-                activations.push((SimTime::from_secs_f64(a), b.map(SimTime::from_secs_f64)));
+                    .ok_or_else(|| a.fail(format!("active must be START..STOP, got {value:?}")))?;
+                activations.push(a.activation(from, Some(until).filter(|u| !u.is_empty()))?);
             }
             "transport" => {
                 transport = match value {
@@ -783,34 +656,27 @@ fn parse_flow(rest: &str, line: usize) -> Result<ScenarioFlow, ParseScenarioErro
                     "gbn" => Transport::Gbn,
                     "reno" => Transport::Reno,
                     other => {
-                        return Err(err(format!(
+                        return Err(a.fail(format!(
                             "unknown transport {other:?} (expected limd, gbn, or reno)"
                         )))
                     }
                 };
             }
-            other => return Err(err(format!("unknown flow attribute {other:?}"))),
+            other => return Err(a.fail(format!("unknown flow attribute {other:?}"))),
         }
     }
-    let path = path.ok_or_else(|| err("flow needs route=A-B or path=C0,C1,...".into()))?;
-    if let Some(stop) = stop {
-        let from = start.unwrap_or(0.0);
-        if stop <= from {
-            return Err(err(format!("stop {stop} must be after start {from}")));
-        }
-    }
-    if activations.is_empty() {
-        activations.push((
-            SimTime::from_secs_f64(start.unwrap_or(0.0)),
-            stop.map(SimTime::from_secs_f64),
-        ));
-    } else if start.is_some() || stop.is_some() {
+    let path = path.ok_or_else(|| a.fail("flow needs route=A-B or path=C0,C1,...".into()))?;
+    if start.is_some() || stop.is_some() {
         // Presence, not value, decides the conflict: an explicit
         // `start=0` alongside `active=..` ranges is just as ambiguous
         // as a nonzero one.
-        return Err(err(
-            "use either start/stop or active=.. ranges, not both".into()
-        ));
+        if !activations.is_empty() {
+            return Err(a.fail("use either start/stop or active=.. ranges, not both".into()));
+        }
+        activations.push(a.activation(start.unwrap_or("0"), stop)?);
+    }
+    if activations.is_empty() {
+        activations.push((SimTime::ZERO, None));
     }
     Ok(ScenarioFlow {
         path,
@@ -1192,5 +1058,74 @@ churn {
         let window = FaultWindow::new(SimTime::from_secs(1), SimTime::from_secs(2));
         assert_eq!(s.faults.flaps, vec![(LinkId::from_index(3), window)]);
         assert_eq!(s.faults.pauses, vec![(NodeId::from_index(4), window)]);
+    }
+
+    /// The parser-side inputs that crashed or hung a run before ISSUE 26:
+    /// each is now an error naming its line.
+    #[test]
+    fn inputs_that_crashed_or_hung_a_run_are_line_numbered_errors() {
+        let churn = |directive: &str| {
+            format!(
+                "horizon 5\nchurn {{\narrivals 10\nsize 20\nrate 100\nroute 0-1\n{directive}\n}}\n"
+            )
+        };
+        for (text, line, needle) in [
+            (
+                "horizon inf\nflow route=0-1\n".to_owned(),
+                1,
+                "horizon must be between 0 and",
+            ),
+            (
+                "horizon 1e300\nflow route=0-1\n".into(),
+                1,
+                "horizon must be between 0 and",
+            ),
+            (
+                "horizon 5\nflow route=0-1 start=-1\n".into(),
+                2,
+                "activation start must be",
+            ),
+            (
+                "horizon 5\nflow route=0-1 start=nan\n".into(),
+                2,
+                "activation start must be",
+            ),
+            (
+                "horizon 5\nflow route=0-1 active=0..1e300\n".into(),
+                2,
+                "activation end must be",
+            ),
+            (
+                "horizon 5\nflow route=0-1 start=1 stop=1.0000000000001\n".into(),
+                2,
+                "to the nanosecond",
+            ),
+            (
+                "topology fat_tree\nhorizon 5\nflow path=0,4,0\n".into(),
+                3,
+                "visits core 0 twice",
+            ),
+            (
+                "horizon 5\nflow route=0-1 min_rate=inf\n".into(),
+                2,
+                "min_rate must be finite",
+            ),
+            (
+                "horizon 5\nflow route=0-1 min_rate=1e12\n".into(),
+                2,
+                "at most 1e9/s",
+            ),
+            (
+                "horizon 5\nshards 4294967296\nflow route=0-1\n".into(),
+                2,
+                "exceeds the scenario's 6 nodes",
+            ),
+            (churn("linger 1e300"), 7, "linger must be between 0 and"),
+            (churn("arrivals 1e12"), 7, "at most 1e9/s"),
+        ] {
+            let e = parse_scenario(&text).unwrap_err();
+            assert_eq!(e.line, line, "{text}");
+            assert!(e.message.contains(needle), "{text}: {}", e.message);
+        }
     }
 }

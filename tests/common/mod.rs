@@ -56,9 +56,8 @@ fn render(
 /// Walks {wheel, heap} × {train, per-packet} × {serial, each of
 /// `shard_counts`} × {probe off, probe on} through `Scenario::run_with`
 /// and asserts every cell reproduces the default run byte for byte: the
-/// report against the default run of the same probe setting (a probe may
-/// add sampling events of its own, CSFQ's does), the probe stream
-/// against the default probed run. Each shard count — 1 included, which
+/// report against the default bare run (a probe only observes), the
+/// probe stream against the default probed run. Each shard count — 1 included, which
 /// `Scenario::shards` would send to the serial engine — also goes
 /// through `run_sharded`, whose per-shard event split must have one
 /// entry per shard. Returns the default probed run.
@@ -73,6 +72,10 @@ pub fn identity_matrix(
     assert!(
         !probed.probe_jsonl.is_empty(),
         "{name}: probe recorded nothing"
+    );
+    assert!(
+        probed.report == plain.report,
+        "{name}: installing a probe changed the run"
     );
     let sharded = shard_counts.iter().filter(|&&n| n > 1);
     let engines = std::iter::once(1).chain(sharded.copied());

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use common::identity_matrix;
 use fairness::metrics::jain_index;
 use netsim::telemetry::{Probe, RingProbe};
-use scenarios::discipline::Corelite;
+use scenarios::discipline::{Corelite, Csfq, Discipline};
 use scenarios::exec::{run_parallel, run_serial};
 use scenarios::runner::{RunOptions, Scenario, ScenarioFlow};
 use scenarios::topology::{Route, TopologySpec};
@@ -83,20 +83,30 @@ fn probe_streams_are_identical_across_runs_and_executors() {
 
 #[test]
 fn probe_installation_does_not_change_the_simulation() {
-    // The matrix compares probed runs with probed and bare with bare,
-    // because CSFQ's sampling timer is gated on `probe_enabled`.
-    // Corelite's epoch-grained hooks only *observe*: its probed run must
-    // report exactly what its bare run reports.
-    let bare = scenario(99).run(&Corelite::default());
-    let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-    let options = RunOptions {
-        probe: Some(probe.clone() as Rc<RefCell<dyn Probe>>),
-        ..RunOptions::default()
-    };
-    let probed = scenario(99).run_with(&Corelite::default(), &options);
-    assert_eq!(bare.report.events_processed, probed.report.events_processed);
-    assert_eq!(format!("{:?}", bare.report), format!("{:?}", probed.report));
-    assert!(!probe.borrow().is_empty());
+    // A probe only *observes*, under every discipline: Corelite publishes
+    // at its epochs, CSFQ when an estimator closes a `K_link` window —
+    // neither schedules an event of its own for it.
+    let disciplines: [&dyn Discipline; 2] = [&Corelite::default(), &Csfq::default()];
+    for discipline in disciplines {
+        let bare = scenario(99).run(discipline);
+        let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
+        let options = RunOptions {
+            probe: Some(probe.clone() as Rc<RefCell<dyn Probe>>),
+            ..RunOptions::default()
+        };
+        let probed = scenario(99).run_with(discipline, &options);
+        let name = discipline.name();
+        assert_eq!(
+            bare.report.events_processed, probed.report.events_processed,
+            "{name}"
+        );
+        assert_eq!(
+            format!("{:?}", bare.report),
+            format!("{:?}", probed.report),
+            "{name}"
+        );
+        assert!(!probe.borrow().is_empty(), "{name}");
+    }
 }
 
 #[test]
