@@ -13,8 +13,9 @@
 //! lives only at the edge, and even there it is per *aggregate*, not per
 //! TCP connection.
 
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimTime;
 
+use netsim::agent::{AgentConfig, SourceAgent};
 use netsim::ids::{FlowId, NodeId};
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
 use netsim::pacer::Pacer;
@@ -22,14 +23,13 @@ use netsim::packet::Marker;
 use netsim::slab::{ActiveSet, DenseMap};
 
 use crate::config::CoreliteConfig;
-use crate::controller::RateController;
 
 const TIMER_EPOCH: u32 = 1;
 const TIMER_EMIT: u32 = 2;
 
 #[derive(Debug)]
 struct Group {
-    controller: RateController,
+    agent: SourceAgent,
     /// Currently active member micro-flows, emission round-robin order.
     members: Vec<FlowId>,
     next_member: usize,
@@ -41,6 +41,7 @@ struct Group {
 #[derive(Debug)]
 pub struct AggregatingEdge {
     cfg: CoreliteConfig,
+    agent: AgentConfig,
     group_weight: u32,
     /// One group per egress edge router.
     groups: DenseMap<NodeId, Group>,
@@ -68,6 +69,7 @@ impl AggregatingEdge {
         cfg.validate();
         assert!(group_weight > 0, "aggregate weight must be positive");
         AggregatingEdge {
+            agent: cfg.agent(),
             cfg,
             group_weight,
             groups: DenseMap::new(),
@@ -79,9 +81,9 @@ impl AggregatingEdge {
     }
 
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, egress: NodeId) {
-        let g = self.groups.get(&egress).expect("group exists");
-        if !g.members.is_empty() && g.controller.rate() > 0.0 {
-            let gap = SimDuration::from_secs_f64(1.0 / g.controller.rate());
+        let g = self.groups.get_mut(&egress).expect("group exists");
+        if !g.members.is_empty() && g.agent.rate() > 0.0 {
+            let gap = g.agent.gap();
             self.pacer.arm(ctx, egress.index(), gap);
         }
     }
@@ -92,10 +94,11 @@ impl AggregatingEdge {
         };
         let egress = NodeId::from_index(idx);
         let node = ctx.node();
+        let spacing = self.cfg.marker_spacing(self.group_weight);
         let Some(g) = self.groups.get_mut(&egress) else {
             return;
         };
-        if g.members.is_empty() || g.controller.rate() <= 0.0 {
+        if g.members.is_empty() || g.agent.rate() <= 0.0 {
             return;
         }
         // Round-robin the aggregate's allowance across its members.
@@ -103,11 +106,11 @@ impl AggregatingEdge {
         let flow = g.members[g.next_member];
         g.next_member = (g.next_member + 1) % g.members.len();
         let mut packet = ctx.new_packet(flow);
-        if g.controller.take_marker(&self.cfg) {
+        if g.agent.take_marker(spacing) {
             packet = packet.with_marker(Marker {
                 flow,
                 edge: node,
-                normalized_rate: g.controller.normalized_excess(),
+                normalized_rate: g.agent.normalized_excess(),
             });
             self.markers_injected += 1;
         }
@@ -127,16 +130,15 @@ impl RouterLogic for AggregatingEdge {
         let egress = ctx.flow(flow).egress();
         let rtt = 2.0 * ctx.one_way_delay(flow).as_secs_f64();
         let weight = self.group_weight;
-        let cfg = &self.cfg;
         let g = self.groups.entry_or_insert_with(egress, || Group {
-            controller: RateController::new(weight, 0.0, rtt),
+            agent: SourceAgent::new(weight, 0.0, rtt),
             members: Vec::new(),
             next_member: 0,
         });
         if g.members.is_empty() {
             // First member (re)activates the aggregate: fresh slow-start
             // on a fresh emission chain.
-            g.controller.start(cfg, now, rtt);
+            g.agent.start(&self.agent, now, rtt);
             self.pacer.reset(egress.index());
         }
         if !g.members.contains(&flow) {
@@ -161,10 +163,10 @@ impl RouterLogic for AggregatingEdge {
         g.members.retain(|&f| f != flow);
         if g.members.is_empty() {
             // Last member gone: the aggregate itself stops. It stays in
-            // `populated` deliberately: the controller records its stop
+            // `populated` deliberately: the agent records its stop
             // sample on the next epoch tick exactly as the full scan
             // did, and the set is bounded by the number of egresses.
-            g.controller.stop(ctx.now());
+            g.agent.stop(ctx.now());
             self.pacer.reset(egress.index());
         }
     }
@@ -175,14 +177,14 @@ impl RouterLogic for AggregatingEdge {
                 let now = ctx.now();
                 // Populated-group scan in ascending slot order (the
                 // same visit order as the full scan this replaces);
-                // member-less groups' controllers are inactive, so
+                // member-less groups' agents are inactive, so
                 // `epoch_update` was a no-op for them anyway.
                 for pos in 0..self.populated.len() {
                     let egress = self.populated.get(pos);
                     let Some(g) = self.groups.get_mut(&egress) else {
                         continue;
                     };
-                    g.controller.epoch_update(&self.cfg, now);
+                    g.agent.epoch_update(&self.agent, now);
                     self.ensure_emission(ctx, egress);
                 }
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
@@ -194,10 +196,9 @@ impl RouterLogic for AggregatingEdge {
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, msg: ControlMsg) {
         if let ControlMsg::MarkerFeedback { marker, from } = msg {
-            let cfg = &self.cfg;
             if let Some(egress) = self.flow_group.get(&marker.flow) {
                 if let Some(g) = self.groups.get_mut(egress) {
-                    g.controller.on_feedback(cfg, from, ctx.now());
+                    g.agent.on_feedback(&self.agent, from, ctx.now());
                 }
             }
         }
@@ -209,9 +210,7 @@ impl RouterLogic for AggregatingEdge {
         // member (each member's share is rate / members).
         for (flow, egress) in self.flow_group.iter() {
             if let Some(g) = self.groups.get(egress) {
-                report
-                    .flow_rates
-                    .insert(flow, g.controller.series().clone());
+                report.flow_rates.insert(flow, g.agent.series().clone());
             }
         }
         report.count("aggregate_markers_injected", self.markers_injected as f64);
@@ -223,13 +222,13 @@ impl RouterLogic for AggregatingEdge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::CoreliteEdge;
     use crate::router::CoreliteCore;
     use netsim::flow::FlowSpec;
     use netsim::link::LinkSpec;
     use netsim::logic::ForwardLogic;
     use netsim::topology::TopologyBuilder;
     use netsim::{FlowId, SimReport};
+    use sim_core::time::SimDuration;
 
     /// Edge A aggregates `micro` micro-flows (group weight 1); edge B
     /// runs one plain flow of weight 1. Both share a 500 pkt/s link.
@@ -239,9 +238,7 @@ mod tests {
         let agg = b.node("agg-edge", |s| {
             Box::new(AggregatingEdge::new(s, cfg.clone(), 1))
         });
-        let plain = b.node("plain-edge", |s| {
-            Box::new(CoreliteEdge::new(s, cfg.clone()))
-        });
+        let plain = b.node("plain-edge", |_| Box::new(cfg.edge()));
         let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let sink = b.node("sink", |_| Box::new(ForwardLogic));
         let access = LinkSpec::new(40_000_000, SimDuration::from_millis(1), 400);

@@ -1,20 +1,21 @@
 //! Corelite window dynamics behind the generic transport interface.
 //!
-//! [`CoreliteCc`] adapts the paper's [`RateController`] — forced onto
+//! [`CoreliteCc`] adapts the paper's [`SourceAgent`] — forced onto
 //! the [`AdaptationScheme::WindowAimd`] window scheme — to `netsim`'s
 //! [`CongestionControl`] trait, so the same LIMD adaptation that drives
-//! the open-loop [`CoreliteEdge`](crate::CoreliteEdge) can clock a
+//! the open-loop [`CoreliteConfig::edge`] can clock a
 //! go-back-N sender instead. The closed loop upgrades two things the
 //! open-loop edge has to approximate:
 //!
 //! * the **round trip**: each ack's SRTT sample is fed through
-//!   [`RateController::update_rtt`], so the window/rate conversion
+//!   [`SourceAgent::update_rtt`], so the window/rate conversion
 //!   tracks live queueing delay instead of the static propagation-only
 //!   estimate, and
 //! * the **congestion signal**: marker feedback arrives at the sender
 //!   already rate-limited to one per round trip (the go-back-N sender's
-//!   recovery guard), matching the per-epoch throttling the controller
-//!   expects.
+//!   recovery guard), matching the per-epoch throttling the agent
+//!   expects. Signals name no core, so they add up
+//!   ([`SourceAgent::on_signal`]).
 //!
 //! [`gbn_edge`] packages the adapter as a ready-made ingress logic: a
 //! [`GbnSender`] whose marker cadence and epoch follow the
@@ -22,54 +23,37 @@
 //! [`Transport`] (Reno flows get stock Reno, everything else gets
 //! Corelite's window LIMD).
 
-use netsim::{CongestionControl, GbnConfig, GbnSender, NodeId, Reno, Transport};
+use netsim::agent::{AdaptationScheme, AgentConfig, SourceAgent};
+use netsim::{CongestionControl, GbnConfig, GbnSender, Reno, Transport};
 use sim_core::time::SimTime;
 
-use crate::config::{AdaptationScheme, CoreliteConfig};
-use crate::controller::RateController;
+use crate::config::CoreliteConfig;
 
-/// The paper's [`RateController`] (window flavour) speaking
+/// The paper's [`SourceAgent`] (window flavour) speaking
 /// [`CongestionControl`]. See the module docs for the mapping.
 #[derive(Debug)]
 pub struct CoreliteCc {
-    cfg: CoreliteConfig,
-    ctl: RateController,
-    weight: u32,
-    min_rate: f64,
+    cfg: AgentConfig,
+    ctl: SourceAgent,
 }
 
-/// The controller keys feedback counts by sending core to take the
-/// per-core maximum; the go-back-N sender folds all cores into one
-/// congestion signal stream, so every signal lands in this single
-/// synthetic bucket (max ≡ total).
-const SIGNAL_SOURCE: usize = 0;
-
 impl CoreliteCc {
-    /// A controller for a flow of the given `weight` and contract
+    /// An agent for a flow of the given `weight` and contract
     /// `min_rate`. The adaptation scheme is forced to
     /// [`AdaptationScheme::WindowAimd`]: a window is the only control
     /// variable an ack-clocked sender can act on.
     pub fn new(cfg: &CoreliteConfig, weight: u32, min_rate: f64) -> Self {
-        let mut cfg = cfg.clone();
-        cfg.adaptation = AdaptationScheme::WindowAimd;
-        let ctl = RateController::new(weight, min_rate, 1e-3);
-        CoreliteCc {
-            cfg,
-            ctl,
-            weight,
-            min_rate,
-        }
-    }
-
-    /// The wrapped controller (for tests and reporting).
-    pub fn controller(&self) -> &RateController {
-        &self.ctl
+        let cfg = AgentConfig {
+            adaptation: AdaptationScheme::WindowAimd,
+            ..cfg.agent()
+        };
+        let ctl = SourceAgent::new(weight, min_rate, 1e-3);
+        CoreliteCc { cfg, ctl }
     }
 }
 
 impl CongestionControl for CoreliteCc {
     fn on_start(&mut self, now: SimTime, base_rtt: f64) {
-        self.ctl = RateController::new(self.weight, self.min_rate, base_rtt);
         self.ctl.start(&self.cfg, now, base_rtt);
     }
 
@@ -81,16 +65,14 @@ impl CongestionControl for CoreliteCc {
     }
 
     fn on_signal(&mut self, now: SimTime) {
-        self.ctl
-            .on_feedback(&self.cfg, NodeId::from_index(SIGNAL_SOURCE), now);
+        self.ctl.on_signal(&self.cfg, now);
     }
 
     fn on_rto(&mut self, now: SimTime) {
-        // The controller has no timeout notion; a lost window is the
+        // The agent has no timeout notion; a lost window is the
         // strongest congestion evidence there is, so treat it as
         // feedback (a halving, under the configured decrease policy).
-        self.ctl
-            .on_feedback(&self.cfg, NodeId::from_index(SIGNAL_SOURCE), now);
+        self.ctl.on_signal(&self.cfg, now);
     }
 
     fn on_epoch(&mut self, now: SimTime) {

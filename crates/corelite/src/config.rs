@@ -6,26 +6,8 @@
 
 use sim_core::time::SimDuration;
 
-/// How an edge router throttles a flow that received `m` feedback markers
-/// in an epoch.
-///
-/// The paper presents both forms: the piecewise rule
-/// `b_g ← max(0, b_g − β·m)` (§2.2, step 3) and — because `m ∝ b_g/w` —
-/// its *weighted LIMD* reading `b_g ← b_g·(1 − β·m/w)` (§2.2, closing
-/// discussion), which is the multiplicative decrease that the Chiu–Jain
-/// argument needs. With the paper's `β = 1` only the absolute rule is
-/// stable (it matches the §4 source agents: "decrease the sending rate
-/// proportional to the number of congestion indication messages
-/// received"), so it is the default; the multiplicative rule needs a
-/// fractional `β` (e.g. 0.05) and is provided for the LIMD ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecreasePolicy {
-    /// `b_g ← max(0, b_g − β·m)`.
-    #[default]
-    Absolute,
-    /// `b_g ← b_g · max(0, 1 − β·m/w)`.
-    Multiplicative,
-}
+use netsim::agent::AgentConfig;
+pub use netsim::agent::{AdaptationScheme, DecreasePolicy};
 
 /// The unit in which the link service rate `μ` enters the feedback-count
 /// formula (§3.1).
@@ -44,25 +26,6 @@ pub enum MuUnit {
     PerEpoch,
     /// `μ` in packets per second (dimensional reading for `β` in pkt/s).
     PerSecond,
-}
-
-/// The rate-control algorithm the edge runs per flow (§4.4 lists
-/// "different adaptation schemes at the edge router" as ongoing work).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdaptationScheme {
-    /// The paper's rate-based scheme: `+α` on silence, `−β·m` on
-    /// feedback (with the configured [`DecreasePolicy`]).
-    #[default]
-    RateLimd,
-    /// A TCP-like window scheme: the edge maintains a congestion window
-    /// `cwnd` and shapes the flow to `cwnd/RTT` (RTT estimated from the
-    /// path's propagation delay). `cwnd` doubles during slow-start, grows
-    /// by one packet per epoch in congestion avoidance, and halves once
-    /// per epoch that saw any marker feedback — so throttling frequency,
-    /// not amplitude, tracks the normalized rate. Exploratory: this gives
-    /// weight-*influenced* rather than exactly weight-proportional
-    /// sharing (see the `window_agent` integration test).
-    WindowAimd,
 }
 
 /// Which weighted fair marker-selection mechanism core routers run.
@@ -98,24 +61,15 @@ pub struct CoreliteConfig {
     /// Marker spacing constant `K1`: a marker is piggybacked on every
     /// `N_w = K1·w` data packets (paper: 1).
     pub k1: u32,
-    /// Linear increase step `α` in packets per second, applied each edge
-    /// epoch with no feedback (paper: 1).
+    /// The source agents' [`AgentConfig::alpha`].
     pub alpha: f64,
-    /// Whether the additive increase scales with the flow's rate weight
-    /// (`α·w`). Marker feedback trims every flow in proportion to its
-    /// normalized rate, so scaling the probe step symmetrically keeps the
-    /// relative oscillation equal across weight classes, at the price of
-    /// a more aggressive aggregate probe. Disabled by default (the paper
-    /// increases "by a constant"); the ablation benches cover both.
+    /// The source agents' [`AgentConfig::alpha_per_weight`].
     pub alpha_per_weight: bool,
-    /// Decrease constant `β` (paper: 1). Its meaning depends on
-    /// [`CoreliteConfig::decrease`]: packets per second per marker for
-    /// [`DecreasePolicy::Absolute`], the per-marker fraction `β/w` for
-    /// [`DecreasePolicy::Multiplicative`].
+    /// The source agents' [`AgentConfig::beta`].
     pub beta: f64,
-    /// The edge throttling rule applied on feedback.
+    /// The source agents' [`AgentConfig::decrease`].
     pub decrease: DecreasePolicy,
-    /// The per-flow rate-control algorithm at the edge.
+    /// The source agents' [`AgentConfig::adaptation`].
     pub adaptation: AdaptationScheme,
     /// Edge adaptation epoch. The paper specifies "an epoch size of
     /// 100 ms **at the core router**" but leaves the edge epoch open;
@@ -137,22 +91,17 @@ pub struct CoreliteConfig {
     /// Congestion estimation module at core routers (§3.1 notes the
     /// module is replaceable; see [`crate::detector`]).
     pub detector: crate::detector::DetectorKind,
-    /// Slow-start threshold in packets per second *per unit weight*:
-    /// a flow whose rate exceeds `ss_thresh·w` ends slow-start with a
-    /// halving (paper: 32). Scaling by the weight lets high-weight flows
-    /// ride slow-start until they are near their (larger) fair share, as
-    /// §4.2 describes; set [`CoreliteConfig::ss_thresh_per_weight`] to
-    /// `false` for a flat threshold.
+    /// The source agents' [`AgentConfig::ss_thresh`].
     pub ss_thresh: f64,
-    /// Whether `ss_thresh` scales with the flow's rate weight.
+    /// The source agents' [`AgentConfig::ss_thresh_per_weight`].
     pub ss_thresh_per_weight: bool,
-    /// Initial allowed rate of a newly started flow, packets per second.
+    /// The source agents' [`AgentConfig::initial_rate`].
     pub initial_rate: f64,
-    /// Slow-start doubling interval (paper: every second).
+    /// The source agents' [`AgentConfig::slow_start_interval`].
     pub slow_start_interval: SimDuration,
     /// Idle gap after which a gateway treats a flow as restarted: when no
     /// packet of the flow has arrived for this long, the next arrival
-    /// re-enters slow-start with fresh controller state instead of
+    /// re-enters slow-start with fresh agent state instead of
     /// resuming a stale rate. Mid-path gateways receive no flow
     /// activation events, so restart must be inferred from the arrival
     /// process (default 2 s — several edge epochs, well above in-cloud
@@ -170,23 +119,24 @@ pub struct CoreliteConfig {
 
 impl Default for CoreliteConfig {
     fn default() -> Self {
+        let agent = AgentConfig::default();
         CoreliteConfig {
             k1: 1,
-            alpha: 1.0,
-            alpha_per_weight: false,
-            beta: 1.0,
-            decrease: DecreasePolicy::Absolute,
-            adaptation: AdaptationScheme::RateLimd,
+            alpha: agent.alpha,
+            alpha_per_weight: agent.alpha_per_weight,
+            beta: agent.beta,
+            decrease: agent.decrease,
+            adaptation: agent.adaptation,
             edge_epoch: SimDuration::from_millis(500),
             core_epoch: SimDuration::from_millis(100),
             q_thresh: 8.0,
             correction_k: 0.005,
             mu_unit: MuUnit::PerEpoch,
             detector: crate::detector::DetectorKind::Paper,
-            ss_thresh: 32.0,
-            ss_thresh_per_weight: true,
-            initial_rate: 1.0,
-            slow_start_interval: SimDuration::from_secs(1),
+            ss_thresh: agent.ss_thresh,
+            ss_thresh_per_weight: agent.ss_thresh_per_weight,
+            initial_rate: agent.initial_rate,
+            slow_start_interval: agent.slow_start_interval,
             idle_restart: SimDuration::from_secs(2),
             selector: SelectorKind::Stateless,
             running_avg_gain: 0.1,
@@ -204,6 +154,21 @@ impl CoreliteConfig {
     pub fn marker_spacing(&self, weight: u32) -> u32 {
         assert!(weight > 0, "flow weight must be positive");
         self.k1 * weight
+    }
+
+    /// The source agents' parameters.
+    pub fn agent(&self) -> AgentConfig {
+        AgentConfig {
+            initial_rate: self.initial_rate,
+            alpha: self.alpha,
+            alpha_per_weight: self.alpha_per_weight,
+            beta: self.beta,
+            decrease: self.decrease,
+            adaptation: self.adaptation,
+            ss_thresh: self.ss_thresh,
+            ss_thresh_per_weight: self.ss_thresh_per_weight,
+            slow_start_interval: self.slow_start_interval,
+        }
     }
 
     /// Sets the marker selection mechanism (builder-style).
@@ -232,9 +197,8 @@ impl CoreliteConfig {
     ///
     /// Panics on non-positive epochs, negative thresholds, or a zero `K1`.
     pub fn validate(&self) {
+        self.agent().validate();
         assert!(self.k1 > 0, "K1 must be positive");
-        assert!(self.alpha > 0.0, "alpha must be positive");
-        assert!(self.beta > 0.0, "beta must be positive");
         assert!(!self.edge_epoch.is_zero(), "edge epoch must be positive");
         assert!(!self.core_epoch.is_zero(), "core epoch must be positive");
         assert!(self.q_thresh >= 0.0, "q_thresh must be non-negative");
@@ -242,7 +206,6 @@ impl CoreliteConfig {
             self.correction_k >= 0.0,
             "correction k must be non-negative"
         );
-        assert!(self.initial_rate > 0.0, "initial rate must be positive");
         assert!(
             !self.idle_restart.is_zero(),
             "idle restart gap must be positive"
@@ -275,6 +238,7 @@ mod tests {
         assert_eq!(c.core_epoch, SimDuration::from_millis(100));
         assert_eq!(c.q_thresh, 8.0);
         assert_eq!(c.ss_thresh, 32.0);
+        assert_eq!(c.agent(), AgentConfig::default());
         c.validate();
     }
 

@@ -13,7 +13,7 @@
 //!   store-and-forward buffer (bounded; overflow drops are policy drops),
 //! * the gateway re-shapes the flow into the downstream cloud at its own
 //!   allowed rate `b_g`, adapting via the shared
-//!   [`crate::controller::RateController`] to the
+//!   [`netsim::agent::SourceAgent`] to the
 //!   *downstream* cloud's marker feedback,
 //! * markers arriving from upstream are **not** forwarded — each cloud's
 //!   marker domain ends at its edge; the gateway injects fresh markers
@@ -25,8 +25,9 @@
 
 use std::collections::VecDeque;
 
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimTime;
 
+use netsim::agent::{AgentConfig, SourceAgent};
 use netsim::ids::FlowId;
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
 use netsim::pacer::Pacer;
@@ -34,7 +35,6 @@ use netsim::packet::{Marker, Packet};
 use netsim::slab::{ActiveSet, DenseMap};
 
 use crate::config::CoreliteConfig;
-use crate::controller::RateController;
 
 const TIMER_EPOCH: u32 = 1;
 const TIMER_EMIT: u32 = 2;
@@ -46,7 +46,7 @@ struct GatewayFlow {
     /// the slot was recycled: the state must be rebuilt from scratch
     /// rather than inherited by the new occupant.
     occupant: FlowId,
-    controller: RateController,
+    agent: SourceAgent,
     buffer: VecDeque<Packet>,
     buffered_peak: usize,
     /// Last data-packet arrival; a gap ≥ `idle_restart` means the flow
@@ -60,10 +60,9 @@ struct GatewayFlow {
 impl GatewayFlow {
     /// When the next packet is due at the *current* rate: one interval
     /// after the last paced emission (`None` before the first).
-    fn next_due(&self) -> Option<SimTime> {
+    fn next_due(&mut self) -> Option<SimTime> {
         let last = self.last_emit?;
-        let interval = SimDuration::from_secs_f64(1.0 / self.controller.rate());
-        Some(last.checked_add(interval).unwrap_or(SimTime::MAX))
+        Some(last.checked_add(self.agent.gap()).unwrap_or(SimTime::MAX))
     }
 }
 
@@ -74,6 +73,7 @@ impl GatewayFlow {
 #[derive(Debug)]
 pub struct CoreliteGateway {
     cfg: CoreliteConfig,
+    agent: AgentConfig,
     /// Per-flow reassembly/shaping buffer capacity, packets.
     buffer_capacity: usize,
     flows: DenseMap<FlowId, GatewayFlow>,
@@ -102,6 +102,7 @@ impl CoreliteGateway {
         cfg.validate();
         assert!(buffer_capacity > 0, "gateway buffer must hold packets");
         CoreliteGateway {
+            agent: cfg.agent(),
             cfg,
             buffer_capacity,
             flows: DenseMap::new(),
@@ -115,7 +116,7 @@ impl CoreliteGateway {
 
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         let s = self.flows.get_mut(&flow).expect("gateway flow exists");
-        if s.buffer.is_empty() || !s.controller.is_active() || s.controller.rate() <= 0.0 {
+        if s.buffer.is_empty() || !s.agent.is_active() || s.agent.rate() <= 0.0 {
             return;
         }
         let due = s.next_due().unwrap_or(SimTime::ZERO);
@@ -137,7 +138,7 @@ impl CoreliteGateway {
         // The timer was armed at the rate current when it was set; an
         // epoch may have changed the rate (or stopped the flow) since.
         // Re-derive the pacing decision at fire time.
-        if !s.controller.is_active() || s.controller.rate() <= 0.0 {
+        if !s.agent.is_active() || s.agent.rate() <= 0.0 {
             return;
         }
         if let Some(due) = s.next_due().filter(|&due| now < due) {
@@ -149,11 +150,13 @@ impl CoreliteGateway {
         let Some(mut packet) = s.buffer.pop_front() else {
             return;
         };
-        if s.controller.take_marker(&self.cfg) {
+        if s.agent
+            .take_marker(self.cfg.marker_spacing(s.agent.weight()))
+        {
             packet.marker = Some(Marker {
                 flow,
                 edge: node,
-                normalized_rate: s.controller.normalized_excess(),
+                normalized_rate: s.agent.normalized_excess(),
             });
             self.markers_injected += 1;
         }
@@ -184,19 +187,19 @@ impl RouterLogic for CoreliteGateway {
                 - ctx.reverse_delay_to_ingress(flow).as_secs_f64())
             .max(1e-3);
         // A recycled slot's new occupant must not inherit the previous
-        // occupant's controller or buffered packets.
+        // occupant's agent or buffered packets.
         if self.flows.get(&flow).is_some_and(|s| s.occupant != flow) {
             self.flows.remove(&flow);
             self.pacer.reset(flow.index());
         }
         self.occupied.insert(flow);
-        let cfg = &self.cfg;
+        let agent_cfg = &self.agent;
         let s = self.flows.entry_or_insert_with(flow, || {
-            let mut controller = RateController::new(weight, min_rate, rtt);
-            controller.start(cfg, now, rtt);
+            let mut agent = SourceAgent::new(weight, min_rate, rtt);
+            agent.start(agent_cfg, now, rtt);
             GatewayFlow {
                 occupant: flow,
-                controller,
+                agent,
                 buffer: VecDeque::new(),
                 buffered_peak: 0,
                 last_arrival: now,
@@ -206,9 +209,9 @@ impl RouterLogic for CoreliteGateway {
         // A flow reappearing after a stop or a prolonged idle gap has
         // restarted: its stale rate no longer reflects the path, so it
         // begins a fresh slow-start like any new flow.
-        let idle = now.saturating_since(s.last_arrival) >= cfg.idle_restart;
-        if !s.controller.is_active() || idle {
-            s.controller.start(cfg, now, rtt);
+        let idle = now.saturating_since(s.last_arrival) >= self.cfg.idle_restart;
+        if !s.agent.is_active() || idle {
+            s.agent.start(agent_cfg, now, rtt);
             s.last_emit = None;
         }
         s.last_arrival = now;
@@ -237,7 +240,7 @@ impl RouterLogic for CoreliteGateway {
                         continue;
                     };
                     let flow = s.occupant;
-                    s.controller.run_epoch(ctx, &self.cfg, flow);
+                    s.agent.run_epoch(ctx, &self.agent, flow);
                     self.ensure_emission(ctx, flow);
                 }
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
@@ -250,9 +253,8 @@ impl RouterLogic for CoreliteGateway {
     fn on_control(&mut self, ctx: &mut Ctx<'_>, msg: ControlMsg) {
         if let ControlMsg::MarkerFeedback { marker, from } = msg {
             self.feedback_received += 1;
-            let cfg = &self.cfg;
             if let Some(s) = self.flows.get_mut(&marker.flow) {
-                s.controller.on_feedback(cfg, from, ctx.now());
+                s.agent.on_feedback(&self.agent, from, ctx.now());
             }
         }
         // Losses: ignored, as at any Corelite edge.
@@ -271,7 +273,7 @@ impl RouterLogic for CoreliteGateway {
             return;
         }
         if let Some(s) = self.flows.get_mut(&flow) {
-            s.controller.stop(ctx.now());
+            s.agent.stop(ctx.now());
         }
     }
 
@@ -280,7 +282,7 @@ impl RouterLogic for CoreliteGateway {
         for (_, s) in self.flows.iter() {
             report
                 .flow_rates
-                .insert(s.occupant, s.controller.series().clone());
+                .insert(s.occupant, s.agent.series().clone());
         }
         report.count("gateway_markers_injected", self.markers_injected as f64);
         report.count("gateway_feedback_received", self.feedback_received as f64);
@@ -299,29 +301,34 @@ impl RouterLogic for CoreliteGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::CoreliteEdge;
     use crate::router::CoreliteCore;
     use netsim::flow::FlowSpec;
     use netsim::link::LinkSpec;
     use netsim::logic::ForwardLogic;
     use netsim::topology::TopologyBuilder;
     use netsim::{FlowId, SimReport};
+    use sim_core::time::SimDuration;
 
     /// Two clouds in series:
     /// E → A1 → A2 → G → B1 → B2 → X
     /// Cloud A's bottleneck (A1→A2) is `cap_a` pps; cloud B's (B1→B2) is
-    /// `cap_b`. A competing local flow loads cloud B.
-    fn two_clouds(cap_a_bps: u64, cap_b_bps: u64) -> SimReport {
+    /// `cap_b`. The cross-cloud flow is active over `cross`; a competing
+    /// local flow loads cloud B throughout.
+    fn two_clouds(
+        cap_a_bps: u64,
+        cap_b_bps: u64,
+        cross: &[(SimTime, Option<SimTime>)],
+    ) -> SimReport {
         let cfg = CoreliteConfig::default();
         let mut b = TopologyBuilder::new(31);
-        let e = b.node("E", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
+        let e = b.node("E", |_| Box::new(cfg.edge()));
         let a1 = b.node("A1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let a2 = b.node("A2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let g = b.node("G", |s| Box::new(CoreliteGateway::new(s, cfg.clone(), 200)));
         let b1 = b.node("B1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let b2 = b.node("B2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let x = b.node("X", |_| Box::new(ForwardLogic));
-        let eb = b.node("EB", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
+        let eb = b.node("EB", |_| Box::new(cfg.edge()));
         let xb = b.node("XB", |_| Box::new(ForwardLogic));
 
         let fast = LinkSpec::new(40_000_000, SimDuration::from_millis(5), 400);
@@ -343,7 +350,11 @@ mod tests {
         b.link(b2, xb, fast);
 
         // Flow 0: crosses both clouds through the gateway.
-        b.flow(FlowSpec::new(vec![e, a1, a2, g, b1, b2, x], 1).active(SimTime::ZERO, None));
+        let mut flow = FlowSpec::new(vec![e, a1, a2, g, b1, b2, x], 1);
+        for &(start, stop) in cross {
+            flow = flow.active(start, stop);
+        }
+        b.flow(flow);
         // Flow 1: local to cloud B, same weight.
         b.flow(FlowSpec::new(vec![eb, b1, b2, xb], 1).active(SimTime::ZERO, None));
         let end = SimTime::from_secs(200);
@@ -352,12 +363,14 @@ mod tests {
         net.into_report(end)
     }
 
+    const ALWAYS: &[(SimTime, Option<SimTime>)] = &[(SimTime::ZERO, None)];
+
     #[test]
     fn cross_cloud_flow_is_bottlenecked_by_the_tighter_cloud() {
         // Cloud A: 4 Mbps (500 pps) uncontested; cloud B: 4 Mbps shared
         // 1:1 with the local flow ⇒ the cross-cloud flow should settle
         // near 250 pps, the local flow near 250 pps.
-        let report = two_clouds(4_000_000, 4_000_000);
+        let report = two_clouds(4_000_000, 4_000_000, ALWAYS);
         let cross = report
             .flow(FlowId::from_index(0))
             .mean_goodput_in(SimTime::from_secs(150), SimTime::from_secs(200))
@@ -378,7 +391,7 @@ mod tests {
 
     #[test]
     fn gateway_strips_upstream_markers_and_injects_its_own() {
-        let report = two_clouds(4_000_000, 4_000_000);
+        let report = two_clouds(4_000_000, 4_000_000, ALWAYS);
         assert!(
             report.counter_total("gateway_markers_injected") > 0.0,
             "gateway must mark for the downstream cloud"
@@ -398,7 +411,7 @@ mod tests {
         // gateway sheds the excess at its buffer. Verify the shed is
         // bounded by the buffer (no unbounded growth) and the downstream
         // share is honoured.
-        let report = two_clouds(8_000_000, 4_000_000);
+        let report = two_clouds(8_000_000, 4_000_000, ALWAYS);
         let cross = report
             .flow(FlowId::from_index(0))
             .mean_goodput_in(SimTime::from_secs(150), SimTime::from_secs(200))
@@ -419,45 +432,17 @@ mod tests {
 
     #[test]
     fn gateway_restarts_controller_after_idle_gap() {
-        // Same shape as `two_clouds`, but the cross-cloud flow stops at
-        // t = 60 s and restarts at t = 100 s — a 40 s gap, far beyond
-        // `idle_restart`. The gateway must re-enter slow-start on the
-        // flow's return instead of resuming (and further inflating) the
-        // stale pre-stop rate.
+        // The cross-cloud flow stops at t = 60 s and restarts at
+        // t = 100 s — a 40 s gap, far beyond `idle_restart`. The gateway
+        // must re-enter slow-start on the flow's return instead of
+        // resuming (and further inflating) the stale pre-stop rate.
         use netsim::ids::NodeId;
 
-        let cfg = CoreliteConfig::default();
-        let mut b = TopologyBuilder::new(31);
-        let e = b.node("E", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
-        let a1 = b.node("A1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
-        let a2 = b.node("A2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
-        let g = b.node("G", |s| Box::new(CoreliteGateway::new(s, cfg.clone(), 200)));
-        let b1 = b.node("B1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
-        let b2 = b.node("B2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
-        let x = b.node("X", |_| Box::new(ForwardLogic));
-        let eb = b.node("EB", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
-        let xb = b.node("XB", |_| Box::new(ForwardLogic));
-
-        let fast = LinkSpec::new(40_000_000, SimDuration::from_millis(5), 400);
-        let shared = LinkSpec::new(4_000_000, SimDuration::from_millis(10), 40);
-        b.link(e, a1, fast);
-        b.link(a1, a2, shared);
-        b.link(a2, g, fast);
-        b.link(g, b1, fast);
-        b.link(b1, b2, shared);
-        b.link(b2, x, fast);
-        b.link(eb, b1, fast);
-        b.link(b2, xb, fast);
-        b.flow(
-            FlowSpec::new(vec![e, a1, a2, g, b1, b2, x], 1)
-                .active(SimTime::ZERO, Some(SimTime::from_secs(60)))
-                .active(SimTime::from_secs(100), None),
-        );
-        b.flow(FlowSpec::new(vec![eb, b1, b2, xb], 1).active(SimTime::ZERO, None));
-        let end = SimTime::from_secs(200);
-        let mut net = b.build();
-        net.run_until(end);
-        let report = net.into_report(end);
+        let cross = [
+            (SimTime::ZERO, Some(SimTime::from_secs(60))),
+            (SimTime::from_secs(100), None),
+        ];
+        let report = two_clouds(4_000_000, 4_000_000, &cross);
 
         // The gateway's own rate series for the cross-cloud flow (node G
         // is index 3; `allotted_rate` would return the upstream edge's).

@@ -6,7 +6,7 @@
 //! Venkitaraman, Li, Bharghavan — ICDCS 2000) on top of the [`netsim`]
 //! substrate. Three mechanisms cooperate:
 //!
-//! 1. **Shaping and marking at the edge** ([`edge::CoreliteEdge`]): every
+//! 1. **Shaping and marking at the edge** ([`CoreliteConfig::edge`]): every
 //!    flow is shaped to its allowed rate `b_g(f)`, and a marker carrying
 //!    the flow's *normalized rate* `r_n = b_g/w` is piggybacked on every
 //!    `N_w = K1·w`-th data packet, so a flow's marker rate reflects its
@@ -18,7 +18,8 @@
 //!    the edges that generated them — selected either from a bounded
 //!    [`cache::MarkerCache`] (§2) or by the truly-stateless selective
 //!    scheme of [`stateless::StatelessSelector`] (§3.2).
-//! 3. **Rate adaptation at the edge** (also [`edge::CoreliteEdge`]): a
+//! 3. **Rate adaptation at the edge** ([`netsim::agent::SourceAgent`], the
+//!    agent CSFQ's edges run too): a
 //!    weighted linear-increase/multiplicative-decrease rule —
 //!    `b_g += α` on silence, `b_g = max(0, b_g − β·m)` on `m` markers,
 //!    reacting to the **maximum** per-core marker count — plus the paper's
@@ -35,7 +36,7 @@
 //! converge to rates in a 1:2 ratio:
 //!
 //! ```
-//! use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge};
+//! use corelite::{CoreliteConfig, CoreliteCore};
 //! use netsim::flow::FlowSpec;
 //! use netsim::link::LinkSpec;
 //! use netsim::logic::ForwardLogic;
@@ -44,7 +45,7 @@
 //!
 //! let cfg = CoreliteConfig::default();
 //! let mut b = TopologyBuilder::new(7);
-//! let edge = b.node("edge", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
+//! let edge = b.node("edge", |_| Box::new(cfg.edge()));
 //! let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
 //! let sink = b.node("sink", |_| Box::new(ForwardLogic));
 //! b.link(edge, core, LinkSpec::new(40_000_000, SimDuration::from_millis(1), 400));
@@ -69,7 +70,6 @@ pub mod cache;
 pub mod cc;
 pub mod config;
 pub mod congestion;
-pub mod controller;
 pub mod detector;
 pub mod edge;
 pub mod fluid;
@@ -83,7 +83,6 @@ pub use cc::{gbn_edge, CoreliteCc};
 pub use config::{CoreliteConfig, DecreasePolicy, MuUnit, SelectorKind};
 pub use congestion::marker_feedback_count;
 pub use detector::{CongestionDetector, DetectorKind};
-pub use edge::CoreliteEdge;
 pub use fluid::FluidModel;
 pub use gateway::CoreliteGateway;
 pub use router::CoreliteCore;

@@ -205,7 +205,6 @@ impl RouterLogic for CoreliteCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::CoreliteEdge;
     use netsim::flow::FlowSpec;
     use netsim::link::LinkSpec;
     use netsim::logic::ForwardLogic;
@@ -216,8 +215,8 @@ mod tests {
     /// Two flows (weights `w1`, `w2`) share one 500 pkt/s bottleneck.
     fn bottleneck_scenario(cfg: CoreliteConfig, w1: u32, w2: u32, end: SimTime) -> SimReport {
         let mut b = TopologyBuilder::new(21);
-        let e1 = b.node("edge1", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
-        let e2 = b.node("edge2", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
+        let e1 = b.node("edge1", |_| Box::new(cfg.edge()));
+        let e2 = b.node("edge2", |_| Box::new(cfg.edge()));
         let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let sink = b.node("sink", |_| Box::new(ForwardLogic));
         let access = LinkSpec::new(40_000_000, SimDuration::from_millis(1), 400);
@@ -289,7 +288,7 @@ mod tests {
         // A single flow on a huge link never congests: no feedback at all.
         let cfg = CoreliteConfig::default();
         let mut b = TopologyBuilder::new(3);
-        let edge = b.node("edge", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
+        let edge = b.node("edge", |_| Box::new(cfg.edge()));
         let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let sink = b.node("sink", |_| Box::new(ForwardLogic));
         let big = LinkSpec::new(100_000_000, SimDuration::from_millis(1), 1000);

@@ -2,7 +2,7 @@
 //! selector equivalence at equilibrium, feedback addressing, and epoch
 //! independence of the congestion machinery.
 
-use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge, SelectorKind};
+use corelite::{CoreliteConfig, CoreliteCore, SelectorKind};
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::ForwardLogic;
@@ -15,10 +15,7 @@ fn three_flow_run(cfg: CoreliteConfig, seed: u64, horizon: u64) -> SimReport {
     let mut b = TopologyBuilder::new(seed);
     let mut edges = Vec::new();
     for i in 0..3 {
-        let cfg = cfg.clone();
-        edges.push(b.node(&format!("edge{i}"), move |s| {
-            Box::new(CoreliteEdge::new(s, cfg))
-        }));
+        edges.push(b.node(&format!("edge{i}"), |_| Box::new(cfg.edge())));
     }
     let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let sink = b.node("sink", |_| Box::new(ForwardLogic));
@@ -95,7 +92,7 @@ fn congested_epochs_track_congestion_not_time() {
     let horizon = 60;
     let idle_cfg = CoreliteConfig::default();
     let mut b = TopologyBuilder::new(79);
-    let edge = b.node("edge", |s| Box::new(CoreliteEdge::new(s, idle_cfg.clone())));
+    let edge = b.node("edge", |_| Box::new(idle_cfg.edge()));
     let core = b.node("core", |s| Box::new(CoreliteCore::new(s, idle_cfg.clone())));
     let sink = b.node("sink", |_| Box::new(ForwardLogic));
     let big = LinkSpec::new(100_000_000, SimDuration::from_millis(1), 1000);

@@ -4,6 +4,8 @@
 
 use sim_core::time::SimDuration;
 
+use netsim::agent::AgentConfig;
+
 /// Tunable parameters of the weighted CSFQ baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsfqConfig {
@@ -17,23 +19,8 @@ pub struct CsfqConfig {
     /// Source-agent adaptation epoch (identical to the Corelite edges'
     /// 500 ms epoch, per §4's "similar rate adaptation schemes").
     pub edge_epoch: SimDuration,
-    /// Linear increase step in packets per second per epoch (paper: 1).
-    pub alpha: f64,
-    /// Whether the additive increase scales with the flow's rate weight
-    /// (`α·w`); matches the Corelite agents.
-    pub alpha_per_weight: bool,
-    /// Rate decrement in packets per second per congestion indication
-    /// (= packet loss for CSFQ; paper: 1).
-    pub beta: f64,
-    /// Slow-start threshold in packets per second per unit weight
-    /// (paper: 32); matches the Corelite agents.
-    pub ss_thresh: f64,
-    /// Whether `ss_thresh` scales with the flow's rate weight.
-    pub ss_thresh_per_weight: bool,
     /// Initial rate of a newly started flow, packets per second.
     pub initial_rate: f64,
-    /// Slow-start doubling interval (paper: every second).
-    pub slow_start_interval: SimDuration,
     /// Reference packet size in bytes for expressing link capacity in
     /// packets per second (paper: fixed 1 KB packets).
     pub reference_packet_size: u32,
@@ -48,13 +35,7 @@ impl Default for CsfqConfig {
             k_flow: SimDuration::from_millis(100),
             k_link: SimDuration::from_millis(100),
             edge_epoch: SimDuration::from_millis(500),
-            alpha: 1.0,
-            alpha_per_weight: false,
-            beta: 1.0,
-            ss_thresh: 32.0,
-            ss_thresh_per_weight: true,
-            initial_rate: 1.0,
-            slow_start_interval: SimDuration::from_secs(1),
+            initial_rate: AgentConfig::default().initial_rate,
             reference_packet_size: 1000,
             overflow_penalty: 0.99,
         }
@@ -62,19 +43,27 @@ impl Default for CsfqConfig {
 }
 
 impl CsfqConfig {
+    /// The source agents' parameters: the paper's §4 values, starting
+    /// at [`initial_rate`](CsfqConfig::initial_rate). Each loss is one
+    /// congestion indication, so `β` is packets per second per loss.
+    pub fn agent(&self) -> AgentConfig {
+        AgentConfig {
+            initial_rate: self.initial_rate,
+            ..AgentConfig::default()
+        }
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive time constants, steps, or packet size, or an
-    /// overflow penalty outside `(0, 1]`.
+    /// Panics on non-positive time constants, initial rate, or packet
+    /// size, or an overflow penalty outside `(0, 1]`.
     pub fn validate(&self) {
+        self.agent().validate();
         assert!(!self.k_flow.is_zero(), "K (flow) must be positive");
         assert!(!self.k_link.is_zero(), "K_link must be positive");
         assert!(!self.edge_epoch.is_zero(), "edge epoch must be positive");
-        assert!(self.alpha > 0.0, "alpha must be positive");
-        assert!(self.beta > 0.0, "beta must be positive");
-        assert!(self.initial_rate > 0.0, "initial rate must be positive");
         assert!(
             self.reference_packet_size > 0,
             "reference packet size must be positive"
@@ -95,9 +84,7 @@ mod tests {
         let c = CsfqConfig::default();
         assert_eq!(c.k_flow, SimDuration::from_millis(100));
         assert_eq!(c.k_link, SimDuration::from_millis(100));
-        assert_eq!(c.alpha, 1.0);
-        assert_eq!(c.beta, 1.0);
-        assert_eq!(c.ss_thresh, 32.0);
+        assert_eq!(c.agent(), AgentConfig::default());
         c.validate();
     }
 

@@ -15,6 +15,7 @@
 //! and over-estimates fill the buffer until tail drop (§4.2).
 
 use sim_core::rng::DetRng;
+use sim_core::stats::ExpAvg;
 use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::LinkId;
@@ -24,15 +25,14 @@ use netsim::slab::DenseMap;
 use netsim::telemetry::Sample;
 
 use crate::config::CsfqConfig;
-use crate::estimator::RateEstimator;
 
 /// The per-link fair-share estimation state of a CSFQ core router.
 #[derive(Debug, Clone)]
 pub struct FairShareEstimator {
     capacity_pps: f64,
     k_link: SimDuration,
-    arrival: RateEstimator,
-    accepted: RateEstimator,
+    arrival: ExpAvg,
+    accepted: ExpAvg,
     alpha: Option<f64>,
     tmp_alpha: f64,
     congested: bool,
@@ -57,8 +57,8 @@ impl FairShareEstimator {
         FairShareEstimator {
             capacity_pps,
             k_link,
-            arrival: RateEstimator::new(k_link),
-            accepted: RateEstimator::new(k_link),
+            arrival: ExpAvg::new(k_link),
+            accepted: ExpAvg::new(k_link),
             alpha: None,
             tmp_alpha: 0.0,
             congested: false,
@@ -84,7 +84,7 @@ impl FairShareEstimator {
     /// The caller must then report the outcome via
     /// [`FairShareEstimator::on_accept`] for forwarded packets.
     pub fn on_arrival(&mut self, now: SimTime, label: f64) -> f64 {
-        let a = self.arrival.on_packet(now);
+        let a = self.arrival.observe(now, 1.0);
         if a >= self.capacity_pps {
             if !self.congested {
                 self.congested = true;
@@ -132,7 +132,7 @@ impl FairShareEstimator {
     /// Records that the packet was forwarded (feeds the accepted-rate
     /// estimate `F`) and returns the relabelled value `min(label, α)`.
     pub fn on_accept(&mut self, now: SimTime, label: f64) -> f64 {
-        self.accepted.on_packet(now);
+        self.accepted.observe(now, 1.0);
         match self.alpha {
             Some(alpha) => label.min(alpha),
             None => label,

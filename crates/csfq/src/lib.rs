@@ -5,25 +5,26 @@
 //! bandwidth allocation without per-flow state in the core:
 //!
 //! * **Edge routers** estimate each flow's rate with exponential averaging
-//!   ([`estimator::RateEstimator`], time constant `K = 100 ms` in the
+//!   ([`sim_core::stats::ExpAvg`], time constant `K = 100 ms` in the
 //!   paper's runs) and label every packet with the flow's *normalized*
-//!   estimated rate `r/w` ([`edge::CsfqEdge`]).
+//!   estimated rate `r/w` ([`CsfqConfig::edge`]).
 //! * **Core routers** estimate the link's fair share `α`
 //!   ([`core::FairShareEstimator`]) and drop each arriving packet with
 //!   probability `max(0, 1 − α/label)`, relabelling forwarded packets to
 //!   `min(label, α)` ([`core::CsfqCore`]).
 //!
 //! The traffic sources are the same adaptive agents the Corelite paper
-//! uses (§4): slow-start that doubles every second until the first
-//! congestion indication — here a packet **loss** — or `ss_thresh`, then
-//! linear increase / loss-proportional decrease. This makes the two
-//! architectures differ only in the mechanism under study, exactly as in
-//! the paper's evaluation.
+//! uses (§4) — literally the same code, [`netsim::agent::SourceAgent`]
+//! behind a [`netsim::agent::AgentEdge`]: slow-start that doubles every
+//! second until the first congestion indication — here a packet
+//! **loss** — or `ss_thresh`, then linear increase / loss-proportional
+//! decrease. This makes the two architectures differ only in the
+//! mechanism under study, exactly as in the paper's evaluation.
 //!
 //! # Example
 //!
 //! ```
-//! use csfq::{CsfqConfig, CsfqCore, CsfqEdge};
+//! use csfq::{CsfqConfig, CsfqCore};
 //! use netsim::flow::FlowSpec;
 //! use netsim::link::LinkSpec;
 //! use netsim::logic::ForwardLogic;
@@ -32,7 +33,7 @@
 //!
 //! let cfg = CsfqConfig::default();
 //! let mut b = TopologyBuilder::new(17);
-//! let edge = b.node("edge", |s| Box::new(CsfqEdge::new(s, cfg.clone())));
+//! let edge = b.node("edge", |_| Box::new(cfg.edge()));
 //! let core = b.node("core", |s| Box::new(CsfqCore::new(s, cfg.clone())));
 //! let sink = b.node("sink", |_| Box::new(ForwardLogic));
 //! b.link(edge, core, LinkSpec::new(40_000_000, SimDuration::from_millis(1), 400));
@@ -49,9 +50,6 @@
 pub mod config;
 pub mod core;
 pub mod edge;
-pub mod estimator;
 
 pub use crate::core::{CsfqCore, FairShareEstimator};
 pub use config::CsfqConfig;
-pub use edge::CsfqEdge;
-pub use estimator::RateEstimator;

@@ -1,7 +1,7 @@
 //! Behavioural tests for the CSFQ baseline beyond the per-module units:
 //! agent restart semantics, label plausibility, and estimator windows.
 
-use csfq::{CsfqConfig, CsfqCore, CsfqEdge, FairShareEstimator};
+use csfq::{CsfqConfig, CsfqCore, FairShareEstimator};
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::ForwardLogic;
@@ -12,7 +12,7 @@ use sim_core::time::{SimDuration, SimTime};
 fn run(horizon: u64, activations: Vec<(u64, Option<u64>)>) -> SimReport {
     let cfg = CsfqConfig::default();
     let mut b = TopologyBuilder::new(91);
-    let edge = b.node("edge", |s| Box::new(CsfqEdge::new(s, cfg.clone())));
+    let edge = b.node("edge", |_| Box::new(cfg.edge()));
     let core = b.node("core", |s| Box::new(CsfqCore::new(s, cfg.clone())));
     let sink = b.node("sink", |_| Box::new(ForwardLogic));
     b.link(

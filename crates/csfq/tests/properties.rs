@@ -1,7 +1,8 @@
 //! Randomized property tests for the CSFQ estimators.
 
-use csfq::{FairShareEstimator, RateEstimator};
+use csfq::FairShareEstimator;
 use sim_core::check;
+use sim_core::stats::ExpAvg;
 use sim_core::time::{SimDuration, SimTime};
 
 /// The rate estimate is always non-negative and never exceeds the
@@ -12,13 +13,13 @@ fn rate_estimator_bounded() {
     check::cases(128, 0xCF_01, |g| {
         let gaps = g.vec_with(1, 300, |g| g.u64_in(1, 1_000_000));
         let k = SimDuration::from_millis(100);
-        let mut est = RateEstimator::new(k);
+        let mut est = ExpAvg::new(k);
         let mut now = SimTime::ZERO;
         let bootstrap = 1.0 / k.as_secs_f64();
         let mut max_inst = bootstrap;
         for &gap in &gaps {
             now += SimDuration::from_micros(gap);
-            let r = est.on_packet(now);
+            let r = est.observe(now, 1.0);
             max_inst = max_inst.max(1.0 / (gap as f64 * 1e-6));
             assert!(r >= 0.0);
             assert!(
@@ -27,7 +28,7 @@ fn rate_estimator_bounded() {
             );
         }
         // Decay never increases the estimate.
-        assert!(est.rate_at(now + SimDuration::from_secs(1)) <= est.rate() + 1e-12);
+        assert!(est.decayed(now + SimDuration::from_secs(1)) <= est.rate() + 1e-12);
     });
 }
 

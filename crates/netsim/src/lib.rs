@@ -10,6 +10,9 @@
 //!   routers and the CSFQ baseline plug in,
 //! * **flows** with explicit hop-by-hop paths, weights and activation
 //!   schedules ([`flow`]),
+//! * the paper's adaptive **source agent** and the paced ingress edge that
+//!   Corelite and CSFQ share, differing only in what a packet carries
+//!   ([`agent`]),
 //! * out-of-band **control messages** (marker feedback, loss notifications)
 //!   that travel the reverse path with propagation delay ([`logic::ControlMsg`]),
 //! * built-in **measurement**: per-flow goodput series, cumulative service,
@@ -49,6 +52,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod agent;
 pub mod churn;
 pub mod fault;
 pub mod flow;
@@ -66,6 +70,7 @@ pub mod topology;
 pub mod trace;
 pub mod transport;
 
+pub use agent::{AgentConfig, AgentEdge, SourceAgent, Stamp};
 pub use churn::{ChurnReport, ChurnSpec, CohortStats};
 pub use fault::{FaultPlan, FaultWindow};
 pub use flow::{normalize_activations, FlowInfo, FlowSpec, Transport};

@@ -8,8 +8,9 @@
 //!
 //! * [`CongestionControl`] — the window-adaptation strategy, decoupled
 //!   from reliability. Implemented here by [`Reno`] (slow start +
-//!   AIMD); the `corelite` crate adapts its `RateController` to this
-//!   trait (`corelite::cc::CoreliteCc`) so ack-clocked flows participate
+//!   AIMD); the `corelite` crate adapts the paper's
+//!   [`SourceAgent`](crate::agent::SourceAgent) to this trait
+//!   (`corelite::cc::CoreliteCc`) so ack-clocked flows participate
 //!   in marker-feedback fairness.
 //! * [`GbnSender`] — a cumulative-ack go-back-N sender installed as
 //!   [`RouterLogic`] on the ingress node. It emits sequenced packets

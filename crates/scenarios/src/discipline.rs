@@ -19,8 +19,8 @@
 //!   or plain FIFO cores.
 
 use baselines::{FifoCore, FredConfig, FredCore, GreedySource, RedConfig, RedCore};
-use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge};
-use csfq::{CsfqConfig, CsfqCore, CsfqEdge};
+use corelite::{CoreliteConfig, CoreliteCore};
+use csfq::{CsfqConfig, CsfqCore};
 use netsim::logic::{ForwardLogic, RouterLogic};
 use netsim::Transport;
 
@@ -97,14 +97,14 @@ impl Discipline for Corelite {
         Box::new(CoreliteCore::new(seed, self.config.clone()))
     }
 
-    fn edge_logic(&self, seed: u64, flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
+    fn edge_logic(&self, _seed: u64, flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
         // The runner gives every static flow its own ingress edge, so
         // the transport choice is per-flow: the open-loop LIMD edge for
         // the default, a closed-loop go-back-N sender (window-LIMD or
         // Reno congestion control, Corelite markers either way) for the
         // ack-clocked transports.
         match flow.transport {
-            Transport::Limd => Box::new(CoreliteEdge::new(seed, self.config.clone())),
+            Transport::Limd => Box::new(self.config.edge()),
             Transport::Gbn | Transport::Reno => Box::new(corelite::gbn_edge(&self.config)),
         }
     }
@@ -133,8 +133,8 @@ impl Discipline for Csfq {
         Box::new(CsfqCore::new(seed, self.config.clone()))
     }
 
-    fn edge_logic(&self, seed: u64, _flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
-        Box::new(CsfqEdge::new(seed, self.config.clone()))
+    fn edge_logic(&self, _seed: u64, _flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
+        Box::new(self.config.edge())
     }
 }
 

@@ -16,8 +16,10 @@
 //! `route=A-B` means the flow enters the core chain at `C{A+1}` and exits
 //! after `C{B+1}` (see [`crate::topology::Route`]); `start`/`stop` are
 //! seconds, sugar for one `active=START..STOP` window (a missing `stop`
-//! keeps the flow alive to the horizon). For churn, give a flow several
-//! activation periods (`active=65..` — an open end keeps it running):
+//! keeps the flow alive to the horizon). The `min_rate` contracts active
+//! at any one instant must fit each core link's capacity. For churn,
+//! give a flow several activation periods (`active=65..` — an open end
+//! keeps it running):
 //!
 //! ```text
 //! flow route=0-1 weight=2 active=0..60 active=65..
@@ -117,7 +119,7 @@ use netsim::{FaultPlan, Transport};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::runner::{Scenario, ScenarioChurn, ScenarioFlow};
-use crate::topology::{CorePath, TopologySpec};
+use crate::topology::{CorePath, TopologySpec, LINK_CAPACITY_PPS};
 
 /// A parse failure, with the offending 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -318,6 +320,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseScenarioError> {
     let mut horizon: Option<SimTime> = None;
     let mut topology: Option<TopologySpec> = None;
     let mut flows: Vec<ScenarioFlow> = Vec::new();
+    let mut flow_lines = Vec::new();
     let mut faults = FaultPlan::default();
     let mut churn: Option<ScenarioChurn> = None;
     let mut open: Option<(usize, Block)> = None;
@@ -365,6 +368,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseScenarioError> {
             "flow" => {
                 let flow = parse_flow(&a)?;
                 targets.push((a.line, Target::Path(flow.path.clone())));
+                flow_lines.push(a.line);
                 flows.push(flow);
             }
             kind @ ("fault" | "churn") => {
@@ -405,7 +409,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseScenarioError> {
         ));
     }
     let topology = topology.unwrap_or_else(TopologySpec::paper_chain);
-    check_against(&topology, &targets)?;
+    check_against(&topology, &targets, &flow_lines, &flows)?;
     // A partition deals whole nodes: shards beyond them would be empty.
     let routes = churn.as_ref().map_or(0, |c| c.routes.len());
     let nodes = topology.core_count + 2 * (flows.len() + routes);
@@ -427,8 +431,16 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseScenarioError> {
     Ok(scenario)
 }
 
-/// The one pass over everything the topology must vouch for.
-fn check_against(topology: &TopologySpec, targets: &[(usize, Target)]) -> Parsed<()> {
+/// The one pass over everything the topology must vouch for: every
+/// index and hop names a part of it, and at no instant do the `flow`s'
+/// contracts (declared on `lines`) reserve more of a core link than its
+/// capacity, which the max-min reference would find infeasible.
+fn check_against(
+    topology: &TopologySpec,
+    targets: &[(usize, Target)],
+    lines: &[usize],
+    flows: &[ScenarioFlow],
+) -> Parsed<()> {
     let range = |what: &str, i: usize, limit: usize| {
         (i >= limit).then(|| {
             format!(
@@ -458,6 +470,29 @@ fn check_against(topology: &TopologySpec, targets: &[(usize, Target)]) -> Parsed
         };
         if let Some(message) = problem {
             return Err(fail(*line, message));
+        }
+    }
+    let contracted: Vec<_> = lines
+        .iter()
+        .zip(flows)
+        .filter(|(_, f)| f.min_rate > 0.0)
+        .map(|(&line, f)| (line, f, f.path.link_indices(topology)))
+        .collect();
+    // The reservation on a link only grows when a contract starts.
+    for (line, f, links) in &contracted {
+        for &(t, _) in &f.activations {
+            for link in links {
+                let reserved: f64 = contracted
+                    .iter()
+                    .filter(|(_, g, crossed)| crossed.contains(link) && g.is_active_at(t))
+                    .map(|(_, g, _)| g.min_rate)
+                    .sum();
+                if reserved > LINK_CAPACITY_PPS {
+                    let over = format!("above its capacity of {LINK_CAPACITY_PPS} pkt/s");
+                    let sum = format!("min_rate contracts on link {link} sum to {reserved} pkt/s");
+                    return Err(fail(*line, format!("{sum} at {t}, {over}")));
+                }
+            }
         }
     }
     Ok(())

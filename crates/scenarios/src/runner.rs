@@ -55,6 +55,13 @@ impl ScenarioFlow {
         self.transport = transport;
         self
     }
+
+    /// Whether one of the flow's activation periods covers `t`.
+    pub fn is_active_at(&self, t: SimTime) -> bool {
+        self.activations
+            .iter()
+            .any(|&(start, stop)| t >= start && stop.is_none_or(|s| t < s))
+    }
 }
 
 /// A dynamic flow-churn process at the scenario level: the plain-data
@@ -588,11 +595,7 @@ impl Scenario {
         self.flows
             .iter()
             .enumerate()
-            .filter(|(_, f)| {
-                f.activations
-                    .iter()
-                    .any(|&(start, stop)| t >= start && stop.is_none_or(|s| t < s))
-            })
+            .filter(|(_, f)| f.is_active_at(t))
             .map(|(i, _)| i)
             .collect()
     }

@@ -380,7 +380,7 @@ fn impl_header_types(header: &[&str]) -> (Option<String>, Option<String>) {
     }
     let last_path_segment = |part: &[&str]| -> Option<String> {
         // The self type's name is the last ident before its generic
-        // arguments: `corelite::edge::CoreliteEdge<T>` → `CoreliteEdge`.
+        // arguments: `netsim::agent::AgentEdge<T>` → `AgentEdge`.
         let mut best = None;
         let mut angle = 0i32;
         for t in part {

@@ -241,11 +241,10 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/netsim/src/telemetry.rs",
     "crates/netsim/src/transport.rs",
     "crates/netsim/src/churn.rs",
+    "crates/netsim/src/agent.rs",
     "crates/sim-core/src/event.rs",
-    "crates/corelite/src/edge.rs",
     "crates/corelite/src/router.rs",
     "crates/csfq/src/core.rs",
-    "crates/csfq/src/edge.rs",
     "crates/baselines/src/red.rs",
     "crates/baselines/src/fred.rs",
     "crates/baselines/src/greedy.rs",
@@ -265,13 +264,11 @@ const DENSE_STATE_MODULES: &[&str] = &[
     "crates/netsim/src/pacer.rs",
     "crates/netsim/src/slab.rs",
     "crates/netsim/src/transport.rs",
-    "crates/corelite/src/edge.rs",
+    "crates/netsim/src/agent.rs",
     "crates/corelite/src/router.rs",
     "crates/corelite/src/gateway.rs",
     "crates/corelite/src/aggregate.rs",
-    "crates/corelite/src/controller.rs",
     "crates/csfq/src/core.rs",
-    "crates/csfq/src/edge.rs",
     "crates/baselines/src/red.rs",
     "crates/baselines/src/fred.rs",
     "crates/baselines/src/greedy.rs",
@@ -284,10 +281,9 @@ const DENSE_STATE_MODULES: &[&str] = &[
 /// their slots, so per-link scans (the core router's) stay off this
 /// list.
 const FLOW_LIFECYCLE_MODULES: &[&str] = &[
-    "crates/corelite/src/edge.rs",
+    "crates/netsim/src/agent.rs",
     "crates/corelite/src/gateway.rs",
     "crates/corelite/src/aggregate.rs",
-    "crates/csfq/src/edge.rs",
 ];
 
 /// The dense id types whose keyed maps belong in the slab.
@@ -368,7 +364,7 @@ const HOT_FNS: &[&str] = &[
     "ensure_emission",
     "schedule_next",
     "run_epoch",
-    "adapt_all",
+    "epoch_update",
     // Telemetry: every per-epoch publish lands here; the zero-alloc
     // contract (ISSUE 5) extends to probe recording.
     "record",
@@ -922,6 +918,43 @@ mod tests {
         scan_source(rel, src, classify(rel), &Allowlist::default())
     }
 
+    /// The module lists name live files and every [`HOT_FNS`] name is a
+    /// function of a hot-path module, or a moved file or renamed function
+    /// would silently drop out of its rules (`validate_allowlist`'s check
+    /// for `simlint.toml`).
+    #[test]
+    fn module_lists_and_hot_fns_name_live_code() {
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = crate::walker::find_workspace_root(manifest).expect("workspace root");
+        let lists = [
+            CORE_MODULES,
+            EVENT_LOOP_MODULES,
+            HOT_PATH_MODULES,
+            DENSE_STATE_MODULES,
+            FLOW_LIFECYCLE_MODULES,
+        ];
+        for rel in lists.concat() {
+            assert!(root.join(rel).is_file(), "{rel} is listed but missing");
+        }
+        let mut defined = Vec::new();
+        for rel in HOT_PATH_MODULES {
+            let src = std::fs::read_to_string(root.join(rel)).expect("hot-path module reads");
+            for pair in lex(&src).tokens.windows(2) {
+                if let (Tok::Ident(kw), Tok::Ident(name)) = (&pair[0].tok, &pair[1].tok) {
+                    if kw == "fn" {
+                        defined.push(name.clone());
+                    }
+                }
+            }
+        }
+        for name in HOT_FNS {
+            assert!(
+                defined.iter().any(|d| d == name),
+                "HOT_FNS names `{name}`, which no hot-path module defines"
+            );
+        }
+    }
+
     #[test]
     fn classify_paths() {
         assert!(classify("crates/corelite/src/router.rs").core_module);
@@ -929,7 +962,7 @@ mod tests {
         assert!(classify("tests/paper_topology.rs").is_test);
         assert!(classify("crates/netsim/tests/properties.rs").is_test);
         assert!(!classify("crates/netsim/src/flow.rs").core_module);
-        assert!(classify("crates/corelite/src/edge.rs").hot_path);
+        assert!(classify("crates/netsim/src/agent.rs").hot_path);
         assert!(!classify("crates/netsim/src/flow.rs").hot_path);
         assert!(classify("crates/simlint/fixtures/core_state_bad.rs").core_module);
         assert!(classify("crates/simlint/fixtures/panic_path_bad.rs").event_loop);
@@ -950,7 +983,7 @@ mod tests {
             1,
             "{core:?}"
         );
-        let edge = scan("crates/csfq/src/edge.rs", src);
+        let edge = scan("crates/netsim/src/agent.rs", src);
         assert!(edge.iter().all(|v| v.rule != "core-state"), "{edge:?}");
     }
 
@@ -982,12 +1015,12 @@ mod tests {
     #[test]
     fn id_keyed_map_flagged_in_dense_state_modules() {
         let src = "struct S { m: BTreeMap<NodeId, u32> }";
-        let hot = scan("crates/corelite/src/controller.rs", src);
+        let hot = scan("crates/netsim/src/agent.rs", src);
         assert_eq!(hot.len(), 1, "{hot:?}");
         assert_eq!(hot[0].rule, "dense-state");
         // Turbofish constructor form and every dense id type.
         let v = scan(
-            "crates/csfq/src/edge.rs",
+            "crates/corelite/src/aggregate.rs",
             "let m = BTreeMap::<LinkId, u8>::new();",
         );
         assert_eq!(v.len(), 1, "{v:?}");
@@ -996,7 +1029,7 @@ mod tests {
         assert!(cold.is_empty(), "{cold:?}");
         // Non-id keys are not the slab's business.
         let strings = scan(
-            "crates/corelite/src/controller.rs",
+            "crates/netsim/src/agent.rs",
             "struct S { counters: BTreeMap<String, f64> }",
         );
         assert!(strings.is_empty(), "{strings:?}");
@@ -1013,7 +1046,7 @@ mod tests {
     #[test]
     fn key_bound_scan_flagged_only_in_flow_lifecycle_modules() {
         let src = "fn run_epoch(&mut self) { for i in 0..self.flows.key_bound() {} }";
-        let v = scan("crates/corelite/src/edge.rs", src);
+        let v = scan("crates/netsim/src/agent.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "flow-lifecycle");
         // The core router's per-link scan is exempt: link slots are
@@ -1028,7 +1061,7 @@ mod tests {
         assert!(scan("crates/corelite/src/gateway.rs", test_src).is_empty());
         let allowed = "// simlint: allow(flow-lifecycle) one-shot report\n\
                        for i in 0..self.flows.key_bound() {}";
-        assert!(scan("crates/csfq/src/edge.rs", allowed).is_empty());
+        assert!(scan("crates/netsim/src/agent.rs", allowed).is_empty());
     }
 
     #[test]
@@ -1124,7 +1157,7 @@ mod tests {
     fn hot_alloc_catches_every_pattern() {
         let src = "fn on_timer() { let a = Vec::new(); let b = Box::new(1); \
                    let c = s.to_vec(); let d = Vec::<u8>::new(); }";
-        let v = scan("crates/corelite/src/edge.rs", src);
+        let v = scan("crates/netsim/src/agent.rs", src);
         assert_eq!(v.len(), 4, "{v:?}");
         assert!(v.iter().all(|v| v.rule == "hot-alloc"));
     }

@@ -6,7 +6,7 @@
 //! cargo run --release -p scenarios --example quickstart
 //! ```
 
-use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge};
+use corelite::{CoreliteConfig, CoreliteCore};
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::ForwardLogic;
@@ -19,12 +19,8 @@ fn main() {
     let mut b = TopologyBuilder::new(42);
 
     // Two ingress edge routers, one core router, one egress.
-    let edge_a = b.node("edge-a", |seed| {
-        Box::new(CoreliteEdge::new(seed, cfg.clone()))
-    });
-    let edge_b = b.node("edge-b", |seed| {
-        Box::new(CoreliteEdge::new(seed, cfg.clone()))
-    });
+    let edge_a = b.node("edge-a", |_| Box::new(cfg.edge()));
+    let edge_b = b.node("edge-b", |_| Box::new(cfg.edge()));
     let core = b.node("core", |seed| {
         Box::new(CoreliteCore::new(seed, cfg.clone()))
     });

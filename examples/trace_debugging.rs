@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge};
+use corelite::{CoreliteConfig, CoreliteCore};
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::ForwardLogic;
@@ -25,8 +25,8 @@ fn main() {
 
     let mut b = TopologyBuilder::new(5);
     b.tracer(tracer.clone());
-    let e1 = b.node("edge1", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
-    let e2 = b.node("edge2", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
+    let e1 = b.node("edge1", |_| Box::new(cfg.edge()));
+    let e2 = b.node("edge2", |_| Box::new(cfg.edge()));
     let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let sink = b.node("sink", |_| Box::new(ForwardLogic));
     let access = LinkSpec::new(40_000_000, SimDuration::from_millis(1), 400);

@@ -17,7 +17,7 @@
 //! cargo run --release -p scenarios --example two_clouds
 //! ```
 
-use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge, CoreliteGateway};
+use corelite::{CoreliteConfig, CoreliteCore, CoreliteGateway};
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::ForwardLogic;
@@ -29,14 +29,14 @@ fn main() {
     let cfg = CoreliteConfig::default();
     let mut b = TopologyBuilder::new(2026);
 
-    let e = b.node("E", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
+    let e = b.node("E", |_| Box::new(cfg.edge()));
     let a1 = b.node("A1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let a2 = b.node("A2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let g = b.node("G", |s| Box::new(CoreliteGateway::new(s, cfg.clone(), 200)));
     let b1 = b.node("B1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let b2 = b.node("B2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let x = b.node("X", |_| Box::new(ForwardLogic));
-    let eb = b.node("EB", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
+    let eb = b.node("EB", |_| Box::new(cfg.edge()));
     let xb = b.node("XB", |_| Box::new(ForwardLogic));
 
     let fast = LinkSpec::new(40_000_000, SimDuration::from_millis(5), 400);

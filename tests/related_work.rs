@@ -4,7 +4,7 @@
 //! weighted allocation for the same flow population.
 
 use baselines::{GreedySource, RedConfig, RedCore};
-use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge};
+use corelite::{CoreliteConfig, CoreliteCore};
 use fairness::metrics::jain_index;
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
@@ -53,10 +53,7 @@ fn corelite_run() -> SimReport {
     let mut b = TopologyBuilder::new(61);
     let mut edges = Vec::new();
     for i in 0..3 {
-        let cfg = cfg.clone();
-        edges.push(b.node(&format!("edge{i}"), move |s| {
-            Box::new(CoreliteEdge::new(s, cfg))
-        }));
+        edges.push(b.node(&format!("edge{i}"), |_| Box::new(cfg.edge())));
     }
     let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let sink = b.node("sink", |_| Box::new(ForwardLogic));

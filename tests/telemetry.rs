@@ -108,6 +108,14 @@ fn csfq_emits_fair_share_estimates() {
         .iter()
         .filter(|r| r.sample.name == "alpha")
         .all(|r| r.sample.value.is_finite() && r.sample.value > 0.0));
+    // CSFQ's edges run the same source agent as Corelite's, so they
+    // publish the same per-flow epoch samples.
+    for name in ["m_f", "b_g", "slow_start"] {
+        for i in 0..10 {
+            let series = p.series(name, None, Some(FlowId::from_index(i)), None);
+            assert!(!series.is_empty(), "flow {i} published no {name}");
+        }
+    }
 }
 
 #[test]
