@@ -12,6 +12,9 @@
 //! per-flow state Corelite is designed to avoid. The
 //! [`RedCore`](crate::red::RedCore) / [`FredCore`] pair lets the tests
 //! quantify both sides of that §5 trade-off.
+//!
+//! FRED runs on RED's constants ([`crate::red::WQ`] and the thresholds)
+//! plus its own [`MIN_Q`] and [`STRIKE_MULTIPLIER`].
 
 use sim_core::rng::DetRng;
 use sim_core::time::SimTime;
@@ -21,46 +24,14 @@ use netsim::logic::{Ctx, LogicReport, RouterLogic};
 use netsim::packet::Packet;
 use netsim::slab::DenseMap;
 
-use crate::red::RedConfig;
+use crate::red::{MAX_P, MAX_THRESH, MIN_THRESH, WQ};
 
-/// FRED parameters on top of the RED base configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FredConfig {
-    /// The RED thresholds/gain FRED inherits.
-    pub red: RedConfig,
-    /// Minimum number of buffered packets every flow may hold regardless
-    /// of the average (Lin & Morris use 2–4).
-    pub min_q: usize,
-    /// Multiple of the average per-flow backlog at which a flow is
-    /// struck (classically 2).
-    pub strike_multiplier: f64,
-}
-
-impl Default for FredConfig {
-    fn default() -> Self {
-        FredConfig {
-            red: RedConfig::default(),
-            min_q: 2,
-            strike_multiplier: 2.0,
-        }
-    }
-}
-
-impl FredConfig {
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range parameters.
-    pub fn validate(&self) {
-        self.red.validate();
-        assert!(self.min_q >= 1, "min_q must allow at least one packet");
-        assert!(
-            self.strike_multiplier > 1.0,
-            "strike multiplier must exceed 1"
-        );
-    }
-}
+/// Minimum number of buffered packets every flow may hold regardless of
+/// the average (Lin & Morris use 2–4).
+pub const MIN_Q: usize = 2;
+/// Multiple of the average per-flow backlog at which a flow is struck
+/// (classically 2).
+pub const STRIKE_MULTIPLIER: f64 = 2.0;
 
 #[derive(Debug, Clone, Default)]
 struct FlowAccount {
@@ -80,7 +51,6 @@ struct LinkState {
 /// A FRED core router: RED plus per-active-flow buffer accounting.
 #[derive(Debug)]
 pub struct FredCore {
-    cfg: FredConfig,
     rng: DetRng,
     links: DenseMap<LinkId, LinkState>,
     early_drops: u64,
@@ -91,26 +61,15 @@ pub struct FredCore {
 }
 
 impl FredCore {
-    /// Creates FRED logic with the given component `seed` and parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`FredConfig::validate`].
-    pub fn new(seed: u64, cfg: FredConfig) -> Self {
-        cfg.validate();
+    /// Creates FRED logic with the given component `seed`.
+    pub fn new(seed: u64) -> Self {
         FredCore {
-            cfg,
             rng: DetRng::new(seed),
             links: DenseMap::new(),
             early_drops: 0,
             forwarded: 0,
             peak_tracked_flows: 0,
         }
-    }
-
-    /// The most flows ever tracked simultaneously on one link.
-    pub fn peak_tracked_flows(&self) -> usize {
-        self.peak_tracked_flows
     }
 }
 
@@ -121,7 +80,7 @@ impl RouterLogic for FredCore {
         };
         let q = ctx.link_queue_len(link) as f64;
         let state = self.links.entry_or_insert_with(link, LinkState::default);
-        state.avg = (1.0 - self.cfg.red.wq) * state.avg + self.cfg.red.wq * q;
+        state.avg = (1.0 - WQ) * state.avg + WQ * q;
 
         // Average per-flow backlog over currently active flows.
         let active = state.flows.values().filter(|a| a.qlen > 0).count().max(1);
@@ -130,25 +89,24 @@ impl RouterLogic for FredCore {
             .flows
             .entry_or_insert_with(packet.flow, FlowAccount::default);
 
-        let strike_threshold = (self.cfg.strike_multiplier * avgcq) as usize;
+        let strike_threshold = (STRIKE_MULTIPLIER * avgcq) as usize;
         let over_average = account.qlen + 1 > avgcq.ceil() as usize;
-        let drop = if account.qlen + 1 > strike_threshold.max(self.cfg.min_q) {
+        let drop = if account.qlen + 1 > strike_threshold.max(MIN_Q) {
             // Non-adaptive flow: strike it and drop deterministically.
             account.strikes += 1;
             true
         } else if account.strikes > 1 && over_average {
             // Struck flows are held to the average.
             true
-        } else if account.qlen < self.cfg.min_q {
+        } else if account.qlen < MIN_Q {
             // Every flow may buffer at least min_q packets.
             false
-        } else if state.avg >= self.cfg.red.max_thresh {
+        } else if state.avg >= MAX_THRESH {
             true
-        } else if state.avg > self.cfg.red.min_thresh {
+        } else if state.avg > MIN_THRESH {
             // RED's ramp, but applied per flow only when the flow holds at
             // least its fair share of the buffer.
-            let p = self.cfg.red.max_p * (state.avg - self.cfg.red.min_thresh)
-                / (self.cfg.red.max_thresh - self.cfg.red.min_thresh);
+            let p = MAX_P * (state.avg - MIN_THRESH) / (MAX_THRESH - MIN_THRESH);
             over_average && self.rng.bernoulli(p.min(1.0))
         } else {
             false
@@ -201,27 +159,13 @@ mod tests {
     use netsim::topology::TopologyBuilder;
     use sim_core::time::{SimDuration, SimTime};
 
-    #[test]
-    #[should_panic(expected = "min_q")]
-    fn zero_min_q_rejected() {
-        FredCore::new(
-            0,
-            FredConfig {
-                min_q: 0,
-                ..FredConfig::default()
-            },
-        );
-    }
-
     /// Two greedy flows, one aggressive (700 pkt/s) and one modest
     /// (100 pkt/s), through one 500 pkt/s FRED link.
     fn uneven_run() -> netsim::SimReport {
         let mut b = TopologyBuilder::new(88);
         let fast_src = b.node("fast", |_| Box::new(GreedySource::new(700.0)));
         let slow_src = b.node("slow", |_| Box::new(GreedySource::new(100.0)));
-        let fred = b.node("fred", |s| {
-            Box::new(FredCore::new(s, FredConfig::default()))
-        });
+        let fred = b.node("fred", |s| Box::new(FredCore::new(s)));
         let sink = b.node("sink", |_| Box::new(ForwardLogic));
         let access = LinkSpec::new(40_000_000, SimDuration::from_millis(1), 400);
         b.link(fast_src, fred, access);

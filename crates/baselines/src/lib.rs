@@ -25,9 +25,9 @@ pub mod fred;
 pub mod greedy;
 pub mod red;
 
-pub use fred::{FredConfig, FredCore};
+pub use fred::FredCore;
 pub use greedy::GreedySource;
-pub use red::{RedConfig, RedCore};
+pub use red::RedCore;
 
 /// Plain drop-tail FIFO forwarding — an alias for the substrate's
 /// default behaviour, named for experiment legibility.

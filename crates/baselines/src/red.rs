@@ -7,6 +7,10 @@
 //! `max_thresh` (and 1 beyond). RED spreads losses over time and avoids
 //! global synchronization, but — as the paper stresses — knows nothing of
 //! flows or weights, so it cannot provide (weighted) fairness.
+//!
+//! Its parameters are the classic 1993 values scaled to the
+//! reproduction's 40-packet queues, fixed as the constants [`WQ`],
+//! [`MIN_THRESH`], [`MAX_THRESH`] and [`MAX_P`], which FRED shares.
 
 use sim_core::rng::DetRng;
 use sim_core::time::SimTime;
@@ -15,50 +19,15 @@ use netsim::ids::LinkId;
 use netsim::logic::{Ctx, LogicReport, RouterLogic};
 use netsim::packet::Packet;
 
-/// RED parameters (classic values from the 1993 paper, scaled to the
-/// reproduction's 40-packet queues).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RedConfig {
-    /// EWMA gain `w_q` applied per arriving packet (classic: 0.002; we
-    /// default higher because our queues are small).
-    pub wq: f64,
-    /// No drops while the average queue is below this (packets).
-    pub min_thresh: f64,
-    /// All packets dropped at or above this average (packets).
-    pub max_thresh: f64,
-    /// Drop probability at `max_thresh`.
-    pub max_p: f64,
-}
-
-impl Default for RedConfig {
-    fn default() -> Self {
-        RedConfig {
-            wq: 0.02,
-            min_thresh: 5.0,
-            max_thresh: 15.0,
-            max_p: 0.1,
-        }
-    }
-}
-
-impl RedConfig {
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range parameters.
-    pub fn validate(&self) {
-        assert!(self.wq > 0.0 && self.wq <= 1.0, "w_q must be in (0, 1]");
-        assert!(
-            self.min_thresh >= 0.0 && self.max_thresh > self.min_thresh,
-            "thresholds must satisfy 0 <= min < max"
-        );
-        assert!(
-            self.max_p > 0.0 && self.max_p <= 1.0,
-            "max_p must be in (0, 1]"
-        );
-    }
-}
+/// EWMA gain `w_q` applied per arriving packet (classic: 0.002; higher
+/// here because the reproduction's queues hold 40 packets).
+pub const WQ: f64 = 0.02;
+/// No drops while the average queue is below this (packets).
+pub const MIN_THRESH: f64 = 5.0;
+/// All packets dropped at or above this average (packets).
+pub const MAX_THRESH: f64 = 15.0;
+/// Drop probability at [`MAX_THRESH`].
+pub const MAX_P: f64 = 0.1;
 
 #[derive(Debug, Clone, Default)]
 struct LinkAvg {
@@ -71,7 +40,6 @@ struct LinkAvg {
 /// per outgoing link. No per-flow state of any kind.
 #[derive(Debug)]
 pub struct RedCore {
-    cfg: RedConfig,
     rng: DetRng,
     // Indexed lazily; links discovered on first packet.
     links: netsim::slab::DenseMap<LinkId, LinkAvg>,
@@ -80,15 +48,9 @@ pub struct RedCore {
 }
 
 impl RedCore {
-    /// Creates RED logic with the given component `seed` and parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`RedConfig::validate`].
-    pub fn new(seed: u64, cfg: RedConfig) -> Self {
-        cfg.validate();
+    /// Creates RED logic with the given component `seed`.
+    pub fn new(seed: u64) -> Self {
         RedCore {
-            cfg,
             rng: DetRng::new(seed),
             links: netsim::slab::DenseMap::new(),
             early_drops: 0,
@@ -104,14 +66,13 @@ impl RouterLogic for RedCore {
         };
         let q = ctx.link_queue_len(link) as f64;
         let state = self.links.entry_or_insert_with(link, LinkAvg::default);
-        state.avg = (1.0 - self.cfg.wq) * state.avg + self.cfg.wq * q;
-        let p_base = if state.avg < self.cfg.min_thresh {
+        state.avg = (1.0 - WQ) * state.avg + WQ * q;
+        let p_base = if state.avg < MIN_THRESH {
             0.0
-        } else if state.avg >= self.cfg.max_thresh {
+        } else if state.avg >= MAX_THRESH {
             1.0
         } else {
-            self.cfg.max_p * (state.avg - self.cfg.min_thresh)
-                / (self.cfg.max_thresh - self.cfg.min_thresh)
+            MAX_P * (state.avg - MIN_THRESH) / (MAX_THRESH - MIN_THRESH)
         };
         // Floyd–Jacobson drop-spacing: p = p_b / (1 − count·p_b) spreads
         // drops roughly uniformly between drops.
@@ -148,24 +109,11 @@ mod tests {
     use netsim::topology::TopologyBuilder;
     use sim_core::time::SimDuration;
 
-    #[test]
-    #[should_panic(expected = "thresholds")]
-    fn inverted_thresholds_rejected() {
-        RedCore::new(
-            0,
-            RedConfig {
-                min_thresh: 20.0,
-                max_thresh: 10.0,
-                ..RedConfig::default()
-            },
-        );
-    }
-
     /// One CBR source overdriving a bottleneck through a RED router.
     fn overload_run(rate: f64) -> netsim::SimReport {
         let mut b = TopologyBuilder::new(77);
         let src = b.node("src", move |_| Box::new(CbrSource::new(rate)));
-        let red = b.node("red", |s| Box::new(RedCore::new(s, RedConfig::default())));
+        let red = b.node("red", |s| Box::new(RedCore::new(s)));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
         b.link(
             src,

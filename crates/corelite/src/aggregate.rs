@@ -37,7 +37,8 @@ struct Group {
 
 /// Router logic for an ingress edge that aggregates all micro-flows
 /// toward the same egress into one rate-managed edge-to-edge flow of the
-/// configured `group_weight`.
+/// configured `group_weight`, built by
+/// [`CoreliteConfig::aggregating_edge`].
 #[derive(Debug)]
 pub struct AggregatingEdge {
     cfg: CoreliteConfig,
@@ -56,21 +57,21 @@ pub struct AggregatingEdge {
     markers_injected: u64,
 }
 
-impl AggregatingEdge {
-    /// Creates aggregating-edge logic: every group formed at this edge
+impl CoreliteConfig {
+    /// Logic for an aggregating ingress edge: every group formed at it
     /// gets rate weight `group_weight` (its rate class), regardless of
     /// how many micro-flows it contains.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`CoreliteConfig::validate`] or
+    /// Panics if the configuration fails [`CoreliteConfig::validate`] or
     /// `group_weight` is zero.
-    pub fn new(_seed: u64, cfg: CoreliteConfig, group_weight: u32) -> Self {
-        cfg.validate();
+    pub fn aggregating_edge(&self, group_weight: u32) -> AggregatingEdge {
+        self.validate();
         assert!(group_weight > 0, "aggregate weight must be positive");
         AggregatingEdge {
-            agent: cfg.agent(),
-            cfg,
+            cfg: self.clone(),
+            agent: self.agent(),
             group_weight,
             groups: DenseMap::new(),
             populated: ActiveSet::new(),
@@ -79,7 +80,9 @@ impl AggregatingEdge {
             markers_injected: 0,
         }
     }
+}
 
+impl AggregatingEdge {
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, egress: NodeId) {
         let g = self.groups.get_mut(&egress).expect("group exists");
         if !g.members.is_empty() && g.agent.rate() > 0.0 {
@@ -235,9 +238,7 @@ mod tests {
     fn aggregate_vs_single(micro: usize) -> SimReport {
         let cfg = CoreliteConfig::default();
         let mut b = TopologyBuilder::new(47);
-        let agg = b.node("agg-edge", |s| {
-            Box::new(AggregatingEdge::new(s, cfg.clone(), 1))
-        });
+        let agg = b.node("agg-edge", |_| Box::new(cfg.aggregating_edge(1)));
         let plain = b.node("plain-edge", |_| Box::new(cfg.edge()));
         let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let sink = b.node("sink", |_| Box::new(ForwardLogic));
@@ -302,9 +303,7 @@ mod tests {
         // A member leaving must not stall the aggregate's emission.
         let cfg = CoreliteConfig::default();
         let mut b = TopologyBuilder::new(48);
-        let agg = b.node("agg-edge", |s| {
-            Box::new(AggregatingEdge::new(s, cfg.clone(), 1))
-        });
+        let agg = b.node("agg-edge", |_| Box::new(cfg.aggregating_edge(1)));
         let sink = b.node("sink", |_| Box::new(ForwardLogic));
         b.link(
             agg,
@@ -333,6 +332,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "weight")]
     fn zero_group_weight_rejected() {
-        AggregatingEdge::new(0, CoreliteConfig::default(), 0);
+        CoreliteConfig::default().aggregating_edge(0);
     }
 }

@@ -102,7 +102,6 @@ pub fn gbn_edge(cfg: &CoreliteConfig) -> GbnSender {
     let gbn = GbnConfig {
         epoch: cfg.edge_epoch,
         marker_spacing: Some(cfg.k1),
-        ..GbnConfig::default()
     };
     let cc_cfg = cfg.clone();
     GbnSender::new(

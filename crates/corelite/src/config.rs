@@ -1,13 +1,27 @@
 //! Corelite parameters.
 //!
-//! Defaults reproduce the paper's simulation setup (§4): `K1 = 1`,
-//! `β = 1`, 40-packet queues, congestion threshold 8 packets, 100 ms
-//! epochs, slow-start threshold 32 packets per second.
+//! [`CoreliteConfig`] holds what an experiment varies; its defaults
+//! reproduce the paper's simulation setup (§4): `K1 = 1`, `β = 1`,
+//! 100 ms core epochs. The values no experiment varies are constants
+//! next to the code that reads them:
+//!
+//! * the source agents' `α`, slow-start threshold and doubling interval:
+//!   [`netsim::agent::ALPHA`], [`netsim::agent::SS_THRESH`] (32 pkt/s per
+//!   unit weight), [`netsim::agent::SLOW_START_INTERVAL`];
+//! * the congestion threshold `q_thresh` = 8 packets:
+//!   [`crate::congestion::Q_THRESH`];
+//! * the stateless selector's running-average gain:
+//!   [`crate::stateless::RUNNING_AVG_GAIN`];
+//! * the gateway's idle-restart gap: [`crate::gateway::IDLE_RESTART`];
+//! * the 1 KB packet in which a link's `μ` is counted:
+//!   [`netsim::packet::PACKET_SIZE`].
 
 use sim_core::time::SimDuration;
 
 use netsim::agent::AgentConfig;
 pub use netsim::agent::{AdaptationScheme, DecreasePolicy};
+
+use crate::detector::DetectorKind;
 
 /// The unit in which the link service rate `μ` enters the feedback-count
 /// formula (§3.1).
@@ -45,7 +59,9 @@ pub enum SelectorKind {
     Stateless,
 }
 
-/// Tunable parameters of the Corelite mechanisms.
+/// Tunable parameters of the Corelite mechanisms — the ones an
+/// experiment varies. The paper's fixed values are constants next to the
+/// code that reads them (see the [module docs](self)).
 ///
 /// Construct with [`CoreliteConfig::default`] for the paper's values and
 /// adjust fields builder-style:
@@ -61,8 +77,6 @@ pub struct CoreliteConfig {
     /// Marker spacing constant `K1`: a marker is piggybacked on every
     /// `N_w = K1·w` data packets (paper: 1).
     pub k1: u32,
-    /// The source agents' [`AgentConfig::alpha`].
-    pub alpha: f64,
     /// The source agents' [`AgentConfig::alpha_per_weight`].
     pub alpha_per_weight: bool,
     /// The source agents' [`AgentConfig::beta`].
@@ -80,9 +94,6 @@ pub struct CoreliteConfig {
     pub edge_epoch: SimDuration,
     /// Core congestion-detection epoch (paper: 100 ms).
     pub core_epoch: SimDuration,
-    /// Congestion threshold `q_thresh` on the average queue length, in
-    /// packets (paper: 8).
-    pub q_thresh: f64,
     /// The self-correcting cubic coefficient `k` in the feedback-count
     /// formula; 0 disables the correction term (§3.1).
     pub correction_k: f64,
@@ -90,31 +101,11 @@ pub struct CoreliteConfig {
     pub mu_unit: MuUnit,
     /// Congestion estimation module at core routers (§3.1 notes the
     /// module is replaceable; see [`crate::detector`]).
-    pub detector: crate::detector::DetectorKind,
-    /// The source agents' [`AgentConfig::ss_thresh`].
-    pub ss_thresh: f64,
-    /// The source agents' [`AgentConfig::ss_thresh_per_weight`].
-    pub ss_thresh_per_weight: bool,
+    pub detector: DetectorKind,
     /// The source agents' [`AgentConfig::initial_rate`].
     pub initial_rate: f64,
-    /// The source agents' [`AgentConfig::slow_start_interval`].
-    pub slow_start_interval: SimDuration,
-    /// Idle gap after which a gateway treats a flow as restarted: when no
-    /// packet of the flow has arrived for this long, the next arrival
-    /// re-enters slow-start with fresh agent state instead of
-    /// resuming a stale rate. Mid-path gateways receive no flow
-    /// activation events, so restart must be inferred from the arrival
-    /// process (default 2 s — several edge epochs, well above in-cloud
-    /// queueing delays).
-    pub idle_restart: SimDuration,
     /// Marker selection mechanism at core routers.
     pub selector: SelectorKind,
-    /// Exponential-average gain for the stateless selector's running
-    /// averages `r_av` and `w_av` (per observation / per epoch).
-    pub running_avg_gain: f64,
-    /// Reference packet size in bytes used to express a link's service
-    /// rate `μ` in packets per epoch (paper: fixed 1 KB packets).
-    pub reference_packet_size: u32,
 }
 
 impl Default for CoreliteConfig {
@@ -122,25 +113,17 @@ impl Default for CoreliteConfig {
         let agent = AgentConfig::default();
         CoreliteConfig {
             k1: 1,
-            alpha: agent.alpha,
             alpha_per_weight: agent.alpha_per_weight,
             beta: agent.beta,
             decrease: agent.decrease,
             adaptation: agent.adaptation,
             edge_epoch: SimDuration::from_millis(500),
             core_epoch: SimDuration::from_millis(100),
-            q_thresh: 8.0,
             correction_k: 0.005,
             mu_unit: MuUnit::PerEpoch,
-            detector: crate::detector::DetectorKind::Paper,
-            ss_thresh: agent.ss_thresh,
-            ss_thresh_per_weight: agent.ss_thresh_per_weight,
+            detector: DetectorKind::Paper,
             initial_rate: agent.initial_rate,
-            slow_start_interval: agent.slow_start_interval,
-            idle_restart: SimDuration::from_secs(2),
             selector: SelectorKind::Stateless,
-            running_avg_gain: 0.1,
-            reference_packet_size: 1000,
         }
     }
 }
@@ -160,14 +143,10 @@ impl CoreliteConfig {
     pub fn agent(&self) -> AgentConfig {
         AgentConfig {
             initial_rate: self.initial_rate,
-            alpha: self.alpha,
             alpha_per_weight: self.alpha_per_weight,
             beta: self.beta,
             decrease: self.decrease,
             adaptation: self.adaptation,
-            ss_thresh: self.ss_thresh,
-            ss_thresh_per_weight: self.ss_thresh_per_weight,
-            slow_start_interval: self.slow_start_interval,
         }
     }
 
@@ -195,29 +174,19 @@ impl CoreliteConfig {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive epochs, negative thresholds, or a zero `K1`.
+    /// Panics on non-positive epochs, a negative correction coefficient,
+    /// a zero `K1` or cache capacity, or out-of-range detector
+    /// parameters.
     pub fn validate(&self) {
         self.agent().validate();
         assert!(self.k1 > 0, "K1 must be positive");
         assert!(!self.edge_epoch.is_zero(), "edge epoch must be positive");
         assert!(!self.core_epoch.is_zero(), "core epoch must be positive");
-        assert!(self.q_thresh >= 0.0, "q_thresh must be non-negative");
         assert!(
             self.correction_k >= 0.0,
             "correction k must be non-negative"
         );
-        assert!(
-            !self.idle_restart.is_zero(),
-            "idle restart gap must be positive"
-        );
-        assert!(
-            self.running_avg_gain > 0.0 && self.running_avg_gain <= 1.0,
-            "running average gain must be in (0, 1]"
-        );
-        assert!(
-            self.reference_packet_size > 0,
-            "reference packet size must be positive"
-        );
+        self.detector.validate();
         if let SelectorKind::Cache { capacity } = self.selector {
             assert!(capacity > 0, "marker cache capacity must be positive");
         }
@@ -232,12 +201,9 @@ mod tests {
     fn defaults_match_paper() {
         let c = CoreliteConfig::default();
         assert_eq!(c.k1, 1);
-        assert_eq!(c.alpha, 1.0);
         assert_eq!(c.beta, 1.0);
         assert_eq!(c.edge_epoch, SimDuration::from_millis(500));
         assert_eq!(c.core_epoch, SimDuration::from_millis(100));
-        assert_eq!(c.q_thresh, 8.0);
-        assert_eq!(c.ss_thresh, 32.0);
         assert_eq!(c.agent(), AgentConfig::default());
         c.validate();
     }

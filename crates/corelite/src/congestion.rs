@@ -1,5 +1,11 @@
 //! Incipient congestion detection: how many markers to send back (§3.1).
 
+/// The congestion threshold `q_thresh` on a link's average queue, packets
+/// (paper: 8 of a 40-packet buffer): the paper detector and the
+/// [`FluidModel`](crate::fluid::FluidModel) feed it to
+/// [`marker_feedback_count`].
+pub const Q_THRESH: f64 = 8.0;
+
 /// Computes `F_n`, the number of marker notifications a core router must
 /// send back when incipient congestion is detected:
 ///

@@ -2,47 +2,28 @@
 //!
 //! The paper notes that *"the congestion estimation module can be
 //! replaced with no impact on the rest of the Corelite mechanisms"*
-//! (§3.1). This module makes that claim concrete: a
-//! [`CongestionDetector`] turns per-epoch queue observations into a
-//! marker feedback count `F_n`, and the core router is generic over it.
+//! (§3.1). This module makes that claim concrete: a [`DetectorKind`]
+//! turns one epoch's queue observations into a marker feedback count
+//! `F_n`, and the core router runs whichever one the configuration
+//! names. Three are provided:
 //!
-//! Three detectors are provided:
-//!
-//! * [`PaperDetector`] — the §3.1 formula (M/M/1 excess + cubic
+//! * [`DetectorKind::Paper`] — the §3.1 formula (M/M/1 excess + cubic
 //!   self-correction), the default.
-//! * [`RedDetector`] — an RED-inspired module (Floyd & Jacobson, cited as
-//!   \[9\]): exponentially weighted queue average with min/max thresholds
-//!   and a linear marking ramp.
-//! * [`DecbitDetector`] — a DECbit-inspired module (Jain & Ramakrishnan,
-//!   cited as \[7\]): congestion whenever the average queue reaches one
-//!   packet, feedback proportional to the queue.
+//! * [`DetectorKind::Red`] — an RED-inspired module (Floyd & Jacobson,
+//!   cited as \[9\]): exponentially weighted queue average with min/max
+//!   thresholds and a linear marking ramp.
+//! * [`DetectorKind::Decbit`] — a DECbit-inspired module (Jain &
+//!   Ramakrishnan, cited as \[7\]): congestion whenever the average queue
+//!   reaches one packet, feedback proportional to the queue.
 
 use crate::config::{CoreliteConfig, MuUnit};
-use crate::congestion::marker_feedback_count;
-
-/// Turns one congestion epoch's queue observations into the number of
-/// feedback markers `F_n` the core router should send for a link.
-///
-/// Implementations keep per-link state (they are constructed once per
-/// outgoing link) and must be deterministic.
-pub trait CongestionDetector: std::fmt::Debug {
-    /// Called once at the end of every congestion epoch.
-    ///
-    /// * `q_avg` — time-weighted average queue length over the epoch,
-    ///   packets;
-    /// * `mu_pps` — the link's service rate in packets per second;
-    /// * `epoch_secs` — the congestion epoch length in seconds.
-    ///
-    /// Returns `F_n ≥ 0` (fractional counts are rounded
-    /// expectation-preservingly by the router).
-    fn feedback_count(&mut self, q_avg: f64, mu_pps: f64, epoch_secs: f64) -> f64;
-}
+use crate::congestion::{marker_feedback_count, Q_THRESH};
 
 /// Which congestion estimation module core routers run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DetectorKind {
-    /// The paper's §3.1 formula with the thresholds from
-    /// [`CoreliteConfig`].
+    /// The paper's §3.1 formula with threshold [`Q_THRESH`] and the
+    /// [`CoreliteConfig`]'s `correction_k` and `mu_unit`.
     Paper,
     /// RED-style: EWMA queue average `avg ← (1−w_q)·avg + w_q·q_avg`,
     /// marking ramp between `min_thresh` and `max_thresh`.
@@ -70,14 +51,11 @@ pub enum DetectorKind {
 }
 
 impl DetectorKind {
-    /// Instantiates the detector for one link.
-    pub(crate) fn build(&self, cfg: &CoreliteConfig) -> Box<dyn CongestionDetector> {
+    /// Checks the detector's parameters (part of
+    /// [`CoreliteConfig::validate`]).
+    pub(crate) fn validate(&self) {
         match *self {
-            DetectorKind::Paper => Box::new(PaperDetector {
-                q_thresh: cfg.q_thresh,
-                correction_k: cfg.correction_k,
-                mu_unit: cfg.mu_unit,
-            }),
+            DetectorKind::Paper => {}
             DetectorKind::Red {
                 wq,
                 min_thresh,
@@ -90,75 +68,60 @@ impl DetectorKind {
                     "RED thresholds must satisfy 0 <= min < max"
                 );
                 assert!(max_p > 0.0, "RED max_p must be positive");
-                Box::new(RedDetector {
-                    wq,
-                    min_thresh,
-                    max_thresh,
-                    max_p,
-                    avg: 0.0,
-                })
             }
             DetectorKind::Decbit { threshold, gain } => {
                 assert!(threshold >= 0.0, "DECbit threshold must be non-negative");
                 assert!(gain > 0.0, "DECbit gain must be positive");
-                Box::new(DecbitDetector { threshold, gain })
             }
         }
     }
 }
 
-/// The paper's §3.1 congestion estimator.
-#[derive(Debug, Clone)]
-pub struct PaperDetector {
-    q_thresh: f64,
-    correction_k: f64,
-    mu_unit: MuUnit,
-}
-
-impl CongestionDetector for PaperDetector {
-    fn feedback_count(&mut self, q_avg: f64, mu_pps: f64, epoch_secs: f64) -> f64 {
-        let mu = match self.mu_unit {
-            MuUnit::PerEpoch => mu_pps * epoch_secs,
-            MuUnit::PerSecond => mu_pps,
-        };
-        marker_feedback_count(q_avg, self.q_thresh, mu, self.correction_k)
-    }
-}
-
-/// RED-inspired congestion estimator (see [`DetectorKind::Red`]).
-#[derive(Debug, Clone)]
-pub struct RedDetector {
-    wq: f64,
-    min_thresh: f64,
-    max_thresh: f64,
-    max_p: f64,
-    avg: f64,
-}
-
-impl CongestionDetector for RedDetector {
-    fn feedback_count(&mut self, q_avg: f64, mu_pps: f64, epoch_secs: f64) -> f64 {
-        self.avg = (1.0 - self.wq) * self.avg + self.wq * q_avg;
-        if self.avg <= self.min_thresh {
-            return 0.0;
+/// One congestion epoch of one link under `cfg.detector`: the number of
+/// feedback markers `F_n ≥ 0` to send (fractional counts are rounded
+/// expectation-preservingly by the router).
+///
+/// * `red_avg` — the link's RED queue average, which only
+///   [`DetectorKind::Red`] reads and updates (the other two are
+///   memoryless);
+/// * `q_avg` — time-weighted average queue length over the epoch,
+///   packets;
+/// * `mu_pps` — the link's service rate in packets per second;
+/// * `epoch_secs` — the congestion epoch length in seconds.
+pub(crate) fn feedback_count(
+    cfg: &CoreliteConfig,
+    red_avg: &mut f64,
+    q_avg: f64,
+    mu_pps: f64,
+    epoch_secs: f64,
+) -> f64 {
+    match cfg.detector {
+        DetectorKind::Paper => {
+            let mu = match cfg.mu_unit {
+                MuUnit::PerEpoch => mu_pps * epoch_secs,
+                MuUnit::PerSecond => mu_pps,
+            };
+            marker_feedback_count(q_avg, Q_THRESH, mu, cfg.correction_k)
         }
-        let ramp = ((self.avg - self.min_thresh) / (self.max_thresh - self.min_thresh)).min(1.0);
-        ramp * self.max_p * mu_pps * epoch_secs
-    }
-}
-
-/// DECbit-inspired congestion estimator (see [`DetectorKind::Decbit`]).
-#[derive(Debug, Clone)]
-pub struct DecbitDetector {
-    threshold: f64,
-    gain: f64,
-}
-
-impl CongestionDetector for DecbitDetector {
-    fn feedback_count(&mut self, q_avg: f64, _mu_pps: f64, _epoch_secs: f64) -> f64 {
-        if q_avg < self.threshold {
-            0.0
-        } else {
-            self.gain * (q_avg - self.threshold + 1.0)
+        DetectorKind::Red {
+            wq,
+            min_thresh,
+            max_thresh,
+            max_p,
+        } => {
+            *red_avg = (1.0 - wq) * *red_avg + wq * q_avg;
+            if *red_avg <= min_thresh {
+                return 0.0;
+            }
+            let ramp = ((*red_avg - min_thresh) / (max_thresh - min_thresh)).min(1.0);
+            ramp * max_p * mu_pps * epoch_secs
+        }
+        DetectorKind::Decbit { threshold, gain } => {
+            if q_avg < threshold {
+                0.0
+            } else {
+                gain * (q_avg - threshold + 1.0)
+            }
         }
     }
 }
@@ -166,32 +129,37 @@ impl CongestionDetector for DecbitDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::CoreliteCore;
 
-    fn cfg() -> CoreliteConfig {
-        CoreliteConfig::default()
+    fn with(detector: DetectorKind) -> CoreliteConfig {
+        CoreliteConfig {
+            detector,
+            ..CoreliteConfig::default()
+        }
     }
 
     #[test]
     fn paper_detector_matches_formula() {
-        let mut d = DetectorKind::Paper.build(&cfg());
-        let direct = marker_feedback_count(12.0, 8.0, 50.0, cfg().correction_k);
-        assert_eq!(d.feedback_count(12.0, 500.0, 0.1), direct);
-        assert_eq!(d.feedback_count(0.0, 500.0, 0.1), 0.0);
+        let cfg = CoreliteConfig::default();
+        let mut avg = 0.0;
+        let direct = marker_feedback_count(12.0, 8.0, 50.0, cfg.correction_k);
+        assert_eq!(feedback_count(&cfg, &mut avg, 12.0, 500.0, 0.1), direct);
+        assert_eq!(feedback_count(&cfg, &mut avg, 0.0, 500.0, 0.1), 0.0);
     }
 
     #[test]
     fn red_detector_ramps_between_thresholds() {
-        let kind = DetectorKind::Red {
+        let cfg = with(DetectorKind::Red {
             wq: 1.0, // no smoothing: avg = q_avg
             min_thresh: 5.0,
             max_thresh: 15.0,
             max_p: 0.1,
-        };
-        let mut d = kind.build(&cfg());
-        assert_eq!(d.feedback_count(4.0, 500.0, 0.1), 0.0);
-        let mid = d.feedback_count(10.0, 500.0, 0.1);
-        let full = d.feedback_count(15.0, 500.0, 0.1);
-        let beyond = d.feedback_count(40.0, 500.0, 0.1);
+        });
+        let mut avg = 0.0;
+        assert_eq!(feedback_count(&cfg, &mut avg, 4.0, 500.0, 0.1), 0.0);
+        let mid = feedback_count(&cfg, &mut avg, 10.0, 500.0, 0.1);
+        let full = feedback_count(&cfg, &mut avg, 15.0, 500.0, 0.1);
+        let beyond = feedback_count(&cfg, &mut avg, 40.0, 500.0, 0.1);
         assert!((mid - 0.5 * 0.1 * 50.0).abs() < 1e-9, "mid {mid}");
         assert!((full - 0.1 * 50.0).abs() < 1e-9, "full {full}");
         assert_eq!(full, beyond, "ramp saturates at max_p");
@@ -199,16 +167,16 @@ mod tests {
 
     #[test]
     fn red_detector_smooths_across_epochs() {
-        let kind = DetectorKind::Red {
+        let cfg = with(DetectorKind::Red {
             wq: 0.5,
             min_thresh: 5.0,
             max_thresh: 15.0,
             max_p: 0.1,
-        };
-        let mut d = kind.build(&cfg());
+        });
+        let mut avg = 0.0;
         // A single spiky epoch is damped by the EWMA.
-        let first = d.feedback_count(20.0, 500.0, 0.1); // avg = 10
-        let second = d.feedback_count(20.0, 500.0, 0.1); // avg = 15
+        let first = feedback_count(&cfg, &mut avg, 20.0, 500.0, 0.1); // avg = 10
+        let second = feedback_count(&cfg, &mut avg, 20.0, 500.0, 0.1); // avg = 15
         assert!(
             first < second,
             "EWMA should build up: {first} then {second}"
@@ -217,25 +185,27 @@ mod tests {
 
     #[test]
     fn decbit_detector_fires_at_one_packet() {
-        let kind = DetectorKind::Decbit {
+        let cfg = with(DetectorKind::Decbit {
             threshold: 1.0,
             gain: 2.0,
-        };
-        let mut d = kind.build(&cfg());
-        assert_eq!(d.feedback_count(0.5, 500.0, 0.1), 0.0);
-        assert_eq!(d.feedback_count(1.0, 500.0, 0.1), 2.0);
-        assert_eq!(d.feedback_count(3.0, 500.0, 0.1), 6.0);
+        });
+        let mut avg = 0.0;
+        assert_eq!(feedback_count(&cfg, &mut avg, 0.5, 500.0, 0.1), 0.0);
+        assert_eq!(feedback_count(&cfg, &mut avg, 1.0, 500.0, 0.1), 2.0);
+        assert_eq!(feedback_count(&cfg, &mut avg, 3.0, 500.0, 0.1), 6.0);
     }
 
+    /// An invalid detector is rejected when the core is built, not at its
+    /// first epoch.
     #[test]
     #[should_panic(expected = "thresholds")]
     fn red_rejects_inverted_thresholds() {
-        DetectorKind::Red {
+        let cfg = with(DetectorKind::Red {
             wq: 0.5,
             min_thresh: 10.0,
             max_thresh: 5.0,
             max_p: 0.1,
-        }
-        .build(&cfg());
+        });
+        CoreliteCore::new(0, cfg);
     }
 }

@@ -14,9 +14,11 @@
 //! arbitrary initial conditions, and by users to predict equilibria when
 //! designing weight/contract assignments.
 
+use netsim::agent::ALPHA;
+
 use crate::config::CoreliteConfig;
 use crate::config::MuUnit;
-use crate::congestion::marker_feedback_count;
+use crate::congestion::{marker_feedback_count, Q_THRESH};
 
 /// One flow in the fluid model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,8 +117,7 @@ impl FluidModel {
             MuUnit::PerEpoch => self.capacity * dt,
             MuUnit::PerSecond => self.capacity,
         };
-        let fn_count =
-            marker_feedback_count(self.queue, self.cfg.q_thresh, mu, self.cfg.correction_k);
+        let fn_count = marker_feedback_count(self.queue, Q_THRESH, mu, self.cfg.correction_k);
 
         // §3.2 in expectation: markers go only to flows whose normalized
         // excess is at or above the marker-weighted average, in proportion
@@ -135,7 +136,6 @@ impl FluidModel {
         };
         let eligible: f64 = excess.iter().filter(|&&x| x >= r_av).sum();
 
-        let alpha = self.cfg.alpha;
         let beta = self.cfg.beta;
         for (f, &x) in self.flows.iter_mut().zip(&excess) {
             if fn_count > 0.0 && eligible > 0.0 && x >= r_av {
@@ -143,9 +143,9 @@ impl FluidModel {
                 f.rate = (f.rate - beta * m).max(f.min_rate);
             } else {
                 let inc = if self.cfg.alpha_per_weight {
-                    alpha * f.weight
+                    ALPHA * f.weight
                 } else {
-                    alpha
+                    ALPHA
                 };
                 // The edge epoch is a multiple of the core epoch; scale the
                 // probe step to per-core-epoch units.

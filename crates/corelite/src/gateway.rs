@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use sim_core::time::SimTime;
+use sim_core::time::{SimDuration, SimTime};
 
 use netsim::agent::{AgentConfig, SourceAgent};
 use netsim::ids::FlowId;
@@ -39,6 +39,14 @@ use crate::config::CoreliteConfig;
 const TIMER_EPOCH: u32 = 1;
 const TIMER_EMIT: u32 = 2;
 
+/// Idle gap after which a gateway treats a flow as restarted: when no
+/// packet of the flow has arrived for this long, the next arrival
+/// re-enters slow-start with fresh agent state instead of resuming a
+/// stale rate. Mid-path gateways receive no flow activation events, so
+/// restart must be inferred from the arrival process; 2 s is several
+/// edge epochs, well above in-cloud queueing delays.
+pub const IDLE_RESTART: SimDuration = SimDuration::from_secs(2);
+
 #[derive(Debug)]
 struct GatewayFlow {
     /// The flow this state belongs to, generation included. A packet
@@ -49,7 +57,7 @@ struct GatewayFlow {
     agent: SourceAgent,
     buffer: VecDeque<Packet>,
     buffered_peak: usize,
-    /// Last data-packet arrival; a gap ≥ `idle_restart` means the flow
+    /// Last data-packet arrival; a gap ≥ [`IDLE_RESTART`] means the flow
     /// restarted (mid-path gateways see no flow activation events).
     last_arrival: SimTime,
     /// Last paced emission, if any; the emission due time is re-derived
@@ -66,10 +74,11 @@ impl GatewayFlow {
     }
 }
 
-/// Router logic for a Corelite inter-cloud gateway edge.
+/// Router logic for a Corelite inter-cloud gateway edge, built by
+/// [`CoreliteConfig::gateway`].
 ///
 /// Place it at the node where a flow leaves one Corelite cloud and enters
-/// the next; see the `two_clouds` integration test for a full topology.
+/// the next; see `examples/two_clouds.rs` for a full topology.
 #[derive(Debug)]
 pub struct CoreliteGateway {
     cfg: CoreliteConfig,
@@ -90,20 +99,20 @@ pub struct CoreliteGateway {
     buffer_drops: u64,
 }
 
-impl CoreliteGateway {
-    /// Creates gateway logic with a per-flow buffer of
+impl CoreliteConfig {
+    /// Logic for a Corelite inter-cloud gateway with a per-flow buffer of
     /// `buffer_capacity` packets.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`CoreliteConfig::validate`] or
+    /// Panics if the configuration fails [`CoreliteConfig::validate`] or
     /// `buffer_capacity` is zero.
-    pub fn new(_seed: u64, cfg: CoreliteConfig, buffer_capacity: usize) -> Self {
-        cfg.validate();
+    pub fn gateway(&self, buffer_capacity: usize) -> CoreliteGateway {
+        self.validate();
         assert!(buffer_capacity > 0, "gateway buffer must hold packets");
         CoreliteGateway {
-            agent: cfg.agent(),
-            cfg,
+            cfg: self.clone(),
+            agent: self.agent(),
             buffer_capacity,
             flows: DenseMap::new(),
             occupied: ActiveSet::new(),
@@ -113,7 +122,9 @@ impl CoreliteGateway {
             buffer_drops: 0,
         }
     }
+}
 
+impl CoreliteGateway {
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         let s = self.flows.get_mut(&flow).expect("gateway flow exists");
         if s.buffer.is_empty() || !s.agent.is_active() || s.agent.rate() <= 0.0 {
@@ -209,7 +220,7 @@ impl RouterLogic for CoreliteGateway {
         // A flow reappearing after a stop or a prolonged idle gap has
         // restarted: its stale rate no longer reflects the path, so it
         // begins a fresh slow-start like any new flow.
-        let idle = now.saturating_since(s.last_arrival) >= self.cfg.idle_restart;
+        let idle = now.saturating_since(s.last_arrival) >= IDLE_RESTART;
         if !s.agent.is_active() || idle {
             s.agent.start(agent_cfg, now, rtt);
             s.last_emit = None;
@@ -324,7 +335,7 @@ mod tests {
         let e = b.node("E", |_| Box::new(cfg.edge()));
         let a1 = b.node("A1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let a2 = b.node("A2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
-        let g = b.node("G", |s| Box::new(CoreliteGateway::new(s, cfg.clone(), 200)));
+        let g = b.node("G", |_| Box::new(cfg.gateway(200)));
         let b1 = b.node("B1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let b2 = b.node("B2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
         let x = b.node("X", |_| Box::new(ForwardLogic));
@@ -427,13 +438,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "buffer")]
     fn zero_buffer_rejected() {
-        CoreliteGateway::new(0, CoreliteConfig::default(), 0);
+        CoreliteConfig::default().gateway(0);
     }
 
     #[test]
     fn gateway_restarts_controller_after_idle_gap() {
         // The cross-cloud flow stops at t = 60 s and restarts at
-        // t = 100 s — a 40 s gap, far beyond `idle_restart`. The gateway
+        // t = 100 s — a 40 s gap, far beyond `IDLE_RESTART`. The gateway
         // must re-enter slow-start on the flow's return instead of
         // resuming (and further inflating) the stale pre-stop rate.
         use netsim::ids::NodeId;

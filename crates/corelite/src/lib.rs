@@ -82,7 +82,7 @@ pub use cache::MarkerCache;
 pub use cc::{gbn_edge, CoreliteCc};
 pub use config::{CoreliteConfig, DecreasePolicy, MuUnit, SelectorKind};
 pub use congestion::marker_feedback_count;
-pub use detector::{CongestionDetector, DetectorKind};
+pub use detector::DetectorKind;
 pub use fluid::FluidModel;
 pub use gateway::CoreliteGateway;
 pub use router::CoreliteCore;

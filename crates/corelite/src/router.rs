@@ -16,14 +16,14 @@ use sim_core::time::SimTime;
 
 use netsim::ids::LinkId;
 use netsim::logic::{Ctx, LogicReport, RouterLogic, TimerKind};
-use netsim::packet::Packet;
+use netsim::packet::{Packet, PACKET_SIZE};
 use netsim::slab::DenseMap;
 use netsim::telemetry::Sample;
 
 use crate::cache::MarkerCache;
 use crate::config::{CoreliteConfig, SelectorKind};
-use crate::detector::CongestionDetector;
-use crate::stateless::StatelessSelector;
+use crate::detector::feedback_count;
+use crate::stateless::{StatelessSelector, RUNNING_AVG_GAIN};
 
 const TIMER_EPOCH: u32 = 1;
 
@@ -36,7 +36,9 @@ enum Selector {
 #[derive(Debug)]
 struct LinkState {
     selector: Selector,
-    detector: Box<dyn CongestionDetector>,
+    /// The RED detector's queue average (see
+    /// [`DetectorKind::Red`](crate::detector::DetectorKind::Red)).
+    red_avg: f64,
 }
 
 /// Router logic for a Corelite core router.
@@ -81,12 +83,12 @@ impl CoreliteCore {
         let selector = match self.cfg.selector {
             SelectorKind::Cache { capacity } => Selector::Cache(MarkerCache::new(capacity)),
             SelectorKind::Stateless => {
-                Selector::Stateless(StatelessSelector::new(self.cfg.running_avg_gain))
+                Selector::Stateless(StatelessSelector::new(RUNNING_AVG_GAIN))
             }
         };
         LinkState {
             selector,
-            detector: self.cfg.detector.build(&self.cfg),
+            red_avg: 0.0,
         }
     }
 
@@ -97,12 +99,10 @@ impl CoreliteCore {
                 continue;
             }
             let q_avg = ctx.take_link_queue_average(link);
-            let mu_pps = ctx
-                .link_spec(link)
-                .service_rate_pps(self.cfg.reference_packet_size);
+            let mu_pps = ctx.link_spec(link).service_rate_pps(PACKET_SIZE);
             let epoch_secs = self.cfg.core_epoch.as_secs_f64();
             let state = self.links.get_mut(&link).expect("link state exists");
-            let fn_count = state.detector.feedback_count(q_avg, mu_pps, epoch_secs);
+            let fn_count = feedback_count(&self.cfg, &mut state.red_avg, q_avg, mu_pps, epoch_secs);
             assert!(
                 fn_count.is_finite() && fn_count >= 0.0,
                 "detector returned invalid feedback count {fn_count}"

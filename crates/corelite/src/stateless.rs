@@ -25,6 +25,10 @@ use sim_core::rng::DetRng;
 
 use netsim::packet::Marker;
 
+/// Exponential-average gain of the core routers' selectors for `r_av`
+/// (per marker) and `w_av` (per epoch).
+pub const RUNNING_AVG_GAIN: f64 = 0.1;
+
 /// Per-link state of the stateless selective feedback scheme.
 ///
 /// # Example

@@ -20,11 +20,18 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::LinkId;
 use netsim::logic::{Ctx, LogicReport, RouterLogic};
-use netsim::packet::Packet;
+use netsim::packet::{Packet, PACKET_SIZE};
 use netsim::slab::DenseMap;
 use netsim::telemetry::Sample;
 
-use crate::config::CsfqConfig;
+/// Averaging window `K_link` of a core link's aggregate arrival and
+/// accepted-rate estimates, and its fair-share update interval (paper:
+/// 100 ms).
+pub const K_LINK: SimDuration = SimDuration::from_millis(100);
+
+/// Multiplicative fair-share penalty applied when a packet arrives to a
+/// full queue (the ns implementation's buffer-overflow correction).
+pub const OVERFLOW_PENALTY: f64 = 0.99;
 
 /// The per-link fair-share estimation state of a CSFQ core router.
 #[derive(Debug, Clone)]
@@ -153,7 +160,6 @@ impl FairShareEstimator {
 /// dropping with no per-flow state.
 #[derive(Debug)]
 pub struct CsfqCore {
-    cfg: CsfqConfig,
     rng: DetRng,
     links: DenseMap<LinkId, FairShareEstimator>,
     policy_drops: u64,
@@ -161,16 +167,9 @@ pub struct CsfqCore {
 }
 
 impl CsfqCore {
-    /// Creates core logic with the given component `seed` and
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`CsfqConfig::validate`].
-    pub fn new(seed: u64, cfg: CsfqConfig) -> Self {
-        cfg.validate();
+    /// Creates core logic with the given component `seed`.
+    pub fn new(seed: u64) -> Self {
         CsfqCore {
-            cfg,
             rng: DetRng::new(seed),
             links: DenseMap::new(),
             policy_drops: 0,
@@ -188,9 +187,9 @@ impl RouterLogic for CsfqCore {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for link in ctx.outgoing_links() {
             let spec = ctx.link_spec(link);
-            let capacity = spec.service_rate_pps(self.cfg.reference_packet_size);
+            let capacity = spec.service_rate_pps(PACKET_SIZE);
             self.links
-                .insert(link, FairShareEstimator::new(capacity, self.cfg.k_link));
+                .insert(link, FairShareEstimator::new(capacity, K_LINK));
         }
     }
 
@@ -226,11 +225,10 @@ impl RouterLogic for CsfqCore {
         let new_label = est.on_accept(now, label);
         // Approaching buffer exhaustion means the estimate is too high.
         if ctx.link_queue_len(link) >= ctx.link_spec(link).queue_capacity {
-            let penalty = self.cfg.overflow_penalty;
             self.links
                 .get_mut(&link)
                 .expect("estimator exists")
-                .on_overflow(penalty);
+                .on_overflow(OVERFLOW_PENALTY);
         }
         packet.label = Some(new_label);
         self.forwarded += 1;
@@ -317,7 +315,7 @@ mod tests {
             est.on_accept(SimTime::from_micros(i * 500), 700.0);
         }
         let before = est.alpha().unwrap();
-        est.on_overflow(0.99);
+        est.on_overflow(OVERFLOW_PENALTY);
         assert!((est.alpha().unwrap() - before * 0.99).abs() < 1e-9);
     }
 

@@ -1,13 +1,23 @@
 //! The CSFQ edge: a [`netsim::agent::AgentEdge`] with a
 //! [`Stamp::Label`]. It labels every packet with its flow's
-//! exponentially averaged rate (`K = 100 ms`) divided by the weight, and
+//! exponentially averaged rate ([`K_FLOW`]) divided by the weight, and
 //! runs the paper's §4 source agent — the same one as Corelite's edges —
 //! with a packet *loss* as the congestion indication: each loss in an
 //! epoch takes `β` off the rate.
 
+use sim_core::time::SimDuration;
+
 use netsim::agent::{AgentEdge, Stamp};
 
 use crate::config::CsfqConfig;
+
+/// Time constant `K` of the edge's per-flow rate estimate (paper:
+/// 100 ms).
+pub const K_FLOW: SimDuration = SimDuration::from_millis(100);
+
+/// Source-agent adaptation epoch: the Corelite edges' 500 ms default, per
+/// §4's "similar rate adaptation schemes".
+pub const EDGE_EPOCH: SimDuration = SimDuration::from_millis(500);
 
 impl CsfqConfig {
     /// Logic for a CSFQ (ingress) edge router plus the paper's source
@@ -18,10 +28,8 @@ impl CsfqConfig {
     /// Panics if the configuration fails [`CsfqConfig::validate`].
     pub fn edge(&self) -> AgentEdge {
         self.validate();
-        let stamp = Stamp::Label {
-            k_flow: self.k_flow,
-        };
-        AgentEdge::new(self.agent(), self.edge_epoch, stamp)
+        let stamp = Stamp::Label { k_flow: K_FLOW };
+        AgentEdge::new(self.agent(), EDGE_EPOCH, stamp)
     }
 }
 
@@ -35,7 +43,7 @@ mod tests {
     use netsim::topology::TopologyBuilder;
     use netsim::FlowId;
     use netsim::SimReport;
-    use sim_core::time::{SimDuration, SimTime};
+    use sim_core::time::SimTime;
 
     /// Two flows (weights `w1`, `w2`) share one 500 pkt/s bottleneck.
     fn bottleneck_scenario(w1: u32, w2: u32, end: SimTime) -> SimReport {
@@ -43,7 +51,7 @@ mod tests {
         let mut b = TopologyBuilder::new(23);
         let e1 = b.node("edge1", |_| Box::new(cfg.edge()));
         let e2 = b.node("edge2", |_| Box::new(cfg.edge()));
-        let core = b.node("core", |s| Box::new(CsfqCore::new(s, cfg.clone())));
+        let core = b.node("core", |s| Box::new(CsfqCore::new(s)));
         let sink = b.node("sink", |_| Box::new(ForwardLogic));
         let access = LinkSpec::new(40_000_000, SimDuration::from_millis(1), 400);
         b.link(e1, core, access);

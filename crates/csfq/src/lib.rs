@@ -34,7 +34,7 @@
 //! let cfg = CsfqConfig::default();
 //! let mut b = TopologyBuilder::new(17);
 //! let edge = b.node("edge", |_| Box::new(cfg.edge()));
-//! let core = b.node("core", |s| Box::new(CsfqCore::new(s, cfg.clone())));
+//! let core = b.node("core", |s| Box::new(CsfqCore::new(s)));
 //! let sink = b.node("sink", |_| Box::new(ForwardLogic));
 //! b.link(edge, core, LinkSpec::new(40_000_000, SimDuration::from_millis(1), 400));
 //! b.link(core, sink, LinkSpec::new(4_000_000, SimDuration::from_millis(10), 40));

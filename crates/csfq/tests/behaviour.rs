@@ -13,7 +13,7 @@ fn run(horizon: u64, activations: Vec<(u64, Option<u64>)>) -> SimReport {
     let cfg = CsfqConfig::default();
     let mut b = TopologyBuilder::new(91);
     let edge = b.node("edge", |_| Box::new(cfg.edge()));
-    let core = b.node("core", |s| Box::new(CsfqCore::new(s, cfg.clone())));
+    let core = b.node("core", |s| Box::new(CsfqCore::new(s)));
     let sink = b.node("sink", |_| Box::new(ForwardLogic));
     b.link(
         edge,

@@ -141,11 +141,6 @@ impl IncrementalMaxMin {
         self.active
     }
 
-    /// One past the largest member-slot index in use.
-    pub fn slot_bound(&self) -> usize {
-        self.members.len()
-    }
-
     /// A flow joins: weight `weight`, minimum-rate contract `floor`
     /// (0 for best effort), crossing `links`. O(|links|).
     ///

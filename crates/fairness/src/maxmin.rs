@@ -130,11 +130,6 @@ impl MaxMinProblem {
         FlowRef(self.flows.len() - 1)
     }
 
-    /// Number of flows added so far.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Solves the problem, returning the unique weighted max-min fair rate
     /// vector (honouring minimum rate contracts, if any).
     ///

@@ -131,24 +131,6 @@ pub fn convergence_time(series: &TimeSeries, spec: &ConvergenceSpec) -> Option<S
     }
 }
 
-/// Mean of the final values of each series over the window `[from, to)`,
-/// grouped by weight class. Returns `(weight, mean_rate)` pairs sorted by
-/// weight — the per-class summary printed in EXPERIMENTS.md.
-pub fn class_means(series: &[(&TimeSeries, u32)], from: SimTime, to: SimTime) -> Vec<(u32, f64)> {
-    use std::collections::BTreeMap;
-    let mut acc: BTreeMap<u32, (f64, usize)> = BTreeMap::new();
-    for (s, w) in series {
-        if let Some(mean) = s.mean_in(from, to) {
-            let e = acc.entry(*w).or_insert((0.0, 0));
-            e.0 += mean;
-            e.1 += 1;
-        }
-    }
-    acc.into_iter()
-        .map(|(w, (sum, n))| (w, sum / n as f64))
-        .collect()
-}
-
 /// Computes the weighted Jain index over time: for consecutive windows of
 /// width `window`, the index of the flows' mean rates within that window
 /// (flows with no samples in a window are skipped for it).
@@ -405,18 +387,5 @@ mod tests {
         let rep = settling_report(&never, 100.0, 0.1, SimDuration::from_secs(5));
         assert_eq!(rep.settling_time, None);
         assert_eq!(rep.oscillation, None);
-    }
-
-    #[test]
-    fn class_means_group_by_weight() {
-        let a = step_series(&[(0.0, 24.0), (1.0, 26.0)]);
-        let b = step_series(&[(0.0, 50.0), (1.0, 50.0)]);
-        let c = step_series(&[(0.0, 49.0), (1.0, 51.0)]);
-        let out = class_means(&[(&a, 1), (&b, 2), (&c, 2)], t(0.0), t(2.0));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 1);
-        assert!((out[0].1 - 25.0).abs() < 1e-12);
-        assert_eq!(out[1].0, 2);
-        assert!((out[1].1 - 50.0).abs() < 1e-12);
     }
 }

@@ -78,15 +78,27 @@ pub enum AdaptationScheme {
     WindowAimd,
 }
 
+/// Linear increase step `α`, packets per second per silent epoch (paper:
+/// 1), scaled by the flow's weight under
+/// [`AgentConfig::alpha_per_weight`].
+pub const ALPHA: f64 = 1.0;
+
+/// Slow-start threshold, packets per second per unit weight (paper: 32):
+/// a flow above it ends slow-start with a halving. Per unit weight, so
+/// high-weight flows ride slow-start until near their larger fair share,
+/// as §4.2 describes.
+pub const SS_THRESH: f64 = 32.0;
+
+/// Slow-start doubling interval (paper: every second).
+pub const SLOW_START_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// The agent's parameters. [`Default`] gives the paper's §4 values,
-/// which Corelite and CSFQ share.
+/// which Corelite and CSFQ share; the ones no experiment varies are the
+/// constants [`ALPHA`], [`SS_THRESH`] and [`SLOW_START_INTERVAL`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentConfig {
     /// Rate of a newly started flow, packets per second (paper: 1).
     pub initial_rate: f64,
-    /// Linear increase step `α`, packets per second per silent epoch
-    /// (paper: 1).
-    pub alpha: f64,
     /// Whether the increase scales with the flow's weight (`α·w`).
     /// Feedback trims every flow in proportion to its normalized rate,
     /// so scaling the probe step too keeps the relative oscillation
@@ -101,29 +113,16 @@ pub struct AgentConfig {
     pub decrease: DecreasePolicy,
     /// The rate-control algorithm.
     pub adaptation: AdaptationScheme,
-    /// Slow-start threshold, packets per second (paper: 32): a flow
-    /// above it ends slow-start with a halving. Per unit weight by
-    /// default, so high-weight flows ride slow-start until near their
-    /// larger fair share, as §4.2 describes.
-    pub ss_thresh: f64,
-    /// Whether `ss_thresh` is per unit weight (on).
-    pub ss_thresh_per_weight: bool,
-    /// Slow-start doubling interval (paper: every second).
-    pub slow_start_interval: SimDuration,
 }
 
 impl Default for AgentConfig {
     fn default() -> Self {
         AgentConfig {
             initial_rate: 1.0,
-            alpha: 1.0,
             alpha_per_weight: false,
             beta: 1.0,
             decrease: DecreasePolicy::Absolute,
             adaptation: AdaptationScheme::RateLimd,
-            ss_thresh: 32.0,
-            ss_thresh_per_weight: true,
-            slow_start_interval: SimDuration::from_secs(1),
         }
     }
 }
@@ -133,9 +132,8 @@ impl AgentConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive `α`, `β` or initial rate.
+    /// Panics on a non-positive `β` or initial rate.
     pub fn validate(&self) {
-        assert!(self.alpha > 0.0, "alpha must be positive");
         assert!(self.beta > 0.0, "beta must be positive");
         assert!(self.initial_rate > 0.0, "initial rate must be positive");
     }
@@ -444,12 +442,12 @@ impl SourceAgent {
                     self.phase = Phase::Linear;
                 } else {
                     match self.phase {
-                        Phase::SlowStart => self.try_double(cfg, now),
+                        Phase::SlowStart => self.try_double(now),
                         Phase::Linear => {
                             self.rate += if cfg.alpha_per_weight {
-                                cfg.alpha * self.weight as f64
+                                ALPHA * self.weight as f64
                             } else {
-                                cfg.alpha
+                                ALPHA
                             };
                         }
                     }
@@ -461,7 +459,7 @@ impl SourceAgent {
                     self.phase = Phase::Linear;
                 } else {
                     match self.phase {
-                        Phase::SlowStart => self.try_double_window(cfg, now),
+                        Phase::SlowStart => self.try_double_window(now),
                         Phase::Linear => self.cwnd += 1.0,
                     }
                 }
@@ -489,30 +487,27 @@ impl SourceAgent {
         }
     }
 
-    fn ss_thresh(&self, cfg: &AgentConfig) -> f64 {
-        if cfg.ss_thresh_per_weight {
-            cfg.ss_thresh * self.weight as f64
-        } else {
-            cfg.ss_thresh
-        }
+    /// The flow's slow-start threshold, [`SS_THRESH`]`·w`.
+    fn ss_thresh(&self) -> f64 {
+        SS_THRESH * self.weight as f64
     }
 
-    fn try_double(&mut self, cfg: &AgentConfig, now: SimTime) {
-        if now.saturating_since(self.last_double) >= cfg.slow_start_interval {
+    fn try_double(&mut self, now: SimTime) {
+        if now.saturating_since(self.last_double) >= SLOW_START_INTERVAL {
             self.rate *= 2.0;
             self.last_double = now;
-            if self.rate > self.ss_thresh(cfg) {
+            if self.rate > self.ss_thresh() {
                 self.rate /= 2.0;
                 self.phase = Phase::Linear;
             }
         }
     }
 
-    fn try_double_window(&mut self, cfg: &AgentConfig, now: SimTime) {
-        if now.saturating_since(self.last_double) >= cfg.slow_start_interval {
+    fn try_double_window(&mut self, now: SimTime) {
+        if now.saturating_since(self.last_double) >= SLOW_START_INTERVAL {
             self.cwnd *= 2.0;
             self.last_double = now;
-            if self.cwnd / self.rtt > self.ss_thresh(cfg) {
+            if self.cwnd / self.rtt > self.ss_thresh() {
                 self.cwnd /= 2.0;
                 self.phase = Phase::Linear;
             }

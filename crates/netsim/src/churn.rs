@@ -31,7 +31,6 @@ pub struct ChurnSpec {
     pub(crate) mean_size_pkts: f64,
     pub(crate) pareto_shape: f64,
     pub(crate) nominal_rate_pps: f64,
-    pub(crate) packet_size: u32,
     pub(crate) start: SimTime,
     pub(crate) stop: SimTime,
     pub(crate) linger: SimDuration,
@@ -41,7 +40,8 @@ pub struct ChurnSpec {
 
 impl ChurnSpec {
     /// Creates a churn process: `arrival_rate` flows per second, each
-    /// drawing a Pareto size with the given mean (in packets) and sending
+    /// drawing a Pareto size with the given mean (in
+    /// [`PACKET_SIZE`](crate::packet::PACKET_SIZE) packets) and sending
     /// at `nominal_rate_pps` while alive. Add at least one route with
     /// [`route`](ChurnSpec::route) and set the arrival window with
     /// [`window`](ChurnSpec::window) before building.
@@ -67,7 +67,6 @@ impl ChurnSpec {
             mean_size_pkts,
             pareto_shape: 1.8,
             nominal_rate_pps,
-            packet_size: 1000,
             start: SimTime::ZERO,
             stop: SimTime::ZERO,
             linger: SimDuration::from_secs(1),
@@ -139,17 +138,6 @@ impl ChurnSpec {
     /// receives packets from its previous occupant.
     pub fn linger(mut self, linger: SimDuration) -> Self {
         self.linger = linger;
-        self
-    }
-
-    /// Sets the packet size of churn flows in bytes (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn packet_size(mut self, size: u32) -> Self {
-        assert!(size > 0, "packet size must be positive");
-        self.packet_size = size;
         self
     }
 
@@ -371,10 +359,6 @@ impl ChurnState {
             cohorts,
             spec,
         }
-    }
-
-    pub(crate) fn packet_size(&self) -> u32 {
-        self.spec.packet_size
     }
 
     pub(crate) fn linger(&self) -> SimDuration {

@@ -5,6 +5,7 @@ use std::rc::Rc;
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::ids::{FlowId, LinkId, NodeId};
+use crate::packet::PACKET_SIZE;
 
 /// Which sender drives a flow at its ingress edge.
 ///
@@ -55,8 +56,8 @@ pub struct FlowSpec {
 }
 
 impl FlowSpec {
-    /// Creates a flow over `path` with rate weight `weight`, 1 KB packets
-    /// (the paper's fixed packet size) and no activations yet.
+    /// Creates a flow over `path` with rate weight `weight`,
+    /// [`PACKET_SIZE`] packets and no activations yet.
     ///
     /// # Panics
     ///
@@ -67,7 +68,7 @@ impl FlowSpec {
         FlowSpec {
             path,
             weight,
-            packet_size: 1000,
+            packet_size: PACKET_SIZE,
             min_rate: 0.0,
             activations: Vec::new(),
             transport: Transport::default(),
@@ -379,7 +380,7 @@ mod tests {
         FlowInfo::new(
             FlowId::from_index(0),
             1,
-            1000,
+            PACKET_SIZE,
             0.0,
             Rc::new([
                 hop(0, Some(LinkId(10)), 0),

@@ -10,7 +10,7 @@ use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::Link;
 use crate::logic::{ControlMsg, Ctx, DropReason, RouterLogic, TimerKind};
 use crate::monitor::{FlowMonitor, LinkReport, SimReport};
-use crate::packet::Packet;
+use crate::packet::{Packet, PACKET_SIZE};
 use crate::telemetry::Probe;
 use crate::trace::{FaultKind, TraceEvent, Tracer};
 
@@ -753,7 +753,6 @@ impl Engine {
         let now = self.now;
         let churn = self.churn.as_mut().expect("ChurnArrival without churn");
         let plan = churn.plan_arrival(now);
-        let packet_size = churn.packet_size();
         let linger = churn.linger();
         let route = Rc::clone(churn.route(plan.route));
         if let Some(next) = plan.next_arrival {
@@ -765,7 +764,7 @@ impl Engine {
             // simlint: allow(hot-alloc) a fresh slot extends every table; a recycled one (below) reuses its own
             let window = vec![(now, Some(plan.stop))];
             self.flows
-                .push(FlowInfo::new(id, plan.weight, packet_size, 0.0, route, window).transient());
+                .push(FlowInfo::new(id, plan.weight, PACKET_SIZE, 0.0, route, window).transient());
             self.monitors.push(FlowMonitor::new(now, self.window));
             self.lifecycle_started.push(None);
             self.rx_next.push(0);

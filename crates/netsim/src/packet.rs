@@ -4,6 +4,12 @@ use sim_core::time::SimTime;
 
 use crate::ids::{FlowId, NodeId, PacketId};
 
+/// The paper's fixed packet size, bytes (§4: 1 KB packets throughout):
+/// every flow's default and every churn flow's size, and the unit in
+/// which Corelite and CSFQ cores turn a link's bandwidth into packets per
+/// second.
+pub const PACKET_SIZE: u32 = 1000;
+
 /// A Corelite marker, logically distinct from — but physically piggybacked
 /// on — a data packet.
 ///

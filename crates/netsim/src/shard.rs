@@ -35,7 +35,7 @@
 //! loop:               run_until(end); exchange; stop when nothing moved
 //! ```
 //!
-//! [`run_before`](Network::run_before) executes *strictly* before the
+//! `run_before` executes *strictly* before the
 //! boundary because events at exactly `t + L` may still arrive from a
 //! peer at the next exchange. The drain loop settles events scheduled at
 //! or beyond the last boundary; each round every shard processes what it
@@ -72,7 +72,7 @@
 //!
 //! Every event carries a canonical key assigned at *push* time from the
 //! pushing site's private counter (see
-//! [`KEY_SITE_SHIFT`](crate::network::KEY_SITE_SHIFT)), and both engines
+//! `network::KEY_SITE_SHIFT`), and both engines
 //! pop in `(time, key)` order. Sites are replicated deterministically:
 //! a shard runs the *same* pushes for the nodes it owns as the serial
 //! engine does, in the same order, so the same logical event gets the

@@ -203,36 +203,35 @@ impl CongestionControl for Reno {
     }
 }
 
-/// Configuration for the [`GbnSender`].
+/// Lower clamp of the go-back-N sender's retransmission timeout.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(50);
+/// Upper clamp of the retransmission timeout (the backoff ceiling).
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(10);
+/// Duplicate-ack count that triggers a fast retransmit.
+pub const DUPACK_THRESHOLD: u32 = 3;
+/// Hard cap on a flow's outstanding window, packets.
+pub const MAX_WINDOW: u32 = 1 << 14;
+
+/// Configuration for the [`GbnSender`]; its RTO clamps, fast-retransmit
+/// threshold and window cap are the constants [`MIN_RTO`], [`MAX_RTO`],
+/// [`DUPACK_THRESHOLD`] and [`MAX_WINDOW`].
 #[derive(Debug, Clone)]
 pub struct GbnConfig {
     /// Congestion-control epoch tick interval (drives
     /// [`CongestionControl::on_epoch`]).
     pub epoch: SimDuration,
-    /// Lower RTO clamp.
-    pub min_rto: SimDuration,
-    /// Upper RTO clamp (backoff ceiling).
-    pub max_rto: SimDuration,
     /// Corelite marker cadence `K1`: when `Some`, every `K1·w`-th
     /// first-transmission packet of a weight-`w` flow carries a marker
     /// with the flow's normalized rate `rate/w`. `None` disables
     /// marking (plain best-effort go-back-N).
     pub marker_spacing: Option<u32>,
-    /// Duplicate-ack count that triggers a fast retransmit.
-    pub dupack_threshold: u32,
-    /// Hard cap on the outstanding window, packets.
-    pub max_window: u32,
 }
 
 impl Default for GbnConfig {
     fn default() -> Self {
         GbnConfig {
             epoch: SimDuration::from_millis(100),
-            min_rto: SimDuration::from_millis(50),
-            max_rto: SimDuration::from_secs(10),
             marker_spacing: None,
-            dupack_threshold: 3,
-            max_window: 1 << 14,
         }
     }
 }
@@ -321,7 +320,7 @@ impl GbnSender {
     fn pump(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         let node = ctx.node();
         let now = ctx.now();
-        let max_window = self.cfg.max_window as u64;
+        let max_window = MAX_WINDOW as u64;
         let mut marked = 0u64;
         let Some(s) = self.flows.get_mut(&flow) else {
             return;
@@ -432,7 +431,7 @@ impl GbnSender {
             self.pump(ctx, flow);
         } else {
             s.dup_acks += 1;
-            if s.dup_acks >= self.cfg.dupack_threshold && s.snd_una < s.snd_nxt {
+            if s.dup_acks >= DUPACK_THRESHOLD && s.snd_una < s.snd_nxt {
                 let was_counted = s.dup_acks;
                 if self.signal(now, flow) {
                     self.fast_retransmits += 1;
@@ -530,11 +529,7 @@ impl RouterLogic for GbnSender {
             flow,
             GbnFlow {
                 cc,
-                est: RttEstimator::new(
-                    base_rtt,
-                    self.cfg.min_rto.as_secs_f64(),
-                    self.cfg.max_rto.as_secs_f64(),
-                ),
+                est: RttEstimator::new(base_rtt, MIN_RTO.as_secs_f64(), MAX_RTO.as_secs_f64()),
                 snd_una: 0,
                 snd_nxt: 0,
                 sent: VecDeque::new(),

@@ -60,10 +60,7 @@ fn main() {
         initial_rate: 25.0,
         ..CoreliteConfig::default()
     };
-    let csfq_config = CsfqConfig {
-        initial_rate: 25.0,
-        ..CsfqConfig::default()
-    };
+    let csfq_config = CsfqConfig { initial_rate: 25.0 };
     let registry: Vec<Box<dyn Discipline>> = vec![
         Box::new(Corelite::new(corelite_config)),
         Box::new(Csfq::new(csfq_config)),

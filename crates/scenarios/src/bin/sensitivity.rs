@@ -32,6 +32,7 @@ fn main() {
     );
     println!("| scenario | discipline | Jain (mean ± std) | drops (mean ± std) | mean settle s (mean ± std) |");
     println!("|---|---|---|---|---|");
+    let (mut corelite_drops, mut csfq_drops) = (f64::NAN, f64::NAN);
     for (label, figure) in [
         ("fig5_6 §4.2", PaperFigure::Fig5),
         ("fig5_6 §4.2", PaperFigure::Fig6),
@@ -61,6 +62,11 @@ fn main() {
         let (jm, js) = mean_std(samples.iter().map(|s| s.jain));
         let (dm, ds) = mean_std(samples.iter().map(|s| s.drops));
         let (sm, ss) = mean_std(samples.iter().map(|s| s.settle));
+        match figure {
+            PaperFigure::Fig5 => corelite_drops = dm,
+            PaperFigure::Fig6 => csfq_drops = dm,
+            _ => {}
+        }
         println!(
             "| {label} | {} | {jm:.4} ± {js:.4} | {dm:.0} ± {ds:.0} | {sm:.1} ± {ss:.1} |",
             discipline.name()
@@ -74,8 +80,6 @@ fn main() {
     );
 
     // Guard: the binary fails loudly if the headline conclusion flips.
-    let corelite_drops = mean_of(PaperFigure::Fig5, &seeds, serial);
-    let csfq_drops = mean_of(PaperFigure::Fig6, &seeds, serial);
     assert!(
         corelite_drops * 10.0 < csfq_drops,
         "drop asymmetry violated: corelite {corelite_drops}, csfq {csfq_drops}"
@@ -94,14 +98,6 @@ where
     } else {
         run_parallel(jobs, work)
     }
-}
-
-fn mean_of(figure: PaperFigure, seeds: &[u64], serial: bool) -> f64 {
-    let discipline = figure.discipline();
-    let drops = sweep(serial, seeds.to_vec(), |seed| {
-        fig5_6(seed).run(discipline.as_ref()).total_drops() as f64
-    });
-    drops.iter().sum::<f64>() / seeds.len() as f64
 }
 
 fn mean_std(values: impl Iterator<Item = f64>) -> (f64, f64) {

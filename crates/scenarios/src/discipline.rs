@@ -18,7 +18,7 @@
 //!   values of one open-loop shape, constant-rate sources over RED, FRED,
 //!   or plain FIFO cores.
 
-use baselines::{FifoCore, FredConfig, FredCore, GreedySource, RedConfig, RedCore};
+use baselines::{FifoCore, FredCore, GreedySource, RedCore};
 use corelite::{CoreliteConfig, CoreliteCore};
 use csfq::{CsfqConfig, CsfqCore};
 use netsim::logic::{ForwardLogic, RouterLogic};
@@ -113,7 +113,7 @@ impl Discipline for Corelite {
 /// The weighted CSFQ baseline (SIGCOMM '98).
 #[derive(Debug, Clone, Default)]
 pub struct Csfq {
-    /// Estimator configuration shared by every edge and core.
+    /// The edges' configuration.
     pub config: CsfqConfig,
 }
 
@@ -130,7 +130,7 @@ impl Discipline for Csfq {
     }
 
     fn core_logic(&self, seed: u64) -> Box<dyn RouterLogic> {
-        Box::new(CsfqCore::new(seed, self.config.clone()))
+        Box::new(CsfqCore::new(seed))
     }
 
     fn edge_logic(&self, _seed: u64, _flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
@@ -190,7 +190,7 @@ impl Discipline for OpenLoop {
 /// §5 argument for why AQM alone cannot provide weighted fairness.
 const RED: OpenLoop = OpenLoop {
     name: "red",
-    core: |seed| Box::new(RedCore::new(seed, RedConfig::default())),
+    core: |seed| Box::new(RedCore::new(seed)),
     pps: GREEDY_SOURCE_PPS,
     weighted: false,
 };
@@ -199,7 +199,7 @@ const RED: OpenLoop = OpenLoop {
 /// protects low-rate flows but the shares are unweighted.
 const FRED: OpenLoop = OpenLoop {
     name: "fred",
-    core: |seed| Box::new(FredCore::new(seed, FredConfig::default())),
+    core: |seed| Box::new(FredCore::new(seed)),
     pps: GREEDY_SOURCE_PPS,
     weighted: false,
 };

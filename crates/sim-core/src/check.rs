@@ -1,7 +1,7 @@
 //! A minimal randomized property-testing harness.
 //!
 //! A drop-in replacement for the subset of `proptest` this workspace used,
-//! built on [`DetRng`](crate::rng::DetRng) so it needs no external crates
+//! built on [`DetRng`] so it needs no external crates
 //! and every failure is reproducible from the printed `(seed, case)` pair.
 //!
 //! ```

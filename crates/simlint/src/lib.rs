@@ -19,7 +19,7 @@
 //! 2. **parse** ([`parser`]) — a lightweight item parser recovering
 //!    `use` declarations, `impl`/`trait` context, brace-matched `fn`
 //!    bodies with their call expressions, and `DetRng` stream labels;
-//! 3. **graph** ([`graph`] + [`taint`]) — a workspace call graph with
+//! 3. **graph** ([`graph`] + `taint`) — a workspace call graph with
 //!    dependency-scoped name resolution, walked from the replay-path
 //!    roots for the taint rules and the RNG stream-hygiene rule.
 //!

@@ -17,7 +17,7 @@
 //! cargo run --release -p scenarios --example two_clouds
 //! ```
 
-use corelite::{CoreliteConfig, CoreliteCore, CoreliteGateway};
+use corelite::{CoreliteConfig, CoreliteCore};
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::ForwardLogic;
@@ -32,7 +32,7 @@ fn main() {
     let e = b.node("E", |_| Box::new(cfg.edge()));
     let a1 = b.node("A1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let a2 = b.node("A2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
-    let g = b.node("G", |s| Box::new(CoreliteGateway::new(s, cfg.clone(), 200)));
+    let g = b.node("G", |_| Box::new(cfg.gateway(200)));
     let b1 = b.node("B1", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let b2 = b.node("B2", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
     let x = b.node("X", |_| Box::new(ForwardLogic));

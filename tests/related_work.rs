@@ -3,7 +3,7 @@
 //! offered load, not the rate weights — while Corelite delivers the
 //! weighted allocation for the same flow population.
 
-use baselines::{GreedySource, RedConfig, RedCore};
+use baselines::{GreedySource, RedCore};
 use corelite::{CoreliteConfig, CoreliteCore};
 use fairness::metrics::jain_index;
 use netsim::flow::FlowSpec;
@@ -32,7 +32,7 @@ fn red_run(offered: [f64; 3]) -> SimReport {
             Box::new(GreedySource::new(rate))
         }));
     }
-    let red = b.node("red", |s| Box::new(RedCore::new(s, RedConfig::default())));
+    let red = b.node("red", |s| Box::new(RedCore::new(s)));
     let sink = b.node("sink", |_| Box::new(ForwardLogic));
     for &e in &edges {
         b.link(e, red, access());
