@@ -20,6 +20,7 @@
 //! rates, while Corelite does.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod fred;
 pub mod greedy;

@@ -24,6 +24,7 @@
 //! Relative paths are anchored at the workspace root, not `crates/bench`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod json;
 
@@ -93,7 +94,10 @@ impl Runner {
         // wall-clock time is the measurement itself; nothing simulated
         // depends on it, so deterministic replay is unaffected.
         let (mut events, mut per_shard) = black_box(f());
-        // simlint: allow(wall-clock)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock time is the measurement"
+        )]
         let t = Instant::now();
         for _ in 0..self.iters {
             (events, per_shard) = black_box(f());

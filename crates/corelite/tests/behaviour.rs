@@ -2,6 +2,8 @@
 //! selector equivalence at equilibrium, feedback addressing, and epoch
 //! independence of the congestion machinery.
 
+#![allow(clippy::float_cmp)]
+
 use corelite::{CoreliteConfig, CoreliteCore, SelectorKind};
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;

@@ -2,6 +2,8 @@
 //! feedback-count formula, the marker cache, and the stateless selective
 //! selector.
 
+#![allow(clippy::float_cmp)]
+
 use corelite::congestion::marker_feedback_count;
 use corelite::{MarkerCache, StatelessSelector};
 use netsim::packet::Marker;

@@ -46,6 +46,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod config;
 pub mod core;

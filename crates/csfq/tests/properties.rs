@@ -1,5 +1,7 @@
 //! Randomized property tests for the CSFQ estimators.
 
+#![allow(clippy::float_cmp)]
+
 use csfq::FairShareEstimator;
 use sim_core::check;
 use sim_core::stats::ExpAvg;

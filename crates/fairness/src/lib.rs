@@ -19,6 +19,7 @@
 //!   EXPERIMENTS.md tables.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod incremental;
 pub mod maxmin;

@@ -300,6 +300,10 @@ impl SourceAgent {
     }
 
     /// The gap between packets at the current rate.
+    #[expect(
+        clippy::float_cmp,
+        reason = "a memo key: recompute only when the rate is not bit-for-bit the cached one"
+    )]
     pub fn gap(&mut self) -> SimDuration {
         if self.gap_cache.0 != self.rate {
             self.gap_cache = (self.rate, SimDuration::from_secs_f64(1.0 / self.rate));

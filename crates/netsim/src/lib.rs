@@ -51,6 +51,7 @@
 //! [Corelite]: https://doi.org/10.1109/ICDCS.2000.840934
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod agent;
 pub mod churn;

@@ -15,6 +15,9 @@
 //! integrated continuously with a [`TimeWeightedMean`], which is how a
 //! Corelite core router obtains `q_avg` for incipient congestion detection.
 
+// A panic a million events into a run must name the invariant it broke.
+#![deny(clippy::unwrap_used)]
+
 use std::collections::VecDeque;
 
 use sim_core::stats::TimeWeightedMean;

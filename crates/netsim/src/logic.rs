@@ -11,6 +11,9 @@
 //! and every state change still passes the monitors and the tracer on
 //! its way (DESIGN.md §9, "Effects in place").
 
+// A panic a million events into a run must name the invariant it broke.
+#![deny(clippy::unwrap_used)]
+
 use std::collections::BTreeMap;
 
 use sim_core::rng::DetRng;

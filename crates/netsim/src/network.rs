@@ -1,5 +1,8 @@
 //! The event loop tying links, flows, logic and monitors together.
 
+// A panic a million events into a run must name the invariant it broke.
+#![deny(clippy::unwrap_used)]
+
 use sim_core::event::{EventQueue, QueueBackend};
 use sim_core::time::{SimDuration, SimTime};
 

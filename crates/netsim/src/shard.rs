@@ -87,10 +87,10 @@
 //! tags and merged by sorting on that key, which *is* the serial
 //! emission order.
 //!
-//! Threading in this module is the sanctioned exception to the
-//! `thread-spawn` simlint rule: determinism is proven by the
-//! sharded-vs-serial identity suite (`tests/sharded_identity.rs`), not
-//! assumed.
+//! Threading in this module is a sanctioned exception to the workspace's
+//! `disallowed-methods` lint on threads (`clippy.toml`): determinism is
+//! proven by the sharded-vs-serial identity suite
+//! (`tests/sharded_identity.rs`), not assumed.
 
 use std::cell::{Cell, RefCell};
 use std::panic::resume_unwind;
@@ -492,6 +492,10 @@ where
         moved: [AtomicU64::new(0), AtomicU64::new(0)],
     };
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "workers advance in barrier-lockstep epochs; tests/sharded_identity.rs proves byte-identity with serial"
+    )]
     let partials: Vec<ShardPartial> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..shards)
             .map(|me| {
@@ -812,6 +816,10 @@ mod tests {
             // Park at once, or poll for ever whatever else is running.
             (barrier.spin, barrier.cores) = (spin, usize::MAX);
             let passed = AtomicUsize::new(0);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the barrier under test needs two threads"
+            )]
             std::thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| {
@@ -837,6 +845,10 @@ mod tests {
         for spin in [0, u32::MAX] {
             let mut barrier = EpochBarrier::new(2);
             (barrier.spin, barrier.cores) = (spin, usize::MAX);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the barrier under test needs two threads"
+            )]
             let waiter = std::thread::scope(|scope| {
                 let waiter = scope.spawn(|| barrier.wait());
                 // Poison only once the waiter has arrived.

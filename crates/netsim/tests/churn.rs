@@ -2,6 +2,8 @@
 //! memory bounded by the active set, byte-identical determinism, and the
 //! flow-lifecycle staleness guards.
 
+#![allow(clippy::float_cmp)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

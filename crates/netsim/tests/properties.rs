@@ -3,6 +3,8 @@
 //! for the slab state plane (`DenseMap` against a `BTreeMap` model), and
 //! for the shard partitioner.
 
+#![allow(clippy::float_cmp)]
+
 use std::collections::BTreeMap;
 
 use netsim::ids::{FlowId, NodeId};

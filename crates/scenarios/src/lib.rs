@@ -34,6 +34,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod churn;
 pub mod discipline;

@@ -3,6 +3,8 @@
 //! FCT accounting on departure, and byte-identical churn results across
 //! executors and every engine mode of the shared identity matrix.
 
+#![allow(clippy::float_cmp)]
+
 #[path = "../../../tests/common/mod.rs"]
 mod common;
 

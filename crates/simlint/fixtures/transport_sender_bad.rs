@@ -1,9 +1,7 @@
 //! Positive fixture: a go-back-N-style sender module (the
 //! `transport_sender_` prefix classifies it as a hot-path, per-id-state
-//! module, like `crates/netsim/src/transport.rs`) committing the three
-//! transport sins — tree-keyed per-flow state, a per-ack allocation,
-//! and a wall-clock read reachable from its `RouterLogic` impl (a
-//! taint root), sanctioned at the site but not for reachability.
+//! module, like `crates/netsim/src/transport.rs`) committing the two
+//! transport sins — tree-keyed per-flow state and a per-ack allocation.
 use std::collections::BTreeMap;
 
 pub struct BadSender {
@@ -14,11 +12,5 @@ impl RouterLogic for BadSender {
     fn on_control(&mut self, acks: &[u64]) {
         let batch = acks.to_vec(); // flagged: hot-alloc, a copy per ack
         self.flows.insert(FlowId(0), batch.len() as u64);
-        stamp();
     }
-}
-
-fn stamp() {
-    // simlint: allow(wall-clock) debug timing
-    let _ = std::time::Instant::now(); // taints: reachable from on_control
 }

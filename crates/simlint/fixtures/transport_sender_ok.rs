@@ -1,6 +1,6 @@
 //! Negative fixture: the idiomatic ack-clocked sender — slab-backed
 //! per-flow state, a scratch buffer allocated once in the constructor
-//! and reused per ack, and no clocks anywhere near the replay path.
+//! and reused per ack.
 
 pub struct OkSender {
     flows: DenseMap<FlowId, u64>,

@@ -7,7 +7,7 @@
 //! core-state = [
 //!     "crates/baselines/src/fred.rs", # per-flow state is FRED's point
 //! ]
-//! thread-spawn = ["crates/scenarios/src/exec.rs"]
+//! dense-state = ["crates/baselines/src/fred.rs"]
 //! ```
 //!
 //! Only this shape is supported (no nested tables, no non-string
@@ -168,7 +168,7 @@ mod tests {
 # repo allowlist
 [allow]
 core-state = ["crates/baselines/src/fred.rs"] # FRED is per-flow by design
-thread-spawn = [
+unit-safety = [
     "crates/scenarios/src/exec.rs",
     "crates/bench",
 ]
@@ -176,13 +176,13 @@ thread-spawn = [
         let a = Allowlist::parse(text).expect("valid config must parse");
         assert!(a.allows("core-state", "crates/baselines/src/fred.rs"));
         assert!(!a.allows("core-state", "crates/baselines/src/red.rs"));
-        assert!(a.allows("thread-spawn", "crates/bench/src/lib.rs"));
-        assert!(!a.allows("thread-spawn", "crates/benchmarks/src/lib.rs"));
+        assert!(a.allows("unit-safety", "crates/bench/src/lib.rs"));
+        assert!(!a.allows("unit-safety", "crates/benchmarks/src/lib.rs"));
     }
 
     #[test]
     fn unknown_rule_is_an_error() {
-        let err = Allowlist::parse("[allow]\nflaot-eq = [\"x\"]\n").expect_err("typo must error");
+        let err = Allowlist::parse("[allow]\nhot-aloc = [\"x\"]\n").expect_err("typo must error");
         assert!(err.contains("unknown rule"), "{err}");
     }
 
@@ -194,14 +194,14 @@ thread-spawn = [
 
     #[test]
     fn hash_inside_quotes_is_not_a_comment() {
-        let a = Allowlist::parse("[allow]\nfloat-eq = [\"crates/a#b\"]\n")
+        let a = Allowlist::parse("[allow]\nhot-alloc = [\"crates/a#b\"]\n")
             .expect("quoted # must parse");
-        assert!(a.allows("float-eq", "crates/a#b"));
+        assert!(a.allows("hot-alloc", "crates/a#b"));
     }
 
     #[test]
     fn empty_config_allows_nothing() {
         let a = Allowlist::parse("").expect("empty config is valid");
-        assert!(!a.allows("float-eq", "crates/x.rs"));
+        assert!(!a.allows("hot-alloc", "crates/x.rs"));
     }
 }

@@ -513,12 +513,12 @@ mod tests {
 
     #[test]
     fn inline_allow_is_parsed_with_line() {
-        let src = "let a = 1;\n// simlint: allow(float-eq, wall-clock) reason\nlet b = 2;";
+        let src = "let a = 1;\n// simlint: allow(hot-alloc, unit-safety) reason\nlet b = 2;";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 2);
-        assert_eq!(lexed.allows[0].rule, "float-eq");
+        assert_eq!(lexed.allows[0].rule, "hot-alloc");
         assert_eq!(lexed.allows[0].line, 2);
-        assert_eq!(lexed.allows[1].rule, "wall-clock");
+        assert_eq!(lexed.allows[1].rule, "unit-safety");
     }
 
     #[test]

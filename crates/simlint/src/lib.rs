@@ -1,45 +1,40 @@
-//! `simlint` — in-repo static analysis enforcing the two properties the
-//! whole reproduction stands on:
+//! `simlint` — in-repo static analysis for the invariants of this
+//! reproduction that no general-purpose lint knows:
 //!
 //! * **core-statelessness** — Corelite's headline claim (paper §2–3) is
 //!   that core routers keep no per-flow state; the `core-state` rule
 //!   machine-checks that no core-router module declares a
 //!   `FlowId`-keyed or per-flow-growing collection.
-//! * **deterministic replay** — serial and parallel experiment sweeps
-//!   are `cmp`-compared byte-for-byte in CI; the `hash-collections`,
-//!   `wall-clock`, `thread-spawn` and `rand-import` rules keep the
-//!   nondeterminism sources that would silently break this out of the
-//!   simulation crates, and their `taint-*` forms make them transitive
-//!   over the workspace call graph (DESIGN.md §17).
+//! * **the engine's hot-path contracts** — `dense-state`, `hot-alloc`
+//!   and `flow-lifecycle` keep id-keyed state in the slab, per-event
+//!   functions allocation-free and per-epoch loops on the `ActiveSet`.
+//! * **units and RNG streams** — `unit-safety` catches `_ns + _s`
+//!   arithmetic, and `rng-stream-hygiene` keeps `DetRng` stream labels
+//!   unique literals.
 //!
-//! The analysis runs as a three-stage pipeline:
+//! The generic determinism and robustness checks (hash collections,
+//! wall-clock reads, threads, exact float compares, `unwrap` in the
+//! event loop) are clippy's, configured in the workspace `clippy.toml`
+//! and `Cargo.toml` (DESIGN.md §17).
 //!
-//! 1. **lex** ([`lexer`]) — tokens plus inline-allow comments; the
-//!    per-file token rules ([`rules`]) run directly on this stream;
-//! 2. **parse** ([`parser`]) — a lightweight item parser recovering
-//!    `use` declarations, `impl`/`trait` context, brace-matched `fn`
-//!    bodies with their call expressions, and `DetRng` stream labels;
-//! 3. **graph** ([`graph`] + `taint`) — a workspace call graph with
-//!    dependency-scoped name resolution, walked from the replay-path
-//!    roots for the taint rules and the RNG stream-hygiene rule.
+//! The rules run on the hand-rolled [`lexer`]'s token stream plus the
+//! little structure [`parser`] recovers (`#[cfg(test)]` ranges and
+//! `DetRng` stream labels). Violations print as `file:line: rule —
+//! message` and any violation makes the process exit nonzero. Suppress
+//! per-site with an inline `// simlint: allow(<rule>)` comment (covers
+//! that line and the next) or per-path in the checked-in `simlint.toml`.
 //!
-//! Violations print as `file:line: rule — message` and any violation
-//! makes the process exit nonzero. Suppress per-site with an inline
-//! `// simlint: allow(<rule>)` comment (covers that line and the next)
-//! or per-path in the checked-in `simlint.toml`. See DESIGN.md §17.
-//!
-//! The crate is dependency-free by necessity: crates.io is unreachable
-//! in the reproduction container, so the lexer, parser, walker and
-//! TOML-subset reader are hand-rolled like sim-core's `DetRng`.
+//! The crate is dependency-free like the rest of the workspace
+//! (DESIGN.md §7): the lexer, walker and TOML-subset reader are
+//! hand-rolled like sim-core's `DetRng`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod config;
-pub mod graph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-mod taint;
 pub mod walker;
 
 use std::path::Path;
@@ -48,37 +43,30 @@ pub use config::Allowlist;
 pub use rules::{classify, explain, scan_source, FileClass, Violation, RULES};
 
 /// Lints a batch of files as one unit: the per-file token rules on each
-/// file, then the workspace rules (taint reachability, RNG stream
-/// hygiene) over the whole batch. `rels` are workspace-relative paths.
-///
-/// Passing a single file still runs the workspace rules over that
-/// file's own call graph — which is how the taint fixtures work — but
-/// cross-file reachability obviously needs the files that carry it.
+/// file, then `rng-stream-hygiene` over the whole batch (a duplicate
+/// label is a duplicate across files). `rels` are workspace-relative
+/// paths.
 pub fn lint_paths(
     root: &Path,
     rels: &[String],
     allow: &Allowlist,
 ) -> Result<Vec<Violation>, String> {
-    let deps = graph::CrateDeps::from_workspace(root)?;
-    let mut analyzed = Vec::new();
+    let mut files = Vec::new();
     let mut all = Vec::new();
     for rel in rels {
         let src = std::fs::read_to_string(root.join(rel))
             .map_err(|e| format!("cannot read {rel}: {e}"))?;
         let class = classify(rel);
         let lexed = lexer::lex(&src);
-        let raw = rules::scan_tokens(rel, &lexed, class);
-        all.extend(rules::suppress(raw.clone(), &lexed, allow));
-        let symbols = parser::parse(&lexed);
-        analyzed.push(taint::AnalyzedFile {
-            rel: rel.clone(),
-            class,
-            lexed,
-            symbols,
-            raw,
-        });
+        all.extend(rules::suppress(
+            rules::scan_tokens(rel, &lexed, class),
+            &lexed,
+            allow,
+        ));
+        files.push((rel.as_str(), class, lexed));
     }
-    all.extend(taint::workspace_pass(&analyzed, &deps, allow));
+    files.sort_by_key(|f| f.0);
+    all.extend(rules::rng_stream_hygiene(&files, allow));
     all.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     all.dedup();
     Ok(all)
@@ -134,46 +122,6 @@ pub fn load_allowlist(root: &Path) -> Result<Allowlist, String> {
     }
 }
 
-/// Serializes violations as a JSON array, byte-deterministic for a
-/// given input list (which `lint_*` already return fully sorted).
-pub fn to_json(violations: &[Violation]) -> String {
-    let mut out = String::from("[\n");
-    for (i, v) in violations.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"file\":{},\"line\":{},\"rule\":{},\"message\":{}}}",
-            json_string(&v.file),
-            v.line,
-            json_string(v.rule),
-            json_string(&v.message)
-        ));
-        out.push_str(if i + 1 < violations.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push(']');
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,31 +129,14 @@ mod tests {
     #[test]
     fn validate_allowlist_flags_stale_prefixes() {
         let mut allow = Allowlist::default();
-        allow.insert("wall-clock", "crates/bench");
-        allow.insert("float-eq", "crates/gone/src/lost.rs");
+        allow.insert("unit-safety", "crates/bench");
+        allow.insert("hot-alloc", "crates/gone/src/lost.rs");
         let rels = vec!["crates/bench/src/lib.rs".to_owned()];
         let err = validate_allowlist(&allow, &rels).expect_err("stale entry must error");
         assert!(err.contains("crates/gone/src/lost.rs"), "{err}");
         assert!(!err.contains("crates/bench`"), "{err}");
         allow = Allowlist::default();
-        allow.insert("wall-clock", "crates/bench");
+        allow.insert("unit-safety", "crates/bench");
         validate_allowlist(&allow, &rels).expect("live prefix is fine");
-    }
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        let v = vec![Violation {
-            file: "a.rs".into(),
-            line: 3,
-            rule: "wall-clock",
-            message: "say \"hi\"\nback\\slash".into(),
-        }];
-        let json = to_json(&v);
-        assert_eq!(
-            json,
-            "[\n  {\"file\":\"a.rs\",\"line\":3,\"rule\":\"wall-clock\",\
-             \"message\":\"say \\\"hi\\\"\\nback\\\\slash\"}\n]"
-        );
-        assert_eq!(to_json(&[]), "[\n]");
     }
 }

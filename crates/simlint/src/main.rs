@@ -3,8 +3,6 @@
 //! ```text
 //! simlint --workspace             # lint the whole tree (CI entry point)
 //! simlint path/to/file.rs ...     # lint specific files
-//! simlint --json [...]            # machine-readable, byte-deterministic
-//! simlint --github [...]          # GitHub annotation lines for CI
 //! simlint --list-rules            # print every rule one-liner
 //! simlint --explain <rule>        # print a rule's full rationale
 //! ```
@@ -13,14 +11,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use simlint::walker::{find_workspace_root, rel_to_string};
-use simlint::{explain, lint_paths, lint_workspace, load_allowlist, to_json, RULES};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Github,
-}
+use simlint::{explain, lint_paths, lint_workspace, load_allowlist, RULES};
 
 fn main() -> ExitCode {
     match run() {
@@ -38,14 +29,11 @@ fn main() -> ExitCode {
 
 fn run() -> Result<usize, String> {
     let mut workspace = false;
-    let mut format = Format::Text;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--json" => format = Format::Json,
-            "--github" => format = Format::Github,
             "--list-rules" => {
                 for (name, description) in RULES {
                     println!("{name:<22} {description}");
@@ -64,12 +52,11 @@ fn run() -> Result<usize, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: simlint [--workspace] [--json|--github] [--list-rules]\n\
-                     \x20              [--explain RULE] [FILE.rs ...]\n\
-                     Lints the Corelite workspace for core-statelessness and determinism\n\
-                     invariants. With no arguments, behaves as --workspace. Violations\n\
-                     print as `file:line: rule — message` (or JSON / GitHub annotations);\n\
-                     exit code 1 on any violation, 2 on usage or config errors.\n\
+                    "usage: simlint [--workspace] [--list-rules] [--explain RULE] [FILE.rs ...]\n\
+                     Lints the Corelite workspace for core-statelessness, hot-path, unit\n\
+                     and RNG-stream invariants. With no arguments, behaves as --workspace.\n\
+                     Violations print as `file:line: rule — message`; exit code 1 on any\n\
+                     violation, 2 on usage or config errors.\n\
                      Suppress with `// simlint: allow(<rule>)` or simlint.toml."
                 );
                 return Ok(0);
@@ -94,26 +81,8 @@ fn run() -> Result<usize, String> {
             .collect::<Result<_, _>>()?;
         lint_paths(&root, &rels, &allow)?
     };
-    match format {
-        Format::Text => {
-            for v in &violations {
-                println!("{v}");
-            }
-        }
-        Format::Json => println!("{}", to_json(&violations)),
-        Format::Github => {
-            // GitHub Actions annotation commands: one `::error` line per
-            // violation, surfaced inline on the PR diff.
-            for v in &violations {
-                println!(
-                    "::error file={},line={},title=simlint {}::{}",
-                    v.file,
-                    v.line,
-                    v.rule,
-                    v.message.replace('\n', " ")
-                );
-            }
-        }
+    for v in &violations {
+        println!("{v}");
     }
     Ok(violations.len())
 }

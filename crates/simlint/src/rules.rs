@@ -1,12 +1,15 @@
 //! The lint rules and the token-stream scanner that applies them.
 //!
 //! Each rule is a named invariant of this repository (see DESIGN.md
-//! §10); every rule can be suppressed per-site with an inline
+//! §17); every rule can be suppressed per-site with an inline
 //! `// simlint: allow(<rule>)` comment or per-path via `simlint.toml`.
+
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use crate::config::Allowlist;
 use crate::lexer::{lex, Lexed, Tok, Token};
-use crate::parser::{cfg_test_ranges, in_ranges};
+use crate::parser::{cfg_test_ranges, in_ranges, rng_labels};
 
 /// One rule violation, printed as `file:line: rule — message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,30 +38,6 @@ pub const RULES: &[(&str, &str)] = &[
         "core-router modules must not declare FlowId-keyed or per-flow-growing collections",
     ),
     (
-        "hash-collections",
-        "HashMap/HashSet iteration order is nondeterministic; use BTreeMap/BTreeSet",
-    ),
-    (
-        "wall-clock",
-        "Instant::now()/SystemTime read wall-clock time and break deterministic replay",
-    ),
-    (
-        "thread-spawn",
-        "std::thread outside scenarios::exec/bench breaks deterministic event ordering",
-    ),
-    (
-        "rand-import",
-        "external RNG crates are forbidden; use sim_core::rng::DetRng streams",
-    ),
-    (
-        "float-eq",
-        "exact ==/!= on floats; use an epsilon or ordered comparison",
-    ),
-    (
-        "panic-path",
-        "bare unwrap() in the netsim event loop; expect() must name the violated invariant",
-    ),
-    (
         "hot-alloc",
         "heap allocation (vec!/Vec::new/Box::new/.to_vec/.field.clone()) in per-event hot functions; reuse buffers",
     ),
@@ -69,22 +48,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "flow-lifecycle",
         "0..key_bound() slot scans in per-epoch discipline modules; iterate the ActiveSet",
-    ),
-    (
-        "taint-wall-clock",
-        "wall-clock read reachable from a replay-path root (transitive wall-clock)",
-    ),
-    (
-        "taint-thread-spawn",
-        "thread use reachable from a replay-path root (transitive thread-spawn)",
-    ),
-    (
-        "taint-rand-import",
-        "external RNG use reachable from a replay-path root (transitive rand-import)",
-    ),
-    (
-        "taint-hash-collections",
-        "hash-ordered collection reachable from a replay-path root (transitive hash-collections)",
     ),
     (
         "unit-safety",
@@ -108,40 +71,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              the core modules. FRED deliberately keeps per-flow state as the contrast\n\
              baseline; its exemption lives in simlint.toml, next to its justification."
         }
-        "hash-collections" => {
-            "Every CI gate in this repo compares serial/parallel/wheel/heap/train replays\n\
-             byte-for-byte. HashMap/HashSet iteration order depends on RandomState, so a\n\
-             single hash-ordered loop anywhere in the simulation can reorder floating-\n\
-             point accumulation or event emission and silently break those comparisons.\n\
-             Use BTreeMap/BTreeSet (or netsim::slab::DenseMap for id keys)."
-        }
-        "wall-clock" => {
-            "Instant::now()/SystemTime read host time. Any simulation decision derived\n\
-             from them differs run-to-run, breaking deterministic replay. Simulated time\n\
-             is sim_core::time::SimTime; the bench harness is the one sanctioned reader\n\
-             of wall-clock time and carries inline allows."
-        }
-        "thread-spawn" => {
-            "Thread interleaving is nondeterministic; any simulation state touched from\n\
-             more than one thread breaks byte-identical replay. The one sanctioned user\n\
-             is scenarios::exec, which fans out *whole runs* and merges results in input\n\
-             order (proved byte-identical to serial by tests/parallel_exec.rs)."
-        }
-        "rand-import" => {
-            "External RNG crates change algorithms across versions and platforms; draws\n\
-             would not be pinned by this repository alone. sim_core::rng::DetRng is a\n\
-             self-contained xoshiro256++ whose streams are keyed by stable labels."
-        }
-        "float-eq" => {
-            "Exact ==/!= on floats is almost always a latent bug: one rounding step away\n\
-             from never (or always) firing. Compare with an epsilon or an ordered\n\
-             comparison; test code is exempt."
-        }
-        "panic-path" => {
-            "A bare unwrap() in the netsim event loop aborts a million-event run with no\n\
-             context. expect() must name the violated invariant so the panic message\n\
-             says what broke."
-        }
         "hot-alloc" => {
             "Steady-state dispatch is allocation-free (pinned by netsim's counting-\n\
              allocator tests); a vec!/Vec::new/Box::new/.to_vec in a per-event function\n\
@@ -161,23 +90,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "Flow slots are recycled under churn: a 0..key_bound() index scan walks\n\
              every slot ever used and touches retired occupants. Iterate the ActiveSet\n\
              (same ascending order, O(active) per epoch) instead."
-        }
-        "taint-wall-clock"
-        | "taint-thread-spawn"
-        | "taint-rand-import"
-        | "taint-hash-collections" => {
-            "The transitive form of the determinism rules. simlint parses every fn body,\n\
-             builds a workspace call graph (name-based, dependency-scoped resolution)\n\
-             and walks it from the replay-path roots: the Engine's dispatch and the Ctx\n\
-             effect methods logics call into it (every fn of the event-loop modules),\n\
-             EventQueue, churn/fault application, the shard workers, and every\n\
-             RouterLogic/Discipline impl. A nondeterminism sink (wall-clock, threads,\n\
-             external RNG, hash-ordered collections) whose *site* carries an allow —\n\
-             legitimate in its own context, e.g. bench timing — is still an error if a\n\
-             replay root can reach it through any call chain: the allow justified the\n\
-             site, not its reachability. The diagnostic prints the root→sink chain.\n\
-             Suppress with `simlint: allow(taint-<rule>)` at the sink or on any fn\n\
-             declaration along the chain, or a simlint.toml path entry."
         }
         "unit-safety" => {
             "Identifiers in this repo carry unit suffixes (_ns/_s/_ms/_ticks, _bytes/\n\
@@ -218,14 +130,6 @@ const CORE_MODULES: &[&str] = &[
     "crates/csfq/src/core.rs",
     "crates/baselines/src/red.rs",
     "crates/baselines/src/fred.rs",
-];
-
-/// The netsim event-loop hot path: a panic here aborts a million-event
-/// run, so every fallible step must say which invariant broke.
-const EVENT_LOOP_MODULES: &[&str] = &[
-    "crates/netsim/src/network.rs",
-    "crates/netsim/src/logic.rs",
-    "crates/netsim/src/link.rs",
 ];
 
 /// Dispatch/discipline modules whose per-event functions must not
@@ -290,9 +194,8 @@ const FLOW_LIFECYCLE_MODULES: &[&str] = &[
 const DENSE_ID_TYPES: &[&str] = &["FlowId", "NodeId", "LinkId"];
 
 /// Source roots of the crates that execute during a replay. Inside them
-/// `rng-stream-hygiene` requires stream labels to be string literals,
-/// and the taint pass treats their sinks as replay-relevant.
-pub const REPLAY_CRATES: &[&str] = &[
+/// `rng-stream-hygiene` requires stream labels to be string literals.
+const REPLAY_CRATES: &[&str] = &[
     "crates/sim-core/src",
     "crates/netsim/src",
     "crates/corelite/src",
@@ -376,41 +279,11 @@ const KEYED_COLLECTIONS: &[&str] = &[
     "HashMap", "BTreeMap", "HashSet", "BTreeSet", "IndexMap", "VecDeque",
 ];
 
-/// Hash-based collections with nondeterministic iteration order.
-const HASH_COLLECTIONS: &[&str] = &[
-    "HashMap",
-    "HashSet",
-    "FxHashMap",
-    "FxHashSet",
-    "AHashMap",
-    "AHashSet",
-    "IndexMap",
-    "IndexSet",
-    "DashMap",
-    "DashSet",
-];
-
-/// RNG crates whose mere import makes runs irreproducible across
-/// toolchains (this repo hand-rolls `DetRng` instead).
-const RNG_CRATES: &[&str] = &[
-    "rand",
-    "rand_core",
-    "rand_chacha",
-    "rand_distr",
-    "rand_pcg",
-    "rand_xoshiro",
-    "fastrand",
-    "oorandom",
-    "getrandom",
-];
-
 /// How a file is treated by path-scoped rules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FileClass {
     /// Core-router module: the `core-state` rule applies.
     pub core_module: bool,
-    /// netsim event-loop module: the `panic-path` rule applies.
-    pub event_loop: bool,
     /// Dispatch/discipline module: the `hot-alloc` rule applies inside
     /// its per-event functions.
     pub hot_path: bool,
@@ -421,15 +294,14 @@ pub struct FileClass {
     /// Replay-path crate source: `rng-stream-hygiene` rejects
     /// non-literal `DetRng` stream labels here.
     pub replay: bool,
-    /// Test code (integration test file): `float-eq` does not apply.
+    /// Test code (integration test file): only `core-state` applies.
     pub is_test: bool,
 }
 
 /// Classifies `rel` (workspace-relative path with `/` separators).
 ///
 /// Lint fixtures under `simlint/fixtures/` classify by filename prefix
-/// (`core_state_*` as a core module, `panic_path_*` as an event-loop
-/// module, `hot_alloc_*` as a hot-path module, `dense_state_*` as a
+/// (`core_state_*` as a core module, `hot_alloc_*` as a hot-path module, `dense_state_*` as a
 /// per-id state module, `flow_lifecycle_*` as a per-epoch flow-table
 /// module, `transport_sender_*` as both hot-path and per-id-state like
 /// the real `crates/netsim/src/transport.rs`) so the fixtures exercise
@@ -441,17 +313,15 @@ pub fn classify(rel: &str) -> FileClass {
     {
         return FileClass {
             core_module: name.starts_with("core_state"),
-            event_loop: name.starts_with("panic_path"),
             hot_path: name.starts_with("hot_alloc") || name.starts_with("transport_sender"),
             dense_state: name.starts_with("dense_state") || name.starts_with("transport_sender"),
             flow_lifecycle: name.starts_with("flow_lifecycle"),
-            replay: name.starts_with("rng_stream_hygiene") || name.starts_with("taint_"),
+            replay: name.starts_with("rng_stream_hygiene"),
             is_test: false,
         };
     }
     FileClass {
         core_module: CORE_MODULES.contains(&rel),
-        event_loop: EVENT_LOOP_MODULES.contains(&rel),
         hot_path: HOT_PATH_MODULES.contains(&rel),
         dense_state: DENSE_STATE_MODULES.contains(&rel),
         flow_lifecycle: FLOW_LIFECYCLE_MODULES.contains(&rel),
@@ -463,17 +333,15 @@ pub fn classify(rel: &str) -> FileClass {
 /// Lints `src` as file `rel` classified as `class`, honoring inline
 /// `simlint: allow(...)` comments and the `allow` config.
 ///
-/// This covers the per-file (token) rules only; the workspace rules
-/// (taint reachability, rng-stream duplicate labels) need every file at
-/// once and run in [`crate::lint_paths`].
+/// This covers the per-file (token) rules only; `rng-stream-hygiene`
+/// needs every file at once and runs in [`crate::lint_paths`].
 pub fn scan_source(rel: &str, src: &str, class: FileClass, allow: &Allowlist) -> Vec<Violation> {
     let lexed = lex(src);
     suppress(scan_tokens(rel, &lexed, class), &lexed, allow)
 }
 
 /// The pre-suppression token scan: every per-file finding, including
-/// ones an inline allow or the config will drop. The taint pass works
-/// from this raw list — an allowed wall-clock read is still a *sink*.
+/// ones an inline allow or the config will drop.
 pub(crate) fn scan_tokens(rel: &str, lexed: &Lexed, class: FileClass) -> Vec<Violation> {
     let test_ranges = cfg_test_ranges(&lexed.tokens);
     let hot_ranges = if class.hot_path {
@@ -492,228 +360,136 @@ pub(crate) fn scan_tokens(rel: &str, lexed: &Lexed, class: FileClass) -> Vec<Vio
     };
     let op = |i: usize, want: &str| matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Op(o)) if *o == want);
 
-    for i in 0..toks.len() {
-        let line = toks[i].line;
-        match &toks[i].tok {
-            Tok::Ident(name) => {
-                // core-state: `BTreeMap<FlowId, …>` (optionally with a
-                // turbofish) or `Vec<(FlowId, …)>` in a core module.
-                if class.core_module {
-                    let mut j = i + 1;
-                    if op(j, "::") {
-                        j += 1; // turbofish `BTreeMap::<FlowId, _>`
-                    }
-                    if op(j, "<") {
-                        let keyed = KEYED_COLLECTIONS.contains(&name.as_str())
-                            && ident(j + 1) == Some("FlowId");
-                        let tupled =
-                            name == "Vec" && op(j + 1, "(") && ident(j + 2) == Some("FlowId");
-                        if keyed || tupled {
-                            found.push(Violation {
-                                file: rel.to_owned(),
-                                line,
-                                rule: "core-state",
-                                message: format!(
-                                    "per-flow state `{name}<FlowId, …>` in a core-router module; \
-                                     cores must stay stateless (paper §2–3)"
-                                ),
-                            });
-                        }
-                    }
-                }
-                // dense-state: a tree/hash map keyed by a dense id type
-                // in a hot-path state module. Tests may model with maps
-                // (the DenseMap property tests deliberately do).
-                if class.dense_state
-                    && !class.is_test
-                    && !in_ranges(&test_ranges, line)
-                    && matches!(name.as_str(), "BTreeMap" | "HashMap")
-                {
-                    let mut j = i + 1;
-                    if op(j, "::") {
-                        j += 1; // turbofish `BTreeMap::<FlowId, _>`
-                    }
-                    if op(j, "<") {
-                        if let Some(key) = ident(j + 1).filter(|k| DENSE_ID_TYPES.contains(k)) {
-                            found.push(Violation {
-                                file: rel.to_owned(),
-                                line,
-                                rule: "dense-state",
-                                message: format!(
-                                    "`{name}<{key}, …>` in a hot-path module; id-keyed state \
-                                     belongs in `netsim::slab::DenseMap` (O(1) index access, \
-                                     id-ordered iteration, allocation-free reuse)"
-                                ),
-                            });
-                        }
-                    }
-                }
-                // hash-collections: any mention as an identifier.
-                if HASH_COLLECTIONS.contains(&name.as_str()) {
+    for (i, token) in toks.iter().enumerate() {
+        let line = token.line;
+        let Tok::Ident(name) = &token.tok else {
+            continue;
+        };
+        // core-state: `BTreeMap<FlowId, …>` (optionally with a
+        // turbofish) or `Vec<(FlowId, …)>` in a core module.
+        if class.core_module {
+            let mut j = i + 1;
+            if op(j, "::") {
+                j += 1; // turbofish `BTreeMap::<FlowId, _>`
+            }
+            if op(j, "<") {
+                let keyed =
+                    KEYED_COLLECTIONS.contains(&name.as_str()) && ident(j + 1) == Some("FlowId");
+                let tupled = name == "Vec" && op(j + 1, "(") && ident(j + 2) == Some("FlowId");
+                if keyed || tupled {
                     found.push(Violation {
                         file: rel.to_owned(),
                         line,
-                        rule: "hash-collections",
+                        rule: "core-state",
                         message: format!(
-                            "`{name}` iterates in nondeterministic order, breaking byte-identical \
-                             replay; use BTreeMap/BTreeSet"
+                            "per-flow state `{name}<FlowId, …>` in a core-router module; \
+                             cores must stay stateless (paper §2–3)"
                         ),
                     });
-                }
-                // wall-clock: `Instant::now` or any `SystemTime`.
-                let wall = (name == "Instant" && op(i + 1, "::") && ident(i + 2) == Some("now"))
-                    || name == "SystemTime";
-                if wall {
-                    found.push(Violation {
-                        file: rel.to_owned(),
-                        line,
-                        rule: "wall-clock",
-                        message: "wall-clock time in simulation code breaks deterministic replay; \
-                                  use sim_core::time::SimTime"
-                            .to_owned(),
-                    });
-                }
-                // thread-spawn: `std::thread` or `thread::{spawn,scope,…}`.
-                let threaded = (name == "std" && op(i + 1, "::") && ident(i + 2) == Some("thread"))
-                    || (name == "thread"
-                        && op(i + 1, "::")
-                        && matches!(
-                            ident(i + 2),
-                            Some("spawn" | "scope" | "Builder" | "available_parallelism")
-                        ))
-                    || name == "rayon";
-                if threaded {
-                    found.push(Violation {
-                        file: rel.to_owned(),
-                        line,
-                        rule: "thread-spawn",
-                        message: "threads outside scenarios::exec/bench break deterministic \
-                                  event ordering"
-                            .to_owned(),
-                    });
-                }
-                // rand-import: any mention of an external RNG crate.
-                if RNG_CRATES.contains(&name.as_str()) {
-                    found.push(Violation {
-                        file: rel.to_owned(),
-                        line,
-                        rule: "rand-import",
-                        message: format!(
-                            "external RNG `{name}` is nondeterministic across toolchains; use \
-                             sim_core::rng::DetRng streams"
-                        ),
-                    });
-                }
-                // panic-path: `.unwrap()` in an event-loop module.
-                if class.event_loop
-                    && name == "unwrap"
-                    && i > 0
-                    && op(i - 1, ".")
-                    && op(i + 1, "(")
-                    && op(i + 2, ")")
-                {
-                    found.push(Violation {
-                        file: rel.to_owned(),
-                        line,
-                        rule: "panic-path",
-                        message: "bare unwrap() in the event-loop hot path; use expect() naming \
-                                  the violated invariant so a panic in a million-event run is \
-                                  diagnosable"
-                            .to_owned(),
-                    });
-                }
-                // flow-lifecycle: a `.key_bound()` call in a per-epoch
-                // discipline module. Flow slots are recycled under
-                // churn, so an index scan walks every slot ever used
-                // and reads retired occupants; tests may scan the whole
-                // table to cross-check the active set.
-                if class.flow_lifecycle
-                    && !class.is_test
-                    && !in_ranges(&test_ranges, line)
-                    && name == "key_bound"
-                    && i > 0
-                    && op(i - 1, ".")
-                    && op(i + 1, "(")
-                {
-                    found.push(Violation {
-                        file: rel.to_owned(),
-                        line,
-                        rule: "flow-lifecycle",
-                        message: "`0..key_bound()`-style slot scan in a per-epoch discipline \
-                                  module; flow slots are recycled under churn, so iterate the \
-                                  `ActiveSet` (same ascending-index order, O(active flows) per \
-                                  epoch) or justify with `simlint: allow(flow-lifecycle)`"
-                            .to_owned(),
-                    });
-                }
-                // hot-alloc: a fresh heap allocation inside a per-event
-                // function of a dispatch/discipline module. `Vec::<` is
-                // the turbofish constructor form; `Vec` as a plain type
-                // annotation has no `::` and is not flagged.
-                if class.hot_path
-                    && !class.is_test
-                    && !in_ranges(&test_ranges, line)
-                    && in_ranges(&hot_ranges, line)
-                {
-                    let alloc = if name == "vec" && op(i + 1, "!") {
-                        Some("vec![…]")
-                    } else if name == "Vec"
-                        && op(i + 1, "::")
-                        && (ident(i + 2) == Some("new") || op(i + 2, "<"))
-                    {
-                        Some("Vec::new()")
-                    } else if name == "Box"
-                        && op(i + 1, "::")
-                        && (ident(i + 2) == Some("new") || op(i + 2, "<"))
-                    {
-                        Some("Box::new(…)")
-                    } else if name == "to_vec" && i > 0 && op(i - 1, ".") && op(i + 1, "(") {
-                        Some(".to_vec()")
-                    } else if name == "clone"
-                        && i > 2
-                        && op(i - 1, ".")
-                        && op(i + 1, "(")
-                        && ident(i - 2).is_some()
-                        && op(i - 3, ".")
-                    {
-                        // `x.field.clone()` copies owned data out of a
-                        // structure; a shared handle is bumped with an
-                        // explicit `Rc::clone(&x.field)`.
-                        Some(".field.clone()")
-                    } else {
-                        None
-                    };
-                    if let Some(what) = alloc {
-                        found.push(Violation {
-                            file: rel.to_owned(),
-                            line,
-                            rule: "hot-alloc",
-                            message: format!(
-                                "`{what}` allocates on the per-event hot path, breaking the \
-                                 engine's zero-alloc dispatch contract; reuse storage that \
-                                 outlives the event (the queue's payload slab, DESIGN.md §9) \
-                                 or justify with `simlint: allow(hot-alloc)`"
-                            ),
-                        });
-                    }
                 }
             }
-            // float-eq: `==`/`!=` with a float-literal operand or a
-            // `.fract()` receiver, outside tests.
-            Tok::Op(o @ ("==" | "!="))
-                if !class.is_test && !in_ranges(&test_ranges, line) && float_operand(toks, i) =>
+        }
+        // dense-state: a tree/hash map keyed by a dense id type
+        // in a hot-path state module. Tests may model with maps
+        // (the DenseMap property tests deliberately do).
+        if class.dense_state
+            && !class.is_test
+            && !in_ranges(&test_ranges, line)
+            && matches!(name.as_str(), "BTreeMap" | "HashMap")
+        {
+            let mut j = i + 1;
+            if op(j, "::") {
+                j += 1; // turbofish `BTreeMap::<FlowId, _>`
+            }
+            if op(j, "<") {
+                if let Some(key) = ident(j + 1).filter(|k| DENSE_ID_TYPES.contains(k)) {
+                    found.push(Violation {
+                        file: rel.to_owned(),
+                        line,
+                        rule: "dense-state",
+                        message: format!(
+                            "`{name}<{key}, …>` in a hot-path module; id-keyed state \
+                             belongs in `netsim::slab::DenseMap` (O(1) index access, \
+                             id-ordered iteration, allocation-free reuse)"
+                        ),
+                    });
+                }
+            }
+        }
+        // flow-lifecycle: a `.key_bound()` call in a per-epoch
+        // discipline module. Flow slots are recycled under
+        // churn, so an index scan walks every slot ever used
+        // and reads retired occupants; tests may scan the whole
+        // table to cross-check the active set.
+        if class.flow_lifecycle
+            && !class.is_test
+            && !in_ranges(&test_ranges, line)
+            && name == "key_bound"
+            && i > 0
+            && op(i - 1, ".")
+            && op(i + 1, "(")
+        {
+            found.push(Violation {
+                file: rel.to_owned(),
+                line,
+                rule: "flow-lifecycle",
+                message: "`0..key_bound()`-style slot scan in a per-epoch discipline \
+                          module; flow slots are recycled under churn, so iterate the \
+                          `ActiveSet` (same ascending-index order, O(active flows) per \
+                          epoch) or justify with `simlint: allow(flow-lifecycle)`"
+                    .to_owned(),
+            });
+        }
+        // hot-alloc: a fresh heap allocation inside a per-event
+        // function of a dispatch/discipline module. `Vec::<` is
+        // the turbofish constructor form; `Vec` as a plain type
+        // annotation has no `::` and is not flagged.
+        if class.hot_path
+            && !class.is_test
+            && !in_ranges(&test_ranges, line)
+            && in_ranges(&hot_ranges, line)
+        {
+            let alloc = if name == "vec" && op(i + 1, "!") {
+                Some("vec![…]")
+            } else if name == "Vec"
+                && op(i + 1, "::")
+                && (ident(i + 2) == Some("new") || op(i + 2, "<"))
             {
+                Some("Vec::new()")
+            } else if name == "Box"
+                && op(i + 1, "::")
+                && (ident(i + 2) == Some("new") || op(i + 2, "<"))
+            {
+                Some("Box::new(…)")
+            } else if name == "to_vec" && i > 0 && op(i - 1, ".") && op(i + 1, "(") {
+                Some(".to_vec()")
+            } else if name == "clone"
+                && i > 2
+                && op(i - 1, ".")
+                && op(i + 1, "(")
+                && ident(i - 2).is_some()
+                && op(i - 3, ".")
+            {
+                // `x.field.clone()` copies owned data out of a
+                // structure; a shared handle is bumped with an
+                // explicit `Rc::clone(&x.field)`.
+                Some(".field.clone()")
+            } else {
+                None
+            };
+            if let Some(what) = alloc {
                 found.push(Violation {
                     file: rel.to_owned(),
                     line,
-                    rule: "float-eq",
+                    rule: "hot-alloc",
                     message: format!(
-                        "exact `{o}` on a floating-point value; use an epsilon or ordered \
-                         comparison, or justify with `simlint: allow(float-eq)`"
+                        "`{what}` allocates on the per-event hot path, breaking the \
+                         engine's zero-alloc dispatch contract; reuse storage that \
+                         outlives the event (the queue's payload slab, DESIGN.md §9) \
+                         or justify with `simlint: allow(hot-alloc)`"
                     ),
                 });
             }
-            _ => {}
         }
     }
     if !class.is_test {
@@ -832,27 +608,6 @@ fn unit_safety(rel: &str, toks: &[Token], test_ranges: &[(u32, u32)], found: &mu
     }
 }
 
-/// True when the `==`/`!=` at `i` has a float operand we can see
-/// lexically: a float literal on either side (allowing unary minus), or
-/// a `.fract()` call immediately before it.
-fn float_operand(toks: &[Token], i: usize) -> bool {
-    if i > 0 && toks[i - 1].tok == Tok::Float {
-        return true;
-    }
-    let next = match toks.get(i + 1).map(|t| &t.tok) {
-        Some(Tok::Op("-")) => toks.get(i + 2).map(|t| &t.tok),
-        t => t,
-    };
-    if next == Some(&Tok::Float) {
-        return true;
-    }
-    // `x.fract() ==` lexes as … Ident(fract) ( ) ==
-    i >= 3
-        && matches!(&toks[i - 3].tok, Tok::Ident(s) if s == "fract")
-        && toks[i - 2].tok == Tok::Op("(")
-        && toks[i - 1].tok == Tok::Op(")")
-}
-
 /// Line ranges covered by the bodies of [`HOT_FNS`] functions, found by
 /// brace-matching from each `fn <name>` to its closing brace. Trait
 /// declarations without a body (`fn on_packet(…);`) contribute nothing.
@@ -910,6 +665,58 @@ pub(crate) fn suppress(found: Vec<Violation>, lexed: &Lexed, allow: &Allowlist) 
         .collect()
 }
 
+/// The `rng-stream-hygiene` rule over a batch of lexed files, given as
+/// `(rel, class, lexed)` in path order. `DetRng` streams are keyed by
+/// `(seed, label)`, so the first live site of a label owns it and every
+/// later site reusing it is flagged; a non-literal label is flagged in
+/// the replay crates, where labels must stay auditable by grep.
+pub(crate) fn rng_stream_hygiene(
+    files: &[(&str, FileClass, Lexed)],
+    allow: &Allowlist,
+) -> Vec<Violation> {
+    let mut first_site: BTreeMap<String, (&str, u32)> = BTreeMap::new();
+    let mut out = Vec::new();
+    for (rel, class, lexed) in files.iter().filter(|f| !f.1.is_test) {
+        let mut found = Vec::new();
+        for site in rng_labels(lexed).into_iter().filter(|s| !s.in_cfg_test) {
+            let kind = site.kind;
+            let message = match site.label {
+                None if class.replay => format!(
+                    "`DetRng::{kind}` label is not a string literal; replay-path stream \
+                     labels must be grep-auditable literals"
+                ),
+                None => continue,
+                Some(label) => match first_site.entry(label) {
+                    Entry::Vacant(first) => {
+                        first.insert((rel, site.line));
+                        continue;
+                    }
+                    Entry::Occupied(first) => {
+                        let (f0, l0) = *first.get();
+                        if (f0, l0) == (*rel, site.line) {
+                            continue; // two calls on one line are one site
+                        }
+                        format!(
+                            "duplicate `DetRng::{kind}` label \"{}\" (first used at \
+                             {f0}:{l0}); same-label streams draw identical sequences under \
+                             one seed — pick a distinct label",
+                            first.key()
+                        )
+                    }
+                },
+            };
+            found.push(Violation {
+                file: (*rel).to_owned(),
+                line: site.line,
+                rule: "rng-stream-hygiene",
+                message,
+            });
+        }
+        out.extend(suppress(found, lexed, allow));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,7 +735,6 @@ mod tests {
         let root = crate::walker::find_workspace_root(manifest).expect("workspace root");
         let lists = [
             CORE_MODULES,
-            EVENT_LOOP_MODULES,
             HOT_PATH_MODULES,
             DENSE_STATE_MODULES,
             FLOW_LIFECYCLE_MODULES,
@@ -958,14 +764,12 @@ mod tests {
     #[test]
     fn classify_paths() {
         assert!(classify("crates/corelite/src/router.rs").core_module);
-        assert!(classify("crates/netsim/src/network.rs").event_loop);
         assert!(classify("tests/paper_topology.rs").is_test);
         assert!(classify("crates/netsim/tests/properties.rs").is_test);
         assert!(!classify("crates/netsim/src/flow.rs").core_module);
         assert!(classify("crates/netsim/src/agent.rs").hot_path);
         assert!(!classify("crates/netsim/src/flow.rs").hot_path);
         assert!(classify("crates/simlint/fixtures/core_state_bad.rs").core_module);
-        assert!(classify("crates/simlint/fixtures/panic_path_bad.rs").event_loop);
         assert!(classify("crates/simlint/fixtures/hot_alloc_bad.rs").hot_path);
         assert!(classify("crates/corelite/src/gateway.rs").flow_lifecycle);
         assert!(!classify("crates/corelite/src/router.rs").flow_lifecycle);
@@ -1065,83 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_collections_flagged_everywhere() {
-        let v = scan(
-            "crates/netsim/src/flow.rs",
-            "use std::collections::HashMap;",
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "hash-collections");
-    }
-
-    #[test]
-    fn wall_clock_and_threads_flagged() {
-        let v = scan(
-            "crates/netsim/src/flow.rs",
-            "let t = Instant::now(); std::thread::spawn(|| {});",
-        );
-        let rules: Vec<_> = v.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&"wall-clock"), "{v:?}");
-        assert!(rules.contains(&"thread-spawn"), "{v:?}");
-    }
-
-    #[test]
-    fn instant_import_alone_is_fine() {
-        let v = scan("crates/netsim/src/flow.rs", "use std::time::Instant;");
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn rand_import_flagged() {
-        let v = scan("crates/netsim/src/flow.rs", "use rand::Rng;");
-        assert_eq!(v[0].rule, "rand-import");
-    }
-
-    #[test]
-    fn float_eq_literal_both_sides_and_fract() {
-        let v = scan(
-            "crates/sim-core/src/stats.rs",
-            "if q == 0.0 {} if 1.0 != r {} if v.fract() == z {}",
-        );
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v.iter().all(|v| v.rule == "float-eq"));
-    }
-
-    #[test]
-    fn int_eq_and_epsilon_compare_are_fine() {
-        let v = scan(
-            "crates/sim-core/src/stats.rs",
-            "if n == 0 {} if (a - b).abs() < 1e-9 {} if q <= 0.0 {}",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn float_eq_skipped_in_test_files_and_cfg_test_mods() {
-        assert!(scan("tests/x.rs", "assert!(a == 0.0);").is_empty());
-        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n fn t() { assert!(a == 0.0); }\n}";
-        let v = scan("crates/sim-core/src/stats.rs", src);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn float_eq_before_cfg_test_mod_still_flagged() {
-        let src = "fn live(a: f64) -> bool { a == 0.0 }\n#[cfg(test)]\nmod tests {}";
-        let v = scan("crates/sim-core/src/stats.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn bare_unwrap_flagged_only_in_event_loop() {
-        let src = "let x = q.pop().unwrap();";
-        assert_eq!(scan("crates/netsim/src/network.rs", src).len(), 1);
-        assert!(scan("crates/netsim/src/flow.rs", src).is_empty());
-        // expect() with a message and unwrap_or_else are fine.
-        let ok = "q.pop().expect(\"queue invariant\"); v.unwrap_or_else(|| 0);";
-        assert!(scan("crates/netsim/src/network.rs", ok).is_empty());
-    }
-
-    #[test]
     fn hot_alloc_flagged_only_in_hot_fns_of_hot_modules() {
         // Ranges are line-granular, so keep the fns on separate lines.
         let src = "impl L {\nfn on_packet(&mut self) { let v = vec![1]; }\n\
@@ -1196,21 +923,21 @@ mod tests {
 
     #[test]
     fn inline_allow_suppresses_same_and_next_line() {
-        let same = "let t = Instant::now(); // simlint: allow(wall-clock) bench timing";
+        let same = "let d = now_ns + timeout_s; // simlint: allow(unit-safety) audited";
         assert!(scan("crates/x/src/a.rs", same).is_empty());
-        let above = "// simlint: allow(wall-clock) bench timing\nlet t = Instant::now();";
+        let above = "// simlint: allow(unit-safety) audited\nlet d = now_ns + timeout_s;";
         assert!(scan("crates/x/src/a.rs", above).is_empty());
-        let wrong_rule = "let t = Instant::now(); // simlint: allow(float-eq)";
+        let wrong_rule = "let d = now_ns + timeout_s; // simlint: allow(hot-alloc)";
         assert_eq!(scan("crates/x/src/a.rs", wrong_rule).len(), 1);
     }
 
     #[test]
     fn config_allowlist_suppresses_by_path_prefix() {
         let mut allow = Allowlist::default();
-        allow.insert("wall-clock", "crates/bench");
+        allow.insert("unit-safety", "crates/bench");
         let v = scan_source(
             "crates/bench/src/lib.rs",
-            "let t = Instant::now();",
+            "let d = now_ns + timeout_s;",
             FileClass::default(),
             &allow,
         );
@@ -1274,9 +1001,57 @@ mod tests {
     #[test]
     fn comments_never_trigger_rules() {
         let v = scan(
-            "crates/netsim/src/flow.rs",
-            "// HashMap Instant::now rand\n/* std::thread */ fn f() {}",
+            "crates/corelite/src/router.rs",
+            "// BTreeMap<FlowId, u8> now_ns + timeout_s\n\
+             /* Vec<(FlowId, u8)> vec![1] */ fn on_packet() {}",
         );
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    fn rng(files: &[(&str, &str)]) -> Vec<Violation> {
+        let lexed: Vec<_> = files
+            .iter()
+            .map(|&(rel, src)| (rel, classify(rel), lex(src)))
+            .collect();
+        rng_stream_hygiene(&lexed, &Allowlist::default())
+    }
+
+    #[test]
+    fn duplicate_rng_labels_flag_later_sites_only() {
+        let v = rng(&[
+            (
+                "crates/netsim/src/churn.rs",
+                "fn setup(r: &DetRng) { let s = DetRng::stream(r, \"gaps\"); }",
+            ),
+            (
+                "crates/netsim/src/fault.rs",
+                "fn setup(r: &DetRng) { let s = DetRng::stream(r, \"gaps\"); }",
+            ),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "rng-stream-hygiene");
+        assert_eq!(v[0].file, "crates/netsim/src/fault.rs", "first use wins");
+        assert!(v[0].message.contains("churn.rs:1"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn non_literal_label_flagged_only_on_replay_path() {
+        let src = "fn setup(r: &DetRng, name: &str) { let s = DetRng::stream(r, name); }";
+        let v = rng(&[("crates/netsim/src/churn.rs", src)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("not a string literal"));
+        // scenarios is not a replay crate: computed labels are fine.
+        assert!(rng(&[("crates/scenarios/src/sweep.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn rng_sites_in_tests_are_exempt() {
+        // Reusing a label to prove stream identity is what RNG tests do.
+        let in_mod = "#[cfg(test)]\nmod tests {\nfn t(r: &DetRng) {\n\
+                      let a = DetRng::stream(r, \"same\");\nlet b = DetRng::stream(r, \"same\");\n}\n}";
+        assert!(rng(&[("crates/sim-core/src/rng.rs", in_mod)]).is_empty());
+        let in_file = "fn t(r: &DetRng) {\nlet a = DetRng::stream(r, \"x\");\n\
+                       let b = DetRng::stream(r, \"x\");\n}";
+        assert!(rng(&[("crates/sim-core/tests/rng.rs", in_file)]).is_empty());
     }
 }

@@ -66,33 +66,15 @@ fn config_allowlist_suppresses_fixture_violations() {
     );
 }
 
-/// Shard-worker taint roots: fixture files with the `shard_worker_`
-/// prefix stand in for the sharded executor, so an allowed spawn site
-/// reachable from them must still raise taint-thread-spawn unless the
-/// allow names the taint companion too.
+/// The dense-state ok fixture exercises the inline-allow path: the same
+/// declaration without its `simlint: allow(dense-state)` comment is
+/// caught.
 #[test]
-fn shard_worker_roots_taint_allowed_spawn_sites() {
-    let bad = violations_for("shard_worker_bad");
-    assert!(
-        bad.iter().any(|v| v.rule == "taint-thread-spawn"),
-        "spawn reached from a shard-worker root must taint: {bad:?}"
-    );
-    assert!(
-        bad.iter().all(|v| v.rule != "thread-spawn"),
-        "the base spawn rule itself is inline-allowed: {bad:?}"
-    );
-    let ok = violations_for("shard_worker_ok");
-    assert!(ok.is_empty(), "dual allow must clean the fixture: {ok:?}");
-}
-
-/// The float-eq ok fixture exercises the inline-allow path: the same
-/// comparison without its `simlint: allow(float-eq)` comment is caught.
-#[test]
-fn inline_allow_is_load_bearing_in_float_eq_fixture() {
-    let src = std::fs::read_to_string(root().join(fixture("float_eq_ok")))
-        .expect("fixture must be readable");
-    let stripped = src.replace("// simlint: allow(float-eq)", "");
-    let rel = fixture("float_eq_ok");
+fn inline_allow_is_load_bearing_in_dense_state_fixture() {
+    let rel = fixture("dense_state_ok");
+    let src = std::fs::read_to_string(root().join(&rel)).expect("fixture must be readable");
+    let stripped = src.replace("// simlint: allow(dense-state)", "");
+    assert_ne!(stripped, src, "the fixture carries the allow comment");
     let v = simlint::scan_source(
         &rel,
         &stripped,
@@ -100,8 +82,8 @@ fn inline_allow_is_load_bearing_in_float_eq_fixture() {
         &Allowlist::default(),
     );
     assert!(
-        v.iter().any(|v| v.rule == "float-eq"),
-        "without the allow comment the sentinel compare must be flagged: {v:?}"
+        v.iter().any(|v| v.rule == "dense-state"),
+        "without the allow comment the cold-path map must be flagged: {v:?}"
     );
 }
 
@@ -157,13 +139,12 @@ fn a_ctx_that_allocates_per_effect_is_caught() {
 
 /// The transport-sender fixture pair: the `transport_sender_` prefix
 /// classifies like `crates/netsim/src/transport.rs` (hot-path +
-/// per-id-state), and the `RouterLogic` impl is a taint root — so the
-/// bad fixture trips dense-state, hot-alloc, and the wall-clock taint
-/// companion, while the slab-backed, buffer-reusing twin is clean.
+/// per-id-state), so the bad fixture trips dense-state and hot-alloc,
+/// while the slab-backed, buffer-reusing twin is clean.
 #[test]
-fn transport_sender_fixtures_cover_alloc_state_and_taint() {
+fn transport_sender_fixtures_cover_alloc_and_state() {
     let bad = violations_for("transport_sender_bad");
-    for rule in ["dense-state", "hot-alloc", "taint-wall-clock"] {
+    for rule in ["dense-state", "hot-alloc"] {
         assert!(
             bad.iter().any(|v| v.rule == rule),
             "transport_sender_bad must trip {rule}: {bad:?}"

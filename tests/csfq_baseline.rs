@@ -2,6 +2,8 @@
 //! SIGCOMM '98 description — probabilistic label-driven drops, fair-share
 //! tracking, and the startup weaknesses the Corelite paper exploits.
 
+#![allow(clippy::float_cmp)]
+
 use csfq::CsfqConfig;
 use scenarios::discipline::{Corelite, Csfq};
 use scenarios::runner::{Scenario, ScenarioFlow};

@@ -3,6 +3,8 @@
 //! the disciplines advertise, in a stable JSONL shape, and the
 //! convergence diagnostics built on top of them must be sane.
 
+#![allow(clippy::float_cmp)]
+
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
