@@ -352,10 +352,11 @@ fn drained_wheel_buffers_are_handed_on() {
     // The 100 s that follow cross 186 level-2 slots (0.537 s each) and
     // three more level-3 slots, every crossing a cascade through the
     // levels below. A wheel whose slots each kept a buffer of their own
-    // allocates at every level-3 slot it enters for the first time, for
-    // the first 37 minutes; here a newly occupied slot takes over a
-    // drained one's buffer, so each level has what it needs after its
-    // first crossing.
+    // would allocate at every slot it fills for the first time, for the
+    // first 37 minutes. Here a newly occupied level-0 or level-1 slot
+    // takes over a drained one's buffer, and levels 2 and 3 share one
+    // list that only grows with what is pending there at once, so the
+    // wheel has what it needs after its first crossings.
     let link = LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40);
     let mut b = TopologyBuilder::new(3);
     b.measurement_window(SimDuration::from_secs(10_000));

@@ -45,6 +45,9 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// minutes ahead of the current tick; anything farther overflows to a
 /// heap.
 const LEVELS: usize = 4;
+/// Levels with a buffer per slot (0 and 1, ≈ 0.537 s ahead); the levels
+/// above share one list.
+const NEAR_LEVELS: usize = 2;
 /// Total tick bits the wheel resolves (24).
 const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 
@@ -395,23 +398,29 @@ impl PartialOrd for Entry {
 /// `pop` lazy: the wheel only advances when both same-tick sources run
 /// dry.
 ///
-/// A drained slot's buffer is spare: the next slot of the level to
-/// receive its first entry takes it over (unless it still has its own).
-/// A level therefore holds as many buffers as it had slots occupied *at
-/// once*, not one per slot the clock ever passed, and a steady state
-/// still allocates nothing.
+/// Levels 0 and 1 keep a buffer per slot. A drained slot's buffer is
+/// spare: the next slot of the level to receive its first entry takes it
+/// over (unless it still has its own), so a near level holds as many
+/// buffers as it had slots occupied *at once*. Levels 2 and 3 keep only
+/// their occupancy bitmaps; their entries share one unsorted list,
+/// `far`, out of which one walk picks a far slot's entries when the
+/// clock enters it. Far storage is thus sized by the far entries pending
+/// at once, never by a near slot's buffer, and a steady state still
+/// allocates nothing.
 #[derive(Debug, Clone)]
 struct TimerWheel {
     /// Current tick's events, sorted ascending by `Entry`'s (inverted)
     /// order; the earliest event is at the back.
     cur: Vec<Entry>,
-    /// `LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`.
+    /// `NEAR_LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`.
     slots: Vec<Vec<Entry>>,
+    /// The entries of every level from `NEAR_LEVELS` up, unsorted.
+    far: Vec<Entry>,
     /// One occupancy bitmap per level (bit `s` = slot `s` non-empty).
     occupied: [u64; LEVELS],
-    /// Per level, the drained slots whose emptied buffer nobody has taken
-    /// over yet.
-    spare: [u64; LEVELS],
+    /// Per near level, the drained slots whose emptied buffer nobody has
+    /// taken over yet.
+    spare: [u64; NEAR_LEVELS],
     /// Events beyond the wheel horizon, min-first.
     overflow: BinaryHeap<Entry>,
     /// The tick of the most recent delivery (starts at 0). May run
@@ -435,9 +444,10 @@ impl TimerWheel {
     fn with_capacity(capacity: usize) -> Self {
         TimerWheel {
             cur: Vec::with_capacity(capacity),
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            slots: (0..NEAR_LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            far: Vec::new(),
             occupied: [0; LEVELS],
-            spare: [0; LEVELS],
+            spare: [0; NEAR_LEVELS],
             overflow: BinaryHeap::new(),
             now_tick: 0,
             floor: SimTime::ZERO,
@@ -463,12 +473,18 @@ impl TimerWheel {
         }
         let diff = tick ^ self.now_tick;
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
-        if level >= LEVELS {
-            self.overflow.push(e);
-            return;
-        }
         let slot = ((tick >> (level as u32 * LEVEL_BITS)) & (SLOTS as u64 - 1)) as usize;
         let (index, bit) = (level * SLOTS + slot, 1u64 << slot);
+        if level >= NEAR_LEVELS {
+            // One test on the near path for both rarer destinations.
+            if level < LEVELS {
+                self.occupied[level] |= bit;
+                self.far.push(e);
+            } else {
+                self.overflow.push(e);
+            }
+            return;
+        }
         if self.occupied[level] & bit == 0 {
             self.occupied[level] |= bit;
             // First entry of a slot: it keeps the buffer it was drained
@@ -590,11 +606,11 @@ impl TimerWheel {
             self.now_tick = (self.now_tick & !(((1u64) << (shift + LEVEL_BITS)) - 1))
                 | ((slot as u64) << shift);
             self.occupied[level] &= !(1u64 << slot);
-            self.spare[level] |= 1u64 << slot;
             if level == 0 {
                 // A level-0 slot is exactly one tick: move its events
                 // into the (empty) `cur` and order them for back-pop
                 // delivery (the emptied buffer is now spare).
+                self.spare[0] |= 1u64 << slot;
                 let slot_vec = &mut self.slots[slot];
                 self.cur.append(slot_vec);
                 self.cur.sort_unstable();
@@ -602,13 +618,38 @@ impl TimerWheel {
             }
             // Cascade: redistribute the slot one level down (or into
             // `late` for events landing exactly on the new current tick).
-            let mut moved = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-            for e in moved.drain(..) {
-                self.place(e);
+            if level < NEAR_LEVELS {
+                self.spare[level] |= 1u64 << slot;
+                let mut moved = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+                for e in moved.drain(..) {
+                    self.place(e);
+                }
+                self.slots[level * SLOTS + slot] = moved;
+            } else {
+                self.enter_far(shift);
             }
-            self.slots[level * SLOTS + slot] = moved;
             if !self.late.is_empty() {
                 return true;
+            }
+        }
+    }
+
+    /// Takes the entries of the far slot the clock has just entered (at
+    /// the level whose digits start at bit `shift`) out of `far` and
+    /// files them anew through [`place`](Self::place). Those alone share
+    /// every digit from that level up with the new `now_tick`; the rest
+    /// keep their level and slot. Walking down, a `swap_remove` fills the
+    /// hole with an entry the walk has passed or `place` has just pushed
+    /// back (level 3 to 2), never with one it has yet to test. Out of
+    /// line: inlined into `advance`, it made scenario set-up measurably
+    /// slower.
+    #[inline(never)]
+    fn enter_far(&mut self, shift: u32) {
+        for i in (0..self.far.len()).rev() {
+            let tick = self.far[i].time.as_nanos() >> TICK_SHIFT;
+            if tick >> shift == self.now_tick >> shift {
+                let e = self.far.swap_remove(i);
+                self.place(e);
             }
         }
     }
@@ -618,13 +659,15 @@ impl TimerWheel {
             return Some(e.time);
         }
         if let Some(level) = self.occupied.iter().position(|&bits| bits != 0) {
-            let slot = self.occupied[level].trailing_zeros() as usize;
             // The earliest (time, seq) is the *maximum* in Entry's
-            // inverted order.
-            return self.slots[level * SLOTS + slot]
-                .iter()
-                .max()
-                .map(|e| e.time);
+            // inverted order. With the near levels empty, the earliest
+            // far entry is the earliest of the lowest occupied far slot.
+            let entries = if level < NEAR_LEVELS {
+                &self.slots[level * SLOTS + self.occupied[level].trailing_zeros() as usize]
+            } else {
+                &self.far
+            };
+            return entries.iter().max().map(|e| e.time);
         }
         self.overflow.peek().map(|e| e.time)
     }
@@ -635,9 +678,11 @@ impl TimerWheel {
         for slot in &mut self.slots {
             slot.clear();
         }
-        for (spare, occupied) in self.spare.iter_mut().zip(&mut self.occupied) {
-            *spare |= std::mem::take(occupied);
+        self.far.clear();
+        for (spare, occupied) in self.spare.iter_mut().zip(&self.occupied) {
+            *spare |= occupied;
         }
+        self.occupied = [0; LEVELS];
         self.overflow.clear();
         self.now_tick = 0;
         self.floor = SimTime::ZERO;
@@ -647,6 +692,7 @@ impl TimerWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -956,6 +1002,51 @@ mod tests {
             "wheel retains room for {retained} entries after rounds of {PER_ROUND}"
         );
         assert!(q.payloads.cells.capacity() <= 2 * PER_ROUND as usize);
+    }
+
+    #[test]
+    fn sparse_far_slots_do_not_hold_the_dense_bands_buffers() {
+        // Churn-shaped: a dense band of events 0.5–1 s ahead, each popped
+        // event rescheduled into the band, and now and then a tail event
+        // 2–30 s ahead — a few per level-2 slot at any time, the stop of
+        // a long-lived flow. Twenty simulated seconds cross level 2 some
+        // 37 times. The dense band drains level-2 slots the tail keeps
+        // occupied for seconds; the wheel's retained room must still
+        // follow what is pending at once.
+        const DENSE: u64 = 2_000;
+        let mut q = EventQueue::with_backend(QueueBackend::Wheel, 0);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |lo_ms: u64, hi_ms: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            SimDuration::from_micros(lo_ms * 1_000 + rng % ((hi_ms - lo_ms) * 1_000))
+        };
+        for i in 0..DENSE {
+            q.push(SimTime::ZERO + next(500, 1_000), i);
+        }
+        let (mut peak, mut pops) = (0, 0u64);
+        while let Some((now, tag)) = q.pop() {
+            if now > SimTime::from_secs(20) {
+                break;
+            }
+            pops += 1;
+            if tag < DENSE {
+                q.push(now + next(500, 1_000), tag);
+                if pops % 256 == 0 {
+                    q.push(now + next(2_000, 30_000), DENSE);
+                }
+            }
+            peak = peak.max(q.len());
+        }
+        let Order::Wheel(w) = &q.order else {
+            unreachable!()
+        };
+        let retained: usize = w.slots.iter().map(Vec::capacity).sum::<usize>() + w.far.capacity();
+        assert!(
+            retained <= 4 * peak,
+            "wheel retains room for {retained} entries at a peak of {peak} pending"
+        );
     }
 
     #[test]

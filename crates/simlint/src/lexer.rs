@@ -14,10 +14,9 @@
 pub enum Tok {
     /// An identifier or keyword (`HashMap`, `fn`, `unwrap`, ...).
     Ident(String),
-    /// An integer literal (`42`, `0xFF`, `1_000u64`).
-    Int,
-    /// A floating-point literal (`0.0`, `1e6`, `2.5f32`).
-    Float,
+    /// A numeric literal, integer or floating-point (`42`, `0xFF`,
+    /// `1_000u64`, `2.5E-3`, `3f64`).
+    Num,
     /// A string, byte-string, raw-string or char literal, carrying its
     /// raw inner text (escapes unprocessed) so rules that care about
     /// literal values — `rng-stream-hygiene` collects `DetRng` stream
@@ -310,7 +309,6 @@ impl Lexer {
     }
 
     fn number(&mut self, line: u32) {
-        let mut is_float = false;
         if self.peek(0) == Some('0') && matches!(self.peek(1), Some('x' | 'o' | 'b')) {
             // Radix literal: always an integer.
             self.bump();
@@ -329,7 +327,6 @@ impl Lexer {
                 let fractional = matches!(after, Some(c) if c.is_ascii_digit())
                     || !matches!(after, Some(c) if c == '.' || c == '_' || c.is_alphabetic());
                 if fractional {
-                    is_float = true;
                     self.bump();
                     while matches!(self.peek(0), Some(c) if c.is_ascii_digit() || c == '_') {
                         self.bump();
@@ -342,7 +339,6 @@ impl Lexer {
                 let exp = matches!(a, Some(c) if c.is_ascii_digit())
                     || (matches!(a, Some('+' | '-')) && matches!(b, Some(c) if c.is_ascii_digit()));
                 if exp {
-                    is_float = true;
                     self.bump();
                     self.bump();
                     while matches!(self.peek(0), Some(c) if c.is_ascii_digit() || c == '_') {
@@ -352,14 +348,10 @@ impl Lexer {
             }
         }
         // Type suffix (`u64`, `f64`, ...).
-        let mut suffix = String::new();
         while matches!(self.peek(0), Some(c) if c == '_' || c.is_alphanumeric()) {
-            suffix.push(self.bump().expect("peeked char must exist"));
+            self.bump();
         }
-        if suffix == "f32" || suffix == "f64" {
-            is_float = true;
-        }
-        self.push(if is_float { Tok::Float } else { Tok::Int }, line);
+        self.push(Tok::Num, line);
     }
 
     fn ident(&mut self, line: u32) {
@@ -470,31 +462,19 @@ mod tests {
     }
 
     #[test]
-    fn numbers_classify_float_vs_int() {
+    fn each_number_is_one_token() {
         let kinds: Vec<Tok> = lex("0 1.5 1e6 2.5E-3 0xFF 1_000u64 3f64 7.")
             .tokens
             .into_iter()
             .map(|t| t.tok)
             .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                Tok::Int,
-                Tok::Float,
-                Tok::Float,
-                Tok::Float,
-                Tok::Int,
-                Tok::Int,
-                Tok::Float,
-                Tok::Float
-            ]
-        );
+        assert_eq!(kinds, vec![Tok::Num; 8]);
     }
 
     #[test]
     fn ranges_are_not_floats() {
         let kinds: Vec<Tok> = lex("1..2").tokens.into_iter().map(|t| t.tok).collect();
-        assert_eq!(kinds, vec![Tok::Int, Tok::Op(".."), Tok::Int]);
+        assert_eq!(kinds, vec![Tok::Num, Tok::Op(".."), Tok::Num]);
     }
 
     #[test]
