@@ -6,8 +6,12 @@
 //! throttled), and adapts per epoch on the **maximum** per-core marker
 //! count. Losses are ignored: *"edges react only to congestion
 //! indications"* (§4.3).
+//!
+//! Its closed-loop twin is a [`netsim::GbnSender`] with the same agent
+//! configuration, marker cadence and epoch ([`CoreliteConfig::gbn_edge`]).
 
 use netsim::agent::{AgentEdge, Stamp};
+use netsim::GbnSender;
 
 use crate::config::CoreliteConfig;
 
@@ -22,6 +26,26 @@ impl CoreliteConfig {
     pub fn edge(&self) -> AgentEdge {
         self.validate();
         AgentEdge::new(self.agent(), self.edge_epoch, Stamp::Marker { k1: self.k1 })
+    }
+
+    /// Logic for a go-back-N ingress edge wired for Corelite: markers
+    /// every `K1·w` first transmissions carrying the flow's normalized
+    /// rate, adaptation ticks on the edge epoch, and a window per the
+    /// flow's declared [`Transport`](netsim::Transport) — the agent
+    /// under `WindowAimd` for [`Transport::Gbn`](netsim::Transport::Gbn)
+    /// (and [`Transport::Limd`](netsim::Transport::Limd), should a
+    /// closed-loop edge host one), stock Reno for
+    /// [`Transport::Reno`](netsim::Transport::Reno). Reno flows still
+    /// inject markers, so cores see their normalized rates and throttle
+    /// them like any other flow — that is what holds a mixed LIMD/Reno
+    /// population to the weighted-fair allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`CoreliteConfig::validate`].
+    pub fn gbn_edge(&self) -> GbnSender {
+        self.validate();
+        GbnSender::new(self.agent(), self.edge_epoch, self.k1)
     }
 }
 

@@ -68,7 +68,6 @@
 
 pub mod aggregate;
 pub mod cache;
-pub mod cc;
 pub mod config;
 pub mod congestion;
 pub mod detector;
@@ -80,7 +79,6 @@ pub mod stateless;
 
 pub use aggregate::AggregatingEdge;
 pub use cache::MarkerCache;
-pub use cc::{gbn_edge, CoreliteCc};
 pub use config::{CoreliteConfig, DecreasePolicy, MuUnit, SelectorKind};
 pub use congestion::marker_feedback_count;
 pub use detector::DetectorKind;

@@ -85,4 +85,4 @@ pub use packet::{Marker, Packet};
 pub use slab::{ActiveSet, DenseMap, SlabKey};
 pub use telemetry::{Probe, ProbeRecord, RingProbe, Sample};
 pub use topology::TopologyBuilder;
-pub use transport::{CongestionControl, GbnConfig, GbnSender, Reno, RttEstimator};
+pub use transport::GbnSender;

@@ -1,17 +1,11 @@
-//! Closed-loop transports: a pluggable congestion-control trait and an
-//! ack-clocked go-back-N sender.
+//! Closed-loop transports: an ack-clocked go-back-N sender whose window
+//! follows each flow's declared [`Transport`].
 //!
 //! The paper's evaluation drives every flow open loop: the ingress edge
 //! shapes a backlogged source to the allowed rate `b_g` and packets are
 //! simply counted at the egress. This module adds the other half of a
 //! real deployment — senders that are *clocked by acknowledgements*:
 //!
-//! * [`CongestionControl`] — the window-adaptation strategy, decoupled
-//!   from reliability. Implemented here by [`Reno`] (slow start +
-//!   AIMD); the `corelite` crate adapts the paper's
-//!   [`SourceAgent`](crate::agent::SourceAgent) to this trait
-//!   (`corelite::cc::CoreliteCc`) so ack-clocked flows participate
-//!   in marker-feedback fairness.
 //! * [`GbnSender`] — a cumulative-ack go-back-N sender installed as
 //!   [`RouterLogic`] on the ingress node. It emits sequenced packets
 //!   ([`Packet::seq`](crate::packet::Packet::seq)), which the engine's
@@ -19,6 +13,12 @@
 //!   (`ControlMsg::Ack`); the sender maintains SRTT/RTTVAR
 //!   ([`RttEstimator`]), retransmits the outstanding window on RTO or
 //!   triple duplicate ack, and re-pumps whenever the window opens.
+//! * The window itself is picked per flow from its [`Transport`]: stock
+//!   [`Reno`] (slow start + AIMD) for [`Transport::Reno`], and the
+//!   paper's [`SourceAgent`] under [`AdaptationScheme::WindowAimd`] for
+//!   every other transport, so ack-clocked flows take part in
+//!   marker-feedback fairness. The sender owns reliability; the window
+//!   owns only the window.
 //!
 //! Everything here is deterministic by construction: the sender holds no
 //! RNG, every state transition is driven by an engine event (ack
@@ -31,7 +31,8 @@ use std::collections::VecDeque;
 use sim_core::stats::TimeSeries;
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::flow::FlowInfo;
+use crate::agent::{AdaptationScheme, AgentConfig, SourceAgent};
+use crate::flow::Transport;
 use crate::ids::FlowId;
 use crate::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
 use crate::pacer::Pacer;
@@ -39,16 +40,14 @@ use crate::packet::Marker;
 use crate::slab::DenseMap;
 use crate::telemetry::Sample;
 
-/// Timer tag for the go-back-N retransmission timeout chain. High,
-/// distinctive values so a mux hosting this sender next to another logic
-/// (e.g. a Corelite edge, whose tags are small integers) can route by tag
-/// without collisions.
-pub const TIMER_GBN_RTO: u32 = 0x4742_4e01;
-/// Timer tag for the congestion-control epoch tick chain.
-pub const TIMER_GBN_TICK: u32 = 0x4742_4e02;
+/// Timer tag of the retransmission-timeout chain.
+const TIMER_GBN_RTO: u32 = 0x4742_4e01;
+/// Timer tag of the epoch tick chain.
+const TIMER_GBN_TICK: u32 = 0x4742_4e02;
 
 /// Jacobson/Karels round-trip estimation with Karn-compatible sampling
-/// and exponential RTO backoff.
+/// and exponential RTO backoff, the RTO clamped to
+/// [`MIN_RTO`]`..=`[`MAX_RTO`].
 ///
 /// The caller is responsible for Karn's rule: samples must only be fed
 /// for segments that were *not* retransmitted (the egress echoes the
@@ -58,22 +57,22 @@ pub struct RttEstimator {
     srtt: f64,
     rttvar: f64,
     rto: f64,
-    min_rto: f64,
-    max_rto: f64,
 }
 
 impl RttEstimator {
     /// Seeds the estimator from the path's base (propagation-only) RTT.
-    pub fn new(base_rtt: f64, min_rto: f64, max_rto: f64) -> Self {
+    pub fn new(base_rtt: f64) -> Self {
         let srtt = base_rtt.max(1e-6);
         let rttvar = srtt / 2.0;
         RttEstimator {
             srtt,
             rttvar,
-            rto: (srtt + 4.0 * rttvar).clamp(min_rto, max_rto),
-            min_rto,
-            max_rto,
+            rto: Self::clamp(srtt + 4.0 * rttvar),
         }
+    }
+
+    fn clamp(rto: f64) -> f64 {
+        rto.clamp(MIN_RTO.as_secs_f64(), MAX_RTO.as_secs_f64())
     }
 
     /// Feeds one round-trip sample (seconds): `rttvar ← ¾·rttvar +
@@ -83,12 +82,12 @@ impl RttEstimator {
         let s = sample.max(1e-9);
         self.rttvar = 0.75 * self.rttvar + 0.25 * (self.srtt - s).abs();
         self.srtt = 0.875 * self.srtt + 0.125 * s;
-        self.rto = (self.srtt + 4.0 * self.rttvar).clamp(self.min_rto, self.max_rto);
+        self.rto = Self::clamp(self.srtt + 4.0 * self.rttvar);
     }
 
-    /// Doubles the RTO after a timeout (capped at the configured max).
+    /// Doubles the RTO after a timeout (capped at [`MAX_RTO`]).
     pub fn backoff(&mut self) {
-        self.rto = (self.rto * 2.0).min(self.max_rto);
+        self.rto = (self.rto * 2.0).min(MAX_RTO.as_secs_f64());
     }
 
     /// The smoothed round-trip estimate, seconds.
@@ -102,39 +101,6 @@ impl RttEstimator {
     }
 }
 
-/// A window-based congestion-control strategy, decoupled from the
-/// reliability machinery that hosts it.
-///
-/// The [`GbnSender`] owns reliability (sequencing, acks, retransmission,
-/// the RTT estimator) and calls into this trait at the obvious points;
-/// the implementation owns only the window. Signals are already
-/// deduplicated by the sender (at most one per round trip, via the
-/// recovery guard), so implementations may react to every `on_signal`
-/// unconditionally.
-pub trait CongestionControl: std::fmt::Debug {
-    /// The flow (re)started; `base_rtt` is the path's propagation-only
-    /// round trip in seconds.
-    fn on_start(&mut self, now: SimTime, base_rtt: f64);
-    /// `newly_acked` packets were cumulatively acknowledged; `srtt` is
-    /// the sender's current smoothed round-trip estimate.
-    fn on_ack(&mut self, now: SimTime, newly_acked: u64, srtt: f64);
-    /// A congestion signal: Corelite marker feedback or a triple
-    /// duplicate ack. At most one per round trip reaches this method.
-    fn on_signal(&mut self, now: SimTime);
-    /// The retransmission timer expired with the window outstanding.
-    fn on_rto(&mut self, now: SimTime);
-    /// Periodic adaptation tick (for epoch-driven schemes; per-ack
-    /// schemes can ignore it).
-    fn on_epoch(&mut self, now: SimTime);
-    /// The current congestion window, packets (the sender floors it at
-    /// one).
-    fn window(&self) -> f64;
-    /// The current send-rate estimate, packets per second (window over
-    /// the round trip; carried in Corelite markers as the normalized
-    /// rate numerator).
-    fn rate(&self) -> f64;
-}
-
 /// Reno-style AIMD: slow start doubling per round trip, `+1/cwnd` per
 /// ack in congestion avoidance, halving on a signal, collapse to one
 /// packet on RTO.
@@ -146,31 +112,20 @@ pub struct Reno {
 }
 
 impl Reno {
-    /// A fresh Reno controller (initial window of two packets, no
-    /// slow-start ceiling until the first signal).
-    pub fn new() -> Self {
+    /// A fresh Reno window for a path of `base_rtt` seconds
+    /// (propagation only): two packets, no slow-start ceiling until the
+    /// first signal.
+    pub fn new(base_rtt: f64) -> Self {
         Reno {
             cwnd: 2.0,
             ssthresh: f64::INFINITY,
-            rtt: 1e-3,
+            rtt: base_rtt.max(1e-6),
         }
     }
-}
 
-impl Default for Reno {
-    fn default() -> Self {
-        Reno::new()
-    }
-}
-
-impl CongestionControl for Reno {
-    fn on_start(&mut self, _now: SimTime, base_rtt: f64) {
-        self.cwnd = 2.0;
-        self.ssthresh = f64::INFINITY;
-        self.rtt = base_rtt.max(1e-6);
-    }
-
-    fn on_ack(&mut self, _now: SimTime, newly_acked: u64, srtt: f64) {
+    /// `newly_acked` packets were cumulatively acknowledged; `srtt` is
+    /// the sender's current smoothed round-trip estimate.
+    pub fn on_ack(&mut self, newly_acked: u64, srtt: f64) {
         self.rtt = srtt.max(1e-6);
         let n = newly_acked as f64;
         if self.cwnd < self.ssthresh {
@@ -182,24 +137,114 @@ impl CongestionControl for Reno {
         }
     }
 
-    fn on_signal(&mut self, _now: SimTime) {
+    /// A congestion signal: marker feedback or a triple duplicate ack.
+    pub fn on_signal(&mut self) {
         self.ssthresh = (self.cwnd / 2.0).max(1.0);
         self.cwnd = self.ssthresh;
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
+    /// The retransmission timer expired with the window outstanding.
+    pub fn on_rto(&mut self) {
         self.ssthresh = (self.cwnd / 2.0).max(1.0);
         self.cwnd = 1.0;
     }
 
-    fn on_epoch(&mut self, _now: SimTime) {}
-
-    fn window(&self) -> f64 {
+    /// The current congestion window, packets (at least one).
+    pub fn window(&self) -> f64 {
         self.cwnd.max(1.0)
     }
 
-    fn rate(&self) -> f64 {
+    /// The current send-rate estimate, packets per second.
+    pub fn rate(&self) -> f64 {
         self.cwnd.max(1.0) / self.rtt
+    }
+}
+
+/// A flow's congestion window, picked from its [`Transport`] when it
+/// starts. The [`GbnSender`] calls into it at the obvious points and
+/// deduplicates signals first (at most one per round trip, via the
+/// recovery guard), so either variant reacts to every signal it gets.
+#[derive(Debug)]
+enum Window {
+    Reno(Reno),
+    /// The agent has no timeout notion: an RTO reaches it as one more
+    /// congestion indication. Signals name no core, so an epoch's add
+    /// up ([`SourceAgent::on_signal`]).
+    Agent(SourceAgent),
+}
+
+impl Window {
+    /// The window of a flow of `transport` starting at `now` on a path
+    /// of `base_rtt` seconds; `cfg` is the sender's (`WindowAimd`)
+    /// agent configuration.
+    fn start(
+        transport: Transport,
+        weight: u32,
+        min_rate: f64,
+        cfg: &AgentConfig,
+        now: SimTime,
+        base_rtt: f64,
+    ) -> Self {
+        match transport {
+            Transport::Reno => Window::Reno(Reno::new(base_rtt)),
+            Transport::Gbn | Transport::Limd => {
+                let mut agent = SourceAgent::new(weight, min_rate, 1e-3);
+                agent.start(cfg, now, base_rtt);
+                Window::Agent(agent)
+            }
+        }
+    }
+
+    fn on_ack(&mut self, cfg: &AgentConfig, newly_acked: u64, srtt: f64) {
+        match self {
+            Window::Reno(reno) => reno.on_ack(newly_acked, srtt),
+            // The live SRTT replaces the static base estimate, and the
+            // agent re-derives its rate from it at once.
+            Window::Agent(agent) => agent.update_rtt(cfg, srtt),
+        }
+    }
+
+    fn on_signal(&mut self, cfg: &AgentConfig, now: SimTime) {
+        match self {
+            Window::Reno(reno) => reno.on_signal(),
+            Window::Agent(agent) => {
+                agent.on_signal(cfg, now);
+            }
+        }
+    }
+
+    fn on_rto(&mut self, cfg: &AgentConfig, now: SimTime) {
+        match self {
+            Window::Reno(reno) => reno.on_rto(),
+            Window::Agent(agent) => {
+                agent.on_signal(cfg, now);
+            }
+        }
+    }
+
+    /// The periodic adaptation tick; Reno adapts per ack instead.
+    fn on_epoch(&mut self, cfg: &AgentConfig, now: SimTime) {
+        if let Window::Agent(agent) = self {
+            agent.epoch_update(cfg, now);
+        }
+    }
+
+    /// The current congestion window, packets (the sender floors it at
+    /// one).
+    fn window(&self) -> f64 {
+        match self {
+            Window::Reno(reno) => reno.window(),
+            Window::Agent(agent) => agent.cwnd(),
+        }
+    }
+
+    /// The current send-rate estimate, packets per second (carried in
+    /// markers as the normalized-rate numerator).
+    fn rate(&self) -> f64 {
+        match self {
+            Window::Reno(reno) => reno.rate(),
+            Window::Agent(agent) => agent.rate(),
+        }
     }
 }
 
@@ -212,39 +257,14 @@ pub const DUPACK_THRESHOLD: u32 = 3;
 /// Hard cap on a flow's outstanding window, packets.
 pub const MAX_WINDOW: u32 = 1 << 14;
 
-/// Configuration for the [`GbnSender`]; its RTO clamps, fast-retransmit
-/// threshold and window cap are the constants [`MIN_RTO`], [`MAX_RTO`],
-/// [`DUPACK_THRESHOLD`] and [`MAX_WINDOW`].
-#[derive(Debug, Clone)]
-pub struct GbnConfig {
-    /// Congestion-control epoch tick interval (drives
-    /// [`CongestionControl::on_epoch`]).
-    pub epoch: SimDuration,
-    /// Corelite marker cadence `K1`: when `Some`, every `K1·w`-th
-    /// first-transmission packet of a weight-`w` flow carries a marker
-    /// with the flow's normalized rate `rate/w`. `None` disables
-    /// marking (plain best-effort go-back-N).
-    pub marker_spacing: Option<u32>,
-}
-
-impl Default for GbnConfig {
-    fn default() -> Self {
-        GbnConfig {
-            epoch: SimDuration::from_millis(100),
-            marker_spacing: None,
-        }
-    }
-}
-
-/// Builds a congestion controller for a starting flow: the sender calls
-/// it with the flow's resolved info and base RTT, and the factory picks
-/// the strategy (typically off [`FlowInfo::transport`]).
-pub type CcFactory = Box<dyn Fn(&FlowInfo, f64) -> Box<dyn CongestionControl>>;
-
 /// Per-flow go-back-N sender state.
 #[derive(Debug)]
 struct GbnFlow {
-    cc: Box<dyn CongestionControl>,
+    /// Whether the flow is started. A stopped static flow keeps its
+    /// entry for the rate record alone; its timer chains die with the
+    /// stop, and acks or feedback still in flight find it inactive.
+    active: bool,
+    window: Window,
     est: RttEstimator,
     /// Oldest unacknowledged sequence number.
     snd_una: u64,
@@ -261,22 +281,26 @@ struct GbnFlow {
     recover: u64,
     /// First-transmission packets since the last marker.
     marker_credit: u32,
-    /// Marker cadence `K1 · w` for this flow (`None` = no marking).
-    marker_every: Option<u32>,
+    /// Marker cadence `K1 · w` for this flow.
+    marker_every: u32,
     weight: u32,
     /// Earliest instant a genuine RTO may fire; pushed forward by every
     /// ack and (re)transmission. The chain is lazy: a fire before the
     /// deadline re-arms instead of timing out, so at most one timer
     /// event is ever in flight per flow.
     rto_deadline: SimTime,
-    /// Allotted-rate record (sampled at epoch ticks) for the report.
+    /// Allotted-rate record (sampled at epoch ticks) for the report. A
+    /// static flow's spans its activations, with a zero at each stop.
     series: TimeSeries,
 }
 
 /// An ack-clocked go-back-N sender: [`RouterLogic`] for an ingress edge
 /// node driving closed-loop flows.
 ///
-/// The sender keeps the outstanding window full whenever the controller
+/// Every `K1·w`-th first transmission of a weight-`w` flow carries a
+/// marker with the flow's normalized rate `rate/w`, whatever its
+/// window: cores see every flow's rate and throttle it like any other.
+/// The sender keeps the outstanding window full whenever the window
 /// allows: on flow start it bursts the initial window, and every
 /// window-opening event (new cumulative ack, epoch growth) pumps more
 /// first transmissions. The engine's egress ack sink acknowledges every
@@ -286,8 +310,12 @@ struct GbnFlow {
 /// repeat). Transit packets of other flows are forwarded unchanged, so
 /// the sender can share a node with pass-through traffic.
 pub struct GbnSender {
-    cfg: GbnConfig,
-    factory: CcFactory,
+    /// The agent windows' configuration, forced to `WindowAimd`.
+    agent: AgentConfig,
+    /// The epoch tick interval.
+    epoch: SimDuration,
+    /// Marker spacing constant `K1`.
+    k1: u32,
     flows: DenseMap<FlowId, GbnFlow>,
     /// The RTO chains, reset on every start and stop; the tick chains
     /// borrow the same per-slot generation.
@@ -300,11 +328,25 @@ pub struct GbnSender {
 }
 
 impl GbnSender {
-    /// A sender with a custom congestion-controller factory.
-    pub fn new(cfg: GbnConfig, factory: CcFactory) -> Self {
+    /// A sender whose agent windows run `agent` (forced to
+    /// [`AdaptationScheme::WindowAimd`]: a window is the only control
+    /// variable an ack-clocked sender can act on) and adapt every
+    /// `epoch`, marking every `k1·w` first transmissions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent` fails [`AgentConfig::validate`] or `epoch` is
+    /// zero.
+    pub fn new(agent: AgentConfig, epoch: SimDuration, k1: u32) -> Self {
+        agent.validate();
+        assert!(!epoch.is_zero(), "edge epoch must be positive");
         GbnSender {
-            cfg,
-            factory,
+            agent: AgentConfig {
+                adaptation: AdaptationScheme::WindowAimd,
+                ..agent
+            },
+            epoch,
+            k1,
             flows: DenseMap::new(),
             pacer: Pacer::new(TIMER_GBN_RTO),
             acks_received: 0,
@@ -326,21 +368,19 @@ impl GbnSender {
             return;
         };
         let had_outstanding = s.snd_una < s.snd_nxt;
-        let wnd = (s.cc.window().floor() as u64).clamp(1, max_window);
+        let wnd = (s.window.window().floor() as u64).clamp(1, max_window);
         while s.snd_nxt < s.snd_una + wnd {
             let seq = s.snd_nxt;
             let mut packet = ctx.new_packet(flow).with_seq(seq, false);
-            if let Some(every) = s.marker_every {
-                s.marker_credit += 1;
-                if s.marker_credit >= every {
-                    s.marker_credit = 0;
-                    marked += 1;
-                    packet = packet.with_marker(Marker {
-                        flow,
-                        edge: node,
-                        normalized_rate: s.cc.rate() / s.weight as f64,
-                    });
-                }
+            s.marker_credit += 1;
+            if s.marker_credit >= s.marker_every {
+                s.marker_credit = 0;
+                marked += 1;
+                packet = packet.with_marker(Marker {
+                    flow,
+                    edge: node,
+                    normalized_rate: s.window.rate() / s.weight as f64,
+                });
             }
             ctx.emit(packet);
             s.sent.push_back(now);
@@ -379,18 +419,18 @@ impl GbnSender {
     }
 
     /// Delivers one recovery-guarded congestion signal to the flow's
-    /// controller: Corelite marker feedback and duplicate-ack losses
-    /// funnel through here, and at most one signal per outstanding
-    /// window reaches the controller.
+    /// window: Corelite marker feedback and duplicate-ack losses funnel
+    /// through here, and at most one signal per outstanding window gets
+    /// through.
     fn signal(&mut self, now: SimTime, flow: FlowId) -> bool {
-        let Some(s) = self.flows.get_mut(&flow) else {
+        let Some(s) = self.flows.get_mut(&flow).filter(|s| s.active) else {
             return false;
         };
         if s.snd_una < s.recover {
             return false;
         }
         s.recover = s.snd_nxt;
-        s.cc.on_signal(now);
+        s.window.on_signal(&self.agent, now);
         true
     }
 
@@ -404,7 +444,7 @@ impl GbnSender {
     ) {
         self.acks_received += 1;
         let now = ctx.now();
-        let Some(s) = self.flows.get_mut(&flow) else {
+        let Some(s) = self.flows.get_mut(&flow).filter(|s| s.active) else {
             return;
         };
         if cum_seq > s.snd_nxt {
@@ -426,7 +466,7 @@ impl GbnSender {
                 s.est.on_sample(now.saturating_since(echo).as_secs_f64());
             }
             let srtt = s.est.srtt();
-            s.cc.on_ack(now, newly, srtt);
+            s.window.on_ack(&self.agent, newly, srtt);
             s.rto_deadline = now + s.est.rto();
             self.pump(ctx, flow);
         } else {
@@ -475,7 +515,7 @@ impl GbnSender {
         }
         self.rtos_fired += 1;
         s.est.backoff();
-        s.cc.on_rto(now);
+        s.window.on_rto(&self.agent, now);
         s.recover = s.snd_nxt;
         s.dup_acks = 0;
         let rto = s.est.rto();
@@ -495,13 +535,13 @@ impl GbnSender {
             return;
         };
         let now = ctx.now();
-        s.cc.on_epoch(now);
-        let rate = s.cc.rate();
+        s.window.on_epoch(&self.agent, now);
+        let rate = s.window.rate();
         s.series.push(now, rate);
         ctx.publish(Sample::for_flow("b_g", flow, rate));
-        ctx.publish(Sample::for_flow("cwnd", flow, s.cc.window()));
+        ctx.publish(Sample::for_flow("cwnd", flow, s.window.window()));
         self.pump(ctx, flow);
-        ctx.set_timer(self.cfg.epoch, TimerKind::with_param(TIMER_GBN_TICK, param));
+        ctx.set_timer(self.epoch, TimerKind::with_param(TIMER_GBN_TICK, param));
     }
 }
 
@@ -520,39 +560,56 @@ impl RouterLogic for GbnSender {
         let now = ctx.now();
         let base_rtt = 2.0 * ctx.one_way_delay(flow).as_secs_f64();
         let info = ctx.flow(flow);
-        let mut cc = (self.factory)(info, base_rtt);
-        cc.on_start(now, base_rtt);
+        let window = Window::start(
+            info.transport,
+            info.weight,
+            info.min_rate,
+            &self.agent,
+            now,
+            base_rtt,
+        );
         let weight = info.weight;
-        let marker_every = self.cfg.marker_spacing.map(|k1| (k1 * weight).max(1));
+        // Everything but a static flow's rate record begins afresh: a
+        // restart starts from sequence zero, mirroring the egress
+        // receiver's reset.
+        let series = match self.flows.remove(&flow) {
+            Some(old) if !info.is_transient() => old.series,
+            _ => TimeSeries::new(),
+        };
         self.pacer.reset(flow.index());
         self.flows.insert(
             flow,
             GbnFlow {
-                cc,
-                est: RttEstimator::new(base_rtt, MIN_RTO.as_secs_f64(), MAX_RTO.as_secs_f64()),
+                active: true,
+                window,
+                est: RttEstimator::new(base_rtt),
                 snd_una: 0,
                 snd_nxt: 0,
                 sent: VecDeque::new(),
                 dup_acks: 0,
                 recover: 0,
                 marker_credit: 0,
-                marker_every,
+                marker_every: (self.k1 * weight).max(1),
                 weight,
                 rto_deadline: now,
-                series: TimeSeries::new(),
+                series,
             },
         );
         self.pump(ctx, flow);
         let param = self.pacer.param(flow.index());
-        ctx.set_timer(self.cfg.epoch, TimerKind::with_param(TIMER_GBN_TICK, param));
+        ctx.set_timer(self.epoch, TimerKind::with_param(TIMER_GBN_TICK, param));
     }
 
-    fn on_flow_stop(&mut self, _ctx: &mut Ctx<'_>, flow: FlowId) {
-        // Invalidate both timer chains and drop all connection state; a
-        // restart begins from sequence zero, mirroring the egress
-        // receiver's reset.
+    fn on_flow_stop(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+        // Invalidate both timer chains; a churn flow never restarts, so
+        // its state goes.
         self.pacer.reset(flow.index());
-        self.flows.remove(&flow);
+        if ctx.flow(flow).is_transient() {
+            self.flows.remove(&flow);
+        } else if let Some(s) = self.flows.get_mut(&flow) {
+            s.active = false;
+            s.series.push(ctx.now(), 0.0);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
@@ -572,7 +629,7 @@ impl RouterLogic for GbnSender {
                 retx,
             } => self.handle_ack(ctx, flow, cum_seq, echo, retx),
             // Corelite marker feedback: a congestion signal for the
-            // flow's controller (recovery-guarded like a loss signal,
+            // flow's window (recovery-guarded like a loss signal,
             // but with nothing to retransmit).
             ControlMsg::MarkerFeedback { marker, .. } => {
                 self.signal(ctx.now(), marker.flow);
@@ -599,7 +656,7 @@ impl RouterLogic for GbnSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{FlowSpec, Transport};
+    use crate::flow::FlowSpec;
     use crate::link::LinkSpec;
     use crate::logic::ForwardLogic;
     use crate::monitor::SimReport;
@@ -607,7 +664,7 @@ mod tests {
 
     #[test]
     fn rtt_estimator_converges_and_backs_off() {
-        let mut est = RttEstimator::new(0.1, 0.05, 10.0);
+        let mut est = RttEstimator::new(0.1);
         assert!((est.srtt() - 0.1).abs() < 1e-9);
         for _ in 0..100 {
             est.on_sample(0.2);
@@ -627,51 +684,87 @@ mod tests {
 
     #[test]
     fn reno_slow_start_then_aimd() {
-        let mut cc = Reno::new();
-        cc.on_start(SimTime::ZERO, 0.1);
+        let mut cc = Reno::new(0.1);
         assert_eq!(cc.window(), 2.0);
         // Slow start: +1 per acked packet.
-        cc.on_ack(SimTime::ZERO, 2, 0.1);
+        cc.on_ack(2, 0.1);
         assert_eq!(cc.window(), 4.0);
-        cc.on_signal(SimTime::ZERO);
+        cc.on_signal();
         assert_eq!(cc.window(), 2.0);
         // Now in congestion avoidance: +n/cwnd.
-        cc.on_ack(SimTime::ZERO, 2, 0.1);
+        cc.on_ack(2, 0.1);
         assert!((cc.window() - 3.0).abs() < 1e-9);
-        cc.on_rto(SimTime::ZERO);
+        cc.on_rto();
         assert_eq!(cc.window(), 1.0);
     }
 
-    fn reno_sender(cfg: GbnConfig) -> Box<GbnSender> {
-        Box::new(GbnSender::new(
-            cfg,
-            Box::new(|_: &FlowInfo, _| Box::new(Reno::new()) as Box<dyn CongestionControl>),
-        ))
+    fn sender() -> GbnSender {
+        GbnSender::new(AgentConfig::default(), SimDuration::from_millis(100), 1)
     }
 
-    fn gbn_chain(cfg: GbnConfig) -> (SimReport, FlowId) {
+    #[test]
+    fn signals_and_rtos_halve_the_agent_window_at_the_next_epoch() {
+        let secs = SimTime::from_secs;
+        let cfg = sender().agent;
+        let mut w = Window::start(Transport::Gbn, 1, 0.0, &cfg, SimTime::ZERO, 0.1);
+        // The first signal ends slow start immediately; silent epochs
+        // then grow the window linearly.
+        w.on_signal(&cfg, secs(1));
+        w.on_epoch(&cfg, secs(2));
+        w.on_epoch(&cfg, secs(3));
+        let grown = w.window();
+        assert!(grown > 1.0, "window never grew: {grown}");
+        // A signal in the linear phase is accumulated feedback: the
+        // throttle lands at the next epoch update.
+        w.on_signal(&cfg, secs(4));
+        assert_eq!(w.window(), grown);
+        w.on_epoch(&cfg, secs(5));
+        assert_eq!(w.window(), grown / 2.0);
+        // An RTO counts as one congestion indication, throttled alike.
+        w.on_epoch(&cfg, secs(6));
+        let regrown = w.window();
+        w.on_rto(&cfg, secs(7));
+        let Window::Agent(agent) = &w else {
+            unreachable!("a Gbn flow runs the agent");
+        };
+        assert_eq!(agent.feedback_max(), 1);
+        w.on_epoch(&cfg, secs(8));
+        assert_eq!(w.window(), regrown / 2.0);
+    }
+
+    /// A two-hop 500 pkt/s chain carrying one flow of `transport` per
+    /// activation list in `flows`, run for `secs`.
+    fn gbn_chain(
+        transport: Transport,
+        flows: &[&[(SimTime, Option<SimTime>)]],
+        secs: u64,
+    ) -> SimReport {
         let mut b = TopologyBuilder::new(7);
-        let src = b.node("src", move |_| reno_sender(cfg.clone()));
+        let src = b.node("src", |_| Box::new(sender()));
         let mid = b.node("mid", |_| Box::new(ForwardLogic));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
         let spec = LinkSpec::new(4_000_000, SimDuration::from_millis(10), 40);
         b.link(src, mid, spec);
         b.link(mid, dst, spec);
-        let f = b.flow(
-            FlowSpec::new(vec![src, mid, dst], 1)
-                .transport(Transport::Reno)
-                .active(SimTime::ZERO, None),
-        );
-        let end = SimTime::from_secs(20);
+        for periods in flows {
+            let mut flow = FlowSpec::new(vec![src, mid, dst], 1).transport(transport);
+            for &(start, stop) in *periods {
+                flow = flow.active(start, stop);
+            }
+            b.flow(flow);
+        }
+        let end = SimTime::from_secs(secs);
         let mut net = b.build();
         net.run_until(end);
-        (net.into_report(end), f)
+        net.into_report(end)
     }
+
+    const ALWAYS: &[(SimTime, Option<SimTime>)] = &[(SimTime::ZERO, None)];
 
     #[test]
     fn gbn_reno_fills_the_pipe_without_duplicate_goodput() {
-        let (report, f) = gbn_chain(GbnConfig::default());
-        let fr = report.flow(f);
+        let report = gbn_chain(Transport::Reno, &[ALWAYS], 20);
+        let fr = report.flow(FlowId::from_index(0));
         // The 500 pkt/s bottleneck should be near-saturated by an
         // ack-clocked Reno flow over 20 s.
         assert!(
@@ -696,17 +789,35 @@ mod tests {
 
     #[test]
     fn gbn_runs_are_deterministic() {
-        let a = gbn_chain(GbnConfig::default());
-        let b = gbn_chain(GbnConfig::default());
-        assert_eq!(format!("{:?}", a.0), format!("{:?}", b.0));
+        let a = gbn_chain(Transport::Reno, &[ALWAYS], 20);
+        let b = gbn_chain(Transport::Reno, &[ALWAYS], 20);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// Regression: a stop used to drop a go-back-N flow's rate record
+    /// with its connection state, so a restarted flow's series began at
+    /// the restart and a flow that never restarted had none. A static
+    /// flow now keeps one record across its activations, zero while
+    /// stopped, as at the open-loop edge.
+    #[test]
+    fn a_static_flow_keeps_its_rate_record_across_stop_and_restart() {
+        let secs = SimTime::from_secs;
+        let restarts: &[_] = &[(SimTime::ZERO, Some(secs(20))), (secs(40), None)];
+        let once: &[_] = &[(SimTime::ZERO, Some(secs(20)))];
+        let report = gbn_chain(Transport::Gbn, &[restarts, once], 60);
+        let series = report.allotted_rate(FlowId::from_index(0)).unwrap();
+        assert!(series.value_at(secs(10)).unwrap() > 0.0);
+        assert_eq!(series.value_at(secs(30)), Some(0.0));
+        assert!(series.value_at(secs(55)).unwrap() > 0.0);
+        let stopped = report.allotted_rate(FlowId::from_index(1)).unwrap();
+        assert_eq!(stopped.last_value(), Some(0.0));
     }
 
     #[test]
     fn retransmits_are_counted_as_duplicates_not_goodput() {
         // A tiny queue forces drops, RTOs, and whole-window redelivery.
         let mut b = TopologyBuilder::new(7);
-        let cfg = GbnConfig::default();
-        let src = b.node("src", move |_| reno_sender(cfg.clone()));
+        let src = b.node("src", |_| Box::new(sender()));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
         b.link(
             src,

@@ -105,7 +105,7 @@ impl Discipline for Corelite {
         // ack-clocked transports.
         match flow.transport {
             Transport::Limd => Box::new(self.config.edge()),
-            Transport::Gbn | Transport::Reno => Box::new(corelite::gbn_edge(&self.config)),
+            Transport::Gbn | Transport::Reno => Box::new(self.config.gbn_edge()),
         }
     }
 }
