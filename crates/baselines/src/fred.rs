@@ -45,6 +45,7 @@ struct FlowAccount {
 struct LinkState {
     avg: f64,
     /// Per-active-flow accounting — exactly the state §5 points at.
+    // simlint: allow(core-state) per-flow accounting is what §5 objects to: the baseline's point
     flows: DenseMap<FlowId, FlowAccount>,
 }
 

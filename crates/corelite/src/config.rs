@@ -156,14 +156,6 @@ impl CoreliteConfig {
         self
     }
 
-    /// Sets both epochs (builder-style) — the paper varies these together
-    /// in its sensitivity discussion.
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.edge_epoch = epoch;
-        self.core_epoch = epoch;
-        self
-    }
-
     /// Sets the cubic correction coefficient `k` (builder-style).
     pub fn with_correction_k(mut self, k: f64) -> Self {
         self.correction_k = k;
@@ -236,9 +228,12 @@ mod tests {
 
     #[test]
     fn builder_methods_apply() {
-        let c = CoreliteConfig::default()
-            .with_epoch(SimDuration::from_millis(50))
-            .with_correction_k(0.0);
+        let c = CoreliteConfig {
+            edge_epoch: SimDuration::from_millis(50),
+            core_epoch: SimDuration::from_millis(50),
+            ..CoreliteConfig::default()
+        }
+        .with_correction_k(0.0);
         assert_eq!(c.core_epoch, SimDuration::from_millis(50));
         assert_eq!(c.edge_epoch, SimDuration::from_millis(50));
         assert_eq!(c.correction_k, 0.0);

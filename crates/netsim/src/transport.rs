@@ -238,12 +238,28 @@ impl Window {
         }
     }
 
-    /// The current send-rate estimate, packets per second (carried in
-    /// markers as the normalized-rate numerator).
+    /// The current send-rate estimate, packets per second.
     fn rate(&self) -> f64 {
         match self {
             Window::Reno(reno) => reno.rate(),
             Window::Agent(agent) => agent.rate(),
+        }
+    }
+
+    /// The normalized rate the first transmission of sequence `seq`
+    /// carries in a marker, if it carries one; `spacing` is `K1·w`. The
+    /// agent marks as at the open-loop edge (§2): one marker every
+    /// `spacing` *out-of-profile* packets, carrying `(rate − min_rate)/w`,
+    /// so a flow at its contracted floor marks nothing. Reno has no
+    /// contract: every `spacing`-th first transmission carries `rate/w`.
+    fn marker(&mut self, seq: u64, spacing: u32, weight: u32) -> Option<f64> {
+        match self {
+            Window::Reno(reno) => (seq + 1)
+                .is_multiple_of(u64::from(spacing.max(1)))
+                .then(|| reno.rate() / f64::from(weight)),
+            Window::Agent(agent) => agent
+                .take_marker(spacing)
+                .then(|| agent.normalized_excess()),
         }
     }
 }
@@ -279,10 +295,6 @@ struct GbnFlow {
     /// Recovery guard: congestion signals are ignored until `snd_una`
     /// passes this sequence, bounding reactions to one per round trip.
     recover: u64,
-    /// First-transmission packets since the last marker.
-    marker_credit: u32,
-    /// Marker cadence `K1 · w` for this flow.
-    marker_every: u32,
     weight: u32,
     /// Earliest instant a genuine RTO may fire; pushed forward by every
     /// ack and (re)transmission. The chain is lazy: a fire before the
@@ -297,9 +309,11 @@ struct GbnFlow {
 /// An ack-clocked go-back-N sender: [`RouterLogic`] for an ingress edge
 /// node driving closed-loop flows.
 ///
-/// Every `K1·w`-th first transmission of a weight-`w` flow carries a
-/// marker with the flow's normalized rate `rate/w`, whatever its
-/// window: cores see every flow's rate and throttle it like any other.
+/// First transmissions carry markers at the cadence `K1·w` of a
+/// weight-`w` flow, whatever its window: cores see every flow's rate and
+/// throttle it like any other. An agent window marks its out-of-profile
+/// packets with `(rate − min_rate)/w`, as the open-loop edge does, and a
+/// Reno window every `K1·w`-th first transmission with `rate/w`.
 /// The sender keeps the outstanding window full whenever the window
 /// allows: on flow start it bursts the initial window, and every
 /// window-opening event (new cumulative ack, epoch growth) pumps more
@@ -331,7 +345,7 @@ impl GbnSender {
     /// A sender whose agent windows run `agent` (forced to
     /// [`AdaptationScheme::WindowAimd`]: a window is the only control
     /// variable an ack-clocked sender can act on) and adapt every
-    /// `epoch`, marking every `k1·w` first transmissions.
+    /// `epoch`, with marker spacing `k1·w`.
     ///
     /// # Panics
     ///
@@ -369,17 +383,16 @@ impl GbnSender {
         };
         let had_outstanding = s.snd_una < s.snd_nxt;
         let wnd = (s.window.window().floor() as u64).clamp(1, max_window);
+        let spacing = self.k1 * s.weight;
         while s.snd_nxt < s.snd_una + wnd {
             let seq = s.snd_nxt;
             let mut packet = ctx.new_packet(flow).with_seq(seq, false);
-            s.marker_credit += 1;
-            if s.marker_credit >= s.marker_every {
-                s.marker_credit = 0;
+            if let Some(normalized_rate) = s.window.marker(seq, spacing, s.weight) {
                 marked += 1;
                 packet = packet.with_marker(Marker {
                     flow,
                     edge: node,
-                    normalized_rate: s.window.rate() / s.weight as f64,
+                    normalized_rate,
                 });
             }
             ctx.emit(packet);
@@ -588,8 +601,6 @@ impl RouterLogic for GbnSender {
                 sent: VecDeque::new(),
                 dup_acks: 0,
                 recover: 0,
-                marker_credit: 0,
-                marker_every: (self.k1 * weight).max(1),
                 weight,
                 rto_deadline: now,
                 series,
@@ -732,10 +743,12 @@ mod tests {
         assert_eq!(w.window(), regrown / 2.0);
     }
 
-    /// A two-hop 500 pkt/s chain carrying one flow of `transport` per
-    /// activation list in `flows`, run for `secs`.
+    /// A two-hop 500 pkt/s chain carrying one weight-1 flow of
+    /// `transport` with contract `min_rate` per activation list in
+    /// `flows`, run for `secs`.
     fn gbn_chain(
         transport: Transport,
+        min_rate: f64,
         flows: &[&[(SimTime, Option<SimTime>)]],
         secs: u64,
     ) -> SimReport {
@@ -747,7 +760,9 @@ mod tests {
         b.link(src, mid, spec);
         b.link(mid, dst, spec);
         for periods in flows {
-            let mut flow = FlowSpec::new(vec![src, mid, dst], 1).transport(transport);
+            let mut flow = FlowSpec::new(vec![src, mid, dst], 1)
+                .transport(transport)
+                .min_rate(min_rate);
             for &(start, stop) in *periods {
                 flow = flow.active(start, stop);
             }
@@ -763,7 +778,7 @@ mod tests {
 
     #[test]
     fn gbn_reno_fills_the_pipe_without_duplicate_goodput() {
-        let report = gbn_chain(Transport::Reno, &[ALWAYS], 20);
+        let report = gbn_chain(Transport::Reno, 0.0, &[ALWAYS], 20);
         let fr = report.flow(FlowId::from_index(0));
         // The 500 pkt/s bottleneck should be near-saturated by an
         // ack-clocked Reno flow over 20 s.
@@ -789,8 +804,8 @@ mod tests {
 
     #[test]
     fn gbn_runs_are_deterministic() {
-        let a = gbn_chain(Transport::Reno, &[ALWAYS], 20);
-        let b = gbn_chain(Transport::Reno, &[ALWAYS], 20);
+        let a = gbn_chain(Transport::Reno, 0.0, &[ALWAYS], 20);
+        let b = gbn_chain(Transport::Reno, 0.0, &[ALWAYS], 20);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -804,13 +819,36 @@ mod tests {
         let secs = SimTime::from_secs;
         let restarts: &[_] = &[(SimTime::ZERO, Some(secs(20))), (secs(40), None)];
         let once: &[_] = &[(SimTime::ZERO, Some(secs(20)))];
-        let report = gbn_chain(Transport::Gbn, &[restarts, once], 60);
+        let report = gbn_chain(Transport::Gbn, 0.0, &[restarts, once], 60);
         let series = report.allotted_rate(FlowId::from_index(0)).unwrap();
         assert!(series.value_at(secs(10)).unwrap() > 0.0);
         assert_eq!(series.value_at(secs(30)), Some(0.0));
         assert!(series.value_at(secs(55)).unwrap() > 0.0);
         let stopped = report.allotted_rate(FlowId::from_index(1)).unwrap();
         assert_eq!(stopped.last_value(), Some(0.0));
+    }
+
+    /// Regression: the sender marked every `K1·w`-th first transmission
+    /// of an agent window with `rate/w`, contract included, so cores saw
+    /// a contracted flow's floor as excess and throttled it toward the
+    /// floor. As at the open-loop edge (§2), only out-of-profile packets
+    /// mark: a flow whose rate sits at its floor carries no marker.
+    #[test]
+    fn a_contracted_flow_at_its_floor_carries_no_marker() {
+        let floor = 400.0;
+        let markers = |report: &SimReport| {
+            report.logic[&crate::ids::NodeId::from_index(0)].counters["markers_injected"]
+        };
+        let report = gbn_chain(Transport::Gbn, floor, &[ALWAYS], 1);
+        let flow = FlowId::from_index(0);
+        let series = report.allotted_rate(flow).unwrap();
+        assert!(series.iter().all(|(_, rate)| rate == floor), "{series:?}");
+        assert!(report.flow(flow).delivered_packets > 0);
+        assert_eq!(markers(&report), 0.0);
+        // Once the window's rate climbs past the floor, the excess marks.
+        let report = gbn_chain(Transport::Gbn, floor, &[ALWAYS], 4);
+        assert!(report.allotted_rate(flow).unwrap().last_value().unwrap() > floor);
+        assert!(markers(&report) > 0.0);
     }
 
     #[test]

@@ -9,19 +9,17 @@
 //! Figure-2 chain, and an eight-flow mix on the leaf–spine fat-tree (a
 //! non-chain [`scenarios::topology::TopologySpec`]) — and prints one
 //! table of the §4.4 headline metrics: weighted Jain index over the
-//! steady-state window, total packet drops, mean/last settling time
-//! against each discipline's analytic reference allocation, and mean p99
-//! queueing delay. The sweep goes through the deterministic parallel
+//! steady-state window, total packet drops, mean/last settling time of
+//! the flows due a share (each against its own realized operating point),
+//! and mean p99 queueing delay. The sweep goes through the deterministic parallel
 //! executor; `--serial` forces one-at-a-time execution (same output).
 
 use scenarios::discipline::default_registry;
 use scenarios::exec::{run_parallel, run_serial};
-use scenarios::report::{
-    last_convergence, mean_convergence, steady_state_summary, window_jain_index,
-};
+use scenarios::report::headline_cells;
 use scenarios::runner::ExperimentResult;
 use scenarios::{fig5_6, Scenario};
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimTime;
 
 const SEED: u64 = 20000; // ICDCS 2000
 
@@ -60,60 +58,28 @@ fn main() {
         println!("{}", row(result));
     }
     println!(
-        "\nSettling times are measured against each discipline's own analytic\n\
-         reference (weighted max-min for corelite/csfq/fifo, equal shares\n\
-         capped at the offered rate for red/fred/greedy); `never` means a\n\
-         flow stayed outside the 25% band. Weight-oblivious schemes keep a\n\
+        "\nSettling times count the flows the discipline's analytic reference\n\
+         (weighted max-min for corelite/csfq/fifo, equal shares capped at\n\
+         the offered rate for red/fred/greedy) gives a share, each measured\n\
+         against its own realized operating point; `never` means a flow\n\
+         stayed outside the 25% band. Weight-oblivious schemes keep a\n\
          high *unweighted* smoothness yet score poorly on the weighted Jain\n\
          column — the paper's core argument."
     );
 }
 
 fn row(result: &ExperimentResult) -> String {
-    let horizon = result.scenario.horizon;
-    let steady_from = horizon - SimDuration::from_secs(20);
-    let probe = horizon - SimDuration::from_secs(1);
-    let last = last_convergence(result, probe, 0.25, SimDuration::from_secs(10));
-    let last_str = last
-        .map(|t| format!("{:.1}", t.as_secs_f64()))
-        .unwrap_or_else(|| "never".to_owned());
-    let (mean, unsettled) = mean_convergence(result, probe, 0.25, SimDuration::from_secs(10));
-    let mean_str = match mean {
-        Some(m) if unsettled == 0 => format!("{m:.1}"),
-        Some(m) => format!("{m:.1} ({unsettled} unsettled)"),
-        None => "never".to_owned(),
-    };
-    let p99s: Vec<f64> = result
-        .report
-        .flows
-        .iter()
-        .filter_map(|f| f.delay_quantile(0.99))
-        .collect();
-    let p99_ms = if p99s.is_empty() {
-        0.0
-    } else {
-        1e3 * p99s.iter().sum::<f64>() / p99s.len() as f64
-    };
-    // The index of an all-zero allocation reads 1.0000 and says nothing:
-    // no index unless some flow due a share measured a rate.
-    let served = steady_state_summary(result, steady_from, horizon)
-        .iter()
-        .any(|s| s.expected > 0.0 && s.measured > 0.0);
-    let jain = if served {
-        format!("{:.4}", window_jain_index(result, steady_from, horizon))
-    } else {
-        "—".to_owned()
-    };
+    let cells = headline_cells(result);
     format!(
-        "| {} | {} | {} | {} | {} | {} | {} | {:.0} |",
+        "| {} | {} | {} | {} | {} | {} | {} | {} |",
         result.scenario.name,
         result.scenario.topology.name,
         result.discipline_name,
-        jain,
-        result.total_drops(),
-        mean_str,
-        last_str,
-        p99_ms,
+        cells.jain,
+        cells.drops,
+        cells.mean_settle,
+        cells.last_settle,
+        cells.p99_ms,
     )
 }
 

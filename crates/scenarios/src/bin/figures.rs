@@ -17,8 +17,8 @@ use std::path::Path;
 
 use scenarios::plot::{render_lines, PlotSpec};
 use scenarios::report::{
-    cumulative_csv, last_convergence, mean_convergence, rate_series_csv, steady_state_summary,
-    summary_markdown, window_jain_index,
+    cumulative_csv, headline_cells, rate_series_csv, steady_state_summary, summary_markdown,
+    window_jain_index,
 };
 use scenarios::runner::ExperimentResult;
 use scenarios::PaperFigure;
@@ -232,39 +232,16 @@ fn print_summary(cache: &mut Vec<(String, ExperimentResult)>) {
     ] {
         let idx = run_cached(cache, figure);
         let (_, result) = &cache[idx];
-        let horizon = result.scenario.horizon;
-        let steady_from = horizon - SimDuration::from_secs(20);
-        let probe = horizon - SimDuration::from_secs(1);
-        let last = last_convergence(result, probe, 0.25, SimDuration::from_secs(10));
-        let last_str = last
-            .map(|t| format!("{:.1}", t.as_secs_f64()))
-            .unwrap_or_else(|| "never".to_owned());
-        let (mean, unsettled) = mean_convergence(result, probe, 0.25, SimDuration::from_secs(10));
-        let mean_str = match mean {
-            Some(m) if unsettled == 0 => format!("{m:.1}"),
-            Some(m) => format!("{m:.1} ({unsettled} unsettled)"),
-            None => "never".to_owned(),
-        };
-        let p99s: Vec<f64> = result
-            .report
-            .flows
-            .iter()
-            .filter_map(|f| f.delay_quantile(0.99))
-            .collect();
-        let p99_ms = if p99s.is_empty() {
-            0.0
-        } else {
-            1e3 * p99s.iter().sum::<f64>() / p99s.len() as f64
-        };
+        let cells = headline_cells(result);
         println!(
-            "| {} | {} | {} | {} | {} | {:.4} | {:.0} |",
+            "| {} | {} | {} | {} | {} | {} | {} |",
             result.scenario.name,
             result.discipline_name,
-            mean_str,
-            last_str,
-            result.total_drops(),
-            window_jain_index(result, steady_from, horizon),
-            p99_ms,
+            cells.mean_settle,
+            cells.last_settle,
+            cells.drops,
+            cells.jain,
+            cells.p99_ms,
         );
     }
 }

@@ -165,6 +165,67 @@ pub fn last_convergence(
     Some(latest)
 }
 
+/// The §4.4 headline cells of one run, formatted as `compare` and
+/// `figures` print them. Settling uses a ±25 % band held for 10 s,
+/// probed 1 s before the horizon; Jain is taken over the last 20 s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HeadlineCells {
+    /// Weighted Jain index over the steady window, or `—` when no flow
+    /// due a share measured a rate (the index of all zeros reads 1.0000
+    /// and says nothing).
+    pub jain: String,
+    /// Packets dropped anywhere in the network.
+    pub drops: u64,
+    /// [`mean_convergence`], with the count of flows that never settle.
+    pub mean_settle: String,
+    /// [`last_convergence`], or `never`.
+    pub last_settle: String,
+    /// Mean over flows of the p99 queueing delay, milliseconds.
+    pub p99_ms: String,
+}
+
+/// Computes the [`HeadlineCells`] of `result`.
+pub fn headline_cells(result: &ExperimentResult) -> HeadlineCells {
+    let horizon = result.scenario.horizon;
+    let steady_from = horizon - SimDuration::from_secs(20);
+    let probe = horizon - SimDuration::from_secs(1);
+    let sustain = SimDuration::from_secs(10);
+    let last_settle = last_convergence(result, probe, 0.25, sustain)
+        .map(|t| format!("{:.1}", t.as_secs_f64()))
+        .unwrap_or_else(|| "never".to_owned());
+    let mean_settle = match mean_convergence(result, probe, 0.25, sustain) {
+        (Some(m), 0) => format!("{m:.1}"),
+        (Some(m), unsettled) => format!("{m:.1} ({unsettled} unsettled)"),
+        (None, _) => "never".to_owned(),
+    };
+    let p99s: Vec<f64> = result
+        .report
+        .flows
+        .iter()
+        .filter_map(|f| f.delay_quantile(0.99))
+        .collect();
+    let p99_ms = if p99s.is_empty() {
+        0.0
+    } else {
+        1e3 * p99s.iter().sum::<f64>() / p99s.len() as f64
+    };
+    let served = steady_state_summary(result, steady_from, horizon)
+        .iter()
+        .any(|s| s.expected > 0.0 && s.measured > 0.0);
+    let jain = if served {
+        format!("{:.4}", window_jain_index(result, steady_from, horizon))
+    } else {
+        "—".to_owned()
+    };
+    HeadlineCells {
+        jain,
+        drops: result.total_drops(),
+        mean_settle,
+        last_settle,
+        p99_ms: format!("{p99_ms:.0}"),
+    }
+}
+
 /// One flow's convergence diagnostics against the analytic weighted
 /// max-min reference (contrast with [`convergence_summary`], which
 /// measures against the flow's own realized operating point).
@@ -328,14 +389,6 @@ pub fn cumulative_csv(result: &ExperimentResult, step: SimDuration) -> String {
     })
 }
 
-/// Exports every flow's delivered-goodput series (per measurement window)
-/// as a wide CSV.
-pub fn goodput_csv(result: &ExperimentResult, step: SimDuration) -> String {
-    series_csv(result, step, |r, i, t| {
-        r.report.flows[i].goodput.value_at(t).unwrap_or(0.0)
-    })
-}
-
 fn series_csv(
     result: &ExperimentResult,
     step: SimDuration,
@@ -429,8 +482,6 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + 27); // t = 0, 10, ..., 260
         let cum = cumulative_csv(&result, SimDuration::from_secs(30));
         assert!(cum.lines().count() >= 3);
-        let good = goodput_csv(&result, SimDuration::from_secs(30));
-        assert!(good.lines().count() >= 3);
     }
 
     #[test]

@@ -805,9 +805,11 @@ mod tests {
     fn corelite_run_produces_series_for_all_flows() {
         let mut s = two_flow_scenario();
         s.horizon = SimTime::from_secs(5);
-        let result = s.run(&Corelite::new(
-            CoreliteConfig::default().with_epoch(SimDuration::from_millis(100)),
-        ));
+        let result = s.run(&Corelite::new(CoreliteConfig {
+            edge_epoch: SimDuration::from_millis(100),
+            core_epoch: SimDuration::from_millis(100),
+            ..CoreliteConfig::default()
+        }));
         assert_eq!(result.discipline_name, "corelite");
         assert!(!result.allotted_rate(0).is_empty());
         // Flow 1 has not started yet within the 5 s horizon; its series

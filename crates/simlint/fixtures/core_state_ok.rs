@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 pub struct CoreRouter {
     links: BTreeMap<LinkId, LinkState>,
+    link_rates: DenseMap<LinkId, f64>,
     epoch_markers: u64,
 }
 

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use simlint::walker::{find_workspace_root, rel_to_string};
-use simlint::{explain, lint_paths, lint_workspace, load_allowlist, RULES};
+use simlint::{explain, lint_paths, lint_workspace, RULES};
 
 fn main() -> ExitCode {
     match run() {
@@ -56,8 +56,9 @@ fn run() -> Result<usize, String> {
                      Lints the Corelite workspace for core-statelessness, hot-path, unit\n\
                      and RNG-stream invariants. With no arguments, behaves as --workspace.\n\
                      Violations print as `file:line: rule — message`; exit code 1 on any\n\
-                     violation, 2 on usage or config errors.\n\
-                     Suppress with `// simlint: allow(<rule>)` or simlint.toml."
+                     violation, 2 on usage errors.\n\
+                     Exempt a site with `// simlint: allow(<rule>) <reason>` on its line\n\
+                     or the line above."
                 );
                 return Ok(0);
             }
@@ -70,16 +71,15 @@ fn run() -> Result<usize, String> {
 
     let cwd = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
     let root = find_workspace_root(&cwd)?;
-    let allow = load_allowlist(&root)?;
 
     let violations = if workspace || files.is_empty() {
-        lint_workspace(&root, &allow)?
+        lint_workspace(&root)?
     } else {
         let rels: Vec<String> = files
             .iter()
             .map(|f| to_workspace_rel(&root, f))
             .collect::<Result<_, _>>()?;
-        lint_paths(&root, &rels, &allow)?
+        lint_paths(&root, &rels)?
     };
     for v in &violations {
         println!("{v}");
@@ -88,8 +88,7 @@ fn run() -> Result<usize, String> {
 }
 
 /// Maps a CLI path (absolute or cwd-relative) to a workspace-relative
-/// path so rule scoping and allowlists apply regardless of invocation
-/// directory.
+/// path so rule scoping applies regardless of invocation directory.
 fn to_workspace_rel(root: &Path, file: &str) -> Result<String, String> {
     let path = PathBuf::from(file);
     let abs = if path.is_absolute() {

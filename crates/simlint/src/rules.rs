@@ -1,13 +1,12 @@
 //! The lint rules and the token-stream scanner that applies them.
 //!
 //! Each rule is a named invariant of this repository (see DESIGN.md
-//! §17); every rule can be suppressed per-site with an inline
-//! `// simlint: allow(<rule>)` comment or per-path via `simlint.toml`.
+//! §17); every rule can be suppressed per-site, and only per-site, with
+//! an inline `// simlint: allow(<rule>)` comment carrying its reason.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use crate::config::Allowlist;
 use crate::lexer::{lex, Lexed, Tok, Token};
 use crate::parser::{cfg_test_ranges, in_ranges, rng_labels};
 
@@ -31,7 +30,7 @@ impl std::fmt::Display for Violation {
 }
 
 /// Every rule simlint knows, with a one-line description (shown by
-/// `simlint --list-rules` and validated against `simlint.toml` keys).
+/// `simlint --list-rules`).
 pub const RULES: &[(&str, &str)] = &[
     (
         "core-state",
@@ -68,8 +67,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              core acts on aggregates alone. A FlowId-keyed collection in a core-router\n\
              module would reintroduce exactly the state the architecture removes, so the\n\
              rule flags `Map<FlowId, …>` and growing `Vec<(FlowId, …)>` declarations in\n\
-             the core modules. FRED deliberately keeps per-flow state as the contrast\n\
-             baseline; its exemption lives in simlint.toml, next to its justification."
+             the core modules, the slab's DenseMap and ActiveSet included. FRED keeps\n\
+             per-flow state on purpose as the contrast baseline; its one per-flow table\n\
+             carries an inline allow with that justification, and nothing else in it is\n\
+             exempt."
         }
         "hot-alloc" => {
             "Steady-state dispatch is allocation-free (pinned by netsim's counting-\n\
@@ -112,15 +113,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
     })
 }
 
-/// True when `rule` is a known rule name.
-pub fn is_known_rule(rule: &str) -> bool {
-    RULES.iter().any(|&(name, _)| name == rule)
-}
-
 /// Core-router modules: the paper's headline claim (§2–3) is that these
 /// keep no per-flow state. FRED is in the list because it sits in the
-/// same core-AQM position — its deliberate per-flow accounting is
-/// allowlisted in `simlint.toml`, not exempted here.
+/// same core-AQM position: its deliberate per-flow table carries an
+/// inline allow at the declaration, so any other it grows is flagged.
 const CORE_MODULES: &[&str] = &[
     "crates/corelite/src/router.rs",
     "crates/corelite/src/detector.rs",
@@ -158,8 +154,8 @@ const HOT_PATH_MODULES: &[&str] = &[
 /// per event (or per epoch): a tree/hash map keyed by one of the dense
 /// id types here trades O(1) slab access for pointer chasing and
 /// per-insert allocation, so the `dense-state` rule steers these to
-/// `netsim::slab::DenseMap`. FRED's deliberate per-flow table is
-/// allowlisted in `simlint.toml`, not exempted here.
+/// `netsim::slab::DenseMap`. FRED is listed like any other core: its
+/// per-flow table is slab-backed already.
 const DENSE_STATE_MODULES: &[&str] = &[
     "crates/netsim/src/network.rs",
     "crates/netsim/src/logic.rs",
@@ -274,9 +270,17 @@ const HOT_FNS: &[&str] = &[
     "publish",
 ];
 
-/// Collection types whose `<FlowId, …>` instantiation is per-flow state.
+/// Collection types whose `<FlowId, …>` instantiation is per-flow state,
+/// the slab's `DenseMap` and `ActiveSet` included.
 const KEYED_COLLECTIONS: &[&str] = &[
-    "HashMap", "BTreeMap", "HashSet", "BTreeSet", "IndexMap", "VecDeque",
+    "HashMap",
+    "BTreeMap",
+    "HashSet",
+    "BTreeSet",
+    "IndexMap",
+    "VecDeque",
+    "DenseMap",
+    "ActiveSet",
 ];
 
 /// How a file is treated by path-scoped rules.
@@ -331,17 +335,17 @@ pub fn classify(rel: &str) -> FileClass {
 }
 
 /// Lints `src` as file `rel` classified as `class`, honoring inline
-/// `simlint: allow(...)` comments and the `allow` config.
+/// `simlint: allow(...)` comments.
 ///
 /// This covers the per-file (token) rules only; `rng-stream-hygiene`
 /// needs every file at once and runs in [`crate::lint_paths`].
-pub fn scan_source(rel: &str, src: &str, class: FileClass, allow: &Allowlist) -> Vec<Violation> {
+pub fn scan_source(rel: &str, src: &str, class: FileClass) -> Vec<Violation> {
     let lexed = lex(src);
-    suppress(scan_tokens(rel, &lexed, class), &lexed, allow)
+    suppress(scan_tokens(rel, &lexed, class), &lexed)
 }
 
 /// The pre-suppression token scan: every per-file finding, including
-/// ones an inline allow or the config will drop.
+/// ones an inline allow will drop.
 pub(crate) fn scan_tokens(rel: &str, lexed: &Lexed, class: FileClass) -> Vec<Violation> {
     let test_ranges = cfg_test_ranges(&lexed.tokens);
     let hot_ranges = if class.hot_path {
@@ -382,8 +386,8 @@ pub(crate) fn scan_tokens(rel: &str, lexed: &Lexed, class: FileClass) -> Vec<Vio
                         line,
                         rule: "core-state",
                         message: format!(
-                            "per-flow state `{name}<FlowId, …>` in a core-router module; \
-                             cores must stay stateless (paper §2–3)"
+                            "per-flow state (a `FlowId`-keyed `{name}`) in a core-router \
+                             module; cores must stay stateless (paper §2–3)"
                         ),
                     });
                 }
@@ -651,16 +655,15 @@ fn hot_fn_ranges(toks: &[Token]) -> Vec<(u32, u32)> {
 }
 
 /// Drops violations covered by an inline allow (same line or the line
-/// directly above) or by the config allowlist for the file's path.
-pub(crate) fn suppress(found: Vec<Violation>, lexed: &Lexed, allow: &Allowlist) -> Vec<Violation> {
+/// directly above).
+pub(crate) fn suppress(found: Vec<Violation>, lexed: &Lexed) -> Vec<Violation> {
     found
         .into_iter()
         .filter(|v| {
-            let inline = lexed
+            !lexed
                 .allows
                 .iter()
-                .any(|a| a.rule == v.rule && (a.line == v.line || a.line + 1 == v.line));
-            !inline && !allow.allows(v.rule, &v.file)
+                .any(|a| a.rule == v.rule && (a.line == v.line || a.line + 1 == v.line))
         })
         .collect()
 }
@@ -670,10 +673,7 @@ pub(crate) fn suppress(found: Vec<Violation>, lexed: &Lexed, allow: &Allowlist) 
 /// `(seed, label)`, so the first live site of a label owns it and every
 /// later site reusing it is flagged; a non-literal label is flagged in
 /// the replay crates, where labels must stay auditable by grep.
-pub(crate) fn rng_stream_hygiene(
-    files: &[(&str, FileClass, Lexed)],
-    allow: &Allowlist,
-) -> Vec<Violation> {
+pub(crate) fn rng_stream_hygiene(files: &[(&str, FileClass, Lexed)]) -> Vec<Violation> {
     let mut first_site: BTreeMap<String, (&str, u32)> = BTreeMap::new();
     let mut out = Vec::new();
     for (rel, class, lexed) in files.iter().filter(|f| !f.1.is_test) {
@@ -712,7 +712,7 @@ pub(crate) fn rng_stream_hygiene(
                 message,
             });
         }
-        out.extend(suppress(found, lexed, allow));
+        out.extend(suppress(found, lexed));
     }
     out
 }
@@ -722,13 +722,12 @@ mod tests {
     use super::*;
 
     fn scan(rel: &str, src: &str) -> Vec<Violation> {
-        scan_source(rel, src, classify(rel), &Allowlist::default())
+        scan_source(rel, src, classify(rel))
     }
 
     /// The module lists name live files and every [`HOT_FNS`] name is a
     /// function of a hot-path module, or a moved file or renamed function
-    /// would silently drop out of its rules (`validate_allowlist`'s check
-    /// for `simlint.toml`).
+    /// would silently drop out of its rules.
     #[test]
     fn module_lists_and_hot_fns_name_live_code() {
         let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -932,19 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn config_allowlist_suppresses_by_path_prefix() {
-        let mut allow = Allowlist::default();
-        allow.insert("unit-safety", "crates/bench");
-        let v = scan_source(
-            "crates/bench/src/lib.rs",
-            "let d = now_ns + timeout_s;",
-            FileClass::default(),
-            &allow,
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
     fn unit_safety_flags_mixed_units_with_trigger_op() {
         // Addition and comparison across time units.
         let v = scan(
@@ -1013,7 +999,7 @@ mod tests {
             .iter()
             .map(|&(rel, src)| (rel, classify(rel), lex(src)))
             .collect();
-        rng_stream_hygiene(&lexed, &Allowlist::default())
+        rng_stream_hygiene(&lexed)
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
 }
 
 /// Renders a relative path with `/` separators regardless of platform,
-/// so rule scoping and allowlist prefixes are portable.
+/// so rule scoping is portable.
 pub fn rel_to_string(rel: &Path) -> String {
     rel.components()
         .map(|c| c.as_os_str().to_string_lossy())

@@ -5,8 +5,8 @@
 
 use std::path::{Path, PathBuf};
 
+use simlint::lint_file;
 use simlint::walker::find_workspace_root;
-use simlint::{lint_file, Allowlist};
 
 fn root() -> PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root must exist")
@@ -17,7 +17,7 @@ fn fixture(name: &str) -> String {
 }
 
 fn violations_for(name: &str) -> Vec<simlint::Violation> {
-    lint_file(&root(), &fixture(name), &Allowlist::default()).expect("fixture must be readable")
+    lint_file(&root(), &fixture(name)).expect("fixture must be readable")
 }
 
 /// Each rule's bad fixture yields at least one violation of exactly
@@ -37,32 +37,24 @@ fn every_rule_has_a_flagged_and_a_clean_fixture() {
 }
 
 /// The acceptance-criterion fixture: a FlowId-keyed map injected into a
-/// core-router-classified module is caught, with both the keyed-map and
-/// the growing-tuple-vec forms, and reports usable file:line positions.
+/// core-router-classified module is caught, in the keyed-map, the
+/// growing-tuple-vec and both slab forms (`DenseMap`, `ActiveSet`), and
+/// reports usable file:line positions.
 #[test]
 fn flowid_keyed_map_in_core_module_is_caught() {
     let v = violations_for("core_state_bad");
     let core: Vec<_> = v.iter().filter(|v| v.rule == "core-state").collect();
-    assert_eq!(core.len(), 2, "map + tuple-vec: {v:?}");
+    assert_eq!(
+        core.len(),
+        4,
+        "map + tuple-vec + DenseMap + ActiveSet: {v:?}"
+    );
     assert!(core.iter().all(|v| v.file.ends_with("core_state_bad.rs")));
     assert!(core.iter().all(|v| v.line > 0));
     let rendered = core[0].to_string();
     assert!(
         rendered.contains("core_state_bad.rs:") && rendered.contains(": core-state — "),
         "display format must be `file:line: rule — message`, got {rendered}"
-    );
-}
-
-/// The config allowlist suppresses by path prefix — the mechanism that
-/// exempts FRED's deliberate per-flow state in the real tree.
-#[test]
-fn config_allowlist_suppresses_fixture_violations() {
-    let mut allow = Allowlist::default();
-    allow.insert("core-state", "crates/simlint/fixtures");
-    let v = lint_file(&root(), &fixture("core_state_bad"), &allow).expect("fixture readable");
-    assert!(
-        v.iter().all(|v| v.rule != "core-state"),
-        "allowlisted path must be clean: {v:?}"
     );
 }
 
@@ -75,12 +67,7 @@ fn inline_allow_is_load_bearing_in_dense_state_fixture() {
     let src = std::fs::read_to_string(root().join(&rel)).expect("fixture must be readable");
     let stripped = src.replace("// simlint: allow(dense-state)", "");
     assert_ne!(stripped, src, "the fixture carries the allow comment");
-    let v = simlint::scan_source(
-        &rel,
-        &stripped,
-        simlint::classify(&rel),
-        &Allowlist::default(),
-    );
+    let v = simlint::scan_source(&rel, &stripped, simlint::classify(&rel));
     assert!(
         v.iter().any(|v| v.rule == "dense-state"),
         "without the allow comment the cold-path map must be flagged: {v:?}"
