@@ -406,6 +406,9 @@ impl Network {
     /// instant.
     pub fn into_report(self, end: SimTime) -> SimReport {
         let Network { nodes, mut engine } = self;
+        // Nothing pending is reported: free the queue (its payload slab
+        // and wheel buffers) before the reports are built beside the rest.
+        drop(engine.queue);
         // Retire every departure up to the horizon so the forwarded
         // counters and the occupancy integrals are final. (Under lazy
         // train dispatch this is where the last trains are accounted.)
@@ -447,8 +450,9 @@ impl Network {
                 },
             })
             .collect();
+        // Each logic goes as soon as it has reported.
         let logic: crate::slab::DenseMap<NodeId, _> = nodes
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, slot)| (NodeId::from_index(i), slot.logic.report(end)))
             .collect();

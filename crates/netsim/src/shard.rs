@@ -656,25 +656,39 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
     // Identical on every shard (replicated flow-table bookkeeping).
     let flow_egress = std::mem::take(&mut partials[0].flow_egress);
 
+    // Each report moves out of the shard that owns it, and the others'
+    // go as they are read: the merged report is never built beside a
+    // copy of the partials.
+    let mut shard_flows: Vec<_> = partials
+        .iter_mut()
+        .map(|p| std::mem::take(&mut p.report.flows).into_iter())
+        .collect();
     let flows: Vec<FlowReport> = flow_egress
         .iter()
-        .enumerate()
-        .map(|(i, &egress)| {
+        .map(|&egress| {
             let own = owner(egress);
-            let mut fr = partials[own].report.flows[i].clone();
-            // Deliveries all land on the egress owner, but drops are
-            // recorded where they happen — any node on the path.
-            for (s, p) in partials.iter().enumerate() {
-                if s != own {
-                    let other = &p.report.flows[i];
-                    fr.tail_drops += other.tail_drops;
-                    fr.policy_drops += other.policy_drops;
-                    fr.fault_drops += other.fault_drops;
+            let mut fr = None;
+            let mut drops = [0; 3];
+            for (s, reports) in shard_flows.iter_mut().enumerate() {
+                let report = reports.next().expect("every shard reports every flow");
+                if s == own {
+                    fr = Some(report);
+                } else {
+                    // Deliveries all land on the egress owner, but drops
+                    // are recorded where they happen — any node on the path.
+                    drops[0] += report.tail_drops;
+                    drops[1] += report.policy_drops;
+                    drops[2] += report.fault_drops;
                 }
             }
+            let mut fr = fr.expect("the egress owner is a shard");
+            fr.tail_drops += drops[0];
+            fr.policy_drops += drops[1];
+            fr.fault_drops += drops[2];
             fr
         })
         .collect();
+    drop(shard_flows);
 
     // A link's traffic is transmitted entirely by its source node.
     let links: Vec<LinkReport> = partials[0]
@@ -691,9 +705,8 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
             let report = partials[owner(n as u32)]
                 .report
                 .logic
-                .get(&id)
-                .expect("every shard reports every node")
-                .clone();
+                .remove(&id)
+                .expect("every shard reports every node");
             (id, report)
         })
         .collect();

@@ -361,6 +361,16 @@ impl WindowedRate {
         }
     }
 
+    /// Returns the window width.
+    pub fn window(&self) -> SimDuration {
+        self.window
+    }
+
+    /// Returns the start of the window still open.
+    pub fn window_start(&self) -> SimTime {
+        self.window_start
+    }
+
     /// Returns the per-window rate series (units per second, one point per
     /// closed window).
     pub fn series(&self) -> &TimeSeries {
@@ -392,9 +402,10 @@ pub fn mean_secs(sum_ns: u128, count: u64) -> Option<f64> {
 ///
 /// Values are assigned to buckets whose bounds grow geometrically from
 /// 1 µs; quantiles are answered by linear interpolation inside the
-/// winning bucket. Memory is a fixed ~100 buckets regardless of sample
-/// count, and recording is O(1) — suitable for millions of per-packet
-/// observations.
+/// winning bucket. Of its 120 buckets it stores only the span between
+/// the lowest and the highest one it has seen (a flow's delays cover a
+/// few dozen), and recording is O(1) — suitable for millions of
+/// per-packet observations.
 ///
 /// # Example
 ///
@@ -412,11 +423,14 @@ pub fn mean_secs(sum_ns: u128, count: u64) -> Option<f64> {
 /// ```
 #[derive(Clone)]
 pub struct LogHistogram {
-    /// Bucket i spans [MIN_VALUE·GROWTH^i, MIN_VALUE·GROWTH^(i+1)).
+    /// `counts[j]` is bucket `offset + j`, which spans
+    /// [MIN_VALUE·GROWTH^i, MIN_VALUE·GROWTH^(i+1)) for `i = offset + j`.
     /// Empty until the first `record`: most flows of a churn run never
-    /// deliver a packet, and an empty histogram reads as all zeros.
-    buckets: Vec<u64>,
-    count: u64,
+    /// deliver a packet, and the buckets outside the span read as zeros.
+    /// The observation count is their sum, so it is not stored: only
+    /// report-time methods read it.
+    counts: Vec<u64>,
+    offset: usize,
     /// Exact: every observation is a whole number of nanoseconds, and a
     /// `u128` holds 2^64 observations of `u64::MAX` ns each, so the sum
     /// needs no overflow check where a `u64` would.
@@ -440,21 +454,20 @@ impl LogHistogram {
     /// Creates a histogram covering roughly `1 µs ..= 1000 s`.
     pub fn new() -> Self {
         LogHistogram {
-            buckets: Vec::new(),
-            count: 0,
+            counts: Vec::new(),
+            offset: 0,
             sum_ns: 0,
             min_seen: f64::INFINITY,
             max_seen: 0.0,
         }
     }
 
-    /// The bucket counts, a never-recorded histogram's read as zeros.
+    /// All 120 bucket counts, those outside the stored span as zeros.
     fn buckets(&self) -> impl Iterator<Item = u64> + '_ {
-        let unallocated = Self::BUCKETS - self.buckets.len();
-        self.buckets
-            .iter()
-            .copied()
-            .chain(std::iter::repeat_n(0, unallocated))
+        let above = Self::BUCKETS - self.offset - self.counts.len();
+        std::iter::repeat_n(0, self.offset)
+            .chain(self.counts.iter().copied())
+            .chain(std::iter::repeat_n(0, above))
     }
 
     /// Records one observation (clamped into the covered range). Buckets,
@@ -467,33 +480,64 @@ impl LogHistogram {
             ((value / Self::MIN_VALUE).ln() / Self::LN_GROWTH) as usize
         }
         .min(Self::BUCKETS - 1);
-        if self.buckets.is_empty() {
-            self.buckets.resize(Self::BUCKETS, 0);
+        // Below the span the index wraps past every length.
+        match self.counts.get_mut(idx.wrapping_sub(self.offset)) {
+            Some(n) => *n += 1,
+            None => self.record_outside(idx),
         }
-        self.buckets[idx] += 1;
-        self.count += 1;
         self.sum_ns += u128::from(span.as_nanos());
         self.min_seen = self.min_seen.min(value);
         self.max_seen = self.max_seen.max(value);
+    }
+
+    /// Counts an observation in bucket `idx`, which the span does not
+    /// cover yet.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, idx: usize) {
+        self.widen(idx, idx + 1);
+        self.counts[idx - self.offset] += 1;
+    }
+
+    /// Widens the stored span to cover buckets `lo..hi` as well. When the
+    /// span outgrows its allocation it reserves as many buckets again, so
+    /// a span that keeps widening moves O(log k) times and never holds
+    /// room for more than twice the k buckets it spans.
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.offset = lo;
+        }
+        let len = self.counts.len();
+        let lo = lo.min(self.offset);
+        let new_len = hi.max(self.offset + len) - lo;
+        if new_len > self.counts.capacity() {
+            let room = (2 * len).max(new_len).min(Self::BUCKETS);
+            self.counts.reserve_exact(room - len);
+        }
+        // The new zeros go on the end; those for buckets below the old
+        // span rotate round to the front.
+        self.counts.resize(new_len, 0);
+        self.counts.rotate_right(self.offset - lo);
+        self.offset = lo;
     }
 
     /// Folds `other`'s observations into `self`.
     ///
     /// The result is, bit for bit, the histogram that recording both
     /// observation streams into one instance in any order would have
-    /// produced: bucket counts, the count and the sum are integer
-    /// additions, the extremes a `min` and a `max`. (A floating-point sum
-    /// would not be: it depends on the grouping in the last place.) So
-    /// partial histograms built independently — one per topology shard —
-    /// combine without re-observing anything.
+    /// produced: bucket counts and the sum are integer additions, the
+    /// extremes a `min` and a `max`. (A floating-point sum would not be:
+    /// it depends on the grouping in the last place.) So partial
+    /// histograms built independently — one per topology shard — combine
+    /// without re-observing anything.
     pub fn merge(&mut self, other: &LogHistogram) {
-        if !other.buckets.is_empty() {
-            self.buckets.resize(Self::BUCKETS, 0);
-            for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+        if !other.counts.is_empty() {
+            self.widen(other.offset, other.offset + other.counts.len());
+            let from = other.offset - self.offset;
+            for (b, o) in self.counts[from..].iter_mut().zip(&other.counts) {
                 *b += o;
             }
         }
-        self.count += other.count;
         self.sum_ns += other.sum_ns;
         self.min_seen = self.min_seen.min(other.min_seen);
         self.max_seen = self.max_seen.max(other.max_seen);
@@ -501,13 +545,13 @@ impl LogHistogram {
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.counts.iter().sum()
     }
 
     /// Mean of the recorded observations in seconds (from the exact sum,
     /// not bucketed).
     pub fn mean(&self) -> Option<f64> {
-        mean_secs(self.sum_ns, self.count)
+        mean_secs(self.sum_ns, self.count())
     }
 
     /// The `q`-quantile (`0 ≤ q ≤ 1`) by bucket interpolation, or `None`
@@ -519,7 +563,8 @@ impl LogHistogram {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return None;
         }
         if q <= 0.0 {
@@ -528,9 +573,9 @@ impl LogHistogram {
         if q >= 1.0 {
             return Some(self.max_seen);
         }
-        let target = q * self.count as f64;
+        let target = q * count as f64;
         let mut seen = 0.0;
-        for (i, n) in self.buckets().enumerate() {
+        for (i, &n) in (self.offset..).zip(&self.counts) {
             if n == 0 {
                 continue;
             }
@@ -554,13 +599,13 @@ impl Default for LogHistogram {
     }
 }
 
-/// Whether the buckets are allocated yet is not observable: equality and
-/// `Debug` (which the serial/sharded report identity compares) read a
-/// never-recorded histogram as the zero-filled one it stands for.
+/// Which buckets are stored is not observable: equality and `Debug`
+/// (which the serial/sharded report identity compares) read every
+/// histogram as the 120 bucket counts it stands for.
 impl PartialEq for LogHistogram {
     fn eq(&self, other: &Self) -> bool {
         self.buckets().eq(other.buckets())
-            && (self.count, self.sum_ns) == (other.count, other.sum_ns)
+            && self.sum_ns == other.sum_ns
             && (self.min_seen, self.max_seen) == (other.min_seen, other.max_seen)
     }
 }
@@ -569,7 +614,7 @@ impl std::fmt::Debug for LogHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogHistogram")
             .field("buckets", &self.buckets().collect::<Vec<_>>())
-            .field("count", &self.count)
+            .field("count", &self.count())
             .field("sum_ns", &self.sum_ns)
             .field("min_seen", &self.min_seen)
             .field("max_seen", &self.max_seen)
@@ -751,17 +796,18 @@ mod tests {
         assert_eq!(h.quantile(1.0), Some(1e9));
     }
 
-    /// The histogram `new` used to return: buckets allocated, all zero.
+    /// The dense reference: all 120 buckets stored from the start, so
+    /// recording and merging never widen its span.
     fn zero_filled() -> LogHistogram {
         LogHistogram {
-            buckets: vec![0; LogHistogram::BUCKETS],
+            counts: vec![0; LogHistogram::BUCKETS],
             ..LogHistogram::new()
         }
     }
 
     #[test]
     fn never_recorded_histogram_equals_a_zero_filled_one() {
-        assert!(LogHistogram::new().buckets.is_empty(), "allocated lazily");
+        assert!(LogHistogram::new().counts.is_empty(), "allocated lazily");
         assert_eq!(LogHistogram::new(), zero_filled());
         assert_eq!(zero_filled(), LogHistogram::new());
         let mut recorded = LogHistogram::new();
@@ -829,7 +875,104 @@ mod tests {
             } else {
                 (((v / 1e-6).ln() / 1.2f64.ln()) as usize).min(LogHistogram::BUCKETS - 1)
             };
-            assert_eq!(h.buckets[want], 1, "value {v} left bucket {want}");
+            assert_eq!(h.counts[want - h.offset], 1, "value {v} left bucket {want}");
         }
+    }
+
+    /// A span in seconds: a few clamped into bucket 0 (at most 1 µs,
+    /// zero included) or bucket 119 (beyond ~1000 s), the rest spread
+    /// log-uniformly between.
+    fn any_span(g: &mut crate::check::Gen) -> SimDuration {
+        match g.usize_in(0, 20) {
+            0 => SimDuration::from_nanos(g.u64_in(0, 1_000)),
+            1 => SimDuration::from_secs_f64(g.f64_in(1_100.0, 1e7)),
+            _ => SimDuration::from_secs_f64(10f64.powf(g.f64_in(-6.0, 3.0))),
+        }
+    }
+
+    fn assert_same(sparse: &LogHistogram, dense: &LogHistogram) {
+        assert_eq!(format!("{sparse:?}"), format!("{dense:?}"));
+        assert_eq!(format!("{sparse:#?}"), format!("{dense:#?}"));
+        assert_eq!(sparse, dense);
+        assert_eq!(dense, sparse);
+        assert_eq!(sparse.count(), dense.count());
+        assert_eq!(sparse.mean(), dense.mean());
+        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+            assert_eq!(sparse.quantile(q), dense.quantile(q), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn stored_span_is_invisible_against_the_dense_reference() {
+        crate::check::cases(256, 0x5A_A5, |g| {
+            // Around a first bucket anywhere, so later samples widen the
+            // span downwards as well as upwards.
+            let streams: [Vec<SimDuration>; 2] =
+                std::array::from_fn(|_| g.vec_with(0, 300, any_span));
+            let filled = |spans: &[SimDuration], mut h: LogHistogram| {
+                spans.iter().for_each(|&span| h.record(span));
+                h
+            };
+            let [a, b] = streams.each_ref().map(|s| filled(s, LogHistogram::new()));
+            let whole: Vec<SimDuration> = streams.concat();
+            let dense = filled(&whole, zero_filled());
+            assert_same(&filled(&whole, LogHistogram::new()), &dense);
+            for (first, second) in [(&a, &b), (&b, &a)] {
+                let mut merged = first.clone();
+                merged.merge(second);
+                assert_same(&merged, &dense);
+                let mut into_dense = filled(&[], zero_filled());
+                into_dense.merge(first);
+                into_dense.merge(second);
+                assert_same(&into_dense, &dense);
+            }
+            let mut from_dense = LogHistogram::new();
+            from_dense.merge(&dense);
+            assert_same(&from_dense, &dense);
+        });
+    }
+
+    #[test]
+    fn samples_in_k_adjacent_buckets_keep_room_for_at_most_2k() {
+        // Three a bucket, from 1 µs to beyond the last bucket, each with
+        // the bucket a one-sample histogram puts it in.
+        let samples: Vec<(usize, SimDuration)> = (0..3 * 125)
+            .map(|i| {
+                let span = SimDuration::from_secs_f64(1e-6 * 1.2f64.powf(f64::from(i) / 3.0));
+                let mut h = LogHistogram::new();
+                h.record(span);
+                (h.offset, span)
+            })
+            .collect();
+        for first in [0, 37, 60, 119] {
+            for k in 1..=LogHistogram::BUCKETS - first {
+                let mid = first + k / 2;
+                // Ascending, descending and from the middle outwards.
+                let up: Vec<(usize, SimDuration)> = samples
+                    .iter()
+                    .copied()
+                    .filter(|(b, _)| (first..first + k).contains(b))
+                    .collect();
+                let down: Vec<_> = up.iter().rev().copied().collect();
+                let mut outwards = up.clone();
+                outwards.sort_by_key(|&(b, span)| (b.abs_diff(mid), span));
+                for order in [up, down, outwards] {
+                    let mut h = LogHistogram::new();
+                    order.iter().for_each(|&(_, span)| h.record(span));
+                    let stored = h.counts.len();
+                    assert!(stored <= k, "{stored} buckets stored for samples in {k}");
+                    assert!(
+                        h.counts.capacity() <= 2 * stored,
+                        "room for {} buckets, {stored} in use",
+                        h.counts.capacity()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_histogram_stays_64_bytes() {
+        assert_eq!(std::mem::size_of::<LogHistogram>(), 64);
     }
 }
