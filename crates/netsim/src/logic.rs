@@ -125,14 +125,15 @@ pub struct LogicReport {
     /// Per-flow time series of the logic's principal rate variable
     /// (allotted rate for Corelite/CSFQ edges), in packets per second.
     pub flow_rates: DenseMap<FlowId, TimeSeries>,
-    /// Named scalar counters (markers injected, feedback sent, ...).
-    pub counters: BTreeMap<String, f64>,
+    /// Named scalar counters (markers injected, feedback sent, ...),
+    /// keyed by the name the logic gives them: no copy of it is made.
+    pub counters: BTreeMap<&'static str, f64>,
 }
 
 impl LogicReport {
     /// Sets the counter `name`.
-    pub fn count(&mut self, name: &str, value: f64) {
-        self.counters.insert(name.to_owned(), value);
+    pub fn count(&mut self, name: &'static str, value: f64) {
+        self.counters.insert(name, value);
     }
 }
 

@@ -14,8 +14,47 @@ use crate::ids::{FlowId, LinkId, NodeId};
 use crate::logic::{DropReason, LogicReport};
 use crate::slab::DenseMap;
 
-/// Per-flow measurement state, updated by the network on deliveries and
-/// drops.
+/// A flow slot's drops by cause. Every shard keeps one per slot: a drop
+/// happens wherever the queue or fault is, on any node of the path.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FlowDrops {
+    tail: u64,
+    policy: u64,
+    fault: u64,
+}
+
+impl FlowDrops {
+    pub(crate) fn record(&mut self, reason: DropReason) {
+        match reason {
+            DropReason::Tail => self.tail += 1,
+            DropReason::Policy => self.policy += 1,
+            DropReason::Fault => self.fault += 1,
+        }
+    }
+
+    /// The report of flow `id` from a shard that delivers none of its
+    /// packets: its drops, and nothing else.
+    pub(crate) fn report_alone(self, id: FlowId, weight: u32) -> FlowReport {
+        FlowReport {
+            id,
+            weight,
+            goodput: TimeSeries::new(),
+            cumulative: TimeSeries::new(),
+            delivered_packets: 0,
+            delivered_bytes: 0,
+            duplicate_packets: 0,
+            duplicate_bytes: 0,
+            tail_drops: self.tail,
+            policy_drops: self.policy,
+            fault_drops: self.fault,
+            mean_delay_secs: 0.0,
+            delay: LogHistogram::new(),
+        }
+    }
+}
+
+/// The delivery record of a flow: what its egress sees arrive. It exists
+/// only where the flow's egress runs (see [`DeliveryRecords`]).
 #[derive(Debug)]
 pub(crate) struct FlowMonitor {
     /// Its windows are the cumulative series' too: both roll at every
@@ -26,9 +65,6 @@ pub(crate) struct FlowMonitor {
     delivered_bytes: u64,
     duplicate_packets: u64,
     duplicate_bytes: u64,
-    tail_drops: u64,
-    policy_drops: u64,
-    fault_drops: u64,
     delay: LogHistogram,
     /// First and last delivery instants, once a packet has arrived.
     delivery_span: Option<(SimTime, SimTime)>,
@@ -43,9 +79,6 @@ impl FlowMonitor {
             delivered_bytes: 0,
             duplicate_packets: 0,
             duplicate_bytes: 0,
-            tail_drops: 0,
-            policy_drops: 0,
-            fault_drops: 0,
             delay: LogHistogram::new(),
             delivery_span: None,
         }
@@ -80,14 +113,6 @@ impl FlowMonitor {
             .map(|(first, last)| (first, last, self.delivered_packets))
     }
 
-    pub(crate) fn record_drop(&mut self, reason: DropReason) {
-        match reason {
-            DropReason::Tail => self.tail_drops += 1,
-            DropReason::Policy => self.policy_drops += 1,
-            DropReason::Fault => self.fault_drops += 1,
-        }
-    }
-
     /// Emits cumulative-service points for every measurement window that
     /// has fully elapsed before `now`; the goodput meter, rolled next,
     /// closes the same windows.
@@ -100,8 +125,15 @@ impl FlowMonitor {
         }
     }
 
-    /// Closes the series at `end` and yields the report of flow `id`.
-    pub(crate) fn finish(mut self, end: SimTime, id: FlowId, weight: u32) -> FlowReport {
+    /// Closes the series at `end` and yields the report of flow `id`,
+    /// whose drops this shard counted as `drops`.
+    pub(crate) fn finish(
+        mut self,
+        end: SimTime,
+        id: FlowId,
+        weight: u32,
+        drops: FlowDrops,
+    ) -> FlowReport {
         self.roll_cumulative(end);
         // When `end` lands exactly on a window boundary, `roll_cumulative`
         // has already emitted the point at `end`; pushing again would
@@ -113,21 +145,132 @@ impl FlowMonitor {
             self.cumulative.push(end, self.delivered_packets as f64);
         }
         FlowReport {
-            id,
-            weight,
             goodput: self.goodput.finish(end),
             cumulative: self.cumulative,
             delivered_packets: self.delivered_packets,
             delivered_bytes: self.delivered_bytes,
             duplicate_packets: self.duplicate_packets,
             duplicate_bytes: self.duplicate_bytes,
-            tail_drops: self.tail_drops,
-            policy_drops: self.policy_drops,
-            fault_drops: self.fault_drops,
             mean_delay_secs: self.delay.mean().unwrap_or(0.0),
             delay: self.delay,
+            ..drops.report_alone(id, weight)
         }
     }
+}
+
+/// Records per chunk of a [`DeliveryRecords`] table.
+const RECORDS_PER_CHUNK: usize = 64;
+
+/// Flow slot → delivery record, for the slots whose current occupant is
+/// delivered by a node this network runs: every slot on the serial
+/// engine, the slots whose egress a shard owns on a sharded run. A slot
+/// without a record costs its four index bytes. A record a recycled slot
+/// gives up keeps its room for the next slot that needs one.
+///
+/// Records sit in chunks of up to [`RECORDS_PER_CHUNK`], so the table
+/// holds at most a chunk more room than records: a vector that doubled
+/// would hold up to twice as much, and a shard that delivers half the
+/// flows would keep nearly the serial table. The first chunk starts at
+/// the static flows' count, and a chunk doubles up to its bound.
+pub(crate) struct DeliveryRecords {
+    /// `slot[i]` is one more than the position of slot `i`'s record in
+    /// `chunks`, or 0.
+    slot: Vec<u32>,
+    /// Record `p` is `chunks[p / RECORDS_PER_CHUNK][p % RECORDS_PER_CHUNK]`;
+    /// every chunk but the last is full.
+    chunks: Vec<Vec<Option<FlowMonitor>>>,
+    /// Positions in `chunks` that no slot uses.
+    free: Vec<u32>,
+}
+
+impl DeliveryRecords {
+    pub(crate) fn with_capacity(slots: usize) -> Self {
+        DeliveryRecords {
+            slot: Vec::with_capacity(slots),
+            chunks: (slots > 0)
+                .then(|| Vec::with_capacity(slots.min(RECORDS_PER_CHUNK)))
+                .into_iter()
+                .collect(),
+            free: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn at(&mut self, p: usize) -> &mut Option<FlowMonitor> {
+        &mut self.chunks[p / RECORDS_PER_CHUNK][p % RECORDS_PER_CHUNK]
+    }
+
+    /// Stores `record` in a free position, or in a new one at the end.
+    fn place(&mut self, record: FlowMonitor) -> usize {
+        if let Some(p) = self.free.pop() {
+            *self.at(p as usize) = Some(record);
+            return p as usize;
+        }
+        if self
+            .chunks
+            .last()
+            .is_none_or(|chunk| chunk.len() == RECORDS_PER_CHUNK)
+        {
+            self.chunks.push(Vec::new());
+        }
+        let full = (self.chunks.len() - 1) * RECORDS_PER_CHUNK;
+        let last = self.chunks.last_mut().expect("a chunk with room");
+        if last.len() == last.capacity() {
+            let len = last.len();
+            last.reserve_exact(len.max(4).min(RECORDS_PER_CHUNK - len));
+        }
+        last.push(Some(record));
+        full + last.len() - 1
+    }
+
+    #[inline]
+    fn position(&self, slot: usize) -> Option<usize> {
+        (*self.slot.get(slot)? as usize).checked_sub(1)
+    }
+
+    /// Gives `slot` the record `record` (a fresh one for a new occupant),
+    /// or with `None` takes its record away.
+    pub(crate) fn set(&mut self, slot: usize, record: Option<FlowMonitor>) {
+        if slot >= self.slot.len() {
+            self.slot.resize(slot + 1, 0);
+        }
+        match (self.position(slot), record) {
+            (Some(p), Some(record)) => *self.at(p) = Some(record),
+            (Some(p), None) => {
+                *self.at(p) = None;
+                self.free.push(p as u32);
+                self.slot[slot] = 0;
+            }
+            (None, Some(record)) => {
+                let p = self.place(record);
+                self.slot[slot] = u32::try_from(p + 1).expect("fewer than 2^32 records");
+            }
+            (None, None) => {}
+        }
+    }
+
+    pub(crate) fn get(&self, slot: usize) -> Option<&FlowMonitor> {
+        let p = self.position(slot)?;
+        self.chunks[p / RECORDS_PER_CHUNK][p % RECORDS_PER_CHUNK].as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, slot: usize) -> Option<&mut FlowMonitor> {
+        let p = self.position(slot)?;
+        self.at(p).as_mut()
+    }
+
+    /// Moves `slot`'s record out, for its report.
+    pub(crate) fn take(&mut self, slot: usize) -> Option<FlowMonitor> {
+        let p = self.position(slot)?;
+        self.at(p).take()
+    }
+}
+
+/// Whether `report` came from a delivery record: a record's cumulative
+/// series always ends with a point at the horizon, and a report of drops
+/// alone has none.
+pub(crate) fn has_delivery_record(report: &FlowReport) -> bool {
+    !report.cumulative.is_empty()
 }
 
 /// End-of-run measurements for one flow.
@@ -267,7 +410,7 @@ mod tests {
     }
 
     fn finish(m: FlowMonitor, end: SimTime) -> FlowReport {
-        m.finish(end, FlowId::from_index(0), 1)
+        m.finish(end, FlowId::from_index(0), 1, FlowDrops::default())
     }
 
     #[test]
@@ -275,10 +418,12 @@ mod tests {
         let mut m = FlowMonitor::new(t(0.0), SimDuration::from_secs(1));
         m.record_delivery(t(0.2), 1000, SimDuration::from_millis(120));
         m.record_delivery(t(0.7), 1000, SimDuration::from_millis(80));
-        m.record_drop(DropReason::Tail);
-        m.record_drop(DropReason::Policy);
-        m.record_drop(DropReason::Policy);
-        let r = finish(m, t(2.0));
+        let mut drops = FlowDrops::default();
+        drops.record(DropReason::Tail);
+        drops.record(DropReason::Policy);
+        drops.record(DropReason::Policy);
+        let r = m.finish(t(2.0), FlowId::from_index(0), 1, drops);
+        assert!(has_delivery_record(&r));
         assert_eq!((r.id, r.weight), (FlowId::from_index(0), 1));
         assert_eq!(r.delivered_packets, 2);
         assert_eq!(r.delivered_bytes, 2000);
@@ -316,10 +461,61 @@ mod tests {
     }
 
     /// 240 B × 4,096 slots was one block at `k16_churn`'s peak; the
-    /// window the goodput meter already holds is not stored twice.
+    /// window the goodput meter already holds is not stored twice, and
+    /// the drop counts live beside the record, on every shard.
     #[test]
-    fn a_flow_monitor_stays_within_232_bytes() {
-        assert!(std::mem::size_of::<FlowMonitor>() <= 232);
+    fn a_flow_monitor_stays_within_192_bytes() {
+        assert!(std::mem::size_of::<FlowMonitor>() <= 192);
+        // A freed record's room costs no more than the record.
+        assert_eq!(
+            std::mem::size_of::<Option<FlowMonitor>>(),
+            std::mem::size_of::<FlowMonitor>()
+        );
+    }
+
+    #[test]
+    fn a_report_of_drops_alone_is_told_from_a_record() {
+        let mut drops = FlowDrops::default();
+        drops.record(DropReason::Fault);
+        let r = drops.report_alone(FlowId::from_index(3), 2);
+        assert_eq!((r.fault_drops, r.total_drops()), (1, 1));
+        assert!(!has_delivery_record(&r));
+        // A record that delivered nothing still closes its series.
+        let m = FlowMonitor::new(t(0.0), SimDuration::from_secs(1));
+        assert!(has_delivery_record(&finish(m, t(0.5))));
+    }
+
+    #[test]
+    fn a_released_record_is_reused_by_the_next_slot_that_needs_one() {
+        let fresh = || Some(FlowMonitor::new(t(0.0), SimDuration::from_secs(1)));
+        let mut records = DeliveryRecords::with_capacity(4);
+        records.set(0, fresh());
+        records.set(2, fresh());
+        records.set(1, None);
+        assert!(records.get(0).is_some() && records.get(2).is_some());
+        assert!(records.get(1).is_none() && records.get(7).is_none());
+        records.set(0, None);
+        assert!(records.get(0).is_none());
+        // Slot 5 takes the room slot 0 gave up; nothing grows.
+        records.set(5, fresh());
+        assert_eq!((records.chunks.len(), records.chunks[0].len()), (1, 2));
+        assert!(records.free.is_empty());
+        // A chunk fills before the next one opens.
+        for slot in 6..6 + RECORDS_PER_CHUNK {
+            records.set(slot, fresh());
+        }
+        let lens: Vec<usize> = records.chunks.iter().map(Vec::len).collect();
+        assert_eq!(lens, [RECORDS_PER_CHUNK, 2]);
+        let room: Vec<usize> = records.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(room, [RECORDS_PER_CHUNK, 4]);
+        assert!(records.get(6 + RECORDS_PER_CHUNK - 1).is_some());
+        records
+            .get_mut(5)
+            .expect("slot 5 has a record")
+            .record_delivery(t(0.1), 1000, SimDuration::from_millis(5));
+        let delivered = records.take(5).and_then(|m| m.deliveries());
+        assert_eq!(delivered.map(|(_, _, packets)| packets), Some(1));
+        assert!(records.take(5).is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::flow::FlowInfo;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::Link;
 use crate::logic::{ControlMsg, Ctx, DropReason, RouterLogic, TimerKind};
-use crate::monitor::{FlowMonitor, LinkReport, SimReport};
+use crate::monitor::{DeliveryRecords, FlowDrops, FlowMonitor, LinkReport, SimReport};
 use crate::packet::{Packet, PACKET_SIZE};
 use crate::telemetry::Probe;
 use crate::trace::{FaultKind, TraceEvent, Tracer};
@@ -114,6 +114,20 @@ pub(crate) struct ShardView {
     pub lookahead: Option<SimDuration>,
 }
 
+impl ShardView {
+    /// Whether this worker runs `node`.
+    #[inline]
+    pub(crate) fn owns(&self, node: NodeId) -> bool {
+        self.shard_of_node[node.index()] == self.me
+    }
+}
+
+/// Whether an instance restricted to `shard` (`None`: serial) runs `node`.
+#[inline]
+fn runs(shard: &Option<ShardView>, node: NodeId) -> bool {
+    shard.as_ref().is_none_or(|v| v.owns(node))
+}
+
 #[derive(Debug)]
 pub(crate) enum Event {
     /// `packet` arrives at `node` (after serialization and propagation).
@@ -162,7 +176,10 @@ pub(crate) struct Engine {
     queue: EventQueue<Event>,
     pub(crate) links: Vec<Link>,
     pub(crate) flows: Vec<FlowInfo>,
-    monitors: Vec<FlowMonitor>,
+    /// Per flow slot, on every shard: drops happen on any node of a path.
+    drops: Vec<FlowDrops>,
+    /// The delivery records of the flows whose egress this instance runs.
+    records: DeliveryRecords,
     /// Per-flow go-back-N receiver state: the next in-order sequence
     /// number expected at the egress. Only consulted for packets carrying
     /// [`SeqInfo`](crate::packet::SeqInfo); open-loop flows never touch
@@ -239,22 +256,19 @@ pub(crate) struct Parts {
     pub probe: Option<Rc<RefCell<dyn Probe>>>,
     pub queue_backend: QueueBackend,
     pub dispatch: DispatchMode,
-    /// The shard this instance is to run as (see [`crate::shard`]).
-    pub shard: Option<ShardView>,
 }
 
 impl Network {
+    /// `shard` is the slice of the topology this instance runs, as one
+    /// shard of a partitioned run; `None` runs every node.
     pub(crate) fn assemble(
         p: Parts,
+        shard: Option<ShardView>,
         flows: Vec<FlowInfo>,
         faults: Option<FaultState>,
         churn: Option<ChurnState>,
     ) -> Self {
         check_node_count(p.names.len());
-        let monitors = flows
-            .iter()
-            .map(|_| FlowMonitor::new(SimTime::ZERO, p.window))
-            .collect();
         let mut nodes: Vec<NodeSlot> = p
             .names
             .into_iter()
@@ -270,11 +284,12 @@ impl Network {
                 .outgoing
                 .push(LinkId::from_index(i));
         }
-        let shards = p.shard.as_ref().map_or(0, |v| v.shards);
+        let shards = shard.as_ref().map_or(0, |v| v.shards);
         let mut engine = Engine {
             now: SimTime::ZERO,
             queue: EventQueue::with_backend(p.queue_backend, 1024),
-            monitors,
+            drops: vec![FlowDrops::default(); flows.len()],
+            records: DeliveryRecords::with_capacity(flows.len()),
             rx_next: vec![0; flows.len()],
             lifecycle_started: vec![None; flows.len()],
             packet_counters: vec![0; nodes.len()],
@@ -282,7 +297,7 @@ impl Network {
             ignores_loss: vec![false; nodes.len()],
             links: p.links,
             flows,
-            shard: p.shard,
+            shard,
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
             cursor: None,
             current_key: 0,
@@ -297,6 +312,9 @@ impl Network {
             logical_events: 0,
             elided_notifications: 0,
         };
+        for slot in 0..engine.flows.len() {
+            engine.open_record(slot);
+        }
         // The initial schedule is replicated on every shard, in the same
         // order, so the GLOBAL site counter advances identically and the
         // resulting keys agree everywhere.
@@ -404,6 +422,11 @@ impl Network {
     /// `end` should be the time passed to the final
     /// [`run_until`](Network::run_until) call; series are closed at that
     /// instant.
+    ///
+    /// As one shard of a partitioned run, the network reports what it
+    /// owns: the logic of its own nodes, and of each flow what it saw —
+    /// the drops on its nodes, and the deliveries too where it runs the
+    /// flow's egress. [`crate::shard`] merges the shards' reports.
     pub fn into_report(self, end: SimTime) -> SimReport {
         let Network { nodes, mut engine } = self;
         // Nothing pending is reported: free the queue (its payload slab
@@ -424,11 +447,16 @@ impl Network {
                 .iter()
                 .map(Link::forwarded_packets)
                 .sum::<u64>();
+        let mut records = engine.records;
         let flows = engine
-            .monitors
-            .into_iter()
+            .drops
+            .iter()
             .zip(&engine.flows)
-            .map(|(monitor, info)| monitor.finish(end, info.id, info.weight))
+            .enumerate()
+            .map(|(slot, (&drops, info))| match records.take(slot) {
+                Some(record) => record.finish(end, info.id, info.weight, drops),
+                None => drops.report_alone(info.id, info.weight),
+            })
             .collect();
         let horizon = end.as_secs_f64();
         let links = engine
@@ -454,7 +482,9 @@ impl Network {
         let logic: crate::slab::DenseMap<NodeId, _> = nodes
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| (NodeId::from_index(i), slot.logic.report(end)))
+            .map(|(i, slot)| (NodeId::from_index(i), slot.logic))
+            .filter(|&(node, _)| runs(&engine.shard, node))
+            .map(|(node, logic)| (node, logic.report(end)))
             .collect();
         let stale_events = engine.stale_events;
         SimReport {
@@ -491,9 +521,17 @@ impl Engine {
     /// Whether this instance executes `node` (always true when serial).
     #[inline]
     fn owns(&self, node: NodeId) -> bool {
-        self.shard
-            .as_ref()
-            .is_none_or(|v| v.shard_of_node[node.index()] == v.me)
+        runs(&self.shard, node)
+    }
+
+    /// Gives flow slot `slot`'s new occupant a fresh delivery record if
+    /// this instance runs its egress, and takes the slot's record away
+    /// if not.
+    fn open_record(&mut self, slot: usize) {
+        let record = self
+            .owns(self.flows[slot].egress())
+            .then(|| FlowMonitor::new(self.now, self.window));
+        self.records.set(slot, record);
     }
 
     /// Whether this instance is the designated counter of fully
@@ -772,18 +810,19 @@ impl Engine {
             let window = vec![(now, Some(plan.stop))];
             self.flows
                 .push(FlowInfo::new(id, plan.weight, PACKET_SIZE, 0.0, route, window).transient());
-            self.monitors.push(FlowMonitor::new(now, self.window));
+            self.drops.push(FlowDrops::default());
             self.lifecycle_started.push(None);
             self.rx_next.push(0);
         } else {
             self.flows[plan.slot].reoccupy(id, plan.weight, route, now, plan.stop);
-            self.monitors[plan.slot] = FlowMonitor::new(now, self.window);
+            self.drops[plan.slot] = FlowDrops::default();
             self.rx_next[plan.slot] = 0;
             // The previous occupant's stop may still sit deferred behind
             // a pause; its delivery is blocked by the generation guard,
             // so the new occupant starts from a clean lifecycle state.
             self.lifecycle_started[plan.slot] = None;
         }
+        self.open_record(plan.slot);
         // Deliver the start through the regular (pause-aware) path, and
         // schedule the stop and the slot's retirement after the drain.
         self.push_event(now, SITE_GLOBAL, Event::FlowStart { flow: id });
@@ -800,7 +839,8 @@ impl Engine {
             self.flows[idx].id, flow,
             "slot recycled before its retire event"
         );
-        let delivered = self.monitors[idx].deliveries();
+        // Only the egress owner has seen deliveries to account.
+        let delivered = self.records.get(idx).and_then(FlowMonitor::deliveries);
         self.churn
             .as_mut()
             .expect("ChurnRetire without churn")
@@ -846,8 +886,10 @@ impl Engine {
             packet: packet.id,
             flow: packet.flow,
         });
-        let delay = self.now.saturating_since(packet.sent_at);
-        self.monitors[packet.flow.index()].record_delivery(self.now, packet.size, delay);
+        let now = self.now;
+        let delay = now.saturating_since(packet.sent_at);
+        self.record(packet.flow)
+            .record_delivery(now, packet.size, delay);
     }
 
     /// The egress side of the go-back-N transport: deliver in-order
@@ -871,7 +913,7 @@ impl Engine {
             // sequence number; everything else (redelivered windows
             // after an RTO, reordered arrivals) is discarded without
             // touching the goodput counters.
-            self.monitors[idx].record_duplicate(packet.size);
+            self.record(packet.flow).record_duplicate(packet.size);
         }
         // Every arrival is (re-)acked cumulatively — duplicate acks are
         // the sender's fast-retransmit signal.
@@ -886,6 +928,13 @@ impl Engine {
             retx: si.retransmit,
         };
         self.push_control(node, ingress, delay, msg);
+    }
+
+    /// The delivery record of `flow`, which arrived at its egress here.
+    fn record(&mut self, flow: FlowId) -> &mut FlowMonitor {
+        self.records
+            .get_mut(flow.index())
+            .expect("the instance running a flow's egress keeps its delivery record")
     }
 
     /// Calls `node`'s logic with a [`Ctx`] over this engine.
@@ -1063,7 +1112,7 @@ impl Engine {
             flow: packet.flow,
             reason,
         });
-        self.monitors[packet.flow.index()].record_drop(reason);
+        self.drops[packet.flow.index()].record(reason);
         let flow = &self.flows[packet.flow.index()];
         // The drop site is always on the flow's path; notify the
         // ingress after the reverse propagation delay.

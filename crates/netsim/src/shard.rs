@@ -102,11 +102,11 @@ use sim_core::time::{SimDuration, SimTime};
 
 use crate::ids::NodeId;
 use crate::logic::LogicReport;
-use crate::monitor::{FlowReport, LinkReport, SimReport};
+use crate::monitor::{has_delivery_record, FlowReport, LinkReport, SimReport};
 use crate::network::{Envelope, EventCursor, Network, ShardView};
 use crate::slab::DenseMap;
 use crate::telemetry::{Probe, Sample};
-use crate::topology::{PartitionLink, TopologyBuilder};
+use crate::topology::{with_role, PartitionLink, Role, TopologyBuilder};
 use crate::trace::{TraceEvent, Tracer};
 
 /// A deterministic assignment of nodes to shards.
@@ -466,12 +466,16 @@ pub struct ShardedOutcome {
 /// Runs the topology produced by `factory` to `end` on `shards` worker
 /// threads and merges the results; see the module docs for the protocol.
 ///
-/// `factory` is invoked once per worker (plus once up front for the
-/// partitioner) and must yield identical builders each time — same
-/// seed, same topology, same flow schedule. It must *not* install a
-/// probe or tracer; set `capture_probe` / `capture_trace` instead and
-/// replay [`ShardedOutcome::probe_log`] / [`ShardedOutcome::trace_log`]
-/// after the run.
+/// `factory` is invoked once per worker, and once up front for the
+/// partitioner, and must yield identical builders each time — same
+/// seed, same topology, same flow schedule — starting with a fresh
+/// [`TopologyBuilder::new`]. That builder learns its part at once: the
+/// partitioner's runs no node's logic factory, and a worker's runs the
+/// factories of the nodes its shard owns, so each node's logic is
+/// built once in the whole run. The factory must *not* install a probe
+/// or tracer; set `capture_probe` / `capture_trace` instead and replay
+/// [`ShardedOutcome::probe_log`] / [`ShardedOutcome::trace_log`] after
+/// the run.
 pub fn run_sharded<F>(
     factory: F,
     shards: usize,
@@ -482,7 +486,7 @@ pub fn run_sharded<F>(
 where
     F: Fn() -> TopologyBuilder + Sync,
 {
-    let (weights, links) = factory().partition_inputs(end);
+    let (weights, links) = with_role(Role::Partition, &factory).partition_inputs(end);
     let partition = Partition::compute(shards, &weights, &links);
     let exchange = Exchange {
         mailboxes: (0..shards)
@@ -533,8 +537,9 @@ where
     merge(partials, &partition)
 }
 
-/// One worker: builds its own full topology (networks are not `Send`),
-/// restricted to its shard view, and runs the epoch + drain loops.
+/// One worker: builds its own network (networks are not `Send`) — the
+/// whole topology, the logic of its own nodes, the delivery records of
+/// the flows it delivers — and runs the epoch + drain loops.
 fn run_shard<F>(
     factory: &F,
     partition: &Partition,
@@ -548,13 +553,13 @@ where
     F: Fn() -> TopologyBuilder + Sync,
 {
     let _poison_on_panic = PoisonOnPanic(&exchange.barrier);
-    let mut builder = factory();
-    builder.shard_view(ShardView {
+    let view = ShardView {
         shard_of_node: partition.shard_of_node.clone(),
         me: me as u32,
         shards: partition.shards,
         lookahead: partition.lookahead,
-    });
+    };
+    let mut builder = with_role(Role::Shard(view), factory);
     let cursor: EventCursor = Rc::new(Cell::new((SimTime::ZERO, 0)));
     let probe =
         capture_probe.then(|| Rc::new(RefCell::new(CaptureLog::<ProbeRec>::new(cursor.clone()))));
@@ -645,11 +650,16 @@ impl Exchange {
 }
 
 /// Stitches per-shard partials into the serial report: every quantity is
-/// taken from the shard that observed it (egress owner for flow
-/// delivery, link source owner for link counters, node owner for logic
+/// taken from the shard that owns it (egress owner for a flow's delivery
+/// record, link source owner for link counters, node owner for logic
 /// state), summed where serial accounting sums over nodes (drops, event
 /// counts, churn completions), or — probe and trace streams only — sorted
 /// back into the serial emission order.
+///
+/// # Panics
+///
+/// Panics if a flow's delivery record is missing from its egress owner's
+/// report or present in another shard's.
 fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutcome {
     let per_shard_events: Vec<u64> = partials.iter().map(|p| p.events).collect();
     let owner = |node: u32| partition.shard_of_node[node as usize] as usize;
@@ -670,12 +680,19 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
             let mut fr = None;
             let mut drops = [0; 3];
             for (s, reports) in shard_flows.iter_mut().enumerate() {
-                let report = reports.next().expect("every shard reports every flow");
+                let report = reports.next().expect("every shard reports every flow slot");
+                // Only the egress owner keeps the flow's delivery record.
+                assert_eq!(
+                    has_delivery_record(&report),
+                    s == own,
+                    "shard {s} and the delivery record of {}, whose egress shard {own} owns",
+                    report.id
+                );
                 if s == own {
                     fr = Some(report);
                 } else {
-                    // Deliveries all land on the egress owner, but drops
-                    // are recorded where they happen — any node on the path.
+                    // Drops are counted where they happen — any node on
+                    // the path.
                     drops[0] += report.tail_drops;
                     drops[1] += report.policy_drops;
                     drops[2] += report.fault_drops;
@@ -706,7 +723,7 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
                 .report
                 .logic
                 .remove(&id)
-                .expect("every shard reports every node");
+                .expect("a node's owner reports its logic");
             (id, report)
         })
         .collect();
@@ -818,6 +835,71 @@ mod tests {
         assert_eq!(p.shard_of_node, vec![0, 1]);
         assert_eq!(p.shards, 8);
         assert_eq!(p.lookahead, Some(ms(5)));
+    }
+
+    /// Two shards of a two-node network, one flow delivered at node 1
+    /// (shard 1's): shard `s` reports the flow as `flows[s]` (a delivery
+    /// record when `true`, its drops alone when not) with one tail drop.
+    fn merged(records: [bool; 2]) -> SimReport {
+        use crate::ids::FlowId;
+        use crate::logic::DropReason;
+        use crate::monitor::{FlowDrops, FlowMonitor};
+        let partition = Partition::compute(2, &[1, 1], &[(0, 1, ms(5))]);
+        assert_eq!(partition.shard_of_node, [0, 1]);
+        let end = SimTime::from_secs(1);
+        let partials = records
+            .iter()
+            .enumerate()
+            .map(|(s, &record)| {
+                let mut drops = FlowDrops::default();
+                drops.record(DropReason::Tail);
+                let id = FlowId::from_index(0);
+                let flow = if record {
+                    let mut m = FlowMonitor::new(SimTime::ZERO, SimDuration::from_secs(1));
+                    m.record_delivery(SimTime::from_millis(100), 1000, ms(10));
+                    m.finish(end, id, 1, drops)
+                } else {
+                    drops.report_alone(id, 1)
+                };
+                let node = NodeId::from_index(s);
+                ShardPartial {
+                    report: SimReport {
+                        end,
+                        flows: vec![flow],
+                        links: Vec::new(),
+                        logic: [(node, LogicReport::default())].into_iter().collect(),
+                        events_processed: 0,
+                        elided_notifications: 0,
+                        churn: None,
+                    },
+                    flow_egress: vec![1],
+                    events: 0,
+                    probes: Vec::new(),
+                    traces: Vec::new(),
+                }
+            })
+            .collect();
+        merge(partials, &partition).report
+    }
+
+    #[test]
+    fn the_merge_takes_the_egress_owners_record_and_adds_the_drops() {
+        let report = merged([false, true]);
+        let flow = &report.flows[0];
+        assert_eq!((flow.delivered_packets, flow.tail_drops), (1, 2));
+        assert_eq!(report.logic.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 0 and the delivery record")]
+    fn a_record_off_the_egress_owner_fails_the_merge() {
+        merged([true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 and the delivery record")]
+    fn a_record_missing_from_the_egress_owner_fails_the_merge() {
+        merged([false, false]);
     }
 
     /// The barrier releases everyone once per generation, whether the

@@ -13,7 +13,7 @@ use crate::network::{DispatchMode, Network, Parts, ShardView};
 use crate::telemetry::Probe;
 use crate::trace::Tracer;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A link as the shard partitioner sees it: `(src, dst, delay)`.
@@ -32,6 +32,58 @@ pub(crate) type PartitionLink = (u32, u32, SimDuration);
 /// the geometric mean, and enough to deal ingresses before the cores
 /// they feed.
 const INGRESS_EVENTS_PER_PACKET: f64 = 2.5;
+
+/// Which nodes' logic a builder constructs.
+pub(crate) enum Role {
+    /// Every node's: the serial engine.
+    Serial,
+    /// The nodes one shard of a partitioned run owns (see
+    /// [`crate::shard`]).
+    Shard(ShardView),
+    /// None: the shard partitioner reads only the topology and the
+    /// offered load ([`TopologyBuilder::partition_inputs`]), and the
+    /// builder is never built.
+    Partition,
+}
+
+thread_local! {
+    /// The role the next builder made on this thread takes, while
+    /// [`with_role`] runs a factory.
+    static NEXT_ROLE: Cell<Option<Role>> = const { Cell::new(None) };
+}
+
+/// Runs `factory` so that the builder it makes takes `role` from its
+/// first line on — before any node asks for logic. The sharded executor
+/// hands each worker's factory its shard view this way, and the
+/// partition pass [`Role::Partition`], through a factory signature that
+/// carries neither.
+///
+/// # Panics
+///
+/// Panics if the builder `factory` returns is not the first it made.
+pub(crate) fn with_role(role: Role, factory: impl FnOnce() -> TopologyBuilder) -> TopologyBuilder {
+    /// Clears a role no builder took, even when `factory` unwinds.
+    struct Unclaimed;
+    impl Drop for Unclaimed {
+        fn drop(&mut self) {
+            NEXT_ROLE.with(Cell::take);
+        }
+    }
+    NEXT_ROLE.with(|next| next.set(Some(role)));
+    let _unclaimed = Unclaimed;
+    let builder = factory();
+    assert!(
+        !matches!(builder.role, Role::Serial),
+        "a sharded run's factory must return the first builder it makes"
+    );
+    builder
+}
+
+/// The logic of a node this builder does not run: never called, and a
+/// box of it allocates nothing, so dispatch needs no branch for it.
+struct Elsewhere;
+
+impl RouterLogic for Elsewhere {}
 
 /// Builds a [`Network`] from nodes, links and flows.
 ///
@@ -54,6 +106,7 @@ const INGRESS_EVENTS_PER_PACKET: f64 = 2.5;
 /// ```
 pub struct TopologyBuilder {
     seed: u64,
+    role: Role,
     /// What the network takes over as it is.
     parts: Parts,
     /// What `build` resolves against the topology first.
@@ -68,6 +121,7 @@ impl TopologyBuilder {
     pub fn new(seed: u64) -> Self {
         TopologyBuilder {
             seed,
+            role: NEXT_ROLE.with(Cell::take).unwrap_or(Role::Serial),
             parts: Parts {
                 names: Vec::new(),
                 logics: Vec::new(),
@@ -77,20 +131,11 @@ impl TopologyBuilder {
                 probe: None,
                 queue_backend: QueueBackend::Wheel,
                 dispatch: DispatchMode::Train,
-                shard: None,
             },
             flow_specs: Vec::new(),
             faults: FaultPlan::default(),
             churn: None,
         }
-    }
-
-    /// Restricts the built network to one shard of a partitioned run
-    /// (see [`crate::shard`]); the full topology is still constructed,
-    /// but only the view's nodes execute.
-    pub(crate) fn shard_view(&mut self, view: ShardView) -> &mut Self {
-        self.parts.shard = Some(view);
-        self
     }
 
     /// What the shard partitioner needs, exposed without building: one
@@ -175,9 +220,20 @@ impl TopologyBuilder {
         (weights, links)
     }
 
+    /// Whether this builder constructs `node`'s logic.
+    fn runs(&self, node: NodeId) -> bool {
+        match &self.role {
+            Role::Serial => true,
+            Role::Shard(view) => view.owns(node),
+            Role::Partition => false,
+        }
+    }
+
     /// Adds a node. `factory` receives a seed derived deterministically
     /// from the experiment seed and the node index, and returns the node's
-    /// router logic.
+    /// router logic. It runs only where the node runs: for every node on
+    /// the serial engine, on the one worker that owns the node on a
+    /// sharded run, and never in the partition pass.
     pub fn node(
         &mut self,
         name: &str,
@@ -191,7 +247,12 @@ impl TopologyBuilder {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(id.index() as u64 + 1);
         self.parts.names.push(name.to_owned());
-        self.parts.logics.push(factory(component_seed));
+        let logic = if self.runs(id) {
+            factory(component_seed)
+        } else {
+            Box::new(Elsewhere)
+        };
+        self.parts.logics.push(logic);
         id
     }
 
@@ -304,11 +365,17 @@ impl TopologyBuilder {
     pub fn build(self) -> Network {
         let TopologyBuilder {
             seed,
+            role,
             parts,
             flow_specs,
             faults,
             churn,
         } = self;
+        let shard = match role {
+            Role::Serial => None,
+            Role::Shard(view) => Some(view),
+            Role::Partition => panic!("the partition pass builds no network"),
+        };
         let (names, links) = (&parts.names, &parts.links);
         let faults = if faults.is_empty() {
             None
@@ -348,7 +415,7 @@ impl TopologyBuilder {
             ChurnState::new(spec, routes, seed, parts.window, flows.len())
         });
 
-        Network::assemble(parts, flows, faults, churn)
+        Network::assemble(parts, shard, flows, faults, churn)
     }
 }
 
@@ -528,6 +595,48 @@ mod tests {
         let c = b.node("c", |_| Box::new(ForwardLogic));
         let (ac, ca) = b.duplex_link(a, c, spec());
         assert_ne!(ac, ca);
+    }
+
+    #[test]
+    fn a_builder_runs_the_logic_factories_of_its_own_nodes_only() {
+        let built = std::cell::Cell::new(0);
+        let make = |role| {
+            with_role(role, || {
+                let mut b = TopologyBuilder::new(0);
+                for name in ["a", "b", "c"] {
+                    b.node(name, |_| {
+                        built.set(built.get() + 1);
+                        Box::new(ForwardLogic)
+                    });
+                }
+                b
+            })
+        };
+        make(Role::Partition);
+        assert_eq!(built.get(), 0, "the partition pass builds no logic");
+        let view = ShardView {
+            shard_of_node: vec![1, 0, 1],
+            me: 1,
+            shards: 2,
+            lookahead: None,
+        };
+        make(Role::Shard(view));
+        assert_eq!(built.get(), 2, "shard 1 builds nodes a and c");
+        // The role went to that builder alone.
+        TopologyBuilder::new(0).node("d", |_| {
+            built.set(built.get() + 1);
+            Box::new(ForwardLogic)
+        });
+        assert_eq!(built.get(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "first builder it makes")]
+    fn a_factory_must_return_the_builder_that_took_the_role() {
+        with_role(Role::Partition, || {
+            drop(TopologyBuilder::new(0));
+            TopologyBuilder::new(0)
+        });
     }
 
     #[test]

@@ -487,8 +487,10 @@ impl Scenario {
     }
 
     /// The sharded conservative-parallel engine (see [`netsim::shard`]):
-    /// the merged telemetry stream is replayed into the probe in
-    /// canonical order, so it observes the exact serial sample sequence.
+    /// each worker builds the logic of its own nodes and keeps the
+    /// delivery records of the flows it delivers; the merged telemetry
+    /// stream is replayed into the probe in canonical order, so it
+    /// observes the exact serial sample sequence.
     fn run_on_shards(
         &self,
         discipline: &dyn Discipline,
@@ -527,9 +529,11 @@ impl Scenario {
 
     /// Builds the scenario's full topology under `discipline` — the one
     /// construction path shared by the serial and sharded engines. The
-    /// sharded executor calls this once per worker; identical inputs
-    /// yield identical builders, which the byte-identity of the whole
-    /// scheme rests on.
+    /// sharded executor calls this once for its partition pass and once
+    /// per worker; identical inputs yield identical builders, which the
+    /// byte-identity of the whole scheme rests on. Each builder knows
+    /// its part from its first line, so `discipline`'s logic factories
+    /// run once per node in the whole run, on the node's own worker.
     fn builder_for(
         &self,
         discipline: &dyn Discipline,

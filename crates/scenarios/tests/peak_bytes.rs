@@ -1,15 +1,26 @@
 //! A budget on the heap a run holds at its peak.
 //!
 //! The peak is deterministic on a serial run: the same allocations in the
-//! same order, so it repeats to the byte. Two runs are pinned here, each
-//! with its budget between the peak before delay histograms stored only
-//! the buckets they use, the event queue was freed before the report was
-//! built and each logic was dropped after its report, and the peak after:
+//! same order, so it repeats to the byte. Two serial runs are pinned here,
+//! each with its budget between the peak before delay histograms stored
+//! only the buckets they use, the event queue was freed before the report
+//! was built and each logic was dropped after its report, and the peak
+//! after:
 //!
 //! | run | before | after | budget |
 //! |---|---|---|---|
 //! | `fig5_6` at 40 s | 207,212 | 174,274 | 190,000 |
 //! | `k16_churn` shape, smoke size | 6,465,283 | 4,621,279 | 5,500,000 |
+//!
+//! The second also runs on two shards, where the peak moves by a few
+//! kilobytes from run to run. Its budget sits between the peak while
+//! every worker kept a delivery record for every flow slot and the peak
+//! once only the egress owner keeps one (serial peaks today: 174,258 and
+//! 4,613,855):
+//!
+//! | run | before | after | budget |
+//! |---|---|---|---|
+//! | `k16_churn` shape, smoke size, 2 shards | 7,051,806–7,052,875 | 6,626,846–6,627,746 | 6,850,000 |
 //!
 //! A change that holds more at the peak has to free something else, or
 //! argue here why not.
@@ -19,10 +30,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
-use corelite::CoreliteConfig;
+mod shapes;
+
 use scenarios::discipline::Corelite;
-use scenarios::{fig5_6, Discipline, Scenario, ScenarioChurn, TopologySpec};
+use scenarios::{fig5_6, Discipline, Scenario};
 use sim_core::time::SimTime;
 
 thread_local! {
@@ -32,16 +46,32 @@ thread_local! {
     static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
+/// Bytes the whole process holds, and the most it has held since the
+/// last reset. A sharded run's workers allocate on their own threads and
+/// free each other's mailbox buffers, so no one thread's count adds up;
+/// its test counts process-wide, and every test in this binary holds
+/// [`one_at_a_time`] so that only one run is counted at once.
+static PROCESS_LIVE: AtomicI64 = AtomicI64::new(0);
+static PROCESS_PEAK: AtomicI64 = AtomicI64::new(0);
+
 fn grew(bytes: usize) {
     // `try_with`: a thread may free or allocate while it is torn down.
     let _ = LIVE.try_with(|live| {
         live.set(live.get() + bytes as i64);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
     });
+    let live = PROCESS_LIVE.fetch_add(bytes as i64, Relaxed) + bytes as i64;
+    PROCESS_PEAK.fetch_max(live, Relaxed);
 }
 
 fn shrank(bytes: usize) {
     let _ = LIVE.try_with(|live| live.set(live.get() - bytes as i64));
+    PROCESS_LIVE.fetch_sub(bytes as i64, Relaxed);
+}
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static ONE: Mutex<()> = Mutex::new(());
+    ONE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 struct PeakCounting;
@@ -78,8 +108,18 @@ fn peak_live_bytes(scenario: &Scenario, discipline: &dyn Discipline) -> i64 {
     peak - start
 }
 
-fn assert_within(name: &str, scenario: &Scenario, discipline: &dyn Discipline, budget: i64) {
-    let peak = peak_live_bytes(scenario, discipline);
+/// The most the process held above its level at the start of one run of
+/// `scenario` under `discipline` on `shards` workers, merge included.
+fn process_peak_live_bytes(scenario: &Scenario, discipline: &dyn Discipline, shards: usize) -> i64 {
+    let start = PROCESS_LIVE.load(Relaxed);
+    PROCESS_PEAK.store(start, Relaxed);
+    let (result, _) = scenario.run_sharded(discipline, shards);
+    let peak = PROCESS_PEAK.load(Relaxed);
+    assert!(result.report.flows.iter().any(|f| f.delivered_packets > 0));
+    peak - start
+}
+
+fn assert_within(name: &str, peak: i64, budget: i64) {
     println!("{name}: peak {peak} live bytes (budget {budget})");
     assert!(
         peak <= budget,
@@ -89,37 +129,27 @@ fn assert_within(name: &str, scenario: &Scenario, discipline: &dyn Discipline, b
 
 #[test]
 fn fig5_6_peak_stays_within_its_budget() {
+    let _one = one_at_a_time();
     let mut scenario = fig5_6(1);
     scenario.horizon = SimTime::from_secs(40);
-    assert_within("fig5_6", &scenario, &Corelite::default(), 190_000);
+    let peak = peak_live_bytes(&scenario, &Corelite::default());
+    assert_within("fig5_6", peak, 190_000);
 }
 
-/// The benchmark's `k16_churn` at its smoke size: 4000 web-like arrivals
-/// a second for one second over 16 route templates (25x each uplink's
-/// capacity) on top of the 32 long-lived flows, edges starting at 25
-/// pkt/s, run to 3 s.
 #[test]
 fn k16_churn_shape_peak_stays_within_its_budget() {
-    const LEAVES: usize = 16;
-    const SPINES: usize = 8;
-    let mut churn = ScenarioChurn::new(4000.0, 50.0, 100.0)
-        .weights(vec![1, 2, 3])
-        .window(SimTime::ZERO, SimTime::from_millis(1_000))
-        .max_arrivals(2_000);
-    churn.linger_secs = 0.5;
-    for leaf in 0..LEAVES {
-        churn = churn.route(TopologySpec::fat_tree_k_path(
-            LEAVES,
-            SPINES,
-            leaf,
-            (leaf + 1) % LEAVES,
-            leaf % SPINES,
-        ));
-    }
-    let scenario = Scenario::fat_tree_k16(SimTime::from_secs(3), 1).with_churn(churn);
-    let discipline = Corelite::new(CoreliteConfig {
-        initial_rate: 25.0,
-        ..CoreliteConfig::default()
-    });
-    assert_within("k16_churn shape", &scenario, &discipline, 5_500_000);
+    let _one = one_at_a_time();
+    let (scenario, discipline) = shapes::k16_churn_shape();
+    let peak = peak_live_bytes(&scenario, &discipline);
+    assert_within("k16_churn shape", peak, 5_500_000);
+}
+
+/// The same shape on two shards. Its peak varies by a few kilobytes with
+/// how the workers' allocations interleave.
+#[test]
+fn k16_churn_shape_on_two_shards_peak_stays_within_its_budget() {
+    let _one = one_at_a_time();
+    let (scenario, discipline) = shapes::k16_churn_shape();
+    let peak = process_peak_live_bytes(&scenario, &discipline, 2);
+    assert_within("k16_churn shape, 2 shards", peak, 6_850_000);
 }

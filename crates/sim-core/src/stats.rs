@@ -321,7 +321,6 @@ pub struct WindowedRate {
     window_start: SimTime,
     in_window: f64,
     series: TimeSeries,
-    total: f64,
 }
 
 impl WindowedRate {
@@ -337,7 +336,6 @@ impl WindowedRate {
             window_start: start,
             in_window: 0.0,
             series: TimeSeries::new(),
-            total: 0.0,
         }
     }
 
@@ -346,7 +344,6 @@ impl WindowedRate {
     pub fn record(&mut self, now: SimTime, amount: f64) {
         self.roll_to(now);
         self.in_window += amount;
-        self.total += amount;
     }
 
     /// Closes every window that ends at or before `now`, emitting one
@@ -375,11 +372,6 @@ impl WindowedRate {
     /// closed window).
     pub fn series(&self) -> &TimeSeries {
         &self.series
-    }
-
-    /// Returns the total amount recorded since creation.
-    pub fn total(&self) -> f64 {
-        self.total
     }
 
     /// Consumes the meter, closing the final partial window, and returns
@@ -743,14 +735,6 @@ mod tests {
         let series = w.finish(t(4.0));
         let vals: Vec<f64> = series.iter().map(|(_, v)| v).collect();
         assert_eq!(vals, vec![2.0, 0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn windowed_rate_total() {
-        let mut w = WindowedRate::new(t(0.0), SimDuration::from_secs(1));
-        w.record(t(0.1), 3.0);
-        w.record(t(5.0), 4.0);
-        assert_eq!(w.total(), 7.0);
     }
 
     #[test]
