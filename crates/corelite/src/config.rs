@@ -12,7 +12,7 @@
 //!   [`crate::congestion::Q_THRESH`];
 //! * the stateless selector's running-average gain:
 //!   [`crate::stateless::RUNNING_AVG_GAIN`];
-//! * the gateway's idle-restart gap: [`crate::gateway::IDLE_RESTART`];
+//! * the gateway's idle-restart gap: [`netsim::agent::IDLE_RESTART`];
 //! * the 1 KB packet in which a link's `μ` is counted:
 //!   [`netsim::packet::PACKET_SIZE`].
 
@@ -129,16 +129,6 @@ impl Default for CoreliteConfig {
 }
 
 impl CoreliteConfig {
-    /// Returns the marker spacing `N_w = K1·w` for a flow of weight `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is zero.
-    pub fn marker_spacing(&self, weight: u32) -> u32 {
-        assert!(weight > 0, "flow weight must be positive");
-        self.k1 * weight
-    }
-
     /// The source agents' parameters.
     pub fn agent(&self) -> AgentConfig {
         AgentConfig {
@@ -198,24 +188,6 @@ mod tests {
         assert_eq!(c.core_epoch, SimDuration::from_millis(100));
         assert_eq!(c.agent(), AgentConfig::default());
         c.validate();
-    }
-
-    #[test]
-    fn marker_spacing_scales_with_weight() {
-        let c = CoreliteConfig::default();
-        assert_eq!(c.marker_spacing(1), 1);
-        assert_eq!(c.marker_spacing(3), 3);
-        let c2 = CoreliteConfig {
-            k1: 2,
-            ..CoreliteConfig::default()
-        };
-        assert_eq!(c2.marker_spacing(3), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight")]
-    fn zero_weight_spacing_panics() {
-        CoreliteConfig::default().marker_spacing(0);
     }
 
     #[test]

@@ -7,10 +7,24 @@
 //! count. Losses are ignored: *"edges react only to congestion
 //! indications"* (§4.3).
 //!
+//! The same edge fed by another [`Source`] is the paper's deferred
+//! edge-to-edge machinery:
+//!
+//! * [`CoreliteConfig::gateway`] joins two clouds, each running Corelite
+//!   independently (§2). It buffers a crossing flow's packets, re-shapes
+//!   them at its own `b_g` and adapts to the *downstream* cloud's
+//!   feedback: upstream markers end at it and fresh ones start. The flow
+//!   converges to the minimum of its per-cloud weighted fair shares, the
+//!   buffer absorbing the mismatch (`examples/two_clouds.rs`).
+//! * [`CoreliteConfig::aggregating_edge`] treats all micro-flows sharing
+//!   an egress as **one** edge-to-edge flow (§2, §6): one rate class,
+//!   one `b_g`, one marker stream, its allowance divided round-robin
+//!   among the active members.
+//!
 //! Its closed-loop twin is a [`netsim::GbnSender`] with the same agent
 //! configuration, marker cadence and epoch ([`CoreliteConfig::gbn_edge`]).
 
-use netsim::agent::{AgentEdge, Stamp};
+use netsim::agent::{AgentEdge, Source, Stamp};
 use netsim::GbnSender;
 
 use crate::config::CoreliteConfig;
@@ -24,8 +38,36 @@ impl CoreliteConfig {
     ///
     /// Panics if the configuration fails [`CoreliteConfig::validate`].
     pub fn edge(&self) -> AgentEdge {
+        self.paced(Source::Mint)
+    }
+
+    /// Logic for a Corelite inter-cloud gateway with a per-flow buffer of
+    /// `capacity` packets; see the [module docs](self).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`CoreliteConfig::validate`] or
+    /// `capacity` is zero.
+    pub fn gateway(&self, capacity: usize) -> AgentEdge {
+        self.paced(Source::Buffer { capacity })
+    }
+
+    /// Logic for an aggregating ingress edge: every group formed at it
+    /// gets rate weight `weight` (its rate class), regardless of how many
+    /// micro-flows it contains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`CoreliteConfig::validate`] or
+    /// `weight` is zero.
+    pub fn aggregating_edge(&self, weight: u32) -> AgentEdge {
+        self.paced(Source::Aggregate { weight })
+    }
+
+    fn paced(&self, source: Source) -> AgentEdge {
         self.validate();
-        AgentEdge::new(self.agent(), self.edge_epoch, Stamp::Marker { k1: self.k1 })
+        let stamp = Stamp::Marker { k1: self.k1 };
+        AgentEdge::new(self.agent(), self.edge_epoch, stamp, source)
     }
 
     /// Logic for a go-back-N ingress edge wired for Corelite: markers

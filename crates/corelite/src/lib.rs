@@ -10,7 +10,8 @@
 //!    flow is shaped to its allowed rate `b_g(f)`, and a marker carrying
 //!    the flow's *normalized rate* `r_n = b_g/w` is piggybacked on every
 //!    `N_w = K1·w`-th data packet, so a flow's marker rate reflects its
-//!    normalized rate.
+//!    normalized rate. The same edge joins clouds or aggregates micro-flows
+//!    ([`CoreliteConfig::gateway`], [`CoreliteConfig::aggregating_edge`]).
 //! 2. **Incipient congestion detection and weighted fair marker feedback
 //!    at the core** ([`router::CoreliteCore`]): each congestion epoch the
 //!    core compares the average queue `q_avg` against `q_thresh` and, on
@@ -66,23 +67,19 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
-pub mod aggregate;
 pub mod cache;
 pub mod config;
 pub mod congestion;
 pub mod detector;
 pub mod edge;
 pub mod fluid;
-pub mod gateway;
 pub mod router;
 pub mod stateless;
 
-pub use aggregate::AggregatingEdge;
 pub use cache::MarkerCache;
 pub use config::{CoreliteConfig, DecreasePolicy, MuUnit, SelectorKind};
 pub use congestion::marker_feedback_count;
 pub use detector::DetectorKind;
 pub use fluid::FluidModel;
-pub use gateway::CoreliteGateway;
 pub use router::CoreliteCore;
 pub use stateless::StatelessSelector;

@@ -7,7 +7,7 @@
 
 use sim_core::time::SimDuration;
 
-use netsim::agent::{AgentEdge, Stamp};
+use netsim::agent::{AgentEdge, Source, Stamp};
 
 use crate::config::CsfqConfig;
 
@@ -29,7 +29,7 @@ impl CsfqConfig {
     pub fn edge(&self) -> AgentEdge {
         self.validate();
         let stamp = Stamp::Label { k_flow: K_FLOW };
-        AgentEdge::new(self.agent(), EDGE_EPOCH, stamp)
+        AgentEdge::new(self.agent(), EDGE_EPOCH, stamp, Source::Mint)
     }
 }
 

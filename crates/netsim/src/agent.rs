@@ -8,9 +8,8 @@
 //! rate `b_g`, the slow-start / linear phase machine, the per-core
 //! feedback counts, the minimum-rate contract floor, the out-of-profile
 //! marker credit and the recorded rate series. The hosting logic decides
-//! *what* to emit (a shaped synthetic source at an ingress edge, a
-//! store-and-forward buffer at a gateway, a go-back-N window); the agent
-//! decides *how fast*.
+//! *what* to emit (an [`AgentEdge`]'s [`Source`], or a go-back-N window);
+//! the agent decides *how fast*.
 //!
 //! [`AgentEdge`] is the ingress edge both architectures use: it shapes
 //! every flow entering at its node to its agent's rate and adapts once
@@ -27,6 +26,15 @@
 //!   exponentially averaged rate estimate divided by its weight. Every
 //!   loss is one congestion indication, and they add up. CSFQ has no
 //!   contracts, so its agents run with floor 0.
+//!
+//! Its [`Source`] says where packets come from: minted for each flow
+//! that begins at the node, taken from per-flow buffers at an
+//! inter-cloud gateway, or minted round-robin for the members of a
+//! per-egress aggregate. Sources differ only in the slot an agent sits
+//! in and how a packet is obtained for it; the epoch walk, the pacer
+//! chain, stamping, feedback and the rate report are shared.
+
+use std::collections::VecDeque;
 
 use sim_core::stats::{ExpAvg, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
@@ -34,7 +42,7 @@ use sim_core::time::{SimDuration, SimTime};
 use crate::ids::{FlowId, NodeId};
 use crate::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
 use crate::pacer::Pacer;
-use crate::packet::Marker;
+use crate::packet::{Marker, Packet};
 use crate::slab::{ActiveSet, DenseMap};
 use crate::telemetry::Sample;
 
@@ -91,6 +99,12 @@ pub const SS_THRESH: f64 = 32.0;
 
 /// Slow-start doubling interval (paper: every second).
 pub const SLOW_START_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Idle gap after which a [`Source::Buffer`] gateway treats a flow as
+/// restarted, re-entering slow-start instead of resuming a stale rate:
+/// mid-path gateways see no flow activation events. 2 s is several edge
+/// epochs, well above in-cloud queueing delays.
+pub const IDLE_RESTART: SimDuration = SimDuration::from_secs(2);
 
 /// The agent's parameters. [`Default`] gives the paper's §4 values,
 /// which Corelite and CSFQ share; the ones no experiment varies are the
@@ -542,28 +556,84 @@ pub enum Stamp {
     },
 }
 
+/// Where an [`AgentEdge`]'s packets come from (see the [module
+/// docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The paper's always-backlogged sources: one agent per flow that
+    /// begins at the node, in the flow's slot.
+    Mint,
+    /// An inter-cloud gateway (§2): one agent per flow crossing the node,
+    /// in the flow's slot. Arriving packets lose the upstream cloud's
+    /// marker and queue in a per-flow FIFO.
+    Buffer {
+        /// Per-flow buffer capacity, packets; an overflow is a policy drop.
+        capacity: usize,
+    },
+    /// Micro-flow aggregation (§2, §6): one agent per egress, in the
+    /// egress node's slot, emitting round-robin over its active members.
+    Aggregate {
+        /// Every aggregate's rate weight.
+        weight: u32,
+    },
+}
+
+/// A gateway slot's packets under [`Source::Buffer`].
+#[derive(Debug)]
+struct Held {
+    /// The flow the slot's state belongs to, generation included: a
+    /// packet of a newer occupant of the slot rebuilds the state.
+    occupant: FlowId,
+    packets: VecDeque<Packet>,
+    peak: usize,
+    last_arrival: SimTime,
+    last_emit: Option<SimTime>,
+}
+
+impl Held {
+    /// When the next packet is due at `gap`, the gap at the *current*
+    /// rate: one gap after the last emission (`None` before the first).
+    fn next_due(&self, gap: SimDuration) -> Option<SimTime> {
+        Some(self.last_emit?.checked_add(gap).unwrap_or(SimTime::MAX))
+    }
+}
+
+/// An aggregate's active members under [`Source::Aggregate`], in
+/// round-robin order: it has some exactly while its agent is active.
+#[derive(Debug, Default)]
+struct Group {
+    members: Vec<FlowId>,
+    next: usize,
+}
+
 const TIMER_EPOCH: u32 = 1;
 const TIMER_EMIT: u32 = 2;
 
-/// Router logic for an ingress edge: the paper's sources are always
-/// backlogged, so it emits each flow that begins at its node at exactly
-/// the flow's [`SourceAgent`] rate, stamped per its [`Stamp`]. Built by
-/// `corelite::CoreliteConfig::edge` and `csfq::CsfqConfig::edge`.
+/// Router logic for a paced ingress: it emits each agent's packets, from
+/// its [`Source`], at exactly the agent's rate, stamped per its [`Stamp`].
+/// Built by `corelite::CoreliteConfig::{edge, gateway, aggregating_edge}`
+/// and `csfq::CsfqConfig::edge`.
 #[derive(Debug)]
 pub struct AgentEdge {
     cfg: AgentConfig,
     epoch: SimDuration,
     stamp: Stamp,
-    /// Per-flow state, slab-indexed by `FlowId::index()` (absent for
-    /// flows not managed by this edge).
-    flows: DenseMap<FlowId, SourceAgent>,
-    /// Flows currently started at this edge. Epoch scans walk this
-    /// instead of every slot ever occupied, so an epoch costs O(active)
-    /// rather than O(all flows ever) under churn.
-    active: ActiveSet<FlowId>,
+    source: Source,
+    /// Agents by slot (see [`Source`]), slab-indexed.
+    agents: DenseMap<usize, SourceAgent>,
+    /// Slots whose agent is started. Epoch scans walk this instead of
+    /// every slot ever occupied, so an epoch costs O(active) rather than
+    /// O(all flows ever) under churn.
+    active: ActiveSet<usize>,
     /// Per-flow rate estimates under [`Stamp::Label`], each built at the
     /// flow's first emission after a start (none for markers).
     estimates: DenseMap<FlowId, ExpAvg>,
+    /// Per-slot packets under [`Source::Buffer`] (none otherwise).
+    held: DenseMap<usize, Held>,
+    /// Under [`Source::Aggregate`], each egress slot's members and each
+    /// member's egress slot (none otherwise).
+    groups: DenseMap<usize, Group>,
+    flow_group: DenseMap<FlowId, usize>,
     /// Per-slot emission chains, reset on every start and stop.
     pacer: Pacer,
     /// Series buffers of departed churn flows, for the next arrivals to
@@ -573,55 +643,132 @@ pub struct AgentEdge {
     stamped: u64,
     /// Congestion signals heard: marker feedback, or losses.
     signals: u64,
+    /// Packets a full gateway buffer dropped.
+    dropped: u64,
 }
 
 impl AgentEdge {
-    /// An edge whose agents run `cfg` and adapt every `epoch`.
+    /// An edge fed by `source` whose agents run `cfg`, adapting per `epoch`.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`AgentConfig::validate`] or `epoch` is
-    /// zero.
-    pub fn new(cfg: AgentConfig, epoch: SimDuration, stamp: Stamp) -> Self {
+    /// Panics if `cfg` fails [`AgentConfig::validate`], `epoch` is zero,
+    /// or `source` is a zero-capacity buffer or a zero-weight aggregate.
+    pub fn new(cfg: AgentConfig, epoch: SimDuration, stamp: Stamp, source: Source) -> Self {
         cfg.validate();
         assert!(!epoch.is_zero(), "edge epoch must be positive");
+        match source {
+            Source::Buffer { capacity: 0 } => panic!("gateway buffer must hold packets"),
+            Source::Aggregate { weight: 0 } => panic!("aggregate weight must be positive"),
+            _ => {}
+        }
         AgentEdge {
             cfg,
             epoch,
             stamp,
-            flows: DenseMap::new(),
+            source,
+            agents: DenseMap::new(),
             active: ActiveSet::new(),
             estimates: DenseMap::new(),
+            held: DenseMap::new(),
+            groups: DenseMap::new(),
+            flow_group: DenseMap::new(),
             pacer: Pacer::new(TIMER_EMIT),
             spare_series: Vec::new(),
             stamped: 0,
             signals: 0,
+            dropped: 0,
         }
     }
 
-    fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let agent = self.flows.get_mut(&flow).expect("flow state exists");
-        if agent.is_active() && agent.rate() > 0.0 {
-            let gap = agent.gap();
-            self.pacer.arm(ctx, flow.index(), gap);
+    /// (Re)starts `slot`'s agent for `flow` in a fresh slow-start; a new
+    /// agent (if `fresh`, one replacing the slot's) takes a spare series.
+    fn start_agent(&mut self, ctx: &Ctx<'_>, slot: usize, flow: FlowId, rtt: f64, fresh: bool) {
+        let info = ctx.flow(flow);
+        let (weight, min_rate) = match (self.source, self.stamp) {
+            (Source::Aggregate { weight }, _) => (weight, 0.0),
+            // CSFQ has no contracts.
+            (_, Stamp::Label { .. }) => (info.weight, 0.0),
+            _ => (info.weight, info.min_rate),
+        };
+        if fresh || !self.agents.contains_key(&slot) {
+            let series = self.spare_series.pop().unwrap_or_default();
+            let agent = SourceAgent::new(weight, min_rate, rtt).recording_into(series);
+            self.agents.insert(slot, agent);
         }
+        self.active.insert(slot);
+        self.estimates.remove(&flow);
+        let agent = self.agents.get_mut(&slot).expect("built above");
+        agent.start(&self.cfg, ctx.now(), rtt);
+    }
+
+    /// Drops `slot`'s agent and held packets: departed churn flows never
+    /// restart, so edge memory tracks the active set, not total arrivals.
+    fn retire(&mut self, slot: usize) {
+        if let Some(agent) = self.agents.remove(&slot) {
+            self.spare_series.push(agent.into_series());
+        }
+        self.held.remove(&slot);
+    }
+
+    fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
+        let agent = self.agents.get_mut(&slot).expect("slot has an agent");
+        if !agent.is_active() || agent.rate() <= 0.0 {
+            return;
+        }
+        let mut delay = agent.gap();
+        if let Source::Buffer { .. } = self.source {
+            let held = &self.held[&slot];
+            if held.packets.is_empty() {
+                return;
+            }
+            let due = held.next_due(delay).unwrap_or(SimTime::ZERO);
+            delay = due.saturating_since(ctx.now());
+        }
+        self.pacer.arm(ctx, slot, delay);
     }
 
     fn handle_emit(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let Some(idx) = self.pacer.fired(param) else {
+        let Some(slot) = self.pacer.fired(param) else {
             return;
         };
-        // The slot's current occupant armed this chain; resolve its full
-        // id (generation included) so emitted packets are attributed to
-        // it.
-        let flow = ctx.flow(FlowId::from_index(idx)).id;
-        let Some(agent) = self.flows.get_mut(&flow) else {
+        let Some(agent) = self.agents.get_mut(&slot) else {
             return;
         };
         if !agent.is_active() || agent.rate() <= 0.0 {
             return;
         }
-        let mut packet = ctx.new_packet(flow);
+        let now = ctx.now();
+        // The packet, its flow, and whether the slot has another after it.
+        let (flow, mut packet, more) = match self.source {
+            Source::Mint => {
+                // The slot's current occupant (generation included) armed
+                // this chain.
+                let flow = ctx.flow(FlowId::from_index(slot)).id;
+                (flow, ctx.new_packet(flow), true)
+            }
+            Source::Buffer { .. } => {
+                let held = self.held.get_mut(&slot).expect("held");
+                // Armed at an older rate: if an epoch lowered it since,
+                // wait out the rest of the new gap.
+                if let Some(due) = held.next_due(agent.gap()).filter(|&due| now < due) {
+                    self.pacer.arm(ctx, slot, due.saturating_since(now));
+                    return;
+                }
+                let Some(packet) = held.packets.pop_front() else {
+                    return;
+                };
+                held.last_emit = Some(now);
+                (held.occupant, packet, !held.packets.is_empty())
+            }
+            Source::Aggregate { .. } => {
+                let group = self.groups.get_mut(&slot).expect("members");
+                group.next %= group.members.len();
+                let flow = group.members[group.next];
+                group.next = (group.next + 1) % group.members.len();
+                (flow, ctx.new_packet(flow), true)
+            }
+        };
         match self.stamp {
             Stamp::Marker { k1 } => {
                 if agent.take_marker(k1 * agent.weight()) {
@@ -637,14 +784,16 @@ impl AgentEdge {
                 let estimate = self
                     .estimates
                     .entry_or_insert_with(flow, || ExpAvg::new(k_flow));
-                let rate = estimate.observe(ctx.now(), 1.0);
+                let rate = estimate.observe(now, 1.0);
                 packet = packet.with_label(rate / agent.weight() as f64);
                 self.stamped += 1;
             }
         }
         ctx.emit(packet);
-        let gap = agent.gap();
-        self.pacer.arm(ctx, idx, gap);
+        if more {
+            let gap = agent.gap();
+            self.pacer.arm(ctx, slot, gap);
+        }
     }
 }
 
@@ -656,69 +805,140 @@ impl RouterLogic for AgentEdge {
         ctx.set_timer(self.epoch, TimerKind::tagged(TIMER_EPOCH));
     }
 
-    fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let now = ctx.now();
-        let info = ctx.flow(flow);
-        let (weight, transient) = (info.weight, info.is_transient());
-        let min_rate = match self.stamp {
-            Stamp::Marker { .. } => info.min_rate,
-            Stamp::Label { .. } => 0.0,
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, mut packet: Packet) {
+        let Source::Buffer { capacity } = self.source else {
+            ctx.emit(packet);
+            return;
         };
-        let rtt = 2.0 * ctx.one_way_delay(flow).as_secs_f64();
-        // Any chain left over from a previous activation (or a recycled
-        // slot's previous occupant) is dead as of this start.
-        self.pacer.reset(flow.index());
-        self.active.insert(flow);
-        self.estimates.remove(&flow);
-        if transient {
-            // A recycled slot may still hold the previous occupant's
-            // state if its stop was swallowed (e.g. by a pause): churn
-            // flows always begin from scratch.
-            let series = self.spare_series.pop().unwrap_or_default();
-            let agent = SourceAgent::new(weight, min_rate, rtt).recording_into(series);
-            self.flows.insert(flow, agent);
+        let (flow, slot, now) = (packet.flow, packet.flow.index(), ctx.now());
+        // The upstream cloud's marker domain ends here.
+        packet.marker = None;
+        // A recycled slot's new occupant must not inherit the previous
+        // occupant's agent or buffered packets.
+        if self.held.get(&slot).is_some_and(|h| h.occupant != flow) {
+            self.retire(slot);
+            self.pacer.reset(slot);
         }
-        let agent = self
-            .flows
-            .entry_or_insert_with(flow, || SourceAgent::new(weight, min_rate, rtt));
-        // A restarting flow begins a fresh slow-start, like a new arrival.
-        agent.start(&self.cfg, now, rtt);
-        self.ensure_emission(ctx, flow);
+        let held = self.held.entry_or_insert_with(slot, || Held {
+            occupant: flow,
+            packets: VecDeque::new(),
+            peak: 0,
+            last_arrival: now,
+            last_emit: None,
+        });
+        // Back after a stop or an idle gap: a fresh slow-start.
+        let idle = now.saturating_since(held.last_arrival) >= IDLE_RESTART;
+        held.last_arrival = now;
+        if idle || !self.agents.get(&slot).is_some_and(SourceAgent::is_active) {
+            held.last_emit = None;
+            // The remaining path RTT, gateway → egress and back.
+            let rtt = 2.0
+                * (ctx.one_way_delay(flow).as_secs_f64()
+                    - ctx.reverse_delay_to_ingress(flow).as_secs_f64())
+                .max(1e-3);
+            self.start_agent(ctx, slot, flow, rtt, false);
+        }
+        let held = self.held.get_mut(&slot).expect("held above");
+        if held.packets.len() >= capacity {
+            self.dropped += 1;
+            ctx.drop_packet(packet);
+            return;
+        }
+        held.packets.push_back(packet);
+        held.peak = held.peak.max(held.packets.len());
+        self.ensure_emission(ctx, slot);
+    }
+
+    fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+        let info = ctx.flow(flow);
+        let (transient, egress) = (info.is_transient(), info.egress().index());
+        let rtt = 2.0 * info.one_way_delay().as_secs_f64();
+        let slot = match self.source {
+            Source::Mint => flow.index(),
+            // A gateway learns its flows from their packets.
+            Source::Buffer { .. } => return,
+            Source::Aggregate { .. } => {
+                self.flow_group.insert(flow, egress);
+                let group = self.groups.entry_or_insert_with(egress, Group::default);
+                let joins_running = !group.members.is_empty();
+                if !group.members.contains(&flow) {
+                    group.members.push(flow);
+                }
+                if joins_running {
+                    self.ensure_emission(ctx, egress);
+                    return;
+                }
+                egress
+            }
+        };
+        // Any chain left over from a previous activation (or a recycled
+        // slot's previous occupant) is dead as of this start; a churn flow
+        // begins from scratch even if its predecessor's stop was swallowed
+        // (e.g. by a pause).
+        self.pacer.reset(slot);
+        let fresh = transient && self.source == Source::Mint;
+        self.start_agent(ctx, slot, flow, rtt, fresh);
+        self.ensure_emission(ctx, slot);
     }
 
     fn on_flow_stop(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let now = ctx.now();
-        // Kill the outstanding emission chain: a pending `TIMER_EMIT`
-        // must not survive the stop and leak into a later activation.
-        self.pacer.reset(flow.index());
-        self.active.remove(flow);
-        self.estimates.remove(&flow);
-        if ctx.flow(flow).is_transient() {
-            // Departed churn flows never restart; drop their state so
-            // edge memory tracks the active set, not total arrivals.
-            if let Some(agent) = self.flows.remove(&flow) {
-                self.spare_series.push(agent.into_series());
+        let transient = ctx.flow(flow).is_transient();
+        let slot = match self.source {
+            Source::Aggregate { .. } => {
+                let Some(&slot) = self.flow_group.get(&flow) else {
+                    return;
+                };
+                if transient {
+                    // Its slot's next occupant re-maps it on its start.
+                    self.flow_group.remove(&flow);
+                }
+                let members = &mut self.groups.get_mut(&slot).expect("group exists").members;
+                members.retain(|&f| f != flow);
+                if !members.is_empty() {
+                    return;
+                }
+                // The last member gone stops the aggregate itself.
+                slot
             }
-        } else if let Some(agent) = self.flows.get_mut(&flow) {
-            agent.stop(now);
+            _ => flow.index(),
+        };
+        // Kill the outstanding emission chain: a pending `TIMER_EMIT`
+        // must not survive the stop and leak into a later activation. A
+        // gateway keeps its buffered packets for the flow's return.
+        self.pacer.reset(slot);
+        self.active.remove(slot);
+        self.estimates.remove(&flow);
+        if transient && !matches!(self.source, Source::Aggregate { .. }) {
+            self.retire(slot);
+        } else if let Some(agent) = self.agents.get_mut(&slot) {
+            agent.stop(ctx.now());
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         match timer.tag {
             TIMER_EPOCH => {
-                // Walk only the started flows (position-indexed so the
-                // body can borrow `self` mutably), in ascending slot
-                // order. Stopped flows are skipped: `epoch_update` is a
-                // no-op for inactive agents and they publish nothing.
+                // Walk only the started agents (position-indexed so the
+                // body can borrow `self` mutably), in ascending slot order.
+                // Samples name the slot's occupant, or the flow whose
+                // packets a gateway holds (the network's slot may hold a
+                // newer one by now); an aggregate publishes none.
                 for pos in 0..self.active.len() {
-                    // The occupant's full id (membership is per slot).
-                    let flow = ctx.flow(self.active.get(pos)).id;
-                    let Some(agent) = self.flows.get_mut(&flow) else {
+                    let slot = self.active.get(pos);
+                    let Some(agent) = self.agents.get_mut(&slot) else {
                         continue;
                     };
-                    agent.run_epoch(ctx, &self.cfg, flow);
-                    self.ensure_emission(ctx, flow);
+                    match self.source {
+                        Source::Mint => {
+                            let flow = ctx.flow(FlowId::from_index(slot)).id;
+                            agent.run_epoch(ctx, &self.cfg, flow);
+                        }
+                        Source::Buffer { .. } => {
+                            agent.run_epoch(ctx, &self.cfg, self.held[&slot].occupant);
+                        }
+                        Source::Aggregate { .. } => agent.epoch_update(&self.cfg, ctx.now()),
+                    }
+                    self.ensure_emission(ctx, slot);
                 }
                 ctx.set_timer(self.epoch, TimerKind::tagged(TIMER_EPOCH));
             }
@@ -728,38 +948,63 @@ impl RouterLogic for AgentEdge {
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, msg: ControlMsg) {
-        match (self.stamp, msg) {
+        let (flow, from) = match (self.stamp, msg) {
             (Stamp::Marker { .. }, ControlMsg::MarkerFeedback { marker, from }) => {
-                self.signals += 1;
-                if let Some(agent) = self.flows.get_mut(&marker.flow) {
-                    agent.on_feedback(&self.cfg, from, ctx.now());
-                }
+                (marker.flow, from)
             }
-            (Stamp::Label { .. }, ControlMsg::Loss { flow, .. }) => {
-                self.signals += 1;
-                if let Some(agent) = self.flows.get_mut(&flow) {
-                    agent.on_signal(&self.cfg, ctx.now());
-                }
-            }
+            (Stamp::Label { .. }, ControlMsg::Loss { flow, .. }) => (flow, SIGNAL_SOURCE),
             // Corelite performs loss-free rate adaptation (§4.3) and says
             // so in `on_start`; no CSFQ core sends markers. Acks belong
             // to the go-back-N transport (`crate::transport::GbnSender`);
             // this open-loop edge never receives them.
-            _ => {}
+            _ => return,
+        };
+        self.signals += 1;
+        let slot = match self.source {
+            Source::Aggregate { .. } => self.flow_group.get(&flow).copied(),
+            _ => Some(flow.index()),
+        };
+        if let Some(agent) = slot.and_then(|slot| self.agents.get_mut(&slot)) {
+            agent.on_feedback(&self.cfg, from, ctx.now());
         }
     }
 
     fn report(&self, _now: SimTime) -> LogicReport {
         let mut report = LogicReport::default();
-        for (flow, agent) in self.flows.iter() {
-            report.flow_rates.insert(flow, agent.series().clone());
+        let rates = &mut report.flow_rates;
+        if let Source::Aggregate { .. } = self.source {
+            // An aggregate's allotted-rate series is attributed to every
+            // member (each member's share is rate / members).
+            for (flow, slot) in self.flow_group.iter() {
+                rates.insert(flow, self.agents[slot].series().clone());
+            }
+        } else {
+            for (slot, agent) in self.agents.iter() {
+                rates.insert(FlowId::from_index(slot), agent.series().clone());
+            }
         }
-        let (stamped, signals) = match self.stamp {
-            Stamp::Marker { .. } => ("markers_injected", "feedback_received"),
-            Stamp::Label { .. } => ("packets_labelled", "losses_seen"),
-        };
-        report.count(stamped, self.stamped as f64);
-        report.count(signals, self.signals as f64);
+        let (stamped, signals) = (self.stamped as f64, self.signals as f64);
+        match (self.source, self.stamp) {
+            (Source::Mint, Stamp::Marker { .. }) => {
+                report.count("markers_injected", stamped);
+                report.count("feedback_received", signals);
+            }
+            (Source::Mint, Stamp::Label { .. }) => {
+                report.count("packets_labelled", stamped);
+                report.count("losses_seen", signals);
+            }
+            (Source::Buffer { .. }, _) => {
+                report.count("gateway_markers_injected", stamped);
+                report.count("gateway_feedback_received", signals);
+                report.count("gateway_buffer_drops", self.dropped as f64);
+                let peak = self.held.values().map(|held| held.peak).max();
+                report.count("gateway_buffer_peak", peak.unwrap_or(0) as f64);
+            }
+            (Source::Aggregate { .. }, _) => {
+                report.count("aggregate_markers_injected", stamped);
+                report.count("aggregate_groups", self.groups.len() as f64);
+            }
+        }
         report
     }
 }
@@ -1032,7 +1277,9 @@ mod tests {
     ) -> SimReport {
         let mut b = TopologyBuilder::new(5);
         let epoch = SimDuration::from_millis(500);
-        let edge = b.node("edge", |_| Box::new(AgentEdge::new(cfg(), epoch, stamp)));
+        let edge = b.node("edge", |_| {
+            Box::new(AgentEdge::new(cfg(), epoch, stamp, Source::Mint))
+        });
         let core = b.node("core", |_| core);
         let sink = b.node("sink", |_| Box::new(ForwardLogic));
         let link = LinkSpec::new(10_000_000, SimDuration::from_millis(1), 100);

@@ -48,6 +48,16 @@ macro_rules! slab_key {
 
 slab_key!(FlowId, NodeId, LinkId);
 
+/// A bare slot index, for tables whose slots mean different ids.
+impl SlabKey for usize {
+    fn index(self) -> usize {
+        self
+    }
+    fn from_index(index: usize) -> Self {
+        index
+    }
+}
+
 /// A map from a [`SlabKey`] to `V`: a `u32` index per key ever seen,
 /// pointing into a packed vector of the entries actually present.
 ///

@@ -115,9 +115,10 @@ const TIMER_SCAN: u32 = 9;
 
 /// A forwarding logic that keeps slab-backed per-flow and per-link
 /// state on the packet path — one `DenseMap` counter bumped per packet
-/// plus an epoch-grained `key_bound` index scan, the access pattern the
-/// corelite gateway/aggregate logics use after the flat-state
-/// refactor.
+/// plus an epoch-grained `key_bound` index scan over the whole slab.
+/// Per-epoch discipline loops walk an `ActiveSet` instead (DESIGN.md
+/// §12); the full scan is the costlier access pattern, so it must be
+/// allocation-free too.
 struct SlabCountingForward {
     per_flow: netsim::slab::DenseMap<FlowId, u64>,
     per_link: netsim::slab::DenseMap<LinkId, u64>,

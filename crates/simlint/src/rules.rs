@@ -166,8 +166,6 @@ const DENSE_STATE_MODULES: &[&str] = &[
     "crates/netsim/src/transport.rs",
     "crates/netsim/src/agent.rs",
     "crates/corelite/src/router.rs",
-    "crates/corelite/src/gateway.rs",
-    "crates/corelite/src/aggregate.rs",
     "crates/csfq/src/core.rs",
     "crates/baselines/src/red.rs",
     "crates/baselines/src/fred.rs",
@@ -180,11 +178,7 @@ const DENSE_STATE_MODULES: &[&str] = &[
 /// flows) in the same ascending-index order. Link tables never recycle
 /// their slots, so per-link scans (the core router's) stay off this
 /// list.
-const FLOW_LIFECYCLE_MODULES: &[&str] = &[
-    "crates/netsim/src/agent.rs",
-    "crates/corelite/src/gateway.rs",
-    "crates/corelite/src/aggregate.rs",
-];
+const FLOW_LIFECYCLE_MODULES: &[&str] = &["crates/netsim/src/agent.rs"];
 
 /// The dense id types whose keyed maps belong in the slab.
 const DENSE_ID_TYPES: &[&str] = &["FlowId", "NodeId", "LinkId"];
@@ -770,7 +764,7 @@ mod tests {
         assert!(!classify("crates/netsim/src/flow.rs").hot_path);
         assert!(classify("crates/simlint/fixtures/core_state_bad.rs").core_module);
         assert!(classify("crates/simlint/fixtures/hot_alloc_bad.rs").hot_path);
-        assert!(classify("crates/corelite/src/gateway.rs").flow_lifecycle);
+        assert!(classify("crates/netsim/src/agent.rs").flow_lifecycle);
         assert!(!classify("crates/corelite/src/router.rs").flow_lifecycle);
         assert!(classify("crates/simlint/fixtures/flow_lifecycle_bad.rs").flow_lifecycle);
     }
@@ -823,7 +817,7 @@ mod tests {
         assert_eq!(hot[0].rule, "dense-state");
         // Turbofish constructor form and every dense id type.
         let v = scan(
-            "crates/corelite/src/aggregate.rs",
+            "crates/netsim/src/transport.rs",
             "let m = BTreeMap::<LinkId, u8>::new();",
         );
         assert_eq!(v.len(), 1, "{v:?}");
@@ -857,11 +851,11 @@ mod tests {
         assert!(scan("crates/corelite/src/router.rs", src).is_empty());
         // Defining `key_bound` (slab.rs) is not calling it in a loop.
         let def = "pub fn key_bound(&self) -> usize { self.slots.len() }";
-        assert!(scan("crates/corelite/src/gateway.rs", def).is_empty());
+        assert!(scan("crates/netsim/src/agent.rs", def).is_empty());
         // cfg(test) code may scan the whole table to cross-check the
         // active set, and an inline allow covers justified full scans.
         let test_src = "#[cfg(test)]\nmod tests {\n fn t() { for i in 0..m.key_bound() {} }\n}";
-        assert!(scan("crates/corelite/src/gateway.rs", test_src).is_empty());
+        assert!(scan("crates/netsim/src/agent.rs", test_src).is_empty());
         let allowed = "// simlint: allow(flow-lifecycle) one-shot report\n\
                        for i in 0..self.flows.key_bound() {}";
         assert!(scan("crates/netsim/src/agent.rs", allowed).is_empty());
