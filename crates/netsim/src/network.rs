@@ -141,8 +141,10 @@ pub(crate) enum Event {
     Control { node: NodeId, msg: ControlMsg },
     /// `flow` becomes active (delivered to its ingress logic).
     FlowStart { flow: FlowId },
-    /// `flow` stops (delivered to its ingress logic).
-    FlowStop { flow: FlowId },
+    /// `flow` stops (delivered to its ingress logic). A churn flow's stop
+    /// carries the key its retirement was minted under at arrival; the
+    /// first dispatch of the stop queues the retirement.
+    FlowStop { flow: FlowId, retire: Option<u64> },
     /// The churn process creates its next flow.
     ChurnArrival,
     /// A churn flow's drain period ended; recycle its table slot.
@@ -327,7 +329,11 @@ impl Network {
                 let (start, stop) = engine.flows[i].activations[w];
                 engine.push_event(start, SITE_GLOBAL, Event::FlowStart { flow: id });
                 if let Some(stop) = stop {
-                    engine.push_event(stop, SITE_GLOBAL, Event::FlowStop { flow: id });
+                    let event = Event::FlowStop {
+                        flow: id,
+                        retire: None,
+                    };
+                    engine.push_event(stop, SITE_GLOBAL, event);
                 }
             }
         }
@@ -399,7 +405,7 @@ impl Network {
     /// Enqueues an event received from a peer shard under its original
     /// canonical key.
     pub(crate) fn inject(&mut self, time: SimTime, key: u64, event: Event) {
-        self.engine.queue.push_keyed(time, key, event);
+        self.engine.enqueue(time, key, event);
     }
 
     /// The egress node index of every flow slot (identical on every
@@ -570,6 +576,16 @@ impl Engine {
                 return;
             }
         }
+        self.enqueue(time, key, event);
+    }
+
+    /// Queues an already keyed event on this instance. A key may be
+    /// minted before its event is queued (a churn retirement's is minted
+    /// at arrival, and the event queued when the stop fires), but every
+    /// event is queued once and no later than its fire time, so the pop
+    /// order stays `(time, key)` on every shard (DESIGN.md §9).
+    fn enqueue(&mut self, time: SimTime, key: u64, event: Event) {
+        debug_assert!(time >= self.now, "event queued after its fire time");
         self.queue.push_keyed(time, key, event);
     }
 
@@ -633,9 +649,9 @@ impl Engine {
         match event {
             Event::TxDone { .. } => false,
             Event::Arrive { .. } | Event::Timer { .. } | Event::Control { .. } => true,
-            Event::FlowStart { flow } | Event::FlowStop { flow } | Event::ChurnRetire { flow } => {
-                self.owns(self.flows[flow.index()].ingress())
-            }
+            Event::FlowStart { flow }
+            | Event::FlowStop { flow, .. }
+            | Event::ChurnRetire { flow } => self.owns(self.flows[flow.index()].ingress()),
             Event::ChurnArrival => self.is_lead(),
         }
     }
@@ -700,8 +716,16 @@ impl Engine {
                     self.with_logic(nodes, ingress, |logic, ctx| logic.on_flow_start(ctx, flow));
                 }
             }
-            Event::FlowStop { flow } => {
-                let again = Event::FlowStop { flow };
+            Event::FlowStop { flow, retire } => {
+                // The stop fires first at its scheduled instant, so the
+                // retirement lands at `stop + linger`, a pause or not; a
+                // deferred stop goes back without it.
+                if let Some(key) = retire {
+                    let churn = self.churn.as_ref().expect("retirement without churn");
+                    let at = self.now.checked_add(churn.linger()).unwrap_or(SimTime::MAX);
+                    self.enqueue(at, key, Event::ChurnRetire { flow });
+                }
+                let again = Event::FlowStop { flow, retire: None };
                 let Some(ingress) = self.lifecycle_gate(flow, counting, again) else {
                     return;
                 };
@@ -798,7 +822,6 @@ impl Engine {
         let now = self.now;
         let churn = self.churn.as_mut().expect("ChurnArrival without churn");
         let plan = churn.plan_arrival(now);
-        let linger = churn.linger();
         let route = Rc::clone(churn.route(plan.route));
         if let Some(next) = plan.next_arrival {
             self.push_event(next, SITE_GLOBAL, Event::ChurnArrival);
@@ -824,11 +847,13 @@ impl Engine {
         }
         self.open_record(plan.slot);
         // Deliver the start through the regular (pause-aware) path, and
-        // schedule the stop and the slot's retirement after the drain.
+        // schedule the stop. The slot's retirement after the drain is
+        // keyed now and queued by the stop, so a resident flow has one
+        // lifecycle event pending.
         self.push_event(now, SITE_GLOBAL, Event::FlowStart { flow: id });
-        self.push_event(plan.stop, SITE_GLOBAL, Event::FlowStop { flow: id });
-        let retire = plan.stop.checked_add(linger).unwrap_or(SimTime::MAX);
-        self.push_event(retire, SITE_GLOBAL, Event::ChurnRetire { flow: id });
+        let stop = self.next_key(SITE_GLOBAL);
+        let retire = Some(self.next_key(SITE_GLOBAL));
+        self.enqueue(plan.stop, stop, Event::FlowStop { flow: id, retire });
     }
 
     /// Finalizes a drained churn flow: records its completion metrics and
@@ -1356,6 +1381,51 @@ mod tests {
         // `(u64, Event)` payload would put 8 bytes back on every cell.
         assert_eq!(std::mem::size_of::<Event>(), 104);
         assert_eq!(EventQueue::<Event>::CELL_BYTES, 104);
+    }
+
+    /// A churn flow has one lifecycle event pending at a time: its stop
+    /// while it is active, its retirement while it lingers.
+    #[test]
+    fn a_resident_churn_flow_has_one_lifecycle_event_pending() {
+        let linger = SimDuration::from_millis(500);
+        let mut b = TopologyBuilder::new(3);
+        let src = b.node("src", |_| Box::new(CbrSource::new(100.0)));
+        let dst = b.node("dst", |_| Box::new(ForwardLogic));
+        b.link(src, dst, fast_link());
+        b.churn(
+            crate::ChurnSpec::new(40.0, 20.0, 100.0)
+                .route(vec![src, dst])
+                .window(SimTime::ZERO, SimTime::from_secs(4))
+                .linger(linger),
+        );
+        let mut net = b.build();
+        let now = SimTime::from_secs(2);
+        net.run_until(now);
+        let (mut active, mut lingering) = (0, 0);
+        for flow in net.flows().iter().filter(|f| f.is_transient()) {
+            let stop = flow.activations[0].1.expect("a churn flow stops");
+            if flow.is_active_at(now) {
+                active += 1;
+            } else if now < stop + linger {
+                lingering += 1;
+            }
+        }
+        assert!(
+            active > 0 && lingering > 0,
+            "{active} active, {lingering} lingering"
+        );
+        let lifecycle = net
+            .engine
+            .queue
+            .pending()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::FlowStart { .. } | Event::FlowStop { .. } | Event::ChurnRetire { .. }
+                )
+            })
+            .count();
+        assert_eq!(lifecycle, active + lingering);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::rc::Rc;
 use netsim::fault::FaultPlan;
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
-use netsim::logic::{CbrSource, Ctx, ForwardLogic, RouterLogic};
+use netsim::logic::{CbrSource, Ctx, ForwardLogic, RouterLogic, TimerKind};
 use netsim::shard::run_sharded;
 use netsim::topology::TopologyBuilder;
 use netsim::{ChurnSpec, DispatchMode, FlowId};
@@ -347,4 +347,160 @@ fn back_to_back_activations_never_gap() {
         (395..=401).contains(&delivered),
         "delivered {delivered}: the seam at t=2 must not interrupt emission"
     );
+}
+
+/// A lifecycle callback: which one, when, for which flow, and the
+/// flow's scheduled stop.
+type Heard = (&'static str, SimTime, FlowId, SimTime);
+
+/// A `CbrSource` that logs each start and stop it hears.
+#[derive(Debug)]
+struct StopRecorder {
+    inner: CbrSource,
+    log: Rc<RefCell<Vec<Heard>>>,
+}
+
+impl StopRecorder {
+    fn note(&self, ctx: &Ctx<'_>, what: &'static str, flow: FlowId) {
+        let scheduled = ctx.flow(flow).activations[0].1.expect("a churn flow stops");
+        self.log
+            .borrow_mut()
+            .push((what, ctx.now(), flow, scheduled));
+    }
+}
+
+impl RouterLogic for StopRecorder {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+        self.note(ctx, "start", flow);
+        self.inner.on_flow_start(ctx, flow);
+    }
+
+    fn on_flow_stop(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+        self.note(ctx, "stop", flow);
+        self.inner.on_flow_stop(ctx, flow);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
+        self.inner.on_timer(ctx, timer);
+    }
+}
+
+const PAUSE: (SimTime, SimTime) = (SimTime::from_secs(1), SimTime::from_secs(2));
+const LINGER: SimDuration = SimDuration::from_millis(100);
+
+/// `churn_net`'s pipe with the ingress's control plane paused over
+/// [`PAUSE`]: a flow that stops more than [`LINGER`] before the pause
+/// ends is retired while its stop waits.
+fn paused_churn_with(ingress: impl FnOnce(u64) -> Box<dyn RouterLogic>) -> TopologyBuilder {
+    let mut b = TopologyBuilder::new(42);
+    let e = b.node("ingress", ingress);
+    let x = b.node("egress", |_| Box::new(ForwardLogic));
+    b.link(e, x, fast());
+    b.faults(FaultPlan::new().pause(e, PAUSE.0, PAUSE.1));
+    b.churn(
+        ChurnSpec::new(20.0, 10.0, 100.0)
+            .route(vec![e, x])
+            .window(SimTime::ZERO, SimTime::from_secs(4))
+            .linger(LINGER),
+    );
+    b
+}
+
+fn paused_churn() -> TopologyBuilder {
+    paused_churn_with(|_| Box::new(CbrSource::new(200.0)))
+}
+
+/// An exact pin of a pause held across churn stops for longer than the
+/// linger: the retirement fires at `stop + linger`, before the stop the
+/// pause put off, so that stop reaches a retired (here recycled) slot
+/// and is counted stale. Serial, one shard and two shards read the same
+/// numbers.
+#[test]
+fn a_stop_paused_past_its_linger_retires_first_and_arrives_stale() {
+    let end = SimTime::from_secs(5);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let handle = log.clone();
+    let mut net = paused_churn_with(move |_| {
+        Box::new(StopRecorder {
+            inner: CbrSource::new(200.0),
+            log: handle,
+        })
+    })
+    .build();
+    net.run_until(end);
+    let serial = net.into_report(end);
+    // The flows whose stops the pause held past their retirement. The
+    // slot of the first went to a newer flow under the pause, so its stop
+    // is stale; the second's slot was still free at the pause's end, and
+    // its stop is delivered then, after its retirement.
+    let log = log.borrow();
+    let held: Vec<FlowId> = log
+        .iter()
+        .filter(|&&(what, _, _, stop)| {
+            what == "start" && stop >= PAUSE.0 && stop + LINGER < PAUSE.1
+        })
+        .map(|&(_, _, flow, _)| flow)
+        .collect();
+    let heard: Vec<(FlowId, SimTime)> = log
+        .iter()
+        .filter(|&&(what, _, flow, _)| what == "stop" && held.contains(&flow))
+        .map(|&(_, now, flow, _)| (flow, now))
+        .collect();
+    assert_eq!(
+        held,
+        [FlowId::with_generation(4, 4), FlowId::with_generation(1, 1)]
+    );
+    assert_eq!(heard, [(held[1], PAUSE.1)]);
+
+    let reports = [
+        ("serial", serial),
+        (
+            "1 shard",
+            run_sharded(paused_churn, 1, end, false, false).report,
+        ),
+        (
+            "2 shards",
+            run_sharded(paused_churn, 2, end, false, false).report,
+        ),
+    ];
+    for (run, report) in &reports {
+        let churn = report.churn.as_ref().expect("churn report present");
+        let counts = (
+            churn.arrivals,
+            churn.retired,
+            churn.completed,
+            churn.stale_events,
+            report.events_processed,
+        );
+        assert_eq!(counts, (69, 69, 54, 31, 2965), "{run}");
+        let flows: Vec<_> = report
+            .flows
+            .iter()
+            .map(|f| {
+                let dropped = f.tail_drops + f.policy_drops + f.fault_drops;
+                (f.delivered_packets, dropped)
+            })
+            .collect();
+        let want = [
+            (18, 0),
+            (72, 0),
+            (14, 0),
+            (10, 0),
+            (42, 0),
+            (22, 0),
+            (23, 0),
+        ];
+        assert_eq!(flows, want, "{run}");
+        let mut buckets = vec![0u64; 120];
+        buckets[55..=70].copy_from_slice(&[1, 0, 0, 2, 16, 7, 9, 7, 5, 2, 2, 0, 2, 0, 0, 1]);
+        let fct = format!(
+            "LogHistogram {{ buckets: {buckets:?}, count: 54, sum_ns: 4596742977, \
+             min_seen: 0.0252, max_seen: 0.3602 }}"
+        );
+        assert_eq!(format!("{:?}", churn.fct), fct, "{run}");
+    }
 }

@@ -153,6 +153,12 @@ fn main() -> ExitCode {
         window_jain_index(&result, from, horizon)
     );
     println!("total drops: {}", result.total_drops());
+    if let Some(churn) = &result.report.churn {
+        println!(
+            "churn: {} arrivals, {} retired, {} completed, {} stale events",
+            churn.arrivals, churn.retired, churn.completed, churn.stale_events
+        );
+    }
     for (i, f) in result.report.flows.iter().enumerate() {
         if let (Some(p50), Some(p99)) = (f.delay_quantile(0.5), f.delay_quantile(0.99)) {
             println!(

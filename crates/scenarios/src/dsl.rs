@@ -61,6 +61,10 @@
 //! }
 //! ```
 //!
+//! In a scenario with a churn block, `pause_churn R FROM UNTIL` pauses
+//! the control plane of churn route `R`'s ingress edge instead: its
+//! flows' starts and stops wait for the pause's end.
+//!
 //! A `churn { ... }` block installs a dynamic flow-arrival process (see
 //! [`crate::runner::ScenarioChurn`]); a scenario with a churn block may
 //! omit static `flow` directives entirely:
@@ -99,11 +103,11 @@
 //! | kind | accepts | used by |
 //! |---|---|---|
 //! | `secs` | finite seconds in `0..=1.8e10` (under the `u64` nanosecond clock's 584 years) | `horizon` (at least 1 ns), `control_delay`, `linger` |
-//! | `interval` | two `secs`, the end after the start once both are rounded to nanoseconds | `start`/`stop`, `active=` (whose end may be open), `window`, `flap`, `pause` |
+//! | `interval` | two `secs`, the end after the start once both are rounded to nanoseconds | `start`/`stop`, `active=` (whose end may be open), `window`, `flap`, `pause`, `pause_churn` |
 //! | `rate` | finite, per second, at most `1e9` (a mean gap of at least the clock's 1 ns); positive, except that `min_rate` may be 0 | `min_rate=`, `arrivals`, `rate` |
 //! | `probability` | `0..=1` | `control_loss`, `marker_loss` |
 //! | `count` | an integer from 1 (`weight`: up to `u32::MAX`) | `weight=`, `weights`, `max_arrivals`, `shards` (at most the scenario's nodes: its cores plus two edges per flow and per churn route) |
-//! | `index` | an integer below 2^20; checked against the topology once it is known | `marker_loss`, `flap` (link), `pause` (core), `topology chain`/`parking_lot` sizes |
+//! | `index` | an integer below 2^20; checked against the topology once it is known | `marker_loss`, `flap` (link), `pause` (core), `pause_churn` (churn route), `topology chain`/`parking_lot` sizes |
 //! | `core_path` | `A-B` (`A < B`) or `C0,C1,…`: two or more cores, none twice, every hop a link of the topology | `route=`/`path=`, churn `route`/`path` |
 //!
 //! Besides these, `seed` is any `u64`, churn `size` any finite positive
@@ -298,6 +302,8 @@ enum Target {
     Path(CorePath),
     Link(usize),
     Core(usize),
+    /// A churn route's ingress, paused over the window.
+    ChurnIngress(usize, FaultWindow),
 }
 
 /// An open `{ ... }` block: a fault block writes straight into the plan,
@@ -409,9 +415,15 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseScenarioError> {
         ));
     }
     let topology = topology.unwrap_or_else(TopologySpec::paper_chain);
-    check_against(&topology, &targets, &flow_lines, &flows)?;
-    // A partition deals whole nodes: shards beyond them would be empty.
     let routes = churn.as_ref().map_or(0, |c| c.routes.len());
+    check_against(&topology, routes, &targets, &flow_lines, &flows)?;
+    for target in &targets {
+        if let (_, Target::ChurnIngress(route, window)) = *target {
+            let node = Scenario::churn_ingress(topology.core_count, flows.len(), route);
+            faults.pauses.push((node, window));
+        }
+    }
+    // A partition deals whole nodes: shards beyond them would be empty.
     let nodes = topology.core_count + 2 * (flows.len() + routes);
     if shards.1 > nodes {
         return Err(fail(
@@ -432,11 +444,13 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseScenarioError> {
 }
 
 /// The one pass over everything the topology must vouch for: every
-/// index and hop names a part of it, and at no instant do the `flow`s'
-/// contracts (declared on `lines`) reserve more of a core link than its
-/// capacity, which the max-min reference would find infeasible.
+/// index and hop names a part of it (a churn route index, one of the
+/// `routes` churn routes), and at no instant do the `flow`s' contracts
+/// (declared on `lines`) reserve more of a core link than its capacity,
+/// which the max-min reference would find infeasible.
 fn check_against(
     topology: &TopologySpec,
+    routes: usize,
     targets: &[(usize, Target)],
     lines: &[usize],
     flows: &[ScenarioFlow],
@@ -453,6 +467,8 @@ fn check_against(
         let problem = match target {
             Target::Link(i) => range("link", *i, topology.link_count()),
             Target::Core(i) => range("core", *i, topology.core_count),
+            Target::ChurnIngress(i, _) => (*i >= routes)
+                .then(|| format!("churn route {i} out of range ({routes} churn routes)")),
             Target::Path(path) => path
                 .0
                 .iter()
@@ -611,24 +627,32 @@ fn fault_directive(
             faults.marker_loss.push((LinkId::from_index(link), p));
             targets.push((a.line, Target::Link(link)));
         }
-        "flap" | "pause" => {
+        kind @ ("flap" | "pause" | "pause_churn") => {
             a.arity(3, 3)?;
             let (from, until) = a.interval(a.tokens[2], a.tokens[3], "window")?;
             let window = FaultWindow::new(from, until);
-            if a.tokens[0] == "flap" {
-                let link = a.index(v, "link index")?;
-                faults.flaps.push((LinkId::from_index(link), window));
-                targets.push((a.line, Target::Link(link)));
-            } else {
-                let core = a.index(v, "core index")?;
-                faults.pauses.push((NodeId::from_index(core), window));
-                targets.push((a.line, Target::Core(core)));
+            match kind {
+                "flap" => {
+                    let link = a.index(v, "link index")?;
+                    faults.flaps.push((LinkId::from_index(link), window));
+                    targets.push((a.line, Target::Link(link)));
+                }
+                "pause" => {
+                    let core = a.index(v, "core index")?;
+                    faults.pauses.push((NodeId::from_index(core), window));
+                    targets.push((a.line, Target::Core(core)));
+                }
+                // Its node is known once the flows are: see `parse_scenario`.
+                _ => {
+                    let route = a.index(v, "churn route index")?;
+                    targets.push((a.line, Target::ChurnIngress(route, window)));
+                }
             }
         }
         other => {
             return Err(a.fail(format!(
                 "unknown fault directive {other:?} (expected control_loss, \
-                 control_delay, marker_loss, flap, or pause)"
+                 control_delay, marker_loss, flap, pause, or pause_churn)"
             )))
         }
     }
@@ -1093,6 +1117,24 @@ churn {
         let window = FaultWindow::new(SimTime::from_secs(1), SimTime::from_secs(2));
         assert_eq!(s.faults.flaps, vec![(LinkId::from_index(3), window)]);
         assert_eq!(s.faults.pauses, vec![(NodeId::from_index(4), window)]);
+    }
+
+    #[test]
+    fn pause_churn_pauses_a_churn_route_ingress() {
+        let text = "horizon 5\nflow route=0-1\nfault {\npause_churn 1 1 2\n}\n\
+                    churn {\narrivals 1\nsize 10\nrate 100\nroute 0-1\nroute 2-3\n}\n";
+        let s = parse_scenario(text).unwrap();
+        let window = FaultWindow::new(SimTime::from_secs(1), SimTime::from_secs(2));
+        // Four cores, the flow's two edges, the first route's two: CE2.
+        assert_eq!(s.faults.pauses, vec![(NodeId::from_index(8), window)]);
+        let e = parse_scenario(&text.replace("pause_churn 1", "pause_churn 2")).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(
+            e.message
+                .contains("churn route 2 out of range (2 churn routes)"),
+            "{}",
+            e.message
+        );
     }
 
     /// The parser-side inputs that crashed or hung a run before ISSUE 26:

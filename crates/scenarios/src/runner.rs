@@ -527,6 +527,14 @@ impl Scenario {
         }
     }
 
+    /// The node [`builder_for`](Self::builder_for) makes churn route
+    /// `route`'s ingress edge (`CE<route + 1>`) in a scenario of
+    /// `core_count` cores and `flows` static flows: the cores come first,
+    /// then an ingress and an egress per flow, then per churn route.
+    pub(crate) fn churn_ingress(core_count: usize, flows: usize, route: usize) -> NodeId {
+        NodeId::from_index(core_count + 2 * (flows + route))
+    }
+
     /// Builds the scenario's full topology under `discipline` — the one
     /// construction path shared by the serial and sharded engines. The
     /// sharded executor calls this once for its partition pass and once
@@ -784,6 +792,20 @@ mod tests {
             SimTime::from_secs(30),
             1,
         )
+    }
+
+    #[test]
+    fn churn_ingress_is_the_node_named_for_the_route() {
+        let churn = ScenarioChurn::new(1.0, 10.0, 100.0)
+            .route(Route::new(0, 1))
+            .route(Route::new(2, 3));
+        let s = two_flow_scenario().with_churn(churn);
+        let o = RunOptions::default();
+        let net = s
+            .builder_for(&Corelite::default(), o.link, o.backend, o.dispatch)
+            .build();
+        let node = Scenario::churn_ingress(s.topology.core_count, s.flows.len(), 1);
+        assert_eq!(net.node_name(node), "CE2");
     }
 
     #[test]

@@ -244,6 +244,14 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
+    /// The pending events, in no particular order.
+    pub fn pending(&self) -> impl Iterator<Item = &E> {
+        self.payloads.cells.iter().filter_map(|cell| match cell {
+            Cell::Full(event) => Some(event),
+            Cell::Free(_) => None,
+        })
+    }
+
     /// Returns the total number of events delivered so far. Monotone
     /// over the queue's lifetime; [`clear`](Self::clear) does not reset
     /// it.
@@ -701,6 +709,21 @@ mod tests {
             EventQueue::with_backend(QueueBackend::Wheel, 16),
             EventQueue::with_backend(QueueBackend::Heap, 16),
         ]
+    }
+
+    #[test]
+    fn pending_lists_exactly_the_undelivered_events() {
+        for mut q in both_backends() {
+            for i in 0..5 {
+                q.push(SimTime::from_millis(i), i);
+            }
+            q.pop();
+            q.pop();
+            q.push(SimTime::from_millis(9), 9);
+            let mut pending: Vec<u64> = q.pending().copied().collect();
+            pending.sort_unstable();
+            assert_eq!(pending, [2, 3, 4, 9]);
+        }
     }
 
     #[test]
