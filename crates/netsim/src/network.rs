@@ -864,6 +864,9 @@ impl Engine {
             self.flows[idx].id, flow,
             "slot recycled before its retire event"
         );
+        // A stop a pause still holds finds the slot not started, and is
+        // stale whether or not a newer flow takes the slot first.
+        self.lifecycle_started[idx] = None;
         // Only the egress owner has seen deliveries to account.
         let delivered = self.records.get(idx).and_then(FlowMonitor::deliveries);
         self.churn

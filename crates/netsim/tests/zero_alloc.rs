@@ -86,7 +86,7 @@ fn steady_state_dispatch_does_not_allocate() {
     // Warmup: let every lazily-grown capacity reach its steady state,
     // and go once around the timer wheel (2^24 ticks ≈ 2199 simulated
     // seconds) so the measured window runs on a wheel that has wrapped.
-    // (`drained_wheel_buffers_are_handed_on` shows 40 s are enough for
+    // (`freed_wheel_blocks_are_reused` shows 40 s are enough for
     // the capacities.)
     net.run_until(SimTime::from_secs(2_300));
 
@@ -347,17 +347,17 @@ fn a_burst_of_effects_allocates_nothing() {
 }
 
 #[test]
-fn drained_wheel_buffers_are_handed_on() {
+fn freed_wheel_blocks_are_reused() {
     // The chain of the first test, warmed for 40 s — one lap of wheel
     // level 2 and the first level-3 cascade — instead of a full rotation.
     // The 100 s that follow cross 186 level-2 slots (0.537 s each) and
     // three more level-3 slots, every crossing a cascade through the
     // levels below. A wheel whose slots each kept a buffer of their own
     // would allocate at every slot it fills for the first time, for the
-    // first 37 minutes. Here a newly occupied level-0 or level-1 slot
-    // takes over a drained one's buffer, and levels 2 and 3 share one
-    // list that only grows with what is pending there at once, so the
-    // wheel has what it needs after its first crossings.
+    // first 37 minutes. Here every slot chains blocks from one arena, a
+    // drained slot's blocks go back to its free list, and the next slot
+    // to fill takes them from there, so the arena only grows with what
+    // is pending at once and has what it needs after its first crossings.
     let link = LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40);
     let mut b = TopologyBuilder::new(3);
     b.measurement_window(SimDuration::from_secs(10_000));
@@ -476,7 +476,7 @@ fn sharded_epoch_rounds_do_not_allocate() {
     // a <-> m <-> z with a CBR flow each way, on two shards: the
     // partitioner gives the two ingresses a shard each, so packets cross
     // the cut in both directions every 40 ms epoch. After the warm-up of
-    // `drained_wheel_buffers_are_handed_on`, 100 s — 2500 exchange rounds,
+    // `freed_wheel_blocks_are_reused`, 100 s — 2500 exchange rounds,
     // 20 000 packets handed over each way — must allocate nothing on
     // either worker: outboxes are swapped whole into the mailboxes and
     // come back drained with their capacity. (A `mem::take`n outbox

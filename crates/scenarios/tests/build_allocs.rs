@@ -8,7 +8,7 @@
 //! is the count at the commit before routes were interned and the event
 //! queue took a payload slab; a change that adds an allocation to the
 //! build path has to take one out elsewhere, or argue here why not.
-//! The counts today are 347 (`fig5_6`), 269 (`mixed_transports_fat_tree`)
+//! The counts were 347 (`fig5_6`), 269 (`mixed_transports_fat_tree`)
 //! and 1533 (`fat_tree_k16`), each one below what it was while effects
 //! went through a command queue: its spill vector and the
 //! vector of per-node adjacency lists are gone (each list sits in its
@@ -20,8 +20,10 @@
 //! edges each start one flow at t = 0. Logic counters are keyed by the
 //! logic's own `&'static str` names, so the report copies no name: with
 //! the flow table's two vectors of delivery records and drop counts in
-//! place of one, 370, 301 and 1656 went to the counts above. The budgets
-//! stay where they were, as upper bounds.
+//! place of one, 370, 301 and 1656 went to those counts. Today they are
+//! 341, 262 and 1520: every wheel slot chains blocks from one arena,
+//! which grows in a few steps, where each near slot's buffer grew on its
+//! own. The budgets stay where they were, as upper bounds.
 //!
 //! Its own integration-test binary, so the counting allocator sees
 //! nothing else.

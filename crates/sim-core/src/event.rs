@@ -45,11 +45,12 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// minutes ahead of the current tick; anything farther overflows to a
 /// heap.
 const LEVELS: usize = 4;
-/// Levels with a buffer per slot (0 and 1, ≈ 0.537 s ahead); the levels
-/// above share one list.
-const NEAR_LEVELS: usize = 2;
 /// Total tick bits the wheel resolves (24).
 const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
+/// Entries per block of a wheel slot's chain.
+const BLOCK: usize = 16;
+/// Cells per payload slab chunk: a handle is `chunk * CHUNK + index`.
+const CHUNK: usize = 1 << 10;
 
 /// Which data structure backs an [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,8 +204,8 @@ impl<E> EventQueue<E> {
                 // with the caller's dispatch of this event. A plain load
                 // the optimizer may not drop — nothing is read from it.
                 if let Some(next) = w.cur.last() {
-                    let cell = self.payloads.cells.get(next.handle as usize);
-                    std::hint::black_box(matches!(cell, Some(Cell::Free(_))));
+                    let cell = self.payloads.cell(next.handle);
+                    std::hint::black_box(matches!(cell, Cell::Free(_)));
                 }
                 entry
             }
@@ -246,7 +247,8 @@ impl<E> EventQueue<E> {
 
     /// The pending events, in no particular order.
     pub fn pending(&self) -> impl Iterator<Item = &E> {
-        self.payloads.cells.iter().filter_map(|cell| match cell {
+        let cells = self.payloads.chunks.iter().flatten();
+        cells.filter_map(|cell| match cell {
             Cell::Full(event) => Some(event),
             Cell::Free(_) => None,
         })
@@ -284,10 +286,12 @@ impl<E> Default for EventQueue<E> {
 
 /// Where the queue keeps its payloads: a slab whose vacant cells chain
 /// into a LIFO free list, so a steady-state queue reuses the cells it
-/// just emptied (hot in cache) and never allocates.
+/// just emptied (hot in cache) and never allocates. Its chunks are full
+/// but the last: the first grows by doubling, as a short run needs, and
+/// each later one is allocated whole, [`CHUNK`] cells.
 #[derive(Debug, Clone)]
 struct Payloads<E> {
-    cells: Vec<Cell<E>>,
+    chunks: Vec<Vec<Cell<E>>>,
     /// Head of the free list, or [`NO_CELL`].
     free: u32,
     live: usize,
@@ -308,32 +312,47 @@ impl<E> Payloads<E> {
     /// set-up more than the dozen doublings cost a long one.
     fn new() -> Self {
         Payloads {
-            cells: Vec::new(),
+            chunks: Vec::new(),
             free: NO_CELL,
             live: 0,
         }
+    }
+
+    fn cell(&mut self, handle: u32) -> &mut Cell<E> {
+        &mut self.chunks[handle as usize / CHUNK][handle as usize % CHUNK]
     }
 
     fn insert(&mut self, event: E) -> u32 {
         self.live += 1;
         let handle = self.free;
         if handle == NO_CELL {
-            let handle = self.cells.len();
-            assert!(handle < NO_CELL as usize, "more than 2^32 pending events");
-            self.cells.push(Cell::Full(event));
-            return handle as u32;
+            return self.append(event);
         }
-        let cell = &mut self.cells[handle as usize];
+        let cell = self.cell(handle);
         let Cell::Free(next) = *cell else {
             unreachable!("free list points at a live payload");
         };
-        self.free = next;
         *cell = Cell::Full(event);
+        self.free = next;
         handle
     }
 
+    /// Fills a fresh cell; with none free, the `live - 1` before it are all full.
+    #[cold]
+    fn append(&mut self, event: E) -> u32 {
+        let handle = self.live - 1;
+        assert!(handle < NO_CELL as usize, "more than 2^32 pending events");
+        if handle / CHUNK == self.chunks.len() {
+            let room = if handle < CHUNK { 0 } else { CHUNK };
+            self.chunks.push(Vec::with_capacity(room));
+        }
+        self.chunks[handle / CHUNK].push(Cell::Full(event));
+        handle as u32
+    }
+
     fn take(&mut self, handle: u32) -> E {
-        let cell = std::mem::replace(&mut self.cells[handle as usize], Cell::Free(self.free));
+        let free = self.free;
+        let cell = std::mem::replace(self.cell(handle), Cell::Free(free));
         let Cell::Full(event) = cell else {
             unreachable!("entry handle points at a vacant cell");
         };
@@ -343,7 +362,7 @@ impl<E> Payloads<E> {
     }
 
     fn clear(&mut self) {
-        self.cells.clear();
+        self.chunks.clear();
         self.free = NO_CELL;
         self.live = 0;
     }
@@ -351,7 +370,7 @@ impl<E> Payloads<E> {
 
 /// What the backends order: `(time, seq)` is the delivery key, `handle`
 /// finds the payload. 24 bytes whatever the event type.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     time: SimTime,
     seq: u64,
@@ -406,29 +425,24 @@ impl PartialOrd for Entry {
 /// `pop` lazy: the wheel only advances when both same-tick sources run
 /// dry.
 ///
-/// Levels 0 and 1 keep a buffer per slot. A drained slot's buffer is
-/// spare: the next slot of the level to receive its first entry takes it
-/// over (unless it still has its own), so a near level holds as many
-/// buffers as it had slots occupied *at once*. Levels 2 and 3 keep only
-/// their occupancy bitmaps; their entries share one unsorted list,
-/// `far`, out of which one walk picks a far slot's entries when the
-/// clock enters it. Far storage is thus sized by the far entries pending
-/// at once, never by a near slot's buffer, and a steady state still
-/// allocates nothing.
+/// A slot's entries sit in a chain of [`BLOCK`]-entry blocks from one
+/// arena, `blocks`, whose free blocks form a LIFO list. Draining a slot
+/// (into `cur` at level 0, by cascade above) returns its blocks there for
+/// the next slot to fill, so the wheel retains room for the entries
+/// pending at once plus a partly filled block per occupied slot, whatever
+/// a slot held before, and a steady state allocates nothing.
 #[derive(Debug, Clone)]
 struct TimerWheel {
     /// Current tick's events, sorted ascending by `Entry`'s (inverted)
     /// order; the earliest event is at the back.
     cur: Vec<Entry>,
-    /// `NEAR_LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`.
-    slots: Vec<Vec<Entry>>,
-    /// The entries of every level from `NEAR_LEVELS` up, unsorted.
-    far: Vec<Entry>,
+    /// `LEVELS * SLOTS` chains, indexed `level * SLOTS + slot`.
+    slots: Box<[Slot; LEVELS * SLOTS]>,
+    /// Every block a chain holds or has held; free ones chain from `free`.
+    blocks: Vec<Block>,
+    free: u32,
     /// One occupancy bitmap per level (bit `s` = slot `s` non-empty).
     occupied: [u64; LEVELS],
-    /// Per near level, the drained slots whose emptied buffer nobody has
-    /// taken over yet.
-    spare: [u64; NEAR_LEVELS],
     /// Events beyond the wheel horizon, min-first.
     overflow: BinaryHeap<Entry>,
     /// The tick of the most recent delivery (starts at 0). May run
@@ -448,14 +462,38 @@ struct TimerWheel {
     late: BinaryHeap<Entry>,
 }
 
+/// A slot's first and last block and the entries in the last (the others
+/// are full); `len` is [`BLOCK`] in an empty slot, as in a full one.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    head: NO_BLOCK,
+    tail: NO_BLOCK,
+    len: BLOCK as u32,
+};
+
+#[derive(Debug, Clone)]
+struct Block {
+    entries: [Entry; BLOCK],
+    /// The next block of its chain (unset in the last) or free list.
+    next: u32,
+}
+
+const NO_BLOCK: u32 = u32::MAX;
+
 impl TimerWheel {
     fn with_capacity(capacity: usize) -> Self {
         TimerWheel {
             cur: Vec::with_capacity(capacity),
-            slots: (0..NEAR_LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            far: Vec::new(),
+            slots: Box::new([EMPTY_SLOT; LEVELS * SLOTS]),
+            blocks: Vec::new(),
+            free: NO_BLOCK,
             occupied: [0; LEVELS],
-            spare: [0; NEAR_LEVELS],
             overflow: BinaryHeap::new(),
             now_tick: 0,
             floor: SimTime::ZERO,
@@ -481,32 +519,76 @@ impl TimerWheel {
         }
         let diff = tick ^ self.now_tick;
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
-        let slot = ((tick >> (level as u32 * LEVEL_BITS)) & (SLOTS as u64 - 1)) as usize;
-        let (index, bit) = (level * SLOTS + slot, 1u64 << slot);
-        if level >= NEAR_LEVELS {
-            // One test on the near path for both rarer destinations.
-            if level < LEVELS {
-                self.occupied[level] |= bit;
-                self.far.push(e);
-            } else {
-                self.overflow.push(e);
-            }
+        if level >= LEVELS {
+            self.overflow.push(e);
             return;
         }
-        if self.occupied[level] & bit == 0 {
-            self.occupied[level] |= bit;
-            // First entry of a slot: it keeps the buffer it was drained
-            // with, or else takes over an idle sibling's.
-            let spare = self.spare[level];
-            if spare & bit != 0 {
-                self.spare[level] = spare ^ bit;
-            } else if spare != 0 {
-                self.spare[level] = spare & (spare - 1);
-                self.slots
-                    .swap(index, level * SLOTS + spare.trailing_zeros() as usize);
+        let slot = ((tick >> (level as u32 * LEVEL_BITS)) & (SLOTS as u64 - 1)) as usize;
+        self.occupied[level] |= 1u64 << slot;
+        self.push_to_slot(level * SLOTS + slot, e);
+    }
+
+    /// Appends `e` to slot `index`'s chain, linking a free block if the last is full.
+    fn push_to_slot(&mut self, index: usize, e: Entry) {
+        if self.slots[index].len as usize == BLOCK {
+            if self.free == NO_BLOCK {
+                self.grow_blocks();
+            }
+            let block = self.free;
+            self.free = self.blocks[block as usize].next;
+            let slot = &mut self.slots[index];
+            match slot.head {
+                NO_BLOCK => slot.head = block,
+                _ => self.blocks[slot.tail as usize].next = block,
+            }
+            (slot.tail, slot.len) = (block, 0);
+        }
+        let slot = &mut self.slots[index];
+        self.blocks[slot.tail as usize].entries[slot.len as usize] = e;
+        slot.len += 1;
+    }
+
+    /// Adds a free block, growing the arena by half: nearer the peak than doubling.
+    #[cold]
+    fn grow_blocks(&mut self) {
+        let block = self.blocks.len();
+        assert!(block < NO_BLOCK as usize, "more than 2^32 - 1 wheel blocks");
+        if block == self.blocks.capacity() {
+            self.blocks.reserve_exact(block / 2 + 4);
+        }
+        let (entries, next) = ([Entry::default(); BLOCK], self.free);
+        self.blocks.push(Block { entries, next });
+        self.free = block as u32;
+    }
+
+    /// Empties slot `index` into `cur` (a level-0 slot is one tick) or
+    /// one level down or more (a cascade), freeing each block as it goes.
+    fn drain_slot(&mut self, index: usize) {
+        let Slot { head, tail, len } = std::mem::replace(&mut self.slots[index], EMPTY_SLOT);
+        let mut head = head;
+        while head != NO_BLOCK {
+            let block = head as usize;
+            let n = if head == tail { len as usize } else { BLOCK };
+            let next = std::mem::replace(&mut self.blocks[block].next, self.free);
+            (self.free, head) = (head, if head == tail { NO_BLOCK } else { next });
+            if index < SLOTS {
+                self.cur.extend_from_slice(&self.blocks[block].entries[..n]);
+            } else {
+                // Copied out first: the placements may relink the block.
+                let entries = self.blocks[block].entries;
+                entries[..n].iter().for_each(|&e| self.place(e));
             }
         }
-        self.slots[index].push(e);
+    }
+
+    /// Slot `index`'s entries, block by block.
+    fn chain(&self, index: usize) -> impl Iterator<Item = &[Entry]> {
+        let Slot { head, tail, len } = self.slots[index];
+        let next = move |&b: &u32| (b != tail).then(|| self.blocks[b as usize].next);
+        std::iter::successors((head != NO_BLOCK).then_some(head), next).map(move |b| {
+            let n = if b == tail { len as usize } else { BLOCK };
+            &self.blocks[b as usize].entries[..n]
+        })
     }
 
     /// The earliest pending same-tick entry: the better of `cur`'s back
@@ -614,50 +696,16 @@ impl TimerWheel {
             self.now_tick = (self.now_tick & !(((1u64) << (shift + LEVEL_BITS)) - 1))
                 | ((slot as u64) << shift);
             self.occupied[level] &= !(1u64 << slot);
+            // A level-0 slot goes into the (empty) `cur`, ordered for
+            // back-pop delivery; a higher one cascades down (or into
+            // `late` for events landing exactly on the new current tick).
+            self.drain_slot(level * SLOTS + slot);
             if level == 0 {
-                // A level-0 slot is exactly one tick: move its events
-                // into the (empty) `cur` and order them for back-pop
-                // delivery (the emptied buffer is now spare).
-                self.spare[0] |= 1u64 << slot;
-                let slot_vec = &mut self.slots[slot];
-                self.cur.append(slot_vec);
                 self.cur.sort_unstable();
                 return true;
             }
-            // Cascade: redistribute the slot one level down (or into
-            // `late` for events landing exactly on the new current tick).
-            if level < NEAR_LEVELS {
-                self.spare[level] |= 1u64 << slot;
-                let mut moved = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-                for e in moved.drain(..) {
-                    self.place(e);
-                }
-                self.slots[level * SLOTS + slot] = moved;
-            } else {
-                self.enter_far(shift);
-            }
             if !self.late.is_empty() {
                 return true;
-            }
-        }
-    }
-
-    /// Takes the entries of the far slot the clock has just entered (at
-    /// the level whose digits start at bit `shift`) out of `far` and
-    /// files them anew through [`place`](Self::place). Those alone share
-    /// every digit from that level up with the new `now_tick`; the rest
-    /// keep their level and slot. Walking down, a `swap_remove` fills the
-    /// hole with an entry the walk has passed or `place` has just pushed
-    /// back (level 3 to 2), never with one it has yet to test. Out of
-    /// line: inlined into `advance`, it made scenario set-up measurably
-    /// slower.
-    #[inline(never)]
-    fn enter_far(&mut self, shift: u32) {
-        for i in (0..self.far.len()).rev() {
-            let tick = self.far[i].time.as_nanos() >> TICK_SHIFT;
-            if tick >> shift == self.now_tick >> shift {
-                let e = self.far.swap_remove(i);
-                self.place(e);
             }
         }
     }
@@ -668,14 +716,9 @@ impl TimerWheel {
         }
         if let Some(level) = self.occupied.iter().position(|&bits| bits != 0) {
             // The earliest (time, seq) is the *maximum* in Entry's
-            // inverted order. With the near levels empty, the earliest
-            // far entry is the earliest of the lowest occupied far slot.
-            let entries = if level < NEAR_LEVELS {
-                &self.slots[level * SLOTS + self.occupied[level].trailing_zeros() as usize]
-            } else {
-                &self.far
-            };
-            return entries.iter().max().map(|e| e.time);
+            // inverted order, and it sits in the lowest occupied slot.
+            let index = level * SLOTS + self.occupied[level].trailing_zeros() as usize;
+            return self.chain(index).flatten().max().map(|e| e.time);
         }
         self.overflow.peek().map(|e| e.time)
     }
@@ -683,13 +726,10 @@ impl TimerWheel {
     fn clear(&mut self) {
         self.cur.clear();
         self.late.clear();
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-        self.far.clear();
-        for (spare, occupied) in self.spare.iter_mut().zip(&self.occupied) {
-            *spare |= occupied;
-        }
+        *self.slots = [EMPTY_SLOT; LEVELS * SLOTS];
+        // Kept room: the arena refills it without allocating.
+        self.blocks.clear();
+        self.free = NO_BLOCK;
         self.occupied = [0; LEVELS];
         self.overflow.clear();
         self.now_tick = 0;
@@ -703,6 +743,19 @@ mod tests {
     use crate::time::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// Entries the wheel's slots have room for.
+    fn wheel_room<E>(q: &EventQueue<E>) -> usize {
+        let Order::Wheel(w) = &q.order else {
+            unreachable!()
+        };
+        w.blocks.capacity() * BLOCK
+    }
+
+    /// Cells the payload slab has room for.
+    fn slab_room<E>(q: &EventQueue<E>) -> usize {
+        q.payloads.chunks.iter().map(Vec::capacity).sum()
+    }
 
     fn both_backends() -> [EventQueue<u64>; 2] {
         [
@@ -1016,15 +1069,12 @@ mod tests {
             }
             while q.pop().is_some() {}
         }
-        let Order::Wheel(w) = &q.order else {
-            unreachable!()
-        };
-        let retained: usize = w.slots.iter().map(Vec::capacity).sum();
+        let retained = wheel_room(&q);
         assert!(
             retained <= 4 * PER_ROUND as usize,
             "wheel retains room for {retained} entries after rounds of {PER_ROUND}"
         );
-        assert!(q.payloads.cells.capacity() <= 2 * PER_ROUND as usize);
+        assert!(slab_room(&q) <= 2 * PER_ROUND as usize);
     }
 
     #[test]
@@ -1062,14 +1112,77 @@ mod tests {
             }
             peak = peak.max(q.len());
         }
-        let Order::Wheel(w) = &q.order else {
-            unreachable!()
-        };
-        let retained: usize = w.slots.iter().map(Vec::capacity).sum::<usize>() + w.far.capacity();
+        let retained = wheel_room(&q);
         assert!(
             retained <= 4 * peak,
             "wheel retains room for {retained} entries at a peak of {peak} pending"
         );
+    }
+
+    #[test]
+    fn a_dense_band_leaves_the_wheel_room_for_what_is_pending_at_once() {
+        // `k16_churn`-shaped: some 8 k events pending, nearly all of them
+        // rescheduled 60–100 ms ahead (a churn flow's linger), so each
+        // level-1 slot (8.4 ms) gathers hundreds of entries before it
+        // cascades, and a thin tail 0.1–1 s ahead keeps every level-1
+        // slot occupied. A slot buffer that kept the room of its fullest
+        // moment would leave the wheel some 1 k entries of room per
+        // level-1 slot, 63 k in all.
+        const PENDING: u64 = 8_000;
+        let mut q = EventQueue::with_backend(QueueBackend::Wheel, 0);
+        let mut rng = crate::rng::DetRng::new(3);
+        let mut ahead = move || {
+            let us = match rng.index(100) {
+                0..=2 => 100_000 + rng.next_u64() % 900_000,
+                _ => 60_000 + rng.next_u64() % 40_000,
+            };
+            SimDuration::from_micros(us)
+        };
+        for i in 0..PENDING {
+            q.push(SimTime::ZERO + ahead(), i);
+        }
+        let (mut peak, mut fullest, mut pops) = (0, 0, 0u64);
+        while let Some((now, tag)) = q.pop() {
+            if now > SimTime::from_secs(3) {
+                break;
+            }
+            q.push(now + ahead(), tag);
+            peak = peak.max(q.len());
+            pops += 1;
+            if now > SimTime::from_secs(1) && pops % 512 == 0 {
+                let Order::Wheel(w) = &q.order else {
+                    unreachable!()
+                };
+                let level1 = (SLOTS..2 * SLOTS).map(|i| w.chain(i).map(<[Entry]>::len).sum());
+                fullest = fullest.max(level1.max().unwrap_or(0));
+            }
+        }
+        assert!(fullest > 600, "the fullest level-1 slot held {fullest}");
+        let retained = wheel_room(&q);
+        assert!(
+            retained <= 2 * peak,
+            "wheel retains room for {retained} entries at a peak of {peak} pending"
+        );
+    }
+
+    #[test]
+    fn the_slab_retains_at_most_a_chunk_past_its_peak() {
+        // The serial `k16_churn` peak: 8,999 pending, 807 past 8,192. A
+        // slab that doubled would keep 16,384 cells.
+        const PEAK: u64 = 8_999;
+        let mut q = EventQueue::with_backend(QueueBackend::Wheel, 0);
+        for i in 0..PEAK - 4_000 {
+            q.push(SimTime::from_micros(i), i);
+        }
+        for _ in 0..2_000 {
+            q.pop();
+        }
+        for i in 0..6_000 {
+            q.push(SimTime::from_millis(10 + i), i);
+        }
+        assert_eq!(q.len(), PEAK as usize);
+        while q.pop().is_some() {}
+        assert_eq!(slab_room(&q), 9 * CHUNK);
     }
 
     #[test]

@@ -217,8 +217,12 @@ const HOT_FNS: &[&str] = &[
     "drop_packet",
     "send_control",
     "set_timer",
-    // The event queue under every dispatch.
+    // The event queue under every dispatch. A slot's block push and drain
+    // reuse free blocks; arena and slab growth live in `#[cold]` helpers
+    // off this list.
     "place",
+    "push_to_slot",
+    "drain_slot",
     "push_keyed",
     "pop_at_or_before",
     "pop_keyed_at_or_before",
