@@ -21,11 +21,12 @@
 //!   one `b_g`, one marker stream, its allowance divided round-robin
 //!   among the active members.
 //!
-//! Its closed-loop twin is a [`netsim::GbnSender`] with the same agent
-//! configuration, marker cadence and epoch ([`CoreliteConfig::gbn_edge`]).
+//! [`CoreliteConfig::ingress`] picks a flow's ingress by its transport:
+//! this edge for `limd`, a marking go-back-N sender for `gbn` and `reno`.
 
-use netsim::agent::{AgentEdge, Source, Stamp};
-use netsim::GbnSender;
+use netsim::agent::{self, AgentEdge, Source, Stamp};
+use netsim::logic::RouterLogic;
+use netsim::Transport;
 
 use crate::config::CoreliteConfig;
 
@@ -70,24 +71,13 @@ impl CoreliteConfig {
         AgentEdge::new(self.agent(), self.edge_epoch, stamp, source)
     }
 
-    /// Logic for a go-back-N ingress edge wired for Corelite: markers
-    /// every `K1·w` first transmissions carrying the flow's normalized
-    /// rate, adaptation ticks on the edge epoch, and a window per the
-    /// flow's declared [`Transport`](netsim::Transport) — the agent
-    /// under `WindowAimd` for [`Transport::Gbn`](netsim::Transport::Gbn)
-    /// (and [`Transport::Limd`](netsim::Transport::Limd), should a
-    /// closed-loop edge host one), stock Reno for
-    /// [`Transport::Reno`](netsim::Transport::Reno). Reno flows still
-    /// inject markers, so cores see their normalized rates and throttle
-    /// them like any other flow — that is what holds a mixed LIMD/Reno
-    /// population to the weighted-fair allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`CoreliteConfig::validate`].
-    pub fn gbn_edge(&self) -> GbnSender {
+    /// Logic for the ingress of flows of `transport` ([`agent::ingress`]);
+    /// panics as [`CoreliteConfig::edge`] does. Reno flows mark too, which
+    /// holds a mixed LIMD/Reno population to the weighted-fair allocation.
+    pub fn ingress(&self, transport: Transport) -> Box<dyn RouterLogic> {
         self.validate();
-        GbnSender::new(self.agent(), self.edge_epoch, self.k1)
+        let stamp = Stamp::Marker { k1: self.k1 };
+        agent::ingress(transport, self.agent(), self.edge_epoch, stamp)
     }
 }
 

@@ -4,10 +4,14 @@
 //! runs the paper's §4 source agent — the same one as Corelite's edges —
 //! with a packet *loss* as the congestion indication: each loss in an
 //! epoch takes `β` off the rate.
+//! [`CsfqConfig::ingress`] picks a flow's ingress by its transport: this
+//! edge for `limd`, a labelling go-back-N sender for `gbn` and `reno`.
 
 use sim_core::time::SimDuration;
 
-use netsim::agent::{AgentEdge, Source, Stamp};
+use netsim::agent::{self, AgentEdge, Source, Stamp};
+use netsim::logic::RouterLogic;
+use netsim::Transport;
 
 use crate::config::CsfqConfig;
 
@@ -19,6 +23,8 @@ pub const K_FLOW: SimDuration = SimDuration::from_millis(100);
 /// §4's "similar rate adaptation schemes".
 pub const EDGE_EPOCH: SimDuration = SimDuration::from_millis(500);
 
+const STAMP: Stamp = Stamp::Label { k_flow: K_FLOW };
+
 impl CsfqConfig {
     /// Logic for a CSFQ (ingress) edge router plus the paper's source
     /// agents. See the [crate docs](crate) for an example.
@@ -28,8 +34,14 @@ impl CsfqConfig {
     /// Panics if the configuration fails [`CsfqConfig::validate`].
     pub fn edge(&self) -> AgentEdge {
         self.validate();
-        let stamp = Stamp::Label { k_flow: K_FLOW };
-        AgentEdge::new(self.agent(), EDGE_EPOCH, stamp, Source::Mint)
+        AgentEdge::new(self.agent(), EDGE_EPOCH, STAMP, Source::Mint)
+    }
+
+    /// Logic for the ingress of flows of `transport` ([`agent::ingress`]);
+    /// panics as [`CsfqConfig::edge`] does.
+    pub fn ingress(&self, transport: Transport) -> Box<dyn RouterLogic> {
+        self.validate();
+        agent::ingress(transport, self.agent(), EDGE_EPOCH, STAMP)
     }
 }
 

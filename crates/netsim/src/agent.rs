@@ -7,13 +7,15 @@
 //! indication. [`SourceAgent`] is that agent for one flow: the allowed
 //! rate `b_g`, the slow-start / linear phase machine, the per-core
 //! feedback counts, the minimum-rate contract floor, the out-of-profile
-//! marker credit and the recorded rate series. The hosting logic decides
-//! *what* to emit (an [`AgentEdge`]'s [`Source`], or a go-back-N window);
-//! the agent decides *how fast*.
+//! marker credit and, when handed a buffer, the recorded rate series.
+//! The hosting logic decides *what* to emit (an [`AgentEdge`]'s
+//! [`Source`], or a go-back-N window); the agent decides *how fast*.
 //!
-//! [`AgentEdge`] is the ingress edge both architectures use: it shapes
-//! every flow entering at its node to its agent's rate and adapts once
-//! per epoch. The two architectures differ only in its [`Stamp`] — what a
+//! [`ingress`] builds a flow's ingress for both architectures: the paced
+//! [`AgentEdge`] for open-loop `limd`, which shapes every flow entering at
+//! its node to its agent's rate and adapts once per epoch, or the
+//! ack-clocked [`GbnSender`] for `gbn` and `reno`. The architectures
+//! differ only in the [`Stamp`] both stamp by (`Stamp::apply`) — what a
 //! packet carries, and so what counts as congestion:
 //!
 //! * [`Stamp::Marker`] (Corelite, §2): a marker carrying the normalized
@@ -25,7 +27,8 @@
 //! * [`Stamp::Label`] (CSFQ): every packet labelled with the flow's
 //!   exponentially averaged rate estimate divided by its weight. Every
 //!   loss is one congestion indication, and they add up. CSFQ has no
-//!   contracts, so its agents run with floor 0.
+//!   contracts, so its agents run with floor 0. A go-back-N sender labels
+//!   retransmits too and hears losses only as duplicate acks and RTOs.
 //!
 //! Its [`Source`] says where packets come from: minted for each flow
 //! that begins at the node, taken from per-flow buffers at an
@@ -39,12 +42,14 @@ use std::collections::VecDeque;
 use sim_core::stats::{ExpAvg, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
+use crate::flow::Transport;
 use crate::ids::{FlowId, NodeId};
 use crate::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
 use crate::pacer::Pacer;
 use crate::packet::{Marker, Packet};
 use crate::slab::{ActiveSet, DenseMap};
 use crate::telemetry::Sample;
+use crate::transport::GbnSender;
 
 /// How an agent throttles a flow that received `m` congestion
 /// indications in an epoch.
@@ -222,7 +227,7 @@ pub struct SourceAgent {
     last_double: SimTime,
     marker_credit: f64,
     feedback: CoreCounts,
-    series: TimeSeries,
+    series: Option<TimeSeries>,
     /// One-entry memo of `1 / rate` as a duration: the rate only changes
     /// on epoch boundaries and feedback, while the conversion runs once
     /// per emitted packet. Bit-identical on hits.
@@ -250,23 +255,23 @@ impl SourceAgent {
             last_double: SimTime::ZERO,
             marker_credit: 0.0,
             feedback: CoreCounts::new(),
-            series: TimeSeries::new(),
+            series: None,
             gap_cache: (0.0, SimDuration::ZERO),
         }
     }
 
-    /// Records into `series` (emptied first) instead of a fresh one: an
-    /// edge under churn hands a departed flow's buffer to the next
-    /// arrival (builder-style).
+    /// Records the allotted rate into `series` (emptied first); an agent
+    /// handed none records nothing. An edge under churn hands a departed
+    /// flow's buffer to the next arrival (builder-style).
     pub fn recording_into(mut self, mut series: TimeSeries) -> Self {
         series.clear();
-        self.series = series;
+        self.series = Some(series);
         self
     }
 
     /// Consumes the agent, returning its recorded series.
     pub fn into_series(self) -> TimeSeries {
-        self.series
+        self.series.unwrap_or_default()
     }
 
     /// (Re)starts the flow at `now`: fresh slow-start for best-effort
@@ -344,38 +349,15 @@ impl SourceAgent {
         }
     }
 
-    /// The flow's rate weight.
-    pub fn weight(&self) -> u32 {
-        self.weight
-    }
-
-    /// The recorded allotted-rate series.
+    /// The recorded allotted-rate series (empty if none was handed in).
     pub fn series(&self) -> &TimeSeries {
-        &self.series
+        static NONE: TimeSeries = TimeSeries::new();
+        self.series.as_ref().unwrap_or(&NONE)
     }
 
-    /// The flow's normalized out-of-profile rate `(b_g − min)/w` — the
-    /// value carried in markers.
-    pub fn normalized_excess(&self) -> f64 {
-        (self.rate - self.min_rate).max(0.0) / self.weight as f64
-    }
-
-    /// Accounts one emitted packet toward marker injection. Returns
-    /// `true` when this packet should carry a marker (every
-    /// `spacing` = `N_w = K1·w` *out-of-profile* packets; contracted
-    /// in-profile traffic never marks).
-    pub fn take_marker(&mut self, spacing: u32) -> bool {
-        let spacing = f64::from(spacing);
-        let excess = (self.rate - self.min_rate).max(0.0);
-        if excess > 0.0 && self.rate > 0.0 {
-            self.marker_credit += excess / self.rate;
-        }
-        if self.marker_credit >= spacing {
-            self.marker_credit -= spacing;
-            true
-        } else {
-            false
-        }
+    /// The rate, contract floor and weight [`Stamp::apply`] reads.
+    pub(crate) fn profile(&self) -> (f64, f64, u32) {
+        (self.rate, self.min_rate, self.weight)
     }
 
     /// Records marker feedback from core router `from` at `now`. The
@@ -533,12 +515,13 @@ impl SourceAgent {
     }
 
     fn record(&mut self, now: SimTime) {
-        let value = if self.active { self.rate } else { 0.0 };
-        self.series.push(now, value);
+        if let Some(series) = &mut self.series {
+            series.push(now, if self.active { self.rate } else { 0.0 });
+        }
     }
 }
 
-/// What an [`AgentEdge`] writes on the packets it emits — and so which
+/// What an ingress writes on the packets it emits — and so which
 /// congestion signal its agents react to (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stamp {
@@ -554,6 +537,74 @@ pub enum Stamp {
         /// Time constant `K` of the per-flow rate estimate.
         k_flow: SimDuration,
     },
+}
+
+impl Stamp {
+    /// The contract floor of a flow contracted at `min_rate`: CSFQ has none.
+    pub(crate) fn floor(self, min_rate: f64) -> f64 {
+        match self {
+            Stamp::Marker { .. } => min_rate,
+            Stamp::Label { .. } => 0.0,
+        }
+    }
+
+    /// The one stamp rule, inlined into every ingress's per-packet path:
+    /// stamps `packet`, leaving `edge` at `now`, from its flow's `credit`
+    /// (a marker) or entry in `estimates` (a label) and its `(rate, floor,
+    /// weight)`; returns whether it stamped. A marker's first transmission
+    /// earns `(rate − floor)/rate` of credit and, once `K1·w` has accrued,
+    /// carries `(rate − floor)/w`; a retransmit earns and carries nothing.
+    /// A label observes every packet and carries `estimate/w`.
+    #[inline(always)]
+    pub(crate) fn apply(
+        self,
+        packet: &mut Packet,
+        (edge, now): (NodeId, SimTime),
+        credit: &mut f64,
+        estimates: &mut DenseMap<FlowId, ExpAvg>,
+        (rate, floor, weight): (f64, f64, u32),
+    ) -> bool {
+        match self {
+            Stamp::Marker { .. } if packet.seq.is_some_and(|seq| seq.retransmit) => false,
+            Stamp::Marker { k1 } => {
+                let excess = (rate - floor).max(0.0);
+                if excess > 0.0 && rate > 0.0 {
+                    *credit += excess / rate;
+                }
+                let spacing = f64::from(k1 * weight);
+                let marked = *credit >= spacing;
+                if marked {
+                    *credit -= spacing;
+                    let normalized_rate = excess / f64::from(weight);
+                    packet.marker = Some(Marker {
+                        flow: packet.flow,
+                        edge,
+                        normalized_rate,
+                    });
+                }
+                marked
+            }
+            Stamp::Label { k_flow } => {
+                let estimate = estimates.entry_or_insert_with(packet.flow, || ExpAvg::new(k_flow));
+                packet.label = Some(estimate.observe(now, 1.0) / f64::from(weight));
+                true
+            }
+        }
+    }
+}
+
+/// Logic for an ingress of `transport` flows stamping per `stamp`: a paced
+/// [`AgentEdge`] for `limd`, else a [`GbnSender`]; agents run `cfg`.
+pub fn ingress(
+    transport: Transport,
+    cfg: AgentConfig,
+    epoch: SimDuration,
+    stamp: Stamp,
+) -> Box<dyn RouterLogic> {
+    match transport {
+        Transport::Limd => Box::new(AgentEdge::new(cfg, epoch, stamp, Source::Mint)),
+        Transport::Gbn | Transport::Reno => Box::new(GbnSender::new(cfg, epoch, stamp)),
+    }
 }
 
 /// Where an [`AgentEdge`]'s packets come from (see the [module
@@ -641,8 +692,8 @@ const TIMER_EMIT: u32 = 2;
 
 /// Router logic for a paced ingress: it emits each agent's packets, from
 /// its [`Source`], at exactly the agent's rate, stamped per its [`Stamp`].
-/// Built by `corelite::CoreliteConfig::{edge, gateway, aggregating_edge}`
-/// and `csfq::CsfqConfig::edge`.
+/// Built by [`ingress`], `corelite::CoreliteConfig::{edge, gateway,
+/// aggregating_edge}` and `csfq::CsfqConfig::edge`.
 #[derive(Debug)]
 pub struct AgentEdge {
     cfg: AgentConfig,
@@ -717,11 +768,9 @@ impl AgentEdge {
     /// agent (if `fresh`, one replacing the slot's) takes a spare series.
     fn start_agent(&mut self, ctx: &Ctx<'_>, slot: usize, flow: FlowId, rtt: f64, fresh: bool) {
         let info = ctx.flow(flow);
-        let (weight, min_rate) = match (&self.feed, self.stamp) {
-            (Feed::Aggregate(aggregate), _) => (aggregate.weight, 0.0),
-            // CSFQ has no contracts.
-            (_, Stamp::Label { .. }) => (info.weight, 0.0),
-            _ => (info.weight, info.min_rate),
+        let (weight, min_rate) = match &self.feed {
+            Feed::Aggregate(aggregate) => (aggregate.weight, 0.0),
+            _ => (info.weight, self.stamp.floor(info.min_rate)),
         };
         if fresh || !self.agents.contains_key(&slot) {
             let series = self.spare_series.pop().unwrap_or_default();
@@ -785,13 +834,13 @@ impl AgentEdge {
             return;
         }
         let now = ctx.now();
-        // The packet, its flow, and whether the slot has another after it.
-        let (flow, mut packet, more) = match &mut self.feed {
+        // The packet, and whether the slot has another after it.
+        let (mut packet, more) = match &mut self.feed {
             Feed::Mint => {
                 // The slot's current occupant (generation included) armed
                 // this chain.
                 let flow = ctx.flow(FlowId::from_index(slot)).id;
-                (flow, ctx.new_packet(flow), true)
+                (ctx.new_packet(flow), true)
             }
             Feed::Buffer(buffer) => {
                 let held = buffer.held.get_mut(&slot).expect("held");
@@ -805,36 +854,20 @@ impl AgentEdge {
                     return;
                 };
                 held.last_emit = Some(now);
-                (held.occupant, packet, !held.packets.is_empty())
+                (packet, !held.packets.is_empty())
             }
             Feed::Aggregate(aggregate) => {
                 let group = aggregate.groups.get_mut(&slot).expect("members");
                 group.next %= group.members.len();
                 let flow = group.members[group.next];
                 group.next = (group.next + 1) % group.members.len();
-                (flow, ctx.new_packet(flow), true)
+                (ctx.new_packet(flow), true)
             }
         };
-        match self.stamp {
-            Stamp::Marker { k1 } => {
-                if agent.take_marker(k1 * agent.weight()) {
-                    packet = packet.with_marker(Marker {
-                        flow,
-                        edge: ctx.node(),
-                        normalized_rate: agent.normalized_excess(),
-                    });
-                    self.stamped += 1;
-                }
-            }
-            Stamp::Label { k_flow } => {
-                let estimate = self
-                    .estimates
-                    .entry_or_insert_with(flow, || ExpAvg::new(k_flow));
-                let rate = estimate.observe(now, 1.0);
-                packet = packet.with_label(rate / agent.weight() as f64);
-                self.stamped += 1;
-            }
-        }
+        let (profile, at) = (agent.profile(), (ctx.node(), now));
+        let (credit, est) = (&mut agent.marker_credit, &mut self.estimates);
+        let stamped = self.stamp.apply(&mut packet, at, credit, est, profile);
+        self.stamped += u64::from(stamped);
         ctx.emit(packet);
         if more {
             let gap = agent.gap();
@@ -1064,6 +1097,7 @@ impl RouterLogic for AgentEdge {
 mod tests {
     use super::*;
     use crate::flow::FlowSpec;
+    use crate::ids::PacketId;
     use crate::link::LinkSpec;
     use crate::logic::ForwardLogic;
     use crate::topology::TopologyBuilder;
@@ -1150,19 +1184,33 @@ mod tests {
     #[test]
     fn marker_credit_tracks_excess_fraction() {
         let c = cfg();
-        let mut rc = SourceAgent::new(1, 0.0, 0.24); // spacing 1, no contract
+        let marker = Stamp::Marker { k1: 1 }; // spacing K1·w = 1
+        let mut estimates = DenseMap::new();
+        let at = (NodeId::from_index(0), t(0.0));
+        // The normalized rate of the marker `agent`'s next packet carries.
+        let mut mark = |agent: &mut SourceAgent| {
+            let flow = FlowId::from_index(0);
+            let mut packet = Packet::data(PacketId::from_sequence(0), flow, 1000, t(0.0));
+            let profile = agent.profile();
+            let credit = &mut agent.marker_credit;
+            marker
+                .apply(&mut packet, at, credit, &mut estimates, profile)
+                .then(|| packet.marker.expect("stamped").normalized_rate)
+        };
+        let mut rc = SourceAgent::new(1, 0.0, 0.24);
         rc.start(&c, t(0.0), 0.24);
         rc.rate = 10.0;
         // Best-effort: every packet is out-of-profile ⇒ every packet marks.
-        assert!(rc.take_marker(1));
-        assert!(rc.take_marker(1));
-        // Contracted at half the rate: every second packet marks.
+        assert_eq!(mark(&mut rc), Some(10.0));
+        assert_eq!(mark(&mut rc), Some(10.0));
+        // Contracted at half the rate: every second packet marks, with
+        // the out-of-profile rate.
         let mut rc2 = SourceAgent::new(1, 5.0, 0.24);
         rc2.start(&c, t(0.0), 0.24);
         rc2.rate = 10.0;
-        let marks = (0..100).filter(|_| rc2.take_marker(1)).count();
-        assert!((48..=52).contains(&marks), "marks {marks}");
-        assert!((rc2.normalized_excess() - 5.0).abs() < 1e-12);
+        let marks: Vec<_> = (0..100).filter_map(|_| mark(&mut rc2)).collect();
+        assert!((48..=52).contains(&marks.len()), "marks {}", marks.len());
+        assert!(marks.iter().all(|&rate| (rate - 5.0).abs() < 1e-12));
     }
 
     #[test]
@@ -1282,7 +1330,12 @@ mod tests {
     #[test]
     fn a_handed_down_series_buffer_starts_empty() {
         let c = cfg();
-        let mut departed = SourceAgent::new(1, 0.0, 0.24);
+        // An agent handed no buffer records nothing.
+        let mut unrecorded = SourceAgent::new(1, 0.0, 0.24);
+        unrecorded.start(&c, t(0.0), 0.24);
+        assert!(unrecorded.series().is_empty());
+        assert!(unrecorded.series.is_none());
+        let mut departed = SourceAgent::new(1, 0.0, 0.24).recording_into(TimeSeries::new());
         departed.start(&c, t(0.0), 0.24);
         departed.stop(t(1.0));
         let series = departed.into_series();
@@ -1297,7 +1350,7 @@ mod tests {
     #[test]
     fn stop_records_zero_and_blocks_feedback() {
         let c = cfg();
-        let mut rc = SourceAgent::new(1, 0.0, 0.24);
+        let mut rc = SourceAgent::new(1, 0.0, 0.24).recording_into(TimeSeries::new());
         rc.start(&c, t(0.0), 0.24);
         rc.stop(t(5.0));
         assert!(!rc.is_active());

@@ -12,13 +12,14 @@
 //!   egress ack sink acknowledges cumulatively along the reverse path
 //!   (`ControlMsg::Ack`); the sender maintains SRTT/RTTVAR
 //!   ([`RttEstimator`]), retransmits the outstanding window on RTO or
-//!   triple duplicate ack, and re-pumps whenever the window opens.
+//!   triple duplicate ack, re-pumps whenever the window opens, and
+//!   stamps by the open-loop edge's one rule (`Stamp::apply`).
 //! * The window itself is picked per flow from its [`Transport`]: stock
 //!   [`Reno`] (slow start + AIMD) for [`Transport::Reno`], and the
 //!   paper's [`SourceAgent`] under [`AdaptationScheme::WindowAimd`] for
 //!   every other transport, so ack-clocked flows take part in
-//!   marker-feedback fairness. The sender owns reliability; the window
-//!   owns only the window.
+//!   weighted fairness. The sender owns reliability and stamping; the
+//!   window owns only the window.
 //!
 //! Everything here is deterministic by construction: the sender holds no
 //! RNG, every state transition is driven by an engine event (ack
@@ -28,15 +29,14 @@
 
 use std::collections::VecDeque;
 
-use sim_core::stats::TimeSeries;
+use sim_core::stats::{ExpAvg, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::agent::{AdaptationScheme, AgentConfig, SourceAgent};
+use crate::agent::{AdaptationScheme, AgentConfig, SourceAgent, Stamp};
 use crate::flow::Transport;
 use crate::ids::FlowId;
 use crate::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
 use crate::pacer::Pacer;
-use crate::packet::Marker;
 use crate::slab::DenseMap;
 use crate::telemetry::Sample;
 
@@ -238,28 +238,11 @@ impl Window {
         }
     }
 
-    /// The current send-rate estimate, packets per second.
-    fn rate(&self) -> f64 {
+    /// The `(rate, floor, weight)` [`Stamp::apply`] reads; Reno has no floor.
+    fn profile(&self, weight: u32) -> (f64, f64, u32) {
         match self {
-            Window::Reno(reno) => reno.rate(),
-            Window::Agent(agent) => agent.rate(),
-        }
-    }
-
-    /// The normalized rate the first transmission of sequence `seq`
-    /// carries in a marker, if it carries one; `spacing` is `K1·w`. The
-    /// agent marks as at the open-loop edge (§2): one marker every
-    /// `spacing` *out-of-profile* packets, carrying `(rate − min_rate)/w`,
-    /// so a flow at its contracted floor marks nothing. Reno has no
-    /// contract: every `spacing`-th first transmission carries `rate/w`.
-    fn marker(&mut self, seq: u64, spacing: u32, weight: u32) -> Option<f64> {
-        match self {
-            Window::Reno(reno) => (seq + 1)
-                .is_multiple_of(u64::from(spacing.max(1)))
-                .then(|| reno.rate() / f64::from(weight)),
-            Window::Agent(agent) => agent
-                .take_marker(spacing)
-                .then(|| agent.normalized_excess()),
+            Window::Reno(reno) => (reno.rate(), 0.0, weight),
+            Window::Agent(agent) => agent.profile(),
         }
     }
 }
@@ -296,6 +279,8 @@ struct GbnFlow {
     /// passes this sequence, bounding reactions to one per round trip.
     recover: u64,
     weight: u32,
+    /// Marker credit under [`Stamp::Marker`] ([`Stamp::apply`]).
+    credit: f64,
     /// Earliest instant a genuine RTO may fire; pushed forward by every
     /// ack and (re)transmission. The chain is lazy: a fire before the
     /// deadline re-arms instead of timing out, so at most one timer
@@ -309,11 +294,11 @@ struct GbnFlow {
 /// An ack-clocked go-back-N sender: [`RouterLogic`] for an ingress edge
 /// node driving closed-loop flows.
 ///
-/// First transmissions carry markers at the cadence `K1·w` of a
-/// weight-`w` flow, whatever its window: cores see every flow's rate and
-/// throttle it like any other. An agent window marks its out-of-profile
-/// packets with `(rate − min_rate)/w`, as the open-loop edge does, and a
-/// Reno window every `K1·w`-th first transmission with `rate/w`.
+/// Packets are stamped by the open-loop edge's rule (`Stamp::apply`)
+/// from the window's rate, so cores throttle every flow alike: Corelite
+/// markers on first transmissions (a Reno window has no contract), or
+/// CSFQ labels on every packet, retransmits included, with floor 0 and
+/// losses heard only as duplicate acks and RTOs.
 /// The sender keeps the outstanding window full whenever the window
 /// allows: on flow start it bursts the initial window, and every
 /// window-opening event (new cumulative ack, epoch growth) pumps more
@@ -328,9 +313,10 @@ pub struct GbnSender {
     agent: AgentConfig,
     /// The epoch tick interval.
     epoch: SimDuration,
-    /// Marker spacing constant `K1`.
-    k1: u32,
+    stamp: Stamp,
     flows: DenseMap<FlowId, GbnFlow>,
+    /// Per-flow rate estimates under [`Stamp::Label`].
+    estimates: DenseMap<FlowId, ExpAvg>,
     /// The RTO chains, reset on every start and stop; the tick chains
     /// borrow the same per-slot generation.
     pacer: Pacer,
@@ -338,20 +324,21 @@ pub struct GbnSender {
     rtos_fired: u64,
     fast_retransmits: u64,
     retransmitted_packets: u64,
-    markers_injected: u64,
+    /// Packets that carried a stamp: markers injected, or labels.
+    stamped: u64,
 }
 
 impl GbnSender {
     /// A sender whose agent windows run `agent` (forced to
     /// [`AdaptationScheme::WindowAimd`]: a window is the only control
     /// variable an ack-clocked sender can act on) and adapt every
-    /// `epoch`, with marker spacing `k1·w`.
+    /// `epoch`, stamping its packets per `stamp`.
     ///
     /// # Panics
     ///
     /// Panics if `agent` fails [`AgentConfig::validate`] or `epoch` is
     /// zero.
-    pub fn new(agent: AgentConfig, epoch: SimDuration, k1: u32) -> Self {
+    pub fn new(agent: AgentConfig, epoch: SimDuration, stamp: Stamp) -> Self {
         agent.validate();
         assert!(!epoch.is_zero(), "edge epoch must be positive");
         GbnSender {
@@ -360,41 +347,35 @@ impl GbnSender {
                 ..agent
             },
             epoch,
-            k1,
+            stamp,
             flows: DenseMap::new(),
+            estimates: DenseMap::new(),
             pacer: Pacer::new(TIMER_GBN_RTO),
             acks_received: 0,
             rtos_fired: 0,
             fast_retransmits: 0,
             retransmitted_packets: 0,
-            markers_injected: 0,
+            stamped: 0,
         }
     }
 
     /// Sends first transmissions until the window is full, then keeps
     /// the RTO chain armed.
     fn pump(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let node = ctx.node();
         let now = ctx.now();
+        let at = (ctx.node(), now);
         let max_window = MAX_WINDOW as u64;
-        let mut marked = 0u64;
         let Some(s) = self.flows.get_mut(&flow) else {
             return;
         };
         let had_outstanding = s.snd_una < s.snd_nxt;
         let wnd = (s.window.window().floor() as u64).clamp(1, max_window);
-        let spacing = self.k1 * s.weight;
+        let (stamp, profile) = (self.stamp, s.window.profile(s.weight));
+        let (credit, estimates) = (&mut s.credit, &mut self.estimates);
         while s.snd_nxt < s.snd_una + wnd {
-            let seq = s.snd_nxt;
-            let mut packet = ctx.new_packet(flow).with_seq(seq, false);
-            if let Some(normalized_rate) = s.window.marker(seq, spacing, s.weight) {
-                marked += 1;
-                packet = packet.with_marker(Marker {
-                    flow,
-                    edge: node,
-                    normalized_rate,
-                });
-            }
+            let mut packet = ctx.new_packet(flow).with_seq(s.snd_nxt, false);
+            let stamped = stamp.apply(&mut packet, at, credit, estimates, profile);
+            self.stamped += u64::from(stamped);
             ctx.emit(packet);
             s.sent.push_back(now);
             s.snd_nxt += 1;
@@ -412,23 +393,25 @@ impl GbnSender {
             }
             self.pacer.arm(ctx, flow.index(), rto);
         }
-        self.markers_injected += marked;
     }
 
     /// Redelivers the whole outstanding window (go-back-N), keeping each
     /// packet's original first-transmission timestamp.
     fn retransmit_window(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let mut resent = 0u64;
-        if let Some(s) = self.flows.get_mut(&flow) {
-            for (i, &orig) in s.sent.iter().enumerate() {
-                let seq = s.snd_una + i as u64;
-                let mut packet = ctx.new_packet(flow).with_seq(seq, true);
-                packet.sent_at = orig;
-                ctx.emit(packet);
-                resent += 1;
-            }
+        let at = (ctx.node(), ctx.now());
+        let Some(s) = self.flows.get_mut(&flow) else {
+            return;
+        };
+        let (stamp, profile) = (self.stamp, s.window.profile(s.weight));
+        let (credit, estimates) = (&mut s.credit, &mut self.estimates);
+        for (seq, &orig) in (s.snd_una..).zip(&s.sent) {
+            let mut packet = ctx.new_packet(flow).with_seq(seq, true);
+            packet.sent_at = orig;
+            let stamped = stamp.apply(&mut packet, at, credit, estimates, profile);
+            self.stamped += u64::from(stamped);
+            ctx.emit(packet);
         }
-        self.retransmitted_packets += resent;
+        self.retransmitted_packets += s.sent.len() as u64;
     }
 
     /// Delivers one recovery-guarded congestion signal to the flow's
@@ -549,7 +532,7 @@ impl GbnSender {
         };
         let now = ctx.now();
         s.window.on_epoch(&self.agent, now);
-        let rate = s.window.rate();
+        let (rate, ..) = s.window.profile(s.weight);
         s.series.push(now, rate);
         ctx.publish(Sample::for_flow("b_g", flow, rate));
         ctx.publish(Sample::for_flow("cwnd", flow, s.window.window()));
@@ -576,7 +559,7 @@ impl RouterLogic for GbnSender {
         let window = Window::start(
             info.transport,
             info.weight,
-            info.min_rate,
+            self.stamp.floor(info.min_rate),
             &self.agent,
             now,
             base_rtt,
@@ -590,6 +573,7 @@ impl RouterLogic for GbnSender {
             _ => TimeSeries::new(),
         };
         self.pacer.reset(flow.index());
+        self.estimates.remove(&flow);
         self.flows.insert(
             flow,
             GbnFlow {
@@ -602,6 +586,7 @@ impl RouterLogic for GbnSender {
                 dup_acks: 0,
                 recover: 0,
                 weight,
+                credit: 0.0,
                 rto_deadline: now,
                 series,
             },
@@ -615,6 +600,7 @@ impl RouterLogic for GbnSender {
         // Invalidate both timer chains; a churn flow never restarts, so
         // its state goes.
         self.pacer.reset(flow.index());
+        self.estimates.remove(&flow);
         if ctx.flow(flow).is_transient() {
             self.flows.remove(&flow);
         } else if let Some(s) = self.flows.get_mut(&flow) {
@@ -659,18 +645,26 @@ impl RouterLogic for GbnSender {
         report.count("rtos_fired", self.rtos_fired as f64);
         report.count("fast_retransmits", self.fast_retransmits as f64);
         report.count("retransmitted_packets", self.retransmitted_packets as f64);
-        report.count("markers_injected", self.markers_injected as f64);
+        let stamped = match self.stamp {
+            Stamp::Marker { .. } => "markers_injected",
+            Stamp::Label { .. } => "packets_labelled",
+        };
+        report.count(stamped, self.stamped as f64);
         report
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::flow::FlowSpec;
     use crate::link::LinkSpec;
     use crate::logic::ForwardLogic;
     use crate::monitor::SimReport;
+    use crate::packet::{Packet, SeqInfo};
     use crate::topology::TopologyBuilder;
 
     #[test]
@@ -710,7 +704,11 @@ mod tests {
     }
 
     fn sender() -> GbnSender {
-        GbnSender::new(AgentConfig::default(), SimDuration::from_millis(100), 1)
+        GbnSender::new(
+            AgentConfig::default(),
+            SimDuration::from_millis(100),
+            Stamp::Marker { k1: 1 },
+        )
     }
 
     #[test]
@@ -849,6 +847,57 @@ mod tests {
         let report = gbn_chain(Transport::Gbn, floor, &[ALWAYS], 4);
         assert!(report.allotted_rate(flow).unwrap().last_value().unwrap() > floor);
         assert!(markers(&report) > 0.0);
+    }
+
+    /// Passes packets on, recording each one's sequence and whether it
+    /// carries a marker.
+    struct Tap(Rc<RefCell<Vec<(SeqInfo, bool)>>>);
+
+    impl RouterLogic for Tap {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
+            let seq = packet.seq.expect("a go-back-N packet");
+            self.0.borrow_mut().push((seq, packet.marker.is_some()));
+            ctx.emit(packet);
+        }
+    }
+
+    /// Pins the marker rule for a Reno window: with no contract, every
+    /// first transmission earns one packet of credit, so markers land
+    /// exactly on sequences `K1·w − 1, 2·K1·w − 1, …`, and never on a
+    /// retransmit.
+    #[test]
+    fn a_reno_window_marks_every_k1_w_th_first_transmission() {
+        let (k1, weight) = (3, 2);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let tap = seen.clone();
+        let mut b = TopologyBuilder::new(7);
+        let src = b.node("src", |_| {
+            let epoch = SimDuration::from_millis(100);
+            Box::new(GbnSender::new(
+                AgentConfig::default(),
+                epoch,
+                Stamp::Marker { k1 },
+            ))
+        });
+        let mid = b.node("mid", move |_| Box::new(Tap(tap)));
+        let dst = b.node("dst", |_| Box::new(ForwardLogic));
+        let delay = SimDuration::from_millis(10);
+        b.link(src, mid, LinkSpec::new(40_000_000, delay, 1_000));
+        // A tiny queue behind the tap forces retransmits.
+        b.link(mid, dst, LinkSpec::new(400_000, delay, 4));
+        let flow = FlowSpec::new(vec![src, mid, dst], weight).transport(Transport::Reno);
+        b.flow(flow.active(SimTime::ZERO, None));
+        let end = SimTime::from_secs(20);
+        let mut net = b.build();
+        net.run_until(end);
+        let seen = seen.borrow();
+        assert!(seen.iter().any(|(seq, _)| seq.retransmit), "no retransmits");
+        let spacing = u64::from(k1 * weight);
+        for &(seq, marked) in seen.iter() {
+            let due = !seq.retransmit && (seq.seq + 1).is_multiple_of(spacing);
+            assert_eq!(marked, due, "{seq:?}");
+        }
+        assert!(seen.iter().filter(|(_, marked)| *marked).count() > 10);
     }
 
     #[test]

@@ -134,6 +134,9 @@ fn main() -> ExitCode {
         scenario.shards,
         if scenario.shards == 1 { "" } else { "s" }
     );
+    if let Some(note) = discipline::transport_override(discipline.as_ref(), &scenario.flows) {
+        eprintln!("{note}");
+    }
     let result = scenario.run(discipline.as_ref());
 
     let horizon = result.scenario.horizon;

@@ -99,14 +99,8 @@ impl Discipline for Corelite {
 
     fn edge_logic(&self, _seed: u64, flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
         // The runner gives every static flow its own ingress edge, so
-        // the transport choice is per-flow: the open-loop LIMD edge for
-        // the default, a closed-loop go-back-N sender (window-LIMD or
-        // Reno congestion control, Corelite markers either way) for the
-        // ack-clocked transports.
-        match flow.transport {
-            Transport::Limd => Box::new(self.config.edge()),
-            Transport::Gbn | Transport::Reno => Box::new(self.config.gbn_edge()),
-        }
+        // the transport choice is per-flow.
+        self.config.ingress(flow.transport)
     }
 }
 
@@ -133,8 +127,8 @@ impl Discipline for Csfq {
         Box::new(CsfqCore::new(seed))
     }
 
-    fn edge_logic(&self, _seed: u64, _flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
-        Box::new(self.config.edge())
+    fn edge_logic(&self, _seed: u64, flow: &ScenarioFlow) -> Box<dyn RouterLogic> {
+        self.config.ingress(flow.transport)
     }
 }
 
@@ -246,6 +240,21 @@ pub fn by_name(name: &str) -> Option<Box<dyn Discipline>> {
     default_registry().into_iter().find(|d| d.name() == name)
 }
 
+/// The line saying that open-loop `discipline` replaces the declared
+/// transport of those `flows` (numbered from 1) not `limd`, if any.
+pub fn transport_override(discipline: &dyn Discipline, flows: &[ScenarioFlow]) -> Option<String> {
+    let replaced: Vec<String> = flows
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.transport != Transport::Limd && discipline.offered_rate(f).is_some())
+        .map(|(i, _)| (i + 1).to_string())
+        .collect();
+    let (name, replaced) = (discipline.name(), replaced.join(", "));
+    (!replaced.is_empty()).then(|| {
+        format!("{name}: open-loop sources replace the declared transport of flows {replaced}")
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,5 +310,36 @@ mod tests {
         }
         assert_eq!(by_name("fifo").unwrap().offered_rate(&f), Some(90.0));
         assert_eq!(by_name("corelite").unwrap().offered_rate(&f), None);
+    }
+
+    #[test]
+    fn an_open_loop_discipline_names_the_transports_it_replaces() {
+        let with = |transport| ScenarioFlow {
+            transport,
+            ..flow(1)
+        };
+        let flows = [
+            with(Transport::Reno),
+            flow(2),
+            with(Transport::Gbn),
+            with(Transport::Limd),
+        ];
+        for name in ["red", "fred", "fifo", "greedy"] {
+            let note = transport_override(by_name(name).unwrap().as_ref(), &flows);
+            let expected =
+                format!("{name}: open-loop sources replace the declared transport of flows 1, 3");
+            assert_eq!(note, Some(expected));
+            assert_eq!(
+                transport_override(by_name(name).unwrap().as_ref(), &flows[1..2]),
+                None
+            );
+        }
+        // Corelite and CSFQ run every transport as declared.
+        for name in ["corelite", "csfq"] {
+            assert_eq!(
+                transport_override(by_name(name).unwrap().as_ref(), &flows),
+                None
+            );
+        }
     }
 }

@@ -34,7 +34,7 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// Creates an empty series.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         TimeSeries {
             samples: Vec::new(),
         }

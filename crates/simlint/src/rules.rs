@@ -262,6 +262,9 @@ const HOT_FNS: &[&str] = &[
     "schedule_next",
     "run_epoch",
     "epoch_update",
+    // Every ingress's stamp rule, and the go-back-N sender's per-ack pump.
+    "apply",
+    "pump",
     // Telemetry: every per-epoch publish lands here; the zero-alloc
     // contract (ISSUE 5) extends to probe recording.
     "record",

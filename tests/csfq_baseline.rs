@@ -5,7 +5,9 @@
 #![allow(clippy::float_cmp)]
 
 use csfq::CsfqConfig;
+use netsim::FlowId;
 use scenarios::discipline::{Corelite, Csfq};
+use scenarios::dsl::parse_scenario;
 use scenarios::runner::{Scenario, ScenarioFlow};
 use scenarios::topology::{Route, TopologySpec};
 use sim_core::time::SimTime;
@@ -147,4 +149,40 @@ fn csfq_edges_still_hear_every_loss() {
     assert_eq!(result.report.counter_total("losses_seen"), 925.0);
     assert_eq!(result.report.total_drops(), 928);
     assert_eq!(result.report.elided_notifications, 0);
+}
+
+/// CSFQ runs each flow behind its declared transport, as Corelite does:
+/// the ack-clocked Reno flow of `transports.scn` labels every packet it
+/// emits, retransmits included, and recovers from losses through acks
+/// and retransmissions instead of pacing like the open-loop `limd` flow.
+#[test]
+fn csfq_runs_each_flow_behind_its_declared_transport() {
+    let scenario = parse_scenario(include_str!("scn/ok/transports.scn")).expect("parses");
+    let result = scenario.run(&Csfq::default());
+    let (reno, limd) = (FlowId::from_index(0), FlowId::from_index(2));
+    let edge = result
+        .report
+        .logic
+        .values()
+        .find(|logic| logic.flow_rates.contains_key(&reno))
+        .expect("the reno flow's ingress reports its rate");
+    let counter = |name| edge.counters.get(name).copied().unwrap_or(0.0);
+    assert!(counter("acks_received") > 0.0, "{:?}", edge.counters);
+    let retransmitted = counter("retransmitted_packets");
+    assert!(retransmitted > 0.0, "{:?}", edge.counters);
+    // Every packet that reached a receiver or a drop was labelled; with
+    // only first transmissions labelled, retransmits would be missing.
+    let flow = result.report.flow(reno);
+    let seen = flow.delivered_packets + flow.duplicate_packets + flow.total_drops();
+    let labelled = counter("packets_labelled");
+    assert!(labelled >= seen as f64, "labelled {labelled}, seen {seen}");
+    assert!(
+        labelled - retransmitted < seen as f64,
+        "{:?}",
+        edge.counters
+    );
+    assert_ne!(
+        flow.delivered_packets,
+        result.report.flow(limd).delivered_packets
+    );
 }

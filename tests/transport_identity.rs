@@ -3,59 +3,69 @@
 //! probe bytes under every engine configuration — serial vs the sharded
 //! executor at 1, 2 and 4 shards, the wheel vs the heap event queue,
 //! and transmission trains vs per-packet dispatch, all crossed by the
-//! shared identity matrix. Ack-clocked senders add reverse-path control
-//! traffic, RTO/tick timer chains and receiver-side state to the event
-//! stream; none of it may observe the engine mode.
+//! shared identity matrix, under both weight-aware disciplines.
+//! Ack-clocked senders add reverse-path control traffic, RTO/tick timer
+//! chains and receiver-side state to the event stream; none of it may
+//! observe the engine mode.
 
 mod common;
 
 use common::{compress, identity_matrix};
 use netsim::Transport;
-use scenarios::discipline::Corelite;
+use scenarios::discipline::{Corelite, Csfq, Discipline};
 use scenarios::exec::{run_parallel, run_serial};
 use scenarios::{mixed_transports, mixed_transports_fat_tree};
 use sim_core::time::SimTime;
+
+/// The disciplines that run each flow behind its declared transport.
+fn disciplines() -> [Box<dyn Discipline>; 2] {
+    [Box::new(Corelite::default()), Box::new(Csfq::default())]
+}
 
 #[test]
 fn transport_scenarios_are_byte_identical_across_shards() {
     // Shard 1 included: the single-shard run still goes through the
     // mailbox/epoch machinery and the replicated-push protocol that
     // the ack sink's receiver resets rely on.
-    for scenario in [mixed_transports(7), mixed_transports_fat_tree(7)] {
-        identity_matrix(&compress(scenario, 15), &Corelite::default(), &[1, 2, 4]);
+    for discipline in disciplines() {
+        for scenario in [mixed_transports(7), mixed_transports_fat_tree(7)] {
+            identity_matrix(&compress(scenario, 15), discipline.as_ref(), &[1, 2, 4]);
+        }
     }
 }
 
 #[test]
 fn transport_scenarios_are_byte_identical_across_queue_backends() {
-    identity_matrix(
-        &compress(mixed_transports(11), 15),
-        &Corelite::default(),
-        &[],
-    );
+    for discipline in disciplines() {
+        identity_matrix(
+            &compress(mixed_transports(11), 15),
+            discipline.as_ref(),
+            &[],
+        );
+    }
 }
 
 #[test]
 fn transport_scenarios_are_byte_identical_across_dispatch_modes() {
     let scenario = compress(mixed_transports_fat_tree(11), 15);
-    identity_matrix(&scenario, &Corelite::default(), &[]);
+    for discipline in disciplines() {
+        identity_matrix(&scenario, discipline.as_ref(), &[]);
+    }
 }
 
 #[test]
 fn transport_runs_agree_under_serial_and_parallel_exec() {
     let seeds: Vec<u64> = (1..=4).collect();
-    let work = |seed: u64| {
-        identity_matrix(
-            &compress(mixed_transports(seed), 12),
-            &Corelite::default(),
-            &[],
-        )
-        .report
-    };
-    let serial = run_serial(seeds.clone(), work);
-    assert_eq!(serial, run_parallel(seeds, work));
-    // Non-vacuous: the seed reaches the event stream.
-    assert!(serial.windows(2).any(|w| w[0] != w[1]));
+    for discipline in disciplines() {
+        let work = |seed: u64| {
+            let scenario = compress(mixed_transports(seed), 12);
+            identity_matrix(&scenario, discipline.as_ref(), &[]).report
+        };
+        let serial = run_serial(seeds.clone(), work);
+        assert_eq!(serial, run_parallel(seeds.clone(), work));
+        // Non-vacuous: the seed reaches the event stream.
+        assert!(serial.windows(2).any(|w| w[0] != w[1]));
+    }
 }
 
 #[test]
