@@ -208,7 +208,7 @@ impl Partition {
 /// itself: 10 000 polls leave up to 88 waits of a run parked, 40 000 at
 /// most 8. At 40 000 (about 0.6 ms) a late peer — a lopsided partition,
 /// a preempted thread — costs its waiter's core that long per wait at
-/// most. Chosen by measurement (EXPERIMENTS.md, "Two shards that pay"),
+/// most. Chosen by measurement (PERF_LOG.md, "Two shards that pay"),
 /// not a knob.
 const SPIN_POLLS: u32 = 40_000;
 

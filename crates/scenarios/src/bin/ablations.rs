@@ -16,12 +16,11 @@ use netsim::link::LinkSpec;
 use scenarios::discipline::Corelite;
 use scenarios::report::{mean_convergence, window_jain_index};
 use scenarios::runner::{ExperimentResult, RunOptions};
-use scenarios::{fig5_6, topology};
+use scenarios::{cli, fig5_6, topology, SEED};
 use sim_core::time::{SimDuration, SimTime};
 
-const SEED: u64 = 20000;
-
 fn main() {
+    cli::flags(&[]);
     println!("# Corelite design-choice ablations (§4.2 workload)\n");
 
     run_axis(

@@ -1,7 +1,7 @@
 //! `churn` — flow-lifecycle metrics under dynamic arrivals.
 //!
 //! ```text
-//! cargo run --release -p scenarios --bin churn [-- --serial] [-- --smoke]
+//! cargo run --release -p scenarios --bin churn [-- --serial]
 //! ```
 //!
 //! Runs the adaptive disciplines (`corelite`, `csfq`) on a paper-chain
@@ -11,47 +11,37 @@
 //! concurrency, and the recycled flow-table footprint. The sweep goes
 //! through the deterministic parallel executor, so the table is
 //! byte-identical across runs and across `--serial` execution — the
-//! property the CI smoke step checks with `cmp`. `--smoke` shrinks the
-//! horizon and arrival volume for CI.
+//! property a CI step checks with `cmp`.
 
 use corelite::CoreliteConfig;
 use csfq::CsfqConfig;
 use scenarios::churn::{churn_markdown, churn_rows};
 use scenarios::discipline::{Corelite, Csfq, Discipline};
 use scenarios::topology::Route;
-use scenarios::{Scenario, ScenarioChurn, ScenarioFlow};
+use scenarios::{cli, Scenario, ScenarioChurn, ScenarioFlow, SEED};
 use sim_core::time::SimTime;
-
-const SEED: u64 = 20000; // ICDCS 2000
 
 /// A paper-chain scenario with static background flows plus churn:
 /// one long-lived weight-2 flow per chain stretch, and Poisson arrivals
 /// drawing one-hop and full-chain templates with mixed weights.
-fn churn_scenario(smoke: bool) -> Scenario {
-    let (horizon, arrival_rate, window_stop) = if smoke {
-        (40u64, 5.0, 20u64)
-    } else {
-        (120u64, 20.0, 90u64)
-    };
+fn churn_scenario() -> Scenario {
     let background = vec![
         ScenarioFlow::best_effort(Route::new(0, 3), 2, SimTime::ZERO),
         ScenarioFlow::best_effort(Route::new(0, 1), 2, SimTime::ZERO),
         ScenarioFlow::best_effort(Route::new(2, 3), 2, SimTime::ZERO),
     ];
-    Scenario::paper("paper_churn", background, SimTime::from_secs(horizon), SEED).with_churn(
-        ScenarioChurn::new(arrival_rate, 50.0, 100.0)
+    Scenario::paper("paper_churn", background, SimTime::from_secs(120), SEED).with_churn(
+        ScenarioChurn::new(20.0, 50.0, 100.0)
             .route(Route::new(0, 1))
             .route(Route::new(1, 2))
             .route(Route::new(0, 3))
             .weights(vec![1, 2, 4])
-            .window(SimTime::ZERO, SimTime::from_secs(window_stop)),
+            .window(SimTime::ZERO, SimTime::from_secs(90)),
     )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let serial = args.iter().any(|a| a == "--serial");
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let serial = cli::flags(&["--serial"]).serial;
     // Churn workloads are short-flow dominated: the default 1 pkt/s
     // initial rate would leave sub-second flows without a single
     // delivery, so give the edges a faster start (still below any fair
@@ -65,7 +55,7 @@ fn main() {
         Box::new(Corelite::new(corelite_config)),
         Box::new(Csfq::new(csfq_config)),
     ];
-    let scenarios = vec![churn_scenario(smoke)];
+    let scenarios = vec![churn_scenario()];
     eprintln!(
         "running {} disciplines × {} churn workloads ({} executor)...",
         registry.len(),

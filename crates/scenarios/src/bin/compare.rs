@@ -15,13 +15,11 @@
 //! executor; `--serial` forces one-at-a-time execution (same output).
 
 use scenarios::discipline::default_registry;
-use scenarios::exec::{run_parallel, run_serial};
+use scenarios::exec;
 use scenarios::report::headline_cells;
 use scenarios::runner::ExperimentResult;
-use scenarios::{fig5_6, Scenario};
+use scenarios::{cli, fig5_6, Scenario, SEED};
 use sim_core::time::SimTime;
-
-const SEED: u64 = 20000; // ICDCS 2000
 
 fn scenario(index: usize) -> Scenario {
     match index {
@@ -32,7 +30,7 @@ fn scenario(index: usize) -> Scenario {
 }
 
 fn main() {
-    let serial = std::env::args().skip(1).any(|a| a == "--serial");
+    let serial = cli::flags(&["--serial"]).serial;
     let registry = default_registry();
     let jobs: Vec<(usize, usize)> = (0..2)
         .flat_map(|s| (0..registry.len()).map(move |d| (s, d)))
@@ -43,11 +41,7 @@ fn main() {
         if serial { "serial" } else { "parallel" }
     );
     let work = |(s, d): (usize, usize)| scenario(s).run(registry[d].as_ref());
-    let results: Vec<ExperimentResult> = if serial {
-        run_serial(jobs, work)
-    } else {
-        run_parallel(jobs, work)
-    };
+    let results = exec::run(serial, jobs, work);
 
     println!("# §4.4 comparison: every registered discipline\n");
     println!(

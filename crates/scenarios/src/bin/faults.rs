@@ -2,7 +2,7 @@
 //! registered discipline.
 //!
 //! ```text
-//! cargo run --release -p scenarios --bin faults [-- --serial] [-- --smoke]
+//! cargo run --release -p scenarios --bin faults [-- --serial]
 //! ```
 //!
 //! Runs every discipline in [`scenarios::discipline::default_registry`]
@@ -12,34 +12,21 @@
 //! aggregate goodput next to their degradation versus the loss-free
 //! baseline. The sweep goes through the deterministic parallel executor,
 //! so the table is byte-identical across runs and across `--serial`
-//! (one-at-a-time) execution. `--smoke` shrinks the sweep to one
-//! shortened scenario and two loss levels for CI.
+//! (one-at-a-time) execution.
 
 use scenarios::discipline::default_registry;
 use scenarios::fault::{degradation_markdown, degradation_rows};
-use scenarios::{fig5_6, Scenario};
+use scenarios::{cli, fig5_6, Scenario, SEED};
 use sim_core::time::SimTime;
 
-const SEED: u64 = 20000; // ICDCS 2000
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let serial = args.iter().any(|a| a == "--serial");
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let serial = cli::flags(&["--serial"]).serial;
     let registry = default_registry();
-    let (scenarios, losses): (Vec<Scenario>, Vec<u32>) = if smoke {
-        let mut short = fig5_6(SEED);
-        short.horizon = SimTime::from_secs(40);
-        (vec![short], vec![0, 20])
-    } else {
-        (
-            vec![
-                fig5_6(SEED),
-                Scenario::fat_tree_mix(SimTime::from_secs(200), SEED),
-            ],
-            vec![0, 5, 20, 50],
-        )
-    };
+    let scenarios = [
+        fig5_6(SEED),
+        Scenario::fat_tree_mix(SimTime::from_secs(200), SEED),
+    ];
+    let losses = [0, 5, 20, 50];
     eprintln!(
         "running {} disciplines × {} workloads × {} loss levels ({} executor)...",
         registry.len(),

@@ -7,13 +7,12 @@
 //! ```
 //!
 //! For each figure the harness runs the corresponding scenario, writes the
-//! plotted series to `results/<fig>_<discipline>.csv`, and prints an
+//! plotted series to `results/<fig>_<discipline>.{csv,svg}`, and prints an
 //! expected-vs-measured table against the analytic weighted max-min
 //! shares. `summary` reruns the Corelite-vs-CSFQ pairs and prints the
 //! §4.4 comparison (convergence times, packet drops, fairness indices).
 
 use std::fs;
-use std::path::Path;
 
 use scenarios::plot::{render_lines, PlotSpec};
 use scenarios::report::{
@@ -21,11 +20,10 @@ use scenarios::report::{
     window_jain_index,
 };
 use scenarios::runner::ExperimentResult;
-use scenarios::PaperFigure;
+use scenarios::{PaperFigure, SEED};
 use sim_core::stats::TimeSeries;
 use sim_core::time::{SimDuration, SimTime};
 
-const SEED: u64 = 20000; // ICDCS 2000
 const RESULTS_DIR: &str = "results";
 
 fn main() {
@@ -36,7 +34,6 @@ fn main() {
             "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "jain", "summary",
         ];
     }
-    fs::create_dir_all(RESULTS_DIR).expect("create results directory");
 
     let mut cache: Vec<(String, ExperimentResult)> = Vec::new();
     for name in requested {
@@ -82,18 +79,9 @@ fn emit_figure(figure: PaperFigure, result: &ExperimentResult) {
     } else {
         rate_series_csv(result, step)
     };
-    let path = format!(
-        "{RESULTS_DIR}/{}_{}.csv",
-        figure.name(),
-        result.discipline_name
-    );
-    fs::write(Path::new(&path), csv).expect("write figure CSV");
-    let svg_path = format!(
-        "{RESULTS_DIR}/{}_{}.svg",
-        figure.name(),
-        result.discipline_name
-    );
-    fs::write(Path::new(&svg_path), render_figure_svg(figure, result)).expect("write figure SVG");
+    let stem = format!("{}_{}", figure.name(), result.discipline_name);
+    let path = write_result(&format!("{stem}.csv"), &csv);
+    let svg_path = write_result(&format!("{stem}.svg"), &render_figure_svg(figure, result));
     println!(
         "\n## {} ({}, scenario `{}`)",
         figure.name(),
@@ -140,6 +128,15 @@ fn emit_figure(figure: PaperFigure, result: &ExperimentResult) {
         );
     }
     println!("total packet drops: {}", result.total_drops());
+}
+
+/// Writes `results/<file>`, making the directory on first use (so
+/// `summary` alone writes nothing), and returns the path written.
+fn write_result(file: &str, contents: &str) -> String {
+    fs::create_dir_all(RESULTS_DIR).expect("create results directory");
+    let path = format!("{RESULTS_DIR}/{file}");
+    fs::write(&path, contents).expect("write figure file");
+    path
 }
 
 /// Renders the figure's series (allotted rate, or cumulative service for
@@ -203,8 +200,7 @@ fn emit_jain_figure(cache: &mut Vec<(String, ExperimentResult)>) {
         y_label: "jain_index".to_owned(),
         ..PlotSpec::default()
     };
-    let path = format!("{RESULTS_DIR}/jain_fig5_6.svg");
-    fs::write(&path, render_lines(&spec, &series)).expect("write jain SVG");
+    let path = write_result("jain_fig5_6.svg", &render_lines(&spec, &series));
     println!(
         "
 ## jain (supplementary)

@@ -9,11 +9,12 @@
 //!
 //! The per-seed runs go through the deterministic parallel executor
 //! ([`scenarios::exec::run_parallel`]); `--serial` forces one-at-a-time
-//! execution, which produces byte-identical output.
+//! execution, which produces the same table (only the header line names
+//! the executor).
 
-use scenarios::exec::{run_parallel, run_serial};
+use scenarios::exec;
 use scenarios::report::{mean_convergence, window_jain_index};
-use scenarios::{fig5_6, fig7_8, PaperFigure};
+use scenarios::{cli, PaperFigure};
 use sim_core::time::SimDuration;
 
 struct Sample {
@@ -23,7 +24,7 @@ struct Sample {
 }
 
 fn main() {
-    let serial = std::env::args().skip(1).any(|a| a == "--serial");
+    let serial = cli::flags(&["--serial"]).serial;
     let seeds: Vec<u64> = (1..=10).collect();
     println!(
         "# Seed sensitivity ({} seeds per cell, {} executor)\n",
@@ -40,11 +41,8 @@ fn main() {
         ("fig7_8 §4.3", PaperFigure::Fig8),
     ] {
         let discipline = figure.discipline();
-        let samples: Vec<Sample> = sweep(serial, seeds.clone(), |seed| {
-            let scenario = match figure {
-                PaperFigure::Fig5 | PaperFigure::Fig6 => fig5_6(seed),
-                _ => fig7_8(seed),
-            };
+        let samples: Vec<Sample> = exec::run(serial, seeds.clone(), |seed| {
+            let scenario = figure.scenario(seed);
             let horizon = scenario.horizon;
             let result = scenario.run(discipline.as_ref());
             let (settle, unsettled) = mean_convergence(
@@ -84,20 +82,6 @@ fn main() {
         corelite_drops * 10.0 < csfq_drops,
         "drop asymmetry violated: corelite {corelite_drops}, csfq {csfq_drops}"
     );
-}
-
-/// Routes a sweep through the parallel executor or its serial twin.
-fn sweep<T, R, F>(serial: bool, jobs: Vec<T>, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if serial {
-        run_serial(jobs, work)
-    } else {
-        run_parallel(jobs, work)
-    }
 }
 
 fn mean_std(values: impl Iterator<Item = f64>) -> (f64, f64) {

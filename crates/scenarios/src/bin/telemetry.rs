@@ -2,7 +2,7 @@
 //! diagnostics on the paper's §4.2 schedule (Figure-2 chain).
 //!
 //! ```text
-//! cargo run --release -p scenarios --bin telemetry [-- --smoke] [-- --out DIR]
+//! cargo run --release -p scenarios --bin telemetry [-- --out DIR]
 //! ```
 //!
 //! Runs Figure 5/6's simultaneous-start workload under Corelite with the
@@ -19,7 +19,7 @@
 //! Stdout is a markdown report: per-variant sample inventories, the
 //! settling-time/oscillation table against the analytic weighted
 //! max-min reference, the Jain-index trajectory, and a cross-variant
-//! settling diff table. `--smoke` shrinks the horizon for CI.
+//! settling diff table.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -32,11 +32,9 @@ use scenarios::discipline::{Corelite, Csfq, Discipline};
 use scenarios::report::{
     jain_trajectory, jain_trajectory_markdown, settling_markdown, settling_summary, SettlingRow,
 };
-use scenarios::{fig5_6, ExperimentResult};
+use scenarios::{cli, fig5_6, ExperimentResult, SEED};
 use sim_core::event::QueueBackend;
-use sim_core::time::{SimDuration, SimTime};
-
-const SEED: u64 = 20000; // ICDCS 2000
+use sim_core::time::SimDuration;
 
 /// Ring capacity per variant: comfortably above the ~10^5 samples an
 /// 80 s Figure-2 run publishes, so nothing is overwritten.
@@ -99,18 +97,10 @@ fn settling_diff_markdown(runs: &[(&'static str, Vec<SettlingRow>)]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let out_dir = cli::flags(&["--out"])
+        .out
         .unwrap_or_else(|| "target/telemetry".to_owned());
-    let mut scenario = fig5_6(SEED);
-    if smoke {
-        scenario.horizon = SimTime::from_secs(40);
-    }
+    let scenario = fig5_6(SEED);
     let probe_at = scenario.horizon;
     let tolerance = 0.3;
     let sustain = SimDuration::from_secs(10);

@@ -1,7 +1,7 @@
 //! `transports` — closed-loop vs open-loop transport fairness tables.
 //!
 //! ```text
-//! cargo run --release -p scenarios --bin transports [-- --smoke] [-- --serial]
+//! cargo run --release -p scenarios --bin transports [-- --serial]
 //! ```
 //!
 //! Runs the mixed-transport scenarios (the paper chain with LIMD and
@@ -13,16 +13,14 @@
 //! transport cohort. Everything is computed from the deterministic
 //! engine, so the output is byte-identical across runs; `--serial`
 //! switches from the two-shard parallel engine to the serial one (same
-//! bytes — CI diffs the two), and `--smoke` shortens the run for CI.
+//! bytes — CI diffs the two).
 
 use fairness::metrics::jain_index;
 use netsim::Transport;
 use scenarios::discipline::Corelite;
-use scenarios::{mixed_transports, mixed_transports_fat_tree, ExperimentResult, Scenario};
+use scenarios::{cli, mixed_transports, mixed_transports_fat_tree, ExperimentResult, SEED};
 use sim_core::stats::TimeSeries;
 use sim_core::time::SimTime;
-
-const SEED: u64 = 20000; // ICDCS 2000
 
 /// FCT threshold: time to deliver this many packets.
 const FCT_PACKETS: f64 = 500.0;
@@ -108,16 +106,8 @@ fn print_tables(result: &ExperimentResult) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let serial = args.iter().any(|a| a == "--serial");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut scenarios: Vec<Scenario> = if smoke {
-        let mut short = mixed_transports(SEED);
-        short.horizon = SimTime::from_secs(40);
-        vec![short]
-    } else {
-        vec![mixed_transports(SEED), mixed_transports_fat_tree(SEED)]
-    };
+    let serial = cli::flags(&["--serial"]).serial;
+    let mut scenarios = [mixed_transports(SEED), mixed_transports_fat_tree(SEED)];
     for s in &mut scenarios {
         s.shards = if serial { 1 } else { 2 };
     }

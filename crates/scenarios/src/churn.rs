@@ -6,10 +6,10 @@
 //! concurrency and table footprint from the run's
 //! [`netsim::ChurnReport`]. [`churn_markdown`] renders the table with
 //! fixed-precision formatting, so equal sweeps yield identical bytes —
-//! the determinism contract the CI smoke step compares across runs.
+//! the determinism contract a CI step compares across runs.
 
 use crate::discipline::Discipline;
-use crate::exec::{run_parallel, run_serial};
+use crate::exec;
 use crate::runner::Scenario;
 
 /// One cell of the churn table.
@@ -42,7 +42,7 @@ pub struct ChurnRow {
 
 /// Runs every `(scenario, discipline)` combination and returns one
 /// [`ChurnRow`] per cell, in sweep order. The sweep goes through
-/// [`run_parallel`] unless `serial` is set; both orders produce
+/// [`exec::run_parallel`] unless `serial` is set; both orders produce
 /// identical rows.
 ///
 /// # Panics
@@ -72,11 +72,7 @@ pub fn churn_rows(
             .clone()
             .expect("churn scenarios produce a churn report")
     };
-    let cells = if serial {
-        run_serial(jobs.clone(), work)
-    } else {
-        run_parallel(jobs.clone(), work)
-    };
+    let cells = exec::run(serial, jobs.clone(), work);
     jobs.iter()
         .zip(&cells)
         .map(|(&(s, d), churn)| ChurnRow {

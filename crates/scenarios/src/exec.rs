@@ -80,6 +80,21 @@ where
     jobs.into_iter().map(work).collect()
 }
 
+/// [`run_serial`] if `serial` (a binary's `--serial` flag), else
+/// [`run_parallel`]: the same results either way.
+pub fn run<T, R, F>(serial: bool, jobs: Vec<T>, work: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    if serial {
+        run_serial(jobs, work)
+    } else {
+        run_parallel(jobs, work)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

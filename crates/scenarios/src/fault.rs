@@ -15,7 +15,7 @@
 use sim_core::time::SimDuration;
 
 use crate::discipline::Discipline;
-use crate::exec::{run_parallel, run_serial};
+use crate::exec;
 use crate::report::window_jain_index;
 use crate::runner::Scenario;
 
@@ -50,7 +50,7 @@ pub struct DegradationRow {
 /// layers `control_loss` on top of whatever faults the scenario
 /// already carries.
 ///
-/// The sweep goes through [`run_parallel`] unless `serial` is set;
+/// The sweep goes through [`exec::run_parallel`] unless `serial` is set;
 /// both orders produce identical rows.
 ///
 /// # Panics
@@ -90,11 +90,7 @@ pub fn degradation_rows(
             result.total_drops(),
         )
     };
-    let cells = if serial {
-        run_serial(jobs.clone(), work)
-    } else {
-        run_parallel(jobs.clone(), work)
-    };
+    let cells = exec::run(serial, jobs.clone(), work);
     jobs.iter()
         .zip(&cells)
         .map(|(&(s, d, l), &(jain, goodput, drops))| {

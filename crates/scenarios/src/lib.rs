@@ -24,6 +24,7 @@
 //!   CSV export for replotting.
 //! * [`plot`] — a dependency-free SVG line plotter; the `figures` binary
 //!   writes an image per figure next to the CSV.
+//! * [`cli`] — the flags a table binary accepts; anything else exits 2.
 //!
 //! The `figures` binary regenerates every figure, and `compare` runs the
 //! §4.4 summary across every registered discipline:
@@ -37,6 +38,7 @@
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod churn;
+pub mod cli;
 pub mod discipline;
 pub mod dsl;
 pub mod exec;
@@ -52,6 +54,6 @@ pub use runner::{
     ExperimentResult, ReferenceSpec, RunOptions, Scenario, ScenarioChurn, ScenarioFlow,
 };
 pub use schedules::{
-    fig3_4, fig5_6, fig7_8, fig9_10, mixed_transports, mixed_transports_fat_tree, PaperFigure,
+    fig3_4, fig5_6, fig7_8, fig9_10, mixed_transports, mixed_transports_fat_tree, PaperFigure, SEED,
 };
 pub use topology::{CorePath, Route, TopologySpec};

@@ -9,6 +9,10 @@ use crate::discipline::{Corelite, Csfq, Discipline};
 use crate::runner::{Scenario, ScenarioFlow};
 use crate::topology::{Route, TopologySpec};
 
+/// The seed of every table binary's runs (`figures`, `compare`, …): the
+/// paper's year, ICDCS 2000.
+pub const SEED: u64 = 20000;
+
 /// §4.1 (Figures 3 and 4): 20 flows with the paper's weights; flows 1, 9,
 /// 10, 11 and 16 live only during `[250 s, 500 s)`, all others during
 /// `[0 s, 750 s)`. Expected allotted rates per unit weight: 33.33 pkt/s

@@ -9,6 +9,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 
 use scenarios::discipline;
 use scenarios::dsl::parse_scenario;
@@ -70,6 +71,34 @@ fn inputs_that_crashed_or_hung_are_line_numbered_errors() {
             .unwrap_or_else(|| panic!("{name}: first line must be `# expect: ...`"));
         let e = parse_scenario(&text).expect_err(&name).to_string();
         assert!(e.contains(expected), "{name}: {e}");
+    }
+}
+
+/// A flag a table binary does not take (`--smoke` here) exits 2 with the
+/// binary's usage line instead of running the full sweep.
+#[test]
+fn table_binaries_reject_a_flag_they_do_not_take() {
+    for (exe, usage) in [
+        (env!("CARGO_BIN_EXE_faults"), "usage: faults [--serial]"),
+        (env!("CARGO_BIN_EXE_churn"), "usage: churn [--serial]"),
+        (
+            env!("CARGO_BIN_EXE_transports"),
+            "usage: transports [--serial]",
+        ),
+        (
+            env!("CARGO_BIN_EXE_telemetry"),
+            "usage: telemetry [--out DIR]",
+        ),
+    ] {
+        let out = Command::new(exe)
+            .arg("--smoke")
+            .current_dir(env!("CARGO_TARGET_TMPDIR"))
+            .output()
+            .expect("table binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe}: {stderr}");
+        assert!(stderr.contains(usage), "{exe}: {stderr}");
+        assert!(out.stdout.is_empty(), "{exe} ran anyway");
     }
 }
 
